@@ -1,9 +1,9 @@
 #include "src/graph/algorithms.h"
 
-#include <algorithm>
 #include <cassert>
 #include <numeric>
 #include <queue>
+#include <utility>
 
 namespace treelocal {
 
@@ -57,33 +57,46 @@ std::vector<int> MaskedComponents(const Graph& g, const std::vector<char>& mask,
 
 namespace {
 
-// BFS within the mask from `source`; returns (farthest node, distance) and
-// optionally fills dist_out.
-std::pair<int, int> MaskedBfsFarthest(const Graph& g,
-                                      const std::vector<char>& mask,
-                                      int source, std::vector<int>* dist_out) {
-  std::vector<int> dist(g.NumNodes(), -1);
-  std::queue<int> q;
-  dist[source] = 0;
-  q.push(source);
-  int far = source, far_d = 0;
-  while (!q.empty()) {
-    int v = q.front();
-    q.pop();
-    if (dist[v] > far_d) {
-      far_d = dist[v];
-      far = v;
-    }
-    for (int u : g.Neighbors(v)) {
-      if (mask[u] && dist[u] < 0) {
-        dist[u] = dist[v] + 1;
-        q.push(u);
+// BFS within the mask, with one workspace shared by every component of a
+// call: an n-sized distance array (all -1 between runs) and a flat FIFO
+// queue. A run touches only its source's component and resets exactly the
+// entries it wrote, so a whole call costs O(n + m) however many components
+// the mask has.
+class MaskedBfs {
+ public:
+  MaskedBfs(const Graph& g, const std::vector<char>& mask)
+      : g_(g), mask_(mask), dist_(g.NumNodes(), -1) {}
+
+  // Returns (first node dequeued at the largest distance, that distance).
+  std::pair<int, int> Farthest(int source) {
+    queue_.clear();
+    dist_[source] = 0;
+    queue_.push_back(source);
+    int far = source, far_d = 0;
+    for (size_t head = 0; head < queue_.size(); ++head) {
+      const int v = queue_[head];
+      const int d = dist_[v];
+      if (d > far_d) {
+        far_d = d;
+        far = v;
+      }
+      for (int u : g_.Neighbors(v)) {
+        if (mask_[u] && dist_[u] < 0) {
+          dist_[u] = d + 1;
+          queue_.push_back(u);
+        }
       }
     }
+    for (int v : queue_) dist_[v] = -1;
+    return {far, far_d};
   }
-  if (dist_out) *dist_out = std::move(dist);
-  return {far, far_d};
-}
+
+ private:
+  const Graph& g_;
+  const std::vector<char>& mask_;
+  std::vector<int> dist_;
+  std::vector<int> queue_;
+};
 
 }  // namespace
 
@@ -93,15 +106,13 @@ std::vector<int> MaskedTreeComponentDiameters(const Graph& g,
                                               int num_components) {
   std::vector<int> diameter(num_components, 0);
   std::vector<char> done(num_components, 0);
+  MaskedBfs bfs(g, mask);
   for (int v = 0; v < g.NumNodes(); ++v) {
     if (!mask[v] || comp[v] < 0 || done[comp[v]]) continue;
     done[comp[v]] = 1;
     // Double BFS: exact on trees/forest components.
-    auto [far, d1] = MaskedBfsFarthest(g, mask, v, nullptr);
-    auto [far2, d2] = MaskedBfsFarthest(g, mask, far, nullptr);
-    (void)far2;
-    (void)d1;
-    diameter[comp[v]] = d2;
+    const int far = bfs.Farthest(v).first;
+    diameter[comp[v]] = bfs.Farthest(far).second;
   }
   return diameter;
 }
@@ -159,13 +170,10 @@ std::vector<ComponentLeader> MaskedComponentLeaders(
     cl.nodes.push_back(v);
     if (cl.leader < 0 || key[v] > key[cl.leader]) cl.leader = v;
   }
-  for (auto& cl : leaders) {
-    std::vector<int> dist;
-    MaskedBfsFarthest(g, mask, cl.leader, &dist);
-    int ecc = 0;
-    for (int v : cl.nodes) ecc = std::max(ecc, dist[v]);
-    cl.eccentricity = ecc;
-  }
+  // The BFS from the leader reaches exactly its component, so the farthest
+  // distance is the eccentricity.
+  MaskedBfs bfs(g, mask);
+  for (auto& cl : leaders) cl.eccentricity = bfs.Farthest(cl.leader).second;
   return leaders;
 }
 

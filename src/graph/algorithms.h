@@ -21,10 +21,11 @@ std::vector<int> ConnectedComponents(const Graph& g, int* num_components);
 std::vector<int> MaskedComponents(const Graph& g, const std::vector<char>& mask,
                                   int* num_components);
 
-// Exact diameter of each masked component, computed by BFS from every node of
-// the component *within the mask*. Intended for trees/forests (where a
-// double-BFS shortcut is exact) and small graphs; for masked subgraphs of
-// trees each component is a tree so double-BFS is used.
+// Diameter of each masked component, by a double BFS *within the mask*: from
+// the component's smallest node to the first farthest node found, then from
+// there. Exact when every component is a tree (e.g. masked subgraphs of a
+// tree or forest). All BFS runs share one workspace, so the whole call is
+// O(n + m) regardless of the number of components.
 // Returns a vector indexed by component id.
 std::vector<int> MaskedTreeComponentDiameters(const Graph& g,
                                               const std::vector<char>& mask,
@@ -45,7 +46,9 @@ bool GreedyForestCover(const Graph& g, int a);
 
 // For each masked component of a *tree* g: a (node, eccentricity-in-component)
 // pair for the gather leader, where the leader is the node maximizing
-// (key[v]) within the component. Eccentricities measured inside the mask.
+// (key[v]) within the component (ties: the smallest node wins). `nodes` lists
+// the component in increasing node order. Eccentricities are measured inside
+// the mask by one BFS per component over a shared workspace: O(n + m) total.
 struct ComponentLeader {
   int leader = -1;
   int eccentricity = 0;  // max distance from leader within component

@@ -425,7 +425,9 @@ void Dispatcher::RunRakeCompressBatchPass(
       res.total_rounds = (uint32_t)r;
       res.messages = net.messages_delivered(b);
       res.digest = net.last_digest(b);
-      res.iterations = (uint32_t)(r / 3);
+      // Each iteration is 3 rounds and the run halts inside its last one
+      // (phase 1 or 2), so ceil(r / 3) is the solo run's num_iterations.
+      res.iterations = (uint32_t)((r + 2) / 3);
       Finish(members[i], TicketState::kDone, res, "");
     }
     std::lock_guard<std::mutex> lock(mu_);

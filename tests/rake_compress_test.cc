@@ -100,6 +100,9 @@ TEST_P(RakeCompressTest, EngineRoundsLinearInIterations) {
   // early once every node has halted.
   EXPECT_LE(result_.engine_rounds, 3 * result_.num_iterations);
   EXPECT_GE(result_.engine_rounds, 3 * result_.num_iterations - 2);
+  // Hence ceil(rounds / 3) recovers the iteration count from the round
+  // count alone — what the daemon's coalesced pass reports.
+  EXPECT_EQ((result_.engine_rounds + 2) / 3, result_.num_iterations);
 }
 
 TEST_P(RakeCompressTest, LayerOrderWellFormed) {

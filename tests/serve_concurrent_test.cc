@@ -242,6 +242,63 @@ TEST_F(ServeConcurrentTest, QueuedRequestsCoalesceIntoOnePass) {
   server_->Stop();
 }
 
+// A rake-compress response reports the solo run's iteration count, whether
+// its request ran alone or in a coalesced pass (the pass derives it from
+// the instance's round count).
+TEST_F(ServeConcurrentTest, RakeCompressIterationsMatchSolo) {
+  StartServer({});
+  const Graph big = UniformRandomTree(200000, 13);
+  const Graph small = UniformRandomTree(309, 17);
+  const std::vector<int> ks = {2, 3, 4, 8};
+  std::map<int, uint32_t> want;
+  for (int k : ks) {
+    want[k] = (uint32_t)RunRakeCompress(small, IotaIds(small.NumNodes()), k)
+                  .num_iterations;
+  }
+
+  auto c = Connect();
+  const uint64_t big_key = Register(*c, big);
+  const uint64_t small_key = Register(*c, small);
+  std::string error;
+
+  // Solo: each request is the only member of its pass.
+  for (int k : ks) {
+    SolveSpec spec;
+    spec.k = k;
+    SolveResult result;
+    ASSERT_TRUE(c->SolveAndWait(small_key, spec, &result, &error)) << error;
+    EXPECT_EQ(result.iterations, want.at(k)) << "solo k=" << k;
+  }
+
+  // Coalesced: the four pile up behind a long head and share one pass.
+  SolveSpec head;
+  head.k = 2;
+  uint64_t head_ticket = 0;
+  ASSERT_TRUE(c->Solve(big_key, head, &head_ticket, &error)) << error;
+  std::vector<uint64_t> tickets;
+  for (int k : ks) {
+    SolveSpec spec;
+    spec.k = k;
+    uint64_t ticket = 0;
+    ASSERT_TRUE(c->Solve(small_key, spec, &ticket, &error)) << error;
+    tickets.push_back(ticket);
+  }
+  for (size_t i = 0; i < ks.size(); ++i) {
+    TicketState state;
+    SolveResult result;
+    std::string why;
+    ASSERT_TRUE(
+        c->Fetch(tickets[i], /*block=*/true, &state, &result, &why, &error))
+        << error;
+    ASSERT_EQ(state, TicketState::kDone) << why;
+    EXPECT_EQ(result.iterations, want.at(ks[i])) << "coalesced k=" << ks[i];
+  }
+  ServerStats stats;
+  ASSERT_TRUE(c->Stats(&stats, &error)) << error;
+  EXPECT_GE(stats.max_batch, 2u);
+  server_->Stop();
+}
+
 // Cancelling a queued member of a forming batch completes it immediately
 // as kCancelled and must leave the surviving members' transcripts
 // untouched.
