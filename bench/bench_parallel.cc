@@ -4,12 +4,12 @@
 // Three measurements, all on uniform-random-tree rake-compress (the
 // bandwidth-bound workload ROADMAP names as the sharding target), merged
 // into BENCH_engine.json as source "bench_parallel":
-//   * parallel_scaling: ParallelNetwork at each T in --threads vs the serial
-//     Network — per-T wall-clock (best of --reps), speedup, and the
-//     per-round wall-clock trajectory. Exits non-zero if any T's transcript
-//     (outputs, rounds, messages, per-round RoundStats) differs from
-//     serial: the determinism contract is the acceptance gate, speedup is
-//     reported but never traded against it.
+//   * parallel_scaling: ParallelNetwork at each T in --threads vs the same
+//     engine at its default T = 1 ("serial") — per-T wall-clock (best of
+//     --reps), speedup, and the per-round wall-clock trajectory. Exits
+//     non-zero if any T's transcript (outputs, rounds, messages, per-round
+//     RoundStats) differs from serial: the determinism contract is the
+//     acceptance gate, speedup is reported but never traded against it.
 //   * parallel_batch: a k-sweep on ParallelBatchNetwork (instance shards)
 //     vs B solo Network runs, same identity gate.
 //   * relabel_ablation: Network with NetworkOptions::relabel vs default
@@ -49,9 +49,8 @@ bool SameTranscript(const RakeCompressResult& a, const RakeCompressResult& b) {
 
 // Warmup + best-of-reps on a reusable engine; keeps the result and round
 // trajectory of the fastest rep.
-template <typename Engine>
-double Measure(Engine& engine, int k, int reps, RakeCompressResult& out,
-               std::vector<double>& round_seconds) {
+double Measure(local::Network& engine, int k, int reps,
+               RakeCompressResult& out, std::vector<double>& round_seconds) {
   RunRakeCompress(engine, k);  // warmup: faults in the mailboxes
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {

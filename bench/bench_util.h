@@ -87,8 +87,8 @@ inline std::vector<int> PowersOfTwo(int lo, int hi) {
 
 // Uniform opt-in per-round wall-clock timing across the engine family, so
 // every driver records round trajectories identically instead of probing
-// `requires { engine.round_seconds(); }` ad hoc. Engines exposing the
-// timing surface (Network, ParallelNetwork) are armed and read back;
+// `requires { engine.round_seconds(); }` ad hoc. The engine exposing the
+// timing surface (Network, at any thread count) is armed and read back;
 // engines without it (ReferenceNetwork, BatchNetwork) arm to a no-op and
 // capture an empty trajectory — callers emit what they got and the JSON
 // consumers treat an empty round_seconds as "engine does not time rounds".

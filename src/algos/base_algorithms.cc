@@ -59,7 +59,7 @@ int64_t DenseRanks(const std::vector<int64_t>& colors, int64_t num_colors,
 // chosen label on every semi-contained port and leave the worklist. Reads
 // are 1-hop and of prior-round data only, writes are the node's own
 // half-edges — which is exactly the Algorithm determinism contract, so the
-// sweep is bit-identical across Network / ParallelNetwork / relabel and
+// sweep is bit-identical across thread counts / relabel and
 // order-independent within a class (the same argument that lets the legacy
 // path process a class in sorted order).
 // ---------------------------------------------------------------------------
@@ -211,11 +211,11 @@ class EdgeClassSweepAlgorithm : public local::Algorithm {
   HalfEdgeLabeling& h_;
 };
 
-// Shared by Network and ParallelNetwork (same Run/counters surface).
-template <typename Engine>
-BaseRunStats RunNodeBaseOnEngine(Engine& net, const NodeProblem& problem,
-                                 const SemiGraph& semi, int64_t id_space,
-                                 HalfEdgeLabeling& h) {
+}  // namespace
+
+BaseRunStats RunNodeBase(local::Network& net, const NodeProblem& problem,
+                         const SemiGraph& semi, int64_t id_space,
+                         HalfEdgeLabeling& h) {
   BaseRunStats stats;
   if (semi.NumSemiNodes() == 0) return stats;
   const Graph& host = semi.host();
@@ -262,10 +262,17 @@ BaseRunStats RunNodeBaseOnEngine(Engine& net, const NodeProblem& problem,
   return stats;
 }
 
-template <typename Engine>
-BaseRunStats RunEdgeBaseOnEngine(Engine& net, const EdgeProblem& problem,
-                                 const SemiGraph& semi, int64_t id_space,
-                                 HalfEdgeLabeling& h) {
+BaseRunStats RunNodeBase(const NodeProblem& problem, const SemiGraph& semi,
+                         const std::vector<int64_t>& host_ids,
+                         int64_t id_space, HalfEdgeLabeling& h) {
+  if (semi.NumSemiNodes() == 0) return {};
+  local::Network net(semi.host(), host_ids);
+  return RunNodeBase(net, problem, semi, id_space, h);
+}
+
+BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
+                         const SemiGraph& semi, int64_t id_space,
+                         HalfEdgeLabeling& h) {
   // The host ID space is unused here: line-graph IDs are derived densely
   // from the host IDs' order (see LineGraphIds); kept for API symmetry.
   (void)id_space;
@@ -331,14 +338,8 @@ BaseRunStats RunEdgeBaseOnEngine(Engine& net, const EdgeProblem& problem,
   std::vector<int64_t> line_ids =
       LineGraphIdsFast(host, edge_to_host, net.ids());
   int64_t line_space = static_cast<int64_t>(m_sub) + 1;
-  LinialResult linial = [&] {
-    if constexpr (requires { net.num_threads(); }) {
-      return RunLinialParallel(lg.graph, line_ids, line_space,
-                               net.num_threads());
-    } else {
-      return RunLinial(lg.graph, line_ids, line_space);
-    }
-  }();
+  LinialResult linial =
+      RunLinial(lg.graph, line_ids, line_space, net.num_threads());
   // One line-graph round costs 2 host rounds (exchange over shared
   // endpoints), hence the factor 2 on the symmetry-breaking part.
   stats.linial_rounds = 2 * linial.rounds;
@@ -422,40 +423,6 @@ BaseRunStats RunEdgeBaseOnEngine(Engine& net, const EdgeProblem& problem,
   return stats;
 }
 
-}  // namespace
-
-BaseRunStats RunNodeBase(local::Network& net, const NodeProblem& problem,
-                         const SemiGraph& semi, int64_t id_space,
-                         HalfEdgeLabeling& h) {
-  return RunNodeBaseOnEngine(net, problem, semi, id_space, h);
-}
-
-BaseRunStats RunNodeBase(local::ParallelNetwork& net,
-                         const NodeProblem& problem, const SemiGraph& semi,
-                         int64_t id_space, HalfEdgeLabeling& h) {
-  return RunNodeBaseOnEngine(net, problem, semi, id_space, h);
-}
-
-BaseRunStats RunNodeBase(const NodeProblem& problem, const SemiGraph& semi,
-                         const std::vector<int64_t>& host_ids,
-                         int64_t id_space, HalfEdgeLabeling& h) {
-  if (semi.NumSemiNodes() == 0) return {};
-  local::Network net(semi.host(), host_ids);
-  return RunNodeBaseOnEngine(net, problem, semi, id_space, h);
-}
-
-BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
-                         const SemiGraph& semi, int64_t id_space,
-                         HalfEdgeLabeling& h) {
-  return RunEdgeBaseOnEngine(net, problem, semi, id_space, h);
-}
-
-BaseRunStats RunEdgeBase(local::ParallelNetwork& net,
-                         const EdgeProblem& problem, const SemiGraph& semi,
-                         int64_t id_space, HalfEdgeLabeling& h) {
-  return RunEdgeBaseOnEngine(net, problem, semi, id_space, h);
-}
-
 BaseRunStats RunEdgeBase(const EdgeProblem& problem, const SemiGraph& semi,
                          const std::vector<int64_t>& host_ids,
                          int64_t id_space, HalfEdgeLabeling& h) {
@@ -464,7 +431,7 @@ BaseRunStats RunEdgeBase(const EdgeProblem& problem, const SemiGraph& semi,
     return {};
   }
   local::Network net(semi.host(), host_ids);
-  return RunEdgeBaseOnEngine(net, problem, semi, id_space, h);
+  return RunEdgeBase(net, problem, semi, id_space, h);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 #include "src/graph/labeling.h"
 #include "src/graph/semigraph.h"
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/problems/problem.h"
 
 namespace treelocal {
@@ -63,15 +62,12 @@ BaseRunStats RunNodeBase(const NodeProblem& problem, const SemiGraph& semi,
                          int64_t id_space, HalfEdgeLabeling& h);
 
 // Engine-native on a caller-owned host engine over semi.host() with the
-// host IDs (the engine's graph/ids are the source of truth). Used by the
-// pipelines to reuse one engine across phases and by the benches to arm
-// per-round timing.
+// host IDs (the engine's graph/ids are the source of truth), at the
+// engine's thread count. Used by the pipelines to reuse one engine across
+// phases and by the benches to arm per-round timing.
 BaseRunStats RunNodeBase(local::Network& net, const NodeProblem& problem,
                          const SemiGraph& semi, int64_t id_space,
                          HalfEdgeLabeling& h);
-BaseRunStats RunNodeBase(local::ParallelNetwork& net,
-                         const NodeProblem& problem, const SemiGraph& semi,
-                         int64_t id_space, HalfEdgeLabeling& h);
 
 // Solves an EdgeProblem on semi-graph `semi` (edge-induced; all ranks 2),
 // labeling both half-edges of every contained edge. Symmetry breaking runs
@@ -81,13 +77,12 @@ BaseRunStats RunEdgeBase(const EdgeProblem& problem, const SemiGraph& semi,
                          const std::vector<int64_t>& host_ids,
                          int64_t id_space, HalfEdgeLabeling& h);
 
-// Engine-native on a caller-owned host engine (see RunNodeBase).
+// Engine-native on a caller-owned host engine (see RunNodeBase); the
+// line-graph symmetry breaking runs on its own engine at the host's thread
+// count.
 BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
                          const SemiGraph& semi, int64_t id_space,
                          HalfEdgeLabeling& h);
-BaseRunStats RunEdgeBase(local::ParallelNetwork& net,
-                         const EdgeProblem& problem, const SemiGraph& semi,
-                         int64_t id_space, HalfEdgeLabeling& h);
 
 // The original host-side implementations (compacted Subgraph + sequential
 // sorted sweep), kept verbatim as the differential oracle for the

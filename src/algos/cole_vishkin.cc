@@ -5,7 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "src/local/parallel_network.h"
+#include "src/local/network.h"
 #include "src/local/reference_network.h"
 
 namespace treelocal {
@@ -138,8 +138,7 @@ int ColeVishkinIterations(int64_t id_space) {
 
 namespace {
 
-// Shared by every engine (same Run/counters surface); the caller owns the
-// engine so the sharded form can carry its thread count.
+// Shared by Network and ReferenceNetwork (same Run/counters surface).
 template <typename Engine>
 ColeVishkinResult ColeVishkinOnEngine(Engine& net, const Graph& forest,
                                       const std::vector<int64_t>& ids,
@@ -165,17 +164,8 @@ ColeVishkinResult ColeVishkinOnEngine(Engine& net, const Graph& forest,
 ColeVishkinResult ColeVishkin3Color(const Graph& forest,
                                     const std::vector<int64_t>& ids,
                                     const std::vector<int>& parent,
-                                    int64_t id_space) {
-  local::Network net(forest, ids);
-  return ColeVishkinOnEngine(net, forest, ids, parent, id_space);
-}
-
-ColeVishkinResult ColeVishkin3ColorParallel(const Graph& forest,
-                                            const std::vector<int64_t>& ids,
-                                            const std::vector<int>& parent,
-                                            int64_t id_space,
-                                            int num_threads) {
-  local::ParallelNetwork net(forest, ids, num_threads);
+                                    int64_t id_space, int num_threads) {
+  local::Network net(forest, ids, num_threads, local::NetworkOptions{});
   return ColeVishkinOnEngine(net, forest, ids, parent, id_space);
 }
 

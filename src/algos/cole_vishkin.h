@@ -24,18 +24,13 @@ struct ColeVishkinResult {
 // `parent[v]` is the parent node index or -1 for roots. `ids` are distinct;
 // `id_space` is an exclusive upper bound on them (the schedule length is a
 // function of the ID space, which all nodes know). The graph must be a
-// forest whose edges are exactly {v, parent[v]}.
+// forest whose edges are exactly {v, parent[v]}. Runs on an engine with
+// `num_threads` lanes; bit-identical for every thread count (engine parity
+// tests).
 ColeVishkinResult ColeVishkin3Color(const Graph& forest,
                                     const std::vector<int64_t>& ids,
                                     const std::vector<int>& parent,
-                                    int64_t id_space);
-
-// Same run on a ParallelNetwork with `num_threads` lanes; bit-identical to
-// ColeVishkin3Color for every thread count (engine parity tests).
-ColeVishkinResult ColeVishkin3ColorParallel(const Graph& forest,
-                                            const std::vector<int64_t>& ids,
-                                            const std::vector<int>& parent,
-                                            int64_t id_space, int num_threads);
+                                    int64_t id_space, int num_threads = 1);
 
 // Same run on the naive ReferenceNetwork; bit-identical by contract and
 // asserted so by the engine parity tests.

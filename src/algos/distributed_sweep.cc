@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "src/local/parallel_network.h"
+#include "src/local/network.h"
 #include "src/local/reference_network.h"
 
 namespace treelocal {
@@ -99,8 +99,7 @@ class NodeSweepAlgorithm : public local::Algorithm {
 
 namespace {
 
-// Shared by every engine (same Run/counters surface); the caller owns the
-// engine so the sharded form can carry its thread count.
+// Shared by Network and ReferenceNetwork (same Run/counters surface).
 template <typename Engine>
 DistributedSweepResult RunNodeSweepOnEngine(Engine& net,
                                             const NodeProblem& problem,
@@ -130,16 +129,8 @@ DistributedSweepResult RunNodeSweepOnEngine(Engine& net,
 DistributedSweepResult RunDistributedNodeSweep(
     const NodeProblem& problem, const Graph& g,
     const std::vector<int64_t>& ids, const std::vector<int64_t>& colors,
-    int64_t num_colors) {
-  local::Network net(g, ids);
-  return RunNodeSweepOnEngine(net, problem, g, ids, colors, num_colors);
-}
-
-DistributedSweepResult RunDistributedNodeSweepParallel(
-    const NodeProblem& problem, const Graph& g,
-    const std::vector<int64_t>& ids, const std::vector<int64_t>& colors,
     int64_t num_colors, int num_threads) {
-  local::ParallelNetwork net(g, ids, num_threads);
+  local::Network net(g, ids, num_threads, local::NetworkOptions{});
   return RunNodeSweepOnEngine(net, problem, g, ids, colors, num_colors);
 }
 

@@ -29,18 +29,13 @@ struct DistributedSweepResult {
 };
 
 // `colors[v]` in [0, num_colors) for every node of `g`; `ids` are the LOCAL
-// identifiers. Labels every half-edge of `g` (all nodes participate).
+// identifiers. Labels every half-edge of `g` (all nodes participate). Runs
+// on an engine with `num_threads` lanes; bit-identical for every thread
+// count (engine parity tests).
 DistributedSweepResult RunDistributedNodeSweep(
     const NodeProblem& problem, const Graph& g,
     const std::vector<int64_t>& ids, const std::vector<int64_t>& colors,
-    int64_t num_colors);
-
-// Same run on a ParallelNetwork with `num_threads` lanes; bit-identical to
-// RunDistributedNodeSweep for every thread count (engine parity tests).
-DistributedSweepResult RunDistributedNodeSweepParallel(
-    const NodeProblem& problem, const Graph& g,
-    const std::vector<int64_t>& ids, const std::vector<int64_t>& colors,
-    int64_t num_colors, int num_threads);
+    int64_t num_colors, int num_threads = 1);
 
 // Same run on the naive ReferenceNetwork; bit-identical by contract and
 // asserted so by the engine parity tests.

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/local/parallel_network.h"
+#include "src/local/network.h"
 #include "src/local/reference_network.h"
 #include "src/support/mathutil.h"
 
@@ -158,8 +158,8 @@ class InducedLinialAlgorithm : public local::Algorithm {
     const int begin = ports_->offset[v], end = ports_->offset[v + 1];
     if (r >= 1) {
       const LinialStep& step = schedule_.steps[r - 1];
-      // thread_local: OnRound runs concurrently across ParallelNetwork
-      // shards; each shard keeps its own scratch.
+      // thread_local: OnRound runs concurrently across Network shards;
+      // each shard keeps its own scratch.
       thread_local std::vector<int64_t> nbr;
       nbr.clear();
       for (int i = begin; i < end; ++i) {
@@ -206,7 +206,7 @@ class LinialAlgorithm : public local::Algorithm {
       const LinialStep& step = schedule_.steps[r - 1];
       // Collect neighbor colors (their broadcast from last round); the
       // scratch is thread_local because OnRound runs concurrently across
-      // ParallelNetwork shards.
+      // Network shards.
       thread_local std::vector<int64_t> nbr;
       nbr.clear();
       for (int p = 0; p < ctx.degree(); ++p) {
@@ -251,8 +251,7 @@ LinialSchedule BuildLinialSchedule(int64_t id_space, int max_degree) {
 
 namespace {
 
-// Shared by every engine (same Run/counters surface); the caller owns the
-// engine so the sharded form can carry its thread count.
+// Shared by Network and ReferenceNetwork (same Run/counters surface).
 template <typename Engine>
 LinialResult RunLinialOnEngine(Engine& net, const Graph& g,
                                const std::vector<int64_t>& ids,
@@ -284,14 +283,8 @@ LinialResult RunLinialOnEngine(Engine& net, const Graph& g,
 }  // namespace
 
 LinialResult RunLinial(const Graph& g, const std::vector<int64_t>& ids,
-                       int64_t id_space) {
-  local::Network net(g, ids);
-  return RunLinialOnEngine(net, g, ids, id_space);
-}
-
-LinialResult RunLinialParallel(const Graph& g, const std::vector<int64_t>& ids,
-                               int64_t id_space, int num_threads) {
-  local::ParallelNetwork net(g, ids, num_threads);
+                       int64_t id_space, int num_threads) {
+  local::Network net(g, ids, num_threads, local::NetworkOptions{});
   return RunLinialOnEngine(net, g, ids, id_space);
 }
 
@@ -302,16 +295,13 @@ LinialResult RunLinialReference(const Graph& g,
   return RunLinialOnEngine(net, g, ids, id_space);
 }
 
-namespace {
-
 // Mirrors RunLinialOnEngine's structure (including the degree-0 and empty
 // special cases) so outputs match a run on the compacted underlying graph
 // field for field.
-template <typename Engine>
-LinialResult RunLinialInducedOnEngine(Engine& net,
-                                      const local::InducedPortCsr& ports,
-                                      const std::vector<char>& participant,
-                                      int64_t id_space) {
+LinialResult RunLinialInduced(local::Network& net,
+                              const local::InducedPortCsr& ports,
+                              const std::vector<char>& participant,
+                              int64_t id_space) {
   LinialResult result;
   const int n = net.graph().NumNodes();
   bool any = false;
@@ -332,27 +322,11 @@ LinialResult RunLinialInducedOnEngine(Engine& net,
   result.round_stats = net.round_stats();
   for (int v = 0; v < n; ++v) {
     if (participant[v]) {
-      result.colors[v] = net.template StateAt<LinialState>(v).color;
+      result.colors[v] = net.StateAt<LinialState>(v).color;
     }
   }
   result.num_colors = schedule.final_colors;
   return result;
-}
-
-}  // namespace
-
-LinialResult RunLinialInduced(local::Network& net,
-                              const local::InducedPortCsr& ports,
-                              const std::vector<char>& participant,
-                              int64_t id_space) {
-  return RunLinialInducedOnEngine(net, ports, participant, id_space);
-}
-
-LinialResult RunLinialInduced(local::ParallelNetwork& net,
-                              const local::InducedPortCsr& ports,
-                              const std::vector<char>& participant,
-                              int64_t id_space) {
-  return RunLinialInducedOnEngine(net, ports, participant, id_space);
 }
 
 }  // namespace treelocal

@@ -42,14 +42,11 @@ struct LinialResult {
 };
 
 // Runs Linial color reduction on `g` with the given distinct IDs
-// (0 <= id < id_space required... IDs here are 1-based; internally shifted).
+// (0 <= id < id_space required... IDs here are 1-based; internally shifted)
+// on an engine with `num_threads` lanes; bit-identical for every thread
+// count (asserted by the engine parity tests).
 LinialResult RunLinial(const Graph& g, const std::vector<int64_t>& ids,
-                       int64_t id_space);
-
-// Same run on a ParallelNetwork with `num_threads` lanes; bit-identical to
-// RunLinial for every thread count (asserted by the engine parity tests).
-LinialResult RunLinialParallel(const Graph& g, const std::vector<int64_t>& ids,
-                               int64_t id_space, int num_threads);
+                       int64_t id_space, int num_threads = 1);
 
 // Same run on the naive ReferenceNetwork; bit-identical by contract and
 // asserted so by the engine parity tests.
@@ -71,11 +68,6 @@ LinialResult RunLinialReference(const Graph& g,
 // depends only on the set of neighbor colors, never on their order.
 // Precondition: every edge of `ports` has both endpoints participating.
 LinialResult RunLinialInduced(local::Network& net,
-                              const local::InducedPortCsr& ports,
-                              const std::vector<char>& participant,
-                              int64_t id_space);
-// Sharded form; bit-identical for every thread count.
-LinialResult RunLinialInduced(local::ParallelNetwork& net,
                               const local::InducedPortCsr& ports,
                               const std::vector<char>& participant,
                               int64_t id_space);

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/support/mathutil.h"
 
 namespace treelocal {
@@ -89,12 +88,8 @@ DecompositionResult RunDecomposition(GraphView g,
   return RunDecomposition(net, a, b, k);
 }
 
-namespace {
-
-// Shared by Network and ParallelNetwork (same Run/counters surface).
-template <typename Engine>
-DecompositionResult RunDecompositionOnEngine(Engine& net, int a, int b,
-                                             int k) {
+DecompositionResult RunDecomposition(local::Network& net, int a, int b,
+                                     int k) {
   if (a < 1) throw std::invalid_argument("arboricity must be >= 1");
   if (b <= a) throw std::invalid_argument("need b > a");
   if (k < 5 * a) throw std::invalid_argument("need k >= 5a");
@@ -110,7 +105,7 @@ DecompositionResult RunDecompositionOnEngine(Engine& net, int a, int b,
   result.round_stats = net.round_stats();
   result.layer.resize(g.NumNodes());
   for (int v = 0; v < g.NumNodes(); ++v) {
-    result.layer[v] = net.template StateAt<DecompState>(v).layer;
+    result.layer[v] = net.StateAt<DecompState>(v).layer;
     assert(result.layer[v] > 0 && "all nodes must be marked (Lemma 13)");
     result.num_layers = std::max(result.num_layers, result.layer[v]);
   }
@@ -150,18 +145,6 @@ DecompositionResult RunDecompositionOnEngine(Engine& net, int a, int b,
     if (degree_hi > k) result.atypical[static_cast<size_t>(e)] = 1;
   });
   return result;
-}
-
-}  // namespace
-
-DecompositionResult RunDecomposition(local::Network& net, int a, int b,
-                                     int k) {
-  return RunDecompositionOnEngine(net, a, b, k);
-}
-
-DecompositionResult RunDecomposition(local::ParallelNetwork& net, int a,
-                                     int b, int k) {
-  return RunDecompositionOnEngine(net, a, b, k);
 }
 
 }  // namespace treelocal

@@ -8,10 +8,6 @@
 #include "src/graph/graph_view.h"
 #include "src/local/network.h"
 
-namespace treelocal::local {
-class ParallelNetwork;
-}  // namespace treelocal::local
-
 namespace treelocal {
 
 // The paper's new decomposition process (Algorithm 3), run as a LOCAL
@@ -56,14 +52,12 @@ DecompositionResult RunDecomposition(GraphView g,
                                      const std::vector<int64_t>& ids, int a,
                                      int b, int k);
 
-// Same process on a caller-owned engine (net.graph(), net.ids()). Lets the
-// bench drivers reuse mailboxes across calls and opt into per-round timing
+// Same process on a caller-owned engine (net.view(), net.ids()), at the
+// engine's thread count — bit-identical for every T. Lets the bench drivers
+// reuse mailboxes across calls and opt into per-round timing
 // (set_record_round_times) before the run, and the Thm 15 pipeline reuse
 // one engine across all its phases.
 DecompositionResult RunDecomposition(local::Network& net, int a, int b, int k);
-// Sharded form; transcripts bit-identical for every thread count.
-DecompositionResult RunDecomposition(local::ParallelNetwork& net, int a,
-                                     int b, int k);
 
 // Lemma 13 bound on the number of iterations.
 int DecompositionIterationBound(int64_t n, int a, int k);

@@ -7,7 +7,6 @@
 #include "src/algos/cole_vishkin.h"
 #include "src/graph/subgraph.h"
 #include "src/local/bitplane.h"
-#include "src/local/parallel_network.h"
 
 namespace treelocal {
 
@@ -79,7 +78,7 @@ class MultiForestCvAlgorithm : public local::Algorithm {
       // transposed bit-plane kernel, 64 forests per word-op; narrow ones
       // take its countr_zero scalar path. Bit-identical either way (the
       // per-forest oracle parity tests pin it). thread_local scratch keeps
-      // OnRound re-entrant across ParallelNetwork shards.
+      // OnRound re-entrant across Network shards.
       thread_local std::vector<int64_t> mine_lanes, parent_lanes;
       thread_local std::vector<int> lane_forest;
       mine_lanes.clear();
@@ -163,17 +162,17 @@ class MultiForestCvAlgorithm : public local::Algorithm {
   const int iterations_;
 };
 
-// Shared by Network and ParallelNetwork host engines: the host engine
-// supplies graph/ids (and, for the sharded form, the thread count the
-// sub-engine inherits). The CV itself runs on ONE dedicated engine over the
-// compacted atypical-edge CSR — everything here is O(n + m) scanning plus
+}  // namespace
+
+// The host engine supplies graph/ids and the thread count the sub-engine
+// inherits. The CV itself runs on ONE dedicated engine over the compacted
+// atypical-edge CSR — everything here is O(n + m) scanning plus
 // O(|E1|)-sized engine state, so a near-empty E1 (the common tree case)
 // costs near-nothing, while the 2a per-forest Subgraph/Network rebuilds of
 // the oracle are gone entirely.
-template <typename HostEngine>
-ForestSplitResult SplitAtypicalForestsOnEngine(
-    HostEngine& host_net, const DecompositionResult& decomp, int a,
-    int64_t id_space) {
+ForestSplitResult SplitAtypicalForests(local::Network& host_net,
+                                       const DecompositionResult& decomp,
+                                       int a, int64_t id_space) {
   const Graph& g = host_net.graph();
   const std::vector<int64_t>& ids = host_net.ids();
   ForestSplitResult result;
@@ -255,38 +254,29 @@ ForestSplitResult SplitAtypicalForestsOnEngine(
   MultiForestCvAlgorithm alg(entry_off, entry_port, entry_forest,
                              parent_port, sub_ids, result.num_forests,
                              iterations);
-  // Finish on the compacted engine, then classify every atypical edge by
-  // the CV color of its higher endpoint, read straight from the engine's
-  // state plane. The sub-engine mirrors the host engine family (sharded
-  // hosts get a sharded pass over the CSR).
-  auto finish = [&](auto& net) {
-    net.set_record_round_times(host_net.record_round_times());
-    result.cv_rounds = net.Run(alg, iterations + 64);
-    result.messages = net.messages_delivered();
-    result.round_stats = net.round_stats();
-    result.round_seconds = net.round_seconds();
-    for (int se = 0; se < static_cast<int>(atyp_edges.size()); ++se) {
-      const int e = atyp_edges[se];
-      const int f = result.forest_of_edge[e];
-      int lo = decomp.LowerEndpoint(g, e, ids);
-      int hi = g.OtherEndpoint(e, lo);
-      const int j = static_cast<int>(
-          (&net.template StateAt<int64_t>(host_to_sub[hi]))[f]);
-      result.star_class_of_edge[e] = j;
-      result.stars[f][j].push_back(e);
-    }
-  };
-  if constexpr (requires { host_net.num_threads(); }) {
-    local::ParallelNetwork net(sub_graph, sub_ids, host_net.num_threads());
-    finish(net);
-  } else {
-    local::Network net(sub_graph, sub_ids);
-    finish(net);
+  // Finish on the compacted engine (at the host's thread count, with the
+  // host's round timer setting), then classify every atypical edge by the
+  // CV color of its higher endpoint, read straight from the engine's state
+  // plane.
+  local::Network net(sub_graph, sub_ids, host_net.num_threads(),
+                     local::NetworkOptions{});
+  net.set_record_round_times(host_net.record_round_times());
+  result.cv_rounds = net.Run(alg, iterations + 64);
+  result.messages = net.messages_delivered();
+  result.round_stats = net.round_stats();
+  result.round_seconds = net.round_seconds();
+  for (int se = 0; se < static_cast<int>(atyp_edges.size()); ++se) {
+    const int e = atyp_edges[se];
+    const int f = result.forest_of_edge[e];
+    int lo = decomp.LowerEndpoint(g, e, ids);
+    int hi = g.OtherEndpoint(e, lo);
+    const int j =
+        static_cast<int>((&net.StateAt<int64_t>(host_to_sub[hi]))[f]);
+    result.star_class_of_edge[e] = j;
+    result.stars[f][j].push_back(e);
   }
   return result;
 }
-
-}  // namespace
 
 ForestSplitResult SplitAtypicalForests(const Graph& g,
                                        const std::vector<int64_t>& ids,
@@ -365,18 +355,6 @@ ForestSplitResult SplitAtypicalForests(const Graph& g,
     for (int hv : sub_to_host) host_to_sub[hv] = -1;
   }
   return result;
-}
-
-ForestSplitResult SplitAtypicalForests(local::Network& net,
-                                       const DecompositionResult& decomp,
-                                       int a, int64_t id_space) {
-  return SplitAtypicalForestsOnEngine(net, decomp, a, id_space);
-}
-
-ForestSplitResult SplitAtypicalForests(local::ParallelNetwork& net,
-                                       const DecompositionResult& decomp,
-                                       int a, int64_t id_space) {
-  return SplitAtypicalForestsOnEngine(net, decomp, a, id_space);
 }
 
 }  // namespace treelocal

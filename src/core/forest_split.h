@@ -8,10 +8,6 @@
 #include "src/graph/graph.h"
 #include "src/local/network.h"
 
-namespace treelocal::local {
-class ParallelNetwork;
-}  // namespace treelocal::local
-
 namespace treelocal {
 
 // Splits the atypical edges E1 into 2a forests F_1..F_{2a} (each node colors
@@ -62,9 +58,6 @@ ForestSplitResult SplitAtypicalForests(const Graph& g,
 // evolution depends only on that forest's parent/child colors, which the
 // fused pass reproduces exactly.
 ForestSplitResult SplitAtypicalForests(local::Network& net,
-                                       const DecompositionResult& decomp,
-                                       int a, int64_t id_space);
-ForestSplitResult SplitAtypicalForests(local::ParallelNetwork& net,
                                        const DecompositionResult& decomp,
                                        int a, int64_t id_space);
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/local/reference_network.h"
 #include "src/support/mathutil.h"
 
@@ -158,10 +157,6 @@ RakeCompressResult RunRakeCompressOnEngine(Engine& net, int k) {
 }  // namespace
 
 RakeCompressResult RunRakeCompress(local::Network& net, int k) {
-  return RunRakeCompressOnEngine(net, k);
-}
-
-RakeCompressResult RunRakeCompress(local::ParallelNetwork& net, int k) {
   return RunRakeCompressOnEngine(net, k);
 }
 

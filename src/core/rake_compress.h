@@ -52,14 +52,11 @@ struct RakeCompressResult {
 RakeCompressResult RunRakeCompress(GraphView tree,
                                    const std::vector<int64_t>& ids, int k);
 
-// Same process on a caller-owned engine (net.graph() must be a forest).
-// Repeated calls reuse the engine's mailboxes with no reallocation — the
-// form the throughput benches use.
+// Same process on a caller-owned engine (net.view() must be a forest), at
+// the engine's thread count — bit-identical for every T. Repeated calls
+// reuse the engine's mailboxes with no reallocation — the form the
+// throughput benches use.
 RakeCompressResult RunRakeCompress(local::Network& net, int k);
-
-// Same process on a caller-owned sharded engine; bit-identical to the solo
-// run for every thread count (the ParallelNetwork determinism contract).
-RakeCompressResult RunRakeCompress(local::ParallelNetwork& net, int k);
 
 // Same process on a caller-owned naive reference engine (per-round O(n + m)
 // cost); used by differential tests and the engine benchmarks.

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/graph/semigraph.h"
-#include "src/local/parallel_network.h"
+#include "src/local/network.h"
 
 namespace treelocal {
 
@@ -54,12 +54,14 @@ std::vector<char> ClassifyEdges(const Graph& g, Thm15Result& result) {
   return typical_mask;
 }
 
-// Engine-native phases 1-3 on one host engine (Network or ParallelNetwork:
-// same Run/counters surface, bit-identical transcripts by the engine
-// family's determinism contract).
-template <typename Engine>
-Thm15Result SolveOnEngine(const EdgeProblem& problem, Engine& net,
-                          int64_t id_space, int a, int k) {
+}  // namespace
+
+// Engine-native phases 1-3 on one host engine (bit-identical transcripts
+// for every thread count by the engine's determinism contract).
+Thm15Result SolveEdgeProblemBoundedArboricity(const EdgeProblem& problem,
+                                              local::Network& net,
+                                              int64_t id_space, int a,
+                                              int k) {
   const Graph& g = net.graph();
   Thm15Result result;
   result.a = a;
@@ -92,37 +94,13 @@ Thm15Result SolveOnEngine(const EdgeProblem& problem, Engine& net,
   return result;
 }
 
-}  // namespace
-
 Thm15Result SolveEdgeProblemBoundedArboricity(const EdgeProblem& problem,
                                               const Graph& g,
                                               const std::vector<int64_t>& ids,
-                                              int64_t id_space, int a,
-                                              int k) {
-  local::Network net(g, ids);
-  return SolveOnEngine(problem, net, id_space, a, k);
-}
-
-Thm15Result SolveEdgeProblemBoundedArboricity(const EdgeProblem& problem,
-                                              local::Network& net,
-                                              int64_t id_space, int a,
-                                              int k) {
-  return SolveOnEngine(problem, net, id_space, a, k);
-}
-
-Thm15Result SolveEdgeProblemBoundedArboricity(const EdgeProblem& problem,
-                                              local::ParallelNetwork& net,
-                                              int64_t id_space, int a,
-                                              int k) {
-  return SolveOnEngine(problem, net, id_space, a, k);
-}
-
-Thm15Result SolveEdgeProblemBoundedArboricityParallel(
-    const EdgeProblem& problem, const Graph& g,
-    const std::vector<int64_t>& ids, int64_t id_space, int a, int k,
-    int num_threads) {
-  local::ParallelNetwork net(g, ids, num_threads);
-  return SolveOnEngine(problem, net, id_space, a, k);
+                                              int64_t id_space, int a, int k,
+                                              int num_threads) {
+  local::Network net(g, ids, num_threads, local::NetworkOptions{});
+  return SolveEdgeProblemBoundedArboricity(problem, net, id_space, a, k);
 }
 
 Thm15Result SolveEdgeProblemBoundedArboricityLegacy(

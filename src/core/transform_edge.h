@@ -13,10 +13,6 @@
 #include "src/local/network.h"
 #include "src/problems/problem.h"
 
-namespace treelocal::local {
-class ParallelNetwork;
-}  // namespace treelocal::local
-
 namespace treelocal {
 
 // Theorem 15 pipeline for edge problems (class P2) on graphs of arboricity
@@ -72,11 +68,13 @@ struct Thm15Result {
   std::vector<double> round_seconds_split;
 };
 
-// Engine-native, constructs the host engine internally.
+// Engine-native, constructs the host engine internally with `num_threads`
+// lanes; bit-identical for every T.
 Thm15Result SolveEdgeProblemBoundedArboricity(const EdgeProblem& problem,
                                               const Graph& g,
                                               const std::vector<int64_t>& ids,
-                                              int64_t id_space, int a, int k);
+                                              int64_t id_space, int a, int k,
+                                              int num_threads = 1);
 
 // Engine-native on a caller-owned host engine over (g, ids) — reused across
 // all three engine phases and across repeated solves (bench drivers arm
@@ -84,16 +82,6 @@ Thm15Result SolveEdgeProblemBoundedArboricity(const EdgeProblem& problem,
 Thm15Result SolveEdgeProblemBoundedArboricity(const EdgeProblem& problem,
                                               local::Network& net,
                                               int64_t id_space, int a, int k);
-Thm15Result SolveEdgeProblemBoundedArboricity(const EdgeProblem& problem,
-                                              local::ParallelNetwork& net,
-                                              int64_t id_space, int a, int k);
-
-// Sharded convenience form: phases 1-3 on a ParallelNetwork with
-// `num_threads` lanes; bit-identical to the serial path for every T.
-Thm15Result SolveEdgeProblemBoundedArboricityParallel(
-    const EdgeProblem& problem, const Graph& g,
-    const std::vector<int64_t>& ids, int64_t id_space, int a, int k,
-    int num_threads);
 
 // The original host-side path (legacy base + per-forest Cole-Vishkin),
 // kept as the differential oracle.

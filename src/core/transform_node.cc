@@ -5,22 +5,21 @@
 
 #include "src/graph/algorithms.h"
 #include "src/graph/semigraph.h"
-#include "src/local/parallel_network.h"
+#include "src/local/network.h"
 
 namespace treelocal {
 
 namespace {
 
-// Phases 2-3 of the Theorem 12 pipeline, shared by the solo, parallel and
-// batched entry points: takes a finished phase-1 decomposition (already
-// stored in `result.rake_compress`) and completes the base run and the
-// gather phase. `net` is the host engine over (tree, ids) — reused from
-// phase 1, so the base's engine-native class sweep rides on the same
-// mailboxes (no steady-state reallocation across phases or instances).
-template <typename Engine>
+// Phases 2-3 of the Theorem 12 pipeline, shared by the solo and batched
+// entry points: takes a finished phase-1 decomposition (already stored in
+// `result.rake_compress`) and completes the base run and the gather phase.
+// `net` is the host engine over (tree, ids) — reused from phase 1, so the
+// base's engine-native class sweep rides on the same mailboxes (no
+// steady-state reallocation across phases or instances).
 void FinishNodeProblem(const NodeProblem& problem, const Graph& tree,
                        const std::vector<int64_t>& ids, int64_t id_space,
-                       Engine& net, Thm12Result& result) {
+                       local::Network& net, Thm12Result& result) {
   result.rounds_decomposition = result.rake_compress.engine_rounds;
 
   std::vector<char> compressed_mask(tree.NumNodes(), 0);
@@ -83,31 +82,13 @@ void FinishNodeProblem(const NodeProblem& problem, const Graph& tree,
 Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
                                    const Graph& tree,
                                    const std::vector<int64_t>& ids,
-                                   int64_t id_space, int k) {
+                                   int64_t id_space, int k, int num_threads) {
   Thm12Result result;
   result.k = k;
   result.labeling = HalfEdgeLabeling(tree);
 
   // Phase 1: decomposition; phases 2-3 reuse the same engine.
-  local::Network net(tree, ids);
-  result.rake_compress = RunRakeCompress(net, k);
-  FinishNodeProblem(problem, tree, ids, id_space, net, result);
-  return result;
-}
-
-Thm12Result SolveNodeProblemOnTreeParallel(const NodeProblem& problem,
-                                           const Graph& tree,
-                                           const std::vector<int64_t>& ids,
-                                           int64_t id_space, int k,
-                                           int num_threads) {
-  Thm12Result result;
-  result.k = k;
-  result.labeling = HalfEdgeLabeling(tree);
-
-  // Phase 1 on the sharded engine; phases 2-3 are shared verbatim with the
-  // solo path, so any divergence can only come from phase 1 — which the
-  // ParallelNetwork contract rules out.
-  local::ParallelNetwork net(tree, ids, num_threads);
+  local::Network net(tree, ids, num_threads, local::NetworkOptions{});
   result.rake_compress = RunRakeCompress(net, k);
   FinishNodeProblem(problem, tree, ids, id_space, net, result);
   return result;

@@ -46,21 +46,14 @@ struct Thm12Result {
   int64_t num_raked = 0;
 };
 
+// Runs every engine phase on one host engine with `num_threads` lanes; the
+// result is identical for every thread count (the engine's transcripts are
+// bit-identical for every T, and the gather phase is engine-free).
 Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
                                    const Graph& tree,
                                    const std::vector<int64_t>& ids,
-                                   int64_t id_space, int k);
-
-// Same pipeline with the engine-bound decomposition phase (phase 1) run on
-// a ParallelNetwork with `num_threads` lanes; the result is identical to
-// SolveNodeProblemOnTree for every thread count (phases 2-3 are engine-free
-// and phase 1's transcript is bit-identical by the ParallelNetwork
-// contract).
-Thm12Result SolveNodeProblemOnTreeParallel(const NodeProblem& problem,
-                                           const Graph& tree,
-                                           const std::vector<int64_t>& ids,
-                                           int64_t id_space, int k,
-                                           int num_threads);
+                                   int64_t id_space, int k,
+                                   int num_threads = 1);
 
 // Batched k-sweep: solves the same problem instance for every k in `ks`,
 // running the engine-bound decomposition phase (phase 1) of all instances

@@ -20,9 +20,9 @@ namespace treelocal {
 //
 // Edge ids differ between backends (Graph numbers edges in input order,
 // CompactGraph canonically by sorted (min, max)); nothing
-// transcript-bearing depends on edge ids, but snapshot graph hashes do,
-// so checkpoints resume across backends only when the numbering happens
-// to agree (e.g. a Graph built from the canonically sorted edge list).
+// transcript-bearing depends on edge ids, and snapshots hash and store the
+// canonical edge set (see local::GraphHash), so checkpoints resume across
+// backends whatever the input edge order.
 class GraphView {
  public:
   GraphView(const Graph& g) : csr_(&g) {}              // NOLINT(runtime/explicit)

@@ -314,8 +314,8 @@ std::vector<int> BatchNetwork::RunUntil(const std::vector<Algorithm*>& algs,
       // of walking the shared worklist. Entries are (node, instance) codes;
       // an entry is live iff the pair is unhalted and its wake round still
       // equals this round (every visit and every message wake moves the
-      // wake round past it, so stale duplicates self-invalidate — the
-      // serial Network's lazy stale-skip, shard-locally). The cache-blocked
+      // wake round past it, so stale duplicates self-invalidate — a
+      // shard-private calendar needs no bucket dedup). The cache-blocked
       // streaming of the dense pass is deliberately given up here: a
       // scheduled round's visit set is sparse by design.
       std::vector<int64_t> bucket;
@@ -587,14 +587,7 @@ void BatchNetwork::Checkpoint(std::ostream& out) const {
   snap.finished = finished_;
   snap.batch = B;
   snap.round = round_;
-  snap.n = n;
-  snap.m = graph_.NumEdges();
-  snap.graph_hash = GraphHash(graph_);
-  snap.ids_hash = IdsHash(ids_);
-  snap.edges.reserve(static_cast<size_t>(snap.m));
-  graph_.ForEachEdge(
-      [&](int64_t, int u, int v) { snap.edges.emplace_back(u, v); });
-  snap.ids = ids_;
+  internal::SetInputSections(graph_, ids_, snap);
   snap.instances.resize(static_cast<size_t>(B));
   for (int b = 0; b < B; ++b) {
     SnapshotData::Instance& inst = snap.instances[static_cast<size_t>(b)];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -151,17 +152,22 @@ void ArmStatePlane(Algorithm& alg, int n, const int* inv,
 }  // namespace internal
 
 Network::Network(GraphView graph, std::vector<int64_t> ids)
-    : Network(graph, std::move(ids), NetworkOptions{}) {}
-
-Network::~Network() = default;  // out of line: pending_resume_'s type
+    : Network(graph, std::move(ids), 1, NetworkOptions{}) {}
 
 Network::Network(GraphView graph, std::vector<int64_t> ids,
                  const NetworkOptions& options)
+    : Network(graph, std::move(ids), 1, options) {}
+
+Network::~Network() = default;  // out of line: pending_resume_'s type
+
+Network::Network(GraphView graph, std::vector<int64_t> ids, int num_threads,
+                 const NetworkOptions& options)
     : graph_(graph),
       ids_(std::move(ids)),
-      digest_messages_(options.digest_messages),
       wake_opt_(options.wake_scheduling),
-      fault_(options.fault) {
+      digest_messages_(options.digest_messages),
+      fault_(options.fault),
+      pool_(num_threads) {
   assert(static_cast<int>(ids_.size()) == graph.NumNodes());
   internal::ValidateChannelScale(graph.NumNodes(), graph.NumEdges(),
                                  "Network");
@@ -179,6 +185,7 @@ Network::Network(GraphView graph, std::vector<int64_t> ids,
   outbox_.assign(channels, Message{});
   halted_.assign(n, 0);
   active_.reserve(n);
+  shards_.resize(pool_.num_threads());
 }
 
 int Network::Run(Algorithm& alg, int max_rounds) {
@@ -186,6 +193,7 @@ int Network::Run(Algorithm& alg, int max_rounds) {
 }
 
 int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
+  const int T = pool_.num_threads();
   const int n = graph_.NumNodes();
   // A run is scheduled iff the engine option is on AND the algorithm opts
   // in. Continuing a paused run recomputes the same value (same Algorithm
@@ -194,6 +202,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   if (scheduled && wake_round_.empty() && n > 0) {
     // First scheduled run on this engine: arm the wake tables once.
     wake_round_.assign(n, 0);
+    bucket_stamp_.assign(n, -1);
     chan_owner_ = internal::BuildChanOwner(graph_, first_, order_);
     notify_stamp_.reset(new std::atomic<int32_t>[n]);
     for (int i = 0; i < n; ++i) {
@@ -204,31 +213,40 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   // (the run throws at max_rounds before they could matter, and a later
   // continuation with a larger bound rebuilds the calendar from
   // wake_round_ below) — this bounds calendar memory by the caller's own
-  // round budget. Duplicate entries for one node are harmless: the drain
-  // skips any entry whose wake_round_ no longer matches its bucket.
+  // round budget. Duplicate and stale entries are harmless: the bucket
+  // assembly dedups by stamp and the visit skips any rank whose wake round
+  // no longer matches.
   const auto push_calendar = [&](int w, int i) {
     if (w >= max_rounds) return;
     if (w >= static_cast<int>(calendar_.size())) calendar_.resize(w + 1);
     calendar_[w].push_back(i);
   };
-  if (pending_resume_ != nullptr) {
-    // Resume path: restore the checkpointed boundary instead of starting
-    // fresh. The epoch must advance (with the pre-run wrap guard) BEFORE
-    // the snapshot applies — the deliverable messages are stamped
-    // epoch_ - 1, i.e. relative to the epoch the resumed round runs under.
-    const std::unique_ptr<SnapshotData> snap = std::move(pending_resume_);
+  // Advancing by 2 leaves every stamp from the previous run strictly below
+  // epoch_ - 1, so round 0 of this run cannot observe stale messages. The
+  // 32-bit stamp wraps only after ~2^31 cumulative rounds; when the epoch
+  // nears the wrap, re-arm every stamp once — amortized cost zero (the
+  // mid-run case is handled by the per-round rebase below). The
+  // message-wake dedup stamps are epoch-keyed like the mailboxes and must
+  // not survive an epoch reset (a stale stamp equal to a future epoch
+  // would swallow a wake).
+  const auto advance_epoch = [&] {
     if (epoch_ >= INT32_MAX - 4) {
       for (auto& m : inbox_) m.engine_stamp = -1;
       for (auto& m : outbox_) m.engine_stamp = -1;
-      // The message-wake dedup stamps are epoch-keyed like the mailboxes
-      // and must not survive an epoch reset (a stale stamp equal to a
-      // future epoch would swallow a wake).
       for (int i = 0; i < n && notify_stamp_ != nullptr; ++i) {
         notify_stamp_[i].store(-1, std::memory_order_relaxed);
       }
       epoch_ = 1;
     }
     epoch_ += 2;
+  };
+  if (pending_resume_ != nullptr) {
+    // Resume path: restore the checkpointed boundary instead of starting
+    // fresh. The epoch must advance BEFORE the snapshot applies — the
+    // deliverable messages are stamped epoch_ - 1, i.e. relative to the
+    // epoch the resumed round runs under.
+    const std::unique_ptr<SnapshotData> snap = std::move(pending_resume_);
+    advance_epoch();
     round_seconds_.clear();
     internal::ApplySoloSnapshot(*snap, graph_, alg.StateBytes(), order_,
                                 perm_, first_, inbox_, halted_, active_,
@@ -242,7 +260,10 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       // every live node awake at the boundary, so resuming it scheduled
       // just re-engages the algorithm's sleeps going forward). The
       // always-visit worklist ApplySoloSnapshot built is replaced by the
-      // boundary's wake bucket.
+      // boundary's wake bucket. Bucket stamps are keyed by round number,
+      // which restarts per run — a stale stamp equal to a future round
+      // would silently swallow that node's calendar splice.
+      std::fill(bucket_stamp_.begin(), bucket_stamp_.end(), -1);
       const std::vector<int32_t>& wake = snap->instances[0].wake;
       calendar_.clear();
       active_.clear();
@@ -272,34 +293,16 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     round_msg_acc_.clear();
     round_digests_.clear();
     digest_ = support::kDigestSeed;
-    // Advancing by 2 leaves every stamp from the previous run strictly below
-    // epoch_ - 1, so round 0 of this run cannot observe stale messages. The
-    // 32-bit stamp wraps only after ~2^31 cumulative rounds; when the epoch
-    // nears the wrap, re-arm every stamp once — amortized cost zero. (The old
-    // guard computed INT32_MAX - max_rounds - 4, which went negative for
-    // max_rounds near INT32_MAX, re-armed on every call, and still let a
-    // post-re-arm run of ~2^31 rounds overflow the stamp mid-run; the wrap
-    // check is now independent of max_rounds, with the mid-run case handled
-    // by the per-round rebase below.)
-    if (epoch_ >= INT32_MAX - 4) {
-      for (auto& m : inbox_) m.engine_stamp = -1;
-      for (auto& m : outbox_) m.engine_stamp = -1;
-      // The message-wake dedup stamps are epoch-keyed like the mailboxes
-      // and must not survive an epoch reset (a stale stamp equal to a
-      // future epoch would swallow a wake).
-      for (int i = 0; i < n && notify_stamp_ != nullptr; ++i) {
-        notify_stamp_[i].store(-1, std::memory_order_relaxed);
-      }
-      epoch_ = 1;
-    }
-    epoch_ += 2;
+    advance_epoch();
     std::fill(halted_.begin(), halted_.end(), 0);
     wakes_ = 0;
     if (scheduled) {
       // Seed the calendar from the algorithm's declared first-action
       // rounds; round 0's bucket replaces the full iota worklist. Rounds
       // still tick (and record stats and digests) while buckets are empty,
-      // so the transcript is bit-identical to the always-visit run.
+      // so the transcript is bit-identical to the always-visit run. Stamps
+      // restart with the rounds (see the resume path).
+      std::fill(bucket_stamp_.begin(), bucket_stamp_.end(), -1);
       calendar_.clear();
       active_.clear();
       live_count_ = n;
@@ -322,12 +325,13 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       active_.resize(n);
       std::iota(active_.begin(), active_.end(), 0);
     }
+    // One InitState pass on the calling thread: per-node init is
+    // order-independent by contract, and Run-setup cost is not sharded.
     internal::ArmStatePlane(alg, n, order_.data(), state_, state_stride_);
   } else if (scheduled) {
     // Continuing a paused scheduled run: the current bucket (active_) and
     // wake rounds are live, but the calendar was bounded by the PREVIOUS
     // call's max_rounds — rebuild it from wake_round_ under the new bound.
-    // Duplicates with surviving entries are skipped by the stale drain.
     calendar_.clear();
     notify_armed_ = false;
     for (int i = 0; i < n; ++i) {
@@ -341,35 +345,203 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   // the digest chain are all live exactly as the pause left them.
   mid_run_ = false;  // any exit other than the pause return is not a pause
   finished_ = false;
+  scheduled_ = scheduled;
   unsigned char* const state_base = state_.data();
   const size_t stride = state_stride_;
   support::FaultInjector* const fault = fault_;
 
-  NodeContext ctx(graph_, ids_.data(), nullptr, nullptr);
-  ctx.first_ = first_.data();
-  ctx.send_chan_ = send_chan_.data();
-  ctx.halted_ = halted_.data();
-  ctx.sent_ = &messages_delivered_;
-  ctx.macc_ = digest_messages_ ? &msg_acc_ : nullptr;
-  scheduled_ = scheduled;
+  // One context per shard: identical CSR views except for the per-shard
+  // counter slots and wake-candidate list. Rebuilt per Run (T small).
+  std::vector<NodeContext> ctxs;
+  ctxs.reserve(T);
+  for (int t = 0; t < T; ++t) {
+    ctxs.push_back(NodeContext(graph_, ids_.data(), nullptr, nullptr));
+    NodeContext& ctx = ctxs.back();
+    ctx.first_ = first_.data();
+    ctx.send_chan_ = send_chan_.data();
+    ctx.halted_ = halted_.data();
+    ctx.sent_ = &shards_[t].sent;
+    ctx.macc_ = digest_messages_ ? &shards_[t].macc : nullptr;
+    if (scheduled) {
+      // Shared dedup stamps (atomic exchange), per-shard candidate lists.
+      // notify_stamp_ is aimed per round below: null while the hook is
+      // disarmed (nobody parked), live once any node parks.
+      ctx.chan_owner_ = chan_owner_.data();
+      ctx.notified_ = &shards_[t].notified;
+    }
+  }
+
+  // Shard boundaries: contiguous worklist ranges, balanced to +-1. The
+  // partition depends only on (active_now, T) — but even that choice is
+  // transcript-invisible, since shards only reorder OnRound within the
+  // round and all cross-shard writes are disjoint (see the class comment).
+  int active_now = 0;
+  auto shard_lo = [&](int t) {
+    return static_cast<int>(static_cast<int64_t>(active_now) * t / T);
+  };
+  // Begins a round: aims every shard's context at this round's mailboxes
+  // and epoch (the mailboxes swap and the epoch moves every round) and
+  // zeroes the shard counters.
+  const auto start_round = [&] {
+    active_now = static_cast<int>(active_.size());
+    for (int t = 0; t < T; ++t) {
+      NodeContext& ctx = ctxs[t];
+      ctx.round_ = round_;
+      ctx.inbox_ = inbox_.data();
+      ctx.outbox_ = outbox_.data();
+      ctx.epoch_ = epoch_;
+      // Send-side wake recording only while someone is parked: a null
+      // notify_stamp_ turns the whole hook into one predictable branch.
+      ctx.notify_stamp_ =
+          scheduled && notify_armed_ ? notify_stamp_.get() : nullptr;
+      Shard& sh = shards_[t];
+      sh.sent = 0;
+      sh.macc = 0;
+      sh.kept = 0;
+      sh.visits = 0;
+      sh.decisions = 0;
+      sh.halts = 0;
+      sh.slept.clear();
+      sh.notified.clear();
+    }
+  };
+  // Round-boundary checks shared by both loops: pause, fault, max_rounds
+  // (`live` is the live-node count the error reports), and the mid-run
+  // epoch rebase (a single run of ~2^31 rounds keeps exactly this round's
+  // deliverable messages visible and invalidates everything else — one
+  // O(2m) pass per ~2^31 rounds). Returns true when the run pauses here.
+  const auto at_boundary = [&](int64_t live) {
+    if (round_ == pause_at_round) {
+      // Pause at the boundary BEFORE this round executes; the worklist,
+      // mailboxes, and digest chain describe exactly this boundary.
+      mid_run_ = true;
+      return true;
+    }
+    if (fault != nullptr) fault->AtRoundBoundary(round_);
+    if (round_ >= max_rounds) {
+      throw MaxRoundsExceededError("Network::Run", round_, live, digest_);
+    }
+    if (epoch_ >= INT32_MAX - 2) {
+      for (auto& m : outbox_) m.engine_stamp = -1;
+      for (auto& m : inbox_) {
+        m.engine_stamp = m.engine_stamp == epoch_ - 1 ? 2 : -1;
+      }
+      for (int i = 0; i < n && notify_stamp_ != nullptr; ++i) {
+        notify_stamp_[i].store(-1, std::memory_order_relaxed);
+      }
+      epoch_ = 3;
+    }
+    return false;
+  };
+  // Ends a round's node pass (the pool join is the visibility fence):
+  // records its stats and digest from the shard sums (sums commute, so
+  // every total — and the content accumulator — is independent of the
+  // sharding) and stitches the shards' compacted prefixes into one dense
+  // worklist in engine order.
+  const auto finish_round = [&](int active_nodes) {
+    int64_t round_sent = 0;
+    uint64_t round_macc = 0;
+    int64_t visits = 0;
+    int64_t decisions = 0;
+    for (const Shard& sh : shards_) {
+      round_sent += sh.sent;
+      round_macc += sh.macc;
+      visits += sh.visits;
+      decisions += sh.decisions;
+    }
+    // Always-visit path: every live node was visited this round, so
+    // visits == active_nodes; decisions still measures who acted.
+    if (!scheduled) visits = active_nodes;
+    messages_delivered_ += round_sent;
+    round_stats_.push_back({active_nodes, round_sent, visits, decisions});
+    round_msg_acc_.push_back(round_macc);
+    digest_ =
+        support::ChainDigest(digest_, active_nodes, round_sent, round_macc);
+    round_digests_.push_back(digest_);
+    int dst = shards_[0].kept;
+    for (int t = 1; t < T; ++t) {
+      const int lo = shard_lo(t);
+      const int kept = shards_[t].kept;
+      // dst <= lo always, so this forward copy never overruns its source;
+      // a manual loop because std::copy forbids dst == lo (self-copy).
+      for (int j = 0; j < kept; ++j) active_[dst + j] = active_[lo + j];
+      dst += kept;
+    }
+    active_.resize(dst);
+  };
+  // Opt-in round timer; the stop runs after the next bucket is assembled,
+  // just before the mailbox swap.
+  std::chrono::steady_clock::time_point t0;
+  const auto start_timer = [&] {
+    if (record_round_times_) t0 = std::chrono::steady_clock::now();
+  };
+  const auto stop_timer = [&] {
+    if (record_round_times_) {
+      round_seconds_.push_back(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count());
+    }
+  };
 
   if (scheduled) {
-    // Wake-scheduled round loop. Transcript identity with the legacy loop
-    // below is by construction: active_nodes records the LIVE count (not
-    // visits), rounds tick even when the current bucket is empty, and any
-    // node that would have observed new input on the always-visit path is
-    // woken for the delivery round at the barrier. Only visits shrink.
-    ctx.chan_owner_ = chan_owner_.data();
-    ctx.notified_ = &notified_;
-    notified_.clear();
-    parked_now_.clear();
-    // Wake a sleeping candidate iff an observable message actually sits in
+    // Wake-scheduled round loop. Transcript identity with the always-visit
+    // loop below is by construction: active_nodes records the LIVE count
+    // (not visits), rounds tick even when the current bucket is empty, and
+    // any node that would have observed new input on the always-visit path
+    // is woken for the delivery round at the barrier. Only visits shrink.
+    //
+    // One std::function for the whole run (the per-round state it reads is
+    // captured by reference), so tail rounds fork without an allocation.
+    // Bucket entries are unique (barrier dedup), so this shard is the only
+    // writer of its entries' wake rounds.
+    const std::function<void(int)> round_task = [&](int t) {
+      const int lo = shard_lo(t);
+      const int hi = shard_lo(t + 1);
+      NodeContext& ctx = ctxs[t];
+      Shard& sh = shards_[t];
+      int* work = active_.data();
+      int kept = lo;
+      for (int idx = lo; idx < hi; ++idx) {
+        const int i = work[idx];
+        const int v = order_[i];
+        // Stale calendar entry: the node halted, or its wake moved.
+        if (halted_[v] || wake_round_[i] != round_) continue;
+        ctx.node_ = v;
+        ctx.state_ = state_base + static_cast<size_t>(i) * stride;
+        ctx.sleep_until_ = round_ + 1;  // default: act again next round
+        if (fault != nullptr) fault->OnVisit(round_);
+        const int64_t sb = sh.sent;
+        alg.OnRound(ctx);
+        ++sh.visits;
+        if (halted_[v]) {
+          ++sh.halts;
+          ++sh.decisions;  // halting is a decision; Halt wins over any sleep
+          continue;
+        }
+        sh.decisions += sh.sent != sb ? 1 : 0;
+        const int32_t w =
+            ctx.sleep_until_ <= round_ ? round_ + 1 : ctx.sleep_until_;
+        wake_round_[i] = w;
+        if (w == round_ + 1) {
+          work[kept++] = i;  // survivor: stays in next round's bucket
+        } else {
+          sh.slept.push_back(i);  // distributed into the calendar serially
+        }
+      }
+      sh.kept = kept - lo;
+    };
+    // Wakes a sleeping candidate iff an observable message actually sits in
     // its (post-swap) inbox — shared by the armed-hook candidate loop and
-    // the disarmed transition scan below, so both resolve wakes through
-    // one predicate.
+    // the disarmed transition scan, so both resolve wakes through one
+    // predicate (a later Send may have overwritten the recorded message
+    // with silence; the O(deg) scan runs only for sleeping candidates). The
+    // bucket stamp decides whether a woken rank still needs a push (a stale
+    // calendar entry may already sit in the bucket — rewriting its wake
+    // round makes that entry the wake visit).
     const auto wake_if_observable = [&](int i) {
+      const int next = round_ + 1;
       const int v = order_[i];
-      if (halted_[v] || wake_round_[i] <= round_ + 1) return;
+      if (halted_[v] || wake_round_[i] <= next) return;
       const int lo = first_[v];
       const int hi = lo + graph_.Degree(v);   // not first_[v + 1]: see
                                               // BuildChanOwner on relabel
@@ -380,123 +552,64 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
                      (msg.size != 0 || msg.word0 != 0 || msg.word1 != 0);
       }
       if (observable) {
-        wake_round_[i] = round_ + 1;
-        active_.push_back(i);
+        wake_round_[i] = next;
         ++wakes_;
+        if (bucket_stamp_[i] != next) {
+          bucket_stamp_[i] = next;
+          active_.push_back(i);
+        }
       }
     };
     while (live_count_ > 0) {
-      if (round_ == pause_at_round) {
-        mid_run_ = true;
-        return round_;
-      }
-      if (fault != nullptr) fault->AtRoundBoundary(round_);
-      if (round_ >= max_rounds) {
-        throw MaxRoundsExceededError("Network::Run", round_,
-                                     static_cast<int64_t>(live_count_),
-                                     digest_);
-      }
-      if (epoch_ >= INT32_MAX - 2) {
-        for (auto& m : outbox_) m.engine_stamp = -1;
-        for (auto& m : inbox_) {
-          m.engine_stamp = m.engine_stamp == epoch_ - 1 ? 2 : -1;
-        }
-        for (int i = 0; i < n; ++i) {
-          notify_stamp_[i].store(-1, std::memory_order_relaxed);
-        }
-        epoch_ = 3;
-      }
-      ctx.round_ = round_;
-      ctx.inbox_ = inbox_.data();
-      ctx.outbox_ = outbox_.data();
-      ctx.epoch_ = epoch_;
-      // Send-side wake recording only while someone is parked: a null
-      // notify_stamp_ turns the whole hook into one predictable branch, so
-      // a dense scheduled run (nobody ever sleeps past the next round)
-      // sends at exactly the legacy loop's cost.
-      ctx.notify_stamp_ = notify_armed_ ? notify_stamp_.get() : nullptr;
-      std::chrono::steady_clock::time_point t0;
-      if (record_round_times_) t0 = std::chrono::steady_clock::now();
+      if (at_boundary(live_count_)) return round_;
+      start_timer();
+      start_round();
       const int live_now = live_count_;
-      const int64_t sent_before = messages_delivered_;
-      msg_acc_ = 0;
-      int64_t visits = 0;
-      int64_t decisions = 0;
-      // Drain this round's bucket. An entry is valid iff its node is live
-      // and its wake round still equals this round — every visit moves the
-      // wake round past round_, so duplicate entries (sleep, message-wake,
-      // re-sleep into the same bucket) self-invalidate after the first.
-      const int bucket_now = static_cast<int>(active_.size());
-      size_t kept = 0;
-      for (int idx = 0; idx < bucket_now; ++idx) {
-        const int i = active_[idx];
-        const int v = order_[i];
-        if (halted_[v] || wake_round_[i] != round_) continue;
-        ctx.node_ = v;
-        ctx.state_ = state_base + static_cast<size_t>(i) * stride;
-        ctx.sleep_until_ = round_ + 1;  // default: act again next round
-        if (fault != nullptr) fault->OnVisit(round_);
-        const int64_t sb = messages_delivered_;
-        alg.OnRound(ctx);
-        ++visits;
-        if (halted_[v]) {
-          --live_count_;
-          ++decisions;  // halting is a decision; Halt wins over any sleep
-          continue;
-        }
-        decisions += messages_delivered_ != sb ? 1 : 0;
-        const int32_t w =
-            ctx.sleep_until_ <= round_ ? round_ + 1 : ctx.sleep_until_;
-        wake_round_[i] = w;
-        if (w == round_ + 1) {
-          active_[kept++] = i;  // survivor: stays in next round's bucket
-        } else {
-          push_calendar(w, i);
-          // Hook was off this round, so sends targeting this node were not
-          // recorded; the barrier scans its inbox directly before parking
-          // sticks, then arms the hook.
-          if (!notify_armed_) parked_now_.push_back(i);
-        }
+      pool_.ParallelFor(T, round_task);
+      for (const Shard& sh : shards_) live_count_ -= sh.halts;
+      finish_round(live_now);
+      // Assemble the next bucket: stamp the survivors, distribute this
+      // round's sleeps into the calendar, then splice the calendar's next
+      // bucket (freed after) with stamp dedup — the bucket must hold each
+      // rank at most once before shards touch it again. Stale entries
+      // (halted, or woken elsewhere) need no check here: the visit skips
+      // them, and it reads the same halt flag and wake round anyway.
+      const int next = round_ + 1;
+      for (const int i : active_) bucket_stamp_[i] = next;
+      for (const Shard& sh : shards_) {
+        for (const int i : sh.slept) push_calendar(wake_round_[i], i);
       }
-      active_.resize(kept);
-      // Next round's bucket = survivors + the calendar's round_+1 bucket
-      // (freed after the splice) + message wakes resolved below.
-      if (round_ + 1 < static_cast<int>(calendar_.size())) {
-        std::vector<int>& b = calendar_[round_ + 1];
-        active_.insert(active_.end(), b.begin(), b.end());
+      if (next < static_cast<int>(calendar_.size())) {
+        std::vector<int>& b = calendar_[next];
+        for (const int i : b) {
+          if (bucket_stamp_[i] == next) continue;
+          bucket_stamp_[i] = next;
+          active_.push_back(i);
+        }
         std::vector<int>().swap(b);
       }
-      const int64_t round_sent = messages_delivered_ - sent_before;
-      round_stats_.push_back({live_now, round_sent, visits, decisions});
-      round_msg_acc_.push_back(msg_acc_);
-      digest_ =
-          support::ChainDigest(digest_, live_now, round_sent, msg_acc_);
-      round_digests_.push_back(digest_);
-      if (record_round_times_) {
-        round_seconds_.push_back(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count());
-      }
+      stop_timer();
       std::swap(inbox_, outbox_);
       if (notify_armed_) {
         // Message-wake barrier: every receiver of an observable send this
-        // round was recorded once in notified_; wake the ones actually
-        // sleeping past the delivery round, after verifying an observable
-        // message still sits in their inbox (a later Send may have
-        // overwritten the recorded one with silence — the O(deg) scan runs
-        // only for genuinely sleeping candidates).
-        for (const int i : notified_) wake_if_observable(i);
-        notified_.clear();
-      } else if (!parked_now_.empty()) {
+        // round was recorded once in some shard's notified list.
+        for (const Shard& sh : shards_) {
+          for (const int i : sh.notified) wake_if_observable(i);
+        }
+      } else {
         // The run's first parks happened this round with the hook still
-        // disarmed, so no send was recorded — scan exactly the nodes that
-        // parked (same observability predicate as the candidate path;
-        // identical outcome to an armed round by construction), then arm
-        // the hook for the rest of the run.
-        for (const int i : parked_now_) wake_if_observable(i);
-        parked_now_.clear();
-        notify_armed_ = true;
+        // disarmed, so no send was recorded — the shards' slept lists ARE
+        // the newly-parked set; scan exactly those inboxes (identical
+        // outcome to an armed round by construction), then arm the hook
+        // for the rest of the run.
+        bool any_parked = false;
+        for (const Shard& sh : shards_) {
+          for (const int i : sh.slept) {
+            any_parked = true;
+            wake_if_observable(i);
+          }
+        }
+        if (any_parked) notify_armed_ = true;
       }
       ++round_;
       ++epoch_;
@@ -505,71 +618,38 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     return round_;
   }
 
-  while (!active_.empty()) {
-    if (round_ == pause_at_round) {
-      // Pause at the boundary BEFORE this round executes; the worklist,
-      // mailboxes, and digest chain describe exactly this boundary.
-      mid_run_ = true;
-      return round_;
-    }
-    if (fault != nullptr) fault->AtRoundBoundary(round_);
-    if (round_ >= max_rounds) {
-      throw MaxRoundsExceededError("Network::Run", round_,
-                                   static_cast<int64_t>(active_.size()),
-                                   digest_);
-    }
-    if (epoch_ >= INT32_MAX - 2) {
-      // Mid-run rebase (a single run of ~2^31 rounds): keep exactly this
-      // round's deliverable messages visible, invalidate everything else.
-      // One O(2m) pass per ~2^31 rounds — amortized cost zero.
-      for (auto& m : outbox_) m.engine_stamp = -1;
-      for (auto& m : inbox_) {
-        m.engine_stamp = m.engine_stamp == epoch_ - 1 ? 2 : -1;
-      }
-      epoch_ = 3;
-    }
-    ctx.round_ = round_;
-    // Refreshed every round: the mailboxes swap below, and the epoch moves.
-    ctx.inbox_ = inbox_.data();
-    ctx.outbox_ = outbox_.data();
-    ctx.epoch_ = epoch_;
-    std::chrono::steady_clock::time_point t0;
-    if (record_round_times_) t0 = std::chrono::steady_clock::now();
-    const int active_now = static_cast<int>(active_.size());
-    const int64_t sent_before = messages_delivered_;
-    msg_acc_ = 0;
-    // Run all active nodes, compacting halted ones out in place (stable:
-    // the engine's node order is preserved, matching the reference engine).
-    // Both the external-id lookup (order_) and the state slot stream in
-    // ascending rank order.
-    int64_t decisions = 0;
-    size_t kept = 0;
-    for (int idx = 0; idx < active_now; ++idx) {
-      const int i = active_[idx];
+  // Always-visit round task: run every active node of this shard's range,
+  // stable-compacting halted ones out in place (the engine's node order is
+  // preserved, matching the reference engine). Both the external-id lookup
+  // (order_) and the state slot stream in ascending rank order.
+  const std::function<void(int)> round_task = [&](int t) {
+    const int lo = shard_lo(t);
+    const int hi = shard_lo(t + 1);
+    NodeContext& ctx = ctxs[t];
+    Shard& sh = shards_[t];
+    int* work = active_.data();
+    int kept = lo;
+    for (int idx = lo; idx < hi; ++idx) {
+      const int i = work[idx];
       const int v = order_[i];
       ctx.node_ = v;
       ctx.state_ = state_base + static_cast<size_t>(i) * stride;
       if (fault != nullptr) fault->OnVisit(round_);
-      const int64_t sb = messages_delivered_;
+      const int64_t sb = sh.sent;
       alg.OnRound(ctx);
-      decisions += (messages_delivered_ != sb || halted_[v]) ? 1 : 0;
-      active_[kept] = i;
+      sh.decisions += (sh.sent != sb || halted_[v]) ? 1 : 0;
+      work[kept] = i;
       kept += halted_[v] ? 0 : 1;
     }
-    active_.resize(kept);
-    const int64_t round_sent = messages_delivered_ - sent_before;
-    // Always-visit path: every live node was visited this round, so
-    // visits == active_nodes; decisions still measures who acted (the
-    // benches' before/after idle-visit ratio needs it on BOTH paths).
-    round_stats_.push_back({active_now, round_sent, active_now, decisions});
-    round_msg_acc_.push_back(msg_acc_);
-    digest_ = support::ChainDigest(digest_, active_now, round_sent, msg_acc_);
-    round_digests_.push_back(digest_);
-    if (record_round_times_) {
-      round_seconds_.push_back(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-    }
+    sh.kept = kept - lo;
+  };
+  while (!active_.empty()) {
+    if (at_boundary(static_cast<int64_t>(active_.size()))) return round_;
+    start_timer();
+    start_round();
+    pool_.ParallelFor(T, round_task);
+    finish_round(active_now);
+    stop_timer();
     // Deliver: O(1) buffer swap; epoch stamps make clearing unnecessary.
     std::swap(inbox_, outbox_);
     ++round_;
@@ -586,10 +666,13 @@ void Network::Checkpoint(std::ostream& out) const {
         "RunUntil or let a run finish first)");
   }
   const SnapshotData snap = internal::BuildSoloSnapshot(
-      graph_, ids_, SnapshotEngineKind::kNetwork, digest_messages_,
-      finished_, round_, messages_delivered_, round_stats_, round_msg_acc_,
-      round_digests_, halted_, state_, state_stride_, order_, first_, inbox_,
-      epoch_, scheduled_, wake_round_.empty() ? nullptr : wake_round_.data());
+      graph_, ids_,
+      num_threads() == 1 ? SnapshotEngineKind::kNetwork
+                         : SnapshotEngineKind::kParallelNetwork,
+      digest_messages_, finished_, round_, messages_delivered_, round_stats_,
+      round_msg_acc_, round_digests_, halted_, state_, state_stride_, order_,
+      first_, inbox_, epoch_, scheduled_,
+      wake_round_.empty() ? nullptr : wake_round_.data());
   WriteSnapshot(out, snap);
 }
 

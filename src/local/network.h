@@ -72,7 +72,8 @@ struct RoundStats {
 // message wakes it (or never, if none arrives and the run hits max_rounds).
 inline constexpr int32_t kNoWakeRound = INT32_MAX;
 
-// Construction-time engine options (Network and ParallelNetwork).
+// Construction-time engine options (Network; BatchNetwork and
+// ReferenceNetwork honor the same fields).
 struct NetworkOptions {
   // Opt-in BFS locality relabeling: the engine assigns every node an
   // internal id in BFS order and lays the channel tables and mailboxes out
@@ -144,7 +145,6 @@ class MaxRoundsExceededError : public std::runtime_error {
 };
 
 class Network;
-class ParallelNetwork;
 class BatchNetwork;
 class ReferenceNetwork;
 class Algorithm;
@@ -186,8 +186,8 @@ void ValidateChannelScale(int64_t n, int64_t m, const char* engine);
 // n * Algorithm::StateBytes() zeroed bytes (reusing capacity across runs)
 // and calls InitState once per node. Slot i belongs to external node
 // inv[i] (inv null = identity), i.e. the plane is INTERNAL-indexed: under
-// relabel, slot order is BFS worklist order. Shared by Network,
-// ParallelNetwork, and ReferenceNetwork (where inv is always null).
+// relabel, slot order is BFS worklist order. Shared by Network and
+// ReferenceNetwork (where inv is always null).
 void ArmStatePlane(Algorithm& alg, int n, const int* inv,
                    std::vector<unsigned char>& plane, size_t& stride);
 
@@ -204,11 +204,11 @@ std::vector<int> BuildChanOwner(GraphView graph, const std::vector<int>& first,
 // one round of communication — the engine exposes them directly for
 // convenience, which is standard (it shifts round counts by at most 1).
 //
-// One NodeContext serves all four engines. The CSR engines (Network and
-// ParallelNetwork shards) share one branch: the context carries raw views of
-// the engine's channel tables, mailboxes, halt flags, and a message counter,
-// so Recv/Send/Halt are single array accesses with no engine indirection —
-// and under ParallelNetwork the counter view points at the shard's own
+// One NodeContext serves all three engine classes. The solo CSR engine
+// (Network, one context per shard) takes the first branch: the context
+// carries raw views of the engine's channel tables, mailboxes, halt flags,
+// and a message counter, so Recv/Send/Halt are single array accesses with
+// no engine indirection — and the counter view points at the shard's own
 // padded slot, which is what keeps the hot path free of atomics. The
 // BatchNetwork branch adds an instance index into B-wide mailbox slots and
 // per-shard dirty-channel bookkeeping; the ReferenceNetwork branch is the
@@ -271,7 +271,6 @@ class NodeContext {
 
  private:
   friend class Network;
-  friend class ParallelNetwork;
   friend class BatchNetwork;
   friend class ReferenceNetwork;
   NodeContext(GraphView graph, const int64_t* ids, BatchNetwork* batch,
@@ -283,10 +282,10 @@ class NodeContext {
   BatchNetwork* batch_;    // batched multi-instance engine, or null
   ReferenceNetwork* ref_;  // reference engine, or null
 
-  // CSR fast-path views (Network and ParallelNetwork; first_ non-null
-  // selects this branch — the offset table is never empty, unlike the
-  // mailboxes of an edgeless graph). All writes reachable through them are disjoint
-  // across concurrently running nodes — each node stores only through its
+  // CSR fast-path views (Network; first_ non-null selects this branch —
+  // the offset table is never empty, unlike the mailboxes of an edgeless
+  // graph). All writes reachable through them are disjoint across
+  // concurrently running nodes — each node stores only through its
   // own send channels, halts only itself, and counts into its own shard's
   // sent_ slot — which is the whole data-race argument for the sharded
   // round pass. The engine refreshes inbox_/outbox_/epoch_ every round
@@ -311,13 +310,13 @@ class NodeContext {
 
   // Wake-scheduling hooks. sleep_until_ is the engine<->algorithm mailbox
   // for SleepUntil: the engine pre-sets it to round+1 before each OnRound
-  // and reads it back after. The notify trio is the CSR engines' message-
+  // and reads it back after. The notify trio is the CSR engine's message-
   // wake recorder, non-null only in scheduled runs (one null check is the
   // whole hot-path cost when off): an observable Send marks its receiver's
   // internal rank once per round (epoch-stamped dedup; the stamp is atomic
-  // so ParallelNetwork shards dedup across threads with a relaxed exchange,
-  // which costs nothing extra on the serial engine) into this shard's own
-  // notified list. Sleeping receivers are woken at the round barrier.
+  // so Network shards dedup across threads with a relaxed exchange, which
+  // costs nothing extra at T = 1) into this shard's own notified list.
+  // Sleeping receivers are woken at the round barrier.
   int32_t sleep_until_ = 0;
   const int* chan_owner_ = nullptr;  // recv channel -> receiver internal rank
   std::atomic<int32_t>* notify_stamp_ = nullptr;
@@ -409,9 +408,10 @@ class Algorithm {
 //
 // Engine family (see README.md for how to pick):
 //   ReferenceNetwork — naive O(n + m) per round; differential-test oracle.
-//   Network          — serial engine, O(active work) per round (below).
-//   ParallelNetwork  — Network's round pass sharded across a thread pool,
-//                      bit-identical transcripts for every thread count.
+//   Network          — the solo engine, O(active work) per round (below),
+//                      on T thread-pool lanes (T = 1 by default; the
+//                      ParallelNetwork subclass names T). Bit-identical
+//                      transcripts for every T.
 //   BatchNetwork     — B independent instances over one shared topology in
 //                      a single per-round pass; ParallelBatchNetwork shards
 //                      its instance slices across threads.
@@ -436,10 +436,30 @@ class Algorithm {
 //     compacts in place (stable, preserving the engine's node order). Once a
 //     node halts it is never touched again.
 //
-// Per-round complexity: O(sum of OnRound costs over active nodes) + O(#active)
-// for the compaction + O(1) bookkeeping. Nothing is proportional to n or m
-// per round; construction is O(n + m); Run performs no allocation beyond
-// growing the per-round stats vector.
+// The round pass is sharded: the worklist splits into T contiguous ranges
+// that run concurrently on a persistent thread pool (at T = 1 the single
+// range runs inline on the calling thread). The shared mutable state is
+// exactly three structures, each handled without locks or hot-path atomics:
+//   * The outbox: Send(v, p) stores through the channel table to the
+//     reverse half-edge's slot, and every channel has exactly one sender —
+//     concurrent shards write disjoint slots by construction (the same
+//     argument that makes last-write-wins dedup purely sender-local).
+//   * The message counter: each shard counts its own nodes' sends into a
+//     cache-line-padded slot, reduced at the round barrier. The reduction
+//     is a sum, so per-round message counts are independent of sharding.
+//   * Halt/compaction: a node halts only itself (one flag write, no other
+//     shard reads it until the barrier), and each shard stable-compacts its
+//     own worklist range in place; the barrier stitches the kept prefixes
+//     back into one dense worklist, preserving the engine's node order.
+// Outputs, RoundStats, message counts, digest chains and checkpoints are
+// therefore bit-identical for every T: the Algorithm contract makes OnRound
+// order-independent within a round, and shards only reorder within rounds,
+// never across the barrier.
+//
+// Per-round complexity: O(sum of OnRound costs over active nodes / T) per
+// lane + O(#active / T) for the compaction + O(T) reduction + one pool
+// fork/join. Nothing is proportional to n or m per round; construction is
+// O(n + m); Run performs no allocation beyond growing the per-round vectors.
 //
 // A Network is reusable: Run may be called any number of times (same graph
 // and IDs) with no reallocation — epochs advance monotonically across runs,
@@ -453,11 +473,28 @@ class Network {
   Network(GraphView graph, std::vector<int64_t> ids);
   Network(GraphView graph, std::vector<int64_t> ids,
           const NetworkOptions& options);
+  // Sharded form: the round pass runs on `num_threads` persistent pool
+  // lanes (>= 1). ParallelNetwork spells the same constructor.
+  Network(GraphView graph, std::vector<int64_t> ids, int num_threads,
+          const NetworkOptions& options);
+
+  // Virtual only so deleting a ParallelNetwork through a Network* is
+  // defined; there are no other virtuals. Out of line for the
+  // incomplete-type pending_resume_ member.
+  virtual ~Network();
 
   // Runs `alg` until every node has halted or `max_rounds` is hit.
   // Returns the number of rounds executed (a node halting in round r has
   // round complexity r+1 counted rounds; an algorithm that halts every node
-  // in round 0 used 1 round). Throws if max_rounds is exceeded.
+  // in round 0 used 1 round). Throws if max_rounds is exceeded. An
+  // exception thrown by OnRound on any shard is rethrown here after the
+  // round joins; the engine remains usable (the next Run re-initializes
+  // all per-run state).
+  //
+  // Runs do not nest: every round is a thread-pool fork, and the pool
+  // rejects a fork from inside any pool task, so calling Run (on this or
+  // any other Network, at any T) from inside an OnRound throws
+  // std::logic_error. Sub-engines run between host runs instead.
   //
   // The 32-bit epoch stamps wrap only after ~2^31 cumulative rounds; Run
   // re-arms the mailboxes at both wrap points (before a run, and — for a
@@ -483,9 +520,9 @@ class Network {
 
   // Serializes the current round boundary (engine must be paused() or
   // finished()) as a canonical snapshot: resuming it — in this engine, a
-  // fresh one, any other solo engine, any relabel/thread setting — continues
-  // the run bit-identically. Throws SnapshotError mid-round or before any
-  // run.
+  // fresh one, any relabel/thread setting, or another engine class —
+  // continues the run bit-identically. Throws SnapshotError mid-round or
+  // before any run.
   void Checkpoint(std::ostream& out) const;
 
   // Loads a snapshot (fully validated, including against this engine's
@@ -496,7 +533,7 @@ class Network {
   // unchanged.
   void Resume(std::istream& in);
 
-  ~Network();
+  int num_threads() const { return pool_.num_threads(); }
 
   // Backend-specific access: graph() serves the pipelines still tied to
   // the uncompressed CSR (incidence spans, edge slots) and throws
@@ -510,7 +547,8 @@ class Network {
   // ChainDigest(digest[r-1], active, sent, msg_acc) after round r, seeded
   // with support::kDigestSeed. Bit-identical across every engine, relabel
   // setting, and thread count; with NetworkOptions::digest_messages it also
-  // commits to full message contents (round_message_accs()).
+  // commits to full message contents (round_message_accs(); the per-shard
+  // accumulators sum, and sums commute).
   const std::vector<uint64_t>& round_digests() const { return round_digests_; }
   const std::vector<uint64_t>& round_message_accs() const {
     return round_msg_acc_;
@@ -535,7 +573,8 @@ class Network {
   int64_t wakes() const { return wakes_; }
 
   // Opt-in wall-clock timing of each round (two clock reads per round; off
-  // by default so the hot loop stays branch-only). Consumed by the engine
+  // by default so the hot loop stays branch-only). Covers the full round:
+  // fork, node pass, join, reduction, stitch. Consumed by the engine
   // benches to show per-round cost tracks active_nodes, not n.
   void set_record_round_times(bool on) { record_round_times_ = on; }
   bool record_round_times() const { return record_round_times_; }
@@ -543,7 +582,9 @@ class Network {
 
   // Post-run read-back of external node v's state slot (the engine does the
   // external->internal translation here, off the hot path). T must be the
-  // algorithm's declared state type; valid until the next Run.
+  // algorithm's declared state type; valid until the next Run. During a
+  // round the plane is shared by all shards, but every node writes only its
+  // own slot — the same disjointness argument as the halt flags.
   template <typename T>
   const T& StateAt(int v) const {
     const auto i = static_cast<size_t>(perm_.empty() ? v : perm_[v]);
@@ -558,6 +599,26 @@ class Network {
 
  private:
   friend class NodeContext;
+
+  // Per-shard round state, cache-line padded: sent is the shard's message
+  // counter (NodeContext::sent_ points here), macc its content-digest
+  // accumulator (NodeContext::macc_), kept the size of the shard's
+  // compacted worklist range. The wake-scheduling scratch is touched only
+  // by the shard's lane during the round and read serially at the barrier:
+  // visit and decision counters (summed into RoundStats), the halts this
+  // round (reduced into the live count), the ranks that slept past the next
+  // round (distributed into the calendar), and the wake candidates this
+  // shard's sends recorded (NodeContext::notified_).
+  struct alignas(64) Shard {
+    int64_t sent = 0;
+    uint64_t macc = 0;
+    int kept = 0;
+    int64_t visits = 0;
+    int64_t decisions = 0;
+    int halts = 0;
+    std::vector<int> slept;
+    std::vector<int> notified;
+  };
 
   GraphView graph_;
   std::vector<int64_t> ids_;
@@ -579,51 +640,53 @@ class Network {
                              // state plane streams sequentially even under
                              // relabel — the whole point of internal indexing.
                              // Under wake scheduling it holds only the
-                             // CURRENT ROUND's wake bucket instead.
+                             // CURRENT ROUND's wake bucket instead, with
+                             // UNIQUE entries (see bucket_stamp_).
   // Wake-scheduling state (armed lazily on the first scheduled run; the
-  // legacy always-visit path never touches any of it). wake_round_[i] is
-  // rank i's next scheduled round (kNoWakeRound = parked); calendar_[r]
-  // holds ranks waking in future round r — entries go stale when a message
-  // wake or an earlier visit moves the node's wake round, and the drain
-  // skips any entry with wake_round_ != r (a visit always moves the wake
-  // round past r, so duplicates self-invalidate; no dedup stamps needed).
-  // notify_stamp_/notified_/chan_owner_ implement the Send-side message-
-  // wake recording described at NodeContext.
+  // always-visit path never touches any of it). wake_round_[i] is rank i's
+  // next scheduled round (kNoWakeRound = parked); calendar_[r] holds ranks
+  // waking in future round r — entries go stale when a message wake or an
+  // earlier visit moves the node's wake round, and the bucket assembly
+  // skips them. wake_round_ needs no atomics: during a round each rank is
+  // written only by the shard visiting it and all cross-rank reads happen
+  // serially at the barrier. bucket_stamp_[i] == r marks rank i already
+  // placed in round r's bucket, so the assembly dedups — duplicates inside
+  // a bucket would let two shards visit the same node concurrently.
+  // notify_stamp_/chan_owner_ implement the Send-side message-wake
+  // recording described at NodeContext.
   std::vector<int32_t> wake_round_;
+  std::vector<int32_t> bucket_stamp_;
   std::vector<std::vector<int>> calendar_;
   std::vector<int> chan_owner_;
   std::unique_ptr<std::atomic<int32_t>[]> notify_stamp_;
-  std::vector<int> notified_;
   // The Send-side recording costs two extra random cache lines per
   // observable send (chan_owner_ + notify_stamp_), which dense scheduled
   // algorithms — every live node acting every round, nobody ever parked —
   // would pay for nothing. The hook is therefore armed only once some node
   // is actually parked past the next round; the round that parks the
   // first nodes with the hook still off resolves their wakes by scanning
-  // just those nodes' inboxes at the barrier (parked_now_), then arms.
-  // Once armed it stays armed for the rest of the run: exactness matters
-  // only for the never-parks case, which this makes entirely free.
+  // just those nodes' inboxes at the barrier (the shards' slept lists),
+  // then arms. Once armed it stays armed for the rest of the run.
   bool notify_armed_ = false;
-  std::vector<int> parked_now_;  // parked this round while disarmed
-  int live_count_ = 0;     // non-halted nodes (scheduled runs' termination)
-  int64_t wakes_ = 0;      // message wakes, last Run
-  bool scheduled_ = false; // last Run honored the wake schedule
+  int live_count_ = 0;      // non-halted nodes (scheduled runs' termination)
+  int64_t wakes_ = 0;       // message wakes, last Run
+  bool scheduled_ = false;  // last Run honored the wake schedule
+  bool wake_opt_ = true;    // NetworkOptions::wake_scheduling
   // Engine-owned per-node state plane (Algorithm::StateBytes per slot),
   // indexed by internal rank; re-armed (zero + InitState) every Run,
   // reallocated only when the slot size changes.
   std::vector<unsigned char> state_;
   size_t state_stride_ = 0;
+  std::vector<Shard> shards_;
   std::vector<RoundStats> round_stats_;
   std::vector<double> round_seconds_;
   bool record_round_times_ = false;
   // Transcript digest chain (see round_digests()): per-round content
-  // accumulators, per-round chained digests, and the running values.
+  // accumulators, per-round chained digests, and the running value.
   std::vector<uint64_t> round_msg_acc_;
   std::vector<uint64_t> round_digests_;
   uint64_t digest_ = support::kDigestSeed;
-  uint64_t msg_acc_ = 0;  // current round's content accumulator
   bool digest_messages_ = false;
-  bool wake_opt_ = true;  // NetworkOptions::wake_scheduling
   support::FaultInjector* fault_ = nullptr;
   // Pause/resume state machine: mid_run_ marks a run paused at a round
   // boundary (mailboxes/state live, same-algorithm continuation only);
@@ -632,14 +695,13 @@ class Network {
   bool mid_run_ = false;
   bool finished_ = false;
   std::unique_ptr<SnapshotData> pending_resume_;
+  support::ThreadPool pool_;  // num_threads lanes, persistent
   int32_t epoch_ = 1;  // monotone across runs (wrap-guarded in Run);
                        // stamps start at -1
   int round_ = 0;
   int64_t messages_delivered_ = 0;
 
   static const Message kNoMessage;
-
-  friend class ParallelNetwork;  // shares kNoMessage via NodeContext::Recv
 };
 
 // Batched multi-instance engine: runs B independent Algorithm instances over
@@ -830,8 +892,8 @@ class BatchNetwork {
     // and shards own contiguous instance ranges, so sleeps land in the
     // visiting shard's calendar and message wakes are detected during the
     // shard's OWN scatter (a staged slot stamped this epoch and observable
-    // wakes its receiver pair) — no cross-shard communication at all. Same
-    // lazy stale-skip as Network::calendar_.
+    // wakes its receiver pair) — no cross-shard communication at all.
+    // Stale entries are skipped at visit time, as in Network::calendar_.
     std::vector<std::vector<int64_t>> calendar;
   };
 

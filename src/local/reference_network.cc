@@ -262,14 +262,7 @@ void ReferenceNetwork::Checkpoint(std::ostream& out) const {
   snap.finished = finished_;
   snap.batch = 1;
   snap.round = round_;
-  snap.n = n;
-  snap.m = graph_.NumEdges();
-  snap.graph_hash = GraphHash(graph_);
-  snap.ids_hash = IdsHash(ids_);
-  snap.edges.reserve(static_cast<size_t>(snap.m));
-  graph_.ForEachEdge(
-      [&](int64_t, int u, int v) { snap.edges.emplace_back(u, v); });
-  snap.ids = ids_;
+  internal::SetInputSections(graph_, ids_, snap);
   snap.instances.resize(1);
   SnapshotData::Instance& inst = snap.instances[0];
   inst.messages_delivered = messages_delivered_;

@@ -187,22 +187,38 @@ void ValidateData(const SnapshotData& snap) {
   }
 }
 
+// Every edge as (min, max), sorted ascending: GraphHash's edge order and
+// the snapshot's edge section.
+std::vector<std::pair<int32_t, int32_t>> CanonicalEdges(GraphView g) {
+  std::vector<std::pair<int32_t, int32_t>> edges;
+  edges.reserve(static_cast<size_t>(g.NumEdges()));
+  g.ForEachEdge([&](int64_t, int u, int v) {
+    edges.emplace_back(std::min(u, v), std::max(u, v));
+  });
+  // CompactGraph and sorted-input Graphs already enumerate canonically.
+  if (!std::is_sorted(edges.begin(), edges.end())) {
+    std::sort(edges.begin(), edges.end());
+  }
+  return edges;
+}
+
+// FNV-1a over (n, m, canonical edge endpoints): GraphHash's definition.
+uint64_t HashEdges(int32_t n, int64_t m,
+                   const std::vector<std::pair<int32_t, int32_t>>& edges) {
+  uint64_t h = kDigestSeed;
+  h = Fnv1a64(&n, sizeof(n), h);
+  h = Fnv1a64(&m, sizeof(m), h);
+  for (const auto& [u, v] : edges) {
+    const int32_t uv[2] = {u, v};
+    h = Fnv1a64(uv, sizeof(uv), h);
+  }
+  return h;
+}
+
 }  // namespace
 
 uint64_t GraphHash(GraphView g) {
-  uint64_t h = kDigestSeed;
-  const int32_t n = g.NumNodes();
-  const int64_t m = g.NumEdges();
-  h = Fnv1a64(&n, sizeof(n), h);
-  h = Fnv1a64(&m, sizeof(m), h);
-  // Enumerates in the backend's edge-id order (Graph: input order, so
-  // hashes of Graph-backed snapshots are unchanged from before the
-  // GraphView seam; CompactGraph: (min, max)-sorted).
-  g.ForEachEdge([&](int64_t, int u, int v) {
-    const int32_t uv[2] = {u, v};
-    h = Fnv1a64(uv, sizeof(uv), h);
-  });
-  return h;
+  return HashEdges(g.NumNodes(), g.NumEdges(), CanonicalEdges(g));
 }
 
 uint64_t IdsHash(const std::vector<int64_t>& ids) {
@@ -381,6 +397,16 @@ Graph ReconstructGraph(const SnapshotData& snap) {
 
 namespace internal {
 
+void SetInputSections(GraphView g, const std::vector<int64_t>& ids,
+                      SnapshotData& snap) {
+  snap.n = g.NumNodes();
+  snap.m = g.NumEdges();
+  snap.edges = CanonicalEdges(g);
+  snap.graph_hash = HashEdges(snap.n, snap.m, snap.edges);
+  snap.ids_hash = IdsHash(ids);
+  snap.ids = ids;
+}
+
 SnapshotData BuildSoloSnapshot(
     GraphView g, const std::vector<int64_t>& ids,
     SnapshotEngineKind engine_kind, bool digest_messages, bool finished,
@@ -398,13 +424,7 @@ SnapshotData BuildSoloSnapshot(
   snap.finished = finished;
   snap.batch = 1;
   snap.round = round;
-  snap.n = n;
-  snap.m = g.NumEdges();
-  snap.graph_hash = GraphHash(g);
-  snap.ids_hash = IdsHash(ids);
-  snap.edges.reserve(static_cast<size_t>(snap.m));
-  g.ForEachEdge([&](int64_t, int u, int v) { snap.edges.emplace_back(u, v); });
-  snap.ids = ids;
+  SetInputSections(g, ids, snap);
   snap.instances.resize(1);
   SnapshotData::Instance& inst = snap.instances[0];
   inst.messages_delivered = messages_delivered;

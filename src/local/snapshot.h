@@ -99,7 +99,8 @@ class SnapshotVersionError : public SnapshotError {
 inline constexpr uint32_t kSnapshotFlagDigestMessages = 1u << 0;
 
 // Informational engine tag (not enforced on resume — the image is
-// canonical, so any engine configuration can pick the run up).
+// canonical, so any engine configuration can pick the run up). The solo
+// Network writes kNetwork at one lane and kParallelNetwork at more.
 enum class SnapshotEngineKind : uint32_t {
   kNetwork = 0,
   kParallelNetwork = 1,
@@ -147,7 +148,7 @@ struct SnapshotData {
   int64_t m = 0;
   uint64_t graph_hash = 0;
   uint64_t ids_hash = 0;
-  std::vector<std::pair<int32_t, int32_t>> edges;  // full edge list, u < v
+  std::vector<std::pair<int32_t, int32_t>> edges;  // canonical, see GraphHash
   std::vector<int64_t> ids;
 
   struct Instance {
@@ -174,12 +175,14 @@ struct SnapshotData {
 };
 
 // Canonical hashes binding a snapshot to its inputs: FNV-1a over (n, m,
-// edge endpoints in the backend's enumeration order) and over the raw id
-// words. Backends number edges differently (Graph keeps input order,
-// CompactGraph sorts by (min, max)), so a snapshot binds to the backend's
-// edge order as well as the topology — resuming a compact-backed run on a
-// compact backend of the same graph always matches, and a cross-order
-// mismatch surfaces as a structured hash error, never a silent misparse.
+// the canonical edge list) and over the raw id words. The canonical edge
+// list is every edge as (min, max), sorted ascending — the order-free form
+// both backends share (Graph numbers edges in input order, CompactGraph by
+// sorted (min, max)) and the snapshot's edge section. So the graph hash
+// names the topology, not a backend's edge numbering, and a checkpoint
+// taken over either backend resumes on the other. (Before the hash was canonical it
+// followed the backend's edge order; checkpoints of Graph engines built
+// from unsorted edge lists written then no longer validate.)
 uint64_t GraphHash(GraphView g);
 uint64_t IdsHash(const std::vector<int64_t>& ids);
 
@@ -199,9 +202,13 @@ Graph ReconstructGraph(const SnapshotData& snap);
 
 namespace internal {
 
-// Shared canonical gather/apply for the two solo CSR engines (Network and
-// ParallelNetwork have member-identical mailbox/worklist/state layouts).
-// `order` maps internal rank -> external node; `first` is the
+// Fills the input sections every engine's snapshot shares: n, m, both
+// hashes, the canonical edge list, and the ids.
+void SetInputSections(GraphView g, const std::vector<int64_t>& ids,
+                      SnapshotData& snap);
+
+// Canonical gather/apply for the solo CSR engine (Network, at any thread
+// count). `order` maps internal rank -> external node; `first` is the
 // external-indexed CSR offset table; deliverable messages are the inbox
 // slots stamped epoch - 1. `wake_by_rank` is the engine's internal-indexed
 // wake plane (nullptr when the engine never armed it); it is consulted

@@ -228,8 +228,8 @@ TEST(EdgePipelineParity, ParallelTSweepBitIdentical) {
     auto serial =
         SolveEdgeProblemBoundedArboricity(mm, w.graph, ids, space, w.a, w.k);
     for (int t : {1, 2, 3, 8}) {
-      auto sharded = SolveEdgeProblemBoundedArboricityParallel(
-          mm, w.graph, ids, space, w.a, w.k, t);
+      auto sharded = SolveEdgeProblemBoundedArboricity(mm, w.graph, ids,
+                                                       space, w.a, w.k, t);
       ExpectSameThm15(w.graph, sharded, serial,
                       w.name + "/T=" + std::to_string(t));
       EXPECT_EQ(sharded.decomposition.round_stats,

@@ -61,7 +61,13 @@ class EchoAlgorithm : public local::Algorithm {
     int64_t& acc = ctx.State<int64_t>();
     for (int p = 0; p < ctx.degree(); ++p) {
       const local::Message& msg = ctx.Recv(p);
-      if (msg.present()) acc = acc * 31 + msg.word0 + msg.word1;
+      if (msg.present()) {
+        // Wrapping fold: the accumulator overflows int64 within a few
+        // rounds, which is undefined on signed arithmetic.
+        acc = static_cast<int64_t>(static_cast<uint64_t>(acc) * 31 +
+                                   static_cast<uint64_t>(msg.word0) +
+                                   static_cast<uint64_t>(msg.word1));
+      }
     }
     if (ctx.round() >= kRounds) {
       ctx.Halt();
@@ -294,11 +300,9 @@ TEST(GraphBackendParityTest, CompactCheckpointResume) {
   EXPECT_EQ(resumed.last_digest(), full.last_digest());
 }
 
-// Snapshot graph_hash binds to the backend's edge numbering: for a graph
-// whose input edge order is already the canonical (min, max)-sorted order
-// (a path), cross-backend resume works; ValidateForEngine's hash comparison
-// rejects nothing. This pins the documented seam rather than papering over
-// it.
+// A graph whose input edge order is already the canonical (min, max)-sorted
+// order (a path): the Graph keeps the snapshot hash it always had, and
+// cross-backend resume works.
 TEST(GraphBackendParityTest, CrossBackendResumeOnCanonicalOrder) {
   const Graph g = Path(300);
   const CompactGraph compact = CompactGraph::FromGraph(g);
@@ -324,6 +328,66 @@ TEST(GraphBackendParityTest, CrossBackendResumeOnCanonicalOrder) {
   auto alg3 = MakeRakeCompressAlgorithm(full.view(), k);
   full.Run(*alg3, budget);
   EXPECT_EQ(resumed.last_digest(), full.last_digest());
+}
+
+// Snapshots bind to the topology, not to a backend's edge numbering: a
+// Graph built from a shuffled edge list numbers its edges differently from
+// its CompactGraph, yet both hash alike, checkpoint the same canonical
+// image, and resume each other's mid-run checkpoints to a byte-identical
+// final image.
+TEST(GraphBackendParityTest, CrossBackendResumeOnShuffledInput) {
+  EXPECT_EQ(local::GraphHash(Graph::FromEdges(4, {{2, 3}, {0, 1}, {1, 2}})),
+            local::GraphHash(Path(4)));
+
+  const int n = 400, k = 3;
+  const Graph tree = UniformRandomTree(n, 71);
+  std::vector<std::pair<int, int>> edges;
+  for (int e = 0; e < tree.NumEdges(); ++e) {
+    // Shuffled order, endpoints flipped on every other edge.
+    edges.emplace_back(e % 2 ? tree.EdgeV(e) : tree.EdgeU(e),
+                       e % 2 ? tree.EdgeU(e) : tree.EdgeV(e));
+  }
+  Rng rng(72);
+  rng.Shuffle(edges);
+  const Graph shuffled = Graph::FromEdges(n, edges);
+  const CompactGraph compact = CompactGraph::FromGraph(shuffled);
+  bool same_numbering = true;
+  for (int e = 0; e < shuffled.NumEdges(); ++e) {
+    same_numbering &= shuffled.Endpoints(e) == compact.Endpoints(e);
+  }
+  ASSERT_FALSE(same_numbering);
+  std::vector<int64_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
+  EXPECT_EQ(local::GraphHash(shuffled), local::GraphHash(compact));
+
+  local::NetworkOptions options;
+  options.digest_messages = true;
+  const int budget = 3 * (2 * RakeCompressIterationBound(n, k) + 8);
+  auto checkpoint = [&](GraphView g, int pause) {
+    local::Network net(g, ids, options);
+    auto alg = MakeRakeCompressAlgorithm(g, k);
+    net.RunUntil(*alg, budget, pause);
+    std::stringstream out;
+    net.Checkpoint(out);
+    return out.str();
+  };
+  auto resume_to_end = [&](GraphView g, const std::string& bytes) {
+    local::Network net(g, ids, options);
+    std::stringstream in(bytes);
+    net.Resume(in);
+    auto alg = MakeRakeCompressAlgorithm(g, k);
+    net.Run(*alg, budget);
+    std::stringstream out;
+    net.Checkpoint(out);
+    return out.str();
+  };
+  const std::string want = checkpoint(shuffled, -1);
+  EXPECT_EQ(checkpoint(compact, -1), want);
+  for (int pause : {1, 5}) {
+    SCOPED_TRACE("pause " + std::to_string(pause));
+    EXPECT_EQ(resume_to_end(compact, checkpoint(shuffled, pause)), want);
+    EXPECT_EQ(resume_to_end(shuffled, checkpoint(compact, pause)), want);
+  }
 }
 
 }  // namespace

@@ -240,5 +240,50 @@ TEST(NetworkTest, HugeMaxRoundsIsSafe) {
   EXPECT_LT(net.epoch_for_testing(), 100);
 }
 
+// Runs do not nest: every round forks on the engine's thread pool and the
+// pool rejects a fork from inside any pool task, so a Run started inside
+// another engine's OnRound throws std::logic_error at every thread count,
+// T = 1 included. Both engines stay reusable afterwards.
+TEST(NetworkTest, NestedRunThrowsAndEnginesStayReusable) {
+  class RunsInner : public Algorithm {
+   public:
+    explicit RunsInner(Network& inner) : inner_(inner) {}
+    void OnRound(NodeContext& ctx) override {
+      if (ctx.node() == 0) {
+        HaltNow alg;
+        inner_.Run(alg, 10);
+      }
+      ctx.Halt();
+    }
+
+   private:
+    Network& inner_;
+  };
+  const int n = 40;
+  const Graph g = UniformRandomTree(n, 12);
+  const auto ids = DefaultIds(n, 13);
+  Network fresh(g, ids);
+  CollectNeighborIds want(n);
+  fresh.Run(want, 10);
+  for (const int outer_threads : {1, 3}) {
+    for (const int inner_threads : {1, 2}) {
+      SCOPED_TRACE("outer T=" + std::to_string(outer_threads) +
+                   " inner T=" + std::to_string(inner_threads));
+      Network outer(g, ids, outer_threads, local::NetworkOptions{});
+      Network inner(g, ids, inner_threads, local::NetworkOptions{});
+      RunsInner nested(inner);
+      EXPECT_THROW(outer.Run(nested, 10), std::logic_error);
+      EXPECT_FALSE(outer.finished());
+      EXPECT_FALSE(inner.finished());
+      for (Network* net : {&outer, &inner}) {
+        CollectNeighborIds alg(n);
+        EXPECT_EQ(net->Run(alg, 10), 2);
+        EXPECT_EQ(alg.collected_, want.collected_);
+        EXPECT_EQ(net->round_digests(), fresh.round_digests());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace treelocal

@@ -337,8 +337,8 @@ TEST(ParallelNetworkTest, ParallelBatchReuse) {
   }
 }
 
-// Pipeline-level parallel overloads: same results as the serial entry
-// points (they differ only in the engine they construct).
+// Pipeline entry points at T > 1: same results as at the default T = 1
+// (they differ only in the lane count of the engine they construct).
 TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
   const int n = 150;
   Graph g = UniformRandomTree(n, 6000);
@@ -346,7 +346,7 @@ TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
   const int64_t space = int64_t{n} * n * n;
 
   LinialResult lin = RunLinial(g, ids, space);
-  LinialResult lin_p = RunLinialParallel(g, ids, space, 3);
+  LinialResult lin_p = RunLinial(g, ids, space, 3);
   EXPECT_EQ(lin_p.colors, lin.colors);
   EXPECT_EQ(lin_p.rounds, lin.rounds);
   EXPECT_EQ(lin_p.messages, lin.messages);
@@ -368,7 +368,7 @@ TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
     }
   }
   ColeVishkinResult cv = ColeVishkin3Color(g, ids, parent, space);
-  ColeVishkinResult cv_p = ColeVishkin3ColorParallel(g, ids, parent, space, 4);
+  ColeVishkinResult cv_p = ColeVishkin3Color(g, ids, parent, space, 4);
   EXPECT_EQ(cv_p.colors, cv.colors);
   EXPECT_EQ(cv_p.rounds, cv.rounds);
   EXPECT_EQ(cv_p.messages, cv.messages);
@@ -377,7 +377,7 @@ TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
   MisProblem mis;
   DistributedSweepResult sweep =
       RunDistributedNodeSweep(mis, g, ids, lin.colors, lin.num_colors);
-  DistributedSweepResult sweep_p = RunDistributedNodeSweepParallel(
+  DistributedSweepResult sweep_p = RunDistributedNodeSweep(
       mis, g, ids, lin.colors, lin.num_colors, 2);
   EXPECT_EQ(sweep_p.rounds, sweep.rounds);
   EXPECT_EQ(sweep_p.messages, sweep.messages);
@@ -388,7 +388,7 @@ TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
   }
 
   Thm12Result thm = SolveNodeProblemOnTree(mis, g, ids, space, 4);
-  Thm12Result thm_p = SolveNodeProblemOnTreeParallel(mis, g, ids, space, 4, 3);
+  Thm12Result thm_p = SolveNodeProblemOnTree(mis, g, ids, space, 4, 3);
   EXPECT_TRUE(thm_p.valid);
   EXPECT_EQ(thm_p.rounds_total, thm.rounds_total);
   EXPECT_EQ(thm_p.engine_messages, thm.engine_messages);

@@ -103,8 +103,8 @@ TEST(Thm12GatherPinTest, SoloParallelAndBatchMatchRecordedValues) {
                      SolveNodeProblemOnTree(*problem, tree, ids, id_space, k),
                      "solo");
         ExpectPinned(*pin, tree,
-                     SolveNodeProblemOnTreeParallel(*problem, tree, ids,
-                                                    id_space, k, 3),
+                     SolveNodeProblemOnTree(*problem, tree, ids, id_space, k,
+                                            3),
                      "parallel");
         ExpectPinned(*pin, tree, batch[i], "batch");
       }
