@@ -88,7 +88,8 @@ class CvAlgorithm : public local::Algorithm {
         int64_t target = 5 - block;
         if (st.color == target) {
           bool blocked[3] = {false, false, false};
-          for (int p = 0; p < ctx.degree(); ++p) {
+          const int deg = ctx.degree();
+          for (int p = 0; p < deg; ++p) {
             int64_t c = ctx.Recv(p).word0;
             if (c >= 0 && c < 3) blocked[c] = true;
           }

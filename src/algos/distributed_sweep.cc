@@ -55,8 +55,9 @@ class NodeSweepAlgorithm : public local::Algorithm {
     const int v = ctx.node();
     const int64_t color = ctx.State<SweepState>().color;
     const int64_t t = ctx.round();
+    const int deg = ctx.degree();
     // Deliver neighbor labels sent last round into the local view.
-    for (int p = 0; p < ctx.degree(); ++p) {
+    for (int p = 0; p < deg; ++p) {
       const local::Message& msg = ctx.Recv(p);
       if (!msg.present()) continue;
       int e = g_.IncidentEdges(v)[p];
@@ -67,7 +68,7 @@ class NodeSweepAlgorithm : public local::Algorithm {
       // My class's round: decide from what I have received, then tell each
       // neighbor the label I chose on our shared edge.
       problem_.SequentialAssign(g_, v, view_);
-      for (int p = 0; p < ctx.degree(); ++p) {
+      for (int p = 0; p < deg; ++p) {
         int e = g_.IncidentEdges(v)[p];
         ctx.Send(p, local::Message::Of(view_.Get(e, v)));
       }

@@ -209,7 +209,8 @@ class LinialAlgorithm : public local::Algorithm {
       // Network shards.
       thread_local std::vector<int64_t> nbr;
       nbr.clear();
-      for (int p = 0; p < ctx.degree(); ++p) {
+      const int deg = ctx.degree();
+      for (int p = 0; p < deg; ++p) {
         const local::Message& msg = ctx.Recv(p);
         if (msg.present()) nbr.push_back(msg.word0);
       }

@@ -40,10 +40,11 @@ class DecompositionAlgorithm : public local::Algorithm {
     DecompState& st = ctx.State<DecompState>();
     const int r = ctx.round();
     const int iter = r / 2 + 1;
+    const int deg = ctx.degree();
     if (r % 2 == 0) {
       // Consume mark announcements from the previous iteration, then
       // broadcast the current degree in the unmarked subgraph.
-      for (int p = 0; p < ctx.degree(); ++p) {
+      for (int p = 0; p < deg; ++p) {
         const local::Message& msg = ctx.Recv(p);
         if (msg.present() && msg.word0 == kMarked) --st.unmarked_degree;
       }
@@ -52,7 +53,7 @@ class DecompositionAlgorithm : public local::Algorithm {
       // Compress(G[V_{i-1}], b, k): deg <= k and at most b large neighbors.
       if (st.unmarked_degree > k_) return;
       int large = 0;
-      for (int p = 0; p < ctx.degree(); ++p) {
+      for (int p = 0; p < deg; ++p) {
         const local::Message& msg = ctx.Recv(p);
         if (msg.present() && msg.word0 == kDegree && msg.word1 > k_) ++large;
       }

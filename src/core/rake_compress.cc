@@ -29,18 +29,20 @@ struct RcState {
 
 class RakeCompressAlgorithm : public local::Algorithm {
  public:
-  RakeCompressAlgorithm(GraphView g, int k) : g_(g), k_(k) {}
+  explicit RakeCompressAlgorithm(int k) : k_(k) {}
 
+  // The zeroed slot needs no InitState: every node is visited in round 0
+  // and reads its degree there from the engine's table, which keeps the
+  // per-Run set-up off the graph backend (a CompactGraph decodes its
+  // stream for every Degree query).
   size_t StateBytes() const override { return sizeof(RcState); }
-  void InitState(int node, void* state) override {
-    static_cast<RcState*>(state)->unmarked_degree = g_.Degree(node);
-  }
 
   void OnRound(local::NodeContext& ctx) override {
     RcState& st = ctx.State<RcState>();
     const int r = ctx.round();
     const int phase = r % 3;
     const int iter = r / 3 + 1;  // 1-based iteration
+    if (r == 0) st.unmarked_degree = ctx.degree();
     if (phase == 0) {
       // Process rake announcements from the previous iteration, then
       // broadcast the current degree within the unmarked subgraph.
@@ -87,7 +89,6 @@ class RakeCompressAlgorithm : public local::Algorithm {
     st.unmarked_degree -= marks;
   }
 
-  GraphView g_;
   const int k_;
 };
 
@@ -97,10 +98,10 @@ int RakeCompressIterationBound(int64_t n, int k) {
   return CeilLogBase(n, k) + 1;
 }
 
-std::unique_ptr<local::Algorithm> MakeRakeCompressAlgorithm(GraphView tree,
-                                                            int k) {
+std::unique_ptr<local::Algorithm> MakeRakeCompressAlgorithm(
+    GraphView /*tree*/, int k) {
   if (k < 2) throw std::invalid_argument("rake-compress requires k >= 2");
-  return std::make_unique<RakeCompressAlgorithm>(tree, k);
+  return std::make_unique<RakeCompressAlgorithm>(k);
 }
 
 int RakeCompressCanonicalK(int k, int max_degree) {
@@ -131,7 +132,7 @@ RakeCompressResult RunRakeCompressOnEngine(Engine& net, int k) {
   const GraphView tree = net.view();
   RakeCompressResult result;
   if (tree.NumNodes() == 0) return result;
-  RakeCompressAlgorithm alg(tree, k);
+  RakeCompressAlgorithm alg(k);
   int bound = RakeCompressIterationBound(tree.NumNodes(), k);
   // Lemma 9 guarantees termination within `bound` iterations; allow slack so
   // a violation shows up as a test failure rather than an engine exception.
@@ -187,7 +188,7 @@ std::vector<RakeCompressResult> RunRakeCompressBatch(
   std::vector<int> budgets;
   int max_rounds = 0;
   for (int k : ks) {
-    algs.push_back(std::make_unique<RakeCompressAlgorithm>(tree, k));
+    algs.push_back(std::make_unique<RakeCompressAlgorithm>(k));
     alg_ptrs.push_back(algs.back().get());
     int bound = RakeCompressIterationBound(tree.NumNodes(), k);
     budgets.push_back(3 * (2 * bound + 8));

@@ -98,10 +98,11 @@ RakeCompressResult RunRakeCompressReference(GraphView tree,
                                             const std::vector<int64_t>& ids,
                                             int k);
 
-// The bare engine Algorithm behind all of the drivers above (k >= 2,
-// `tree` must outlive the returned object). For callers that need to drive
-// the engine directly — the standalone transcript verifier replays
-// checkpointed runs through this without any of the result plumbing.
+// The bare engine Algorithm behind all of the drivers above (k >= 2). It
+// keeps no reference to `tree`: every degree comes from the engine's
+// NodeContext. For callers that need to drive the engine directly — the
+// standalone transcript verifier replays checkpointed runs through this
+// without any of the result plumbing.
 std::unique_ptr<local::Algorithm> MakeRakeCompressAlgorithm(GraphView tree,
                                                             int k);
 

@@ -80,7 +80,7 @@ BatchNetwork::BatchNetwork(GraphView graph, std::vector<int64_t> ids,
   std::vector<int> perm;
   if (options.relabel) perm = internal::BfsOrder(graph);
   internal::BuildChannelTables(graph, perm.empty() ? nullptr : perm.data(),
-                               first_, send_chan_);
+                               first_, send_chan_, degree_);
   order_ = internal::WorklistOrder(n, perm);
   perm_ = std::move(perm);
 
@@ -248,8 +248,8 @@ std::vector<int> BatchNetwork::RunUntil(const std::vector<Algorithm*>& algs,
       chan_owner_.assign(static_cast<size_t>(2) * graph_.NumEdges(), 0);
       for (int v = 0; v < n; ++v) {
         const int lo = first_[v];
-        const int hi = lo + graph_.Degree(v);   // not first_[v + 1]: see
-                                                // BuildChanOwner on relabel
+        const int hi = lo + degree_[v];  // not first_[v + 1]: see
+                                         // BuildChanOwner on relabel
         for (int c = lo; c < hi; ++c) chan_owner_[c] = v;
       }
     }
@@ -286,7 +286,8 @@ std::vector<int> BatchNetwork::RunUntil(const std::vector<Algorithm*>& algs,
   std::vector<NodeContext> ctxs;
   ctxs.reserve(S);
   for (int t = 0; t < S; ++t) {
-    ctxs.push_back(NodeContext(graph_, ids_.data(), this, nullptr));
+    ctxs.push_back(
+        NodeContext(graph_, ids_.data(), degree_.data(), this, nullptr));
     ctxs.back().batch_dirty_stamp_ = shards_[t].dirty_stamp.data();
     ctxs.back().batch_dirty_ = &shards_[t].dirty;
   }
@@ -640,7 +641,7 @@ void BatchNetwork::Checkpoint(std::ostream& out) const {
     // to its solo run.
     if (live_nodes_[b] > 0) {
       for (int v = 0; v < n; ++v) {
-        const int deg = graph_.Degree(v);
+        const int deg = degree_[v];
         for (int p = 0; p < deg; ++p) {
           const Message& m =
               inbox_[static_cast<size_t>(first_[v] + p) * B + b];

@@ -38,12 +38,17 @@ namespace internal {
 // With `perm` the per-node channel blocks are laid out in internal-rank
 // order; the pairing is unchanged because it keys on (node, port).
 void BuildChannelTables(GraphView graph, const int* perm,
-                        std::vector<int>& first, std::vector<int>& send_chan) {
+                        std::vector<int>& first, std::vector<int>& send_chan,
+                        std::vector<int>& degree) {
   const int n = graph.NumNodes();
+  // The only backend degree queries the engines make: one ascending pass,
+  // so a CompactGraph decodes its stream sequentially.
+  degree.resize(n);
+  for (int v = 0; v < n; ++v) degree[v] = graph.Degree(v);
   first.resize(n + 1);
   if (perm == nullptr) {
     first[0] = 0;
-    for (int v = 0; v < n; ++v) first[v + 1] = first[v] + graph.Degree(v);
+    for (int v = 0; v < n; ++v) first[v + 1] = first[v] + degree[v];
   } else {
     // Internal-rank CSR offsets, then scattered back so first[] stays
     // indexed by external node (the hot paths never see the permutation).
@@ -51,7 +56,7 @@ void BuildChannelTables(GraphView graph, const int* perm,
     std::vector<int> inv(n);  // internal rank -> external node
     for (int v = 0; v < n; ++v) inv[perm[v]] = v;
     offset[0] = 0;
-    for (int i = 0; i < n; ++i) offset[i + 1] = offset[i] + graph.Degree(inv[i]);
+    for (int i = 0; i < n; ++i) offset[i + 1] = offset[i] + degree[inv[i]];
     for (int v = 0; v < n; ++v) first[v] = offset[perm[v]];
     first[n] = offset[n];
   }
@@ -119,17 +124,18 @@ std::vector<int> WorklistOrder(int n, const std::vector<int>& perm) {
   return order;
 }
 
-std::vector<int> BuildChanOwner(GraphView graph, const std::vector<int>& first,
+std::vector<int> BuildChanOwner(const std::vector<int>& first,
+                                const std::vector<int>& degree,
                                 const std::vector<int>& order) {
-  const int n = graph.NumNodes();
-  std::vector<int> owner(2 * static_cast<size_t>(graph.NumEdges()));
+  const int n = static_cast<int>(degree.size());
+  std::vector<int> owner(static_cast<size_t>(first[n]));  // 2m channels
   for (int i = 0; i < n; ++i) {
     const int v = order[i];
     const int lo = first[v];
     // NOT first[v + 1]: under relabel first[] is external-indexed into the
     // rank-ordered channel space, so v's block ends at first[v] + deg(v)
     // while first[v + 1] is wherever external node v+1's block landed.
-    const int hi = lo + graph.Degree(v);
+    const int hi = lo + degree[v];
     for (int c = lo; c < hi; ++c) owner[c] = i;
   }
   return owner;
@@ -177,7 +183,7 @@ Network::Network(GraphView graph, std::vector<int64_t> ids, int num_threads,
   std::vector<int> perm;
   if (options.relabel) perm = internal::BfsOrder(graph);
   internal::BuildChannelTables(graph, perm.empty() ? nullptr : perm.data(),
-                               first_, send_chan_);
+                               first_, send_chan_, degree_);
   order_ = internal::WorklistOrder(n, perm);
   perm_ = std::move(perm);
 
@@ -203,7 +209,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     // First scheduled run on this engine: arm the wake tables once.
     wake_round_.assign(n, 0);
     bucket_stamp_.assign(n, -1);
-    chan_owner_ = internal::BuildChanOwner(graph_, first_, order_);
+    chan_owner_ = internal::BuildChanOwner(first_, degree_, order_);
     notify_stamp_.reset(new std::atomic<int32_t>[n]);
     for (int i = 0; i < n; ++i) {
       notify_stamp_[i].store(-1, std::memory_order_relaxed);
@@ -355,7 +361,8 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   std::vector<NodeContext> ctxs;
   ctxs.reserve(T);
   for (int t = 0; t < T; ++t) {
-    ctxs.push_back(NodeContext(graph_, ids_.data(), nullptr, nullptr));
+    ctxs.push_back(
+        NodeContext(graph_, ids_.data(), degree_.data(), nullptr, nullptr));
     NodeContext& ctx = ctxs.back();
     ctx.first_ = first_.data();
     ctx.send_chan_ = send_chan_.data();
@@ -543,8 +550,8 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       const int v = order_[i];
       if (halted_[v] || wake_round_[i] <= next) return;
       const int lo = first_[v];
-      const int hi = lo + graph_.Degree(v);   // not first_[v + 1]: see
-                                              // BuildChanOwner on relabel
+      const int hi = lo + degree_[v];  // not first_[v + 1]: see
+                                       // BuildChanOwner on relabel
       bool observable = false;
       for (int c = lo; c < hi && !observable; ++c) {
         const Message& msg = inbox_[c];
@@ -671,7 +678,7 @@ void Network::Checkpoint(std::ostream& out) const {
                          : SnapshotEngineKind::kParallelNetwork,
       digest_messages_, finished_, round_, messages_delivered_, round_stats_,
       round_msg_acc_, round_digests_, halted_, state_, state_stride_, order_,
-      first_, inbox_, epoch_, scheduled_,
+      first_, degree_, inbox_, epoch_, scheduled_,
       wake_round_.empty() ? nullptr : wake_round_.data());
   WriteSnapshot(out, snap);
 }

@@ -162,10 +162,16 @@ void RefHalt(ReferenceNetwork& ref, int node);
 // external node -> internal rank and the channel blocks are laid out in
 // internal-rank order (NetworkOptions::relabel); first[] stays indexed by
 // external node, so the Recv/Send hot paths are identical either way.
-// Backend-agnostic (one streaming adjacency pass, no edge ids): both
-// graph backends yield byte-identical tables.
+// degree[v] is external node v's degree, so v's block is
+// [first[v], first[v] + degree[v]) with or without relabel (under relabel
+// first[v + 1] is wherever node v+1's block landed, not v's end). It is the
+// engines' only degree source after construction: on a CompactGraph every
+// GraphView::Degree call decodes the varint stream. Backend-agnostic (one
+// streaming adjacency pass, no edge ids): both graph backends yield
+// byte-identical tables.
 void BuildChannelTables(GraphView graph, const int* perm,
-                        std::vector<int>& first, std::vector<int>& send_chan);
+                        std::vector<int>& first, std::vector<int>& send_chan,
+                        std::vector<int>& degree);
 
 // BFS permutation for NetworkOptions::relabel: perm[v] = BFS visit rank of
 // external node v (roots chosen in increasing external index; neighbors
@@ -194,8 +200,10 @@ void ArmStatePlane(Algorithm& alg, int n, const int* inv,
 // Inverts the CSR channel tables for the message-wake path: owner[c] is the
 // INTERNAL RANK of the node whose recv-channel block contains channel c
 // (i.e. the receiver of any Send that stores to c). order maps rank ->
-// external id, as in WorklistOrder.
-std::vector<int> BuildChanOwner(GraphView graph, const std::vector<int>& first,
+// external id, as in WorklistOrder; first and degree are
+// BuildChannelTables' outputs.
+std::vector<int> BuildChanOwner(const std::vector<int>& first,
+                                const std::vector<int>& degree,
                                 const std::vector<int>& order);
 }  // namespace internal
 
@@ -222,8 +230,16 @@ class NodeContext {
   // one shared object may key on it; the usual pattern (one Algorithm object
   // per instance) never needs it.
   int instance() const { return instance_; }
-  int degree() const { return graph_.Degree(node_); }
+  // O(1) on Network and BatchNetwork: one load from the engine's own
+  // degree table (internal::BuildChannelTables), whatever the graph
+  // backend. Only the ReferenceNetwork oracle asks the GraphView.
+  int degree() const {
+    return degree_ != nullptr ? degree_[node_] : graph_.Degree(node_);
+  }
   int64_t id() const { return ids_[node_]; }
+  // Asks the graph backend: O(1) on a Graph, but an O(port) varint decode
+  // on a CompactGraph. No algorithm in this repository calls it (only
+  // tests do); algorithms learn neighbor ids by exchanging messages.
   int64_t neighbor_id(int port) const {
     return ids_[graph_.NeighborAt(node_, port)];
   }
@@ -273,12 +289,13 @@ class NodeContext {
   friend class Network;
   friend class BatchNetwork;
   friend class ReferenceNetwork;
-  NodeContext(GraphView graph, const int64_t* ids, BatchNetwork* batch,
-              ReferenceNetwork* ref)
-      : graph_(graph), ids_(ids), batch_(batch), ref_(ref) {}
+  NodeContext(GraphView graph, const int64_t* ids, const int* degree,
+              BatchNetwork* batch, ReferenceNetwork* ref)
+      : graph_(graph), ids_(ids), degree_(degree), batch_(batch), ref_(ref) {}
 
   GraphView graph_;
   const int64_t* ids_;
+  const int* degree_;      // engine degree table, or null (reference engine)
   BatchNetwork* batch_;    // batched multi-instance engine, or null
   ReferenceNetwork* ref_;  // reference engine, or null
 
@@ -626,6 +643,8 @@ class Network {
                                 // (v, p) is first_[v] + p
   std::vector<int> send_chan_;  // size 2m: send channel of (v, p), i.e. the
                                 // channel of the reverse half-edge
+  std::vector<int> degree_;     // size n: degree of external node v (see
+                                // BuildChannelTables); NodeContext::degree()
   std::vector<int> order_;      // internal rank -> external id (iota, or BFS
                                 // under options.relabel)
   std::vector<int> perm_;       // external id -> internal rank; empty =
@@ -902,6 +921,7 @@ class BatchNetwork {
   int batch_;
   std::vector<int> first_;      // shared CSR offsets (see Network)
   std::vector<int> send_chan_;  // shared reverse half-edge channels
+  std::vector<int> degree_;     // external node -> degree (see Network)
   std::vector<int> order_;      // internal rank -> external id (iota, or BFS
                                 // under options.relabel), as in Network
   std::vector<int> perm_;       // external id -> internal rank; empty =

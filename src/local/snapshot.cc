@@ -415,8 +415,8 @@ SnapshotData BuildSoloSnapshot(
     const std::vector<uint64_t>& digests, const std::vector<char>& halted,
     const std::vector<unsigned char>& state, size_t state_stride,
     const std::vector<int>& order, const std::vector<int>& first,
-    const std::vector<Message>& inbox, int32_t epoch, bool scheduled,
-    const int32_t* wake_by_rank) {
+    const std::vector<int>& degree, const std::vector<Message>& inbox,
+    int32_t epoch, bool scheduled, const int32_t* wake_by_rank) {
   const int n = g.NumNodes();
   SnapshotData snap;
   snap.engine_kind = engine_kind;
@@ -466,7 +466,7 @@ SnapshotData BuildSoloSnapshot(
   // the solo run (whose engine stopped at its own final round).
   if (!finished) {
     for (int v = 0; v < n; ++v) {
-      const int deg = g.Degree(v);
+      const int deg = degree[v];
       for (int p = 0; p < deg; ++p) {
         const Message& m = inbox[static_cast<size_t>(first[v] + p)];
         if (m.engine_stamp == epoch - 1 &&

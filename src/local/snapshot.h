@@ -208,8 +208,9 @@ void SetInputSections(GraphView g, const std::vector<int64_t>& ids,
                       SnapshotData& snap);
 
 // Canonical gather/apply for the solo CSR engine (Network, at any thread
-// count). `order` maps internal rank -> external node; `first` is the
-// external-indexed CSR offset table; deliverable messages are the inbox
+// count). `order` maps internal rank -> external node; `first` and
+// `degree` are the external-indexed CSR offset and degree tables
+// (internal::BuildChannelTables); deliverable messages are the inbox
 // slots stamped epoch - 1. `wake_by_rank` is the engine's internal-indexed
 // wake plane (nullptr when the engine never armed it); it is consulted
 // only when `scheduled`, and the gather canonicalizes (halted -> 0,
@@ -222,8 +223,8 @@ SnapshotData BuildSoloSnapshot(
     const std::vector<uint64_t>& digests, const std::vector<char>& halted,
     const std::vector<unsigned char>& state, size_t state_stride,
     const std::vector<int>& order, const std::vector<int>& first,
-    const std::vector<Message>& inbox, int32_t epoch, bool scheduled,
-    const int32_t* wake_by_rank);
+    const std::vector<int>& degree, const std::vector<Message>& inbox,
+    int32_t epoch, bool scheduled, const int32_t* wake_by_rank);
 
 // Validates a parsed snapshot against the engine about to resume it:
 // graph/ids hashes, batch width, digest-messages flag, and per-message

@@ -226,6 +226,87 @@ TEST(GraphBackendParityTest, RakeCompressPipelineParity) {
   }
 }
 
+// Records what the engine reports as each node's degree: ctx.degree() in
+// round 0, then how many ports carried the round-0 Broadcast (which walks
+// the same degree) into round 1.
+class DegreeProbe : public local::Algorithm {
+ public:
+  struct Slot {
+    int32_t degree;
+    int32_t received;
+  };
+  size_t StateBytes() const override { return sizeof(Slot); }
+  void OnRound(local::NodeContext& ctx) override {
+    Slot& slot = ctx.State<Slot>();
+    if (ctx.round() == 0) {
+      slot.degree = ctx.degree();
+      ctx.Broadcast(local::Message::Of(1));
+      return;
+    }
+    for (int p = 0; p < slot.degree; ++p) {
+      slot.received += ctx.Recv(p).present();
+    }
+    ctx.Halt();
+  }
+};
+
+// ctx.degree() is served from the engine's own degree table, built once at
+// construction; it must equal GraphView::Degree(v) for every node on every
+// backend, with and without relabel (where first[v + 1] - first[v] is NOT
+// v's degree), on the solo engine at T in {1, 4} and on a 3-wide batch.
+// The star's center stream exceeds 254 bytes, so the compact backend
+// answers its degree through the hub table (FindHub).
+TEST(GraphBackendParityTest, ContextDegreeMatchesGraph) {
+  const std::vector<Workload> workloads = {
+      {"hubbed", HubbedForest(140, 3, 9)}, {"star", Star(400)}};
+  for (const Workload& w : workloads) {
+    const CompactGraph compact = CompactGraph::FromGraph(w.graph);
+    MappedCgr mapped(compact, "degree_" + w.name);
+    if (w.name == "star") {
+      ASSERT_GT(compact.num_hubs(), 0u);
+    }
+    const auto ids = DefaultIds(w.graph.NumNodes(), 5);
+    const int n = w.graph.NumNodes();
+    for (const GraphView g :
+         {GraphView(w.graph), GraphView(compact), GraphView(mapped.graph)}) {
+      const std::string backend = g.csr() != nullptr ? "csr"
+                                  : g.compact()->mapped() ? "mapped"
+                                                          : "compact";
+      for (bool relabel : {false, true}) {
+        local::NetworkOptions opts;
+        opts.relabel = relabel;
+        const std::string tag = w.name + "/" + backend +
+                                (relabel ? "/relabel" : "");
+        for (int threads : {1, 4}) {
+          local::Network net(g, ids, threads, opts);
+          DegreeProbe alg;
+          net.Run(alg, 4);
+          for (int v = 0; v < n; ++v) {
+            const auto& slot = net.StateAt<DegreeProbe::Slot>(v);
+            ASSERT_EQ(slot.degree, g.Degree(v))
+                << tag << "/T" << threads << " node " << v;
+            ASSERT_EQ(slot.received, g.Degree(v))
+                << tag << "/T" << threads << " node " << v;
+          }
+        }
+        constexpr int kBatch = 3;
+        local::BatchNetwork batch(g, ids, kBatch, 1, opts);
+        DegreeProbe algs[kBatch];
+        batch.Run({&algs[0], &algs[1], &algs[2]}, 4);
+        for (int b = 0; b < kBatch; ++b) {
+          for (int v = 0; v < n; ++v) {
+            const auto& slot = batch.StateAt<DegreeProbe::Slot>(b, v);
+            ASSERT_EQ(slot.degree, g.Degree(v))
+                << tag << "/batch" << b << " node " << v;
+            ASSERT_EQ(slot.received, g.Degree(v))
+                << tag << "/batch" << b << " node " << v;
+          }
+        }
+      }
+    }
+  }
+}
+
 // graph_convert's promise in-process: a CompactGraph built by streaming the
 // generator's edges through Builder in sorted-arc order equals (same image
 // bytes) the one re-encoded from the eager Graph — and the streamed
