@@ -46,7 +46,7 @@ bool RunCheckpointResume(const Graph& tree, const std::vector<int64_t>& ids,
                          const Flags& f, bench::JsonWriter& json) {
   // Uninterrupted reference run (also warms the page cache / allocator).
   local::Network clean(tree, ids);
-  auto clean_alg = MakeRakeCompressAlgorithm(tree, f.k);
+  auto clean_alg = MakeRakeCompressAlgorithm(f.k);
   const int max_rounds = 3 * (2 * RakeCompressIterationBound(tree.NumNodes(),
                                                              f.k) + 8);
   auto t0 = Clock::now();
@@ -62,7 +62,7 @@ bool RunCheckpointResume(const Graph& tree, const std::vector<int64_t>& ids,
   bool identical = true;
   for (int rep = 0; rep < f.reps; ++rep) {
     local::Network net(tree, ids);
-    auto alg = MakeRakeCompressAlgorithm(tree, f.k);
+    auto alg = MakeRakeCompressAlgorithm(f.k);
     net.RunUntil(*alg, max_rounds, pause);
     std::ostringstream out;
     t0 = Clock::now();
@@ -72,7 +72,7 @@ bool RunCheckpointResume(const Graph& tree, const std::vector<int64_t>& ids,
     snapshot_bytes = bytes.size();
 
     local::Network resumed(tree, ids);
-    auto ralg = MakeRakeCompressAlgorithm(tree, f.k);
+    auto ralg = MakeRakeCompressAlgorithm(f.k);
     std::istringstream in(bytes);
     t0 = Clock::now();
     resumed.Resume(in);  // parse + integrity + validation
@@ -116,7 +116,7 @@ bool RunDigestOverhead(const Graph& tree, const std::vector<int64_t>& ids,
   {
     local::Network net(tree, ids);
     for (int rep = 0; rep < f.reps + 1; ++rep) {  // rep 0 = warmup
-      auto alg = MakeRakeCompressAlgorithm(tree, f.k);
+      auto alg = MakeRakeCompressAlgorithm(f.k);
       auto t0 = Clock::now();
       net.Run(*alg, max_rounds);
       if (rep > 0) counters_s = std::min(counters_s, Seconds(t0));
@@ -128,7 +128,7 @@ bool RunDigestOverhead(const Graph& tree, const std::vector<int64_t>& ids,
     opt.digest_messages = true;
     local::Network net(tree, ids, opt);
     for (int rep = 0; rep < f.reps + 1; ++rep) {
-      auto alg = MakeRakeCompressAlgorithm(tree, f.k);
+      auto alg = MakeRakeCompressAlgorithm(f.k);
       auto t0 = Clock::now();
       net.Run(*alg, max_rounds);
       if (rep > 0) content_s = std::min(content_s, Seconds(t0));

@@ -98,8 +98,7 @@ int RakeCompressIterationBound(int64_t n, int k) {
   return CeilLogBase(n, k) + 1;
 }
 
-std::unique_ptr<local::Algorithm> MakeRakeCompressAlgorithm(
-    GraphView /*tree*/, int k) {
+std::unique_ptr<local::Algorithm> MakeRakeCompressAlgorithm(int k) {
   if (k < 2) throw std::invalid_argument("rake-compress requires k >= 2");
   return std::make_unique<RakeCompressAlgorithm>(k);
 }
@@ -223,7 +222,7 @@ std::vector<RakeCompressResult> RunRakeCompressBatch(
 
 std::vector<RakeCompressResult> RunRakeCompressBatchDeduped(
     GraphView tree, const std::vector<int64_t>& ids,
-    const std::vector<int>& ks, int num_threads) {
+    const std::vector<int>& ks) {
   for (int k : ks) {
     if (k < 2) throw std::invalid_argument("rake-compress requires k >= 2");
   }
@@ -244,8 +243,7 @@ std::vector<RakeCompressResult> RunRakeCompressBatchDeduped(
 
   // The engine is sized to the deduped sweep — this is where the memory
   // (and traffic) saving comes from, so dedup must precede construction.
-  local::ParallelBatchNetwork net(
-      tree, ids, static_cast<int>(unique_ks.size()), num_threads);
+  local::BatchNetwork net(tree, ids, static_cast<int>(unique_ks.size()));
   std::vector<RakeCompressResult> unique_results =
       RunRakeCompressBatch(net, unique_ks);
   for (size_t i = 0; i < ks.size(); ++i) results[i] = unique_results[slot[i]];

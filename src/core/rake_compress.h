@@ -83,10 +83,11 @@ std::vector<RakeCompressResult> RunRakeCompressBatch(local::BatchNetwork& net,
 // sweeps whose tails sit above Delta (Theorem 12's k-ablation is exactly
 // such a sweep). results[i] is bit-identical to RunRakeCompressBatch's
 // entry for ks[i] — and therefore to the solo run — enforced by tests.
-// num_threads > 1 shards the deduped instance slices.
+// The pass runs on one serial BatchNetwork (see its class comment for why
+// the batch engine takes no thread count).
 std::vector<RakeCompressResult> RunRakeCompressBatchDeduped(
     GraphView tree, const std::vector<int64_t>& ids,
-    const std::vector<int>& ks, int num_threads = 1);
+    const std::vector<int>& ks);
 
 // The dedup's canonicalization rule, shared with the benches: two
 // parameters are provably transcript-identical iff their canonical forms
@@ -99,12 +100,11 @@ RakeCompressResult RunRakeCompressReference(GraphView tree,
                                             int k);
 
 // The bare engine Algorithm behind all of the drivers above (k >= 2). It
-// keeps no reference to `tree`: every degree comes from the engine's
-// NodeContext. For callers that need to drive the engine directly — the
-// standalone transcript verifier replays checkpointed runs through this
-// without any of the result plumbing.
-std::unique_ptr<local::Algorithm> MakeRakeCompressAlgorithm(GraphView tree,
-                                                            int k);
+// needs no graph: every degree comes from the engine's NodeContext. For
+// callers that need to drive the engine directly — the standalone
+// transcript verifier replays checkpointed runs through this without any
+// of the result plumbing.
+std::unique_ptr<local::Algorithm> MakeRakeCompressAlgorithm(int k);
 
 // Paper bound on iterations (Lemma 9 / Algorithm 1 loop count).
 int RakeCompressIterationBound(int64_t n, int k);

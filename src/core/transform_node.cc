@@ -106,18 +106,17 @@ std::vector<Thm12Result> SolveNodeProblemOnTreeBatch(
   // tree's max degree provably share one transcript, so the engine runs
   // (and allocates) only the distinct instances and the results fan back
   // out bit-identically (an empty tree degenerates inside, which still
-  // validates every k, matching the solo path). num_threads > 1 shards the
-  // deduped instance slices (ParallelBatchNetwork mode).
+  // validates every k, matching the solo path).
   {
     std::vector<RakeCompressResult> decompositions =
-        RunRakeCompressBatchDeduped(tree, ids, ks, num_threads);
+        RunRakeCompressBatchDeduped(tree, ids, ks);
     for (size_t b = 0; b < ks.size(); ++b) {
       results[b].rake_compress = std::move(decompositions[b]);
     }
   }
   // One shared engine for every instance's phases 2-3 (mailboxes and state
-  // plane are reused across the whole sweep).
-  local::Network net(tree, ids);
+  // plane are reused across the whole sweep), on `num_threads` lanes.
+  local::Network net(tree, ids, num_threads, local::NetworkOptions{});
   for (size_t b = 0; b < ks.size(); ++b) {
     results[b].k = ks[b];
     results[b].labeling = HalfEdgeLabeling(tree);

@@ -62,8 +62,9 @@ Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
 // SolveNodeProblemOnTree(problem, tree, ids, id_space, ks[b]). This is the
 // form the k-ablation sweep and multi-query serving use: per-round engine
 // dispatch is paid once for the whole sweep instead of once per k.
-// `num_threads` > 1 runs phase 1 on a ParallelBatchNetwork, sharding the
-// instance slices across that many pool lanes — same results.
+// Phase 1 runs on a serial BatchNetwork; `num_threads` sizes the Network
+// that runs phases 2-3, as in SolveNodeProblemOnTree — same results for
+// every thread count.
 std::vector<Thm12Result> SolveNodeProblemOnTreeBatch(
     const NodeProblem& problem, const Graph& tree,
     const std::vector<int64_t>& ids, int64_t id_space,

@@ -42,23 +42,11 @@ BatchNetwork::~BatchNetwork() = default;  // out of line: pending_resume_
 
 BatchNetwork::BatchNetwork(GraphView graph, std::vector<int64_t> ids,
                            int batch)
-    : BatchNetwork(graph, std::move(ids), batch, 1) {}
+    : BatchNetwork(graph, std::move(ids), batch, NetworkOptions{}) {}
 
 BatchNetwork::BatchNetwork(GraphView graph, std::vector<int64_t> ids,
-                           int batch, int num_threads)
-    : BatchNetwork(graph, std::move(ids), batch, num_threads,
-                   NetworkOptions{}) {}
-
-BatchNetwork::BatchNetwork(GraphView graph, std::vector<int64_t> ids,
-                           int batch, int num_threads,
-                           const NetworkOptions& options)
-    : graph_(graph),
-      ids_(std::move(ids)),
-      batch_(batch),
-      // Shards are whole instances, so more lanes than instances would idle;
-      // max(batch, 1) keeps the pool constructible so the batch < 1 check
-      // below reports the real error.
-      pool_(std::min(num_threads, std::max(batch, 1))) {
+                           int batch, const NetworkOptions& options)
+    : graph_(graph), ids_(std::move(ids)), batch_(batch) {
   assert(static_cast<int>(ids_.size()) == graph.NumNodes());
   if (batch < 1) {
     throw std::invalid_argument("BatchNetwork batch must be >= 1");
@@ -94,25 +82,11 @@ BatchNetwork::BatchNetwork(GraphView graph, std::vector<int64_t> ids,
   inbox_.assign(slots, Message{});
   const size_t channels = 2 * static_cast<size_t>(graph.NumEdges());
   plane_ = channels;
-  // Contiguous instance slices, balanced to +-1; each shard owns its own
-  // dirty-channel bookkeeping so the sharded round pass shares no mutable
-  // metadata (see the class comment in network.h).
-  const int shard_count = pool_.num_threads();
-  shards_.resize(shard_count);
-  for (int t = 0; t < shard_count; ++t) {
-    Shard& sh = shards_[t];
-    sh.b_lo = static_cast<int>(static_cast<int64_t>(batch) * t / shard_count);
-    sh.b_hi =
-        static_cast<int>(static_cast<int64_t>(batch) * (t + 1) / shard_count);
-    sh.dirty_stamp.assign(channels, -1);
-    sh.dirty.reserve(channels);
-    sh.live.reserve(sh.b_hi - sh.b_lo);
-  }
+  dirty_stamp_.assign(channels, -1);
+  dirty_.reserve(channels);
+  live_.reserve(batch);
   halted_.assign(static_cast<size_t>(n) * batch, 0);
-  node_live_ = std::make_unique<std::atomic<int>[]>(n);
-  for (int v = 0; v < n; ++v) {
-    node_live_[v].store(batch, std::memory_order_relaxed);
-  }
+  node_live_.assign(n, batch);
   live_nodes_.assign(batch, n);
   active_.reserve(n);
   messages_delivered_.assign(batch, 0);
@@ -121,7 +95,6 @@ BatchNetwork::BatchNetwork(GraphView graph, std::vector<int64_t> ids,
   round_active_.assign(batch, 0);
   sent_before_.assign(batch, 0);
   macc_before_.assign(batch, 0);
-  round_live_.assign(batch, 0);
   live_at_start_.assign(batch, 0);
   round_decisions_.assign(batch, 0);
   wakes_.assign(batch, 0);
@@ -143,7 +116,6 @@ std::vector<int> BatchNetwork::RunUntil(const std::vector<Algorithm*>& algs,
   }
   const int n = graph_.NumNodes();
   const int B = batch_;
-  const int S = static_cast<int>(shards_.size());
 
   // Engine-managed state: one instance-major plane per instance (layout
   // mirrors the staging buffer, so the cache-blocked node pass streams each
@@ -204,18 +176,13 @@ std::vector<int> BatchNetwork::RunUntil(const std::vector<Algorithm*>& algs,
     if (epoch_ >= INT32_MAX - 4) {
       for (auto& m : stage_) m.engine_stamp = -1;
       for (auto& m : inbox_) m.engine_stamp = -1;
-      for (Shard& sh : shards_) {
-        std::fill(sh.dirty_stamp.begin(), sh.dirty_stamp.end(), -1);
-      }
+      std::fill(dirty_stamp_.begin(), dirty_stamp_.end(), -1);
       epoch_ = 1;
     }
     epoch_ += 2;
-    for (Shard& sh : shards_) sh.dirty.clear();  // a previous Run may have
-                                                 // thrown mid-round
+    dirty_.clear();  // a previous Run may have thrown mid-round
     std::fill(halted_.begin(), halted_.end(), 0);
-    for (int v = 0; v < n; ++v) {
-      node_live_[v].store(B, std::memory_order_relaxed);
-    }
+    std::fill(node_live_.begin(), node_live_.end(), B);
     std::fill(live_nodes_.begin(), live_nodes_.end(), n);
     active_.resize(n);  // internal ranks 0..n-1 (== external ids sans relabel)
     std::iota(active_.begin(), active_.end(), 0);
@@ -240,6 +207,17 @@ std::vector<int> BatchNetwork::RunUntil(const std::vector<Algorithm*>& algs,
   finished_ = false;
   support::FaultInjector* const fault = fault_;
 
+  calendar_.clear();
+  // Calendar push (sleeps and message wakes), bounded by max_rounds:
+  // entries at or past it stay parked — if the pair never wakes earlier,
+  // the run throws at max_rounds first.
+  const auto push_cal = [this, max_rounds](int w, int64_t code) {
+    if (w >= max_rounds) return;
+    if (static_cast<size_t>(w) >= calendar_.size()) {
+      calendar_.resize(static_cast<size_t>(w) + 1);
+    }
+    calendar_[static_cast<size_t>(w)].push_back(code);
+  };
   if (scheduled) {
     if (chan_owner_.empty()) {
       // recv channel -> receiver EXTERNAL node (the wake/halt planes are
@@ -253,219 +231,24 @@ std::vector<int> BatchNetwork::RunUntil(const std::vector<Algorithm*>& algs,
         for (int c = lo; c < hi; ++c) chan_owner_[c] = v;
       }
     }
-    // (Re)build every shard's calendar wholesale from the wake plane under
-    // THIS call's max_rounds — uniform across fresh runs, resumes, and
-    // paused continuations (whose previous calendars may have been built
-    // under a different bound, or partially drained before an exception).
-    // Entries at or past max_rounds stay parked: if the pair never wakes
-    // earlier, the run throws at max_rounds first.
-    for (Shard& sh : shards_) {
-      sh.calendar.clear();
-      for (int b = sh.b_lo; b < sh.b_hi; ++b) {
-        for (int v = 0; v < n; ++v) {
-          const auto code = static_cast<int64_t>(v) * B + b;
-          if (halted_[static_cast<size_t>(code)]) continue;
-          int32_t w = wake_[static_cast<size_t>(code)];
-          if (w < round_) w = round_;  // resumed plane: awake at the boundary
-          wake_[static_cast<size_t>(code)] = w;
-          if (w >= max_rounds) continue;
-          if (static_cast<size_t>(w) >= sh.calendar.size()) {
-            sh.calendar.resize(static_cast<size_t>(w) + 1);
-          }
-          sh.calendar[static_cast<size_t>(w)].push_back(code);
-        }
-      }
-    }
-  } else {
-    for (Shard& sh : shards_) sh.calendar.clear();
-  }
-  scheduled_ = scheduled;
-
-  // One context per shard: same engine, but each carries its shard's own
-  // dirty-channel bookkeeping.
-  std::vector<NodeContext> ctxs;
-  ctxs.reserve(S);
-  for (int t = 0; t < S; ++t) {
-    ctxs.push_back(
-        NodeContext(graph_, ids_.data(), degree_.data(), this, nullptr));
-    ctxs.back().batch_dirty_stamp_ = shards_[t].dirty_stamp.data();
-    ctxs.back().batch_dirty_ = &shards_[t].dirty;
-  }
-
-  // One std::function for the whole run (per-round state — active_now,
-  // round_, the shard live lists — is read through captured references),
-  // so each round's fork costs no allocation. Body below at the
-  // ParallelFor call site.
-  int active_now = 0;
-  const std::function<void(int)> round_task = [&](int t) {
-    Shard& sh = shards_[t];
-    NodeContext& ctx = ctxs[t];
-    ctx.round_ = round_;
-    // Calendar push for this shard (sleeps and message wakes), bounded by
-    // max_rounds as in the rebuild above.
-    const auto push_cal = [&sh, max_rounds](int w, int64_t code) {
-      if (w >= max_rounds) return;
-      if (static_cast<size_t>(w) >= sh.calendar.size()) {
-        sh.calendar.resize(static_cast<size_t>(w) + 1);
-      }
-      sh.calendar[static_cast<size_t>(w)].push_back(code);
-    };
-    if (scheduled) {
-      // Wake-bucket pass: drain this shard's bucket for the round instead
-      // of walking the shared worklist. Entries are (node, instance) codes;
-      // an entry is live iff the pair is unhalted and its wake round still
-      // equals this round (every visit and every message wake moves the
-      // wake round past it, so stale duplicates self-invalidate — a
-      // shard-private calendar needs no bucket dedup). The cache-blocked
-      // streaming of the dense pass is deliberately given up here: a
-      // scheduled round's visit set is sparse by design.
-      std::vector<int64_t> bucket;
-      if (static_cast<size_t>(round_) < sh.calendar.size()) {
-        bucket.swap(sh.calendar[static_cast<size_t>(round_)]);
-      }
-      for (const int64_t code : bucket) {
-        const int v = static_cast<int>(code / B);
-        const int b = static_cast<int>(code % B);
-        if (halted_[static_cast<size_t>(code)] ||
-            wake_[static_cast<size_t>(code)] != round_) {
-          continue;
-        }
-        ctx.instance_ = b;
-        ctx.node_ = v;
-        // State planes are rank-indexed; codes stay external (the sparse
-        // scheduled path gave up streaming anyway, so one perm lookup per
-        // visit is the whole relabel cost here).
-        const auto slot =
-            static_cast<size_t>(perm_.empty() ? v : perm_[v]);
-        ctx.state_ = state_.data() + state_plane_bytes_ * b +
-                     slot * state_stride_;
-        ctx.sleep_until_ = round_ + 1;
-        if (fault != nullptr) fault->OnVisit(round_);
-        const int64_t sb = messages_delivered_[b];
-        algs[b]->OnRound(ctx);
-        ++round_active_[b];
-        if (halted_[static_cast<size_t>(code)]) {
-          ++round_decisions_[b];  // halting is a decision; Halt wins over
-          continue;               // any sleep the visit also declared
-        }
-        round_decisions_[b] += messages_delivered_[b] != sb ? 1 : 0;
-        const int32_t s = ctx.sleep_until_;
-        const int32_t w =
-            s <= round_ ? round_ + 1 : (s >= kNoWakeRound ? kNoWakeRound : s);
+    // (Re)build the calendar wholesale from the wake plane under THIS
+    // call's max_rounds — uniform across fresh runs, resumes, and paused
+    // continuations (whose previous calendar may have been built under a
+    // different bound, or partially drained before an exception).
+    for (int b = 0; b < B; ++b) {
+      for (int v = 0; v < n; ++v) {
+        const auto code = static_cast<int64_t>(v) * B + b;
+        if (halted_[static_cast<size_t>(code)]) continue;
+        int32_t w = wake_[static_cast<size_t>(code)];
+        if (w < round_) w = round_;  // resumed plane: awake at the boundary
         wake_[static_cast<size_t>(code)] = w;
         push_cal(w, code);
       }
-    } else {
-      constexpr int kChunk = 512;
-      for (int lo = 0; lo < active_now; lo += kChunk) {
-        const int hi = std::min(lo + kChunk, active_now);
-        for (int b : sh.live) {
-          ctx.instance_ = b;
-          // This instance's state plane: within the (chunk, instance) slice
-          // the slots below stream in ascending node order, right next to
-          // the instance's staging plane.
-          unsigned char* const state_plane =
-              state_.data() + state_plane_bytes_ * b;
-          for (int i = lo; i < hi; ++i) {
-            // The worklist holds internal ranks: state streams at the rank
-            // stride while the halt/mailbox planes stay external — under
-            // identity (no relabel) r == v and this is the old loop.
-            const int r = active_[i];
-            const int v = order_[r];
-            const auto idx = static_cast<size_t>(v) * B + b;
-            if (halted_[idx]) continue;
-            ctx.node_ = v;
-            ctx.state_ = state_plane + static_cast<size_t>(r) * state_stride_;
-            if (fault != nullptr) fault->OnVisit(round_);
-            const int64_t sb = messages_delivered_[b];
-            algs[b]->OnRound(ctx);
-            ++round_active_[b];
-            round_decisions_[b] +=
-                (messages_delivered_[b] != sb || halted_[idx]) ? 1 : 0;
-          }
-        }
-      }
     }
-    // Deliver this shard's slice: scatter each dirty channel's staged
-    // live-instance slots to the receiver-indexed inbox — the only random
-    // accesses of the round, each moving up to 24*B bytes, prefetched
-    // ahead so many line/TLB fills stay in flight. Copying a live
-    // instance's slot that was NOT written this round is harmless: its
-    // stamp is below this epoch, so next round's visibility check filters
-    // it — which is why whole-cluster prefetch is legal when every
-    // instance is live. A channel dirtied by several shards is scattered
-    // once per shard, each moving disjoint instance slots. O(channels
-    // written this round), not O(m).
-    {
-      const auto stride = static_cast<size_t>(B);
-      // Dense path: the shard's whole slice is live, so prefetch its
-      // contiguous slot range [b_lo, b_hi) line by line (NOT the whole
-      // cluster — write-prefetching other shards' slots would pull their
-      // lines exclusive and ping-pong them).
-      const bool slice_live =
-          static_cast<int>(sh.live.size()) == sh.b_hi - sh.b_lo;
-      const size_t slice_off = sizeof(Message) * static_cast<size_t>(sh.b_lo);
-      const size_t slice_end = sizeof(Message) * static_cast<size_t>(sh.b_hi);
-      constexpr size_t kPrefetchAhead = 32;
-      const size_t dirty_count = sh.dirty.size();
-      for (size_t i = 0; i < dirty_count; ++i) {
-        if (i + kPrefetchAhead < dirty_count) {
-          const auto ahead =
-              static_cast<size_t>(send_chan_[sh.dirty[i + kPrefetchAhead]]);
-          const char* base =
-              reinterpret_cast<const char*>(&inbox_[ahead * stride]);
-          if (slice_live) {
-            // The slice spans ceil(24*(b_hi-b_lo)/64) lines; one prefetch
-            // per line.
-            for (size_t off = slice_off; off < slice_end; off += 64) {
-              __builtin_prefetch(base + off, 1);
-            }
-          } else {
-            for (int b : sh.live) {
-              __builtin_prefetch(base + sizeof(Message) * b, 1);
-            }
-          }
-        }
-        const auto chan = static_cast<size_t>(sh.dirty[i]);
-        const auto dest = static_cast<size_t>(send_chan_[chan]);
-        // Layout conversion: gather the channel's slot from each live
-        // instance's plane (the dirty list is roughly channel-ascending,
-        // so these are interleaved sequential streams) into the
-        // contiguous inbox cluster (one random write region).
-        for (int b : sh.live) {
-          inbox_[dest * stride + b] = stage_[plane_ * b + chan];
-        }
-        if (scheduled) {
-          // Message-wake check, folded into the scatter because it sees
-          // the FINAL staged values (the node pass is over, so last-write-
-          // wins has resolved — no post-hoc verification scan needed, unlike
-          // the CSR engines): an observable message stamped this round
-          // pulls its sleeping receiver pair to the next round's bucket.
-          // Messages never cross instances and this shard owns instance b,
-          // so all wake_ writes stay shard-local. Halt wins (a pair that
-          // halted this round is never woken), and a pair already due next
-          // round needs nothing.
-          const int recv = chan_owner_[dest];
-          for (int b : sh.live) {
-            const Message& m = stage_[plane_ * b + chan];
-            if (m.engine_stamp != epoch_ ||
-                (m.size == 0 && m.word0 == 0 && m.word1 == 0)) {
-              continue;
-            }
-            const auto code = static_cast<int64_t>(recv) * B + b;
-            if (!halted_[static_cast<size_t>(code)] &&
-                wake_[static_cast<size_t>(code)] > round_ + 1) {
-              wake_[static_cast<size_t>(code)] = round_ + 1;
-              ++wakes_[b];
-              push_cal(round_ + 1, code);
-            }
-          }
-        }
-      }
-      sh.dirty.clear();
-    }
-  };
+  }
+  scheduled_ = scheduled;
 
+  NodeContext ctx(graph_, ids_.data(), degree_.data(), this, nullptr);
   while (!active_.empty()) {
     if (round_ == pause_at_round) {
       // Pause at the shared batch boundary before this round. A live
@@ -495,56 +278,181 @@ std::vector<int> BatchNetwork::RunUntil(const std::vector<Algorithm*>& algs,
       for (auto& m : inbox_) {
         m.engine_stamp = m.engine_stamp == epoch_ - 1 ? 2 : -1;
       }
-      for (Shard& sh : shards_) {
-        std::fill(sh.dirty_stamp.begin(), sh.dirty_stamp.end(), -1);
-      }
+      std::fill(dirty_stamp_.begin(), dirty_stamp_.end(), -1);
       epoch_ = 3;
     }
+    // Instances with no live node at round start skip their slices and
+    // their scatter outright (an instance halting its last node mid-round
+    // still finishes the round via the per-node halted_ checks), so a
+    // long-tailed instance mix degrades toward solo cost.
+    live_.clear();
     for (int b = 0; b < B; ++b) {
       round_active_[b] = 0;
       round_decisions_[b] = 0;
       live_at_start_[b] = live_nodes_[b];
       sent_before_[b] = messages_delivered_[b];
       macc_before_[b] = msg_acc_[b];
+      if (live_nodes_[b] > 0) live_.push_back(b);
     }
-    active_now = static_cast<int>(active_.size());
-    // One pass over the shared worklist serves every live instance at each
-    // node. Per instance the OnRound order is increasing node index, exactly
-    // the solo Network::Run schedule, and instances never alias channels —
-    // so each instance's transcript is bit-identical to its solo run.
-    //
-    // The pass is cache-blocked: nodes are processed in chunks with the
-    // instance loop in the middle. Within a (chunk, instance) slice the
-    // algorithm's own node-indexed state arrays and the staging plane
-    // stream sequentially (a per-node instance loop would interleave many
-    // per-instance streams and defeat the prefetcher), and the chunk's
-    // inbox cluster lines — faulted in by the first live instance's Recv
-    // scan — stay cached for the remaining instances.
-    // Instances with no live node at round start (snapshotted in
-    // round_live_; an instance halting its last node mid-round still
-    // finishes the round via the per-node halted_ checks) skip their slices
-    // outright, so a long-tailed instance mix degrades toward solo cost.
-    // Each shard's live sub-list drives its scatter: only these instances
-    // can have staged sends this round.
-    for (int b = 0; b < B; ++b) round_live_[b] = live_nodes_[b] > 0;
-    for (Shard& sh : shards_) {
-      sh.live.clear();
-      for (int b = sh.b_lo; b < sh.b_hi; ++b) {
-        if (round_live_[b]) sh.live.push_back(b);
+    const int active_now = static_cast<int>(active_.size());
+    ctx.round_ = round_;
+    if (scheduled) {
+      // Wake-bucket pass: drain the round's bucket instead of walking the
+      // shared worklist. Entries are (node, instance) codes; an entry is
+      // live iff the pair is unhalted and its wake round still equals this
+      // round (every visit and every message wake moves the wake round past
+      // it, so stale duplicates self-invalidate — no bucket dedup needed).
+      // The cache-blocked streaming of the dense pass is deliberately given
+      // up here: a scheduled round's visit set is sparse by design.
+      std::vector<int64_t> bucket;
+      if (static_cast<size_t>(round_) < calendar_.size()) {
+        bucket.swap(calendar_[static_cast<size_t>(round_)]);
+      }
+      for (const int64_t code : bucket) {
+        const int v = static_cast<int>(code / B);
+        const int b = static_cast<int>(code % B);
+        if (halted_[static_cast<size_t>(code)] ||
+            wake_[static_cast<size_t>(code)] != round_) {
+          continue;
+        }
+        ctx.instance_ = b;
+        ctx.node_ = v;
+        // State planes are rank-indexed; codes stay external (the sparse
+        // scheduled path gave up streaming anyway, so one perm lookup per
+        // visit is the whole relabel cost here).
+        const auto slot = static_cast<size_t>(perm_.empty() ? v : perm_[v]);
+        ctx.state_ =
+            state_.data() + state_plane_bytes_ * b + slot * state_stride_;
+        ctx.sleep_until_ = round_ + 1;
+        if (fault != nullptr) fault->OnVisit(round_);
+        const int64_t sb = messages_delivered_[b];
+        algs[b]->OnRound(ctx);
+        ++round_active_[b];
+        if (halted_[static_cast<size_t>(code)]) {
+          ++round_decisions_[b];  // halting is a decision; Halt wins over
+          continue;               // any sleep the visit also declared
+        }
+        round_decisions_[b] += messages_delivered_[b] != sb ? 1 : 0;
+        const int32_t s = ctx.sleep_until_;
+        const int32_t w =
+            s <= round_ ? round_ + 1 : (s >= kNoWakeRound ? kNoWakeRound : s);
+        wake_[static_cast<size_t>(code)] = w;
+        push_cal(w, code);
+      }
+    } else {
+      // One pass over the shared worklist serves every live instance at
+      // each node. Per instance the OnRound order is increasing node index,
+      // exactly the solo Network::Run schedule, and instances never alias
+      // channels — so each instance's transcript is bit-identical to its
+      // solo run.
+      //
+      // The pass is cache-blocked: nodes are processed in chunks with the
+      // instance loop in the middle. Within a (chunk, instance) slice the
+      // instance's state plane and staging plane stream sequentially (a
+      // per-node instance loop would interleave many per-instance streams
+      // and defeat the prefetcher), and the chunk's inbox cluster lines —
+      // faulted in by the first live instance's Recv scan — stay cached
+      // for the remaining instances.
+      constexpr int kChunk = 512;
+      for (int lo = 0; lo < active_now; lo += kChunk) {
+        const int hi = std::min(lo + kChunk, active_now);
+        for (int b : live_) {
+          ctx.instance_ = b;
+          unsigned char* const state_plane =
+              state_.data() + state_plane_bytes_ * b;
+          for (int i = lo; i < hi; ++i) {
+            // The worklist holds internal ranks: state streams at the rank
+            // stride while the halt/mailbox planes stay external — under
+            // identity (no relabel) r == v.
+            const int r = active_[i];
+            const int v = order_[r];
+            const auto idx = static_cast<size_t>(v) * B + b;
+            if (halted_[idx]) continue;
+            ctx.node_ = v;
+            ctx.state_ = state_plane + static_cast<size_t>(r) * state_stride_;
+            if (fault != nullptr) fault->OnVisit(round_);
+            const int64_t sb = messages_delivered_[b];
+            algs[b]->OnRound(ctx);
+            ++round_active_[b];
+            round_decisions_[b] +=
+                (messages_delivered_[b] != sb || halted_[idx]) ? 1 : 0;
+          }
+        }
       }
     }
-    // Shard fork: each lane runs its instance slice's node pass, then —
-    // with no barrier in between, since both touch only the shard's own
-    // instance slots — scatters its own dirty channels (round_task above).
-    // The pool join is the round barrier.
-    pool_.ParallelFor(S, round_task);
+    // Deliver: scatter each dirty channel's staged live-instance slots to
+    // the receiver-indexed inbox — the only random accesses of the round,
+    // each moving up to 24*B bytes, prefetched ahead so many line/TLB
+    // fills stay in flight. Copying a live instance's slot that was NOT
+    // written this round is harmless: its stamp is below this epoch, so
+    // next round's visibility check filters it — which is why whole-cluster
+    // prefetch is legal when every instance is live. O(channels written
+    // this round), not O(m).
+    {
+      const auto cluster = static_cast<size_t>(B);
+      const bool all_live = static_cast<int>(live_.size()) == B;
+      const size_t cluster_bytes = sizeof(Message) * cluster;
+      constexpr size_t kPrefetchAhead = 32;
+      const size_t dirty_count = dirty_.size();
+      for (size_t i = 0; i < dirty_count; ++i) {
+        if (i + kPrefetchAhead < dirty_count) {
+          const auto ahead =
+              static_cast<size_t>(send_chan_[dirty_[i + kPrefetchAhead]]);
+          const char* base =
+              reinterpret_cast<const char*>(&inbox_[ahead * cluster]);
+          if (all_live) {
+            // The cluster spans ceil(24*B/64) lines; one prefetch per line.
+            for (size_t off = 0; off < cluster_bytes; off += 64) {
+              __builtin_prefetch(base + off, 1);
+            }
+          } else {
+            for (int b : live_) {
+              __builtin_prefetch(base + sizeof(Message) * b, 1);
+            }
+          }
+        }
+        const auto chan = static_cast<size_t>(dirty_[i]);
+        const auto dest = static_cast<size_t>(send_chan_[chan]);
+        // Layout conversion: gather the channel's slot from each live
+        // instance's plane (the dirty list is roughly channel-ascending,
+        // so these are interleaved sequential streams) into the
+        // contiguous inbox cluster (one random write region).
+        for (int b : live_) {
+          inbox_[dest * cluster + b] = stage_[plane_ * b + chan];
+        }
+        if (scheduled) {
+          // Message-wake check, folded into the scatter because it sees
+          // the FINAL staged values (the node pass is over, so last-write-
+          // wins has resolved — no post-hoc verification scan needed, unlike
+          // the CSR engines): an observable message stamped this round
+          // pulls its sleeping receiver pair to the next round's bucket.
+          // Halt wins (a pair that halted this round is never woken), and a
+          // pair already due next round needs nothing.
+          const int recv = chan_owner_[dest];
+          for (int b : live_) {
+            const Message& m = stage_[plane_ * b + chan];
+            if (m.engine_stamp != epoch_ ||
+                (m.size == 0 && m.word0 == 0 && m.word1 == 0)) {
+              continue;
+            }
+            const auto code = static_cast<int64_t>(recv) * B + b;
+            if (!halted_[static_cast<size_t>(code)] &&
+                wake_[static_cast<size_t>(code)] > round_ + 1) {
+              wake_[static_cast<size_t>(code)] = round_ + 1;
+              ++wakes_[b];
+              push_cal(round_ + 1, code);
+            }
+          }
+        }
+      }
+      dirty_.clear();
+    }
     // Compact the worklist after every instance has visited every node.
     size_t kept = 0;
     for (int i = 0; i < active_now; ++i) {
       const int r = active_[i];
       active_[kept] = r;
-      kept +=
-          node_live_[order_[r]].load(std::memory_order_relaxed) > 0 ? 1 : 0;
+      kept += node_live_[order_[r]] > 0 ? 1 : 0;
     }
     active_.resize(kept);
     for (int b = 0; b < B; ++b) {
@@ -682,13 +590,11 @@ void BatchNetwork::ApplySnapshot(const SnapshotData& snap, size_t stride) {
   if (epoch_ >= INT32_MAX - 4) {
     for (auto& m : stage_) m.engine_stamp = -1;
     for (auto& m : inbox_) m.engine_stamp = -1;
-    for (Shard& sh : shards_) {
-      std::fill(sh.dirty_stamp.begin(), sh.dirty_stamp.end(), -1);
-    }
+    std::fill(dirty_stamp_.begin(), dirty_stamp_.end(), -1);
     epoch_ = 1;
   }
   epoch_ += 2;
-  for (Shard& sh : shards_) sh.dirty.clear();
+  dirty_.clear();
   state_stride_ = stride;
   state_plane_bytes_ = stride * static_cast<size_t>(n);
   const size_t state_total = state_plane_bytes_ * static_cast<size_t>(B);
@@ -698,9 +604,7 @@ void BatchNetwork::ApplySnapshot(const SnapshotData& snap, size_t stride) {
   }
   state_.assign(state_total, 0);
   round_ = snap.round;
-  for (int v = 0; v < n; ++v) {
-    node_live_[v].store(0, std::memory_order_relaxed);
-  }
+  std::fill(node_live_.begin(), node_live_.end(), 0);
   for (int b = 0; b < B; ++b) {
     const SnapshotData::Instance& inst =
         snap.instances[static_cast<size_t>(b)];
@@ -709,7 +613,7 @@ void BatchNetwork::ApplySnapshot(const SnapshotData& snap, size_t stride) {
       const char h = inst.halted[v];
       halted_[static_cast<size_t>(v) * B + b] = h;
       if (!h) {
-        node_live_[v].fetch_add(1, std::memory_order_relaxed);
+        ++node_live_[v];
         ++live;
       }
     }
@@ -776,7 +680,7 @@ void BatchNetwork::ApplySnapshot(const SnapshotData& snap, size_t stride) {
   // leaves the live ranks in ascending (engine) order.
   active_.clear();
   for (int i = 0; i < n; ++i) {
-    if (node_live_[order_[i]].load(std::memory_order_relaxed) > 0) {
+    if (node_live_[order_[i]] > 0) {
       active_.push_back(i);
     }
   }

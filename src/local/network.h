@@ -218,10 +218,10 @@ std::vector<int> BuildChanOwner(const std::vector<int>& first,
 // and a message counter, so Recv/Send/Halt are single array accesses with
 // no engine indirection — and the counter view points at the shard's own
 // padded slot, which is what keeps the hot path free of atomics. The
-// BatchNetwork branch adds an instance index into B-wide mailbox slots and
-// per-shard dirty-channel bookkeeping; the ReferenceNetwork branch is the
-// naive out-of-line path used for differential testing. The branch predicts
-// perfectly inside a run.
+// BatchNetwork branch reads the (serial) batch engine's members directly,
+// plus an instance index into its B-wide mailbox slots; the
+// ReferenceNetwork branch is the naive out-of-line path used for
+// differential testing. The branch predicts perfectly inside a run.
 class NodeContext {
  public:
   int node() const { return node_; }
@@ -318,12 +318,6 @@ class NodeContext {
   // hot-path cost of the feature when disabled.
   uint64_t* macc_ = nullptr;
   int32_t epoch_ = 0;
-
-  // BatchNetwork per-shard dirty-channel bookkeeping: the shard running
-  // this context marks written channels in its own stamp plane and list,
-  // so instance-sharded rounds never contend on a shared dirty vector.
-  int32_t* batch_dirty_stamp_ = nullptr;
-  std::vector<int>* batch_dirty_ = nullptr;
 
   // Wake-scheduling hooks. sleep_until_ is the engine<->algorithm mailbox
   // for SleepUntil: the engine pre-sets it to round+1 before each OnRound
@@ -430,8 +424,7 @@ class Algorithm {
 //                      ParallelNetwork subclass names T). Bit-identical
 //                      transcripts for every T.
 //   BatchNetwork     — B independent instances over one shared topology in
-//                      a single per-round pass; ParallelBatchNetwork shards
-//                      its instance slices across threads.
+//                      a single serial per-round pass.
 //
 // Throughput design (the per-round cost is the system-wide bottleneck for
 // every pipeline in this repository):
@@ -754,20 +747,15 @@ class Network {
 // sequentially per instance slice instead of interleaving 3*B prefetch
 // streams.
 //
-// Sharded mode (num_threads > 1, or construct a ParallelBatchNetwork): the
-// per-round pass splits the batch into contiguous instance slices, one per
-// thread-pool lane. Instance slices are embarrassingly parallel — staging
-// planes, message counters, per-instance halt flags, and RoundStats are all
-// per-instance — so each shard runs its slice's node pass AND its slice's
-// scatter with no barrier in between (the scatter touches only the shard's
-// own instance slots of each inbox cluster). The two cross-instance
-// structures are handled explicitly: dirty-channel bookkeeping is per shard
-// (a channel dirtied by several shards is scattered once per shard, each
-// moving disjoint instance slots), and the shared per-node live-instance
-// countdown is a relaxed atomic (a pure counter: any decrement order yields
-// the same compaction decision at the barrier). Transcripts are bit-identical
-// to the serial batch — and therefore to B solo Network runs — for every
-// thread count.
+// The round loop is serial: one thread, one worklist walk, one dirty list,
+// one scatter per round. The batch already turns B random accesses into one
+// B-wide cluster transfer; splitting the instances across threads does not
+// divide that work, because every lane walks the full worklist and dirty
+// list and all lanes write their slots of the same 24*B-byte inbox
+// clusters. Instance sharding measured slower than this serial loop at
+// every lane count (n = 2^14..2^20, B = 4..8, T = 2 and 4), so the engine
+// takes no thread count; multi-core throughput comes from solo Network
+// engines at T lanes.
 //
 // Batch API contract:
 //   * Instances are fully independent: instance b's transcript (outputs,
@@ -795,10 +783,6 @@ class Network {
 class BatchNetwork {
  public:
   BatchNetwork(GraphView graph, std::vector<int64_t> ids, int batch);
-  // Sharded form: the round pass runs on `num_threads` persistent pool
-  // lanes (>= 1; capped at `batch` — slices are whole instances).
-  BatchNetwork(GraphView graph, std::vector<int64_t> ids, int batch,
-               int num_threads);
   // Options form: honors every NetworkOptions field. Under relabel the
   // channel clusters and state planes are laid out in BFS order (the round
   // pass walks internal ranks, so the scatter's random cluster writes and
@@ -806,13 +790,10 @@ class BatchNetwork {
   // rounds, and every API surface stay in the caller's external numbering —
   // transcripts are bit-identical either way, as for Network.
   BatchNetwork(GraphView graph, std::vector<int64_t> ids, int batch,
-               int num_threads, const NetworkOptions& options);
+               const NetworkOptions& options);
 
-  // Virtual only so deleting a ParallelBatchNetwork through a
-  // BatchNetwork* is defined; there are no other virtuals and no virtual
-  // dispatch anywhere near the hot paths. Out of line for the
-  // incomplete-type pending_resume_ member.
-  virtual ~BatchNetwork();
+  // Out of line for the incomplete-type pending_resume_ member.
+  ~BatchNetwork();
 
   // Runs algs[b] as instance b (algs.size() must equal batch()) until every
   // instance has halted every node; throws if a round would exceed
@@ -842,7 +823,6 @@ class BatchNetwork {
   void Resume(std::istream& in);
 
   int batch() const { return batch_; }
-  int num_threads() const { return pool_.num_threads(); }
   // Same split as Network: graph() requires the uncompressed backend,
   // view() works for either.
   const Graph& graph() const {
@@ -899,23 +879,6 @@ class BatchNetwork {
   // algorithms' uniform StateBytes, checked against the snapshot's.
   void ApplySnapshot(const SnapshotData& snap, size_t stride);
 
-  // One contiguous instance slice of the batch plus its private
-  // dirty-channel bookkeeping and scratch (see the sharded-mode comment).
-  struct Shard {
-    int b_lo = 0, b_hi = 0;             // instance range [b_lo, b_hi)
-    std::vector<int32_t> dirty_stamp;   // per channel: epoch of last write
-    std::vector<int> dirty;             // channels written this round
-    std::vector<int> live;              // scratch: live instances in range
-    // Wake calendar over (node * batch + instance) codes, indexed by
-    // absolute round. Fully shard-private: messages never cross instances
-    // and shards own contiguous instance ranges, so sleeps land in the
-    // visiting shard's calendar and message wakes are detected during the
-    // shard's OWN scatter (a staged slot stamped this epoch and observable
-    // wakes its receiver pair) — no cross-shard communication at all.
-    // Stale entries are skipped at visit time, as in Network::calendar_.
-    std::vector<std::vector<int64_t>> calendar;
-  };
-
   GraphView graph_;
   std::vector<int64_t> ids_;
   int batch_;
@@ -944,13 +907,11 @@ class BatchNetwork {
   std::vector<unsigned char> state_;
   size_t state_stride_ = 0;       // bytes per (node, instance) slot
   size_t state_plane_bytes_ = 0;  // bytes per instance plane == n * stride
-  std::vector<Shard> shards_;
+  std::vector<int32_t> dirty_stamp_;  // per channel: epoch of last write
+  std::vector<int> dirty_;            // channels written this round
+  std::vector<int> live_;             // scratch: instances live at round start
   std::vector<char> halted_;          // (node, instance): v * batch_ + b
-  // Per node: # instances not halted. Relaxed atomic so instance shards on
-  // different threads can decrement the same node concurrently; the value
-  // is only read at the round barrier (after the pool join), where any
-  // decrement order has produced the same count.
-  std::unique_ptr<std::atomic<int>[]> node_live_;
+  std::vector<int> node_live_;        // per node: # instances not halted
   std::vector<int> live_nodes_;       // per instance: # nodes not halted
   std::vector<int> active_;           // INTERNAL ranks of nodes live in >= 1
                                       // instance, engine (rank) order — the
@@ -961,8 +922,8 @@ class BatchNetwork {
   std::vector<std::vector<RoundStats>> round_stats_;  // per instance
   std::vector<int> rounds_;           // per instance, last Run's result
   // Per-instance digest chains (see Network). msg_acc_ is written from the
-  // Send hot path (per instance, so instance shards stay disjoint); the
-  // chains advance at the round barrier only for instances live that round.
+  // Send hot path; the chains advance at the round barrier only for
+  // instances live that round.
   std::vector<std::vector<uint64_t>> round_msg_acc_;
   std::vector<std::vector<uint64_t>> round_digests_;
   std::vector<uint64_t> digest_;
@@ -972,11 +933,16 @@ class BatchNetwork {
   bool mid_run_ = false;
   bool finished_ = false;
   std::unique_ptr<SnapshotData> pending_resume_;
-  // Wake-scheduling state (see Network and Shard::calendar): per-pair wake
-  // rounds, the channel->receiver table the scatter's wake check uses
-  // (external-indexed, like everything batch), and per-instance wake
-  // counters. Armed lazily on the first scheduled run.
+  // Wake-scheduling state (see Network): per-pair wake rounds, the
+  // channel->receiver table the scatter's wake check uses (external-indexed,
+  // like everything batch), and per-instance wake counters. Armed lazily on
+  // the first scheduled run. calendar_ holds (node * batch + instance) codes
+  // indexed by absolute round; sleeps land in it at visit time and message
+  // wakes during the scatter (a staged slot stamped this epoch and
+  // observable wakes its receiver pair). Stale entries are skipped at visit
+  // time, as in Network::calendar_.
   std::vector<int32_t> wake_;             // (node, instance): v * batch_ + b
+  std::vector<std::vector<int64_t>> calendar_;
   std::vector<int> chan_owner_;           // recv channel -> receiver node
   std::vector<int64_t> wakes_;            // per instance, last Run
   std::vector<int> live_at_start_;        // scratch: per-instance live count
@@ -991,21 +957,8 @@ class BatchNetwork {
                                       // live_at_start_)
   std::vector<int64_t> sent_before_;  // scratch: per-instance sent watermark
   std::vector<uint64_t> macc_before_;  // scratch: content-acc watermark
-  std::vector<char> round_live_;      // scratch: live-at-round-start flags
-  support::ThreadPool pool_;          // num_threads lanes, persistent
   int32_t epoch_ = 1;  // same monotone/wrap-guarded scheme as Network
   int round_ = 0;
-};
-
-// The sharded batch engine under its own name: a BatchNetwork whose
-// per-round pass (and per-shard scatter) runs on `num_threads` persistent
-// pool lanes. Composes with every BatchNetwork-taking entry point
-// (RunRakeCompressBatch, SolveNodeProblemOnTreeBatch, ...) unchanged.
-class ParallelBatchNetwork final : public BatchNetwork {
- public:
-  ParallelBatchNetwork(GraphView graph, std::vector<int64_t> ids, int batch,
-                       int num_threads)
-      : BatchNetwork(graph, std::move(ids), batch, num_threads) {}
 };
 
 inline const Message& NodeContext::Recv(int port) const {
@@ -1069,8 +1022,8 @@ inline void NodeContext::Send(int port, Message m) {
   if (batch_ != nullptr) [[likely]] {
     // Stage at the sender's own CSR slot in this instance's plane —
     // sequential within a node visit, no random access on the send path at
-    // all — and mark the channel dirty in this shard's own bookkeeping for
-    // the round-end scatter (also sequential).
+    // all — and mark the channel dirty for the round-end scatter (also
+    // sequential).
     const int chan = batch_->first_[node_] + port;
     Message& s =
         batch_->stage_[batch_->plane_ * static_cast<size_t>(instance_) +
@@ -1090,9 +1043,9 @@ inline void NodeContext::Send(int port, Message m) {
       batch_->msg_acc_[instance_] +=
           support::MessageHash(node_, port, m.word0, m.word1, m.size);
     }
-    if (batch_dirty_stamp_[chan] != stamp) {
-      batch_dirty_stamp_[chan] = stamp;
-      batch_dirty_->push_back(chan);
+    if (batch_->dirty_stamp_[chan] != stamp) {
+      batch_->dirty_stamp_[chan] = stamp;
+      batch_->dirty_.push_back(chan);
     }
     return;
   }
@@ -1115,7 +1068,7 @@ inline void NodeContext::Halt() {
                               instance_];
     if (!h) {
       h = 1;
-      batch_->node_live_[node_].fetch_sub(1, std::memory_order_relaxed);
+      --batch_->node_live_[node_];
       --batch_->live_nodes_[instance_];
     }
     return;

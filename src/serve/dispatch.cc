@@ -349,7 +349,7 @@ void Dispatcher::RunRakeCompressBatchPass(
     const int ck = RakeCompressCanonicalK(spec.k, rg.max_degree);
     auto [it, fresh] = instance_of_ck.try_emplace(ck, (int)algs.size());
     if (fresh) {
-      algs.push_back(MakeRakeCompressAlgorithm(rg.graph, ck));
+      algs.push_back(MakeRakeCompressAlgorithm(ck));
       raw.push_back(algs.back().get());
     }
     member_instance[i] = it->second;
@@ -373,8 +373,7 @@ void Dispatcher::RunRakeCompressBatchPass(
   };
 
   try {
-    local::BatchNetwork net(rg.graph, rg.ids, (int)algs.size(),
-                            options_.engine_threads, nopt);
+    local::BatchNetwork net(rg.graph, rg.ids, (int)algs.size(), nopt);
     std::vector<int> rounds;
     int pause = 0;
     for (;;) {
@@ -495,8 +494,10 @@ void Dispatcher::RunSolo(const TicketPtr& t) {
   try {
     SolveResult res;
     if (spec.kind == SolveKind::kDecomposition) {
+      local::Network net(rg.graph, rg.ids, options_.engine_threads,
+                         local::NetworkOptions{});
       DecompositionResult dr =
-          RunDecomposition(rg.graph, rg.ids, spec.a, 2 * spec.a, spec.k);
+          RunDecomposition(net, spec.a, 2 * spec.a, spec.k);
       res.kind = SolveKind::kDecomposition;
       res.valid = 1;
       res.engine_rounds = (uint32_t)dr.engine_rounds;
@@ -508,7 +509,8 @@ void Dispatcher::RunSolo(const TicketPtr& t) {
       auto problem =
           MakeEdgeProblem(spec.problem, std::max(1, rg.max_degree));
       Thm15Result r = SolveEdgeProblemBoundedArboricity(
-          *problem, rg.graph, rg.ids, rg.id_space, spec.a, spec.k);
+          *problem, rg.graph, rg.ids, rg.id_space, spec.a, spec.k,
+          options_.engine_threads);
       res.kind = SolveKind::kThm15Edge;
       res.valid = r.valid ? 1 : 0;
       res.engine_rounds = (uint32_t)r.rounds_decomposition;

@@ -35,6 +35,11 @@ namespace treelocal::serve {
 //    batch pass).
 //  - kThm15Edge and kDecomposition run solo.
 //
+// The batch passes run serially on the dispatcher thread; engine_threads
+// sizes the solo Network engines only (Thm12 phases 2-3, Thm15 and
+// decomposition requests), whose transcripts are bit-identical for every
+// lane count.
+//
 // The coalesced rake-compress pass is driven in RunUntil slices, so
 // cancellation and per-request round budgets act at slice boundaries
 // mid-run: a cancelled member's instance keeps running (the shared
@@ -48,7 +53,7 @@ class Dispatcher {
   struct Options {
     int max_batch = 16;     // widest coalesced pass
     int slice_rounds = 64;  // RunUntil pause cadence (cancel latency bound)
-    int engine_threads = 1;
+    int engine_threads = 1;  // solo Network lanes (see the class comment)
     // Admission cap: a Submit that would grow the queue past this bound is
     // bounced with Status::kRejected (and counted in stats.rejected)
     // instead of being enqueued — backpressure surfaces to the client as a

@@ -37,7 +37,7 @@ class Server {
     int port = 0;  // 0 = pick an ephemeral port (see port())
     int max_batch = 16;
     int slice_rounds = 64;
-    int engine_threads = 1;
+    int engine_threads = 1;  // see Dispatcher::Options
     int max_queue = 1024;  // admission cap (see Dispatcher::Options)
     // Graph-residency quota (see Registry::Options): 0 = unlimited. A
     // registration that cannot be admitted even after idle-LRU eviction is

@@ -119,12 +119,13 @@ TEST(BatchNetworkTest, DigestBatchOf8MatchesSequential) {
 }
 
 // The production workload (acceptance criterion): a batched k-sweep of the
-// real rake-compress process, B in {2, 8}, bit-identical per instance to
+// real rake-compress process, B in {2, 5, 8}, bit-identical per instance to
 // sequential RunRakeCompress — outputs, per-instance round counts, message
 // counts, and per-round trajectories.
 TEST(BatchNetworkTest, RakeCompressBatchBitIdentical) {
   const std::vector<std::vector<int>> sweeps = {
       {2, 16},                        // B = 2
+      {2, 3, 2, 16, 5},               // B = 5: repeated k, uneven dropout
       {2, 3, 4, 6, 8, 12, 16, 24}};   // B = 8
   for (int trial = 0; trial < 4; ++trial) {
     const int n = 24 + trial * 131;
@@ -273,10 +274,10 @@ TEST(BatchNetworkTest, EmptyAndTinyGraphs) {
 // ---------------------------------------------------------------------------
 
 // Relabeled batch vs plain batch, per instance, on message-dependent
-// transcripts: every observable surface identical; serial and sharded.
+// transcripts: every observable surface identical.
 void ExpectRelabelBatchBitIdentical(const Graph& g,
-                                    const std::vector<int64_t>& ids, int batch,
-                                    int threads) {
+                                    const std::vector<int64_t>& ids,
+                                    int batch) {
   const int n = g.NumNodes();
   NetworkOptions plain, relabel;
   relabel.relabel = true;
@@ -288,7 +289,7 @@ void ExpectRelabelBatchBitIdentical(const Graph& g,
       algs.push_back(std::make_unique<SaltedDigest>(n, 1000003u * b));
       ptrs.push_back(algs.back().get());
     }
-    BatchNetwork net(g, ids, batch, threads, opt);
+    BatchNetwork net(g, ids, batch, opt);
     std::vector<int> rounds = net.Run(ptrs, 64);
     struct Got {
       std::vector<int> rounds;
@@ -308,28 +309,24 @@ void ExpectRelabelBatchBitIdentical(const Graph& g,
                            got.outputs);
   };
 
-  EXPECT_EQ(run(relabel), run(plain))
-      << "batch=" << batch << " threads=" << threads;
+  EXPECT_EQ(run(relabel), run(plain)) << "batch=" << batch;
 }
 
 TEST(BatchNetworkRelabel, SaltedDigestBitIdentical) {
-  for (int threads : {1, 3}) {
-    {
-      const int n = 173;
-      Graph g = UniformRandomTree(n, 2000);
-      ExpectRelabelBatchBitIdentical(g, DefaultIds(n, 2001), 2, threads);
-      ExpectRelabelBatchBitIdentical(g, DefaultIds(n, 2001), 8, threads);
-    }
-    {
-      // Multi-component forest: BFS restarts cross component seams.
-      Graph g = ForestUnion(240, 1, 2002);
-      ExpectRelabelBatchBitIdentical(g, DefaultIds(g.NumNodes(), 2003), 8,
-                                     threads);
-    }
-    {
-      Graph g = Star(50);
-      ExpectRelabelBatchBitIdentical(g, DefaultIds(50, 2004), 4, threads);
-    }
+  {
+    const int n = 173;
+    Graph g = UniformRandomTree(n, 2000);
+    ExpectRelabelBatchBitIdentical(g, DefaultIds(n, 2001), 2);
+    ExpectRelabelBatchBitIdentical(g, DefaultIds(n, 2001), 8);
+  }
+  {
+    // Multi-component forest: BFS restarts cross component seams.
+    Graph g = ForestUnion(240, 1, 2002);
+    ExpectRelabelBatchBitIdentical(g, DefaultIds(g.NumNodes(), 2003), 8);
+  }
+  {
+    Graph g = Star(50);
+    ExpectRelabelBatchBitIdentical(g, DefaultIds(50, 2004), 4);
   }
 }
 
@@ -345,18 +342,15 @@ TEST(BatchNetworkRelabel, RakeCompressStateReadBackBitIdentical) {
     auto ids = DefaultIds(n, 2200 + trial);
     NetworkOptions relabel;
     relabel.relabel = true;
-    for (int threads : {1, 3}) {
-      BatchNetwork bnet(tree, ids, static_cast<int>(ks.size()), threads,
-                        relabel);
-      std::vector<RakeCompressResult> batched = RunRakeCompressBatch(bnet, ks);
-      for (size_t b = 0; b < ks.size(); ++b) {
-        RakeCompressResult solo = RunRakeCompress(tree, ids, ks[b]);
-        EXPECT_EQ(batched[b].engine_rounds, solo.engine_rounds);
-        EXPECT_EQ(batched[b].messages, solo.messages);
-        EXPECT_EQ(batched[b].iteration, solo.iteration);
-        EXPECT_EQ(batched[b].compressed, solo.compressed);
-        EXPECT_EQ(batched[b].round_stats, solo.round_stats);
-      }
+    BatchNetwork bnet(tree, ids, static_cast<int>(ks.size()), relabel);
+    std::vector<RakeCompressResult> batched = RunRakeCompressBatch(bnet, ks);
+    for (size_t b = 0; b < ks.size(); ++b) {
+      RakeCompressResult solo = RunRakeCompress(tree, ids, ks[b]);
+      EXPECT_EQ(batched[b].engine_rounds, solo.engine_rounds);
+      EXPECT_EQ(batched[b].messages, solo.messages);
+      EXPECT_EQ(batched[b].iteration, solo.iteration);
+      EXPECT_EQ(batched[b].compressed, solo.compressed);
+      EXPECT_EQ(batched[b].round_stats, solo.round_stats);
     }
   }
 }
@@ -402,7 +396,7 @@ TEST(BatchNetworkRelabel, WakeScheduledBitIdentical) {
   auto ids = DefaultIds(n, 2301);
   const std::vector<int> mults = {1, 3, 5};
 
-  auto run = [&](bool relabel_on, bool scheduled_on, int threads) {
+  auto run = [&](bool relabel_on, bool scheduled_on) {
     NetworkOptions opt;
     opt.relabel = relabel_on;
     opt.wake_scheduling = scheduled_on;
@@ -412,7 +406,7 @@ TEST(BatchNetworkRelabel, WakeScheduledBitIdentical) {
       algs.push_back(std::make_unique<StagedSweepAlg>(9, m));
       ptrs.push_back(algs.back().get());
     }
-    BatchNetwork net(g, ids, static_cast<int>(mults.size()), threads, opt);
+    BatchNetwork net(g, ids, static_cast<int>(mults.size()), opt);
     net.Run(ptrs, 64);
     std::vector<std::vector<uint64_t>> chains;
     std::vector<std::vector<int64_t>> states;
@@ -433,25 +427,16 @@ TEST(BatchNetworkRelabel, WakeScheduledBitIdentical) {
     return std::make_tuple(chains, states, visits);
   };
 
-  const auto want = run(false, false, 1);
-  for (int threads : {1, 3}) {
-    for (bool scheduled : {false, true}) {
-      const auto got = run(true, scheduled, threads);
-      // Transcripts and outputs identical; under scheduling only visits may
-      // shrink (and must match the non-relabeled scheduled run exactly).
-      EXPECT_EQ(std::get<0>(got), std::get<0>(want))
-          << "threads=" << threads << " scheduled=" << scheduled;
-      EXPECT_EQ(std::get<1>(got), std::get<1>(want))
-          << "threads=" << threads << " scheduled=" << scheduled;
-      if (scheduled) {
-        const auto plain_scheduled = run(false, true, 1);
-        EXPECT_EQ(std::get<2>(got), std::get<2>(plain_scheduled))
-            << "threads=" << threads;
-      } else {
-        EXPECT_EQ(std::get<2>(got), std::get<2>(want))
-            << "threads=" << threads;
-      }
-    }
+  const auto want = run(false, false);
+  for (bool scheduled : {false, true}) {
+    const auto got = run(true, scheduled);
+    // Transcripts and outputs identical; under scheduling only visits may
+    // shrink (and must match the non-relabeled scheduled run exactly).
+    EXPECT_EQ(std::get<0>(got), std::get<0>(want)) << "scheduled=" << scheduled;
+    EXPECT_EQ(std::get<1>(got), std::get<1>(want)) << "scheduled=" << scheduled;
+    const auto want_visits = scheduled ? run(false, true) : want;
+    EXPECT_EQ(std::get<2>(got), std::get<2>(want_visits))
+        << "scheduled=" << scheduled;
   }
 }
 
@@ -471,7 +456,7 @@ TEST(BatchNetworkRelabel, CheckpointCrossesRelabelBoundary) {
   auto make_algs = [&](std::vector<std::unique_ptr<Algorithm>>& own) {
     std::vector<Algorithm*> ptrs;
     for (int k : ks) {
-      own.push_back(MakeRakeCompressAlgorithm(tree, k));
+      own.push_back(MakeRakeCompressAlgorithm(k));
       ptrs.push_back(own.back().get());
     }
     return ptrs;
@@ -500,7 +485,7 @@ TEST(BatchNetworkRelabel, CheckpointCrossesRelabelBoundary) {
       std::string bytes;
       {
         std::vector<std::unique_ptr<Algorithm>> own;
-        BatchNetwork src(tree, ids, B, 1, src_relabel ? relabel : plain);
+        BatchNetwork src(tree, ids, B, src_relabel ? relabel : plain);
         src.RunUntil(make_algs(own), kMaxRounds, pause);
         ASSERT_TRUE(src.paused());
         std::ostringstream out;
@@ -508,7 +493,7 @@ TEST(BatchNetworkRelabel, CheckpointCrossesRelabelBoundary) {
         bytes = out.str();
       }
       std::vector<std::unique_ptr<Algorithm>> own;
-      BatchNetwork dst(tree, ids, B, 1, src_relabel ? plain : relabel);
+      BatchNetwork dst(tree, ids, B, src_relabel ? plain : relabel);
       std::istringstream in(bytes);
       dst.Resume(in);
       EXPECT_EQ(dst.Run(make_algs(own), kMaxRounds), want_rounds);

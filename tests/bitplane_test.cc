@@ -227,7 +227,7 @@ void ExpectBitplaneMatchesScalarBatch(const Graph& forest, uint64_t seed,
         BatchWorkload w = MakeWorkload(n, batch, relabel_ids, seed + batch);
         NetworkOptions opt;
         opt.relabel = relabel_engine;
-        BatchNetwork net(forest, w.ids[0], batch, 1, opt);
+        BatchNetwork net(forest, w.ids[0], batch, opt);
         auto want = ColeVishkin3ColorBatch(net, parent, w.ids, w.id_space);
         auto got =
             RunColeVishkinBitplaneBatch(forest, parent, w.ids, w.id_space);

@@ -72,14 +72,14 @@ void ExpectFaultThenReuse(const Graph& g, int k, FaultInjector& fault,
   SCOPED_TRACE(label);
   NetworkOptions clean_opt;
   auto clean = make(clean_opt);
-  auto clean_alg = MakeRakeCompressAlgorithm(g, k);
+  auto clean_alg = MakeRakeCompressAlgorithm(k);
   const int clean_rounds = clean->Run(*clean_alg, kMaxRounds);
   const uint64_t clean_digest = clean->last_digest();
 
   NetworkOptions opt;
   opt.fault = &fault;
   auto net = make(opt);
-  auto alg = MakeRakeCompressAlgorithm(g, k);
+  auto alg = MakeRakeCompressAlgorithm(k);
   try {
     net->Run(*alg, kMaxRounds);
     FAIL() << "expected FaultInjectedError";
@@ -90,7 +90,7 @@ void ExpectFaultThenReuse(const Graph& g, int k, FaultInjector& fault,
   }
   // The injector stays fired, so the SAME engine object re-runs cleanly
   // from scratch and must land on the clean transcript.
-  auto alg2 = MakeRakeCompressAlgorithm(g, k);
+  auto alg2 = MakeRakeCompressAlgorithm(k);
   EXPECT_EQ(net->Run(*alg2, kMaxRounds), clean_rounds);
   EXPECT_EQ(net->last_digest(), clean_digest);
   EXPECT_TRUE(net->finished());
@@ -147,12 +147,12 @@ TEST(FaultTest, BatchEngineFaultsAndStaysReusable) {
   auto make_algs = [&](std::vector<std::unique_ptr<Algorithm>>& own) {
     std::vector<Algorithm*> ptrs;
     for (int k : ks) {
-      own.push_back(MakeRakeCompressAlgorithm(g, k));
+      own.push_back(MakeRakeCompressAlgorithm(k));
       ptrs.push_back(own.back().get());
     }
     return ptrs;
   };
-  BatchNetwork clean(g, ids, 2, 2);
+  BatchNetwork clean(g, ids, 2);
   std::vector<std::unique_ptr<Algorithm>> clean_algs;
   const std::vector<int> clean_rounds = clean.Run(make_algs(clean_algs),
                                                   kMaxRounds);
@@ -163,7 +163,7 @@ TEST(FaultTest, BatchEngineFaultsAndStaysReusable) {
                                     : FaultInjector::ThrowAtVisit(2 * n + 3);
     NetworkOptions opt;
     opt.fault = &fault;
-    BatchNetwork net(g, ids, 2, 2, opt);
+    BatchNetwork net(g, ids, 2, opt);
     std::vector<std::unique_ptr<Algorithm>> algs;
     auto ptrs = make_algs(algs);
     EXPECT_THROW(net.Run(ptrs, kMaxRounds), FaultInjectedError);
@@ -201,7 +201,7 @@ TEST(FaultTest, SeededCrashRecoveryIsBitIdentical) {
   // Clean pass: per-round checkpoints + totals. One engine, one algorithm
   // object, pausing at every successive boundary.
   Network clean(g, ids);
-  auto clean_alg = MakeRakeCompressAlgorithm(g, k);
+  auto clean_alg = MakeRakeCompressAlgorithm(k);
   std::vector<std::string> at_round;  // at_round[r]: checkpoint at round r
   int64_t total_visits = 0;
   int pause = 0;
@@ -225,7 +225,7 @@ TEST(FaultTest, SeededCrashRecoveryIsBitIdentical) {
     NetworkOptions opt;
     opt.fault = &fault;
     Network net(g, ids, opt);
-    auto alg = MakeRakeCompressAlgorithm(g, k);
+    auto alg = MakeRakeCompressAlgorithm(k);
     int crash_round = -1;
     try {
       net.Run(*alg, kMaxRounds);
@@ -239,7 +239,7 @@ TEST(FaultTest, SeededCrashRecoveryIsBitIdentical) {
     // checkpoint at (for a boundary kill) or before (for a mid-round
     // throw) the crash point.
     Network recovered(g, ids);
-    auto ralg = MakeRakeCompressAlgorithm(g, k);
+    auto ralg = MakeRakeCompressAlgorithm(k);
     ResumeBytes(recovered, at_round[crash_round]);
     EXPECT_EQ(recovered.Run(*ralg, kMaxRounds), clean_rounds);
     EXPECT_EQ(CheckpointBytes(recovered), want);

@@ -3,7 +3,7 @@
 // same input: digest chains, rounds, message totals, and full RoundStats
 // (including the visit/decision observability counters). Pinned across the
 // whole engine matrix (Network / ParallelNetwork / ReferenceNetwork /
-// BatchNetwork / ParallelBatchNetwork, relabel on/off, T in {1, 2, 8}) on
+// BatchNetwork, relabel on/off, solo T in {1, 2, 8}) on
 // trees, forests, star unions, hubbed forests, and multi-component graphs.
 // This is THE determinism contract of the compressed backend: ports name
 // positions in the shared sorted adjacency, so nothing transcript-bearing
@@ -117,10 +117,9 @@ RunRecord RunConfig(GraphView g, const std::vector<int64_t>& ids,
     rec.messages = net.messages_delivered();
     rec.digest = net.last_digest();
     rec.stats = net.round_stats();
-  } else {  // batch / pbatch: two instances, fold both transcripts
+  } else {  // batch: two instances, fold both transcripts
     const int batch = 2;
-    local::BatchNetwork net(g, ids, batch, engine == "pbatch" ? threads : 1,
-                            opts);
+    local::BatchNetwork net(g, ids, batch, opts);
     EchoAlgorithm alg2(g);
     std::vector<local::Algorithm*> algs = {&alg, &alg2};
     std::vector<int> rounds = net.Run(algs, max_rounds);
@@ -171,7 +170,7 @@ TEST(GraphBackendParityTest, EngineMatrixBitIdentical) {
   };
   const std::vector<Config> configs = {
       {"network", 1},  {"parallel", 1}, {"parallel", 2}, {"parallel", 8},
-      {"reference", 1}, {"batch", 1},   {"pbatch", 2},   {"pbatch", 8},
+      {"reference", 1}, {"batch", 1},
   };
   for (const Workload& w : Workloads()) {
     const Graph& g = w.graph;
@@ -199,7 +198,7 @@ TEST(GraphBackendParityTest, EngineMatrixBitIdentical) {
 }
 
 // The production pipeline on forests: rake-compress outputs, rounds,
-// messages, and digests must agree across backends on all five engines.
+// messages, and digests must agree across backends on every engine.
 TEST(GraphBackendParityTest, RakeCompressPipelineParity) {
   for (const char* family : {"tree", "multi"}) {
     const Graph g = std::string(family) == "tree" ? UniformRandomTree(400, 21)
@@ -219,7 +218,7 @@ TEST(GraphBackendParityTest, RakeCompressPipelineParity) {
       const RakeCompressResult ref = RunRakeCompressReference(*cg, ids, k);
       EXPECT_EQ(base.round_stats, ref.round_stats) << family;
       const auto deduped =
-          RunRakeCompressBatchDeduped(*cg, ids, {k, k + 5}, 2);
+          RunRakeCompressBatchDeduped(*cg, ids, {k, k + 5});
       EXPECT_EQ(base.iteration, deduped[0].iteration) << family;
       EXPECT_EQ(base.round_stats, deduped[0].round_stats) << family;
     }
@@ -290,7 +289,7 @@ TEST(GraphBackendParityTest, ContextDegreeMatchesGraph) {
           }
         }
         constexpr int kBatch = 3;
-        local::BatchNetwork batch(g, ids, kBatch, 1, opts);
+        local::BatchNetwork batch(g, ids, kBatch, opts);
         DegreeProbe algs[kBatch];
         batch.Run({&algs[0], &algs[1], &algs[2]}, 4);
         for (int b = 0; b < kBatch; ++b) {
@@ -364,11 +363,11 @@ TEST(GraphBackendParityTest, CompactCheckpointResume) {
 
   const int budget = 3 * (2 * RakeCompressIterationBound(500, k) + 8);
   local::Network full(g, ids);
-  auto alg_full = MakeRakeCompressAlgorithm(full.view(), k);
+  auto alg_full = MakeRakeCompressAlgorithm(k);
   full.Run(*alg_full, budget);
 
   local::Network recorder(compact, ids);
-  auto alg = MakeRakeCompressAlgorithm(compact, k);
+  auto alg = MakeRakeCompressAlgorithm(k);
   recorder.RunUntil(*alg, budget, 4);
   ASSERT_TRUE(recorder.paused());
   std::stringstream snap;
@@ -376,7 +375,7 @@ TEST(GraphBackendParityTest, CompactCheckpointResume) {
 
   local::Network resumed(mapped.graph, ids);
   resumed.Resume(snap);
-  auto alg2 = MakeRakeCompressAlgorithm(mapped.graph, k);
+  auto alg2 = MakeRakeCompressAlgorithm(k);
   resumed.Run(*alg2, budget);
   EXPECT_EQ(resumed.last_digest(), full.last_digest());
 }
@@ -394,7 +393,7 @@ TEST(GraphBackendParityTest, CrossBackendResumeOnCanonicalOrder) {
   const int k = 2;
   const int budget = 3 * (2 * RakeCompressIterationBound(300, k) + 8);
   local::Network recorder(g, ids);
-  auto alg = MakeRakeCompressAlgorithm(recorder.view(), k);
+  auto alg = MakeRakeCompressAlgorithm(k);
   recorder.RunUntil(*alg, budget, 1);
   ASSERT_TRUE(recorder.paused());
   std::stringstream snap;
@@ -402,11 +401,11 @@ TEST(GraphBackendParityTest, CrossBackendResumeOnCanonicalOrder) {
 
   local::Network resumed(compact, ids);
   resumed.Resume(snap);
-  auto alg2 = MakeRakeCompressAlgorithm(compact, k);
+  auto alg2 = MakeRakeCompressAlgorithm(k);
   resumed.Run(*alg2, budget);
 
   local::Network full(g, ids);
-  auto alg3 = MakeRakeCompressAlgorithm(full.view(), k);
+  auto alg3 = MakeRakeCompressAlgorithm(k);
   full.Run(*alg3, budget);
   EXPECT_EQ(resumed.last_digest(), full.last_digest());
 }
@@ -446,7 +445,7 @@ TEST(GraphBackendParityTest, CrossBackendResumeOnShuffledInput) {
   const int budget = 3 * (2 * RakeCompressIterationBound(n, k) + 8);
   auto checkpoint = [&](GraphView g, int pause) {
     local::Network net(g, ids, options);
-    auto alg = MakeRakeCompressAlgorithm(g, k);
+    auto alg = MakeRakeCompressAlgorithm(k);
     net.RunUntil(*alg, budget, pause);
     std::stringstream out;
     net.Checkpoint(out);
@@ -456,7 +455,7 @@ TEST(GraphBackendParityTest, CrossBackendResumeOnShuffledInput) {
     local::Network net(g, ids, options);
     std::stringstream in(bytes);
     net.Resume(in);
-    auto alg = MakeRakeCompressAlgorithm(g, k);
+    auto alg = MakeRakeCompressAlgorithm(k);
     net.Run(*alg, budget);
     std::stringstream out;
     net.Checkpoint(out);

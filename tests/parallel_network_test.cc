@@ -1,9 +1,9 @@
-// Determinism suite for the sharded engines: ParallelNetwork (worklist
-// shards) and ParallelBatchNetwork (instance shards) must be bit-identical
-// to the serial engines — outputs, executed rounds, message counts, and
-// per-round RoundStats — for every thread count, across uneven worklist
-// sizes (n not divisible by T, n < T, empty shards) and mid-run halting
-// patterns that reshuffle the shard boundaries every round. Plus the
+// Determinism suite for the sharded engine: ParallelNetwork (worklist
+// shards) must be bit-identical to the serial Network — outputs, executed
+// rounds, message counts, and per-round RoundStats — for every thread
+// count, across uneven worklist sizes (n not divisible by T, n < T, empty
+// shards) and mid-run halting patterns that reshuffle the shard boundaries
+// every round. Plus the
 // NetworkOptions::relabel bit-identity contract, engine reuse, exception
 // propagation out of sharded rounds, and the pipeline-level parallel
 // overloads (rake-compress, Linial, Cole-Vishkin, distributed sweep,
@@ -34,7 +34,6 @@ using local::Message;
 using local::Network;
 using local::NetworkOptions;
 using local::NodeContext;
-using local::ParallelBatchNetwork;
 using local::ParallelNetwork;
 using local::RoundStats;
 
@@ -297,44 +296,6 @@ TEST(ParallelNetworkTest, RelabelRakeCompressOnForestUnion) {
   EXPECT_EQ(got.compressed, want.compressed);
   EXPECT_EQ(got.messages, want.messages);
   EXPECT_EQ(got.round_stats, want.round_stats);
-}
-
-// ParallelBatchNetwork: every instance's transcript must equal its solo
-// Network run, for every shard count, with instances dropping out at
-// different rounds (uneven k mix).
-TEST(ParallelNetworkTest, ParallelBatchBitIdenticalAllT) {
-  const int n = 257;
-  Graph tree = UniformRandomTree(n, 5000);
-  auto ids = DefaultIds(n, 5001);
-  const std::vector<int> ks = {2, 3, 2, 16, 5};  // dropout at different rounds
-  std::vector<RakeCompressResult> want;
-  for (int k : ks) want.push_back(RunRakeCompress(tree, ids, k));
-  for (int threads : {1, 2, 3, 8}) {
-    ParallelBatchNetwork net(tree, ids, static_cast<int>(ks.size()), threads);
-    std::vector<RakeCompressResult> got = RunRakeCompressBatch(net, ks);
-    for (size_t b = 0; b < ks.size(); ++b) {
-      EXPECT_EQ(got[b].iteration, want[b].iteration) << "T=" << threads;
-      EXPECT_EQ(got[b].compressed, want[b].compressed) << "T=" << threads;
-      EXPECT_EQ(got[b].engine_rounds, want[b].engine_rounds) << "T=" << threads;
-      EXPECT_EQ(got[b].messages, want[b].messages) << "T=" << threads;
-      EXPECT_EQ(got[b].round_stats, want[b].round_stats) << "T=" << threads;
-    }
-  }
-}
-
-TEST(ParallelNetworkTest, ParallelBatchReuse) {
-  const int n = 120;
-  Graph tree = UniformRandomTree(n, 5100);
-  auto ids = DefaultIds(n, 5101);
-  const std::vector<int> ks = {2, 4, 8};
-  ParallelBatchNetwork net(tree, ids, 3, 2);
-  std::vector<RakeCompressResult> first = RunRakeCompressBatch(net, ks);
-  std::vector<RakeCompressResult> second = RunRakeCompressBatch(net, ks);
-  for (size_t b = 0; b < ks.size(); ++b) {
-    EXPECT_EQ(first[b].iteration, second[b].iteration);
-    EXPECT_EQ(first[b].messages, second[b].messages);
-    EXPECT_EQ(first[b].round_stats, second[b].round_stats);
-  }
 }
 
 // Pipeline entry points at T > 1: same results as at the default T = 1

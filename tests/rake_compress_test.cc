@@ -209,17 +209,15 @@ TEST(RakeCompressDedup, BitIdenticalToUndedupedBatch) {
     const std::vector<int> ks = {2,         3,     delta - 1, delta,
                                  delta + 1, delta, 2 * delta, 300,
                                  2,         delta + 7};
-    for (int threads : {1, 3}) {
-      auto deduped = RunRakeCompressBatchDeduped(g, ids, ks, threads);
-      local::BatchNetwork net(g, ids, static_cast<int>(ks.size()));
-      auto full = RunRakeCompressBatch(net, ks);
-      ASSERT_EQ(deduped.size(), ks.size());
-      for (size_t b = 0; b < ks.size(); ++b) {
-        ExpectSameResult(deduped[b], full[b]);
-      }
-      for (size_t b = 0; b < ks.size(); ++b) {
-        ExpectSameResult(deduped[b], RunRakeCompress(g, ids, ks[b]));
-      }
+    auto deduped = RunRakeCompressBatchDeduped(g, ids, ks);
+    local::BatchNetwork net(g, ids, static_cast<int>(ks.size()));
+    auto full = RunRakeCompressBatch(net, ks);
+    ASSERT_EQ(deduped.size(), ks.size());
+    for (size_t b = 0; b < ks.size(); ++b) {
+      ExpectSameResult(deduped[b], full[b]);
+    }
+    for (size_t b = 0; b < ks.size(); ++b) {
+      ExpectSameResult(deduped[b], RunRakeCompress(g, ids, ks[b]));
     }
   }
 }

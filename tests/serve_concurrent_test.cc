@@ -18,11 +18,15 @@
 
 #include "src/core/decomposition.h"
 #include "src/core/rake_compress.h"
+#include "src/core/transform_edge.h"
 #include "src/core/transform_node.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/local/network.h"
 #include "src/problems/coloring.h"
+#include "src/problems/edge_coloring.h"
+#include "src/problems/matching.h"
+#include "src/problems/mis.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
@@ -45,34 +49,96 @@ std::vector<int64_t> IotaIds(int n) {
   return ids;
 }
 
-// The expected engine-level answer for one daemon request, computed from
-// the solo library entry points (which the engine bit-identity tests pin
-// against Network::Run).
+// What the daemon must answer for one request, computed from the solo
+// library entry points at T = 1 (which the engine bit-identity tests pin
+// against Network::Run). The daemon assigns iota ids, so the id space is n.
+SolveResult SoloResult(const Graph& g, const SolveSpec& spec) {
+  const std::vector<int64_t> ids = IotaIds(g.NumNodes());
+  const int64_t id_space = g.NumNodes();
+  SolveResult res;
+  res.kind = spec.kind;
+  switch (spec.kind) {
+    case SolveKind::kRakeCompress: {
+      const RakeCompressResult r = RunRakeCompress(g, ids, spec.k);
+      res.engine_rounds = res.total_rounds = (uint32_t)r.engine_rounds;
+      res.messages = r.messages;
+      res.digest = FoldDigest(r.round_stats);
+      res.iterations = (uint32_t)r.num_iterations;
+      break;
+    }
+    case SolveKind::kThm12Node: {
+      std::unique_ptr<NodeProblem> problem;
+      if (spec.problem == ProblemId::kMis) {
+        problem = std::make_unique<MisProblem>();
+      } else {
+        problem = std::make_unique<ColoringProblem>(
+            ColoringProblem::Mode::kDeltaPlusOne, g.MaxDegree());
+      }
+      const Thm12Result r =
+          SolveNodeProblemOnTree(*problem, g, ids, id_space, spec.k);
+      res.valid = r.valid ? 1 : 0;
+      res.engine_rounds = (uint32_t)r.rake_compress.engine_rounds;
+      res.total_rounds = (uint32_t)r.rounds_total;
+      res.messages = r.engine_messages;
+      res.digest = FoldDigest(r.rake_compress.round_stats);
+      res.iterations = (uint32_t)r.rake_compress.num_iterations;
+      break;
+    }
+    case SolveKind::kThm15Edge: {
+      std::unique_ptr<EdgeProblem> problem;
+      if (spec.problem == ProblemId::kMatching) {
+        problem = std::make_unique<MatchingProblem>();
+      } else {
+        problem = std::make_unique<EdgeColoringProblem>(
+            EdgeColoringProblem::Mode::kTwoDeltaMinusOne, g.MaxDegree());
+      }
+      const Thm15Result r = SolveEdgeProblemBoundedArboricity(
+          *problem, g, ids, id_space, spec.a, spec.k);
+      res.valid = r.valid ? 1 : 0;
+      res.engine_rounds = (uint32_t)r.rounds_decomposition;
+      res.total_rounds = (uint32_t)r.rounds_total;
+      res.messages = r.engine_messages;
+      res.digest = FoldDigest(r.decomposition.round_stats);
+      res.iterations = (uint32_t)r.decomposition.num_layers;
+      break;
+    }
+    case SolveKind::kDecomposition: {
+      const DecompositionResult r =
+          RunDecomposition(g, ids, spec.a, 2 * spec.a, spec.k);
+      res.engine_rounds = res.total_rounds = (uint32_t)r.engine_rounds;
+      res.messages = r.messages;
+      res.digest = FoldDigest(r.round_stats);
+      res.iterations = (uint32_t)r.num_layers;
+      break;
+    }
+  }
+  return res;
+}
+
+// The engine-level fields most tests compare.
 struct Expected {
   uint32_t engine_rounds = 0;
   int64_t messages = 0;
   uint64_t digest = 0;
 };
 
+Expected ExpectSolo(const Graph& g, const SolveSpec& spec) {
+  const SolveResult r = SoloResult(g, spec);
+  EXPECT_EQ(r.valid, 1);
+  return {r.engine_rounds, r.messages, r.digest};
+}
+
 Expected ExpectRake(const Graph& g, int k) {
-  RakeCompressResult r = RunRakeCompress(g, IotaIds(g.NumNodes()), k);
-  return {(uint32_t)r.engine_rounds, r.messages, FoldDigest(r.round_stats)};
+  return ExpectSolo(g, {SolveKind::kRakeCompress, ProblemId::kNone, k, 1, 0});
 }
 
 Expected ExpectThm12(const Graph& g, int k) {
-  ColoringProblem problem(ColoringProblem::Mode::kDeltaPlusOne,
-                          g.MaxDegree());
-  Thm12Result r = SolveNodeProblemOnTree(problem, g, IotaIds(g.NumNodes()),
-                                         g.NumNodes(), k);
-  EXPECT_TRUE(r.valid) << r.why;
-  return {(uint32_t)r.rake_compress.engine_rounds, r.engine_messages,
-          FoldDigest(r.rake_compress.round_stats)};
+  return ExpectSolo(
+      g, {SolveKind::kThm12Node, ProblemId::kColoringDeltaPlusOne, k, 1, 0});
 }
 
 Expected ExpectDecomp(const Graph& g, int a, int k) {
-  DecompositionResult r =
-      RunDecomposition(g, IotaIds(g.NumNodes()), a, 2 * a, k);
-  return {(uint32_t)r.engine_rounds, r.messages, FoldDigest(r.round_stats)};
+  return ExpectSolo(g, {SolveKind::kDecomposition, ProblemId::kNone, k, a, 0});
 }
 
 class ServeConcurrentTest : public ::testing::Test {
@@ -577,27 +643,53 @@ TEST_F(ServeConcurrentTest, FullQueueRejectsThenDrainsAndAccepts) {
   server_->Stop();
 }
 
-// Engine-threads > 1 must not change any answer (the ParallelBatchNetwork
-// determinism contract, now load-bearing for serving).
+// engine_threads > 1 must not change any answer. The coalesced
+// rake-compress pass is serial; the threads size the solo Network engines
+// of Thm12 phases 2-3, Thm15 and decomposition requests, so every kind is
+// checked field for field against its T = 1 library run.
 TEST_F(ServeConcurrentTest, ShardedEngineBitIdentical) {
   Server::Options opt;
   opt.engine_threads = 3;
   StartServer(opt);
   const Graph tree = UniformRandomTree(300, 29);
-  const Expected e2 = ExpectRake(tree, 2);
-  const Expected e7 = ExpectRake(tree, 7);
+  const std::vector<SolveSpec> specs = {
+      {SolveKind::kRakeCompress, ProblemId::kNone, 2, 1, 0},
+      {SolveKind::kRakeCompress, ProblemId::kNone, 7, 1, 0},
+      {SolveKind::kThm12Node, ProblemId::kMis, 3, 1, 0},
+      {SolveKind::kThm12Node, ProblemId::kMis, 5, 1, 0},
+      {SolveKind::kThm12Node, ProblemId::kColoringDeltaPlusOne, 4, 1, 0},
+      {SolveKind::kThm15Edge, ProblemId::kEdgeColoringTwoDeltaMinusOne, 5, 1,
+       0},
+      {SolveKind::kThm15Edge, ProblemId::kMatching, 10, 2, 0},
+      {SolveKind::kDecomposition, ProblemId::kNone, 5, 1, 0},
+      {SolveKind::kDecomposition, ProblemId::kNone, 10, 2, 0},
+  };
 
   auto c = Connect();
   const uint64_t key = Register(*c, tree);
-  for (const auto& [k, e] : {std::pair<int, Expected>{2, e2}, {7, e7}}) {
-    SolveSpec spec;
-    spec.k = k;
+  // Submit everything before fetching, so same-kind requests may coalesce.
+  std::vector<uint64_t> tickets(specs.size());
+  std::string error;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(c->Solve(key, specs[i], &tickets[i], &error)) << error;
+  }
+  for (size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("kind=" + std::to_string((int)specs[i].kind) +
+                 " k=" + std::to_string(specs[i].k));
+    TicketState state;
     SolveResult result;
-    std::string error;
-    ASSERT_TRUE(c->SolveAndWait(key, spec, &result, &error)) << error;
-    EXPECT_EQ(result.digest, e.digest) << "k=" << k;
-    EXPECT_EQ(result.engine_rounds, e.engine_rounds) << "k=" << k;
-    EXPECT_EQ(result.messages, e.messages) << "k=" << k;
+    std::string why;
+    ASSERT_TRUE(c->Fetch(tickets[i], true, &state, &result, &why, &error))
+        << error;
+    ASSERT_EQ(state, TicketState::kDone) << why;
+    const SolveResult want = SoloResult(tree, specs[i]);
+    EXPECT_EQ(want.valid, 1);
+    EXPECT_EQ(result.valid, want.valid);
+    EXPECT_EQ(result.digest, want.digest);
+    EXPECT_EQ(result.engine_rounds, want.engine_rounds);
+    EXPECT_EQ(result.total_rounds, want.total_rounds);
+    EXPECT_EQ(result.messages, want.messages);
+    EXPECT_EQ(result.iterations, want.iterations);
   }
   server_->Stop();
 }

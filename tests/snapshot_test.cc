@@ -71,7 +71,7 @@ SnapshotData FinalImage(const Graph& g, const std::vector<int64_t>& ids,
   NetworkOptions opt;
   opt.digest_messages = digest_messages;
   Network net(g, ids, opt);
-  auto alg = MakeRakeCompressAlgorithm(g, k);
+  auto alg = MakeRakeCompressAlgorithm(k);
   net.Run(*alg, kMaxRounds);
   return ParseBytes(CheckpointBytes(net));
 }
@@ -88,7 +88,7 @@ void ExpectResumeBitIdentical(const Graph& g, int k, int pause,
   std::string bytes;
   {
     auto net = make();
-    auto alg = MakeRakeCompressAlgorithm(g, k);
+    auto alg = MakeRakeCompressAlgorithm(k);
     if (pause >= 0) {
       net->RunUntil(*alg, kMaxRounds, pause);
       ASSERT_TRUE(net->paused());
@@ -99,7 +99,7 @@ void ExpectResumeBitIdentical(const Graph& g, int k, int pause,
     bytes = CheckpointBytes(*net);
   }
   auto net = make();
-  auto alg = MakeRakeCompressAlgorithm(g, k);
+  auto alg = MakeRakeCompressAlgorithm(k);
   ResumeBytes(*net, bytes);
   net->Run(*alg, kMaxRounds);
   ASSERT_TRUE(net->finished());
@@ -157,7 +157,7 @@ TEST(SnapshotTest, MidRunSnapshotsIdenticalAcrossEngines) {
   relabel.relabel = true;
   std::vector<SnapshotData> snaps;
   auto record = [&](auto net) {
-    auto alg = MakeRakeCompressAlgorithm(g, k);
+    auto alg = MakeRakeCompressAlgorithm(k);
     net->RunUntil(*alg, kMaxRounds, pause);
     ASSERT_TRUE(net->paused());
     snaps.push_back(ParseBytes(CheckpointBytes(*net)));
@@ -191,7 +191,7 @@ TEST(SnapshotTest, CrossEngineResume) {
 
   std::vector<std::string> recordings;
   auto record = [&](auto net) {
-    auto alg = MakeRakeCompressAlgorithm(g, k);
+    auto alg = MakeRakeCompressAlgorithm(k);
     net->RunUntil(*alg, kMaxRounds, pause);
     ASSERT_TRUE(net->paused());
     recordings.push_back(CheckpointBytes(*net));
@@ -201,7 +201,7 @@ TEST(SnapshotTest, CrossEngineResume) {
   record(std::make_unique<ReferenceNetwork>(g, ids, plain));
 
   auto finish_and_check = [&](auto net, const std::string& bytes) {
-    auto alg = MakeRakeCompressAlgorithm(g, k);
+    auto alg = MakeRakeCompressAlgorithm(k);
     ResumeBytes(*net, bytes);
     net->Run(*alg, kMaxRounds);
     SnapshotData got = ParseBytes(CheckpointBytes(*net));
@@ -226,12 +226,12 @@ TEST(SnapshotTest, FinishedSnapshotRoundTripsByteExact) {
   const Graph g = UniformRandomTree(n, 55);
   const auto ids = DefaultIds(n, 56);
   Network net(g, ids);
-  auto alg = MakeRakeCompressAlgorithm(g, k);
+  auto alg = MakeRakeCompressAlgorithm(k);
   const int rounds = net.Run(*alg, kMaxRounds);
   const std::string bytes = CheckpointBytes(net);
 
   Network net2(g, ids);
-  auto alg2 = MakeRakeCompressAlgorithm(g, k);
+  auto alg2 = MakeRakeCompressAlgorithm(k);
   ResumeBytes(net2, bytes);
   EXPECT_EQ(net2.Run(*alg2, kMaxRounds), rounds);
   EXPECT_EQ(net2.messages_delivered(), net.messages_delivered());
@@ -249,11 +249,11 @@ TEST(SnapshotTest, BatchInstanceSectionsMatchSolo) {
   NetworkOptions opt;
   opt.digest_messages = true;
 
-  BatchNetwork batch(g, ids, static_cast<int>(ks.size()), 2, opt);
+  BatchNetwork batch(g, ids, static_cast<int>(ks.size()), opt);
   std::vector<std::unique_ptr<Algorithm>> algs;
   std::vector<Algorithm*> alg_ptrs;
   for (int k : ks) {
-    algs.push_back(MakeRakeCompressAlgorithm(g, k));
+    algs.push_back(MakeRakeCompressAlgorithm(k));
     alg_ptrs.push_back(algs.back().get());
   }
   const std::vector<int> rounds = batch.Run(alg_ptrs, kMaxRounds);
@@ -273,7 +273,7 @@ TEST(SnapshotTest, BatchInstanceSectionsMatchSolo) {
 }
 
 // Mid-run batch checkpoint resumes bit-identically on a fresh batch engine
-// (including one with a different thread count).
+// (recorded under a different layout: relabel on).
 TEST(SnapshotTest, BatchResumeBitIdentical) {
   const int n = 160;
   const std::vector<int> ks = {2, 4};
@@ -283,26 +283,28 @@ TEST(SnapshotTest, BatchResumeBitIdentical) {
   auto make_algs = [&](std::vector<std::unique_ptr<Algorithm>>& own) {
     std::vector<Algorithm*> ptrs;
     for (int k : ks) {
-      own.push_back(MakeRakeCompressAlgorithm(g, k));
+      own.push_back(MakeRakeCompressAlgorithm(k));
       ptrs.push_back(own.back().get());
     }
     return ptrs;
   };
 
   // Uninterrupted run: the per-instance "want".
-  BatchNetwork clean(g, ids, 2, 1);
+  BatchNetwork clean(g, ids, 2);
   std::vector<std::unique_ptr<Algorithm>> clean_algs;
   clean.Run(make_algs(clean_algs), kMaxRounds);
   const std::string want = CheckpointBytes(clean);
 
-  // Pause, checkpoint, resume on a differently-sharded fresh engine.
-  BatchNetwork first(g, ids, 2, 2);
+  // Pause, checkpoint, resume on a differently-laid-out fresh engine.
+  NetworkOptions relabel;
+  relabel.relabel = true;
+  BatchNetwork first(g, ids, 2, relabel);
   std::vector<std::unique_ptr<Algorithm>> first_algs;
   first.RunUntil(make_algs(first_algs), kMaxRounds, 2);
   ASSERT_TRUE(first.paused());
   const std::string mid = CheckpointBytes(first);
 
-  BatchNetwork second(g, ids, 2, 1);
+  BatchNetwork second(g, ids, 2);
   std::vector<std::unique_ptr<Algorithm>> second_algs;
   auto ptrs = make_algs(second_algs);
   ResumeBytes(second, mid);
@@ -321,11 +323,11 @@ TEST(SnapshotTest, SoloAndBatchOneInterchange) {
 
   // Solo records, batch-of-1 resumes.
   Network solo(g, ids);
-  auto alg = MakeRakeCompressAlgorithm(g, k);
+  auto alg = MakeRakeCompressAlgorithm(k);
   solo.RunUntil(*alg, kMaxRounds, pause);
   ASSERT_TRUE(solo.paused());
   BatchNetwork b1(g, ids, 1);
-  auto balg = MakeRakeCompressAlgorithm(g, k);
+  auto balg = MakeRakeCompressAlgorithm(k);
   ResumeBytes(b1, CheckpointBytes(solo));
   b1.Run({balg.get()}, kMaxRounds);
   SnapshotData got = ParseBytes(CheckpointBytes(b1));
@@ -334,11 +336,11 @@ TEST(SnapshotTest, SoloAndBatchOneInterchange) {
 
   // Batch-of-1 records, solo resumes.
   BatchNetwork b2(g, ids, 1);
-  auto balg2 = MakeRakeCompressAlgorithm(g, k);
+  auto balg2 = MakeRakeCompressAlgorithm(k);
   b2.RunUntil({balg2.get()}, kMaxRounds, pause);
   ASSERT_TRUE(b2.paused());
   Network solo2(g, ids);
-  auto alg2 = MakeRakeCompressAlgorithm(g, k);
+  auto alg2 = MakeRakeCompressAlgorithm(k);
   ResumeBytes(solo2, CheckpointBytes(b2));
   solo2.Run(*alg2, kMaxRounds);
   SnapshotData got2 = ParseBytes(CheckpointBytes(solo2));
@@ -360,19 +362,19 @@ TEST(SnapshotTest, DigestChainsIdenticalAcrossEngines) {
     relabel.relabel = true;
 
     Network net(g, ids, opt);
-    auto a1 = MakeRakeCompressAlgorithm(g, k);
+    auto a1 = MakeRakeCompressAlgorithm(k);
     net.Run(*a1, kMaxRounds);
 
     ParallelNetwork par(g, ids, 8, relabel);
-    auto a2 = MakeRakeCompressAlgorithm(g, k);
+    auto a2 = MakeRakeCompressAlgorithm(k);
     par.Run(*a2, kMaxRounds);
 
     ReferenceNetwork ref(g, ids, opt);
-    auto a3 = MakeRakeCompressAlgorithm(g, k);
+    auto a3 = MakeRakeCompressAlgorithm(k);
     ref.Run(*a3, kMaxRounds);
 
-    BatchNetwork batch(g, ids, 1, 1, opt);
-    auto a4 = MakeRakeCompressAlgorithm(g, k);
+    BatchNetwork batch(g, ids, 1, opt);
+    auto a4 = MakeRakeCompressAlgorithm(k);
     batch.Run({a4.get()}, kMaxRounds);
 
     EXPECT_EQ(net.round_digests(), par.round_digests());
@@ -386,7 +388,7 @@ TEST(SnapshotTest, DigestChainsIdenticalAcrossEngines) {
       // The content level folds message words in: a run that sends anything
       // must chain differently from the counters-only level.
       Network plain_net(g, ids);
-      auto a5 = MakeRakeCompressAlgorithm(g, k);
+      auto a5 = MakeRakeCompressAlgorithm(k);
       plain_net.Run(*a5, kMaxRounds);
       EXPECT_NE(net.last_digest(), plain_net.last_digest());
       for (uint64_t acc : plain_net.round_message_accs()) EXPECT_EQ(acc, 0u);
@@ -398,7 +400,7 @@ TEST(SnapshotTest, ReconstructGraphRoundTrips) {
   const Graph g = BoundedDegreeRandomTree(90, 4, 13);
   const auto ids = DefaultIds(90, 14);
   Network net(g, ids);
-  auto alg = MakeRakeCompressAlgorithm(g, 2);
+  auto alg = MakeRakeCompressAlgorithm(2);
   net.Run(*alg, kMaxRounds);
   const SnapshotData snap = ParseBytes(CheckpointBytes(net));
   const Graph rebuilt = ReconstructGraph(snap);
@@ -425,7 +427,7 @@ std::string RecordMidRun(const Graph& g, const std::vector<int64_t>& ids,
   NetworkOptions opt;
   opt.digest_messages = digest_messages;
   Network net(g, ids, opt);
-  auto alg = MakeRakeCompressAlgorithm(g, k);
+  auto alg = MakeRakeCompressAlgorithm(k);
   net.RunUntil(*alg, kMaxRounds, 1);
   EXPECT_TRUE(net.paused());
   return CheckpointBytes(net);

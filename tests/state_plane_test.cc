@@ -2,11 +2,11 @@
 // contract): an Algorithm keeping its per-node state in the engine's plane
 // (StateBytes / InitState / NodeContext::State) must produce bit-identical
 // transcripts — extracted state, executed rounds, message counts, per-round
-// RoundStats — across all five engines (ReferenceNetwork, Network,
-// ParallelNetwork, BatchNetwork, ParallelBatchNetwork), with
-// NetworkOptions::relabel on and off, T in {1, 2, 8}, multi-component
-// forests, mid-run halts (round-0 halts included), and engine reuse with
-// re-armed planes (same and different slot sizes back to back).
+// RoundStats — across every engine (ReferenceNetwork, Network,
+// ParallelNetwork, BatchNetwork), with NetworkOptions::relabel on and off,
+// solo T in {1, 2, 8}, multi-component forests, mid-run halts (round-0
+// halts included), and engine reuse with re-armed planes (same and
+// different slot sizes back to back).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,7 +28,6 @@ using local::Message;
 using local::Network;
 using local::NetworkOptions;
 using local::NodeContext;
-using local::ParallelBatchNetwork;
 using local::ParallelNetwork;
 using local::ReferenceNetwork;
 using local::RoundStats;
@@ -146,14 +145,11 @@ void ExpectMatrixMatches(const Graph& g, const std::vector<int64_t>& ids) {
       EXPECT_EQ(RunOn(par, g, ids), want)
           << "ParallelNetwork T=" << threads << " relabel=" << relabel;
     }
-  }
-
-  for (int threads : {1, 2, 8}) {
     const int batch = 3;
-    ParallelBatchNetwork bat(g, ids, batch, threads);
+    BatchNetwork bat(g, ids, batch, opt);
     for (int b = 0; b < batch; ++b) {
       EXPECT_EQ(RunInstanceOnBatch(bat, g, ids, b), want)
-          << "BatchNetwork instance " << b << " T=" << threads;
+          << "BatchNetwork instance " << b << " relabel=" << relabel;
     }
   }
 }
@@ -252,7 +248,7 @@ TEST(StatePlaneReuse, BatchReArmAndUniformStrideCheck) {
   Graph g = UniformRandomTree(n, 920);
   auto ids = DefaultIds(n, 921);
 
-  ParallelBatchNetwork net(g, ids, 2, 2);
+  BatchNetwork net(g, ids, 2);
   const Outcome first = RunInstanceOnBatch(net, g, ids, 0);
   EXPECT_EQ(RunInstanceOnBatch(net, g, ids, 1), first);
 
@@ -291,9 +287,7 @@ TEST(StatePlaneMatrix, RakeCompressAcrossAllEngines) {
         ParallelNetwork par(g, ids, threads, opt);
         same(RunRakeCompress(par, k));
       }
-    }
-    for (int threads : {1, 2}) {
-      ParallelBatchNetwork bat(g, ids, 2, threads);
+      BatchNetwork bat(g, ids, 2, opt);
       for (const RakeCompressResult& got :
            RunRakeCompressBatch(bat, {k, k})) {
         same(got);

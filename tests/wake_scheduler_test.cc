@@ -39,7 +39,6 @@ using local::Message;
 using local::Network;
 using local::NetworkOptions;
 using local::NodeContext;
-using local::ParallelBatchNetwork;
 using local::ParallelNetwork;
 using local::ReferenceNetwork;
 
@@ -230,16 +229,14 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
     ExpectSameTranscript(got, want);
     EXPECT_LT(got.visits, want.visits);
   }
-  {
+  for (bool relabel : {false, true}) {
     // All-scheduled batch: per-instance transcripts match scheduled solos.
+    NetworkOptions opt;
+    opt.relabel = relabel;
     StagedSweep a0(K, 7), a1(K, 5), a2(K, 11);
-    BatchNetwork batch(g, ids, 3, 2);
+    BatchNetwork batch(g, ids, 3, opt);
     batch.Run({&a0, &a1, &a2}, kMaxRounds);
     EXPECT_TRUE(batch.wake_scheduled());
-    ParallelBatchNetwork pbatch(g, ids, 3, 2);
-    StagedSweep b0(K, 7), b1(K, 5), b2(K, 11);
-    pbatch.Run({&b0, &b1, &b2}, kMaxRounds);
-    EXPECT_TRUE(pbatch.wake_scheduled());
     const int mult[3] = {7, 5, 11};
     for (int b = 0; b < 3; ++b) {
       Network solo(g, ids);
@@ -247,7 +244,6 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
       solo.Run(alg, kMaxRounds);
       EXPECT_EQ(batch.round_digests(b), solo.round_digests()) << b;
       EXPECT_EQ(batch.round_stats(b), solo.round_stats()) << b;
-      EXPECT_EQ(pbatch.round_digests(b), solo.round_digests()) << b;
       int64_t batch_visits = 0, solo_visits = 0;
       for (const auto& rs : batch.round_stats(b)) batch_visits += rs.visits;
       for (const auto& rs : solo.round_stats()) solo_visits += rs.visits;
@@ -260,7 +256,7 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
     // always-visit — still transcript-correct, just without the savings.
     StagedSweep a0(K, 7);
     StagedSweepLegacy a1(K, 7);
-    BatchNetwork batch(g, ids, 2, 1);
+    BatchNetwork batch(g, ids, 2);
     batch.Run({&a0, &a1}, kMaxRounds);
     EXPECT_FALSE(batch.wake_scheduled());
     EXPECT_EQ(batch.round_digests(0), want.digests);

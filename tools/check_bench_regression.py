@@ -58,7 +58,6 @@ SPEEDUP_FLOORS = {
     # (Batched smoke runs at CI's cache-resident n sit near 0.5x by design —
     # the batch engine amortizes DRAM traffic that tiny inputs do not have.)
     "parallel_scaling": 0.5,
-    "parallel_batch": 0.35,
     "relabel_ablation": 0.5,
     "batched_k_sweep_rake_compress": 0.35,
     # Dedup runs strictly fewer instances; a collapse below 0.8 means the

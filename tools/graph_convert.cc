@@ -413,7 +413,7 @@ int Solve(const SolveOptions& opt) {
   treelocal::local::NetworkOptions nopt;
   nopt.relabel = opt.relabel;
   std::unique_ptr<treelocal::local::Algorithm> alg =
-      treelocal::MakeRakeCompressAlgorithm(g, opt.k);
+      treelocal::MakeRakeCompressAlgorithm(opt.k);
   const int bound = treelocal::RakeCompressIterationBound(
       std::max(g.NumNodes(), 1), opt.k);
   const int max_rounds = 3 * (2 * bound + 8);

@@ -239,7 +239,7 @@ int Drive(const Graph& g, const std::vector<int64_t>& ids, const Options& opt,
   nopt.relabel = opt.relabel;
   nopt.digest_messages = digest_messages;
   std::unique_ptr<treelocal::local::Algorithm> alg =
-      treelocal::MakeRakeCompressAlgorithm(g, opt.k);
+      treelocal::MakeRakeCompressAlgorithm(opt.k);
   int max_rounds = opt.max_rounds;
   if (max_rounds < 0) {
     // The drivers' Lemma 9 budget: 3 rounds per iteration plus slack.
