@@ -754,8 +754,7 @@ class Network {
 // list and all lanes write their slots of the same 24*B-byte inbox
 // clusters. Instance sharding measured slower than this serial loop at
 // every lane count (n = 2^14..2^20, B = 4..8, T = 2 and 4), so the engine
-// takes no thread count; multi-core throughput comes from solo Network
-// engines at T lanes.
+// takes no thread count.
 //
 // Batch API contract:
 //   * Instances are fully independent: instance b's transcript (outputs,

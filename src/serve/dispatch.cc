@@ -494,10 +494,8 @@ void Dispatcher::RunSolo(const TicketPtr& t) {
   try {
     SolveResult res;
     if (spec.kind == SolveKind::kDecomposition) {
-      local::Network net(rg.graph, rg.ids, options_.engine_threads,
-                         local::NetworkOptions{});
       DecompositionResult dr =
-          RunDecomposition(net, spec.a, 2 * spec.a, spec.k);
+          RunDecomposition(rg.graph, rg.ids, spec.a, 2 * spec.a, spec.k);
       res.kind = SolveKind::kDecomposition;
       res.valid = 1;
       res.engine_rounds = (uint32_t)dr.engine_rounds;
@@ -509,8 +507,7 @@ void Dispatcher::RunSolo(const TicketPtr& t) {
       auto problem =
           MakeEdgeProblem(spec.problem, std::max(1, rg.max_degree));
       Thm15Result r = SolveEdgeProblemBoundedArboricity(
-          *problem, rg.graph, rg.ids, rg.id_space, spec.a, spec.k,
-          options_.engine_threads);
+          *problem, rg.graph, rg.ids, rg.id_space, spec.a, spec.k);
       res.kind = SolveKind::kThm15Edge;
       res.valid = r.valid ? 1 : 0;
       res.engine_rounds = (uint32_t)r.rounds_decomposition;

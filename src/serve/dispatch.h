@@ -35,10 +35,11 @@ namespace treelocal::serve {
 //    batch pass).
 //  - kThm15Edge and kDecomposition run solo.
 //
-// The batch passes run serially on the dispatcher thread; engine_threads
-// sizes the solo Network engines only (Thm12 phases 2-3, Thm15 and
-// decomposition requests), whose transcripts are bit-identical for every
-// lane count.
+// engine_threads is the num_threads of SolveNodeProblemOnTreeBatch, so it
+// sizes the Network that runs a Thm12 pass's phases 2-3. Every other engine
+// run (the coalesced rake-compress pass, Thm12 phase 1, Thm15 and
+// decomposition requests) uses one thread. Results are bit-identical for
+// every value.
 //
 // The coalesced rake-compress pass is driven in RunUntil slices, so
 // cancellation and per-request round budgets act at slice boundaries
@@ -53,7 +54,7 @@ class Dispatcher {
   struct Options {
     int max_batch = 16;     // widest coalesced pass
     int slice_rounds = 64;  // RunUntil pause cadence (cancel latency bound)
-    int engine_threads = 1;  // solo Network lanes (see the class comment)
+    int engine_threads = 1;  // Thm12 phase 2-3 lanes (see the class comment)
     // Admission cap: a Submit that would grow the queue past this bound is
     // bounced with Status::kRejected (and counted in stats.rejected)
     // instead of being enqueued — backpressure surfaces to the client as a

@@ -643,10 +643,9 @@ TEST_F(ServeConcurrentTest, FullQueueRejectsThenDrainsAndAccepts) {
   server_->Stop();
 }
 
-// engine_threads > 1 must not change any answer. The coalesced
-// rake-compress pass is serial; the threads size the solo Network engines
-// of Thm12 phases 2-3, Thm15 and decomposition requests, so every kind is
-// checked field for field against its T = 1 library run.
+// engine_threads > 1 must not change any answer. It sizes the Network of
+// Thm12 phases 2-3; every solve kind is checked field for field against its
+// T = 1 library run, so the other paths stay covered too.
 TEST_F(ServeConcurrentTest, ShardedEngineBitIdentical) {
   Server::Options opt;
   opt.engine_threads = 3;

@@ -7,10 +7,10 @@
 //              [--max-graphs G] [--max-graph-bytes BYTES]
 //
 // --port 0 (default) picks an ephemeral port and prints it; a wrapping
-// script can parse the "listening on" line. --threads sizes the solo
-// Network engines (Thm12 phases 2-3, Thm15, decomposition); coalesced batch
-// passes run serially. Stops on SIGINT/SIGTERM or a client kShutdown
-// request, draining in-flight work either way.
+// script can parse the "listening on" line. --threads sizes the Network
+// that runs Thm12 phases 2-3; every other engine run uses one thread. Stops
+// on SIGINT/SIGTERM or a client kShutdown request, draining in-flight work
+// either way.
 
 #include <csignal>
 #include <unistd.h>
