@@ -5,7 +5,8 @@
 // configurations over the identical workload:
 //   * serial:    --max-batch 1 — every request is its own engine pass;
 //   * coalesced: --max-batch 16 — the dispatcher sweeps compatible queued
-//     requests into one BatchNetwork pass (canonical-k dedup included).
+//     requests into one pass on the graph's cached engine, one run per
+//     distinct canonical k (RakeCompressCanonicalK).
 // Every response is identity-gated against a solo-engine run of the same
 // (graph, k): digest, engine rounds, and message count must all match, so
 // the throughput number can never come from a wrong answer. The process
@@ -14,7 +15,7 @@
 // Records go to BENCH_engine.json as source "bench_serve".
 //
 // --negative arms a deterministic mid-round FaultInjector inside the
-// daemon's engine passes: at least one request must then fail, the gate
+// daemon's engines: at least one request must then fail, the gate
 // must trip, and the process must exit non-zero. CI runs this as the
 // liveness check for the identity gate itself.
 #include <atomic>

@@ -83,14 +83,21 @@ Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
                                    const Graph& tree,
                                    const std::vector<int64_t>& ids,
                                    int64_t id_space, int k, int num_threads) {
+  local::Network net(tree, ids, num_threads, local::NetworkOptions{});
+  return SolveNodeProblemOnTree(problem, net, id_space, k);
+}
+
+Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
+                                   local::Network& net, int64_t id_space,
+                                   int k) {
+  const Graph& tree = net.graph();
   Thm12Result result;
   result.k = k;
   result.labeling = HalfEdgeLabeling(tree);
 
   // Phase 1: decomposition; phases 2-3 reuse the same engine.
-  local::Network net(tree, ids, num_threads, local::NetworkOptions{});
   result.rake_compress = RunRakeCompress(net, k);
-  FinishNodeProblem(problem, tree, ids, id_space, net, result);
+  FinishNodeProblem(problem, tree, net.ids(), id_space, net, result);
   return result;
 }
 

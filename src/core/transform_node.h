@@ -55,6 +55,15 @@ Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
                                    int64_t id_space, int k,
                                    int num_threads = 1);
 
+// The same pipeline on a caller-owned host engine over (tree, ids) —
+// net.graph() and net.ids() — with every phase on it, at its thread count
+// and relabel setting (same result for both). Mirrors the Thm 15 engine
+// overload: repeated solves, any k, reuse one engine's mailboxes, which is
+// how treelocald serves Thm 12 requests from a resident graph's engine.
+Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
+                                   local::Network& net, int64_t id_space,
+                                   int k);
+
 // Batched k-sweep: solves the same problem instance for every k in `ks`,
 // running the engine-bound decomposition phase (phase 1) of all instances
 // as one BatchNetwork pass over the shared topology; phases 2-3 are

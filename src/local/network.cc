@@ -666,6 +666,41 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   return round_;
 }
 
+void Network::AbandonRun() {
+  pending_resume_.reset();
+  mid_run_ = false;
+  finished_ = false;
+}
+
+EngineBytes Network::EngineMemory() const {
+  const auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(v[0]);
+  };
+  EngineBytes b;
+  b.channel_tables = bytes(first_) + bytes(send_chan_);
+  b.degree_table = bytes(degree_);
+  b.mailboxes = bytes(inbox_) + bytes(outbox_);
+  b.worklist = bytes(active_) + bytes(halted_) + bytes(order_) +
+               bytes(perm_) + bytes(shards_);
+  b.ids = bytes(ids_);
+  b.state_plane = bytes(state_);
+  b.wake_tables = bytes(wake_round_) + bytes(bucket_stamp_) +
+                  bytes(chan_owner_) + bytes(calendar_);
+  for (const std::vector<int>& bucket : calendar_) {
+    b.wake_tables += bytes(bucket);
+  }
+  for (const Shard& sh : shards_) {
+    b.wake_tables += bytes(sh.slept) + bytes(sh.notified);
+  }
+  if (notify_stamp_ != nullptr) {
+    b.wake_tables += static_cast<size_t>(graph_.NumNodes()) *
+                     sizeof(std::atomic<int32_t>);
+  }
+  b.run_log = bytes(round_stats_) + bytes(round_seconds_) +
+              bytes(round_msg_acc_) + bytes(round_digests_);
+  return b;
+}
+
 void Network::Checkpoint(std::ostream& out) const {
   if (!mid_run_ && !finished_) {
     throw SnapshotError(

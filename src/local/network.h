@@ -411,6 +411,30 @@ class Algorithm {
   }
 };
 
+// Bytes held by each of a Network's structures (vector capacities, so the
+// figures track what the engine actually reserved). Construction allocates
+// the channel tables, degree table, mailboxes, worklist and id copy; the
+// state plane and wake tables are armed by the first run that needs them
+// and keep their capacity across runs, and the run log grows with the
+// rounds of the last run. treelocald charges a resident graph's cached
+// engine against its memory quota with this.
+struct EngineBytes {
+  size_t channel_tables = 0;  // CSR offsets + send-channel table
+  size_t degree_table = 0;
+  size_t mailboxes = 0;    // inbox + outbox: 2 x 2m Message slots
+  size_t worklist = 0;     // active list, halt flags, rank order/permutation,
+                           // per-lane shard slots
+  size_t ids = 0;          // the engine's copy of the node ids
+  size_t state_plane = 0;  // Algorithm::StateBytes per node
+  size_t wake_tables = 0;  // wake rounds, bucket/notify stamps, calendar,
+                           // channel owners, per-lane wake scratch
+  size_t run_log = 0;      // per-round stats, digests, timings
+  size_t total() const {
+    return channel_tables + degree_table + mailboxes + worklist + ids +
+           state_plane + wake_tables + run_log;
+  }
+};
+
 // Synchronous message-passing engine over a port-numbered network, per the
 // LOCAL model: all nodes run in lockstep; messages sent in round r are
 // received in round r+1. Deterministic by construction (nodes run in a
@@ -525,6 +549,12 @@ class Network {
 
   // True after a RunUntil stopped at its pause round with live nodes.
   bool paused() const { return mid_run_; }
+  // Drops a paused run (or a snapshot armed by Resume) without finishing
+  // it: the next RunUntil starts a fresh run, with any algorithm. A caller
+  // that stops driving a paused run — treelocald when every request riding
+  // on it was cancelled — calls this before reusing the engine, since
+  // RunUntil would otherwise continue the old run.
+  void AbandonRun();
   // True once the last run completed (every node halted).
   bool finished() const { return finished_; }
 
@@ -544,6 +574,9 @@ class Network {
   void Resume(std::istream& in);
 
   int num_threads() const { return pool_.num_threads(); }
+
+  // Current per-structure memory (see EngineBytes).
+  EngineBytes EngineMemory() const;
 
   // Backend-specific access: graph() serves the pipelines still tied to
   // the uncompressed CSR (incidence spans, edge slots) and throws

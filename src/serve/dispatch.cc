@@ -69,6 +69,20 @@ std::unique_ptr<EdgeProblem> MakeEdgeProblem(ProblemId id, int max_degree) {
   }
 }
 
+// Groups the indices 0..count-1 by key(i): one group per distinct key, in
+// the order each key first appears.
+template <typename KeyFn>
+std::vector<std::vector<size_t>> GroupByKey(size_t count, KeyFn key) {
+  std::map<int, size_t> group_of;
+  std::vector<std::vector<size_t>> groups;
+  for (size_t i = 0; i < count; ++i) {
+    auto [it, fresh] = group_of.try_emplace(key(i), groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  return groups;
+}
+
 }  // namespace
 
 struct Dispatcher::Ticket {
@@ -316,10 +330,10 @@ void Dispatcher::WorkerLoop() {
     }
     switch (members.front()->spec.kind) {
       case SolveKind::kRakeCompress:
-        RunRakeCompressBatchPass(members);
+        RunRakeCompressPass(members);
         break;
       case SolveKind::kThm12Node:
-        RunThm12BatchPass(members);
+        RunThm12Pass(members);
         break;
       default:
         RunSolo(members.front());
@@ -328,69 +342,47 @@ void Dispatcher::WorkerLoop() {
   }
 }
 
-void Dispatcher::RunRakeCompressBatchPass(
-    const std::vector<TicketPtr>& members) {
+void Dispatcher::RunRakeCompressPass(const std::vector<TicketPtr>& members) {
   // A member's Finish releases its own graph reference mid-pass (cancel at
   // a slice boundary), so the pass holds its own.
   const std::shared_ptr<const ResidentGraph> resident =
       members.front()->graph;
   const ResidentGraph& rg = *resident;
+  local::Network& net = *rg.engine;
   const int64_t n = rg.graph.NumNodes();
 
   // Canonical-k dedup: members whose parameters provably produce identical
-  // transcripts share one engine instance.
-  std::map<int, int> instance_of_ck;
-  std::vector<int> member_instance(members.size());
-  std::vector<std::unique_ptr<local::Algorithm>> algs;
-  std::vector<local::Algorithm*> raw;
+  // transcripts share one engine run. Runs go in order of first request.
+  const auto canonical_k = [&](size_t i) {
+    return RakeCompressCanonicalK(members[i]->spec.k, rg.max_degree);
+  };
   std::vector<int> budgets(members.size());
   for (size_t i = 0; i < members.size(); ++i) {
     const SolveSpec& spec = members[i]->spec;
-    const int ck = RakeCompressCanonicalK(spec.k, rg.max_degree);
-    auto [it, fresh] = instance_of_ck.try_emplace(ck, (int)algs.size());
-    if (fresh) {
-      algs.push_back(MakeRakeCompressAlgorithm(ck));
-      raw.push_back(algs.back().get());
-    }
-    member_instance[i] = it->second;
     budgets[i] = spec.max_rounds > 0 ? spec.max_rounds
                                      : RakeCompressBudget(n, spec.k);
   }
-  const int engine_budget =
-      std::max(1, *std::max_element(budgets.begin(), budgets.end()));
 
-  local::NetworkOptions nopt;
-  nopt.relabel = true;
-  nopt.fault = options_.fault;
+  uint64_t pass_rounds = 0, pass_messages = 0;
   std::vector<char> terminal(members.size(), 0);
-  auto fail_rest = [&](const std::string& why) {
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (!terminal[i]) {
-        terminal[i] = 1;
-        Finish(members[i], TicketState::kFailed, {}, why);
-      }
-    }
-  };
-
-  try {
-    local::BatchNetwork net(rg.graph, rg.ids, (int)algs.size(), nopt);
-    std::vector<int> rounds;
-    int pause = 0;
-    for (;;) {
-      pause += options_.slice_rounds;
-      rounds = net.RunUntil(raw, engine_budget, pause);
+  for (const std::vector<size_t>& mine :
+       GroupByKey(members.size(), canonical_k)) {
+    // Settles the run's members at a slice boundary `pause` (0 = before
+    // the run starts): cancelled members are dropped, and a member whose
+    // budget the unfinished run has passed fails. Returns whether any
+    // member is still live.
+    const auto settle = [&](int pause) {
       bool any_live = false;
-      for (size_t i = 0; i < members.size(); ++i) {
+      for (const size_t i : mine) {
         if (terminal[i]) continue;
         if (members[i]->cancel.load()) {
-          // Drop the result; the shared instance keeps running so the
-          // other members' transcripts are untouched.
+          // Drop the result; the shared run keeps going so the other
+          // members' transcripts are untouched.
           terminal[i] = 1;
           Finish(members[i], TicketState::kCancelled, {}, "");
           continue;
         }
-        if (!net.finished() && pause > budgets[i] &&
-            rounds[member_instance[i]] >= pause) {
+        if (pause > budgets[i]) {
           terminal[i] = 1;
           Finish(members[i], TicketState::kFailed, {},
                  "round budget exceeded (" + std::to_string(budgets[i]) +
@@ -399,92 +391,122 @@ void Dispatcher::RunRakeCompressBatchPass(
         }
         any_live = true;
       }
-      if (net.finished()) break;
-      if (!any_live) return;  // every member dead: abandon mid-run
+      return any_live;
+    };
+    if (!settle(0)) continue;
+    int engine_budget = 1;
+    for (const size_t i : mine) {
+      engine_budget = std::max(engine_budget, budgets[i]);
     }
-    uint64_t pass_rounds = 0, pass_messages = 0;
-    for (int b = 0; b < (int)algs.size(); ++b) {
-      pass_rounds += (uint64_t)rounds[b];
-      pass_messages += (uint64_t)net.messages_delivered(b);
-    }
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (terminal[i]) continue;
-      const int b = member_instance[i];
-      const int r = rounds[b];
-      if (r > budgets[i]) {
-        Finish(members[i], TicketState::kFailed, {},
-               "round budget exceeded (" + std::to_string(budgets[i]) +
-                   " rounds)");
+    try {
+      const std::unique_ptr<local::Algorithm> alg =
+          MakeRakeCompressAlgorithm(canonical_k(mine.front()));
+      int rounds = 0;
+      for (int pause = options_.slice_rounds;; pause += options_.slice_rounds) {
+        rounds = net.RunUntil(*alg, engine_budget, pause);
+        if (net.finished()) break;
+        if (!settle(pause)) break;
+      }
+      if (!net.finished()) {
+        net.AbandonRun();  // every member dead: the next run starts fresh
         continue;
       }
-      SolveResult res;
-      res.kind = SolveKind::kRakeCompress;
-      res.valid = 1;
-      res.engine_rounds = (uint32_t)r;
-      res.total_rounds = (uint32_t)r;
-      res.messages = net.messages_delivered(b);
-      res.digest = net.last_digest(b);
-      // Each iteration is 3 rounds and the run halts inside its last one
-      // (phase 1 or 2), so ceil(r / 3) is the solo run's num_iterations.
-      res.iterations = (uint32_t)((r + 2) / 3);
-      Finish(members[i], TicketState::kDone, res, "");
+      pass_rounds += (uint64_t)rounds;
+      pass_messages += (uint64_t)net.messages_delivered();
+      for (const size_t i : mine) {
+        if (terminal[i]) continue;
+        terminal[i] = 1;
+        if (rounds > budgets[i]) {
+          Finish(members[i], TicketState::kFailed, {},
+                 "round budget exceeded (" + std::to_string(budgets[i]) +
+                     " rounds)");
+          continue;
+        }
+        SolveResult res;
+        res.kind = SolveKind::kRakeCompress;
+        res.valid = 1;
+        res.engine_rounds = (uint32_t)rounds;
+        res.total_rounds = (uint32_t)rounds;
+        res.messages = net.messages_delivered();
+        res.digest = net.last_digest();
+        // Each iteration is 3 rounds and the run halts inside its last one
+        // (phase 1 or 2), so ceil(r / 3) is the solo run's num_iterations.
+        res.iterations = (uint32_t)((rounds + 2) / 3);
+        Finish(members[i], TicketState::kDone, res, "");
+      }
+    } catch (const std::exception& e) {
+      // The engine stays reusable after a throw (the next run starts
+      // fresh); only this run's members fail.
+      for (const size_t i : mine) {
+        if (terminal[i]) continue;
+        terminal[i] = 1;
+        Finish(members[i], TicketState::kFailed, {}, e.what());
+      }
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    engine_rounds_ += pass_rounds;
-    engine_messages_ += pass_messages;
-  } catch (const std::exception& e) {
-    fail_rest(e.what());
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  engine_rounds_ += pass_rounds;
+  engine_messages_ += pass_messages;
 }
 
-void Dispatcher::RunThm12BatchPass(const std::vector<TicketPtr>& members) {
+void Dispatcher::RunThm12Pass(const std::vector<TicketPtr>& members) {
   const std::shared_ptr<const ResidentGraph> resident =
       members.front()->graph;
   const ResidentGraph& rg = *resident;
-  auto fail_all = [&](const std::string& why) {
-    for (const TicketPtr& t : members) {
-      Finish(t, TicketState::kFailed, {}, why);
-    }
-  };
   auto problem = MakeNodeProblem(members.front()->spec.problem,
                                  std::max(1, rg.max_degree));
-  std::vector<int> ks(members.size());
-  for (size_t i = 0; i < members.size(); ++i) ks[i] = members[i]->spec.k;
-  try {
-    std::vector<Thm12Result> results = SolveNodeProblemOnTreeBatch(
-        *problem, rg.graph, rg.ids, rg.id_space, ks, options_.engine_threads);
-    uint64_t pass_rounds = 0, pass_messages = 0;
-    for (size_t i = 0; i < members.size(); ++i) {
-      const Thm12Result& r = results[i];
+  // One pipeline run per distinct k, in order of first request.
+  const auto k_of = [&](size_t i) { return members[i]->spec.k; };
+  uint64_t pass_rounds = 0, pass_messages = 0;
+  for (const std::vector<size_t>& mine : GroupByKey(members.size(), k_of)) {
+    bool any_live = false;
+    for (const size_t i : mine) {
+      any_live = any_live || !members[i]->cancel.load();
+    }
+    if (!any_live) {  // skip a run nobody is waiting for
+      for (const size_t i : mine) {
+        Finish(members[i], TicketState::kCancelled, {}, "");
+      }
+      continue;
+    }
+    try {
+      const Thm12Result r =
+          SolveNodeProblemOnTree(*problem, *rg.engine, rg.id_space,
+                                 k_of(mine.front()));
       pass_rounds += (uint64_t)r.rounds_total;
       pass_messages += (uint64_t)r.engine_messages;
-      if (members[i]->cancel.load()) {
-        Finish(members[i], TicketState::kCancelled, {}, "");
-        continue;
+      for (const size_t i : mine) {
+        const TicketPtr& t = members[i];
+        if (t->cancel.load()) {
+          Finish(t, TicketState::kCancelled, {}, "");
+          continue;
+        }
+        if (t->spec.max_rounds > 0 &&
+            r.rake_compress.engine_rounds > t->spec.max_rounds) {
+          Finish(t, TicketState::kFailed, {},
+                 "round budget exceeded (" +
+                     std::to_string(t->spec.max_rounds) + " rounds)");
+          continue;
+        }
+        SolveResult res;
+        res.kind = SolveKind::kThm12Node;
+        res.valid = r.valid ? 1 : 0;
+        res.engine_rounds = (uint32_t)r.rake_compress.engine_rounds;
+        res.total_rounds = (uint32_t)r.rounds_total;
+        res.messages = r.engine_messages;
+        res.digest = FoldDigest(r.rake_compress.round_stats);
+        res.iterations = (uint32_t)r.rake_compress.num_iterations;
+        Finish(t, TicketState::kDone, res, "");
       }
-      if (members[i]->spec.max_rounds > 0 &&
-          r.rake_compress.engine_rounds > members[i]->spec.max_rounds) {
-        Finish(members[i], TicketState::kFailed, {},
-               "round budget exceeded (" +
-                   std::to_string(members[i]->spec.max_rounds) + " rounds)");
-        continue;
+    } catch (const std::exception& e) {
+      for (const size_t i : mine) {
+        Finish(members[i], TicketState::kFailed, {}, e.what());
       }
-      SolveResult res;
-      res.kind = SolveKind::kThm12Node;
-      res.valid = r.valid ? 1 : 0;
-      res.engine_rounds = (uint32_t)r.rake_compress.engine_rounds;
-      res.total_rounds = (uint32_t)r.rounds_total;
-      res.messages = r.engine_messages;
-      res.digest = FoldDigest(r.rake_compress.round_stats);
-      res.iterations = (uint32_t)r.rake_compress.num_iterations;
-      Finish(members[i], TicketState::kDone, res, "");
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    engine_rounds_ += pass_rounds;
-    engine_messages_ += pass_messages;
-  } catch (const std::exception& e) {
-    fail_all(e.what());
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  engine_rounds_ += pass_rounds;
+  engine_messages_ += pass_messages;
 }
 
 void Dispatcher::RunSolo(const TicketPtr& t) {
@@ -495,7 +517,7 @@ void Dispatcher::RunSolo(const TicketPtr& t) {
     SolveResult res;
     if (spec.kind == SolveKind::kDecomposition) {
       DecompositionResult dr =
-          RunDecomposition(rg.graph, rg.ids, spec.a, 2 * spec.a, spec.k);
+          RunDecomposition(*rg.engine, spec.a, 2 * spec.a, spec.k);
       res.kind = SolveKind::kDecomposition;
       res.valid = 1;
       res.engine_rounds = (uint32_t)dr.engine_rounds;
@@ -507,7 +529,7 @@ void Dispatcher::RunSolo(const TicketPtr& t) {
       auto problem =
           MakeEdgeProblem(spec.problem, std::max(1, rg.max_degree));
       Thm15Result r = SolveEdgeProblemBoundedArboricity(
-          *problem, rg.graph, rg.ids, rg.id_space, spec.a, spec.k);
+          *problem, *rg.engine, rg.id_space, spec.a, spec.k);
       res.kind = SolveKind::kThm15Edge;
       res.valid = r.valid ? 1 : 0;
       res.engine_rounds = (uint32_t)r.rounds_decomposition;

@@ -13,48 +13,44 @@
 
 #include "src/serve/protocol.h"
 #include "src/serve/registry.h"
-#include "src/support/fault.h"
 
 namespace treelocal::serve {
 
 // The daemon's solve queue and its single dispatcher thread: the component
 // that turns "batch" into "concurrent users". Requests are admitted into a
 // FIFO; the dispatcher pops the head and then sweeps the rest of the queue
-// for requests it can run in the SAME engine pass:
+// for requests it can serve in the SAME pass. Every pass runs on the
+// resident graph's own engine (ResidentGraph::engine), built once at
+// admission, so no request pays for an engine build:
 //
-//  - kRakeCompress on the same resident graph coalesces into one
-//    BatchNetwork run, one instance per DISTINCT canonical parameter
+//  - kRakeCompress on the same resident graph coalesces into one pass with
+//    one engine run per DISTINCT canonical parameter
 //    (RakeCompressCanonicalK): requests whose k's are provably
-//    transcript-identical share a single instance and fan the engine-level
-//    result back out. Per-instance results are bit-identical to a solo
-//    Network run of the same (graph, k) — same rounds, messages, and digest
-//    chain — which is the serving-correctness contract the concurrent tests
-//    pin.
-//  - kThm12Node on the same graph and problem coalesces via
-//    SolveNodeProblemOnTreeBatch (the decomposition phase of all k's is one
-//    batch pass).
+//    transcript-identical share a single run and fan the engine-level
+//    result back out. The distinct runs go one after another. Results are
+//    bit-identical to a solo Network run of the same (graph, k) — same
+//    rounds, messages, and digest chain — which is the serving-correctness
+//    contract the concurrent tests pin.
+//  - kThm12Node on the same graph and problem coalesces the same way, one
+//    SolveNodeProblemOnTree run per distinct k.
 //  - kThm15Edge and kDecomposition run solo.
 //
-// engine_threads is the num_threads of SolveNodeProblemOnTreeBatch, so it
-// sizes the Network that runs a Thm12 pass's phases 2-3. Every other engine
-// run (the coalesced rake-compress pass, Thm12 phase 1, Thm15 and
-// decomposition requests) uses one thread. Results are bit-identical for
-// every value.
+// The engine's lane count is Registry::Options::engine_threads (treelocald's
+// --threads); results are bit-identical for every value.
 //
-// The coalesced rake-compress pass is driven in RunUntil slices, so
-// cancellation and per-request round budgets act at slice boundaries
-// mid-run: a cancelled member's instance keeps running (the shared
-// transcript must not change under the other members) but its result is
-// dropped, and when every member of a pass is cancelled the engine is
-// abandoned at the slice boundary. Round-budget overruns surface as the
-// engine's MaxRoundsExceededError, mapped to kFailed with the reason
-// string.
+// Rake-compress runs are driven in RunUntil slices, so cancellation and
+// per-request round budgets act at slice boundaries mid-run: a cancelled
+// member's run keeps going while another member shares it (the shared
+// transcript must not change under them) but its result is dropped, and a
+// run none of whose members is still live is abandoned at the slice
+// boundary (Network::AbandonRun), so the engine starts the next run fresh.
+// Round-budget overruns surface as the engine's MaxRoundsExceededError,
+// mapped to kFailed with the reason string.
 class Dispatcher {
  public:
   struct Options {
     int max_batch = 16;     // widest coalesced pass
     int slice_rounds = 64;  // RunUntil pause cadence (cancel latency bound)
-    int engine_threads = 1;  // Thm12 phase 2-3 lanes (see the class comment)
     // Admission cap: a Submit that would grow the queue past this bound is
     // bounced with Status::kRejected (and counted in stats.rejected)
     // instead of being enqueued — backpressure surfaces to the client as a
@@ -62,10 +58,6 @@ class Dispatcher {
     // 0 rejects every solve whose queue slot is not already free (i.e. all
     // of them), which the tests use for deterministic full-queue coverage.
     int max_queue = 1024;
-    // Deterministic fault injection into the coalesced engine pass (the
-    // bench's negative control: an injected fault must surface as kFailed,
-    // never as a wrong digest). Non-owning; null = no faults.
-    support::FaultInjector* fault = nullptr;
   };
 
   Dispatcher(const Registry* registry, const Options& options);
@@ -85,9 +77,10 @@ class Dispatcher {
              SolveResult* result, std::string* why);
 
   // Requests cancellation. Queued tickets cancel immediately; running ones
-  // at the next slice boundary (kRakeCompress) or not at all once a solo
-  // run has started — the returned state is what the ticket reached.
-  // False if the ticket is unknown.
+  // at the next slice boundary (kRakeCompress), when their k's run would
+  // start or has ended (kThm12Node), or not at all once a solo run has
+  // started — the returned state is what the ticket reached. False if the
+  // ticket is unknown.
   bool Cancel(uint64_t ticket, TicketState* state);
 
   // Fills the dispatcher-owned counters of *stats (queue/batch/engine
@@ -105,8 +98,8 @@ class Dispatcher {
 
   void WorkerLoop();
   std::vector<TicketPtr> CollectBatch(TicketPtr head);
-  void RunRakeCompressBatchPass(const std::vector<TicketPtr>& members);
-  void RunThm12BatchPass(const std::vector<TicketPtr>& members);
+  void RunRakeCompressPass(const std::vector<TicketPtr>& members);
+  void RunThm12Pass(const std::vector<TicketPtr>& members);
   void RunSolo(const TicketPtr& t);
   void Finish(const TicketPtr& t, TicketState state, const SolveResult& res,
               const std::string& why);

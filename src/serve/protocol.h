@@ -62,8 +62,9 @@ enum class Status : uint8_t {
 const char* StatusName(Status s);
 
 // What the daemon solves. kRakeCompress and kThm12Node requests on the same
-// resident graph coalesce into one BatchNetwork pass (batch = concurrent
-// users); kThm15Edge and kDecomposition run solo on the dispatcher thread.
+// resident graph coalesce into one pass with one engine run per distinct
+// parameter (batch = concurrent users); kThm15Edge and kDecomposition run
+// solo. Every run is on the dispatcher thread, on the graph's engine.
 enum class SolveKind : uint8_t {
   kRakeCompress = 0,
   kThm12Node = 1,

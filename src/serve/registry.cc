@@ -102,25 +102,32 @@ std::shared_ptr<const ResidentGraph> Registry::Register(
       return it->second.graph;
     }
   }
-  // Build outside the lock: FromEdges is the expensive validated step.
+  // Build outside the lock: FromEdges and the engine are the expensive
+  // steps.
   auto entry = std::make_shared<ResidentGraph>();
   entry->key = key;
+  entry->ids = std::move(ids);
   try {
     std::vector<std::pair<int, int>> e(edges.begin(), edges.end());
     entry->graph = Graph::FromEdges(n, std::move(e));
+    local::NetworkOptions engine_options;
+    engine_options.relabel = true;
+    engine_options.fault = options_.fault;
+    entry->engine = std::make_unique<local::Network>(
+        entry->graph, entry->ids, options_.engine_threads, engine_options);
   } catch (const std::exception& ex) {
     *error = ex.what();
     return nullptr;
   }
-  entry->ids = std::move(ids);
   entry->id_space =
       entry->ids.empty()
           ? 1
           : *std::max_element(entry->ids.begin(), entry->ids.end()) + 1;
   entry->is_forest = IsForest(entry->graph);
   entry->max_degree = entry->graph.MaxDegree();
-  entry->memory_bytes =
-      entry->graph.MemoryBytes() + entry->ids.size() * sizeof(int64_t);
+  entry->memory_bytes = entry->graph.MemoryBytes() +
+                        entry->ids.size() * sizeof(int64_t) +
+                        entry->engine->EngineMemory().total();
 
   std::lock_guard<std::mutex> lock(mu_);
   if (auto it = graphs_.find(key); it != graphs_.end()) {

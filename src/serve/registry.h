@@ -10,16 +10,18 @@
 #include <vector>
 
 #include "src/graph/graph.h"
+#include "src/local/network.h"
 
 namespace treelocal::serve {
 
 // A graph admitted once and resident while the daemon keeps it. Admission
 // is the expensive, validated step (Graph::FromEdges rejects bad edge
 // lists); every subsequent solve against the key reuses the CSR graph and
-// id assignment with zero per-request parsing. The dispatcher's engines run
-// with NetworkOptions::relabel on, so the BFS locality permutation is also
-// computed once per admitted graph — amortized across all requests, which
-// is the point of a resident daemon.
+// id assignment with zero per-request parsing. Admission also builds the
+// graph's engine: one solo Network with NetworkOptions::relabel on, so the
+// BFS locality permutation and the channel tables are computed once per
+// admitted graph, and every request of every kind runs on it. The engine
+// dies with the entry.
 struct ResidentGraph {
   uint64_t key = 0;
   Graph graph;
@@ -27,7 +29,14 @@ struct ResidentGraph {
   int64_t id_space = 0;  // strict upper bound on the ids
   bool is_forest = false;
   int max_degree = 0;
-  size_t memory_bytes = 0;  // CSR + id assignment, the quota accounting unit
+  // The quota accounting unit: CSR + id assignment + the engine's
+  // EngineMemory() at admission. The engine's state plane and wake tables
+  // are armed by its first runs and are not in this figure.
+  size_t memory_bytes = 0;
+  // Over `graph` and `ids` (declared after them, so destroyed first). Only
+  // the dispatcher thread runs it; the pointer itself never changes, so a
+  // shared const entry still hands out a mutable engine.
+  std::unique_ptr<local::Network> engine;
 };
 
 // Thread-safe content-addressed graph store. The key is an FNV-1a hash of
@@ -51,6 +60,13 @@ class Registry {
   struct Options {
     size_t max_graphs = 0;  // 0 = unlimited
     size_t max_bytes = 0;   // 0 = unlimited; sum of ResidentGraph::memory_bytes
+    // Lane count of every resident graph's engine (Network num_threads);
+    // results are bit-identical for every value.
+    int engine_threads = 1;
+    // Deterministic fault injection into every resident graph's engine runs
+    // (the bench's negative control: an injected fault must surface as
+    // kFailed, never as a wrong digest). Non-owning; null = no faults.
+    support::FaultInjector* fault = nullptr;
   };
 
   enum class AdmitResult : uint8_t {

@@ -49,14 +49,12 @@ bool SendFrame(int fd, const std::vector<uint8_t>& payload) {
 
 Server::Server(const Options& options)
     : options_(options),
-      registry_(Registry::Options{options.max_graphs,
-                                  options.max_graph_bytes}) {
+      registry_(Registry::Options{options.max_graphs, options.max_graph_bytes,
+                                  options.engine_threads, options.fault}) {
   Dispatcher::Options dopt;
   dopt.max_batch = options.max_batch;
   dopt.slice_rounds = options.slice_rounds;
-  dopt.engine_threads = options.engine_threads;
   dopt.max_queue = options.max_queue;
-  dopt.fault = options.fault;
   dispatcher_ = std::make_unique<Dispatcher>(&registry_, dopt);
   start_time_ = std::chrono::steady_clock::now();
 }

@@ -19,10 +19,11 @@
 namespace treelocal::serve {
 
 // treelocald's blocking-socket front end: a TCP listener on localhost, one
-// thread per connection, one length-prefixed frame per request. All engine
-// work happens on the Dispatcher thread — connection threads only parse,
-// enqueue, and block on ticket completion — so a slow or hostile client
-// cannot stall another client's solve.
+// thread per connection, one length-prefixed frame per request. Every
+// engine run happens on the Dispatcher thread — connection threads only
+// parse, admit graphs (building each one's engine), enqueue, and block on
+// ticket completion — so a slow or hostile client cannot stall another
+// client's solve.
 //
 // Failure containment (pinned by the fuzz tests): a frame that fails the
 // header check (bad magic, oversize length) poisons the stream, so the
@@ -37,14 +38,17 @@ class Server {
     int port = 0;  // 0 = pick an ephemeral port (see port())
     int max_batch = 16;
     int slice_rounds = 64;
-    int engine_threads = 1;  // see Dispatcher::Options
+    // Lane count of every resident graph's engine, on which all requests
+    // run (see Registry::Options); bit-identical answers for every value.
+    int engine_threads = 1;
     int max_queue = 1024;  // admission cap (see Dispatcher::Options)
     // Graph-residency quota (see Registry::Options): 0 = unlimited. A
     // registration that cannot be admitted even after idle-LRU eviction is
     // answered kRejected.
     size_t max_graphs = 0;
     size_t max_graph_bytes = 0;
-    // Forwarded to the dispatcher's engine passes (bench negative control).
+    // Forwarded to every resident graph's engine (bench negative control;
+    // see Registry::Options).
     support::FaultInjector* fault = nullptr;
   };
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 
 #include "src/graph/generators.h"
@@ -282,6 +283,119 @@ TEST(NetworkTest, NestedRunThrowsAndEnginesStayReusable) {
         EXPECT_EQ(net->round_digests(), fresh.round_digests());
       }
     }
+  }
+}
+
+// A paused run that its caller stops driving must not leak into the
+// engine's next run: after AbandonRun the next RunUntil starts fresh, with
+// any algorithm, and its transcript equals a fresh engine's. Also drops a
+// snapshot armed by Resume. Covers relabel on, as treelocald's engines run.
+TEST(NetworkTest, AbandonRunStartsNextRunFresh) {
+  const int n = 60;
+  const Graph path = Path(n);
+  const auto ids = DefaultIds(n, 14);
+  for (const bool relabel : {false, true}) {
+    SCOPED_TRACE(relabel ? "relabel" : "no relabel");
+    local::NetworkOptions opt;
+    opt.relabel = relabel;
+    Network fresh(path, ids, opt);
+    CollectNeighborIds want_collect(n);
+    const int collect_rounds = fresh.Run(want_collect, 10);
+    const std::vector<uint64_t> collect_digests = fresh.round_digests();
+    const std::vector<local::RoundStats> collect_stats = fresh.round_stats();
+    const int64_t collect_messages = fresh.messages_delivered();
+    Flood want_flood(n);
+    const int flood_rounds = fresh.Run(want_flood, 2 * n);
+    const std::vector<uint64_t> flood_digests = fresh.round_digests();
+
+    Network net(path, ids, opt);
+    Flood abandoned(n);
+    EXPECT_EQ(net.RunUntil(abandoned, 2 * n, 5), 5);
+    ASSERT_TRUE(net.paused());
+    net.AbandonRun();
+    EXPECT_FALSE(net.paused());
+    EXPECT_FALSE(net.finished());
+    CollectNeighborIds collect(n);
+    EXPECT_EQ(net.RunUntil(collect, 10, 64), collect_rounds);
+    EXPECT_TRUE(net.finished());
+    EXPECT_EQ(collect.collected_, want_collect.collected_);
+    EXPECT_EQ(net.round_digests(), collect_digests);
+    EXPECT_EQ(net.round_stats(), collect_stats);
+    EXPECT_EQ(net.messages_delivered(), collect_messages);
+
+    // The same algorithm kind again: a fresh run, not the abandoned one's
+    // continuation.
+    Flood paused_again(n);
+    net.RunUntil(paused_again, 2 * n, 7);
+    ASSERT_TRUE(net.paused());
+    net.AbandonRun();
+    Flood flood(n);
+    EXPECT_EQ(net.Run(flood, 2 * n), flood_rounds);
+    EXPECT_EQ(flood.has_token_, want_flood.has_token_);
+    EXPECT_EQ(net.round_digests(), flood_digests);
+
+    // A snapshot armed by Resume is dropped too.
+    Flood recorded(n);
+    net.RunUntil(recorded, 2 * n, 9);
+    std::stringstream snap;
+    net.Checkpoint(snap);
+    net.AbandonRun();
+    net.Resume(snap);
+    net.AbandonRun();
+    Flood after_resume(n);
+    EXPECT_EQ(net.Run(after_resume, 2 * n), flood_rounds);
+    EXPECT_EQ(net.round_digests(), flood_digests);
+  }
+}
+
+// Sleeps every node until round node % 3, counts its visits in its state
+// slot, then halts: arms the state plane and the wake tables.
+class StaggeredHalt : public Algorithm {
+ public:
+  size_t StateBytes() const override { return sizeof(int64_t); }
+  bool WakeScheduled() const override { return true; }
+  int InitialWakeRound(int node) const override { return node % 3; }
+  void OnRound(NodeContext& ctx) override {
+    ++ctx.State<int64_t>();
+    ctx.Halt();
+  }
+};
+
+// EngineMemory's parts add up to its total, and the parts construction
+// allocates have their closed-form sizes: the mailboxes are two 2m-slot
+// Message arrays. The state plane and wake tables appear with the first
+// run that needs them.
+TEST(NetworkTest, EngineMemoryPartsSumToTotal) {
+  const int n = 500;
+  const Graph g = UniformRandomTree(n, 15);
+  const size_t m = static_cast<size_t>(g.NumEdges());
+  const auto sum = [](const local::EngineBytes& b) {
+    return b.channel_tables + b.degree_table + b.mailboxes + b.worklist +
+           b.ids + b.state_plane + b.wake_tables + b.run_log;
+  };
+  for (const bool relabel : {false, true}) {
+    SCOPED_TRACE(relabel ? "relabel" : "no relabel");
+    local::NetworkOptions opt;
+    opt.relabel = relabel;
+    Network net(g, DefaultIds(n, 16), opt);
+    local::EngineBytes b = net.EngineMemory();
+    EXPECT_EQ(sum(b), b.total());
+    EXPECT_EQ(b.mailboxes, 2 * 2 * m * sizeof(Message));
+    EXPECT_EQ(b.channel_tables, (n + 1 + 2 * m) * sizeof(int));
+    EXPECT_EQ(b.degree_table, n * sizeof(int));
+    EXPECT_EQ(b.ids, n * sizeof(int64_t));
+    EXPECT_GE(b.worklist, n * (sizeof(int) + sizeof(char) + sizeof(int)));
+    EXPECT_EQ(b.state_plane, 0u);
+    EXPECT_EQ(b.wake_tables, 0u);
+
+    StaggeredHalt alg;
+    EXPECT_EQ(net.Run(alg, 10), 3);
+    b = net.EngineMemory();
+    EXPECT_EQ(sum(b), b.total());
+    EXPECT_EQ(b.mailboxes, 2 * 2 * m * sizeof(Message));
+    EXPECT_EQ(b.state_plane, n * sizeof(int64_t));
+    EXPECT_GT(b.wake_tables, 0u);
+    EXPECT_GT(b.run_log, 0u);
   }
 }
 

@@ -31,6 +31,7 @@
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
 #include "src/support/digest.h"
+#include "src/support/fault.h"
 
 namespace treelocal::serve {
 namespace {
@@ -141,6 +142,34 @@ Expected ExpectDecomp(const Graph& g, int a, int k) {
   return ExpectSolo(g, {SolveKind::kDecomposition, ProblemId::kNone, k, a, 0});
 }
 
+// A daemon answer must equal the solo run of its request field for field.
+void ExpectSoloAnswer(const Graph& g, const SolveSpec& spec,
+                      const SolveResult& got) {
+  SCOPED_TRACE("kind=" + std::to_string((int)spec.kind) +
+               " k=" + std::to_string(spec.k));
+  const SolveResult want = SoloResult(g, spec);
+  EXPECT_EQ(want.valid, 1);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.valid, want.valid);
+  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.engine_rounds, want.engine_rounds);
+  EXPECT_EQ(got.total_rounds, want.total_rounds);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.iterations, want.iterations);
+}
+
+// One request of each kind, in the order the interleaving tests replay on
+// one graph's engine: rake-compress, Thm15, Thm12, decomposition, and
+// rake-compress again with another k.
+const std::vector<SolveSpec> kAllKinds = {
+    {SolveKind::kRakeCompress, ProblemId::kNone, 2, 1, 0},
+    {SolveKind::kThm15Edge, ProblemId::kEdgeColoringTwoDeltaMinusOne, 5, 1,
+     0},
+    {SolveKind::kThm12Node, ProblemId::kColoringDeltaPlusOne, 3, 1, 0},
+    {SolveKind::kDecomposition, ProblemId::kNone, 5, 1, 0},
+    {SolveKind::kRakeCompress, ProblemId::kNone, 3, 1, 0},
+};
+
 class ServeConcurrentTest : public ::testing::Test {
  protected:
   void StartServer(const Server::Options& opt) {
@@ -162,6 +191,17 @@ class ServeConcurrentTest : public ::testing::Test {
     std::string error;
     EXPECT_TRUE(c.RegisterGraph(g, {}, &key, &fresh, &error)) << error;
     return key;
+  }
+
+  // Solves every spec of kAllKinds in turn on `key` (each its own pass)
+  // and checks each answer against its solo run on `g`.
+  void SolveAllKindsInTurn(Client& c, uint64_t key, const Graph& g) {
+    for (const SolveSpec& spec : kAllKinds) {
+      SolveResult result;
+      std::string error;
+      ASSERT_TRUE(c.SolveAndWait(key, spec, &result, &error)) << error;
+      ExpectSoloAnswer(g, spec, result);
+    }
   }
 
   std::unique_ptr<Server> server_;
@@ -643,9 +683,104 @@ TEST_F(ServeConcurrentTest, FullQueueRejectsThenDrainsAndAccepts) {
   server_->Stop();
 }
 
-// engine_threads > 1 must not change any answer. It sizes the Network of
-// Thm12 phases 2-3; every solve kind is checked field for field against its
-// T = 1 library run, so the other paths stay covered too.
+// Every kind runs on the resident graph's one engine, so each run must
+// leave nothing behind for the next: the four kinds interleaved on one
+// graph, one pass each and then all queued at once, each equal to a fresh
+// solo run.
+TEST_F(ServeConcurrentTest, AllKindsInterleavedOnOneEngineMatchSolo) {
+  StartServer({});
+  const Graph tree = UniformRandomTree(3000, 31);
+  auto c = Connect();
+  const uint64_t key = Register(*c, tree);
+  SolveAllKindsInTurn(*c, key, tree);
+
+  std::vector<uint64_t> tickets(kAllKinds.size());
+  std::string error;
+  for (size_t i = 0; i < kAllKinds.size(); ++i) {
+    ASSERT_TRUE(c->Solve(key, kAllKinds[i], &tickets[i], &error)) << error;
+  }
+  for (size_t i = 0; i < kAllKinds.size(); ++i) {
+    TicketState state;
+    SolveResult result;
+    std::string why;
+    ASSERT_TRUE(c->Fetch(tickets[i], true, &state, &result, &why, &error))
+        << error;
+    ASSERT_EQ(state, TicketState::kDone) << why;
+    ExpectSoloAnswer(tree, kAllKinds[i], result);
+  }
+  server_->Stop();
+}
+
+// A pass whose only member is cancelled mid-run abandons its paused run;
+// the graph's engine must start the next request fresh, whatever its kind.
+// Each attempt cancels a running rake-compress solve; the run can win the
+// race and land kDone, so attempts repeat until one is cancelled mid-run.
+TEST_F(ServeConcurrentTest, RequestAfterAbandonedPassMatchesSolo) {
+  Server::Options opt;
+  opt.slice_rounds = 1;
+  StartServer(opt);
+  const Graph tree = UniformRandomTree(100000, 37);
+  auto c = Connect();
+  const uint64_t key = Register(*c, tree);
+
+  bool abandoned = false;
+  for (int attempt = 0; attempt < 20 && !abandoned; ++attempt) {
+    SolveSpec spec;
+    spec.k = 2;
+    uint64_t ticket = 0;
+    std::string error;
+    ASSERT_TRUE(c->Solve(key, spec, &ticket, &error)) << error;
+    TicketState state = TicketState::kQueued;
+    SolveResult result;
+    std::string why;
+    while (state == TicketState::kQueued) {
+      ASSERT_TRUE(c->Fetch(ticket, false, &state, &result, &why, &error))
+          << error;
+    }
+    ASSERT_TRUE(c->Cancel(ticket, &state, &error)) << error;
+    ASSERT_TRUE(c->Fetch(ticket, true, &state, &result, &why, &error))
+        << error;
+    ASSERT_TRUE(state == TicketState::kCancelled ||
+                state == TicketState::kDone)
+        << TicketStateName(state);
+    abandoned = state == TicketState::kCancelled;
+  }
+  ASSERT_TRUE(abandoned) << "no attempt was cancelled mid-run";
+  SolveAllKindsInTurn(*c, key, tree);
+  server_->Stop();
+}
+
+// An injected mid-round fault fails its request and leaves the graph's
+// engine reusable: every later request on the same graph matches solo.
+TEST_F(ServeConcurrentTest, RequestAfterFaultedPassMatchesSolo) {
+  support::FaultInjector fault = support::FaultInjector::ThrowAtVisit(1500);
+  Server::Options opt;
+  opt.fault = &fault;
+  StartServer(opt);
+  const Graph tree = UniformRandomTree(3000, 41);
+  auto c = Connect();
+  const uint64_t key = Register(*c, tree);
+
+  SolveSpec spec;
+  spec.k = 2;
+  uint64_t ticket = 0;
+  std::string error;
+  ASSERT_TRUE(c->Solve(key, spec, &ticket, &error)) << error;
+  TicketState state;
+  SolveResult result;
+  std::string why;
+  ASSERT_TRUE(c->Fetch(ticket, true, &state, &result, &why, &error)) << error;
+  EXPECT_EQ(state, TicketState::kFailed);
+  EXPECT_NE(why.find("fault"), std::string::npos) << why;
+  EXPECT_TRUE(fault.fired());
+
+  SolveAllKindsInTurn(*c, key, tree);
+  server_->Stop();
+}
+
+// engine_threads > 1 must not change any answer. It sizes every resident
+// graph's engine, on which all kinds run; each solve kind is checked field
+// for field against its T = 1 library run.
 TEST_F(ServeConcurrentTest, ShardedEngineBitIdentical) {
   Server::Options opt;
   opt.engine_threads = 3;
@@ -673,22 +808,13 @@ TEST_F(ServeConcurrentTest, ShardedEngineBitIdentical) {
     ASSERT_TRUE(c->Solve(key, specs[i], &tickets[i], &error)) << error;
   }
   for (size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE("kind=" + std::to_string((int)specs[i].kind) +
-                 " k=" + std::to_string(specs[i].k));
     TicketState state;
     SolveResult result;
     std::string why;
     ASSERT_TRUE(c->Fetch(tickets[i], true, &state, &result, &why, &error))
         << error;
     ASSERT_EQ(state, TicketState::kDone) << why;
-    const SolveResult want = SoloResult(tree, specs[i]);
-    EXPECT_EQ(want.valid, 1);
-    EXPECT_EQ(result.valid, want.valid);
-    EXPECT_EQ(result.digest, want.digest);
-    EXPECT_EQ(result.engine_rounds, want.engine_rounds);
-    EXPECT_EQ(result.total_rounds, want.total_rounds);
-    EXPECT_EQ(result.messages, want.messages);
-    EXPECT_EQ(result.iterations, want.iterations);
+    ExpectSoloAnswer(tree, specs[i], result);
   }
   server_->Stop();
 }

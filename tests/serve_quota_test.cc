@@ -119,6 +119,44 @@ TEST_F(ServeQuotaTest, RegistryEvictsIdleLruAndNamesCountsWhenFull) {
   EXPECT_NE(error.find("cap 64"), std::string::npos) << error;
 }
 
+// Each resident graph's engine is part of its quota charge and dies with
+// it: the bytes cap counts the engine, and evicting an idle graph releases
+// the engine's bytes along with the graph's.
+TEST_F(ServeQuotaTest, EvictingIdleGraphReleasesItsEngine) {
+  const Graph ga = UniformRandomTree(2000, 5);
+  const Graph gb = UniformRandomTree(2000, 6);
+  const size_t graph_bytes = ga.MemoryBytes() + 2000 * sizeof(int64_t);
+  const auto admit = [](Registry& reg, const Graph& g,
+                        Registry::AdmitResult* result) {
+    bool fresh = false;
+    std::string error;
+    return reg.Register(g.NumNodes(), EdgesOf(g), {}, &fresh, result, &error);
+  };
+
+  // A cap that fits the graph and its ids but not its engine rejects it.
+  Registry::AdmitResult result = Registry::AdmitResult::kAdmitted;
+  Registry graph_only(Registry::Options{0, graph_bytes});
+  EXPECT_TRUE(admit(graph_only, ga, &result) == nullptr);
+  EXPECT_EQ(result, Registry::AdmitResult::kOverQuota);
+
+  Registry reg(Registry::Options{/*max_graphs=*/1, /*max_bytes=*/0});
+  auto a = admit(reg, ga, &result);
+  ASSERT_TRUE(a != nullptr);
+  ASSERT_TRUE(a->engine != nullptr);
+  const size_t engine_bytes = a->engine->EngineMemory().total();
+  EXPECT_GE(engine_bytes, 2 * 2 * a->graph.NumEdges() * sizeof(local::Message));
+  EXPECT_EQ(a->memory_bytes, graph_bytes + engine_bytes);
+  EXPECT_EQ(reg.resident_bytes(), a->memory_bytes);
+
+  const std::weak_ptr<const ResidentGraph> evicted = a;
+  a.reset();  // idle: only the registry holds it
+  auto b = admit(reg, gb, &result);
+  ASSERT_TRUE(b != nullptr);
+  EXPECT_EQ(reg.evictions(), 1u);
+  EXPECT_TRUE(evicted.expired()) << "the evicted entry and its engine live on";
+  EXPECT_EQ(reg.resident_bytes(), b->memory_bytes);
+}
+
 // Over the wire: a graph with an outstanding ticket survives quota
 // pressure (the register that would need to evict it is kRejected); once
 // the ticket drains it is evictable, the eviction counter shows up in

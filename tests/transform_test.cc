@@ -312,6 +312,37 @@ TEST(TransformDeterminism, Thm12BatchMatchesSoloPerK) {
   EXPECT_EQ(SolveNodeProblemOnTreeBatch(mis, empty, {}, 8, {2, 4}).size(), 2u);
 }
 
+// The engine overload on one reused engine (relabel on, as treelocald runs
+// it) must match the graph overload for every k, in any order.
+TEST(TransformDeterminism, Thm12EngineOverloadMatchesGraphOverload) {
+  Graph tree = UniformRandomTree(350, 27);
+  auto ids = DefaultIds(350, 28);
+  ColoringProblem coloring(ColoringProblem::Mode::kDeltaPlusOne,
+                           tree.MaxDegree());
+  local::NetworkOptions opt;
+  opt.relabel = true;
+  local::Network net(tree, ids, opt);
+  for (const int k : {2, 5, 2}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    auto on_engine =
+        SolveNodeProblemOnTree(coloring, net, IdSpace(350), k);
+    auto solo = SolveNodeProblemOnTree(coloring, tree, ids, IdSpace(350), k);
+    EXPECT_EQ(on_engine.k, k);
+    EXPECT_TRUE(on_engine.valid) << on_engine.why;
+    EXPECT_EQ(on_engine.rounds_total, solo.rounds_total);
+    EXPECT_EQ(on_engine.rounds_base, solo.rounds_base);
+    EXPECT_EQ(on_engine.rounds_gather, solo.rounds_gather);
+    EXPECT_EQ(on_engine.engine_messages, solo.engine_messages);
+    EXPECT_EQ(on_engine.rake_compress.iteration, solo.rake_compress.iteration);
+    EXPECT_EQ(on_engine.rake_compress.round_stats,
+              solo.rake_compress.round_stats);
+    for (int e = 0; e < tree.NumEdges(); ++e) {
+      ASSERT_EQ(on_engine.labeling.GetSlot(e, 0), solo.labeling.GetSlot(e, 0));
+      ASSERT_EQ(on_engine.labeling.GetSlot(e, 1), solo.labeling.GetSlot(e, 1));
+    }
+  }
+}
+
 TEST(TransformDeterminism, Thm15SameInputsSameTranscript) {
   Graph g = ForestUnion(300, 2, 23);
   auto ids = DefaultIds(300, 24);

@@ -1,14 +1,14 @@
 // treelocald: the resident solver daemon. Admits graphs once, keeps them
-// resident, and coalesces concurrent solve requests into batched engine
-// passes (see src/serve/). Speaks the TLD1 length-prefixed binary protocol
-// on a localhost TCP port.
+// resident with one cached engine each, and coalesces concurrent solve
+// requests into shared passes on it (see src/serve/). Speaks the TLD1
+// length-prefixed binary protocol on a localhost TCP port.
 //
 //   treelocald [--port P] [--threads T] [--max-batch B] [--slice R]
 //              [--max-graphs G] [--max-graph-bytes BYTES]
 //
 // --port 0 (default) picks an ephemeral port and prints it; a wrapping
-// script can parse the "listening on" line. --threads sizes the Network
-// that runs Thm12 phases 2-3; every other engine run uses one thread. Stops
+// script can parse the "listening on" line. --threads is the lane count
+// of every resident graph's engine, on which all requests run. Stops
 // on SIGINT/SIGTERM or a client kShutdown request, draining in-flight work
 // either way.
 
