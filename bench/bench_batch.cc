@@ -1,18 +1,23 @@
-// Experiment E12: batched multi-instance engine throughput. Runs the
-// k-ablation rake-compress sweep (the engine-bound phase of every Theorem
-// 12/15 pipeline) two ways over one shared topology:
-//   * sequential: one reusable Network, one Run per k;
-//   * batched: one BatchNetwork with B = |ks| instances, one engine pass.
-// Verifies the batch is bit-identical to the sequential runs per instance
-// (outputs, per-instance round counts, message counts, per-round stats) —
-// the process exits non-zero on any divergence, which is what CI gates on —
-// and records the throughput ratio in BENCH_engine.json.
+// Experiment E12: k-sweep instance throughput. Runs the k-ablation
+// rake-compress sweep (the engine-bound phase of every Theorem 12/15
+// pipeline) two ways over one shared topology:
+//   * sequential: one reusable T=1 Network, one Run per k;
+//   * instance-parallel: W = min(hardware threads, distinct ks) workers on
+//     W std::threads, each with its own reusable T=1 Network.
+// Verifies every parallel instance is bit-identical to its sequential run
+// (outputs, round counts, message counts, per-round stats) — the process
+// exits non-zero on any divergence, which is what CI gates on — and records
+// the throughput ratio in BENCH_engine.json. Also records the canonical-k
+// dedup saving and the bit-plane Cole-Vishkin batch against B solo runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -28,6 +33,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Records at or above this size carry "acceptance": true, which selects
+// the instance-parallel record's 2.0 floor in check_bench_regression.py.
+constexpr int kKSweepAcceptanceN = 1 << 18;
+
 double Seconds(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -39,18 +48,24 @@ bool Identical(const RakeCompressResult& a, const RakeCompressResult& b) {
          a.round_stats == b.round_stats;
 }
 
-// Returns true iff the batched transcripts matched the sequential ones.
-bool RunBatchAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
-                        const std::vector<int>& ks, int reps,
-                        bench::JsonWriter& json) {
+// Returns true iff every worker's transcripts matched the sequential ones.
+bool RunKSweepAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
+                         const std::vector<int>& ks, int reps,
+                         bench::JsonWriter& json) {
   const int n = tree.NumNodes();
   const int batch = static_cast<int>(ks.size());
-  std::cout << "Batch acceptance: rake-compress k-sweep on a " << n
-            << "-node uniform tree, B=" << batch << " instances\n";
+  const int distinct =
+      static_cast<int>(std::set<int>(ks.begin(), ks.end()).size());
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int workers = std::max(1, std::min(hw, distinct));
+  std::cout << "k-sweep acceptance: rake-compress on a " << n
+            << "-node uniform tree, B=" << batch << " instances, W="
+            << workers << " workers\n";
 
-  // Both sides use one pre-constructed, reusable engine and best-of-reps
+  // Both sides use pre-constructed, reusable engines and best-of-reps
   // timing after a warmup pass, so the comparison is round throughput, not
-  // construction or page-fault traffic.
+  // construction or page-fault traffic. The parallel side pays one thread
+  // spawn per worker per repetition.
   local::Network seq_net(tree, ids);
   std::vector<RakeCompressResult> seq(batch);
   for (int b = 0; b < batch; ++b) seq[b] = RunRakeCompress(seq_net, ks[b]);
@@ -61,52 +76,70 @@ bool RunBatchAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
     seq_s = std::min(seq_s, Seconds(t0));
   }
 
-  local::BatchNetwork batch_net(tree, ids, batch);
-  std::vector<RakeCompressResult> batched = RunRakeCompressBatch(batch_net, ks);
-  double batch_s = 1e300;
+  // Worker w owns one T=1 engine and runs instances w, w + W, w + 2W, ...
+  std::vector<std::unique_ptr<local::Network>> nets;
+  for (int w = 0; w < workers; ++w) {
+    nets.push_back(std::make_unique<local::Network>(tree, ids));
+  }
+  std::vector<RakeCompressResult> par(batch);
+  auto run_parallel = [&] {
+    std::vector<std::thread> threads;
+    for (int w = 0; w < workers; ++w) {
+      threads.emplace_back([&, w] {
+        for (int b = w; b < batch; b += workers) {
+          par[b] = RunRakeCompress(*nets[w], ks[b]);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  };
+  run_parallel();
+  double par_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = Clock::now();
-    batched = RunRakeCompressBatch(batch_net, ks);
-    batch_s = std::min(batch_s, Seconds(t0));
+    run_parallel();
+    par_s = std::min(par_s, Seconds(t0));
   }
 
   bool identical = true;
-  for (int b = 0; b < batch; ++b) identical &= Identical(seq[b], batched[b]);
-  const double speedup = seq_s / batch_s;
+  for (int b = 0; b < batch; ++b) identical &= Identical(seq[b], par[b]);
+  const double speedup = seq_s / par_s;
 
   std::vector<int64_t> rounds, messages;
-  for (const auto& r : batched) {
+  for (const auto& r : par) {
     rounds.push_back(r.engine_rounds);
     messages.push_back(r.messages);
   }
 
   json.BeginRecord();
   json.Field("source", "bench_batch");
-  json.Field("experiment", "batched_k_sweep_rake_compress");
+  json.Field("experiment", "k_sweep_instance_parallel");
   json.Field("family", "uniform-random");
   json.Field("n", n);
   json.Field("edges", tree.NumEdges());
   json.Field("batch", batch);
+  json.Field("workers", workers);
   json.Field("ks", ks);
   json.Field("sequential_seconds", seq_s);
-  json.Field("batch_seconds", batch_s);
+  json.Field("parallel_seconds", par_s);
   json.Field("speedup", speedup);
   json.Field("transcripts_identical", identical);
+  json.Field("acceptance", n >= kKSweepAcceptanceN);
   json.Field("instance_rounds", rounds);
   json.Field("instance_messages", messages);
 
   std::cout << "  identical=" << (identical ? "yes" : "NO (BUG)")
-            << "  sequential: " << seq_s << " s   batched: " << batch_s
-            << " s   throughput: " << speedup << "x\n";
+            << "  sequential: " << seq_s << " s   " << workers
+            << " workers: " << par_s << " s   throughput: " << speedup
+            << "x\n";
   return identical;
 }
 
 // Shared-transcript dedup acceptance: a wide Thm12-style k-sweep whose tail
 // sits at or above Delta (every such instance provably shares one
-// transcript). Gates RunRakeCompressBatchDeduped's bit-identity against the
-// undeduped batch, then times the deduped engine pass (U distinct
-// instances) against the full one (B instances) — the measured per-instance
-// memory-traffic saving the dedup buys.
+// transcript). Gates RunRakeCompressDeduped's bit-identity against one
+// solo run per k on the same engine, then times the deduped sweep (U
+// distinct runs plus the fan-out) against the full one (B runs).
 bool RunDedupAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
                         int reps, bench::JsonWriter& json) {
   const int n = tree.NumNodes();
@@ -114,8 +147,8 @@ bool RunDedupAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
   const std::vector<int> ks = {2,  3,  4,  6,  8,   12,  16,  24,
                                32, 48, 64, 96, 128, 192, 256, 384};
   const int batch = static_cast<int>(ks.size());
-  // Distinct canonical parameters, order-preserving — the same dedup rule
-  // RunRakeCompressBatchDeduped applies internally.
+  // Distinct canonical parameters — the same dedup rule
+  // RunRakeCompressDeduped applies internally.
   std::vector<int> unique_ks;
   for (int k : ks) {
     const int canon = RakeCompressCanonicalK(k, delta);
@@ -125,36 +158,34 @@ bool RunDedupAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
   }
   const int unique = static_cast<int>(unique_ks.size());
   std::cout << "Dedup acceptance: k-sweep B=" << batch << " on Delta="
-            << delta << " tree collapses to U=" << unique << " instances\n";
+            << delta << " tree collapses to U=" << unique << " runs\n";
 
-  local::BatchNetwork full_net(tree, ids, batch);
-  std::vector<RakeCompressResult> full = RunRakeCompressBatch(full_net, ks);
+  local::Network net(tree, ids);
+  std::vector<RakeCompressResult> full(batch);
+  auto run_full = [&] {
+    for (int b = 0; b < batch; ++b) full[b] = RunRakeCompress(net, ks[b]);
+  };
+  run_full();
   double full_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = Clock::now();
-    full = RunRakeCompressBatch(full_net, ks);
+    run_full();
     full_s = std::min(full_s, Seconds(t0));
   }
 
-  std::vector<RakeCompressResult> deduped =
-      RunRakeCompressBatchDeduped(tree, ids, ks);
-  bool identical = true;
-  for (int b = 0; b < batch; ++b) identical &= Identical(full[b], deduped[b]);
-
-  // Engine-pass timing on the deduped instance set (pre-constructed and
-  // warmed like the full engine, so the comparison is round throughput).
-  local::BatchNetwork unique_net(tree, ids, unique);
-  RunRakeCompressBatch(unique_net, unique_ks);
+  std::vector<RakeCompressResult> deduped = RunRakeCompressDeduped(net, ks);
   double deduped_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = Clock::now();
-    RunRakeCompressBatch(unique_net, unique_ks);
+    deduped = RunRakeCompressDeduped(net, ks);
     deduped_s = std::min(deduped_s, Seconds(t0));
   }
+  bool identical = true;
+  for (int b = 0; b < batch; ++b) identical &= Identical(full[b], deduped[b]);
 
   json.BeginRecord();
   json.Field("source", "bench_batch");
-  json.Field("experiment", "batched_k_sweep_dedup");
+  json.Field("experiment", "k_sweep_dedup");
   json.Field("n", n);
   json.Field("max_degree", delta);
   json.Field("batch", batch);
@@ -168,7 +199,7 @@ bool RunDedupAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
   std::cout << "  identical=" << (identical ? "yes" : "NO (BUG)")
             << "  full: " << full_s << " s   deduped: " << deduped_s
             << " s   speedup: " << full_s / deduped_s << "x ("
-            << double(batch) / unique << "x fewer instances)\n";
+            << double(batch) / unique << "x fewer runs)\n";
   return identical;
 }
 
@@ -199,13 +230,11 @@ bool Identical(const local::bitplane::CvInstanceTranscript& a,
 }
 
 // Bit-plane CV acceptance: B = 64 Cole-Vishkin instances (per-instance ID
-// assignments) over one shared rooted tree, scalar BatchNetwork vs the
-// bit-plane runner. The identity gate compares EVERY transcript field —
+// assignments) over one shared rooted tree, B solo runs on one Network vs
+// the bit-plane runner. The identity gate compares EVERY transcript field —
 // colors, rounds, messages, per-round stats, digest chain — and a
 // divergence fails the process, same as the rake-compress gate above.
-// n is capped at 2^16 because the SCALAR side keeps 24-byte x B mailbox
-// slots per channel (the regime whose memory traffic the planes eliminate);
-// the cap is where the acceptance floor applies.
+// n is capped at 2^16, where the acceptance floor applies.
 bool RunBitplaneAcceptance(int n_requested, int reps,
                            bench::JsonWriter& json) {
   constexpr int kAcceptanceN = 1 << 16;
@@ -213,7 +242,7 @@ bool RunBitplaneAcceptance(int n_requested, int reps,
   const int batch = 64;
   std::cout << "Bitplane acceptance: CV 3-coloring on a " << n
             << "-node uniform tree, B=" << batch
-            << " bit-plane lanes vs scalar BatchNetwork\n";
+            << " bit-plane lanes vs " << batch << " scalar solo runs\n";
 
   const Graph tree = UniformRandomTree(n, 31);
   const std::vector<int> parent = BfsParents(tree);
@@ -222,7 +251,7 @@ bool RunBitplaneAcceptance(int n_requested, int reps,
   for (int b = 0; b < batch; ++b) ids[b] = DistinctIds(n, 40 + b, space - 1);
   const std::vector<int64_t> spaces(batch, space);
 
-  local::BatchNetwork scalar_net(tree, ids[0], batch);
+  local::Network scalar_net(tree, ids[0]);
   auto scalar = ColeVishkin3ColorBatch(scalar_net, parent, ids, spaces);
   double scalar_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
@@ -309,16 +338,15 @@ int main(int argc, char** argv) {
   treelocal::bench::JsonWriter json;
   bool ok = true;
   if (!ks.empty()) {
-    ok = treelocal::RunBatchAcceptance(tree, ids, ks, reps, json);
+    ok = treelocal::RunKSweepAcceptance(tree, ids, ks, reps, json);
   } else {
     // Default: the classic k-ablation list (B = 8) plus the fine-grained
-    // grid (B = 32) that resolves the optimum near g(n) and gives the batch
-    // engine its widest amortization.
+    // grid (B = 32) that resolves the optimum near g(n).
     std::vector<int> classic = {2, 3, 4, 6, 8, 12, 16, 24};
     std::vector<int> fine;
     for (int k = 2; k <= 33; ++k) fine.push_back(k);
-    ok &= treelocal::RunBatchAcceptance(tree, ids, classic, reps, json);
-    ok &= treelocal::RunBatchAcceptance(tree, ids, fine, reps, json);
+    ok &= treelocal::RunKSweepAcceptance(tree, ids, classic, reps, json);
+    ok &= treelocal::RunKSweepAcceptance(tree, ids, fine, reps, json);
     ok &= treelocal::RunDedupAcceptance(tree, ids, reps, json);
   }
   ok &= treelocal::RunBitplaneAcceptance(n, reps, json);

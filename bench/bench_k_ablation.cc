@@ -26,11 +26,11 @@ void RunThm12Ablation() {
   MisProblem mis;
   int k_star = ChooseK(n, QuadraticF());
   Table table({"k", "k/g(n)", "rounds", "decomp", "base", "gather", "valid"});
-  // The whole k-sweep runs its decomposition phase as ONE batched engine
-  // pass over the shared tree, with shared-transcript dedup: the sweep's
-  // tail entries at or above the tree's max degree collapse to a single
-  // engine instance (results are bit-identical to per-k solo runs; see
-  // SolveNodeProblemOnTreeBatch / RunRakeCompressBatchDeduped).
+  // The whole k-sweep runs on ONE engine over the shared tree, with
+  // shared-transcript dedup in the decomposition phase: the sweep's tail
+  // entries at or above the tree's max degree collapse to a single run
+  // (results are bit-identical to per-k solo runs; see
+  // SolveNodeProblemOnTreeBatch / RunRakeCompressDeduped).
   const std::vector<int> ks = {2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128};
   auto results =
       SolveNodeProblemOnTreeBatch(mis, tree, ids, bench::IdSpace(n), ks);

@@ -1,9 +1,8 @@
 #include "src/algos/cole_vishkin.h"
 
-#include <algorithm>
 #include <cassert>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "src/local/network.h"
 #include "src/local/reference_network.h"
@@ -179,41 +178,29 @@ ColeVishkinResult ColeVishkin3ColorReference(const Graph& forest,
 }
 
 std::vector<local::bitplane::CvInstanceTranscript> ColeVishkin3ColorBatch(
-    local::BatchNetwork& net, const std::vector<int>& parent,
+    local::Network& net, const std::vector<int>& parent,
     const std::vector<std::vector<int64_t>>& ids,
     const std::vector<int64_t>& id_space) {
   const Graph& forest = net.graph();
   const int n = forest.NumNodes();
   const int batch = static_cast<int>(ids.size());
-  if (batch != net.batch() || id_space.size() != ids.size()) {
+  if (id_space.size() != ids.size()) {
     throw std::invalid_argument("ColeVishkin3ColorBatch: batch size mismatch");
   }
   std::vector<local::bitplane::CvInstanceTranscript> result(batch);
   if (n == 0) return result;
   // CvAlgorithm reads colors from its own ids vector (not the engine's), so
-  // per-instance ID assignments coexist on the one shared-CSR engine.
-  std::vector<std::unique_ptr<CvAlgorithm>> algs;
-  std::vector<local::Algorithm*> ptrs;
-  int max_iterations = 0;
+  // every instance's ID assignment runs on the one engine.
   for (int b = 0; b < batch; ++b) {
-    const int iterations = ColeVishkinIterations(id_space[b]);
-    max_iterations = std::max(max_iterations, iterations);
-    algs.push_back(
-        std::make_unique<CvAlgorithm>(forest, ids[b], parent, iterations));
-    ptrs.push_back(algs.back().get());
-  }
-  std::vector<int> rounds = net.Run(ptrs, max_iterations + 64);
-  for (int b = 0; b < batch; ++b) {
+    ColeVishkinResult run =
+        ColeVishkinOnEngine(net, forest, ids[b], parent, id_space[b]);
     auto& t = result[b];
-    t.rounds = rounds[b];
-    t.messages = net.messages_delivered(b);
-    t.round_stats = net.round_stats(b);
-    t.round_digests = net.round_digests(b);
-    t.last_digest = net.last_digest(b);
-    t.colors.resize(n);
-    for (int v = 0; v < n; ++v) {
-      t.colors[v] = static_cast<int>(net.StateAt<CvState>(b, v).color);
-    }
+    t.colors = std::move(run.colors);
+    t.rounds = run.rounds;
+    t.messages = run.messages;
+    t.round_stats = std::move(run.round_stats);
+    t.round_digests = net.round_digests();
+    t.last_digest = net.last_digest();
   }
   return result;
 }

@@ -43,15 +43,15 @@ ColeVishkinResult ColeVishkin3ColorReference(const Graph& forest,
 // size until colors are in {0..5} (exposed for round-bound tests).
 int ColeVishkinIterations(int64_t id_space);
 
-// B = ids.size() instances on one shared BatchNetwork pass: instance b runs
-// the forest with its own ID assignment ids[b] (< id_space[b]) and the
-// schedule length that ID space implies, so instances with smaller spaces
-// halt and drop out of the batch early. `net` must be built over `forest`
-// with batch() == B. Returns per-instance transcripts in the bit-plane
-// layer's comparison type — this is the scalar oracle the bit-plane CV
-// batch (local::bitplane::BitplaneCvBatch) is asserted bit-identical to.
+// B = ids.size() instances run one after another on the caller's engine
+// (built over the forest, any ids: CvAlgorithm colors from its own ids):
+// instance b runs the forest with its own ID assignment ids[b]
+// (< id_space[b]) and the schedule length that ID space implies. Returns
+// per-instance transcripts in the bit-plane layer's comparison type — this
+// is the scalar oracle the bit-plane CV batch
+// (local::bitplane::BitplaneCvBatch) is asserted bit-identical to.
 std::vector<local::bitplane::CvInstanceTranscript> ColeVishkin3ColorBatch(
-    local::BatchNetwork& net, const std::vector<int>& parent,
+    local::Network& net, const std::vector<int>& parent,
     const std::vector<std::vector<int64_t>>& ids,
     const std::vector<int64_t>& id_space);
 

@@ -62,32 +62,20 @@ RakeCompressResult RunRakeCompress(local::Network& net, int k);
 // cost); used by differential tests and the engine benchmarks.
 RakeCompressResult RunRakeCompress(local::ReferenceNetwork& net, int k);
 
-// Batched form: runs ks.size() == net.batch() independent rake-compress
-// instances (instance b with parameter ks[b]) over the shared topology in
-// one engine pass. results[b] is bit-identical to RunRakeCompress(net, ks[b])
-// on a solo engine — outputs, engine_rounds, messages, and round_stats —
-// and instances finishing early drop out of the batch independently. This
-// is how the k-ablation sweep amortizes per-round dispatch over the whole
-// parameter grid.
-std::vector<RakeCompressResult> RunRakeCompressBatch(local::BatchNetwork& net,
-                                                     const std::vector<int>& ks);
-
-// Batched k-sweep with shared-transcript dedup: parameters that PROVABLY
-// produce identical transcripts share one engine instance, and results are
-// fanned back out. Two parameters are provably identical when they are
-// equal, or both >= the forest's maximum degree Delta — with k >= Delta
-// every node passes the Compress predicate in iteration 1 (all degrees
-// <= Delta <= k), so the transcript no longer depends on k. The engine pass
-// thus runs one instance per distinct min(k, max(Delta, 2)) instead of one
-// per k, cutting the per-instance mailbox/state memory traffic of wide
+// k-sweep with shared-transcript dedup on a caller-owned engine:
+// parameters that PROVABLY produce identical transcripts share one run,
+// and results are fanned back out. Two parameters are provably identical
+// when they are equal, or both >= the forest's maximum degree Delta — with
+// k >= Delta every node passes the Compress predicate in iteration 1 (all
+// degrees <= Delta <= k), so the transcript no longer depends on k. The
+// engine thus runs RunRakeCompress(net, k) once per distinct
+// min(k, max(Delta, 2)) instead of once per k, one run after another;
 // sweeps whose tails sit above Delta (Theorem 12's k-ablation is exactly
-// such a sweep). results[i] is bit-identical to RunRakeCompressBatch's
-// entry for ks[i] — and therefore to the solo run — enforced by tests.
-// The pass runs on one serial BatchNetwork (see its class comment for why
-// the batch engine takes no thread count).
-std::vector<RakeCompressResult> RunRakeCompressBatchDeduped(
-    GraphView tree, const std::vector<int64_t>& ids,
-    const std::vector<int>& ks);
+// such a sweep) save the rest. Every k is validated, deduped or not.
+// results[i] is bit-identical to RunRakeCompress(net, ks[i]), enforced by
+// tests.
+std::vector<RakeCompressResult> RunRakeCompressDeduped(
+    local::Network& net, const std::vector<int>& ks);
 
 // The dedup's canonicalization rule, shared with the benches: two
 // parameters are provably transcript-identical iff their canonical forms

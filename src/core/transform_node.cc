@@ -11,7 +11,7 @@ namespace treelocal {
 
 namespace {
 
-// Phases 2-3 of the Theorem 12 pipeline, shared by the solo and batched
+// Phases 2-3 of the Theorem 12 pipeline, shared by the single-k and k-sweep
 // entry points: takes a finished phase-1 decomposition (already stored in
 // `result.rake_compress`) and completes the base run and the gather phase.
 // `net` is the host engine over (tree, ids) — reused from phase 1, so the
@@ -108,22 +108,20 @@ std::vector<Thm12Result> SolveNodeProblemOnTreeBatch(
   std::vector<Thm12Result> results(ks.size());
   if (ks.empty()) return results;
 
-  // Phase 1 for all k at once: one batched engine pass over the shared
-  // tree, with shared-transcript dedup — sweep entries at or above the
-  // tree's max degree provably share one transcript, so the engine runs
-  // (and allocates) only the distinct instances and the results fan back
-  // out bit-identically (an empty tree degenerates inside, which still
-  // validates every k, matching the solo path).
+  // One engine on `num_threads` lanes runs every phase of every k, so its
+  // mailboxes and state plane are reused across the whole sweep. Phase 1
+  // first, deduped: sweep entries at or above the tree's max degree
+  // provably share one transcript, so the engine runs only the distinct
+  // decompositions and the results fan back out bit-identically (an empty
+  // tree still validates every k, matching the single-k path).
+  local::Network net(tree, ids, num_threads, local::NetworkOptions{});
   {
     std::vector<RakeCompressResult> decompositions =
-        RunRakeCompressBatchDeduped(tree, ids, ks);
+        RunRakeCompressDeduped(net, ks);
     for (size_t b = 0; b < ks.size(); ++b) {
       results[b].rake_compress = std::move(decompositions[b]);
     }
   }
-  // One shared engine for every instance's phases 2-3 (mailboxes and state
-  // plane are reused across the whole sweep), on `num_threads` lanes.
-  local::Network net(tree, ids, num_threads, local::NetworkOptions{});
   for (size_t b = 0; b < ks.size(); ++b) {
     results[b].k = ks[b];
     results[b].labeling = HalfEdgeLabeling(tree);

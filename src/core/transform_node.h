@@ -64,16 +64,13 @@ Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
                                    local::Network& net, int64_t id_space,
                                    int k);
 
-// Batched k-sweep: solves the same problem instance for every k in `ks`,
-// running the engine-bound decomposition phase (phase 1) of all instances
-// as one BatchNetwork pass over the shared topology; phases 2-3 are
-// completed per instance. results[b] is identical to
-// SolveNodeProblemOnTree(problem, tree, ids, id_space, ks[b]). This is the
-// form the k-ablation sweep and multi-query serving use: per-round engine
-// dispatch is paid once for the whole sweep instead of once per k.
-// Phase 1 runs on a serial BatchNetwork; `num_threads` sizes the Network
-// that runs phases 2-3, as in SolveNodeProblemOnTree — same results for
-// every thread count.
+// k-sweep: solves the same problem instance for every k in `ks` on one
+// Network with `num_threads` lanes, built once for the whole sweep. Phase 1
+// runs deduped (RunRakeCompressDeduped: one decomposition per distinct
+// canonical k); phases 2-3 are completed per k on the same engine.
+// results[b] is identical to SolveNodeProblemOnTree(problem, tree, ids,
+// id_space, ks[b]) for every thread count. This is the form the k-ablation
+// sweep uses.
 std::vector<Thm12Result> SolveNodeProblemOnTreeBatch(
     const NodeProblem& problem, const Graph& tree,
     const std::vector<int64_t>& ids, int64_t id_space,

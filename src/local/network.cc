@@ -362,7 +362,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   ctxs.reserve(T);
   for (int t = 0; t < T; ++t) {
     ctxs.push_back(
-        NodeContext(graph_, ids_.data(), degree_.data(), nullptr, nullptr));
+        NodeContext(graph_, ids_.data(), degree_.data(), nullptr));
     NodeContext& ctx = ctxs.back();
     ctx.first_ = first_.data();
     ctx.send_chan_ = send_chan_.data();
@@ -720,8 +720,8 @@ void Network::Checkpoint(std::ostream& out) const {
 
 void Network::Resume(std::istream& in) {
   SnapshotData snap = ReadSnapshot(in);
-  internal::ValidateForEngine(snap, graph_, ids_, /*batch=*/1,
-                              digest_messages_, "Network");
+  internal::ValidateForEngine(snap, graph_, ids_, digest_messages_,
+                              "Network");
   pending_resume_ = std::make_unique<SnapshotData>(std::move(snap));
   mid_run_ = false;
   finished_ = false;

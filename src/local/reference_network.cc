@@ -178,7 +178,7 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
   scheduled_ = scheduled;
   support::FaultInjector* const fault = fault_;
 
-  NodeContext ctx(graph_, ids_.data(), /*degree=*/nullptr, nullptr, this);
+  NodeContext ctx(graph_, ids_.data(), /*degree=*/nullptr, this);
   while (num_halted_ < n) {
     if (round_ == pause_at_round) {
       mid_run_ = true;
@@ -302,8 +302,8 @@ void ReferenceNetwork::Checkpoint(std::ostream& out) const {
 
 void ReferenceNetwork::Resume(std::istream& in) {
   SnapshotData snap = ReadSnapshot(in);
-  internal::ValidateForEngine(snap, graph_, ids_, /*batch=*/1,
-                              digest_messages_, "ReferenceNetwork");
+  internal::ValidateForEngine(snap, graph_, ids_, digest_messages_,
+                              "ReferenceNetwork");
   pending_resume_ = std::make_unique<SnapshotData>(std::move(snap));
   mid_run_ = false;
   finished_ = false;

@@ -461,9 +461,7 @@ SnapshotData BuildSoloSnapshot(
   // hands the algorithm the same bytes as kNoMessage), and skipping it
   // keeps the image canonical across the stamp-less reference engine too.
   // A finished run records none at all — every node has halted, so the
-  // final round's leftovers are unobservable, and dropping them is what
-  // makes a batch instance that finished early serialize identically to
-  // the solo run (whose engine stopped at its own final round).
+  // final round's leftovers are unobservable.
   if (!finished) {
     for (int v = 0; v < n; ++v) {
       const int deg = degree[v];
@@ -480,8 +478,8 @@ SnapshotData BuildSoloSnapshot(
 }
 
 void ValidateForEngine(const SnapshotData& snap, GraphView g,
-                       const std::vector<int64_t>& ids, int batch,
-                       bool digest_messages, const char* engine_name) {
+                       const std::vector<int64_t>& ids, bool digest_messages,
+                       const char* engine_name) {
   const std::string who = std::string(engine_name) + "::Resume: ";
   if (snap.n != g.NumNodes() || snap.m != g.NumEdges() ||
       snap.graph_hash != GraphHash(g)) {
@@ -493,10 +491,11 @@ void ValidateForEngine(const SnapshotData& snap, GraphView g,
     throw SnapshotError(who +
                         "snapshot id hash does not match this engine's ids");
   }
-  if (snap.batch != batch) {
+  // Multi-instance images (written by the retired batch engine) still
+  // parse, but every engine left runs one instance.
+  if (snap.batch != 1) {
     throw SnapshotError(who + "snapshot has " + std::to_string(snap.batch) +
-                        " instance(s), this engine runs " +
-                        std::to_string(batch));
+                        " instances, this engine runs 1");
   }
   if (snap.digest_messages != digest_messages) {
     throw SnapshotError(

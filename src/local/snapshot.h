@@ -26,11 +26,11 @@ namespace treelocal::local {
 // ports, never by engine-internal layout. One engine class serializes to
 // the same bytes for the same run regardless of relabel or thread count,
 // and different engine classes differ ONLY in the informational
-// engine_kind (and batch-width) header fields — the payload sections are
-// byte-identical. That is what lets a checkpoint taken by one engine
-// configuration resume on another, and what makes "final snapshots
-// identical up to the engine tag" the strongest form of the bit-identity
-// gate (the tests normalize the tag and compare everything else).
+// engine_kind header field — the payload sections are byte-identical.
+// That is what lets a checkpoint taken by one engine configuration resume
+// on another, and what makes "final snapshots identical up to the engine
+// tag" the strongest form of the bit-identity gate (the tests normalize
+// the tag and compare everything else).
 //
 // File layout (version 2, little-endian, fixed-width):
 //   magic (8) | version (4) | flags (4) | engine_kind (4) | batch (4) |
@@ -101,6 +101,9 @@ inline constexpr uint32_t kSnapshotFlagDigestMessages = 1u << 0;
 // Informational engine tag (not enforced on resume — the image is
 // canonical, so any engine configuration can pick the run up). The solo
 // Network writes kNetwork at one lane and kParallelNetwork at more.
+// kBatchNetwork is read-compat only: the retired batch engine wrote it and
+// no engine writes it now. Its files still parse, and a single-instance one
+// resumes on Network like any other tag.
 enum class SnapshotEngineKind : uint32_t {
   kNetwork = 0,
   kParallelNetwork = 1,
@@ -142,7 +145,8 @@ struct SnapshotData {
   SnapshotEngineKind engine_kind = SnapshotEngineKind::kNetwork;
   bool digest_messages = false;
   bool finished = false;   // all instances halted every node
-  int32_t batch = 1;       // instance count (1 for the solo engines)
+  int32_t batch = 1;       // instance count; every engine writes and
+                           // resumes 1 (old batch files may hold more)
   int32_t round = 0;       // rounds executed so far (resume continues here)
   int32_t n = 0;
   int64_t m = 0;
@@ -153,8 +157,7 @@ struct SnapshotData {
 
   struct Instance {
     int64_t messages_delivered = 0;
-    // Batch semantics: the instance's frozen solo round count once it
-    // finished, 0 while live. For solo engines: round when finished.
+    // The run's round count once it finished, 0 while live.
     int32_t rounds_completed = 0;
     std::vector<SnapshotRound> rounds;
     std::vector<char> halted;             // n entries, external-indexed
@@ -227,11 +230,12 @@ SnapshotData BuildSoloSnapshot(
     int32_t epoch, bool scheduled, const int32_t* wake_by_rank);
 
 // Validates a parsed snapshot against the engine about to resume it:
-// graph/ids hashes, batch width, digest-messages flag, and per-message
-// port ranges against the engine's actual degrees. Throws SnapshotError.
+// graph/ids hashes, a single instance (snap.batch == 1), digest-messages
+// flag, and per-message port ranges against the engine's actual degrees.
+// Throws SnapshotError.
 void ValidateForEngine(const SnapshotData& snap, GraphView g,
-                       const std::vector<int64_t>& ids, int batch,
-                       bool digest_messages, const char* engine_name);
+                       const std::vector<int64_t>& ids, bool digest_messages,
+                       const char* engine_name);
 
 // Restores one solo instance into engine storage: halt flags, worklist
 // (non-halted internal ranks, ascending — the stable-compaction

@@ -1,11 +1,11 @@
 // Bit-plane batch kernels: the word-parallel paths must be bit-identical
 // to their scalar oracles at every level — Transpose64 vs a naive bit
 // loop, CvStepLanes vs CvStepScalar, FirstMissingColor vs sort + scan, and
-// the full BitplaneCvBatch runner vs a scalar BatchNetwork running the
-// same CvAlgorithm instances (every transcript field: colors, rounds,
-// messages, per-round stats, digest chain). The matrix covers batch widths
-// off the 64-lane grain, relabel on/off, mid-run instance dropout via
-// per-instance ID spaces, engine reuse, and multi-component forests.
+// the full BitplaneCvBatch runner vs scalar solo Network runs of the same
+// CvAlgorithm instances (every transcript field: colors, rounds, messages,
+// per-round stats, digest chain). The matrix covers batch widths off the
+// 64-lane grain, relabel on/off, mid-run instance dropout via per-instance
+// ID spaces, engine reuse, and multi-component forests.
 
 #include <algorithm>
 #include <bit>
@@ -28,7 +28,6 @@
 namespace treelocal {
 namespace {
 
-using local::BatchNetwork;
 using local::NetworkOptions;
 using local::bitplane::BitplaneCvBatch;
 using local::bitplane::CvInstanceTranscript;
@@ -167,7 +166,7 @@ TEST(BitplaneKernels, CvStepLanesMatchesScalarAcrossCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Full-runner bit identity vs the scalar BatchNetwork oracle.
+// Full-runner bit identity vs the scalar solo-run oracle.
 // ---------------------------------------------------------------------------
 
 void ExpectTranscriptsEqual(const std::vector<CvInstanceTranscript>& got,
@@ -227,7 +226,7 @@ void ExpectBitplaneMatchesScalarBatch(const Graph& forest, uint64_t seed,
         BatchWorkload w = MakeWorkload(n, batch, relabel_ids, seed + batch);
         NetworkOptions opt;
         opt.relabel = relabel_engine;
-        BatchNetwork net(forest, w.ids[0], batch, opt);
+        local::Network net(forest, w.ids[0], opt);
         auto want = ColeVishkin3ColorBatch(net, parent, w.ids, w.id_space);
         auto got =
             RunColeVishkinBitplaneBatch(forest, parent, w.ids, w.id_space);
@@ -261,9 +260,9 @@ TEST(BitplaneCvIdentity, PathAndTinyForests) {
 }
 
 TEST(BitplaneCvIdentity, SoloEngineCrossCheck) {
-  // The scalar-batch oracle itself is pinned against solo Network runs
-  // elsewhere; cross-check one instance end-to-end anyway so this suite is
-  // self-contained: bitplane == batch == solo.
+  // The matrix above compares the runner with ColeVishkin3ColorBatch; this
+  // pins one instance to the ColeVishkin3Color entry point as well, so both
+  // scalar forms agree with the planes.
   const Graph tree = UniformRandomTree(180, 23);
   const int n = tree.NumNodes();
   const std::vector<int> parent = ForestParents(tree);
@@ -295,14 +294,14 @@ TEST(BitplaneCvIdentity, RunnerAndEngineAreReusable) {
   auto first_again = runner.Run(w64.ids, w64.id_space);
   ExpectTranscriptsEqual(first_again, first, "runner reuse");
 
-  BatchNetwork net64(tree, w64.ids[0], 64);
-  auto want64 = ColeVishkin3ColorBatch(net64, parent, w64.ids, w64.id_space);
+  // The scalar oracle reuses one engine across widths the same way.
+  local::Network net(tree, w64.ids[0]);
+  auto want64 = ColeVishkin3ColorBatch(net, parent, w64.ids, w64.id_space);
+  auto want5 = ColeVishkin3ColorBatch(net, parent, w5.ids, w5.id_space);
   auto want64_again =
-      ColeVishkin3ColorBatch(net64, parent, w64.ids, w64.id_space);
+      ColeVishkin3ColorBatch(net, parent, w64.ids, w64.id_space);
   ExpectTranscriptsEqual(want64_again, want64, "engine reuse");
   ExpectTranscriptsEqual(first, want64, "reused-runner vs scalar");
-  BatchNetwork net5(tree, w5.ids[0], 5);
-  auto want5 = ColeVishkin3ColorBatch(net5, parent, w5.ids, w5.id_space);
   ExpectTranscriptsEqual(second, want5, "width-switch run vs scalar");
 }
 

@@ -2,8 +2,8 @@
 // from a .cgr file — must be bit-identical to the Graph-backed run on the
 // same input: digest chains, rounds, message totals, and full RoundStats
 // (including the visit/decision observability counters). Pinned across the
-// whole engine matrix (Network / ParallelNetwork / ReferenceNetwork /
-// BatchNetwork, relabel on/off, solo T in {1, 2, 8}) on
+// whole engine matrix (Network / ParallelNetwork / ReferenceNetwork,
+// relabel on/off, T in {1, 2, 8}) on
 // trees, forests, star unions, hubbed forests, and multi-component graphs.
 // This is THE determinism contract of the compressed backend: ports name
 // positions in the shared sorted adjacency, so nothing transcript-bearing
@@ -111,26 +111,12 @@ RunRecord RunConfig(GraphView g, const std::vector<int64_t>& ids,
     rec.messages = net.messages_delivered();
     rec.digest = net.last_digest();
     rec.stats = net.round_stats();
-  } else if (engine == "reference") {
+  } else {
     local::ReferenceNetwork net(g, ids, opts);
     rec.rounds = net.Run(alg, max_rounds);
     rec.messages = net.messages_delivered();
     rec.digest = net.last_digest();
     rec.stats = net.round_stats();
-  } else {  // batch: two instances, fold both transcripts
-    const int batch = 2;
-    local::BatchNetwork net(g, ids, batch, opts);
-    EchoAlgorithm alg2(g);
-    std::vector<local::Algorithm*> algs = {&alg, &alg2};
-    std::vector<int> rounds = net.Run(algs, max_rounds);
-    for (int b = 0; b < batch; ++b) {
-      rec.rounds += rounds[b];
-      rec.messages += net.messages_delivered(b);
-      rec.digest = support::Fnv1a64(&b, sizeof(b), rec.digest) ^
-                   net.last_digest(b);
-      const auto& stats = net.round_stats(b);
-      rec.stats.insert(rec.stats.end(), stats.begin(), stats.end());
-    }
   }
   return rec;
 }
@@ -170,7 +156,7 @@ TEST(GraphBackendParityTest, EngineMatrixBitIdentical) {
   };
   const std::vector<Config> configs = {
       {"network", 1},  {"parallel", 1}, {"parallel", 2}, {"parallel", 8},
-      {"reference", 1}, {"batch", 1},
+      {"reference", 1},
   };
   for (const Workload& w : Workloads()) {
     const Graph& g = w.graph;
@@ -217,8 +203,8 @@ TEST(GraphBackendParityTest, RakeCompressPipelineParity) {
       EXPECT_EQ(base.round_stats, got.round_stats) << family;
       const RakeCompressResult ref = RunRakeCompressReference(*cg, ids, k);
       EXPECT_EQ(base.round_stats, ref.round_stats) << family;
-      const auto deduped =
-          RunRakeCompressBatchDeduped(*cg, ids, {k, k + 5});
+      local::Network net(*cg, ids);
+      const auto deduped = RunRakeCompressDeduped(net, {k, k + 5});
       EXPECT_EQ(base.iteration, deduped[0].iteration) << family;
       EXPECT_EQ(base.round_stats, deduped[0].round_stats) << family;
     }
@@ -252,7 +238,7 @@ class DegreeProbe : public local::Algorithm {
 // ctx.degree() is served from the engine's own degree table, built once at
 // construction; it must equal GraphView::Degree(v) for every node on every
 // backend, with and without relabel (where first[v + 1] - first[v] is NOT
-// v's degree), on the solo engine at T in {1, 4} and on a 3-wide batch.
+// v's degree), on the solo engine at T in {1, 4}.
 // The star's center stream exceeds 254 bytes, so the compact backend
 // answers its degree through the hub table (FindHub).
 TEST(GraphBackendParityTest, ContextDegreeMatchesGraph) {
@@ -286,19 +272,6 @@ TEST(GraphBackendParityTest, ContextDegreeMatchesGraph) {
                 << tag << "/T" << threads << " node " << v;
             ASSERT_EQ(slot.received, g.Degree(v))
                 << tag << "/T" << threads << " node " << v;
-          }
-        }
-        constexpr int kBatch = 3;
-        local::BatchNetwork batch(g, ids, kBatch, opts);
-        DegreeProbe algs[kBatch];
-        batch.Run({&algs[0], &algs[1], &algs[2]}, 4);
-        for (int b = 0; b < kBatch; ++b) {
-          for (int v = 0; v < n; ++v) {
-            const auto& slot = batch.StateAt<DegreeProbe::Slot>(b, v);
-            ASSERT_EQ(slot.degree, g.Degree(v))
-                << tag << "/batch" << b << " node " << v;
-            ASSERT_EQ(slot.received, g.Degree(v))
-                << tag << "/batch" << b << " node " << v;
           }
         }
       }

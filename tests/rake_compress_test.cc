@@ -198,9 +198,13 @@ void ExpectSameResult(const RakeCompressResult& a, const RakeCompressResult& b) 
 }
 
 // Shared-transcript dedup: a sweep with duplicate ks and a tail of ks at or
-// above Delta must be bit-identical to the undeduped batch (and to the solo
-// runs), even though the deduped engine runs far fewer instances.
-TEST(RakeCompressDedup, BitIdenticalToUndedupedBatch) {
+// above Delta must be bit-identical, per k, to one solo run per k, even
+// though the engine runs far fewer decompositions. The sweep runs on a
+// plain engine and on a relabeled two-lane one; the solo runs use fresh
+// engines.
+TEST(RakeCompressDedup, BitIdenticalToSoloRunsPerK) {
+  local::NetworkOptions relabel;
+  relabel.relabel = true;
   for (uint64_t seed : {21u, 22u}) {
     Graph g = UniformRandomTree(700, seed);
     auto ids = DefaultIds(700, seed + 50);
@@ -209,15 +213,14 @@ TEST(RakeCompressDedup, BitIdenticalToUndedupedBatch) {
     const std::vector<int> ks = {2,         3,     delta - 1, delta,
                                  delta + 1, delta, 2 * delta, 300,
                                  2,         delta + 7};
-    auto deduped = RunRakeCompressBatchDeduped(g, ids, ks);
-    local::BatchNetwork net(g, ids, static_cast<int>(ks.size()));
-    auto full = RunRakeCompressBatch(net, ks);
-    ASSERT_EQ(deduped.size(), ks.size());
-    for (size_t b = 0; b < ks.size(); ++b) {
-      ExpectSameResult(deduped[b], full[b]);
-    }
-    for (size_t b = 0; b < ks.size(); ++b) {
-      ExpectSameResult(deduped[b], RunRakeCompress(g, ids, ks[b]));
+    local::Network plain_net(g, ids);
+    local::Network relabel_net(g, ids, 2, relabel);
+    for (local::Network* net : {&plain_net, &relabel_net}) {
+      auto deduped = RunRakeCompressDeduped(*net, ks);
+      ASSERT_EQ(deduped.size(), ks.size());
+      for (size_t b = 0; b < ks.size(); ++b) {
+        ExpectSameResult(deduped[b], RunRakeCompress(g, ids, ks[b]));
+      }
     }
   }
 }
@@ -226,7 +229,8 @@ TEST(RakeCompressDedup, AllAboveDeltaCollapsesToOneTranscript) {
   Graph g = Star(64);  // Delta = 63
   auto ids = DefaultIds(64, 5);
   const std::vector<int> ks = {63, 64, 100, 1000};
-  auto results = RunRakeCompressBatchDeduped(g, ids, ks);
+  local::Network net(g, ids);
+  auto results = RunRakeCompressDeduped(net, ks);
   for (size_t b = 1; b < ks.size(); ++b) {
     ExpectSameResult(results[b], results[0]);
   }
@@ -236,9 +240,22 @@ TEST(RakeCompressDedup, AllAboveDeltaCollapsesToOneTranscript) {
 TEST(RakeCompressDedup, ValidatesEveryKEvenWhenDeduped) {
   Graph g = Path(8);
   auto ids = DefaultIds(8, 6);
-  EXPECT_THROW(RunRakeCompressBatchDeduped(g, ids, {4, 1}),
+  local::Network net(g, ids);
+  EXPECT_THROW(RunRakeCompressDeduped(net, {4, 1}), std::invalid_argument);
+  EXPECT_TRUE(RunRakeCompressDeduped(net, {}).empty());
+
+  // An empty forest still validates every k and yields one empty result
+  // per k.
+  Graph empty = Graph::FromEdges(0, {});
+  local::Network empty_net(empty, {});
+  EXPECT_THROW(RunRakeCompressDeduped(empty_net, {2, 1}),
                std::invalid_argument);
-  EXPECT_TRUE(RunRakeCompressBatchDeduped(g, ids, {}).empty());
+  auto results = RunRakeCompressDeduped(empty_net, {2, 4});
+  ASSERT_EQ(results.size(), 2u);
+  for (const RakeCompressResult& r : results) {
+    EXPECT_TRUE(r.iteration.empty());
+    EXPECT_EQ(r.engine_rounds, 0);
+  }
 }
 
 }  // namespace

@@ -28,7 +28,6 @@ namespace treelocal {
 namespace {
 
 using local::Algorithm;
-using local::BatchNetwork;
 using local::Network;
 using local::NetworkOptions;
 using local::ParallelNetwork;
@@ -179,7 +178,9 @@ TEST(SnapshotTest, MidRunSnapshotsIdenticalAcrossEngines) {
 
 // Checkpoint on one engine class, resume on another: the canonical image
 // carries no layout, so every (recorder, resumer) pair must continue to the
-// same final image.
+// same final image. The T=1 Network pairs cross the relabel boundary in
+// both directions, which pins the checkpoint gather, the resume scatter
+// and the rank-order worklist rebuild.
 TEST(SnapshotTest, CrossEngineResume) {
   const int n = 220, k = 3, pause = 2;
   const Graph g = BoundedDegreeRandomTree(n, 5, 33);
@@ -197,6 +198,7 @@ TEST(SnapshotTest, CrossEngineResume) {
     recordings.push_back(CheckpointBytes(*net));
   };
   record(std::make_unique<Network>(g, ids, relabel));
+  record(std::make_unique<Network>(g, ids, plain));
   record(std::make_unique<ParallelNetwork>(g, ids, 4, plain));
   record(std::make_unique<ReferenceNetwork>(g, ids, plain));
 
@@ -211,6 +213,8 @@ TEST(SnapshotTest, CrossEngineResume) {
   for (size_t i = 0; i < recordings.size(); ++i) {
     SCOPED_TRACE("recording " + std::to_string(i));
     finish_and_check(std::make_unique<Network>(g, ids, plain), recordings[i]);
+    finish_and_check(std::make_unique<Network>(g, ids, relabel),
+                     recordings[i]);
     finish_and_check(std::make_unique<ParallelNetwork>(g, ids, 8, relabel),
                      recordings[i]);
     finish_and_check(std::make_unique<ReferenceNetwork>(g, ids, plain),
@@ -238,114 +242,66 @@ TEST(SnapshotTest, FinishedSnapshotRoundTripsByteExact) {
   EXPECT_EQ(CheckpointBytes(net2), bytes);
 }
 
-// Batch sections are the solo sections: instance b of a BatchNetwork
-// checkpoint equals the snapshot a solo Network running the same parameter
-// writes, byte-for-byte in the canonical struct.
-TEST(SnapshotTest, BatchInstanceSectionsMatchSolo) {
-  const int n = 180;
-  const std::vector<int> ks = {2, 3, 5};
-  const Graph g = UniformRandomTree(n, 71);
-  const auto ids = DefaultIds(n, 72);
-  NetworkOptions opt;
-  opt.digest_messages = true;
-
-  BatchNetwork batch(g, ids, static_cast<int>(ks.size()), opt);
-  std::vector<std::unique_ptr<Algorithm>> algs;
-  std::vector<Algorithm*> alg_ptrs;
-  for (int k : ks) {
-    algs.push_back(MakeRakeCompressAlgorithm(k));
-    alg_ptrs.push_back(algs.back().get());
-  }
-  const std::vector<int> rounds = batch.Run(alg_ptrs, kMaxRounds);
-  const SnapshotData got = ParseBytes(CheckpointBytes(batch));
-  EXPECT_EQ(got.engine_kind, SnapshotEngineKind::kBatchNetwork);
-  ASSERT_EQ(got.batch, static_cast<int>(ks.size()));
-
-  for (size_t b = 0; b < ks.size(); ++b) {
-    SCOPED_TRACE("instance " + std::to_string(b));
-    const SnapshotData solo = FinalImage(g, ids, ks[b], /*digest=*/true);
-    EXPECT_EQ(rounds[b], solo.round);
-    ASSERT_EQ(solo.instances.size(), 1u);
-    EXPECT_TRUE(got.instances[b] == solo.instances[0]);
-    EXPECT_EQ(batch.round_digests(static_cast<int>(b)).back(),
-              solo.instances[0].rounds.back().digest);
-  }
-}
-
-// Mid-run batch checkpoint resumes bit-identically on a fresh batch engine
-// (recorded under a different layout: relabel on).
-TEST(SnapshotTest, BatchResumeBitIdentical) {
-  const int n = 160;
-  const std::vector<int> ks = {2, 4};
-  const Graph g = RandomRecursiveTree(n, 81);
-  const auto ids = DefaultIds(n, 82);
-
-  auto make_algs = [&](std::vector<std::unique_ptr<Algorithm>>& own) {
-    std::vector<Algorithm*> ptrs;
-    for (int k : ks) {
-      own.push_back(MakeRakeCompressAlgorithm(k));
-      ptrs.push_back(own.back().get());
-    }
-    return ptrs;
-  };
-
-  // Uninterrupted run: the per-instance "want".
-  BatchNetwork clean(g, ids, 2);
-  std::vector<std::unique_ptr<Algorithm>> clean_algs;
-  clean.Run(make_algs(clean_algs), kMaxRounds);
-  const std::string want = CheckpointBytes(clean);
-
-  // Pause, checkpoint, resume on a differently-laid-out fresh engine.
-  NetworkOptions relabel;
-  relabel.relabel = true;
-  BatchNetwork first(g, ids, 2, relabel);
-  std::vector<std::unique_ptr<Algorithm>> first_algs;
-  first.RunUntil(make_algs(first_algs), kMaxRounds, 2);
-  ASSERT_TRUE(first.paused());
-  const std::string mid = CheckpointBytes(first);
-
-  BatchNetwork second(g, ids, 2);
-  std::vector<std::unique_ptr<Algorithm>> second_algs;
-  auto ptrs = make_algs(second_algs);
-  ResumeBytes(second, mid);
-  second.Run(ptrs, kMaxRounds);
-  ASSERT_TRUE(second.finished());
-  EXPECT_EQ(CheckpointBytes(second), want);
-}
-
-// batch == 1 makes BatchNetwork and Network interchangeable through the
-// snapshot: each resumes the other's checkpoint.
-TEST(SnapshotTest, SoloAndBatchOneInterchange) {
+// Read-compat for images the retired batch engine wrote: the kBatchNetwork
+// tag is informational, so a single-instance image carrying it resumes on
+// Network bit-identically; a multi-instance image still parses but every
+// engine refuses to resume it, with a SnapshotError naming the count.
+TEST(SnapshotTest, BatchTaggedImagesParseAndOnlyOneInstanceResumes) {
   const int n = 140, k = 3, pause = 2;
   const Graph g = UniformRandomTree(n, 61);
   const auto ids = DefaultIds(n, 62);
   const SnapshotData want = FinalImage(g, ids, k, /*digest_messages=*/false);
 
-  // Solo records, batch-of-1 resumes.
   Network solo(g, ids);
   auto alg = MakeRakeCompressAlgorithm(k);
   solo.RunUntil(*alg, kMaxRounds, pause);
   ASSERT_TRUE(solo.paused());
-  BatchNetwork b1(g, ids, 1);
-  auto balg = MakeRakeCompressAlgorithm(k);
-  ResumeBytes(b1, CheckpointBytes(solo));
-  b1.Run({balg.get()}, kMaxRounds);
-  SnapshotData got = ParseBytes(CheckpointBytes(b1));
-  got.engine_kind = want.engine_kind;
-  EXPECT_TRUE(got == want);
+  SnapshotData tagged = ParseBytes(CheckpointBytes(solo));
+  tagged.engine_kind = SnapshotEngineKind::kBatchNetwork;
+  std::ostringstream tagged_out;
+  WriteSnapshot(tagged_out, tagged);
+  {
+    SCOPED_TRACE("one instance, batch tag");
+    const SnapshotData parsed = ParseBytes(tagged_out.str());
+    EXPECT_EQ(parsed.engine_kind, SnapshotEngineKind::kBatchNetwork);
+    Network net(g, ids);
+    auto alg2 = MakeRakeCompressAlgorithm(k);
+    ResumeBytes(net, tagged_out.str());
+    net.Run(*alg2, kMaxRounds);
+    SnapshotData got = ParseBytes(CheckpointBytes(net));
+    got.engine_kind = want.engine_kind;
+    EXPECT_TRUE(got == want);
+  }
 
-  // Batch-of-1 records, solo resumes.
-  BatchNetwork b2(g, ids, 1);
-  auto balg2 = MakeRakeCompressAlgorithm(k);
-  b2.RunUntil({balg2.get()}, kMaxRounds, pause);
-  ASSERT_TRUE(b2.paused());
-  Network solo2(g, ids);
-  auto alg2 = MakeRakeCompressAlgorithm(k);
-  ResumeBytes(solo2, CheckpointBytes(b2));
-  solo2.Run(*alg2, kMaxRounds);
-  SnapshotData got2 = ParseBytes(CheckpointBytes(solo2));
-  got2.engine_kind = want.engine_kind;
-  EXPECT_TRUE(got2 == want);
+  SnapshotData two = tagged;
+  two.batch = 2;
+  two.instances.push_back(two.instances[0]);
+  std::ostringstream two_out;
+  WriteSnapshot(two_out, two);
+  const SnapshotData parsed = ParseBytes(two_out.str());
+  EXPECT_EQ(parsed.batch, 2);
+  EXPECT_EQ(parsed.instances.size(), 2u);
+  auto expect_rejected = [&](auto& net, const std::string& label) {
+    SCOPED_TRACE(label);
+    try {
+      ResumeBytes(net, two_out.str());
+      FAIL() << "a 2-instance image resumed";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("2 instances"), std::string::npos)
+          << e.what();
+    }
+  };
+  Network net(g, ids);
+  expect_rejected(net, "Network");
+  ParallelNetwork par(g, ids, 2);
+  expect_rejected(par, "ParallelNetwork");
+  ReferenceNetwork ref(g, ids);
+  expect_rejected(ref, "ReferenceNetwork");
+  // A rejected resume leaves the engine unchanged and usable.
+  auto alg3 = MakeRakeCompressAlgorithm(k);
+  net.Run(*alg3, kMaxRounds);
+  SnapshotData got = ParseBytes(CheckpointBytes(net));
+  EXPECT_TRUE(got == want);
 }
 
 // Digest chains are part of the bit-identity contract directly (not just
@@ -373,16 +329,10 @@ TEST(SnapshotTest, DigestChainsIdenticalAcrossEngines) {
     auto a3 = MakeRakeCompressAlgorithm(k);
     ref.Run(*a3, kMaxRounds);
 
-    BatchNetwork batch(g, ids, 1, opt);
-    auto a4 = MakeRakeCompressAlgorithm(k);
-    batch.Run({a4.get()}, kMaxRounds);
-
     EXPECT_EQ(net.round_digests(), par.round_digests());
     EXPECT_EQ(net.round_digests(), ref.round_digests());
-    EXPECT_EQ(net.round_digests(), batch.round_digests(0));
     EXPECT_EQ(net.round_message_accs(), par.round_message_accs());
     EXPECT_EQ(net.round_message_accs(), ref.round_message_accs());
-    EXPECT_EQ(net.round_message_accs(), batch.round_message_accs(0));
     EXPECT_EQ(net.last_digest(), net.round_digests().back());
     if (digest_messages) {
       // The content level folds message words in: a run that sends anything
@@ -457,10 +407,6 @@ TEST(SnapshotTest, ResumeRejectsContractViolations) {
     NetworkOptions opt;
     opt.digest_messages = true;
     Network net(g, ids, opt);
-    EXPECT_THROW(ResumeBytes(net, bytes), SnapshotError);
-  }
-  {  // Wrong batch width.
-    BatchNetwork net(g, ids, 3);
     EXPECT_THROW(ResumeBytes(net, bytes), SnapshotError);
   }
   {  // Resume validates lazily against the algorithm's stride at RunUntil.

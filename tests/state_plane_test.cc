@@ -3,10 +3,10 @@
 // (StateBytes / InitState / NodeContext::State) must produce bit-identical
 // transcripts — extracted state, executed rounds, message counts, per-round
 // RoundStats — across every engine (ReferenceNetwork, Network,
-// ParallelNetwork, BatchNetwork), with NetworkOptions::relabel on and off,
-// solo T in {1, 2, 8}, multi-component forests, mid-run halts (round-0
-// halts included), and engine reuse with re-armed planes (same and
-// different slot sizes back to back).
+// ParallelNetwork), with NetworkOptions::relabel on and off, T in
+// {1, 2, 8}, multi-component forests, mid-run halts (round-0 halts
+// included), and engine reuse with re-armed planes (same and different
+// slot sizes back to back).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +23,6 @@ namespace treelocal {
 namespace {
 
 using local::Algorithm;
-using local::BatchNetwork;
 using local::Message;
 using local::Network;
 using local::NetworkOptions;
@@ -36,8 +35,7 @@ using local::RoundStats;
 // mixes the inbox into a rolling hash, tracks a live-degree counter, and
 // halts at an id-dependent round (possibly round 0, so some nodes never
 // send) — the transcript is sensitive to any state slot mixup, lost
-// re-init, or cross-engine layout bug. The object itself is stateless,
-// which is what lets one instance serve a whole batch (tested below).
+// re-init, or cross-engine layout bug.
 struct DigestState {
   uint64_t digest = 0;
   int32_t live_degree = 0;
@@ -113,24 +111,6 @@ Outcome RunOn(Engine& net, const Graph& g, const std::vector<int64_t>& ids) {
   return out;
 }
 
-// One batch instance's view of a BatchNetwork run where every instance ran
-// the same (stateless) algorithm object.
-Outcome RunInstanceOnBatch(BatchNetwork& net, const Graph& g,
-                           const std::vector<int64_t>& ids, int instance) {
-  StateDigest alg(g, ids);
-  std::vector<Algorithm*> algs(net.batch(), &alg);
-  std::vector<int> rounds = net.Run(algs, kMaxRounds);
-  Outcome out;
-  out.rounds = rounds[instance];
-  out.messages = net.messages_delivered(instance);
-  out.stats = net.round_stats(instance);
-  out.digests.resize(g.NumNodes());
-  for (int v = 0; v < g.NumNodes(); ++v) {
-    out.digests[v] = net.StateAt<DigestState>(instance, v).digest;
-  }
-  return out;
-}
-
 void ExpectMatrixMatches(const Graph& g, const std::vector<int64_t>& ids) {
   ReferenceNetwork ref(g, ids);
   const Outcome want = RunOn(ref, g, ids);
@@ -145,12 +125,6 @@ void ExpectMatrixMatches(const Graph& g, const std::vector<int64_t>& ids) {
       EXPECT_EQ(RunOn(par, g, ids), want)
           << "ParallelNetwork T=" << threads << " relabel=" << relabel;
     }
-    const int batch = 3;
-    BatchNetwork bat(g, ids, batch, opt);
-    for (int b = 0; b < batch; ++b) {
-      EXPECT_EQ(RunInstanceOnBatch(bat, g, ids, b), want)
-          << "BatchNetwork instance " << b << " relabel=" << relabel;
-    }
   }
 }
 
@@ -161,8 +135,8 @@ TEST(StatePlaneMatrix, UniformTree) {
 }
 
 TEST(StatePlaneMatrix, MultiComponentForest) {
-  // A real multi-component forest: relabel's BFS restarts, batch dropout,
-  // and shard boundaries all cross component seams.
+  // A real multi-component forest: relabel's BFS restarts and shard
+  // boundaries both cross component seams.
   Graph g = ForestUnion(300, 1, 31);
   ExpectMatrixMatches(g, DefaultIds(g.NumNodes(), 903));
 }
@@ -243,26 +217,6 @@ TEST(StatePlaneReuse, ReArmAcrossRunsAndSlotSizes) {
   }
 }
 
-TEST(StatePlaneReuse, BatchReArmAndUniformStrideCheck) {
-  const int n = 120;
-  Graph g = UniformRandomTree(n, 920);
-  auto ids = DefaultIds(n, 921);
-
-  BatchNetwork net(g, ids, 2);
-  const Outcome first = RunInstanceOnBatch(net, g, ids, 0);
-  EXPECT_EQ(RunInstanceOnBatch(net, g, ids, 1), first);
-
-  // Mixed slot sizes across one batch are rejected (a batch is one shared
-  // pass; the planes are packed at a single stride).
-  StateDigest digest(g, ids);
-  TinyCounter tiny;
-  std::vector<Algorithm*> mixed = {&digest, &tiny};
-  EXPECT_THROW(net.Run(mixed, kMaxRounds), std::invalid_argument);
-
-  // The failed Run must not poison the engine: re-arm and match again.
-  EXPECT_EQ(RunInstanceOnBatch(net, g, ids, 0), first);
-}
-
 // The real pipeline on the full engine matrix: rake-compress (now
 // state-plane based) must stay bit-identical across every engine and both
 // layouts — the pipeline-level restatement of the contract.
@@ -287,9 +241,8 @@ TEST(StatePlaneMatrix, RakeCompressAcrossAllEngines) {
         ParallelNetwork par(g, ids, threads, opt);
         same(RunRakeCompress(par, k));
       }
-      BatchNetwork bat(g, ids, 2, opt);
       for (const RakeCompressResult& got :
-           RunRakeCompressBatch(bat, {k, k})) {
+           RunRakeCompressDeduped(net, {k, k})) {
         same(got);
       }
     }

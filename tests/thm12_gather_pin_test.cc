@@ -2,8 +2,9 @@
 // component at its highest node) to recorded values, so the gather's round
 // charge — the paper's cost measure — cannot drift when the component
 // bookkeeping behind it is reworked. Each row was recorded once and must be
-// reproduced by the solo, sharded (T=3) and batched (ks = {2,3,5}) entry
-// points alike, down to an FNV-1a hash of the final labeling.
+// reproduced by the solo, sharded (T=3) and k-sweep
+// (SolveNodeProblemOnTreeBatch, ks = {2,3,5}) entry points alike, down to
+// an FNV-1a hash of the final labeling.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -275,7 +275,7 @@ TEST(TransformDeterminism, Thm12SameInputsSameTranscript) {
   }
 }
 
-// The batched k-sweep entry point must match the solo pipeline per k, field
+// The k-sweep entry point must match the single-k pipeline per k, field
 // for field — it is what bench_k_ablation's Thm12 sweep routes through.
 TEST(TransformDeterminism, Thm12BatchMatchesSoloPerK) {
   Graph tree = UniformRandomTree(350, 25);

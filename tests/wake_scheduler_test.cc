@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/graph/generators.h"
@@ -32,7 +34,6 @@ namespace treelocal {
 namespace {
 
 using local::Algorithm;
-using local::BatchNetwork;
 using local::kNoWakeRound;
 using local::MaxRoundsExceededError;
 using local::Message;
@@ -74,12 +75,24 @@ class StagedSweep : public Algorithm {
   const int mult_;
 };
 
-// Always-visit twin of StagedSweep (same transcript, no opt-in) for the
-// mixed-batch fallback test.
-class StagedSweepLegacy : public StagedSweep {
+// StagedSweep that also folds every received message into an
+// engine-managed state slot, so scheduled runs on a relabeled engine pin
+// the state plane's internal-rank addressing as well as the transcript.
+class StagedSweepAcc : public StagedSweep {
  public:
   using StagedSweep::StagedSweep;
-  bool WakeScheduled() const override { return false; }
+  size_t StateBytes() const override { return sizeof(int64_t); }
+  void InitState(int node, void* state) override {
+    *static_cast<int64_t*>(state) = node;
+  }
+  void OnRound(NodeContext& ctx) override {
+    int64_t& acc = ctx.State<int64_t>();
+    for (int p = 0; p < ctx.degree(); ++p) {
+      const Message& m = ctx.Recv(p);
+      if (m.present()) acc = acc * 31 + m.word0;
+    }
+    StagedSweep::OnRound(ctx);
+  }
 };
 
 // Every node parks forever at round 0; the run must hit max_rounds.
@@ -229,38 +242,33 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
     ExpectSameTranscript(got, want);
     EXPECT_LT(got.visits, want.visits);
   }
-  for (bool relabel : {false, true}) {
-    // All-scheduled batch: per-instance transcripts match scheduled solos.
-    NetworkOptions opt;
-    opt.relabel = relabel;
-    StagedSweep a0(K, 7), a1(K, 5), a2(K, 11);
-    BatchNetwork batch(g, ids, 3, opt);
-    batch.Run({&a0, &a1, &a2}, kMaxRounds);
-    EXPECT_TRUE(batch.wake_scheduled());
-    const int mult[3] = {7, 5, 11};
-    for (int b = 0; b < 3; ++b) {
-      Network solo(g, ids);
-      StagedSweep alg(K, mult[b]);
-      solo.Run(alg, kMaxRounds);
-      EXPECT_EQ(batch.round_digests(b), solo.round_digests()) << b;
-      EXPECT_EQ(batch.round_stats(b), solo.round_stats()) << b;
-      int64_t batch_visits = 0, solo_visits = 0;
-      for (const auto& rs : batch.round_stats(b)) batch_visits += rs.visits;
-      for (const auto& rs : solo.round_stats()) solo_visits += rs.visits;
-      EXPECT_EQ(batch_visits, solo_visits) << b;
-      EXPECT_EQ(batch.wakes(b), solo.wakes()) << b;
+  // Other schedules with engine-managed state: a relabeled engine, with
+  // scheduling on or off, matches the plain always-visit run in transcript
+  // and final state, and its visits match the plain scheduled run's.
+  for (int mult : {5, 11}) {
+    auto run = [&](bool relabel, bool scheduled) {
+      NetworkOptions opt;
+      opt.relabel = relabel;
+      opt.wake_scheduling = scheduled;
+      Network net(g, ids, opt);
+      StagedSweepAcc alg(K, mult);
+      EXPECT_EQ(net.Run(alg, kMaxRounds), K);
+      std::vector<int64_t> state(n);
+      for (int v = 0; v < n; ++v) state[v] = net.StateAt<int64_t>(v);
+      return std::make_pair(Capture(net), state);
+    };
+    const auto plain = run(false, false);
+    const auto plain_scheduled = run(false, true);
+    for (bool scheduled : {false, true}) {
+      SCOPED_TRACE("mult=" + std::to_string(mult) +
+                   " scheduled=" + std::to_string(scheduled));
+      const auto got = run(true, scheduled);
+      ExpectSameTranscript(got.first, plain.first);
+      EXPECT_EQ(got.second, plain.second);
+      EXPECT_EQ(got.first.visits,
+                (scheduled ? plain_scheduled : plain).first.visits);
     }
-  }
-  {
-    // Mixed batch: one instance not opting in falls the whole batch back to
-    // always-visit — still transcript-correct, just without the savings.
-    StagedSweep a0(K, 7);
-    StagedSweepLegacy a1(K, 7);
-    BatchNetwork batch(g, ids, 2);
-    batch.Run({&a0, &a1}, kMaxRounds);
-    EXPECT_FALSE(batch.wake_scheduled());
-    EXPECT_EQ(batch.round_digests(0), want.digests);
-    EXPECT_EQ(batch.round_digests(1), want.digests);
+    EXPECT_LT(plain_scheduled.first.visits, plain.first.visits);
   }
 }
 

@@ -54,19 +54,20 @@ SPEEDUP_FLOORS = {
     # Optimized engine vs the naive reference: must never fall back to
     # reference-level throughput.
     "rake_compress_engine_acceptance": 1.0,
-    # Sharded / batched / relabeled runs must never lose big to serial.
-    # (Batched smoke runs at CI's cache-resident n sit near 0.5x by design —
-    # the batch engine amortizes DRAM traffic that tiny inputs do not have.)
+    # Sharded / relabeled / instance-parallel runs must never lose big to
+    # serial. (A k-sweep on W solo engines in W threads pays a thread spawn
+    # per worker per sweep, which CI's small smoke n barely amortizes; the
+    # real floor is the acceptance-sized one below.)
     "parallel_scaling": 0.5,
     "relabel_ablation": 0.5,
-    "batched_k_sweep_rake_compress": 0.35,
-    # Dedup runs strictly fewer instances; a collapse below 0.8 means the
-    # fan-out copy started dominating the saved engine work.
-    "batched_k_sweep_dedup": 0.8,
-    # Bit-plane CV lanes vs the scalar BatchNetwork: the planes must win at
-    # every recorded size (the word-parallel round pass touches ~planes/8
-    # bytes per instance against 24-byte scalar mailbox slots); 1.0 is the
-    # smoke floor, the 2x claim is gated on acceptance-sized records below.
+    "k_sweep_instance_parallel": 0.5,
+    # Dedup runs strictly fewer decompositions; a collapse below 0.8 means
+    # the fan-out copy started dominating the saved engine work.
+    "k_sweep_dedup": 0.8,
+    # Bit-plane CV lanes vs B scalar solo runs: the planes must win at every
+    # recorded size (the word-parallel round pass touches ~planes/8 bytes
+    # per instance against 24-byte scalar mailbox slots); 1.0 is the smoke
+    # floor, the 2x claim is gated on acceptance-sized records below.
     "bitplane_cv_batch": 1.0,
     # Engine-native Thm 3/15 pipeline vs the legacy oracle on whole-pipeline
     # runs (loose: small-n records are noise-dominated; the hard 1.0 floor
@@ -97,11 +98,17 @@ COMPACT_RATIO_BACKSTOP = 3.2
 ACCEPTANCE_FLOORS = {
     "edge_pipeline_phase23": 0.8,
     # The bit-plane batch kernels' headline claim: >= 2x instance
-    # throughput over scalar batching at B = 64 on the acceptance-sized
+    # throughput over B = 64 scalar solo runs on the acceptance-sized
     # dense-round workload. Unlike the parity-level floors above, 2.0 is
     # far from the noise band (measured ~5-15x), so a breach means the
     # word-parallel path actually collapsed.
     "bitplane_cv_batch": 2.0,
+    # A k-sweep on W solo engines in W threads (W = min(hardware threads,
+    # distinct ks)) against the same sweep run sequentially, at n >= 2^18:
+    # 4 workers measured 3.04x at 2^18 on a 4-core host. 2.0 fails a
+    # collapse of the per-instance parallelism, not percent-level drift; a
+    # host with fewer than 3 hardware threads cannot reach it.
+    "k_sweep_instance_parallel": 2.0,
 }
 
 
@@ -191,7 +198,7 @@ def check_record(rec, msgs):
             fail(msgs, rec,
                  f"bitplane_speedup {bp:.3f} below floor {bp_floor}")
 
-    if exp == "batched_k_sweep_dedup":
+    if exp == "k_sweep_dedup":
         if rec.get("dedup_factor", 0) < 1.0:
             fail(msgs, rec, f"dedup_factor {rec.get('dedup_factor')} < 1")
 
