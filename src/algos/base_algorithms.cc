@@ -88,7 +88,6 @@ class NodeClassSweepAlgorithm : public local::Algorithm {
   // the LOCAL-model announcements) — and a non-semi node only needs round
   // 0 to halt. So the engine should visit each node once: first wake at
   // the class rank, and a message-woken early riser just re-declares it.
-  bool WakeScheduled() const override { return true; }
   int InitialWakeRound(int node) const override {
     if (!semi_.ContainsNode(node)) return 0;  // wake to Halt immediately
     return static_cast<int>((*rank_of_node_)[node]);
@@ -166,7 +165,6 @@ class EdgeClassSweepAlgorithm : public local::Algorithm {
   // only shorten is now GONE: the engine visits an owner once per owned
   // class, hopping the calendar from rank to rank. A node owning nothing
   // wakes once, at round 0, to halt.
-  bool WakeScheduled() const override { return true; }
   int InitialWakeRound(int node) const override {
     const int next = (*owned_off_)[node];
     if (next >= (*owned_off_)[node + 1]) return 0;  // wake to Halt

@@ -59,10 +59,6 @@ class CvAlgorithm : public local::Algorithm {
     st->parent_port = parent < 0 ? -1 : g_->PortOf(node, parent);
   }
 
-  // Dense: every node rebroadcasts its color every round until the final
-  // recolor block halts, so scheduling is an exact no-op.
-  bool WakeScheduled() const override { return true; }
-
   void OnRound(local::NodeContext& ctx) override {
     CvState& st = ctx.State<CvState>();
     const int r = ctx.round();

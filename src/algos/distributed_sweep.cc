@@ -46,7 +46,6 @@ class NodeSweepAlgorithm : public local::Algorithm {
   // already covers: a label announcement wakes its sleeping receivers for
   // precisely the delivery round. colors[v] < num_colors is asserted by
   // every caller, so the class round never overshoots the final one.
-  bool WakeScheduled() const override { return true; }
   int InitialWakeRound(int node) const override {
     return static_cast<int>((*colors_)[node]);
   }

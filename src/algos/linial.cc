@@ -142,11 +142,6 @@ class InducedLinialAlgorithm : public local::Algorithm {
     static_cast<LinialState*>(state)->color = (*ids_)[node];
   }
 
-  // Dense: participants act every round until the schedule ends, and
-  // non-participants wake at round 0 (the default initial wake) to halt —
-  // opting in without ever sleeping makes scheduling an exact no-op.
-  bool WakeScheduled() const override { return true; }
-
   void OnRound(local::NodeContext& ctx) override {
     const int v = ctx.node();
     if (!(*participant_)[v]) {
@@ -195,9 +190,6 @@ class LinialAlgorithm : public local::Algorithm {
   void InitState(int node, void* state) override {
     static_cast<LinialState*>(state)->color = (*ids_)[node];
   }
-
-  // Dense: every node broadcasts every round until the schedule ends.
-  bool WakeScheduled() const override { return true; }
 
   void OnRound(local::NodeContext& ctx) override {
     LinialState& st = ctx.State<LinialState>();

@@ -31,11 +31,6 @@ class DecompositionAlgorithm : public local::Algorithm {
     static_cast<DecompState*>(state)->unmarked_degree = g_.Degree(node);
   }
 
-  // Dense: an unmarked node broadcasts its degree every even round and
-  // consumes mark announcements every odd one, so it must be visited every
-  // round — opting in without sleeping makes scheduling an exact no-op.
-  bool WakeScheduled() const override { return true; }
-
   void OnRound(local::NodeContext& ctx) override {
     DecompState& st = ctx.State<DecompState>();
     const int r = ctx.round();

@@ -62,10 +62,6 @@ class MultiForestCvAlgorithm : public local::Algorithm {
     for (int f = 0; f < num_forests_; ++f) colors[f] = (*ids_)[node];
   }
 
-  // Dense: every node sends on all of its entry ports every round until the
-  // last recolor block halts, so scheduling is an exact no-op.
-  bool WakeScheduled() const override { return true; }
-
   void OnRound(local::NodeContext& ctx) override {
     const int v = ctx.node();
     const int begin = (*entry_off_)[v], end = (*entry_off_)[v + 1];

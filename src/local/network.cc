@@ -201,27 +201,23 @@ int Network::Run(Algorithm& alg, int max_rounds) {
 int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   const int T = pool_.num_threads();
   const int n = graph_.NumNodes();
-  // A run is scheduled iff the engine option is on AND the algorithm opts
-  // in. Continuing a paused run recomputes the same value (same Algorithm
-  // object, WakeScheduled constant by contract).
-  const bool scheduled = wake_opt_ && alg.WakeScheduled();
-  if (scheduled && wake_round_.empty() && n > 0) {
-    // First scheduled run on this engine: arm the wake tables once.
+  // Every run walks the wake calendar. With wake_scheduling off the engine
+  // ignores the algorithm's sleeps: every node first wakes in round 0 and
+  // every visit re-wakes it for the next round, so each round's bucket is
+  // the whole live set and the hook below never arms.
+  const bool honor_sleeps = wake_opt_;
+  if (wake_round_.empty() && n > 0) {
+    // First run on this engine: arm the per-rank calendar tables once.
     wake_round_.assign(n, 0);
     bucket_stamp_.assign(n, -1);
-    chan_owner_ = internal::BuildChanOwner(first_, degree_, order_);
-    notify_stamp_.reset(new std::atomic<int32_t>[n]);
-    for (int i = 0; i < n; ++i) {
-      notify_stamp_[i].store(-1, std::memory_order_relaxed);
-    }
   }
   // Calendar insertion: wake rounds at or past max_rounds get no bucket
   // (the run throws at max_rounds before they could matter, and a later
   // continuation with a larger bound rebuilds the calendar from
   // wake_round_ below) — this bounds calendar memory by the caller's own
   // round budget. Duplicate and stale entries are harmless: the bucket
-  // assembly dedups by stamp and the visit skips any rank whose wake round
-  // no longer matches.
+  // assembly dedups by stamp and the visit skips any halted rank or one
+  // whose wake round has moved past the entry's.
   const auto push_calendar = [&](int w, int i) {
     if (w >= max_rounds) return;
     if (w >= static_cast<int>(calendar_.size())) calendar_.resize(w + 1);
@@ -246,6 +242,11 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     }
     epoch_ += 2;
   };
+  // Bucket entries before this index are known due: last round's survivors,
+  // or a freshly seeded or resumed bucket. Only the entries after it (the
+  // calendar splice and message wakes) can be stale. A continued run checks
+  // every entry.
+  int known_due = 0;
   if (pending_resume_ != nullptr) {
     // Resume path: restore the checkpointed boundary instead of starting
     // fresh. The epoch must advance BEFORE the snapshot applies — the
@@ -254,42 +255,38 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     const std::unique_ptr<SnapshotData> snap = std::move(pending_resume_);
     advance_epoch();
     round_seconds_.clear();
-    internal::ApplySoloSnapshot(*snap, graph_, alg.StateBytes(), order_,
-                                perm_, first_, inbox_, halted_, active_,
-                                state_, state_stride_, round_stats_,
-                                round_msg_acc_, round_digests_, digest_,
-                                round_, messages_delivered_, epoch_);
+    internal::ApplySoloSnapshot(*snap, graph_, alg.StateBytes(), perm_,
+                                first_, inbox_, halted_, state_,
+                                state_stride_, round_stats_, round_msg_acc_,
+                                round_digests_, digest_, round_,
+                                messages_delivered_, epoch_);
     wakes_ = 0;
-    if (scheduled) {
-      // Rebuild the calendar from the snapshot's per-node wake rounds
-      // (external-indexed; a v2 snapshot of an unscheduled run records
-      // every live node awake at the boundary, so resuming it scheduled
-      // just re-engages the algorithm's sleeps going forward). The
-      // always-visit worklist ApplySoloSnapshot built is replaced by the
-      // boundary's wake bucket. Bucket stamps are keyed by round number,
-      // which restarts per run — a stale stamp equal to a future round
-      // would silently swallow that node's calendar splice.
-      std::fill(bucket_stamp_.begin(), bucket_stamp_.end(), -1);
-      const std::vector<int32_t>& wake = snap->instances[0].wake;
-      calendar_.clear();
-      active_.clear();
-      live_count_ = 0;
-      notify_armed_ = false;
-      for (int i = 0; i < n; ++i) {
-        const int v = order_[i];
-        if (halted_[v]) continue;
-        ++live_count_;
-        int32_t w = wake.empty() ? round_ : wake[v];
-        if (w < round_) w = round_;  // validated; belt and braces
-        wake_round_[i] = w;
-        if (w > round_ + 1) notify_armed_ = true;  // someone already parked
-        if (w == round_) {
-          active_.push_back(i);
-        } else if (w != kNoWakeRound) {
-          push_calendar(w, i);
-        }
+    // Rebuild the calendar from the snapshot's per-node wake rounds
+    // (external-indexed; a snapshot of a dense run records every live node
+    // awake at the boundary, and ignoring sleeps resumes every live node
+    // awake). Bucket stamps are keyed by round number, which restarts per
+    // run — a stale stamp equal to a future round would silently swallow
+    // that node's calendar splice.
+    std::fill(bucket_stamp_.begin(), bucket_stamp_.end(), -1);
+    const std::vector<int32_t>& wake = snap->instances[0].wake;
+    calendar_.clear();
+    active_.clear();
+    live_count_ = 0;
+    notify_armed_ = false;
+    for (int i = 0; i < n; ++i) {
+      const int v = order_[i];
+      if (halted_[v]) continue;
+      ++live_count_;
+      const int32_t w = honor_sleeps ? std::max(wake[v], round_) : round_;
+      wake_round_[i] = w;
+      if (w > round_ + 1) notify_armed_ = true;  // someone already parked
+      if (w == round_) {
+        active_.push_back(i);
+      } else if (w != kNoWakeRound) {
+        push_calendar(w, i);
       }
     }
+    known_due = static_cast<int>(active_.size());
   } else if (!mid_run_) {
     // Fresh run: reset all per-run state.
     round_ = 0;
@@ -302,42 +299,37 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     advance_epoch();
     std::fill(halted_.begin(), halted_.end(), 0);
     wakes_ = 0;
-    if (scheduled) {
-      // Seed the calendar from the algorithm's declared first-action
-      // rounds; round 0's bucket replaces the full iota worklist. Rounds
-      // still tick (and record stats and digests) while buckets are empty,
-      // so the transcript is bit-identical to the always-visit run. Stamps
-      // restart with the rounds (see the resume path).
-      std::fill(bucket_stamp_.begin(), bucket_stamp_.end(), -1);
-      calendar_.clear();
-      active_.clear();
-      live_count_ = n;
-      notify_armed_ = false;
-      for (int i = 0; i < n; ++i) {
-        int w = alg.InitialWakeRound(order_[i]);
-        if (w <= 0) {
-          wake_round_[i] = 0;
-          active_.push_back(i);
-        } else {
-          wake_round_[i] = w >= kNoWakeRound ? kNoWakeRound : w;
-          if (wake_round_[i] > 1) notify_armed_ = true;  // parked past round 1
-          push_calendar(wake_round_[i], i);
-        }
+    // Seed the calendar from the algorithm's declared first-action rounds;
+    // round 0's bucket holds every node that acts at once, in rank order.
+    // Rounds still tick (and record stats and digests) while buckets are
+    // empty, so the transcript does not depend on who sleeps. Stamps
+    // restart with the rounds (see the resume path).
+    std::fill(bucket_stamp_.begin(), bucket_stamp_.end(), -1);
+    calendar_.clear();
+    active_.clear();
+    live_count_ = n;
+    notify_armed_ = false;
+    for (int i = 0; i < n; ++i) {
+      const int w = honor_sleeps ? alg.InitialWakeRound(order_[i]) : 0;
+      if (w <= 0) {
+        wake_round_[i] = 0;
+        active_.push_back(i);
+      } else {
+        wake_round_[i] = w >= kNoWakeRound ? kNoWakeRound : w;
+        if (wake_round_[i] > 1) notify_armed_ = true;  // parked past round 1
+        push_calendar(wake_round_[i], i);
       }
-    } else {
-      // The worklist holds INTERNAL ranks; external ids come from order_ at
-      // visit time, so the state plane below is walked in rank (= worklist)
-      // order every round, relabeled or not.
-      active_.resize(n);
-      std::iota(active_.begin(), active_.end(), 0);
     }
+    known_due = static_cast<int>(active_.size());
     // One InitState pass on the calling thread: per-node init is
     // order-independent by contract, and Run-setup cost is not sharded.
     internal::ArmStatePlane(alg, n, order_.data(), state_, state_stride_);
-  } else if (scheduled) {
-    // Continuing a paused scheduled run: the current bucket (active_) and
-    // wake rounds are live, but the calendar was bounded by the PREVIOUS
-    // call's max_rounds — rebuild it from wake_round_ under the new bound.
+  } else {
+    // Continuing a paused run: mailboxes, the current bucket (active_),
+    // wake rounds, state plane and digest chain are live exactly as the
+    // pause left them, but the calendar was bounded by the PREVIOUS call's
+    // max_rounds — rebuild it from wake_round_ under the new bound. Awake
+    // ranks (wake round at or below this one) are already in the bucket.
     calendar_.clear();
     notify_armed_ = false;
     for (int i = 0; i < n; ++i) {
@@ -347,11 +339,28 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       if (w > round_ && w != kNoWakeRound) push_calendar(w, i);
     }
   }
-  // else: continuing a paused run — mailboxes, worklist, state plane, and
-  // the digest chain are all live exactly as the pause left them.
+  // The Send-side message-wake recording costs two extra random cache
+  // lines per observable send (chan_owner_ + notify_stamp_), which dense
+  // runs — every live node acting every round, nobody ever parked — would
+  // pay for nothing. The hook is therefore armed only once some node is
+  // parked past the next round, and its tables are allocated by the first
+  // arming on this engine (then kept, like the other wake tables). The
+  // round that parks the first nodes with the hook still off resolves
+  // their wakes by scanning just those nodes' inboxes at the barrier (the
+  // shards' slept lists), then arms. Once armed it stays armed for the
+  // rest of the run.
+  const auto arm_notify = [&] {
+    notify_armed_ = true;
+    if (notify_stamp_ != nullptr) return;
+    chan_owner_ = internal::BuildChanOwner(first_, degree_, order_);
+    notify_stamp_.reset(new std::atomic<int32_t>[n]);
+    for (int i = 0; i < n; ++i) {
+      notify_stamp_[i].store(-1, std::memory_order_relaxed);
+    }
+  };
+  if (notify_armed_) arm_notify();
   mid_run_ = false;  // any exit other than the pause return is not a pause
   finished_ = false;
-  scheduled_ = scheduled;
   unsigned char* const state_base = state_.data();
   const size_t stride = state_stride_;
   support::FaultInjector* const fault = fault_;
@@ -369,13 +378,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     ctx.halted_ = halted_.data();
     ctx.sent_ = &shards_[t].sent;
     ctx.macc_ = digest_messages_ ? &shards_[t].macc : nullptr;
-    if (scheduled) {
-      // Shared dedup stamps (atomic exchange), per-shard candidate lists.
-      // notify_stamp_ is aimed per round below: null while the hook is
-      // disarmed (nobody parked), live once any node parks.
-      ctx.chan_owner_ = chan_owner_.data();
-      ctx.notified_ = &shards_[t].notified;
-    }
+    ctx.notified_ = &shards_[t].notified;
   }
 
   // Shard boundaries: contiguous worklist ranges, balanced to +-1. The
@@ -386,47 +389,114 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   auto shard_lo = [&](int t) {
     return static_cast<int>(static_cast<int64_t>(active_now) * t / T);
   };
-  // Begins a round: aims every shard's context at this round's mailboxes
-  // and epoch (the mailboxes swap and the epoch moves every round) and
-  // zeroes the shard counters.
-  const auto start_round = [&] {
-    active_now = static_cast<int>(active_.size());
-    for (int t = 0; t < T; ++t) {
-      NodeContext& ctx = ctxs[t];
-      ctx.round_ = round_;
-      ctx.inbox_ = inbox_.data();
-      ctx.outbox_ = outbox_.data();
-      ctx.epoch_ = epoch_;
-      // Send-side wake recording only while someone is parked: a null
-      // notify_stamp_ turns the whole hook into one predictable branch.
-      ctx.notify_stamp_ =
-          scheduled && notify_armed_ ? notify_stamp_.get() : nullptr;
-      Shard& sh = shards_[t];
-      sh.sent = 0;
-      sh.macc = 0;
-      sh.kept = 0;
-      sh.visits = 0;
-      sh.decisions = 0;
-      sh.halts = 0;
-      sh.slept.clear();
-      sh.notified.clear();
+  // The round task: visit this shard's range of the current bucket. Bucket
+  // entries are unique (barrier dedup), so this shard is the only writer of
+  // its entries' wake rounds. Survivors that act again next round are
+  // stable-compacted in place (rank order is preserved, matching the
+  // reference engine when nobody sleeps) and keep their wake round as it
+  // is: at or below the current round it means "awake", so a dense run
+  // never touches the wake plane. Sleepers record their wake round and go
+  // to the shard's slept list for the serial calendar distribution. One
+  // std::function for the whole run (the per-round state it reads is
+  // captured by reference), so tail rounds fork without an allocation.
+  const std::function<void(int)> round_task = [&](int t) {
+    const int lo = shard_lo(t);
+    const int hi = shard_lo(t + 1);
+    NodeContext& ctx = ctxs[t];
+    Shard& sh = shards_[t];
+    int* work = active_.data();
+    int32_t* const wake = wake_round_.data();
+    const int r = round_;
+    const int due = known_due;
+    const bool honor = honor_sleeps;
+    int kept = lo;
+    int64_t visits = 0, decisions = 0;
+    int halts = 0;
+    for (int idx = lo; idx < hi; ++idx) {
+      const int i = work[idx];
+      const int v = order_[i];
+      // Stale calendar entry: the node halted, or it was woken earlier and
+      // has gone back to sleep past this round.
+      if (idx >= due && (halted_[v] || wake[i] > r)) continue;
+      ctx.node_ = v;
+      ctx.state_ = state_base + static_cast<size_t>(i) * stride;
+      ctx.sleep_until_ = r + 1;  // default: act again next round
+      if (fault != nullptr) fault->OnVisit(r);
+      const int64_t sb = sh.sent;
+      alg.OnRound(ctx);
+      ++visits;
+      // Halting is a decision, and Halt wins over any sleep. The halt is
+      // data-dependent, so it is folded in without a branch: a halted rank
+      // is written to the bucket but not kept.
+      const bool halted = halted_[v] != 0;
+      halts += halted ? 1 : 0;
+      decisions += (sh.sent != sb || halted) ? 1 : 0;
+      if (honor && ctx.sleep_until_ > r + 1 && !halted) {
+        wake[i] = ctx.sleep_until_;
+        sh.slept.push_back(i);  // distributed into the calendar serially
+      } else {
+        work[kept] = i;  // survivor: stays in next round's bucket
+        kept += halted ? 0 : 1;
+      }
+    }
+    sh.kept = kept - lo;
+    sh.visits = visits;
+    sh.decisions = decisions;
+    sh.halts = halts;
+  };
+  // Wakes a sleeping candidate iff an observable message actually sits in
+  // its (post-swap) inbox — shared by the armed-hook candidate loop and
+  // the disarmed transition scan, so both resolve wakes through one
+  // predicate (a later Send may have overwritten the recorded message
+  // with silence; the O(deg) scan runs only for sleeping candidates). The
+  // bucket stamp decides whether a woken rank still needs a push (a stale
+  // calendar entry may already sit in the bucket — rewriting its wake
+  // round makes that entry the wake visit).
+  const auto wake_if_observable = [&](int i) {
+    const int next = round_ + 1;
+    const int v = order_[i];
+    if (halted_[v] || wake_round_[i] <= next) return;
+    const int lo = first_[v];
+    const int hi = lo + degree_[v];  // not first_[v + 1]: see
+                                     // BuildChanOwner on relabel
+    bool observable = false;
+    for (int c = lo; c < hi && !observable; ++c) {
+      const Message& msg = inbox_[c];
+      observable = msg.engine_stamp == epoch_ &&
+                   (msg.size != 0 || msg.word0 != 0 || msg.word1 != 0);
+    }
+    if (observable) {
+      wake_round_[i] = next;
+      ++wakes_;
+      if (bucket_stamp_[i] != next) {
+        bucket_stamp_[i] = next;
+        active_.push_back(i);
+      }
     }
   };
-  // Round-boundary checks shared by both loops: pause, fault, max_rounds
-  // (`live` is the live-node count the error reports), and the mid-run
-  // epoch rebase (a single run of ~2^31 rounds keeps exactly this round's
-  // deliverable messages visible and invalidates everything else — one
-  // O(2m) pass per ~2^31 rounds). Returns true when the run pauses here.
-  const auto at_boundary = [&](int64_t live) {
+
+  // The round loop. active_nodes records the LIVE count (not visits),
+  // rounds tick even when the current bucket is empty, and any sleeping
+  // node that would have observed new input is woken for the delivery
+  // round at the barrier — so the transcript is the same whether or not
+  // the algorithm sleeps, and only visits shrink.
+  std::chrono::steady_clock::time_point t0;
+  while (live_count_ > 0) {
+    // Round boundary: pause, fault, max_rounds, and the mid-run epoch
+    // rebase (a single run of ~2^31 rounds keeps exactly this round's
+    // deliverable messages visible and invalidates everything else — one
+    // O(2m) pass per ~2^31 rounds).
     if (round_ == pause_at_round) {
-      // Pause at the boundary BEFORE this round executes; the worklist,
-      // mailboxes, and digest chain describe exactly this boundary.
+      // Pause at the boundary BEFORE this round executes; the bucket,
+      // wake rounds, mailboxes, and digest chain describe exactly this
+      // boundary.
       mid_run_ = true;
-      return true;
+      return round_;
     }
     if (fault != nullptr) fault->AtRoundBoundary(round_);
     if (round_ >= max_rounds) {
-      throw MaxRoundsExceededError("Network::Run", round_, live, digest_);
+      throw MaxRoundsExceededError("Network::Run", round_, live_count_,
+                                   digest_);
     }
     if (epoch_ >= INT32_MAX - 2) {
       for (auto& m : outbox_) m.engine_stamp = -1;
@@ -438,14 +508,37 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       }
       epoch_ = 3;
     }
-    return false;
-  };
-  // Ends a round's node pass (the pool join is the visibility fence):
-  // records its stats and digest from the shard sums (sums commute, so
-  // every total — and the content accumulator — is independent of the
-  // sharding) and stitches the shards' compacted prefixes into one dense
-  // worklist in engine order.
-  const auto finish_round = [&](int active_nodes) {
+    // Opt-in round timer; it stops after the next bucket is assembled,
+    // just before the mailbox swap.
+    if (record_round_times_) t0 = std::chrono::steady_clock::now();
+    // Aim every shard's context at this round's mailboxes and epoch (the
+    // mailboxes swap and the epoch moves every round) and zero the shard
+    // counters.
+    active_now = static_cast<int>(active_.size());
+    for (int t = 0; t < T; ++t) {
+      NodeContext& ctx = ctxs[t];
+      ctx.round_ = round_;
+      ctx.inbox_ = inbox_.data();
+      ctx.outbox_ = outbox_.data();
+      ctx.epoch_ = epoch_;
+      // Send-side wake recording only while someone is parked: a null
+      // notify_stamp_ turns the whole hook into one predictable branch.
+      ctx.chan_owner_ = chan_owner_.data();
+      ctx.notify_stamp_ = notify_armed_ ? notify_stamp_.get() : nullptr;
+      Shard& sh = shards_[t];
+      sh.sent = 0;
+      sh.macc = 0;
+      sh.kept = 0;
+      sh.slept.clear();
+      sh.notified.clear();
+    }
+    const int live_now = live_count_;
+    pool_.ParallelFor(T, round_task);
+
+    // The pool join is the visibility fence: record the round's stats and
+    // digest from the shard sums (sums commute, so every total — and the
+    // content accumulator — is independent of the sharding) and stitch
+    // the shards' compacted prefixes into one dense bucket in engine order.
     int64_t round_sent = 0;
     uint64_t round_macc = 0;
     int64_t visits = 0;
@@ -455,15 +548,12 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       round_macc += sh.macc;
       visits += sh.visits;
       decisions += sh.decisions;
+      live_count_ -= sh.halts;
     }
-    // Always-visit path: every live node was visited this round, so
-    // visits == active_nodes; decisions still measures who acted.
-    if (!scheduled) visits = active_nodes;
     messages_delivered_ += round_sent;
-    round_stats_.push_back({active_nodes, round_sent, visits, decisions});
+    round_stats_.push_back({live_now, round_sent, visits, decisions});
     round_msg_acc_.push_back(round_macc);
-    digest_ =
-        support::ChainDigest(digest_, active_nodes, round_sent, round_macc);
+    digest_ = support::ChainDigest(digest_, live_now, round_sent, round_macc);
     round_digests_.push_back(digest_);
     int dst = shards_[0].kept;
     for (int t = 1; t < T; ++t) {
@@ -475,190 +565,60 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       dst += kept;
     }
     active_.resize(dst);
-  };
-  // Opt-in round timer; the stop runs after the next bucket is assembled,
-  // just before the mailbox swap.
-  std::chrono::steady_clock::time_point t0;
-  const auto start_timer = [&] {
-    if (record_round_times_) t0 = std::chrono::steady_clock::now();
-  };
-  const auto stop_timer = [&] {
+    known_due = dst;
+
+    // Assemble the next bucket: distribute this round's sleeps into the
+    // calendar, then splice the calendar's next bucket (freed after) with
+    // stamp dedup — the bucket must hold each rank at most once before
+    // shards touch it again. Only a splice needs the survivors stamped
+    // first: the message wakes below never target a survivor (its wake
+    // round is already next), so a round with nothing to splice — every
+    // round of a dense run — skips the stamping pass. Stale entries
+    // (halted, or woken elsewhere) need no check here: the visit skips
+    // them, and it reads the same halt flag and wake round anyway.
+    const int next = round_ + 1;
+    for (const Shard& sh : shards_) {
+      for (const int i : sh.slept) push_calendar(wake_round_[i], i);
+    }
+    if (next < static_cast<int>(calendar_.size()) &&
+        !calendar_[next].empty()) {
+      for (const int i : active_) bucket_stamp_[i] = next;
+      std::vector<int>& b = calendar_[next];
+      for (const int i : b) {
+        if (bucket_stamp_[i] == next) continue;
+        bucket_stamp_[i] = next;
+        active_.push_back(i);
+      }
+      std::vector<int>().swap(b);
+    }
     if (record_round_times_) {
       round_seconds_.push_back(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count());
     }
-  };
-
-  if (scheduled) {
-    // Wake-scheduled round loop. Transcript identity with the always-visit
-    // loop below is by construction: active_nodes records the LIVE count
-    // (not visits), rounds tick even when the current bucket is empty, and
-    // any node that would have observed new input on the always-visit path
-    // is woken for the delivery round at the barrier. Only visits shrink.
-    //
-    // One std::function for the whole run (the per-round state it reads is
-    // captured by reference), so tail rounds fork without an allocation.
-    // Bucket entries are unique (barrier dedup), so this shard is the only
-    // writer of its entries' wake rounds.
-    const std::function<void(int)> round_task = [&](int t) {
-      const int lo = shard_lo(t);
-      const int hi = shard_lo(t + 1);
-      NodeContext& ctx = ctxs[t];
-      Shard& sh = shards_[t];
-      int* work = active_.data();
-      int kept = lo;
-      for (int idx = lo; idx < hi; ++idx) {
-        const int i = work[idx];
-        const int v = order_[i];
-        // Stale calendar entry: the node halted, or its wake moved.
-        if (halted_[v] || wake_round_[i] != round_) continue;
-        ctx.node_ = v;
-        ctx.state_ = state_base + static_cast<size_t>(i) * stride;
-        ctx.sleep_until_ = round_ + 1;  // default: act again next round
-        if (fault != nullptr) fault->OnVisit(round_);
-        const int64_t sb = sh.sent;
-        alg.OnRound(ctx);
-        ++sh.visits;
-        if (halted_[v]) {
-          ++sh.halts;
-          ++sh.decisions;  // halting is a decision; Halt wins over any sleep
-          continue;
-        }
-        sh.decisions += sh.sent != sb ? 1 : 0;
-        const int32_t w =
-            ctx.sleep_until_ <= round_ ? round_ + 1 : ctx.sleep_until_;
-        wake_round_[i] = w;
-        if (w == round_ + 1) {
-          work[kept++] = i;  // survivor: stays in next round's bucket
-        } else {
-          sh.slept.push_back(i);  // distributed into the calendar serially
-        }
-      }
-      sh.kept = kept - lo;
-    };
-    // Wakes a sleeping candidate iff an observable message actually sits in
-    // its (post-swap) inbox — shared by the armed-hook candidate loop and
-    // the disarmed transition scan, so both resolve wakes through one
-    // predicate (a later Send may have overwritten the recorded message
-    // with silence; the O(deg) scan runs only for sleeping candidates). The
-    // bucket stamp decides whether a woken rank still needs a push (a stale
-    // calendar entry may already sit in the bucket — rewriting its wake
-    // round makes that entry the wake visit).
-    const auto wake_if_observable = [&](int i) {
-      const int next = round_ + 1;
-      const int v = order_[i];
-      if (halted_[v] || wake_round_[i] <= next) return;
-      const int lo = first_[v];
-      const int hi = lo + degree_[v];  // not first_[v + 1]: see
-                                       // BuildChanOwner on relabel
-      bool observable = false;
-      for (int c = lo; c < hi && !observable; ++c) {
-        const Message& msg = inbox_[c];
-        observable = msg.engine_stamp == epoch_ &&
-                     (msg.size != 0 || msg.word0 != 0 || msg.word1 != 0);
-      }
-      if (observable) {
-        wake_round_[i] = next;
-        ++wakes_;
-        if (bucket_stamp_[i] != next) {
-          bucket_stamp_[i] = next;
-          active_.push_back(i);
-        }
-      }
-    };
-    while (live_count_ > 0) {
-      if (at_boundary(live_count_)) return round_;
-      start_timer();
-      start_round();
-      const int live_now = live_count_;
-      pool_.ParallelFor(T, round_task);
-      for (const Shard& sh : shards_) live_count_ -= sh.halts;
-      finish_round(live_now);
-      // Assemble the next bucket: stamp the survivors, distribute this
-      // round's sleeps into the calendar, then splice the calendar's next
-      // bucket (freed after) with stamp dedup — the bucket must hold each
-      // rank at most once before shards touch it again. Stale entries
-      // (halted, or woken elsewhere) need no check here: the visit skips
-      // them, and it reads the same halt flag and wake round anyway.
-      const int next = round_ + 1;
-      for (const int i : active_) bucket_stamp_[i] = next;
-      for (const Shard& sh : shards_) {
-        for (const int i : sh.slept) push_calendar(wake_round_[i], i);
-      }
-      if (next < static_cast<int>(calendar_.size())) {
-        std::vector<int>& b = calendar_[next];
-        for (const int i : b) {
-          if (bucket_stamp_[i] == next) continue;
-          bucket_stamp_[i] = next;
-          active_.push_back(i);
-        }
-        std::vector<int>().swap(b);
-      }
-      stop_timer();
-      std::swap(inbox_, outbox_);
-      if (notify_armed_) {
-        // Message-wake barrier: every receiver of an observable send this
-        // round was recorded once in some shard's notified list.
-        for (const Shard& sh : shards_) {
-          for (const int i : sh.notified) wake_if_observable(i);
-        }
-      } else {
-        // The run's first parks happened this round with the hook still
-        // disarmed, so no send was recorded — the shards' slept lists ARE
-        // the newly-parked set; scan exactly those inboxes (identical
-        // outcome to an armed round by construction), then arm the hook
-        // for the rest of the run.
-        bool any_parked = false;
-        for (const Shard& sh : shards_) {
-          for (const int i : sh.slept) {
-            any_parked = true;
-            wake_if_observable(i);
-          }
-        }
-        if (any_parked) notify_armed_ = true;
-      }
-      ++round_;
-      ++epoch_;
-    }
-    finished_ = true;
-    return round_;
-  }
-
-  // Always-visit round task: run every active node of this shard's range,
-  // stable-compacting halted ones out in place (the engine's node order is
-  // preserved, matching the reference engine). Both the external-id lookup
-  // (order_) and the state slot stream in ascending rank order.
-  const std::function<void(int)> round_task = [&](int t) {
-    const int lo = shard_lo(t);
-    const int hi = shard_lo(t + 1);
-    NodeContext& ctx = ctxs[t];
-    Shard& sh = shards_[t];
-    int* work = active_.data();
-    int kept = lo;
-    for (int idx = lo; idx < hi; ++idx) {
-      const int i = work[idx];
-      const int v = order_[i];
-      ctx.node_ = v;
-      ctx.state_ = state_base + static_cast<size_t>(i) * stride;
-      if (fault != nullptr) fault->OnVisit(round_);
-      const int64_t sb = sh.sent;
-      alg.OnRound(ctx);
-      sh.decisions += (sh.sent != sb || halted_[v]) ? 1 : 0;
-      work[kept] = i;
-      kept += halted_[v] ? 0 : 1;
-    }
-    sh.kept = kept - lo;
-  };
-  while (!active_.empty()) {
-    if (at_boundary(static_cast<int64_t>(active_.size()))) return round_;
-    start_timer();
-    start_round();
-    pool_.ParallelFor(T, round_task);
-    finish_round(active_now);
-    stop_timer();
     // Deliver: O(1) buffer swap; epoch stamps make clearing unnecessary.
     std::swap(inbox_, outbox_);
+    if (notify_armed_) {
+      // Message-wake barrier: every receiver of an observable send this
+      // round was recorded once in some shard's notified list.
+      for (const Shard& sh : shards_) {
+        for (const int i : sh.notified) wake_if_observable(i);
+      }
+    } else {
+      // The run's first parks happened this round with the hook still
+      // disarmed, so no send was recorded — the shards' slept lists ARE
+      // the newly-parked set; scan exactly those inboxes (identical
+      // outcome to an armed round by construction), then arm the hook
+      // for the rest of the run.
+      bool any_parked = false;
+      for (const Shard& sh : shards_) {
+        for (const int i : sh.slept) {
+          any_parked = true;
+          wake_if_observable(i);
+        }
+      }
+      if (any_parked) arm_notify();
+    }
     ++round_;
     ++epoch_;
   }
@@ -708,13 +668,9 @@ void Network::Checkpoint(std::ostream& out) const {
         "RunUntil or let a run finish first)");
   }
   const SnapshotData snap = internal::BuildSoloSnapshot(
-      graph_, ids_,
-      num_threads() == 1 ? SnapshotEngineKind::kNetwork
-                         : SnapshotEngineKind::kParallelNetwork,
-      digest_messages_, finished_, round_, messages_delivered_, round_stats_,
-      round_msg_acc_, round_digests_, halted_, state_, state_stride_, order_,
-      first_, degree_, inbox_, epoch_, scheduled_,
-      wake_round_.empty() ? nullptr : wake_round_.data());
+      graph_, ids_, digest_messages_, finished_, round_, messages_delivered_,
+      round_stats_, round_msg_acc_, round_digests_, halted_, state_,
+      state_stride_, order_, first_, degree_, inbox_, epoch_, wake_round_);
   WriteSnapshot(out, snap);
 }
 

@@ -47,20 +47,23 @@ struct RoundStats {
   int active_nodes = 0;       // live (non-halted) nodes at round start
   int64_t messages_sent = 0;  // present messages queued (delivered next round)
   // Engine-observability counters, NOT part of transcript equality below:
-  // visits counts OnRound dispatches this round — equal to active_nodes on
-  // the always-visit path, only the woken subset under wake scheduling — and
-  // decisions counts visits that acted (net-queued at least one present
-  // message, or halted). Both are deterministic across engines, relabel, and thread
-  // counts for a fixed scheduling mode; the idle-visit ratio
-  // (visits - decisions) / visits is what the wake scheduler eliminates.
+  // visits counts OnRound dispatches this round — the nodes whose wake
+  // round this is, so equal to active_nodes for a dense algorithm (one
+  // that never sleeps) or with NetworkOptions::wake_scheduling off, and
+  // only the woken subset when nodes sleep — and decisions counts visits
+  // that acted (net-queued at least one present message, or halted). Both
+  // are deterministic across engines, relabel, and thread counts for a
+  // fixed wake_scheduling setting; the idle-visit ratio
+  // (visits - decisions) / visits is what sleeping eliminates.
   int64_t visits = 0;
   int64_t decisions = 0;
 
   // Transcript equality compares what the LOCAL execution did (live-set
-  // size, messages), not how the engine drove it: a scheduled and an
-  // unscheduled run of the same algorithm produce EQUAL per-round stats
-  // here even though their visit counts differ. The digest chain commits
-  // to exactly these two fields (plus message content accumulators).
+  // size, messages), not how the engine drove it: runs of the same
+  // algorithm with wake_scheduling on and off produce EQUAL per-round
+  // stats here even though their visit counts differ. The digest chain
+  // commits to exactly these two fields (plus message content
+  // accumulators).
   friend bool operator==(const RoundStats& a, const RoundStats& b) {
     return a.active_nodes == b.active_nodes &&
            a.messages_sent == b.messages_sent;
@@ -72,8 +75,8 @@ struct RoundStats {
 // message wakes it (or never, if none arrives and the run hits max_rounds).
 inline constexpr int32_t kNoWakeRound = INT32_MAX;
 
-// Construction-time engine options (Network; ReferenceNetwork honors the
-// same fields).
+// Construction-time engine options (Network; ReferenceNetwork honors every
+// field except relabel, which it accepts and ignores).
 struct NetworkOptions {
   // Opt-in BFS locality relabeling: the engine assigns every node an
   // internal id in BFS order and lays the channel tables and mailboxes out
@@ -108,15 +111,17 @@ struct NetworkOptions {
   // Run re-initializes all per-run state).
   support::FaultInjector* fault = nullptr;
 
-  // Honor the algorithm's wake-round schedule (Algorithm::WakeScheduled,
-  // NodeContext::SleepUntil): the engine keeps the worklist bucketed by wake
-  // round and visits a node only in rounds where it declared it acts, waking
-  // it early whenever a message arrives. On by default — a run is scheduled
-  // iff this is set AND the algorithm opts in — and transcripts (outputs,
-  // RoundStats equality, message counts, digest chains) are bit-identical
-  // to the always-visit path by construction; only RoundStats::visits
-  // shrinks. Set to false to force the legacy always-visit worklist (the
-  // scheduler ablation the benches and CI gate on).
+  // Honor the algorithm's sleeps (Algorithm::InitialWakeRound,
+  // NodeContext::SleepUntil). Every run walks the engine's wake calendar,
+  // visiting a node only in rounds where it declared it acts and waking it
+  // early whenever a message arrives. Set to false, the engine ignores
+  // sleeps inside the same loop: every node first wakes in round 0 and
+  // every visit re-wakes it for the next round, so every live node is
+  // visited every round (RoundStats::visits == active_nodes, wakes() == 0)
+  // — the scheduler ablation the benches and CI gate on. Transcripts
+  // (outputs, RoundStats equality, message counts, digest chains) are
+  // bit-identical either way by construction; only RoundStats::visits
+  // changes.
   bool wake_scheduling = true;
 };
 
@@ -252,16 +257,16 @@ class NodeContext {
   inline void Halt();
 
   // Declare that this node next acts in round `round` (absolute, i.e. the
-  // value a future ctx.round() will show): under wake scheduling the engine
-  // skips it until then. The invariant that makes this transcript-invariant:
-  // an incoming observable message ALWAYS wakes a sleeping node for the next
-  // round, so a node can never miss input it would have seen on the
-  // always-visit path — an algorithm may sleep whenever its early-round
-  // OnRound would have been a pure no-op (no sends, no halt, no state
-  // change) absent new messages. Values <= round() mean "next round" (the
-  // default when OnRound returns without calling this); kNoWakeRound parks
-  // the node until a message arrives; Halt() wins over any sleep. Without
-  // wake scheduling (engine option off, or Algorithm::WakeScheduled false)
+  // value a future ctx.round() will show): the engine skips it until then.
+  // The invariant that makes this transcript-invariant: an incoming
+  // observable message ALWAYS wakes a sleeping node for the next round, so
+  // a node can never miss input it would have seen if visited every round
+  // — an algorithm may sleep whenever its early-round OnRound would have
+  // been a pure no-op (no sends, no halt, no state change) absent new
+  // messages. Values <= round() mean "next round" (the default when
+  // OnRound returns without calling this, so a dense algorithm simply
+  // never calls it); kNoWakeRound parks the node until a message arrives;
+  // Halt() wins over any sleep. With NetworkOptions::wake_scheduling off
   // this is a no-op, which is exactly why transcripts cannot diverge.
   void SleepUntil(int round) { sleep_until_ = round; }
 
@@ -310,11 +315,12 @@ class NodeContext {
   // Wake-scheduling hooks. sleep_until_ is the engine<->algorithm mailbox
   // for SleepUntil: the engine pre-sets it to round+1 before each OnRound
   // and reads it back after. The notify trio is the CSR engine's message-
-  // wake recorder, non-null only in scheduled runs (one null check is the
-  // whole hot-path cost when off): an observable Send marks its receiver's
-  // internal rank once per round (epoch-stamped dedup; the stamp is atomic
-  // so Network shards dedup across threads with a relaxed exchange, which
-  // costs nothing extra at T = 1) into this shard's own notified list.
+  // wake recorder, live only while some node is parked (one null check on
+  // notify_stamp_ is the whole hot-path cost otherwise): an observable
+  // Send marks its receiver's internal rank once per round (epoch-stamped
+  // dedup; the stamp is atomic so Network shards dedup across threads with
+  // a relaxed exchange, which costs nothing extra at T = 1) into this
+  // shard's own notified list.
   // Sleeping receivers are woken at the round barrier.
   int32_t sleep_until_ = 0;
   const int* chan_owner_ = nullptr;  // recv channel -> receiver internal rank
@@ -332,7 +338,10 @@ class NodeContext {
 };
 
 // A distributed algorithm. OnRound is invoked once per node per round
-// (round 0 included, with empty inboxes) until every node halts.
+// (round 0 included, with empty inboxes) until every node halts, except in
+// the rounds a node sleeps through (InitialWakeRound,
+// NodeContext::SleepUntil). A dense algorithm — every live node acting
+// every round — overrides neither and is visited every round.
 //
 // Per-node state lives in an ENGINE-MANAGED state plane: the algorithm
 // declares a fixed-size POD slot via StateBytes(), initializes each node's
@@ -377,19 +386,13 @@ class Algorithm {
     (void)state;
   }
 
-  // Opt into wake-round scheduling (see NodeContext::SleepUntil). An
-  // algorithm returning true promises that every OnRound it would skip by
-  // sleeping is a pure no-op absent new messages — the message-wake
-  // invariant then makes transcripts bit-identical to the always-visit
-  // engines by construction. Must be constant over the algorithm's
-  // lifetime. Dense algorithms (every live node acts every round) may
-  // return true and never sleep; scheduling is then an exact no-op.
-  virtual bool WakeScheduled() const { return false; }
-
-  // First round in which `node` acts (absolute; 0 = round 0, the default
-  // and the always-visit behavior; kNoWakeRound = parked until a message
-  // arrives). Only consulted when the run is scheduled. Like InitState, it
-  // must depend only on (node, captured construction inputs). Negative
+  // First round in which `node` acts (absolute; 0 = round 0, the default;
+  // kNoWakeRound = parked until a message arrives). An algorithm that
+  // sleeps promises that every OnRound it skips is a pure no-op absent new
+  // messages — the message-wake invariant then makes transcripts
+  // bit-identical to visiting every node every round, by construction.
+  // Ignored when NetworkOptions::wake_scheduling is off. Like InitState,
+  // it must depend only on (node, captured construction inputs). Negative
   // returns are clamped to 0.
   virtual int InitialWakeRound(int node) const {
     (void)node;
@@ -402,8 +405,11 @@ class Algorithm {
 // the channel tables, degree table, mailboxes, worklist and id copy; the
 // state plane and wake tables are armed by the first run that needs them
 // and keep their capacity across runs, and the run log grows with the
-// rounds of the last run. treelocald charges a resident graph's cached
-// engine against its memory quota with this.
+// rounds of the last run. The wake tables come in two steps: the first
+// run arms the per-node wake rounds and bucket stamps, and the first run
+// that parks a node adds the channel-owner table and notify stamps.
+// treelocald charges a resident graph's cached engine against its memory
+// quota with this.
 struct EngineBytes {
   size_t channel_tables = 0;  // CSR offsets + send-channel table
   size_t degree_table = 0;
@@ -452,9 +458,11 @@ struct EngineBytes {
 //     last written. A message is visible iff its stamp equals the previous
 //     epoch. This removes the per-round O(2m) outbox clear and the O(2m)
 //     delivered-message scan — messages are counted at send time instead.
-//   * Active-node worklist: each round iterates only non-halted nodes and
-//     compacts in place (stable, preserving the engine's node order). Once a
-//     node halts it is never touched again.
+//   * Wake-calendar worklist: each round iterates only the nodes due that
+//     round — every live node when nobody sleeps — and compacts the ones
+//     due again next round in place (stable, preserving the engine's node
+//     order); sleepers move to a calendar bucket. Once a node halts it is
+//     never touched again.
 //
 // The round pass is sharded: the worklist splits into T contiguous ranges
 // that run concurrently on a persistent thread pool (at T = 1 the single
@@ -476,10 +484,12 @@ struct EngineBytes {
 // order-independent within a round, and shards only reorder within rounds,
 // never across the barrier.
 //
-// Per-round complexity: O(sum of OnRound costs over active nodes / T) per
-// lane + O(#active / T) for the compaction + O(T) reduction + one pool
-// fork/join. Nothing is proportional to n or m per round; construction is
-// O(n + m); Run performs no allocation beyond growing the per-round vectors.
+// Per-round complexity: O(sum of OnRound costs over visited nodes / T) per
+// lane + O(#visited / T) for the compaction + O(T) reduction + one pool
+// fork/join, plus serial calendar work for the nodes that sleep or wake
+// that round (none in a dense run). Nothing is proportional to n or m per
+// round; construction is O(n + m); Run performs no allocation beyond
+// growing the per-round vectors.
 //
 // A Network is reusable: Run may be called any number of times (same graph
 // and IDs) with no reallocation — epochs advance monotonically across runs,
@@ -591,14 +601,12 @@ class Network {
   // Per-round counters for the last Run; round_stats()[r] covers round r.
   const std::vector<RoundStats>& round_stats() const { return round_stats_; }
 
-  // True iff the last (or in-progress) Run honored the algorithm's wake
-  // schedule (options.wake_scheduling AND Algorithm::WakeScheduled).
-  bool wake_scheduled() const { return scheduled_; }
   // Message-triggered wakes over the last Run (a sleeping node pulled to
-  // the next round's bucket by an observable incoming message). 0 on
-  // unscheduled runs. With total visits/decisions from round_stats(), this
-  // closes the scheduler's accounting: every visit is an initial wake, a
-  // calendar wake, or one of these.
+  // the next round's bucket by an observable incoming message). 0 when
+  // nobody slept (dense algorithms, wake_scheduling off). With total
+  // visits/decisions from round_stats(), this closes the scheduler's
+  // accounting: every visit is an initial wake, a calendar wake, or one of
+  // these.
   int64_t wakes() const { return wakes_; }
 
   // Opt-in wall-clock timing of each round (two clock reads per round; off
@@ -665,44 +673,39 @@ class Network {
   // engine_stamp field; swapped (O(1)) each round, never cleared.
   std::vector<Message> inbox_, outbox_;
   std::vector<char> halted_;
-  std::vector<int> active_;  // worklist of non-halted INTERNAL ranks, engine
-                             // order; rank i's state slot and external id
-                             // (order_[i]) ride along in rank order, so the
-                             // state plane streams sequentially even under
-                             // relabel — the whole point of internal indexing.
-                             // Under wake scheduling it holds only the
-                             // CURRENT ROUND's wake bucket instead, with
-                             // UNIQUE entries (see bucket_stamp_).
-  // Wake-scheduling state (armed lazily on the first scheduled run; the
-  // always-visit path never touches any of it). wake_round_[i] is rank i's
-  // next scheduled round (kNoWakeRound = parked); calendar_[r] holds ranks
-  // waking in future round r — entries go stale when a message wake or an
-  // earlier visit moves the node's wake round, and the bucket assembly
-  // skips them. wake_round_ needs no atomics: during a round each rank is
-  // written only by the shard visiting it and all cross-rank reads happen
-  // serially at the barrier. bucket_stamp_[i] == r marks rank i already
+  std::vector<int> active_;  // the CURRENT ROUND's wake bucket: INTERNAL
+                             // ranks, UNIQUE entries (see bucket_stamp_).
+                             // When nobody sleeps it is every live rank in
+                             // ascending order, so rank i's state slot and
+                             // external id (order_[i]) stream sequentially
+                             // even under relabel — the whole point of
+                             // internal indexing.
+  // Wake calendar (wake_round_ and bucket_stamp_ armed by the first run;
+  // chan_owner_ and notify_stamp_ by the first run that parks a node, see
+  // RunUntil). wake_round_[i] is rank i's next scheduled round
+  // (kNoWakeRound = parked); a value at or below the current round means
+  // the rank is awake and in the bucket — a rank that stays awake never
+  // rewrites it, so dense runs leave the plane untouched, and the
+  // checkpoint gather canonicalizes it to the snapshot round.
+  // calendar_[r] holds ranks waking in future round r — entries go stale
+  // when a message wake or an earlier visit moves the node's wake round,
+  // and the visit skips them. wake_round_ needs no atomics: during a round
+  // each rank is written only by the shard visiting it and all cross-rank
+  // reads happen serially at the barrier. bucket_stamp_[i] == r marks rank i already
   // placed in round r's bucket, so the assembly dedups — duplicates inside
   // a bucket would let two shards visit the same node concurrently.
   // notify_stamp_/chan_owner_ implement the Send-side message-wake
-  // recording described at NodeContext.
+  // recording described at NodeContext; notify_armed_ says whether this
+  // run's sends record (some node is parked).
   std::vector<int32_t> wake_round_;
   std::vector<int32_t> bucket_stamp_;
   std::vector<std::vector<int>> calendar_;
   std::vector<int> chan_owner_;
   std::unique_ptr<std::atomic<int32_t>[]> notify_stamp_;
-  // The Send-side recording costs two extra random cache lines per
-  // observable send (chan_owner_ + notify_stamp_), which dense scheduled
-  // algorithms — every live node acting every round, nobody ever parked —
-  // would pay for nothing. The hook is therefore armed only once some node
-  // is actually parked past the next round; the round that parks the
-  // first nodes with the hook still off resolves their wakes by scanning
-  // just those nodes' inboxes at the barrier (the shards' slept lists),
-  // then arms. Once armed it stays armed for the rest of the run.
   bool notify_armed_ = false;
-  int live_count_ = 0;      // non-halted nodes (scheduled runs' termination)
-  int64_t wakes_ = 0;       // message wakes, last Run
-  bool scheduled_ = false;  // last Run honored the wake schedule
-  bool wake_opt_ = true;    // NetworkOptions::wake_scheduling
+  int live_count_ = 0;    // non-halted nodes (the run's termination test)
+  int64_t wakes_ = 0;     // message wakes, last Run
+  bool wake_opt_ = true;  // NetworkOptions::wake_scheduling
   // Engine-owned per-node state plane (Algorithm::StateBytes per slot),
   // indexed by internal rank; re-armed (zero + InitState) every Run,
   // reallocated only when the slot size changes.

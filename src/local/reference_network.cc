@@ -43,6 +43,7 @@ ReferenceNetwork::ReferenceNetwork(GraphView graph, std::vector<int64_t> ids,
   inbox_.assign(channels, Message{});
   outbox_.assign(channels, Message{});
   halted_.assign(n, 0);
+  wake_round_.assign(n, 0);
   // Materialize the port -> (edge, slot) tables and invert the channel
   // indexing once: Channel(e, s) holds what endpoint s of edge e sent, on
   // this port of the sender. Used by every channel access, the content
@@ -96,8 +97,9 @@ int ReferenceNetwork::Run(Algorithm& alg, int max_rounds) {
 int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
                                int pause_at_round) {
   const int n = graph_.NumNodes();
-  const bool scheduled = wake_opt_ && alg.WakeScheduled();
-  if (scheduled && wake_round_.empty()) wake_round_.assign(n, 0);
+  // As in Network: with wake_scheduling off every node wakes in round 0
+  // and every visit re-wakes it for the next round.
+  const bool honor_sleeps = wake_opt_;
   if (pending_resume_ != nullptr) {
     const std::unique_ptr<SnapshotData> snap = std::move(pending_resume_);
     const SnapshotData::Instance& inst = snap->instances[0];
@@ -140,15 +142,10 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
           Message{msg.word0, msg.word1, msg.size};
     }
     wakes_ = 0;
-    if (scheduled) {
-      // The snapshot's wake plane is external-indexed — exactly this
-      // engine's layout (an unscheduled-run snapshot records every live
-      // node awake at the boundary).
-      for (int v = 0; v < n; ++v) {
-        int32_t w = halted_[v] || inst.wake.empty() ? round_ : inst.wake[v];
-        if (w < round_) w = round_;
-        wake_round_[v] = w;
-      }
+    // The snapshot's wake plane is external-indexed — exactly this
+    // engine's layout.
+    for (int v = 0; v < n; ++v) {
+      wake_round_[v] = honor_sleeps ? std::max(inst.wake[v], round_) : round_;
     }
   } else if (!mid_run_) {
     round_ = 0;
@@ -162,11 +159,9 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
     std::fill(inbox_.begin(), inbox_.end(), Message{});
     std::fill(outbox_.begin(), outbox_.end(), Message{});
     wakes_ = 0;
-    if (scheduled) {
-      for (int v = 0; v < n; ++v) {
-        const int w = alg.InitialWakeRound(v);
-        wake_round_[v] = w <= 0 ? 0 : (w >= kNoWakeRound ? kNoWakeRound : w);
-      }
+    for (int v = 0; v < n; ++v) {
+      const int w = honor_sleeps ? alg.InitialWakeRound(v) : 0;
+      wake_round_[v] = w <= 0 ? 0 : (w >= kNoWakeRound ? kNoWakeRound : w);
     }
     internal::ArmStatePlane(alg, n, nullptr, state_, state_stride_);
   }
@@ -175,7 +170,6 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
   // there is nothing to rebuild).
   mid_run_ = false;
   finished_ = false;
-  scheduled_ = scheduled;
   support::FaultInjector* const fault = fault_;
 
   NodeContext ctx(graph_, ids_.data(), /*degree=*/nullptr, this);
@@ -194,8 +188,7 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
     int64_t visits = 0;
     int64_t decisions = 0;
     for (int v = 0; v < n; ++v) {
-      if (halted_[v]) continue;
-      if (scheduled && wake_round_[v] != round_) continue;
+      if (halted_[v] || wake_round_[v] != round_) continue;
       ctx.node_ = v;
       ctx.state_ = state_.data() + static_cast<size_t>(v) * state_stride_;
       ctx.sleep_until_ = round_ + 1;
@@ -204,9 +197,10 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
       alg.OnRound(ctx);
       ++visits;
       decisions += (visit_sent_delta_ != 0 || halted_[v]) ? 1 : 0;
-      if (scheduled && !halted_[v]) {
-        wake_round_[v] =
-            ctx.sleep_until_ <= round_ ? round_ + 1 : ctx.sleep_until_;
+      if (!halted_[v]) {
+        wake_round_[v] = honor_sleeps && ctx.sleep_until_ > round_
+                             ? ctx.sleep_until_
+                             : round_ + 1;
       }
     }
     // Deliver: what was sent this round is readable next round.
@@ -225,7 +219,7 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
                                        m.word0, m.word1, m.size);
         }
       }
-      if (scheduled && (m.size != 0 || m.word0 != 0 || m.word1 != 0)) {
+      if (m.size != 0 || m.word0 != 0 || m.word1 != 0) {
         // Message-wake invariant, spelled out: the receiver of channel
         // Channel(e, s) is the sender of Channel(e, 1-s), i.e. the other
         // endpoint. Any observable delivery pulls a sleeping receiver to
@@ -238,8 +232,7 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
       }
     }
     messages_delivered_ += sent;
-    round_stats_.push_back(
-        {active_now, sent, scheduled ? visits : active_now, decisions});
+    round_stats_.push_back({active_now, sent, visits, decisions});
     round_msg_acc_.push_back(macc);
     digest_ = support::ChainDigest(digest_, active_now, sent, macc);
     round_digests_.push_back(digest_);
@@ -274,14 +267,9 @@ void ReferenceNetwork::Checkpoint(std::ostream& out) const {
   inst.halted = halted_;
   inst.state_stride = static_cast<uint32_t>(state_stride_);
   inst.state = state_;  // external-indexed already
-  // Canonical per-node wake rounds (halted -> 0, unscheduled live ->
-  // "awake at the boundary"), as in BuildSoloSnapshot.
+  // Canonical per-node wake rounds (halted -> 0), as in BuildSoloSnapshot.
   inst.wake.resize(n);
-  for (int v = 0; v < n; ++v) {
-    inst.wake[v] = halted_[v] ? 0
-                   : (!scheduled_ || wake_round_.empty()) ? round_
-                                                          : wake_round_[v];
-  }
+  for (int v = 0; v < n; ++v) inst.wake[v] = halted_[v] ? 0 : wake_round_[v];
   // The naive engine has no epoch stamps; a boundary inbox holds exactly
   // last round's sends (everything else was cleared), so any non-zero slot
   // is deliverable — the same canonical set the stamped engines record.

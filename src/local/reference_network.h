@@ -24,8 +24,8 @@ class ReferenceNetwork {
   // view (and the backend behind it) must outlive the engine.
   ReferenceNetwork(GraphView graph, std::vector<int64_t> ids);
   // Options form: honors digest_messages (content hashing here is a naive
-  // O(2m)-per-round inbox scan — reference semantics, reference cost) and
-  // fault; relabel is accepted and ignored (pure layout, transcripts are
+  // O(2m)-per-round inbox scan — reference semantics, reference cost),
+  // fault and wake_scheduling; relabel is accepted and ignored (pure layout, transcripts are
   // relabel-invariant by contract, and the naive engine has no layout).
   ReferenceNetwork(GraphView graph, std::vector<int64_t> ids,
                    const NetworkOptions& options);
@@ -52,12 +52,11 @@ class ReferenceNetwork {
   int64_t messages_delivered() const { return messages_delivered_; }
   const std::vector<RoundStats>& round_stats() const { return round_stats_; }
 
-  // Wake-scheduling observability, as in Network. The reference
-  // implementation is the semantics spelled out: a plain per-node wake
-  // round, a full O(n) scan that visits exactly the nodes whose wake round
-  // equals this round, and a post-swap O(2m) inbox scan that wakes the
-  // receiver of every observable message — no calendar, no notify lists.
-  bool wake_scheduled() const { return scheduled_; }
+  // Message wakes, as in Network. The reference implementation is the wake
+  // semantics spelled out: a plain per-node wake round, a full O(n) scan
+  // that visits exactly the nodes whose wake round equals this round, and
+  // a post-swap O(2m) inbox scan that wakes the receiver of every
+  // observable message — no calendar, no notify lists.
   int64_t wakes() const { return wakes_; }
 
   // Transcript digest chain, bit-identical to every optimized engine's.
@@ -121,7 +120,6 @@ class ReferenceNetwork {
   std::vector<int32_t> wake_round_;
   int64_t visit_sent_delta_ = 0;
   int64_t wakes_ = 0;
-  bool scheduled_ = false;
   bool wake_opt_ = true;
   bool mid_run_ = false;
   bool finished_ = false;

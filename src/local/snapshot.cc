@@ -408,18 +408,17 @@ void SetInputSections(GraphView g, const std::vector<int64_t>& ids,
 }
 
 SnapshotData BuildSoloSnapshot(
-    GraphView g, const std::vector<int64_t>& ids,
-    SnapshotEngineKind engine_kind, bool digest_messages, bool finished,
-    int round, int64_t messages_delivered,
+    GraphView g, const std::vector<int64_t>& ids, bool digest_messages,
+    bool finished, int round, int64_t messages_delivered,
     const std::vector<RoundStats>& stats, const std::vector<uint64_t>& maccs,
     const std::vector<uint64_t>& digests, const std::vector<char>& halted,
     const std::vector<unsigned char>& state, size_t state_stride,
     const std::vector<int>& order, const std::vector<int>& first,
     const std::vector<int>& degree, const std::vector<Message>& inbox,
-    int32_t epoch, bool scheduled, const int32_t* wake_by_rank) {
+    int32_t epoch, const std::vector<int32_t>& wake_by_rank) {
   const int n = g.NumNodes();
   SnapshotData snap;
-  snap.engine_kind = engine_kind;
+  snap.engine_kind = SnapshotEngineKind::kNetwork;
   snap.digest_messages = digest_messages;
   snap.finished = finished;
   snap.batch = 1;
@@ -434,15 +433,16 @@ SnapshotData BuildSoloSnapshot(
     inst.rounds[r] = {stats[r], maccs[r], digests[r]};
   }
   inst.halted = halted;
-  // Canonical wake plane: halted -> 0; without scheduling every live node
-  // is by definition awake at the boundary (wake == round); with it,
-  // unzip the engine's internal-indexed wake rounds through `order`.
+  // Canonical wake plane: halted -> 0; live nodes unzip the engine's
+  // internal-indexed wake rounds through `order`, and an awake node (wake
+  // round at or below the boundary, e.g. every live node of a dense run)
+  // records the boundary round itself.
   inst.wake.assign(static_cast<size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
     const int v = order[i];
     if (halted[static_cast<size_t>(v)] != 0) continue;
     inst.wake[static_cast<size_t>(v)] =
-        (scheduled && wake_by_rank != nullptr) ? wake_by_rank[i] : round;
+        std::max<int32_t>(wake_by_rank[static_cast<size_t>(i)], round);
   }
   inst.state_stride = static_cast<uint32_t>(state_stride);
   inst.state.resize(static_cast<size_t>(n) * state_stride);
@@ -516,11 +516,9 @@ void ValidateForEngine(const SnapshotData& snap, GraphView g,
 }
 
 void ApplySoloSnapshot(const SnapshotData& snap, GraphView g,
-                       size_t alg_state_bytes, const std::vector<int>& order,
-                       const std::vector<int>& perm,
+                       size_t alg_state_bytes, const std::vector<int>& perm,
                        const std::vector<int>& first,
                        std::vector<Message>& inbox, std::vector<char>& halted,
-                       std::vector<int>& active,
                        std::vector<unsigned char>& state,
                        size_t& state_stride, std::vector<RoundStats>& stats,
                        std::vector<uint64_t>& maccs,
@@ -552,13 +550,6 @@ void ApplySoloSnapshot(const SnapshotData& snap, GraphView g,
     digest = r.digest;
   }
   std::copy(inst.halted.begin(), inst.halted.end(), halted.begin());
-  // Worklist invariant: starting from all ranks ascending, the stable
-  // compaction leaves exactly the non-halted ranks in ascending order at
-  // every boundary — so the worklist is derivable from the halt flags.
-  active.clear();
-  for (int i = 0; i < n; ++i) {
-    if (!halted[order[i]]) active.push_back(i);
-  }
   state_stride = alg_state_bytes;
   state.assign(static_cast<size_t>(n) * state_stride, 0);
   for (int v = 0; v < n; ++v) {

@@ -52,12 +52,14 @@ namespace treelocal::local {
 // both versions, never a silent misparse.
 //
 // The wake plane is canonical like everything else: external-indexed,
-// halted nodes record 0, live nodes of an unscheduled run record
-// snap.round ("awake at the boundary"), and live nodes of a scheduled run
-// record their wake round W >= snap.round (kNoWakeRound = parked until a
-// message arrives). An unscheduled resume ignores the plane; a scheduled
-// resume rebuilds its calendar from it — so scheduling configuration, like
-// engine class, is a resume-side choice, not a snapshot property.
+// halted nodes record 0, and live nodes record their wake round
+// W >= snap.round (kNoWakeRound = parked until a message arrives).
+// W == snap.round means "awake at the boundary", which is every live node
+// of a dense run and of a run that ignores sleeps (wake_scheduling off). A
+// resume that ignores sleeps wakes every live node at the boundary; any
+// other resume rebuilds its calendar from the plane — so scheduling
+// configuration, like engine class, is a resume-side choice, not a
+// snapshot property.
 //
 // ReadSnapshot validates the trailing file hash first (any truncation or
 // bit flip fails cleanly), then parses with bounds checks and validates
@@ -99,11 +101,12 @@ class SnapshotVersionError : public SnapshotError {
 inline constexpr uint32_t kSnapshotFlagDigestMessages = 1u << 0;
 
 // Informational engine tag (not enforced on resume — the image is
-// canonical, so any engine configuration can pick the run up). The solo
-// Network writes kNetwork at one lane and kParallelNetwork at more.
-// kBatchNetwork is read-compat only: the retired batch engine wrote it and
-// no engine writes it now. Its files still parse, and a single-instance one
-// resumes on Network like any other tag.
+// canonical, so any engine configuration can pick the run up). Network
+// writes kNetwork at every thread count; ReferenceNetwork writes
+// kReferenceNetwork. kParallelNetwork and kBatchNetwork are read-compat
+// only: earlier builds wrote them (Network at more than one lane, and the
+// retired batch engine) and no engine writes them now. Their files still
+// parse, and a single-instance one resumes on Network like any other tag.
 enum class SnapshotEngineKind : uint32_t {
   kNetwork = 0,
   kParallelNetwork = 1,
@@ -162,9 +165,8 @@ struct SnapshotData {
     std::vector<SnapshotRound> rounds;
     std::vector<char> halted;             // n entries, external-indexed
     // Canonical per-node wake rounds (n entries, external-indexed): 0 for
-    // halted nodes, snap.round for live nodes of an unscheduled run, the
-    // node's wake round W >= snap.round (or kNoWakeRound for parked) when
-    // the run was wake-scheduled. See the layout comment above.
+    // halted nodes, the node's wake round W >= snap.round (kNoWakeRound
+    // for parked) for live ones. See the layout comment above.
     std::vector<int32_t> wake;
     uint32_t state_stride = 0;
     std::vector<unsigned char> state;     // n * state_stride bytes
@@ -211,23 +213,22 @@ void SetInputSections(GraphView g, const std::vector<int64_t>& ids,
                       SnapshotData& snap);
 
 // Canonical gather/apply for the solo CSR engine (Network, at any thread
-// count). `order` maps internal rank -> external node; `first` and
-// `degree` are the external-indexed CSR offset and degree tables
-// (internal::BuildChannelTables); deliverable messages are the inbox
-// slots stamped epoch - 1. `wake_by_rank` is the engine's internal-indexed
-// wake plane (nullptr when the engine never armed it); it is consulted
-// only when `scheduled`, and the gather canonicalizes (halted -> 0,
-// unscheduled live -> round).
+// count; the gather tags the image kNetwork). `order` maps internal rank
+// -> external node; `first` and `degree` are the external-indexed CSR
+// offset and degree tables (internal::BuildChannelTables); deliverable
+// messages are the inbox slots stamped epoch - 1. `wake_by_rank` is the
+// engine's internal-indexed wake plane (n entries); the gather
+// canonicalizes halted nodes to 0 and awake ones (wake round at or below
+// `round`) to `round`.
 SnapshotData BuildSoloSnapshot(
-    GraphView g, const std::vector<int64_t>& ids,
-    SnapshotEngineKind engine_kind, bool digest_messages, bool finished,
-    int round, int64_t messages_delivered,
+    GraphView g, const std::vector<int64_t>& ids, bool digest_messages,
+    bool finished, int round, int64_t messages_delivered,
     const std::vector<RoundStats>& stats, const std::vector<uint64_t>& maccs,
     const std::vector<uint64_t>& digests, const std::vector<char>& halted,
     const std::vector<unsigned char>& state, size_t state_stride,
     const std::vector<int>& order, const std::vector<int>& first,
     const std::vector<int>& degree, const std::vector<Message>& inbox,
-    int32_t epoch, bool scheduled, const int32_t* wake_by_rank);
+    int32_t epoch, const std::vector<int32_t>& wake_by_rank);
 
 // Validates a parsed snapshot against the engine about to resume it:
 // graph/ids hashes, a single instance (snap.batch == 1), digest-messages
@@ -237,17 +238,15 @@ void ValidateForEngine(const SnapshotData& snap, GraphView g,
                        const std::vector<int64_t>& ids, bool digest_messages,
                        const char* engine_name);
 
-// Restores one solo instance into engine storage: halt flags, worklist
-// (non-halted internal ranks, ascending — the stable-compaction
-// invariant), state plane (external -> internal), counters, digest-chain
-// history, and the deliverable messages stamped `epoch - 1` so the next
-// round's Recv sees exactly them.
+// Restores one solo instance into engine storage: halt flags, state plane
+// (external -> internal), counters, digest-chain history, and the
+// deliverable messages stamped `epoch - 1` so the next round's Recv sees
+// exactly them. The engine rebuilds its wake calendar from the wake plane
+// itself.
 void ApplySoloSnapshot(const SnapshotData& snap, GraphView g,
-                       size_t alg_state_bytes, const std::vector<int>& order,
-                       const std::vector<int>& perm,
+                       size_t alg_state_bytes, const std::vector<int>& perm,
                        const std::vector<int>& first,
                        std::vector<Message>& inbox, std::vector<char>& halted,
-                       std::vector<int>& active,
                        std::vector<unsigned char>& state,
                        size_t& state_stride, std::vector<RoundStats>& stats,
                        std::vector<uint64_t>& maccs,

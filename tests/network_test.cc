@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/core/rake_compress.h"
 #include "src/graph/generators.h"
 #include "src/local/network.h"
 #include "src/support/rng.h"
@@ -353,7 +354,6 @@ TEST(NetworkTest, AbandonRunStartsNextRunFresh) {
 class StaggeredHalt : public Algorithm {
  public:
   size_t StateBytes() const override { return sizeof(int64_t); }
-  bool WakeScheduled() const override { return true; }
   int InitialWakeRound(int node) const override { return node % 3; }
   void OnRound(NodeContext& ctx) override {
     ++ctx.State<int64_t>();
@@ -396,6 +396,62 @@ TEST(NetworkTest, EngineMemoryPartsSumToTotal) {
     EXPECT_EQ(b.state_plane, n * sizeof(int64_t));
     EXPECT_GT(b.wake_tables, 0u);
     EXPECT_GT(b.run_log, 0u);
+  }
+}
+
+// Node 0 broadcasts in round 0 and halts; every other node parks until a
+// message arrives, then passes it on and halts: a wave that visits each
+// node exactly once, all but node 0 by message wake.
+class ParkedFlood : public Algorithm {
+ public:
+  int InitialWakeRound(int node) const override {
+    return node == 0 ? 0 : local::kNoWakeRound;
+  }
+  void OnRound(NodeContext& ctx) override {
+    ctx.Broadcast(Message::Of(1));
+    ctx.Halt();
+  }
+};
+
+// Every run walks the wake calendar, but the message-wake tables (a
+// channel-owner entry per channel plus a notify stamp per node) are built
+// only by the first run that parks a node: a dense run such as
+// rake-compress holds just the per-node wake rounds and bucket stamps, and
+// visits every live node every round. Once built, the tables are reused by
+// later runs without growing.
+TEST(NetworkTest, MessageWakeTablesArmOnlyWhenANodeParks) {
+  const int n = 2000;
+  const Graph g = UniformRandomTree(n, 21);
+  const auto ids = DefaultIds(n, 22);
+  const size_t calendar_bytes = 2 * n * sizeof(int32_t);
+  const size_t owner_bytes = 2 * static_cast<size_t>(g.NumEdges()) *
+                             sizeof(int);
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("T=" + std::to_string(threads));
+    Network net(g, ids, threads, local::NetworkOptions{});
+    RunRakeCompress(net, 2);
+    ASSERT_FALSE(net.round_stats().empty());
+    for (const local::RoundStats& rs : net.round_stats()) {
+      EXPECT_EQ(rs.visits, rs.active_nodes);
+    }
+    EXPECT_EQ(net.wakes(), 0);
+    EXPECT_EQ(net.EngineMemory().wake_tables, calendar_bytes);
+
+    ParkedFlood flood;
+    net.Run(flood, n + 1);
+    int64_t visits = 0;
+    for (const local::RoundStats& rs : net.round_stats()) visits += rs.visits;
+    EXPECT_EQ(visits, n);
+    EXPECT_EQ(net.wakes(), n - 1);
+    const size_t armed = net.EngineMemory().wake_tables;
+    EXPECT_GE(armed, calendar_bytes + owner_bytes + n * sizeof(int32_t));
+
+    ParkedFlood again;
+    net.Run(again, n + 1);
+    EXPECT_EQ(net.wakes(), n - 1);
+    EXPECT_EQ(net.EngineMemory().wake_tables, armed);
+    RunRakeCompress(net, 2);
+    EXPECT_EQ(net.EngineMemory().wake_tables, armed);
   }
 }
 

@@ -166,7 +166,7 @@ TEST(SnapshotTest, MidRunSnapshotsIdenticalAcrossEngines) {
   record(std::make_unique<ParallelNetwork>(g, ids, 8, relabel));
   record(std::make_unique<ReferenceNetwork>(g, ids, plain));
   EXPECT_EQ(snaps[0].engine_kind, SnapshotEngineKind::kNetwork);
-  EXPECT_EQ(snaps[2].engine_kind, SnapshotEngineKind::kParallelNetwork);
+  EXPECT_EQ(snaps[2].engine_kind, SnapshotEngineKind::kNetwork);
   EXPECT_EQ(snaps[3].engine_kind, SnapshotEngineKind::kReferenceNetwork);
   for (size_t i = 1; i < snaps.size(); ++i) {
     SnapshotData norm = snaps[i];
@@ -219,6 +219,51 @@ TEST(SnapshotTest, CrossEngineResume) {
                      recordings[i]);
     finish_and_check(std::make_unique<ReferenceNetwork>(g, ids, plain),
                      recordings[i]);
+  }
+}
+
+// One engine class writes one tag: Network checkpoints are byte-identical
+// at T = 1 and T = 4 as written — no tag normalization — mid-run and at the
+// finish. Images tagged kParallelNetwork (what Network wrote at T > 1
+// before) stay readable and resume like any other tag.
+TEST(SnapshotTest, ThreadCountsWriteIdenticalBytes) {
+  const int n = 300, k = 2;
+  const Graph g = UniformRandomTree(n, 71);
+  const auto ids = DefaultIds(n, 72);
+  const SnapshotData want = FinalImage(g, ids, k, /*digest_messages=*/false);
+  auto bytes_at = [&](Network& net, int pause) {
+    auto alg = MakeRakeCompressAlgorithm(k);
+    if (pause >= 0) {
+      net.RunUntil(*alg, kMaxRounds, pause);
+    } else {
+      net.Run(*alg, kMaxRounds);
+    }
+    return CheckpointBytes(net);
+  };
+  std::string mid;
+  for (const int pause : {3, -1}) {
+    SCOPED_TRACE("pause=" + std::to_string(pause));
+    Network serial(g, ids);
+    ParallelNetwork sharded(g, ids, 4);
+    const std::string bytes = bytes_at(serial, pause);
+    EXPECT_EQ(bytes_at(sharded, pause), bytes);
+    EXPECT_EQ(ParseBytes(bytes).engine_kind, SnapshotEngineKind::kNetwork);
+    if (pause >= 0) mid = bytes;
+  }
+
+  SnapshotData tagged = ParseBytes(mid);
+  tagged.engine_kind = SnapshotEngineKind::kParallelNetwork;
+  std::ostringstream tagged_out;
+  WriteSnapshot(tagged_out, tagged);
+  EXPECT_EQ(ParseBytes(tagged_out.str()).engine_kind,
+            SnapshotEngineKind::kParallelNetwork);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("resume T=" + std::to_string(threads));
+    ParallelNetwork net(g, ids, threads);
+    auto alg = MakeRakeCompressAlgorithm(k);
+    ResumeBytes(net, tagged_out.str());
+    net.Run(*alg, kMaxRounds);
+    EXPECT_TRUE(ParseBytes(CheckpointBytes(net)) == want);
   }
 }
 

@@ -1,15 +1,20 @@
-// Wake-round scheduling (NodeContext::SleepUntil / Algorithm::WakeScheduled):
-// the engine visits a node only in rounds where it declared it acts, waking
-// it early whenever an observable message arrives. The contract under test:
+// Wake-round scheduling (Algorithm::InitialWakeRound / NodeContext::
+// SleepUntil): the engine visits a node only in rounds where it declared it
+// acts, waking it early whenever an observable message arrives. The
+// contract under test:
 //   * transcripts (round stats, message counts, digest chains, outputs) are
-//     bit-identical to the always-visit path — only RoundStats::visits
-//     shrinks — across every engine, relabel, and thread count;
+//     bit-identical to a run with NetworkOptions::wake_scheduling off, which
+//     ignores sleeps and visits every live node every round — only
+//     RoundStats::visits shrinks — across every engine, relabel, and thread
+//     count;
 //   * an incoming observable message always wakes a sleeping node for the
 //     delivery round, even if it just re-slept (or re-parked) that round;
+//   * calendar entries left stale by an early wake, or duplicated by a node
+//     that stayed awake into its declared round, cost no extra visit;
 //   * sleeping past max_rounds is the structured MaxRoundsExceededError,
 //     not a hang, and the engine stays reusable;
 //   * FaultInjector::OnVisit fires per REAL visit, so the n-th-visit kill
-//     site lands later in a scheduled run than in an always-visit one;
+//     site lands later in a scheduled run than in one ignoring sleeps;
 //   * engine reuse re-arms the calendar and the bucket-dedup stamps (round
 //     numbers restart per run, so stale stamps must not swallow wakes);
 //   * a mid-run checkpoint with populated wake buckets resumes
@@ -46,14 +51,13 @@ using local::ReferenceNetwork;
 constexpr int kMaxRounds = 1 << 20;
 
 // Staged sweep: node v broadcasts exactly once, in round rank(v), and every
-// node halts in round K-1. Identical observable behavior on the scheduled
-// and always-visit paths; under scheduling a node is visited at its rank
-// round, at message wakes (a neighbor's broadcast), and at the final round.
+// node halts in round K-1. Identical observable behavior whether or not the
+// engine honors sleeps; when it does, a node is visited at its rank round,
+// at message wakes (a neighbor's broadcast), and at the final round.
 class StagedSweep : public Algorithm {
  public:
   StagedSweep(int num_rounds, int mult) : k_(num_rounds), mult_(mult) {}
 
-  bool WakeScheduled() const override { return true; }
   int InitialWakeRound(int node) const override { return Rank(node); }
 
   void OnRound(NodeContext& ctx) override {
@@ -98,7 +102,6 @@ class StagedSweepAcc : public StagedSweep {
 // Every node parks forever at round 0; the run must hit max_rounds.
 class ParkForever : public Algorithm {
  public:
-  bool WakeScheduled() const override { return true; }
   void OnRound(NodeContext& ctx) override { ctx.SleepUntil(kNoWakeRound); }
 };
 
@@ -113,7 +116,6 @@ class HaltNowAlg : public Algorithm {
 // Scheduled visits per spoke: exactly two (both message wakes).
 class StarPoke : public Algorithm {
  public:
-  bool WakeScheduled() const override { return true; }
   int InitialWakeRound(int node) const override {
     return node == 0 ? 0 : kNoWakeRound;
   }
@@ -142,6 +144,45 @@ class StarPoke : public Algorithm {
       return;
     }
     ctx.SleepUntil(kNoWakeRound);  // re-park inside the wake round
+  }
+};
+
+// Star whose spokes leave stale and duplicate calendar entries behind. The
+// center broadcasts in round 0 and halts, which wakes every spoke for
+// round 1 ahead of its declared first round. Then:
+//   * even spokes (declared round 2) stay awake through round 2 and halt
+//     in round 3: in round 2 the spoke is both a survivor and the owner of
+//     its round-2 calendar entry, which must not make it run twice;
+//   * spokes with v % 4 == 1 (declared round 5) halt in round 1, leaving a
+//     calendar entry for a halted node;
+//   * spokes with v % 4 == 3 (declared round 5) re-sleep to round 8 and
+//     halt there, leaving a stale round-5 entry.
+// Each OnRound counts itself in the node's state slot.
+class StaleEntries : public Algorithm {
+ public:
+  int InitialWakeRound(int node) const override {
+    return node == 0 ? 0 : node % 2 == 0 ? 2 : 5;
+  }
+  size_t StateBytes() const override { return sizeof(int32_t); }
+  void OnRound(NodeContext& ctx) override {
+    ++ctx.State<int32_t>();
+    const int v = ctx.node();
+    const int r = ctx.round();
+    if (v == 0) {
+      ctx.Broadcast(Message::Of(1));
+      ctx.Halt();
+    } else if (v % 2 == 0) {
+      if (r >= 3) ctx.Halt();
+    } else if (v % 4 == 1 || r >= 8) {
+      ctx.Halt();
+    } else {
+      ctx.SleepUntil(8);
+    }
+  }
+  // Visits each node must see: the center once, even spokes in rounds
+  // 1-3, the v % 4 == 1 spokes in round 1, the others in rounds 1 and 8.
+  static int32_t WantVisits(int v) {
+    return v == 0 ? 1 : v % 2 == 0 ? 3 : v % 4 == 1 ? 1 : 2;
   }
 };
 
@@ -192,21 +233,20 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
   const Graph g = UniformRandomTree(n, 901);
   const auto ids = DefaultIds(n, 902);
 
-  // Ground truth: always-visit serial run.
+  // Ground truth: serial run ignoring sleeps.
   NetworkOptions off;
   off.wake_scheduling = false;
   Network base(g, ids, off);
   StagedSweep base_alg(K, 7);
   ASSERT_EQ(base.Run(base_alg, kMaxRounds), K);
-  EXPECT_FALSE(base.wake_scheduled());
   const Transcript want = Capture(base);
-  EXPECT_EQ(want.visits, want.active);  // legacy visits every live node
+  EXPECT_EQ(want.visits, want.active);  // every live node, every round
+  EXPECT_EQ(base.wakes(), 0);
 
   {
     Network net(g, ids);
     StagedSweep alg(K, 7);
     EXPECT_EQ(net.Run(alg, kMaxRounds), K);
-    EXPECT_TRUE(net.wake_scheduled());
     const Transcript got = Capture(net);
     ExpectSameTranscript(got, want);
     EXPECT_LT(got.visits, want.visits);
@@ -227,7 +267,6 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
       ParallelNetwork net(g, ids, t, opt);
       StagedSweep alg(K, 7);
       EXPECT_EQ(net.Run(alg, kMaxRounds), K);
-      EXPECT_TRUE(net.wake_scheduled());
       const Transcript got = Capture(net);
       ExpectSameTranscript(got, want);
       EXPECT_LT(got.visits, want.visits);
@@ -237,14 +276,14 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
     ReferenceNetwork net(g, ids);
     StagedSweep alg(K, 7);
     EXPECT_EQ(net.Run(alg, kMaxRounds), K);
-    EXPECT_TRUE(net.wake_scheduled());
     const Transcript got = Capture(net);
     ExpectSameTranscript(got, want);
     EXPECT_LT(got.visits, want.visits);
   }
   // Other schedules with engine-managed state: a relabeled engine, with
-  // scheduling on or off, matches the plain always-visit run in transcript
-  // and final state, and its visits match the plain scheduled run's.
+  // scheduling on or off, matches the plain run ignoring sleeps in
+  // transcript and final state, and its visits match the plain run's in
+  // the same mode.
   for (int mult : {5, 11}) {
     auto run = [&](bool relabel, bool scheduled) {
       NetworkOptions opt;
@@ -309,6 +348,35 @@ TEST(WakeSchedulerTest, MessageWakesParkedNodeAndReParkHolds) {
   }
 }
 
+TEST(WakeSchedulerTest, StaleAndDuplicateCalendarEntriesVisitOnce) {
+  const int n = 41;
+  const Graph g = Star(n);
+  const auto ids = DefaultIds(n, 19);
+  int64_t want_visits = 0;
+  for (int v = 0; v < n; ++v) want_visits += StaleEntries::WantVisits(v);
+
+  const auto check = [&](auto& net, const std::string& label) {
+    SCOPED_TRACE(label);
+    StaleEntries alg;
+    EXPECT_EQ(net.Run(alg, kMaxRounds), 9);
+    for (int v = 0; v < n; ++v) {
+      EXPECT_EQ(net.template StateAt<int32_t>(v), StaleEntries::WantVisits(v))
+          << "node " << v;
+    }
+    EXPECT_EQ(Capture(net).visits, want_visits);
+  };
+  NetworkOptions relabel;
+  relabel.relabel = true;
+  for (int t : {1, 3}) {
+    ParallelNetwork net(g, ids, t);
+    check(net, "T=" + std::to_string(t));
+    ParallelNetwork relabeled(g, ids, t, relabel);
+    check(relabeled, "relabel T=" + std::to_string(t));
+  }
+  ReferenceNetwork reference(g, ids);
+  check(reference, "reference");
+}
+
 TEST(WakeSchedulerTest, SleepPastMaxRoundsIsStructuredNotAHang) {
   const int n = 24;
   const Graph g = BalancedRegularTree(n, 3);
@@ -351,8 +419,8 @@ TEST(WakeSchedulerTest, ThrowAtVisitCountsOnlyRealVisits) {
   ASSERT_LT(t.visits, t.active);
 
   // The t.visits-th visit is the scheduled run's LAST dispatch, which
-  // happens in the final round; the always-visit run burns through the same
-  // budget on idle visits and dies strictly earlier.
+  // happens in the final round; the run ignoring sleeps burns through the
+  // same budget on idle visits and dies strictly earlier.
   support::FaultInjector sched_fault =
       support::FaultInjector::ThrowAtVisit(t.visits);
   NetworkOptions sched_opt;
@@ -390,8 +458,8 @@ TEST(WakeSchedulerTest, EngineReuseRearmsCalendarAndDedupStamps) {
   const Graph g = UniformRandomTree(n, 6000);
   const auto ids = DefaultIds(n, 6001);
 
-  // Three back-to-back scheduled runs on ONE engine, with an always-visit
-  // run wedged in between. Round numbers restart at 0 every run, so stale
+  // Three back-to-back scheduled runs on ONE engine, with a dense run
+  // wedged in between. Round numbers restart at 0 every run, so stale
   // round-keyed scheduler state (calendar buckets, parallel bucket-dedup
   // stamps) from run i must not swallow wake visits in run i+1 — the
   // regression here was a parallel run losing nodes forever to a stale
@@ -443,9 +511,8 @@ TEST(WakeSchedulerTest, MidSweepCheckpointResumesAcrossEnginesAndModes) {
     StagedSweep alg(K, 7);
     ResumeBytes(net, mid);
     EXPECT_EQ(net.Run(alg, kMaxRounds), K);
-    EXPECT_TRUE(net.wake_scheduled());
     ExpectSameTranscript(Capture(net), want);
-    EXPECT_EQ(CheckpointBytes(net), want_bytes);
+    EXPECT_EQ(CheckpointBytes(net), want_bytes);  // visits included
   }
   {
     // Different engine, scheduled resume.
@@ -453,8 +520,9 @@ TEST(WakeSchedulerTest, MidSweepCheckpointResumesAcrossEnginesAndModes) {
     StagedSweep alg(K, 7);
     ResumeBytes(net, mid);
     EXPECT_EQ(net.Run(alg, kMaxRounds), K);
-    EXPECT_TRUE(net.wake_scheduled());
-    ExpectSameTranscript(Capture(net), want);
+    const Transcript got = Capture(net);
+    ExpectSameTranscript(got, want);
+    EXPECT_EQ(got.visits, want.visits);
   }
   {
     // Scheduled checkpoint, UNSCHEDULED resume: the wake plane is data the
@@ -465,10 +533,13 @@ TEST(WakeSchedulerTest, MidSweepCheckpointResumesAcrossEnginesAndModes) {
     StagedSweep alg(K, 7);
     ResumeBytes(net, mid);
     EXPECT_EQ(net.Run(alg, kMaxRounds), K);
-    EXPECT_FALSE(net.wake_scheduled());
     const Transcript got = Capture(net);
     ExpectSameTranscript(got, want);
     EXPECT_GT(got.visits, want.visits);  // idle visits are back
+    for (size_t r = K / 2; r < got.stats.size(); ++r) {
+      EXPECT_EQ(got.stats[r].visits, got.stats[r].active_nodes) << r;
+    }
+    EXPECT_EQ(net.wakes(), 0);
   }
   {
     // Unscheduled checkpoint, SCHEDULED resume: every live node's recorded
@@ -486,11 +557,10 @@ TEST(WakeSchedulerTest, MidSweepCheckpointResumesAcrossEnginesAndModes) {
     StagedSweep alg(K, 7);
     ResumeBytes(net, mid_unsched);
     EXPECT_EQ(net.Run(alg, kMaxRounds), K);
-    EXPECT_TRUE(net.wake_scheduled());
     const Transcript got = Capture(net);
     ExpectSameTranscript(got, want);
     // No byte-identity claim here: the snapshot's round history records the
-    // visits that actually happened — the first half ran always-visit, and
+    // visits that actually happened — the first half ignored sleeps, and
     // the resume round itself still visits every live node (the unscheduled
     // checkpoint marks them all awake at the snapshot round). From the
     // round after, the calendar has re-formed and visits match.
