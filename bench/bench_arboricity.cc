@@ -47,7 +47,7 @@ bool RunArboricitySweep(int n_exp, bench::JsonWriter& json) {
     int k = std::max(5 * a, ChooseK(n, QuadraticF()));
 
     local::Network net(g, ids);
-    bench::EngineTimingRecorder::Arm(net);
+    net.set_record_round_times(true);
     auto t0 = Clock::now();
     auto result = SolveEdgeProblemBoundedArboricity(problem, net,
                                                     bench::IdSpace(n), a, k);

@@ -55,10 +55,9 @@ void Run() {
       // counts, message volume, per-round wall-clock) lands in
       // BENCH_engine.json like the other drivers'.
       local::Network net(w.graph, ids);
-      bench::EngineTimingRecorder::Arm(net);
+      net.set_record_round_times(true);
       auto result = RunDecomposition(net, w.a, 2 * w.a, k);
-      std::vector<double> round_seconds =
-          bench::EngineTimingRecorder::Capture(net);
+      std::vector<double> round_seconds = net.round_seconds();
 
       std::vector<int> typ_deg(w.graph.NumNodes(), 0);
       std::vector<int> atyp_out(w.graph.NumNodes(), 0);

@@ -17,7 +17,9 @@
 // opening + fully scanning the mapped image — the number bounded well
 // below the CSR footprint) and the whole-process peak during the solve,
 // which is dominated by engine mailbox state and would dwarf ANY graph
-// backend.
+// backend. Both record kinds also carry the engine's own bytes per
+// structure (Network::EngineMemory) after construction and after the
+// solve, so that engine share is itemized rather than inferred.
 
 #include <algorithm>
 #include <chrono>
@@ -84,6 +86,26 @@ BackendRun TimeBackend(local::Network& net, int k, int reps) {
   return r;
 }
 
+// Network::EngineMemory() parts as <prefix>_<part>_bytes fields: the
+// engine's side of the memory picture the graph byte counts draw. Taken
+// after construction ("engine_ctor") and after the solve ("engine_run"),
+// when the state plane, wake tables and run log exist too.
+void EmitEngineBytes(bench::JsonWriter& json, const std::string& prefix,
+                     const local::EngineBytes& b) {
+  const auto field = [&](const char* part, size_t bytes) {
+    json.Field(prefix + "_" + part + "_bytes", static_cast<int64_t>(bytes));
+  };
+  field("channel_tables", b.channel_tables);
+  field("degree_table", b.degree_table);
+  field("mailboxes", b.mailboxes);
+  field("worklist", b.worklist);
+  field("ids", b.ids);
+  field("state_plane", b.state_plane);
+  field("wake_tables", b.wake_tables);
+  field("run_log", b.run_log);
+  field("total", b.total());
+}
+
 bool RunBackendComparison(int n, int k, int reps, bench::JsonWriter& json) {
   const Graph g = UniformRandomTree(n, 7);
   const std::vector<int64_t> ids = [&] {
@@ -107,6 +129,7 @@ bool RunBackendComparison(int n, int k, int reps, bench::JsonWriter& json) {
   local::Network csr_net(g, ids);
   local::Network compact_net(compact, ids);
   local::Network mapped_net(mapped, ids);
+  const local::EngineBytes ctor_bytes = compact_net.EngineMemory();
   const BackendRun csr = TimeBackend(csr_net, k, reps);
   const BackendRun ram = TimeBackend(compact_net, k, reps);
   const BackendRun map = TimeBackend(mapped_net, k, reps);
@@ -135,6 +158,8 @@ bool RunBackendComparison(int n, int k, int reps, bench::JsonWriter& json) {
   json.Field("digest", HexDigest(csr.digest));
   json.Field("transcripts_identical", identical);
   json.Field("peak_rss_bytes", bench::PeakRssBytes());
+  EmitEngineBytes(json, "engine_ctor", ctor_bytes);
+  EmitEngineBytes(json, "engine_run", compact_net.EngineMemory());
 
   std::cout << "n=" << n << " m=" << m << "  " << bytes_per_edge
             << " bytes/edge (csr/" << ratio << ")  csr " << csr.seconds
@@ -212,6 +237,7 @@ bool RunHuge(int64_t n, int k, bench::JsonWriter& json) {
   std::vector<int64_t> ids(n);
   for (int64_t i = 0; i < n; ++i) ids[i] = i;
   local::Network net(mapped, ids);
+  const local::EngineBytes ctor_bytes = net.EngineMemory();
   const RakeCompressResult res = RunRakeCompress(net, k);
   const double solve_seconds = bench::SecondsSince(t_solve);
   const uint64_t digest = FoldDigest(res.round_stats);
@@ -242,6 +268,8 @@ bool RunHuge(int64_t n, int k, bench::JsonWriter& json) {
   // state), NOT the graph backend — recorded so the residency claim above
   // cannot be mistaken for a solve-memory claim.
   json.Field("solve_peak_rss_bytes", bench::PeakRssBytes());
+  EmitEngineBytes(json, "engine_ctor", ctor_bytes);
+  EmitEngineBytes(json, "engine_run", net.EngineMemory());
 
   std::cout << "  solved: rounds=" << res.engine_rounds
             << " messages=" << res.messages << " digest=" << HexDigest(digest)

@@ -11,9 +11,10 @@
 //     RoundStats) differs from serial: the determinism contract is the
 //     acceptance gate, speedup is reported but never traded against it.
 //   * relabel_ablation: Network with NetworkOptions::relabel vs default
-//     layout, identity-gated, timed in --reps pairs that alternate which
-//     engine runs first; records the median pair ratio and the win count
-//     (the BFS locality satellite).
+//     layout at each T in --threads, identity-gated, timed in --reps pairs
+//     that alternate which engine runs first; records the median pair
+//     ratio and the win count (the BFS locality ablation; see ROADMAP for
+//     where relabel wins and where it loses).
 //
 // CI runs this at small n with --threads=4 as the smoke gate; the full-size
 // run (n = 2^20 by default) produces the scaling record for ROADMAP.
@@ -60,7 +61,7 @@ double Measure(local::Network& engine, int k, int reps,
     if (s < best) {
       best = s;
       out = std::move(r);
-      round_seconds = bench::EngineTimingRecorder::Capture(engine);
+      round_seconds = engine.round_seconds();
     }
   }
   return best;
@@ -74,7 +75,7 @@ bool RunScaling(const Graph& tree, const std::vector<int64_t>& ids, int k,
             << "-node uniform tree, k=" << k << "\n";
 
   local::Network serial(tree, ids);
-  bench::EngineTimingRecorder::Arm(serial);
+  serial.set_record_round_times(true);
   RakeCompressResult want;
   std::vector<double> serial_rounds;
   const double serial_s = Measure(serial, k, reps, want, serial_rounds);
@@ -84,7 +85,7 @@ bool RunScaling(const Graph& tree, const std::vector<int64_t>& ids, int k,
   bool ok = true;
   for (int threads : thread_counts) {
     local::ParallelNetwork par(tree, ids, threads);
-    bench::EngineTimingRecorder::Arm(par);
+    par.set_record_round_times(true);
     RakeCompressResult got;
     std::vector<double> par_rounds;
     const double par_s = Measure(par, k, reps, got, par_rounds);
@@ -138,14 +139,15 @@ bool RunScaling(const Graph& tree, const std::vector<int64_t>& ids, int k,
 // the ratio. speedup is the median of the per-pair ratios
 // (plain / relabel), and relabel_wins counts the pairs relabel won.
 bool RunRelabelAblation(const Graph& tree, const std::vector<int64_t>& ids,
-                        int k, int reps, bench::JsonWriter& json) {
+                        int k, int reps, int threads, bench::JsonWriter& json) {
   const int n = tree.NumNodes();
-  std::cout << "Relabel ablation: BFS mailbox layout vs caller labels\n";
+  std::cout << "Relabel ablation at T=" << threads
+            << ": BFS mailbox layout vs caller labels\n";
 
-  local::Network plain(tree, ids);
+  local::Network plain(tree, ids, threads, local::NetworkOptions{});
   local::NetworkOptions opt;
   opt.relabel = true;
-  local::Network relabeled(tree, ids, opt);
+  local::Network relabeled(tree, ids, threads, opt);
   RunRakeCompress(plain, k);  // warmups: fault in the mailboxes
   RunRakeCompress(relabeled, k);
 
@@ -191,6 +193,7 @@ bool RunRelabelAblation(const Graph& tree, const std::vector<int64_t>& ids,
   json.Field("experiment", "relabel_ablation");
   json.Field("n", n);
   json.Field("k", k);
+  json.Field("threads", threads);
   json.Field("pairs", reps);
   json.Field("default_seconds", plain_s);
   json.Field("relabel_seconds", relabel_s);
@@ -243,7 +246,9 @@ int main(int argc, char** argv) {
 
   treelocal::bench::JsonWriter json;
   bool ok = treelocal::RunScaling(tree, ids, k, reps, thread_counts, json);
-  ok &= treelocal::RunRelabelAblation(tree, ids, k, reps, json);
+  for (int threads : thread_counts) {
+    ok &= treelocal::RunRelabelAblation(tree, ids, k, reps, threads, json);
+  }
   json.MergeAs("bench_parallel", "BENCH_engine.json");
   std::cout << (ok ? "  wrote BENCH_engine.json\n"
                    : "TRANSCRIPT MISMATCH — failing\n");

@@ -28,13 +28,11 @@ void Run() {
         Graph tree = MakeTree(family, n, 42);
         auto ids = DefaultIds(tree.NumNodes(), 43);
         // Explicit engine so the per-round wall-clock trajectory rides
-        // along with the active-count curve (EngineTimingRecorder is the
-        // shared arming/capture path of all drivers).
+        // along with the active-count curve.
         local::Network net(tree, ids);
-        bench::EngineTimingRecorder::Arm(net);
+        net.set_record_round_times(true);
         auto result = RunRakeCompress(net, k);
-        std::vector<double> round_seconds =
-            bench::EngineTimingRecorder::Capture(net);
+        std::vector<double> round_seconds = net.round_seconds();
 
         // Lemma 10 observable: degree of T_C's underlying graph.
         std::vector<int> c_degree(tree.NumNodes(), 0);

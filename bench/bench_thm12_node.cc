@@ -60,10 +60,9 @@ bool RunProblem(const NodeProblem& problem, const std::string& title,
       // engine work is folded into accounted helpers and the gather is
       // analytic, so neither has a per-round curve to emit.
       local::Network net(tree, ids);
-      bench::EngineTimingRecorder::Arm(net);
+      net.set_record_round_times(true);
       RakeCompressResult timed = RunRakeCompress(net, k);
-      std::vector<double> decomp_seconds =
-          bench::EngineTimingRecorder::Capture(net);
+      std::vector<double> decomp_seconds = net.round_seconds();
       std::vector<int64_t> active, sent;
       for (const auto& rs : transformed.rake_compress.round_stats) {
         active.push_back(rs.active_nodes);

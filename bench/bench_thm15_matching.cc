@@ -56,7 +56,7 @@ bool Run(int n_max_exp, int reps) {
       // Engine-native pipeline on an explicit, timing-armed host engine
       // (best-of-reps; the engine is reused across reps, as in production).
       local::Network net(tree, ids);
-      bench::EngineTimingRecorder::Arm(net);
+      net.set_record_round_times(true);
       Thm15Result transformed;
       double engine_s = 1e300;
       for (int rep = 0; rep < reps; ++rep) {

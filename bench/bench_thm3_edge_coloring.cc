@@ -54,7 +54,7 @@ bool RunMeasured(int n_lo, int n_hi, bench::JsonWriter& json) {
                                 tree.MaxDegree());
     int k = std::max(5, ChooseK(n, QuadraticF()));
     local::Network net(tree, ids);
-    bench::EngineTimingRecorder::Arm(net);
+    net.set_record_round_times(true);
     auto t0 = Clock::now();
     auto result = SolveEdgeProblemBoundedArboricity(problem, net,
                                                     bench::IdSpace(n), 1, k);

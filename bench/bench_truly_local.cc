@@ -52,7 +52,7 @@ bool RunNodeF(int n_exp, bench::JsonWriter& json) {
     int d = g.MaxDegree();
     auto ids = DefaultIds(n, 78);
     local::Network net(g, ids);
-    bench::EngineTimingRecorder::Arm(net);
+    net.set_record_round_times(true);
     auto t0 = Clock::now();
     auto result = RunNodeBaseline(net, mis, bench::IdSpace(n));
     double engine_s = bench::SecondsSince(t0);
@@ -103,7 +103,7 @@ bool RunEdgeF(int n_exp, bench::JsonWriter& json) {
     int ed = g.MaxEdgeDegree();
     auto ids = DefaultIds(n, 100);
     local::Network net(g, ids);
-    bench::EngineTimingRecorder::Arm(net);
+    net.set_record_round_times(true);
     auto t0 = Clock::now();
     auto result = RunEdgeBaseline(net, mm, bench::IdSpace(n));
     double engine_s = bench::SecondsSince(t0);

@@ -85,32 +85,6 @@ inline std::vector<int> PowersOfTwo(int lo, int hi) {
   return out;
 }
 
-// Uniform opt-in per-round wall-clock timing across the engine family, so
-// every driver records round trajectories identically instead of probing
-// `requires { engine.round_seconds(); }` ad hoc. The engine exposing the
-// timing surface (Network, at any thread count) is armed and read back;
-// engines without it (ReferenceNetwork) arm to a no-op and
-// capture an empty trajectory — callers emit what they got and the JSON
-// consumers treat an empty round_seconds as "engine does not time rounds".
-class EngineTimingRecorder {
- public:
-  template <typename Engine>
-  static void Arm(Engine& engine) {
-    if constexpr (requires { engine.set_record_round_times(true); }) {
-      engine.set_record_round_times(true);
-    }
-  }
-
-  template <typename Engine>
-  static std::vector<double> Capture(const Engine& engine) {
-    if constexpr (requires { engine.round_seconds(); }) {
-      return engine.round_seconds();
-    } else {
-      return {};
-    }
-  }
-};
-
 class JsonWriter;
 
 // Emits an engine phase's round trajectory as three records fields:

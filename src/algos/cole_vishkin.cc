@@ -134,9 +134,7 @@ int ColeVishkinIterations(int64_t id_space) {
 
 namespace {
 
-// Shared by Network and ReferenceNetwork (same Run/counters surface).
-template <typename Engine>
-ColeVishkinResult ColeVishkinOnEngine(Engine& net, const Graph& forest,
+ColeVishkinResult ColeVishkinOnEngine(local::Engine& net, const Graph& forest,
                                       const std::vector<int64_t>& ids,
                                       const std::vector<int>& parent,
                                       int64_t id_space) {
@@ -150,7 +148,7 @@ ColeVishkinResult ColeVishkinOnEngine(Engine& net, const Graph& forest,
   result.colors.resize(forest.NumNodes());
   for (int v = 0; v < forest.NumNodes(); ++v) {
     result.colors[v] =
-        static_cast<int>(net.template StateAt<CvState>(v).color);
+        static_cast<int>(net.StateAt<CvState>(v).color);
   }
   return result;
 }

@@ -99,12 +99,9 @@ class NodeSweepAlgorithm : public local::Algorithm {
 
 namespace {
 
-// Shared by Network and ReferenceNetwork (same Run/counters surface).
-template <typename Engine>
-DistributedSweepResult RunNodeSweepOnEngine(Engine& net,
+DistributedSweepResult RunNodeSweepOnEngine(local::Engine& net,
                                             const NodeProblem& problem,
                                             const Graph& g,
-                                            const std::vector<int64_t>& ids,
                                             const std::vector<int64_t>& colors,
                                             int64_t num_colors) {
   DistributedSweepResult result;
@@ -131,7 +128,7 @@ DistributedSweepResult RunDistributedNodeSweep(
     const std::vector<int64_t>& ids, const std::vector<int64_t>& colors,
     int64_t num_colors, int num_threads) {
   local::Network net(g, ids, num_threads, local::NetworkOptions{});
-  return RunNodeSweepOnEngine(net, problem, g, ids, colors, num_colors);
+  return RunNodeSweepOnEngine(net, problem, g, colors, num_colors);
 }
 
 DistributedSweepResult RunDistributedNodeSweepReference(
@@ -139,7 +136,7 @@ DistributedSweepResult RunDistributedNodeSweepReference(
     const std::vector<int64_t>& ids, const std::vector<int64_t>& colors,
     int64_t num_colors) {
   local::ReferenceNetwork net(g, ids);
-  return RunNodeSweepOnEngine(net, problem, g, ids, colors, num_colors);
+  return RunNodeSweepOnEngine(net, problem, g, colors, num_colors);
 }
 
 }  // namespace treelocal

@@ -244,9 +244,7 @@ LinialSchedule BuildLinialSchedule(int64_t id_space, int max_degree) {
 
 namespace {
 
-// Shared by Network and ReferenceNetwork (same Run/counters surface).
-template <typename Engine>
-LinialResult RunLinialOnEngine(Engine& net, const Graph& g,
+LinialResult RunLinialOnEngine(local::Engine& net, const Graph& g,
                                const std::vector<int64_t>& ids,
                                int64_t id_space) {
   LinialResult result;
@@ -267,7 +265,7 @@ LinialResult RunLinialOnEngine(Engine& net, const Graph& g,
   result.round_stats = net.round_stats();
   result.colors.resize(g.NumNodes());
   for (int v = 0; v < g.NumNodes(); ++v) {
-    result.colors[v] = net.template StateAt<LinialState>(v).color;
+    result.colors[v] = net.StateAt<LinialState>(v).color;
   }
   result.num_colors = schedule.final_colors;
   return result;

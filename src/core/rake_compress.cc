@@ -121,12 +121,7 @@ RakeCompressResult RunRakeCompress(GraphView tree,
   return RunRakeCompress(net, k);
 }
 
-namespace {
-
-// Shared across the optimized and reference engines; both expose the same
-// Run/messages_delivered/round_stats surface.
-template <typename Engine>
-RakeCompressResult RunRakeCompressOnEngine(Engine& net, int k) {
+RakeCompressResult RunRakeCompress(local::Engine& net, int k) {
   if (k < 2) throw std::invalid_argument("rake-compress requires k >= 2");
   const GraphView tree = net.view();
   RakeCompressResult result;
@@ -144,7 +139,7 @@ RakeCompressResult RunRakeCompressOnEngine(Engine& net, int k) {
   for (int v = 0; v < n; ++v) {
     // Read back from the engine's state plane (external node indexing at
     // this boundary; the engine undoes any internal relabeling).
-    const RcState& st = net.template StateAt<RcState>(v);
+    const RcState& st = net.StateAt<RcState>(v);
     result.iteration[v] = st.iteration;
     result.compressed[v] = st.compressed;
     assert(result.iteration[v] > 0 && "all nodes must be marked (Lemma 9)");
@@ -152,16 +147,6 @@ RakeCompressResult RunRakeCompressOnEngine(Engine& net, int k) {
         std::max(result.num_iterations, result.iteration[v]);
   }
   return result;
-}
-
-}  // namespace
-
-RakeCompressResult RunRakeCompress(local::Network& net, int k) {
-  return RunRakeCompressOnEngine(net, k);
-}
-
-RakeCompressResult RunRakeCompress(local::ReferenceNetwork& net, int k) {
-  return RunRakeCompressOnEngine(net, k);
 }
 
 std::vector<RakeCompressResult> RunRakeCompressDeduped(
@@ -198,7 +183,7 @@ RakeCompressResult RunRakeCompressReference(GraphView tree,
     return RakeCompressResult{};
   }
   local::ReferenceNetwork net(tree, ids);
-  return RunRakeCompressOnEngine(net, k);
+  return RunRakeCompress(net, k);
 }
 
 }  // namespace treelocal

@@ -7,7 +7,7 @@
 
 #include "src/graph/graph.h"
 #include "src/graph/graph_view.h"
-#include "src/local/network.h"  // also forward-declares ReferenceNetwork
+#include "src/local/network.h"
 
 namespace treelocal {
 
@@ -52,15 +52,12 @@ struct RakeCompressResult {
 RakeCompressResult RunRakeCompress(GraphView tree,
                                    const std::vector<int64_t>& ids, int k);
 
-// Same process on a caller-owned engine (net.view() must be a forest), at
-// the engine's thread count — bit-identical for every T. Repeated calls
-// reuse the engine's mailboxes with no reallocation — the form the
-// throughput benches use.
-RakeCompressResult RunRakeCompress(local::Network& net, int k);
-
-// Same process on a caller-owned naive reference engine (per-round O(n + m)
-// cost); used by differential tests and the engine benchmarks.
-RakeCompressResult RunRakeCompress(local::ReferenceNetwork& net, int k);
+// Same process on a caller-owned engine of either class (net.view() must
+// be a forest) — bit-identical for every engine and thread count. Repeated
+// calls reuse the engine's mailboxes with no reallocation — the form the
+// throughput benches use; the differential tests and engine benchmarks
+// pass the naive ReferenceNetwork.
+RakeCompressResult RunRakeCompress(local::Engine& net, int k);
 
 // k-sweep with shared-transcript dedup on a caller-owned engine:
 // parameters that PROVABLY produce identical transcripts share one run,

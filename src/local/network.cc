@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
@@ -141,21 +140,164 @@ std::vector<int> BuildChanOwner(const std::vector<int>& first,
   return owner;
 }
 
-void ArmStatePlane(Algorithm& alg, int n, const int* inv,
-                   std::vector<unsigned char>& plane, size_t& stride) {
-  stride = alg.StateBytes();
-  // assign() reuses capacity, so repeated Runs of same-sized algorithms
-  // re-arm with no reallocation (the Network reuse contract).
-  plane.assign(stride * static_cast<size_t>(n), 0);
-  if (stride == 0) return;
-  unsigned char* base = plane.data();
-  for (int i = 0; i < n; ++i) {
-    alg.InitState(inv == nullptr ? i : inv[i],
-                  base + static_cast<size_t>(i) * stride);
-  }
+}  // namespace internal
+
+Engine::Engine(GraphView graph, std::vector<int64_t> ids,
+               const NetworkOptions& options, const char* name,
+               SnapshotEngineKind kind)
+    : graph_(graph),
+      ids_(std::move(ids)),
+      digest_messages_(options.digest_messages),
+      wake_opt_(options.wake_scheduling),
+      fault_(options.fault),
+      name_(name),
+      kind_(kind) {
+  assert(static_cast<int>(ids_.size()) == graph.NumNodes());
+  internal::ValidateChannelScale(graph.NumNodes(), graph.NumEdges(), name);
 }
 
-}  // namespace internal
+Engine::~Engine() = default;  // out of line: pending_resume_'s type
+
+const Graph& Engine::graph() const {
+  if (graph_.csr() != nullptr) return *graph_.csr();
+  return graph_.RequireCsr((std::string(name_) + "::graph()").c_str());
+}
+
+Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
+                                  std::unique_ptr<SnapshotData>& resume) {
+  const int n = graph_.NumNodes();
+  RunStart start = RunStart::kContinue;
+  if (pending_resume_ != nullptr) {
+    const size_t stride = pending_resume_->instances[0].state_stride;
+    if (stride != alg.StateBytes()) {
+      // Still armed: the caller's retry with the right algorithm resumes.
+      throw SnapshotError("resume state stride mismatch: snapshot has " +
+                          std::to_string(stride) +
+                          " bytes/node, algorithm declares " +
+                          std::to_string(alg.StateBytes()) +
+                          " (resumed with a different Algorithm?)");
+    }
+    resume = std::move(pending_resume_);
+    const SnapshotData::Instance& inst = resume->instances[0];
+    round_ = resume->round;
+    messages_delivered_ = inst.messages_delivered;
+    round_stats_.clear();
+    round_msg_acc_.clear();
+    round_digests_.clear();
+    for (const SnapshotRound& r : inst.rounds) {
+      round_stats_.push_back(r.stats);
+      round_msg_acc_.push_back(r.msg_acc);
+      round_digests_.push_back(r.digest);
+    }
+    digest_ = round_digests_.empty() ? support::kDigestSeed
+                                     : round_digests_.back();
+    // The image is external-indexed; the plane is internal-indexed.
+    state_stride_ = stride;
+    state_.resize(static_cast<size_t>(n) * stride);
+    for (int v = 0; v < n; ++v) {
+      const size_t i = perm_.empty() ? v : perm_[v];
+      std::copy(inst.state.begin() + v * stride,
+                inst.state.begin() + (v + 1) * stride,
+                state_.begin() + i * stride);
+    }
+    start = RunStart::kResume;
+  } else if (!mid_run_) {
+    round_ = 0;
+    messages_delivered_ = 0;
+    round_stats_.clear();
+    round_msg_acc_.clear();
+    round_digests_.clear();
+    digest_ = support::kDigestSeed;
+    // assign() reuses capacity, so repeated Runs of same-sized algorithms
+    // re-arm with no reallocation (the reuse contract). Per-node init is
+    // order-independent by contract; slot i belongs to external node
+    // inv[i].
+    state_stride_ = alg.StateBytes();
+    state_.assign(state_stride_ * static_cast<size_t>(n), 0);
+    for (int i = 0; i < n && state_stride_ > 0; ++i) {
+      alg.InitState(inv == nullptr ? i : inv[i],
+                    state_.data() + static_cast<size_t>(i) * state_stride_);
+    }
+    start = RunStart::kFresh;
+  }
+  if (start != RunStart::kContinue) {
+    wakes_ = 0;
+    round_seconds_.clear();
+  }
+  mid_run_ = false;  // any exit other than the pause return is not a pause
+  finished_ = false;
+  return start;
+}
+
+bool Engine::PauseAtBoundary(int pause_at_round, int max_rounds,
+                             int64_t live) {
+  if (round_ == pause_at_round) {
+    // Pause at the boundary BEFORE this round executes; the engine's planes
+    // and the digest chain describe exactly this boundary.
+    mid_run_ = true;
+    return true;
+  }
+  if (fault_ != nullptr) fault_->AtRoundBoundary(round_);
+  if (round_ >= max_rounds) {
+    throw MaxRoundsExceededError(std::string(name_) + "::Run", round_, live,
+                                 digest_);
+  }
+  return false;
+}
+
+void Engine::AbandonRun() {
+  pending_resume_.reset();
+  mid_run_ = false;
+  finished_ = false;
+}
+
+void Engine::Checkpoint(std::ostream& out) const {
+  if (!mid_run_ && !finished_) {
+    throw SnapshotError(std::string(name_) +
+                        "::Checkpoint: engine is not at a round boundary "
+                        "(pause with RunUntil or let a run finish first)");
+  }
+  const int n = graph_.NumNodes();
+  SnapshotData snap;
+  snap.engine_kind = kind_;
+  snap.digest_messages = digest_messages_;
+  snap.finished = finished_;
+  snap.batch = 1;
+  snap.round = round_;
+  internal::SetInputSections(graph_, ids_, snap);
+  snap.instances.resize(1);
+  SnapshotData::Instance& inst = snap.instances[0];
+  inst.messages_delivered = messages_delivered_;
+  inst.rounds_completed = finished_ ? round_ : 0;
+  inst.rounds.resize(round_stats_.size());
+  for (size_t r = 0; r < round_stats_.size(); ++r) {
+    inst.rounds[r] = {round_stats_[r], round_msg_acc_[r], round_digests_[r]};
+  }
+  const size_t stride = state_stride_;
+  inst.state_stride = static_cast<uint32_t>(stride);
+  inst.state.resize(static_cast<size_t>(n) * stride);
+  for (int v = 0; v < n; ++v) {
+    const size_t i = perm_.empty() ? v : perm_[v];
+    std::copy(state_.begin() + i * stride, state_.begin() + (i + 1) * stride,
+              inst.state.begin() + v * stride);
+  }
+  SaveBoundary(snap);
+  // Canonical wake plane: halted -> 0, and an awake live node (wake round
+  // at or below the boundary, e.g. every live node of a dense run) records
+  // the boundary round itself.
+  for (int v = 0; v < n; ++v) {
+    inst.wake[v] = inst.halted[v] != 0 ? 0 : std::max(inst.wake[v], round_);
+  }
+  WriteSnapshot(out, snap);
+}
+
+void Engine::Resume(std::istream& in) {
+  SnapshotData snap = ReadSnapshot(in);
+  internal::ValidateForEngine(snap, graph_, ids_, digest_messages_, name_);
+  pending_resume_ = std::make_unique<SnapshotData>(std::move(snap));
+  mid_run_ = false;
+  finished_ = false;
+}
 
 Network::Network(GraphView graph, std::vector<int64_t> ids)
     : Network(graph, std::move(ids), 1, NetworkOptions{}) {}
@@ -164,38 +306,24 @@ Network::Network(GraphView graph, std::vector<int64_t> ids,
                  const NetworkOptions& options)
     : Network(graph, std::move(ids), 1, options) {}
 
-Network::~Network() = default;  // out of line: pending_resume_'s type
-
 Network::Network(GraphView graph, std::vector<int64_t> ids, int num_threads,
                  const NetworkOptions& options)
-    : graph_(graph),
-      ids_(std::move(ids)),
-      wake_opt_(options.wake_scheduling),
-      digest_messages_(options.digest_messages),
-      fault_(options.fault),
+    : Engine(graph, std::move(ids), options, "Network",
+             SnapshotEngineKind::kNetwork),
       pool_(num_threads) {
-  assert(static_cast<int>(ids_.size()) == graph.NumNodes());
-  internal::ValidateChannelScale(graph.NumNodes(), graph.NumEdges(),
-                                 "Network");
   const int n = graph.NumNodes();
   const size_t channels = 2 * static_cast<size_t>(graph.NumEdges());
 
-  std::vector<int> perm;
-  if (options.relabel) perm = internal::BfsOrder(graph);
-  internal::BuildChannelTables(graph, perm.empty() ? nullptr : perm.data(),
+  if (options.relabel) perm_ = internal::BfsOrder(graph);
+  internal::BuildChannelTables(graph, perm_.empty() ? nullptr : perm_.data(),
                                first_, send_chan_, degree_);
-  order_ = internal::WorklistOrder(n, perm);
-  perm_ = std::move(perm);
+  order_ = internal::WorklistOrder(n, perm_);
 
   inbox_.assign(channels, Message{});
   outbox_.assign(channels, Message{});
   halted_.assign(n, 0);
   active_.reserve(n);
   shards_.resize(pool_.num_threads());
-}
-
-int Network::Run(Algorithm& alg, int max_rounds) {
-  return RunUntil(alg, max_rounds, -1);
 }
 
 int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
@@ -247,20 +375,21 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   // calendar splice and message wakes) can be stale. A continued run checks
   // every entry.
   int known_due = 0;
-  if (pending_resume_ != nullptr) {
-    // Resume path: restore the checkpointed boundary instead of starting
-    // fresh. The epoch must advance BEFORE the snapshot applies — the
-    // deliverable messages are stamped epoch_ - 1, i.e. relative to the
-    // epoch the resumed round runs under.
-    const std::unique_ptr<SnapshotData> snap = std::move(pending_resume_);
+  std::unique_ptr<SnapshotData> snap;
+  const RunStart start = BeginRun(alg, order_.data(), snap);
+  if (start == RunStart::kResume) {
+    // Restore the checkpointed boundary instead of starting fresh. The
+    // epoch must advance BEFORE the deliverables are placed — they are
+    // stamped epoch_ - 1, i.e. relative to the epoch the resumed round
+    // runs under.
     advance_epoch();
-    round_seconds_.clear();
-    internal::ApplySoloSnapshot(*snap, graph_, alg.StateBytes(), perm_,
-                                first_, inbox_, halted_, state_,
-                                state_stride_, round_stats_, round_msg_acc_,
-                                round_digests_, digest_, round_,
-                                messages_delivered_, epoch_);
-    wakes_ = 0;
+    const SnapshotData::Instance& inst = snap->instances[0];
+    std::copy(inst.halted.begin(), inst.halted.end(), halted_.begin());
+    for (const SnapshotMessage& msg : inst.deliverable) {
+      Message& slot = inbox_[static_cast<size_t>(first_[msg.node] + msg.port)];
+      slot = Message{msg.word0, msg.word1, msg.size};
+      slot.engine_stamp = epoch_ - 1;
+    }
     // Rebuild the calendar from the snapshot's per-node wake rounds
     // (external-indexed; a snapshot of a dense run records every live node
     // awake at the boundary, and ignoring sleeps resumes every live node
@@ -268,7 +397,6 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     // run — a stale stamp equal to a future round would silently swallow
     // that node's calendar splice.
     std::fill(bucket_stamp_.begin(), bucket_stamp_.end(), -1);
-    const std::vector<int32_t>& wake = snap->instances[0].wake;
     calendar_.clear();
     active_.clear();
     live_count_ = 0;
@@ -277,7 +405,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       const int v = order_[i];
       if (halted_[v]) continue;
       ++live_count_;
-      const int32_t w = honor_sleeps ? std::max(wake[v], round_) : round_;
+      const int32_t w = honor_sleeps ? std::max(inst.wake[v], round_) : round_;
       wake_round_[i] = w;
       if (w > round_ + 1) notify_armed_ = true;  // someone already parked
       if (w == round_) {
@@ -287,18 +415,9 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       }
     }
     known_due = static_cast<int>(active_.size());
-  } else if (!mid_run_) {
-    // Fresh run: reset all per-run state.
-    round_ = 0;
-    messages_delivered_ = 0;
-    round_stats_.clear();
-    round_seconds_.clear();
-    round_msg_acc_.clear();
-    round_digests_.clear();
-    digest_ = support::kDigestSeed;
+  } else if (start == RunStart::kFresh) {
     advance_epoch();
     std::fill(halted_.begin(), halted_.end(), 0);
-    wakes_ = 0;
     // Seed the calendar from the algorithm's declared first-action rounds;
     // round 0's bucket holds every node that acts at once, in rank order.
     // Rounds still tick (and record stats and digests) while buckets are
@@ -321,9 +440,6 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       }
     }
     known_due = static_cast<int>(active_.size());
-    // One InitState pass on the calling thread: per-node init is
-    // order-independent by contract, and Run-setup cost is not sharded.
-    internal::ArmStatePlane(alg, n, order_.data(), state_, state_stride_);
   } else {
     // Continuing a paused run: mailboxes, the current bucket (active_),
     // wake rounds, state plane and digest chain are live exactly as the
@@ -359,8 +475,6 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     }
   };
   if (notify_armed_) arm_notify();
-  mid_run_ = false;  // any exit other than the pause return is not a pause
-  finished_ = false;
   unsigned char* const state_base = state_.data();
   const size_t stride = state_stride_;
   support::FaultInjector* const fault = fault_;
@@ -480,23 +594,13 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   // node that would have observed new input is woken for the delivery
   // round at the barrier — so the transcript is the same whether or not
   // the algorithm sleeps, and only visits shrink.
-  std::chrono::steady_clock::time_point t0;
   while (live_count_ > 0) {
     // Round boundary: pause, fault, max_rounds, and the mid-run epoch
     // rebase (a single run of ~2^31 rounds keeps exactly this round's
     // deliverable messages visible and invalidates everything else — one
     // O(2m) pass per ~2^31 rounds).
-    if (round_ == pause_at_round) {
-      // Pause at the boundary BEFORE this round executes; the bucket,
-      // wake rounds, mailboxes, and digest chain describe exactly this
-      // boundary.
-      mid_run_ = true;
+    if (PauseAtBoundary(pause_at_round, max_rounds, live_count_)) {
       return round_;
-    }
-    if (fault != nullptr) fault->AtRoundBoundary(round_);
-    if (round_ >= max_rounds) {
-      throw MaxRoundsExceededError("Network::Run", round_, live_count_,
-                                   digest_);
     }
     if (epoch_ >= INT32_MAX - 2) {
       for (auto& m : outbox_) m.engine_stamp = -1;
@@ -510,7 +614,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     }
     // Opt-in round timer; it stops after the next bucket is assembled,
     // just before the mailbox swap.
-    if (record_round_times_) t0 = std::chrono::steady_clock::now();
+    StartRoundTimer();
     // Aim every shard's context at this round's mailboxes and epoch (the
     // mailboxes swap and the epoch moves every round) and zero the shard
     // counters.
@@ -550,11 +654,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       decisions += sh.decisions;
       live_count_ -= sh.halts;
     }
-    messages_delivered_ += round_sent;
-    round_stats_.push_back({live_now, round_sent, visits, decisions});
-    round_msg_acc_.push_back(round_macc);
-    digest_ = support::ChainDigest(digest_, live_now, round_sent, round_macc);
-    round_digests_.push_back(digest_);
+    RecordRound(live_now, round_sent, visits, decisions, round_macc);
     int dst = shards_[0].kept;
     for (int t = 1; t < T; ++t) {
       const int lo = shard_lo(t);
@@ -591,11 +691,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       }
       std::vector<int>().swap(b);
     }
-    if (record_round_times_) {
-      round_seconds_.push_back(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-    }
+    StopRoundTimer();
     // Deliver: O(1) buffer swap; epoch stamps make clearing unnecessary.
     std::swap(inbox_, outbox_);
     if (notify_armed_) {
@@ -622,14 +718,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     ++round_;
     ++epoch_;
   }
-  finished_ = true;
-  return round_;
-}
-
-void Network::AbandonRun() {
-  pending_resume_.reset();
-  mid_run_ = false;
-  finished_ = false;
+  return FinishRun();
 }
 
 EngineBytes Network::EngineMemory() const {
@@ -661,26 +750,30 @@ EngineBytes Network::EngineMemory() const {
   return b;
 }
 
-void Network::Checkpoint(std::ostream& out) const {
-  if (!mid_run_ && !finished_) {
-    throw SnapshotError(
-        "Network::Checkpoint: engine is not at a round boundary (pause with "
-        "RunUntil or let a run finish first)");
+void Network::SaveBoundary(SnapshotData& snap) const {
+  SnapshotData::Instance& inst = snap.instances[0];
+  const int n = graph_.NumNodes();
+  inst.halted = halted_;
+  inst.wake.resize(n);
+  for (int i = 0; i < n; ++i) inst.wake[order_[i]] = wake_round_[i];
+  if (snap.finished) return;
+  // Deliverable messages: inbox slots stamped epoch - 1 (exactly what the
+  // next round's Recv would see). Walking external nodes in order with
+  // ports ascending yields the canonical sort for free. A stamped all-zero
+  // slot is skipped: it is observationally identical to no message (Recv
+  // hands the algorithm the same bytes as kNoMessage), and skipping it
+  // keeps the image canonical across the stamp-less reference engine too.
+  // A finished run records none at all — every node has halted, so the
+  // final round's leftovers are unobservable.
+  for (int v = 0; v < n; ++v) {
+    for (int p = 0; p < degree_[v]; ++p) {
+      const Message& m = inbox_[static_cast<size_t>(first_[v] + p)];
+      if (m.engine_stamp == epoch_ - 1 &&
+          (m.size != 0 || m.word0 != 0 || m.word1 != 0)) {
+        inst.deliverable.push_back({v, p, m.word0, m.word1, m.size});
+      }
+    }
   }
-  const SnapshotData snap = internal::BuildSoloSnapshot(
-      graph_, ids_, digest_messages_, finished_, round_, messages_delivered_,
-      round_stats_, round_msg_acc_, round_digests_, halted_, state_,
-      state_stride_, order_, first_, degree_, inbox_, epoch_, wake_round_);
-  WriteSnapshot(out, snap);
-}
-
-void Network::Resume(std::istream& in) {
-  SnapshotData snap = ReadSnapshot(in);
-  internal::ValidateForEngine(snap, graph_, ids_, digest_messages_,
-                              "Network");
-  pending_resume_ = std::make_unique<SnapshotData>(std::move(snap));
-  mid_run_ = false;
-  finished_ = false;
 }
 
 }  // namespace treelocal::local

@@ -2,6 +2,7 @@
 #define TREELOCAL_LOCAL_NETWORK_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -20,7 +21,8 @@ class FaultInjector;  // src/support/fault.h
 
 namespace treelocal::local {
 
-struct SnapshotData;  // src/local/snapshot.h
+struct SnapshotData;                       // src/local/snapshot.h
+enum class SnapshotEngineKind : uint32_t;  // src/local/snapshot.h
 
 // Fixed-capacity message: the deterministic symmetry-breaking algorithms in
 // this repository send at most two 64-bit words per edge per round. Keeping
@@ -83,16 +85,18 @@ struct NetworkOptions {
   // by internal id, so neighbors' mailbox blocks land near each other
   // regardless of how the caller labeled the graph. On unlabeled-locality
   // families (uniform random trees) this localizes the round pass's random
-  // sends, the head-round bottleneck. The internal ids never escape the
-  // engine: NodeContext::node() and every output stay in the caller's
-  // external node numbering, and transcripts are bit-identical to a
-  // non-relabeled run (enforced by tests) — only the iteration order within
-  // a round and the physical mailbox/state layout change, neither of which
-  // is observable in the LOCAL model. Engine-managed algorithm state
-  // (Algorithm::StateBytes) is laid out in the same internal order, so the
-  // round pass streams state sequentially under relabel too — without that,
-  // relabel won its head round but lost rounds 1+ to scattered
-  // external-indexed state arrays (measured net ~0.96x; see ROADMAP).
+  // sends. The internal ids never escape the engine: NodeContext::node()
+  // and every output stay in the caller's external node numbering, and
+  // transcripts are bit-identical to a non-relabeled run (enforced by
+  // tests) — only the iteration order within a round and the physical
+  // mailbox/state layout change, neither of which is observable in the
+  // LOCAL model. Engine-managed algorithm state (Algorithm::StateBytes) is
+  // laid out in the same internal order. Measured on uniform-tree
+  // rake-compress (bench_parallel's relabel_ablation), it pays only while
+  // the engine's working set is cache-sized: at T = 1 it wins 1.1-1.5x up
+  // to n = 2^18 (treelocald's 2^14-node resident engines turn it on) and
+  // loses 0.89-0.95x at 2^20 and 2^22; at T = 4 the win is gone by 2^18
+  // (see README.md for the table).
   bool relabel = false;
 
   // Fold full message contents into the per-round transcript digest chain
@@ -189,15 +193,6 @@ std::vector<int> WorklistOrder(int n, const std::vector<int>& perm);
 // must fit int32. Separately callable for boundary tests; throws
 // GraphLimitError naming the engine and the offending count.
 void ValidateChannelScale(int64_t n, int64_t m, const char* engine);
-
-// Arms an engine-managed state plane for a Run: (re)sizes `plane` to
-// n * Algorithm::StateBytes() zeroed bytes (reusing capacity across runs)
-// and calls InitState once per node. Slot i belongs to external node
-// inv[i] (inv null = identity), i.e. the plane is INTERNAL-indexed: under
-// relabel, slot order is BFS worklist order. Shared by Network and
-// ReferenceNetwork (where inv is always null).
-void ArmStatePlane(Algorithm& alg, int n, const int* inv,
-                   std::vector<unsigned char>& plane, size_t& stride);
 
 // Inverts the CSR channel tables for the message-wake path: owner[c] is the
 // INTERNAL RANK of the node whose recv-channel block contains channel c
@@ -427,20 +422,246 @@ struct EngineBytes {
   }
 };
 
-// Synchronous message-passing engine over a port-numbered network, per the
-// LOCAL model: all nodes run in lockstep; messages sent in round r are
-// received in round r+1. Deterministic by construction (nodes run in a
-// fixed per-engine order; the LOCAL semantics are order-independent because
-// sends only become visible next round).
+// The engine base. Every engine runs the same synchronous round loop of
+// the LOCAL model (Definition 5) over a port-numbered network: all nodes
+// run in lockstep, and messages sent in round r are received in round
+// r+1. The engines must produce bit-identical transcripts, so Engine owns
+// everything that does not depend on how an engine lays out its channels
+// and schedules its nodes:
+//   * the graph view, the ids, and the options every engine honors;
+//   * the run log: the round counter, delivered messages and message
+//     wakes, per-round RoundStats, content accumulators, the digest chain,
+//     and the opt-in round timings;
+//   * the engine-managed state plane, indexed by internal rank through
+//     perm_ (empty = identity), so StateAt is an inline read;
+//   * the pause/resume state machine and the canonical checkpoint: the
+//     snapshot header, the run history and the state plane are saved and
+//     restored here.
+// A derived engine supplies its round loop (RunUntil, called once per
+// Run or RunUntil call) and its halt/wake planes and mailboxes: what
+// SaveBoundary writes into a checkpoint and what the resume branch of its
+// RunUntil reads back. The protected helpers give every loop the same
+// start (BeginRun), round boundary (PauseAtBoundary) and per-round record
+// (RecordRound).
 //
 // Engine family (see README.md for how to pick):
 //   ReferenceNetwork — naive O(n + m) per round; differential-test oracle.
-//   Network          — the solo engine, O(active work) per round (below),
-//                      on T thread-pool lanes (T = 1 by default; the
+//   Network          — the solo engine, O(active work) per round, on T
+//                      thread-pool lanes (T = 1 by default; the
 //                      ParallelNetwork subclass names T). Bit-identical
 //                      transcripts for every T. Many instances (a k-sweep)
 //                      run one after another on one engine, or on one
 //                      engine per std::thread.
+class Engine {
+ public:
+  // Out of line for the incomplete-type pending_resume_ member.
+  virtual ~Engine();
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  // Runs `alg` until every node has halted or `max_rounds` is hit.
+  // Returns the number of rounds executed (a node halting in round r has
+  // round complexity r+1 counted rounds; an algorithm that halts every node
+  // in round 0 used 1 round). Throws MaxRoundsExceededError if max_rounds
+  // is exceeded. An exception thrown by OnRound is rethrown here; the
+  // engine remains usable (the next Run re-initializes all per-run state).
+  int Run(Algorithm& alg, int max_rounds) {
+    return RunUntil(alg, max_rounds, -1);
+  }
+
+  // Run with a pause point: executes rounds until every node halts,
+  // `max_rounds` is hit (MaxRoundsExceededError), or the boundary BEFORE
+  // round `pause_at_round` is reached — whichever comes first — and returns
+  // rounds executed so far. A paused engine (paused() == true) may be
+  // checkpointed and must be continued with the SAME algorithm object
+  // (state plane and mailboxes are live); pass a pause round already behind
+  // the run (or -1) to continue to completion. Run(alg, r) is
+  // RunUntil(alg, r, -1).
+  virtual int RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) = 0;
+
+  // True after a RunUntil stopped at its pause round with live nodes.
+  bool paused() const { return mid_run_; }
+  // True once the last run completed (every node halted).
+  bool finished() const { return finished_; }
+  // Drops a paused run (or a snapshot armed by Resume) without finishing
+  // it: the next RunUntil starts a fresh run, with any algorithm. A caller
+  // that stops driving a paused run — treelocald when every request riding
+  // on it was cancelled — calls this before reusing the engine, since
+  // RunUntil would otherwise continue the old run.
+  void AbandonRun();
+
+  // Serializes the current round boundary (engine must be paused() or
+  // finished()) as a canonical snapshot: resuming it — in this engine, a
+  // fresh one, any relabel/thread setting, or another engine class —
+  // continues the run bit-identically. Throws SnapshotError mid-round or
+  // before any run.
+  void Checkpoint(std::ostream& out) const;
+
+  // Loads a snapshot (fully validated, including against this engine's
+  // graph/IDs/options) and arms the engine to continue from it: the next
+  // RunUntil call resumes at the recorded round instead of starting fresh.
+  // The algorithm passed to that call must declare the recorded state
+  // stride; a call with another stride throws SnapshotError and leaves the
+  // snapshot armed for the retry. Throws SnapshotError on any mismatch,
+  // leaving the engine unchanged.
+  void Resume(std::istream& in);
+
+  // Backend-specific access: graph() serves the pipelines still tied to
+  // the uncompressed CSR (incidence spans, edge slots) and throws
+  // std::logic_error when the engine was built over a CompactGraph;
+  // view() is the backend-agnostic handle.
+  const Graph& graph() const;
+  GraphView view() const { return graph_; }
+  const std::vector<int64_t>& ids() const { return ids_; }
+
+  // Transcript digest chain for the run so far: round_digests()[r] =
+  // ChainDigest(digest[r-1], active, sent, msg_acc) after round r, seeded
+  // with support::kDigestSeed. Bit-identical across every engine, relabel
+  // setting, and thread count; with NetworkOptions::digest_messages it also
+  // commits to full message contents (round_message_accs()).
+  const std::vector<uint64_t>& round_digests() const { return round_digests_; }
+  const std::vector<uint64_t>& round_message_accs() const {
+    return round_msg_acc_;
+  }
+  uint64_t last_digest() const { return digest_; }
+
+  // Total present messages delivered over the last Run (a message sent in
+  // the final round is counted: it is delivered even if nobody reads it).
+  int64_t messages_delivered() const { return messages_delivered_; }
+
+  // Per-round counters for the last Run; round_stats()[r] covers round r.
+  const std::vector<RoundStats>& round_stats() const { return round_stats_; }
+
+  // Message-triggered wakes over the last Run (a sleeping node pulled to
+  // the next round by an observable incoming message). 0 when nobody slept
+  // (dense algorithms, wake_scheduling off). With total visits/decisions
+  // from round_stats(), this closes the scheduler's accounting: every
+  // visit is an initial wake, a calendar wake, or one of these.
+  int64_t wakes() const { return wakes_; }
+
+  // Opt-in wall-clock timing of each round executed by the last run (two
+  // clock reads per round; off by default so the hot loop stays
+  // branch-only); a resumed run times only the rounds it executes.
+  // Consumed by the engine benches to show per-round cost tracks
+  // active_nodes, not n.
+  void set_record_round_times(bool on) { record_round_times_ = on; }
+  bool record_round_times() const { return record_round_times_; }
+  const std::vector<double>& round_seconds() const { return round_seconds_; }
+
+  // Post-run read-back of external node v's state slot (the engine does the
+  // external->internal translation here, off the hot path). T must be the
+  // algorithm's declared state type; valid until the next Run. During a
+  // round every node writes only its own slot.
+  template <typename T>
+  const T& StateAt(int v) const {
+    const auto i = static_cast<size_t>(perm_.empty() ? v : perm_[v]);
+    return *reinterpret_cast<const T*>(state_.data() + i * state_stride_);
+  }
+  size_t state_bytes() const { return state_stride_; }
+
+ protected:
+  // `name` prefixes the engine's error messages; `kind` is its snapshot
+  // tag. The view (and the backend behind it) must outlive the engine.
+  Engine(GraphView graph, std::vector<int64_t> ids,
+         const NetworkOptions& options, const char* name,
+         SnapshotEngineKind kind);
+
+  // How a RunUntil call starts; see BeginRun.
+  enum class RunStart { kFresh, kResume, kContinue };
+
+  // Opens every RunUntil call and does the layout-free part of its start:
+  //   kResume (a snapshot is armed): checks the snapshot's state stride
+  //     against `alg` BEFORE disarming it, so a wrong-algorithm call throws
+  //     SnapshotError and the retry still resumes; then restores the run
+  //     log and the state plane and hands the snapshot to `resume`, from
+  //     which the engine places its halt flags, wake rounds and
+  //     deliverable messages;
+  //   kFresh (no paused run): resets the run log and arms the state plane
+  //     (zeroed slots, one InitState per node; `inv` maps internal rank ->
+  //     external node, null = identity); the engine resets its own planes;
+  //   kContinue (a paused run): nothing — everything is live.
+  RunStart BeginRun(Algorithm& alg, const int* inv,
+                    std::unique_ptr<SnapshotData>& resume);
+
+  // The round boundary every loop opens a round with. Returns true when the
+  // run pauses here (the loop returns round_); otherwise calls the fault
+  // hook and throws MaxRoundsExceededError, reporting `live` nodes, once
+  // round_ reaches max_rounds.
+  bool PauseAtBoundary(int pause_at_round, int max_rounds, int64_t live);
+
+  // Appends one executed round to the run log and the digest chain.
+  void RecordRound(int live, int64_t sent, int64_t visits, int64_t decisions,
+                   uint64_t msg_acc) {
+    messages_delivered_ += sent;
+    round_stats_.push_back({live, sent, visits, decisions});
+    round_msg_acc_.push_back(msg_acc);
+    digest_ = support::ChainDigest(digest_, live, sent, msg_acc);
+    round_digests_.push_back(digest_);
+  }
+
+  // Every node halted: the run is complete.
+  int FinishRun() {
+    finished_ = true;
+    return round_;
+  }
+
+  // The opt-in round timer (set_record_round_times).
+  void StartRoundTimer() {
+    if (record_round_times_) round_t0_ = std::chrono::steady_clock::now();
+  }
+  void StopRoundTimer() {
+    if (record_round_times_) {
+      round_seconds_.push_back(std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - round_t0_)
+                                   .count());
+    }
+  }
+
+  // Fills the engine's part of a checkpoint's instances[0]: the halt flags
+  // and wake rounds (n entries each, external-indexed; the base
+  // canonicalizes the wake rounds) and, unless snap.finished, the
+  // deliverable messages sorted by receiver (node, port).
+  virtual void SaveBoundary(SnapshotData& snap) const = 0;
+
+  GraphView graph_;
+  std::vector<int64_t> ids_;
+  bool digest_messages_ = false;  // NetworkOptions::digest_messages
+  bool wake_opt_ = true;          // NetworkOptions::wake_scheduling
+  support::FaultInjector* fault_ = nullptr;
+
+  // Engine-owned per-node state plane (Algorithm::StateBytes per slot),
+  // indexed by internal rank: slot perm_[v] belongs to external node v
+  // (perm_ empty = identity). Re-armed (zero + InitState) every fresh run,
+  // reallocated only when the slot size grows.
+  std::vector<int> perm_;
+  std::vector<unsigned char> state_;
+  size_t state_stride_ = 0;
+
+  // The run log (see the accessors above).
+  int round_ = 0;
+  int64_t messages_delivered_ = 0;
+  int64_t wakes_ = 0;
+  std::vector<RoundStats> round_stats_;
+  std::vector<uint64_t> round_msg_acc_;
+  std::vector<uint64_t> round_digests_;
+  uint64_t digest_ = support::kDigestSeed;
+  std::vector<double> round_seconds_;
+  bool record_round_times_ = false;
+  std::chrono::steady_clock::time_point round_t0_;
+
+ private:
+  const char* name_;
+  SnapshotEngineKind kind_;
+  // Pause/resume state machine: mid_run_ marks a run paused at a round
+  // boundary (mailboxes/state live, same-algorithm continuation only);
+  // finished_ marks a completed run; pending_resume_ holds a validated
+  // snapshot the next RunUntil applies instead of a fresh start.
+  bool mid_run_ = false;
+  bool finished_ = false;
+  std::unique_ptr<SnapshotData> pending_resume_;
+};
+
+// The solo engine: O(active work) per round.
 //
 // Throughput design (the per-round cost is the system-wide bottleneck for
 // every pipeline in this repository):
@@ -494,7 +715,18 @@ struct EngineBytes {
 // A Network is reusable: Run may be called any number of times (same graph
 // and IDs) with no reallocation — epochs advance monotonically across runs,
 // so mailboxes never need clearing.
-class Network {
+//
+// Runs do not nest: every round is a thread-pool fork, and the pool
+// rejects a fork from inside any pool task, so calling Run (on this or
+// any other Network, at any T) from inside an OnRound throws
+// std::logic_error. Sub-engines run between host runs instead.
+//
+// The 32-bit epoch stamps wrap only after ~2^31 cumulative rounds; Run
+// re-arms the mailboxes at both wrap points (before a run, and — for a
+// single run of ~2^31 rounds — mid-run, preserving the in-flight round's
+// messages), so any max_rounds up to INT32_MAX is safe and the amortized
+// re-arm cost is zero.
+class Network : public Engine {
  public:
   // GraphView converts implicitly from either backend, so
   // Network(graph, ids) works unchanged for a Graph and equally for a
@@ -508,126 +740,15 @@ class Network {
   Network(GraphView graph, std::vector<int64_t> ids, int num_threads,
           const NetworkOptions& options);
 
-  // Virtual only so deleting a ParallelNetwork through a Network* is
-  // defined; there are no other virtuals. Out of line for the
-  // incomplete-type pending_resume_ member.
-  virtual ~Network();
-
-  // Runs `alg` until every node has halted or `max_rounds` is hit.
-  // Returns the number of rounds executed (a node halting in round r has
-  // round complexity r+1 counted rounds; an algorithm that halts every node
-  // in round 0 used 1 round). Throws if max_rounds is exceeded. An
-  // exception thrown by OnRound on any shard is rethrown here after the
-  // round joins; the engine remains usable (the next Run re-initializes
-  // all per-run state).
-  //
-  // Runs do not nest: every round is a thread-pool fork, and the pool
-  // rejects a fork from inside any pool task, so calling Run (on this or
-  // any other Network, at any T) from inside an OnRound throws
-  // std::logic_error. Sub-engines run between host runs instead.
-  //
-  // The 32-bit epoch stamps wrap only after ~2^31 cumulative rounds; Run
-  // re-arms the mailboxes at both wrap points (before a run, and — for a
-  // single run of ~2^31 rounds — mid-run, preserving the in-flight round's
-  // messages), so any max_rounds up to INT32_MAX is safe and the amortized
-  // re-arm cost is zero.
-  int Run(Algorithm& alg, int max_rounds);
-
-  // Run with a pause point: executes rounds until every node halts,
-  // `max_rounds` is hit (MaxRoundsExceededError), or the boundary BEFORE
-  // round `pause_at_round` is reached — whichever comes first — and returns
-  // rounds executed so far. A paused engine (paused() == true) may be
-  // checkpointed and must be continued with the SAME algorithm object
-  // (state plane and mailboxes are live); pass a pause round already behind
-  // the run (or -1) to continue to completion. Run(alg, r) is
-  // RunUntil(alg, r, -1).
-  int RunUntil(Algorithm& alg, int max_rounds, int pause_at_round);
-
-  // True after a RunUntil stopped at its pause round with live nodes.
-  bool paused() const { return mid_run_; }
-  // Drops a paused run (or a snapshot armed by Resume) without finishing
-  // it: the next RunUntil starts a fresh run, with any algorithm. A caller
-  // that stops driving a paused run — treelocald when every request riding
-  // on it was cancelled — calls this before reusing the engine, since
-  // RunUntil would otherwise continue the old run.
-  void AbandonRun();
-  // True once the last run completed (every node halted).
-  bool finished() const { return finished_; }
-
-  // Serializes the current round boundary (engine must be paused() or
-  // finished()) as a canonical snapshot: resuming it — in this engine, a
-  // fresh one, any relabel/thread setting, or another engine class —
-  // continues the run bit-identically. Throws SnapshotError mid-round or
-  // before any run.
-  void Checkpoint(std::ostream& out) const;
-
-  // Loads a snapshot (fully validated, including against this engine's
-  // graph/IDs/options) and arms the engine to continue from it: the next
-  // RunUntil call resumes at the recorded round instead of starting fresh.
-  // The algorithm passed to that call must declare the recorded state
-  // stride. Throws SnapshotError on any mismatch, leaving the engine
-  // unchanged.
-  void Resume(std::istream& in);
+  // An exception thrown by OnRound on any shard is rethrown here after the
+  // round joins. The round timer covers the full round: fork, node pass,
+  // join, reduction, stitch.
+  int RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) override;
 
   int num_threads() const { return pool_.num_threads(); }
 
   // Current per-structure memory (see EngineBytes).
   EngineBytes EngineMemory() const;
-
-  // Backend-specific access: graph() serves the pipelines still tied to
-  // the uncompressed CSR (incidence spans, edge slots) and throws
-  // std::logic_error when the engine was built over a CompactGraph;
-  // view() is the backend-agnostic handle.
-  const Graph& graph() const { return graph_.RequireCsr("Network::graph()"); }
-  GraphView view() const { return graph_; }
-  const std::vector<int64_t>& ids() const { return ids_; }
-
-  // Transcript digest chain for the run so far: round_digests()[r] =
-  // ChainDigest(digest[r-1], active, sent, msg_acc) after round r, seeded
-  // with support::kDigestSeed. Bit-identical across every engine, relabel
-  // setting, and thread count; with NetworkOptions::digest_messages it also
-  // commits to full message contents (round_message_accs(); the per-shard
-  // accumulators sum, and sums commute).
-  const std::vector<uint64_t>& round_digests() const { return round_digests_; }
-  const std::vector<uint64_t>& round_message_accs() const {
-    return round_msg_acc_;
-  }
-  uint64_t last_digest() const { return digest_; }
-
-  // Total present messages delivered over the last Run (a message sent in
-  // the final round is counted: it is delivered even if nobody reads it).
-  int64_t messages_delivered() const { return messages_delivered_; }
-
-  // Per-round counters for the last Run; round_stats()[r] covers round r.
-  const std::vector<RoundStats>& round_stats() const { return round_stats_; }
-
-  // Message-triggered wakes over the last Run (a sleeping node pulled to
-  // the next round's bucket by an observable incoming message). 0 when
-  // nobody slept (dense algorithms, wake_scheduling off). With total
-  // visits/decisions from round_stats(), this closes the scheduler's
-  // accounting: every visit is an initial wake, a calendar wake, or one of
-  // these.
-  int64_t wakes() const { return wakes_; }
-
-  // Opt-in wall-clock timing of each round (two clock reads per round; off
-  // by default so the hot loop stays branch-only). Covers the full round:
-  // fork, node pass, join, reduction, stitch. Consumed by the engine
-  // benches to show per-round cost tracks active_nodes, not n.
-  void set_record_round_times(bool on) { record_round_times_ = on; }
-  bool record_round_times() const { return record_round_times_; }
-  const std::vector<double>& round_seconds() const { return round_seconds_; }
-
-  // Post-run read-back of external node v's state slot (the engine does the
-  // external->internal translation here, off the hot path). T must be the
-  // algorithm's declared state type; valid until the next Run. During a
-  // round the plane is shared by all shards, but every node writes only its
-  // own slot — the same disjointness argument as the halt flags.
-  template <typename T>
-  const T& StateAt(int v) const {
-    const auto i = static_cast<size_t>(perm_.empty() ? v : perm_[v]);
-    return *reinterpret_cast<const T*>(state_.data() + i * state_stride_);
-  }
-  size_t state_bytes() const { return state_stride_; }
 
   // White-box access to the epoch counter for the wrap-guard regression
   // tests; production code never touches these.
@@ -636,6 +757,8 @@ class Network {
 
  private:
   friend class NodeContext;
+
+  void SaveBoundary(SnapshotData& snap) const override;
 
   // Per-shard round state, cache-line padded: sent is the shard's message
   // counter (NodeContext::sent_ points here), macc its content-digest
@@ -657,8 +780,6 @@ class Network {
     std::vector<int> notified;
   };
 
-  GraphView graph_;
-  std::vector<int64_t> ids_;
   std::vector<int> first_;      // size n+1: CSR offsets; recv channel of
                                 // (v, p) is first_[v] + p
   std::vector<int> send_chan_;  // size 2m: send channel of (v, p), i.e. the
@@ -666,9 +787,7 @@ class Network {
   std::vector<int> degree_;     // size n: degree of external node v (see
                                 // BuildChannelTables); NodeContext::degree()
   std::vector<int> order_;      // internal rank -> external id (iota, or BFS
-                                // under options.relabel)
-  std::vector<int> perm_;       // external id -> internal rank; empty =
-                                // identity (no relabel)
+                                // under options.relabel); perm_ inverts it
   // Double-buffered mailboxes, each slot epoch-stamped in the Message's
   // engine_stamp field; swapped (O(1)) each round, never cleared.
   std::vector<Message> inbox_, outbox_;
@@ -704,36 +823,10 @@ class Network {
   std::unique_ptr<std::atomic<int32_t>[]> notify_stamp_;
   bool notify_armed_ = false;
   int live_count_ = 0;    // non-halted nodes (the run's termination test)
-  int64_t wakes_ = 0;     // message wakes, last Run
-  bool wake_opt_ = true;  // NetworkOptions::wake_scheduling
-  // Engine-owned per-node state plane (Algorithm::StateBytes per slot),
-  // indexed by internal rank; re-armed (zero + InitState) every Run,
-  // reallocated only when the slot size changes.
-  std::vector<unsigned char> state_;
-  size_t state_stride_ = 0;
   std::vector<Shard> shards_;
-  std::vector<RoundStats> round_stats_;
-  std::vector<double> round_seconds_;
-  bool record_round_times_ = false;
-  // Transcript digest chain (see round_digests()): per-round content
-  // accumulators, per-round chained digests, and the running value.
-  std::vector<uint64_t> round_msg_acc_;
-  std::vector<uint64_t> round_digests_;
-  uint64_t digest_ = support::kDigestSeed;
-  bool digest_messages_ = false;
-  support::FaultInjector* fault_ = nullptr;
-  // Pause/resume state machine: mid_run_ marks a run paused at a round
-  // boundary (mailboxes/state live, same-algorithm continuation only);
-  // finished_ marks a completed run; pending_resume_ holds a validated
-  // snapshot the next RunUntil applies instead of a fresh start.
-  bool mid_run_ = false;
-  bool finished_ = false;
-  std::unique_ptr<SnapshotData> pending_resume_;
   support::ThreadPool pool_;  // num_threads lanes, persistent
   int32_t epoch_ = 1;  // monotone across runs (wrap-guarded in Run);
                        // stamps start at -1
-  int round_ = 0;
-  int64_t messages_delivered_ = 0;
 
   static const Message kNoMessage;
 };

@@ -1,8 +1,6 @@
 #include "src/local/reference_network.h"
 
 #include <algorithm>
-#include <cassert>
-#include <stdexcept>
 
 #include "src/local/snapshot.h"
 #include "src/support/fault.h"
@@ -23,21 +21,13 @@ void RefHalt(ReferenceNetwork& ref, int node) { ref.HaltAt(node); }
 
 }  // namespace internal
 
-ReferenceNetwork::~ReferenceNetwork() = default;
-
 ReferenceNetwork::ReferenceNetwork(GraphView graph, std::vector<int64_t> ids)
     : ReferenceNetwork(graph, std::move(ids), NetworkOptions{}) {}
 
 ReferenceNetwork::ReferenceNetwork(GraphView graph, std::vector<int64_t> ids,
                                    const NetworkOptions& options)
-    : graph_(graph),
-      ids_(std::move(ids)),
-      digest_messages_(options.digest_messages),
-      fault_(options.fault),
-      wake_opt_(options.wake_scheduling) {
-  assert(static_cast<int>(ids_.size()) == graph.NumNodes());
-  internal::ValidateChannelScale(graph.NumNodes(), graph.NumEdges(),
-                                 "ReferenceNetwork");
+    : Engine(graph, std::move(ids), options, "ReferenceNetwork",
+             SnapshotEngineKind::kReferenceNetwork) {
   const int n = graph.NumNodes();
   const size_t channels = 2 * static_cast<size_t>(graph.NumEdges());
   inbox_.assign(channels, Message{});
@@ -48,7 +38,7 @@ ReferenceNetwork::ReferenceNetwork(GraphView graph, std::vector<int64_t> ids,
   // indexing once: Channel(e, s) holds what endpoint s of edge e sent, on
   // this port of the sender. Used by every channel access, the content
   // digest's inbox scan, and Resume's deliverable placement. Edge ids fit
-  // int here (ValidateChannelScale above bounds 2m).
+  // int here (the base's ValidateChannelScale bounds 2m).
   inc_off_.assign(n + 1, 0);
   for (int v = 0; v < n; ++v) inc_off_[v + 1] = inc_off_[v] + graph.Degree(v);
   port_edge_.assign(channels, 0);
@@ -90,48 +80,19 @@ void ReferenceNetwork::HaltAt(int node) {
   }
 }
 
-int ReferenceNetwork::Run(Algorithm& alg, int max_rounds) {
-  return RunUntil(alg, max_rounds, -1);
-}
-
 int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
                                int pause_at_round) {
   const int n = graph_.NumNodes();
   // As in Network: with wake_scheduling off every node wakes in round 0
   // and every visit re-wakes it for the next round.
   const bool honor_sleeps = wake_opt_;
-  if (pending_resume_ != nullptr) {
-    const std::unique_ptr<SnapshotData> snap = std::move(pending_resume_);
+  std::unique_ptr<SnapshotData> snap;
+  const RunStart start = BeginRun(alg, /*inv=*/nullptr, snap);
+  if (start == RunStart::kResume) {
     const SnapshotData::Instance& inst = snap->instances[0];
-    if (inst.state_stride != alg.StateBytes()) {
-      throw SnapshotError(
-          "resume state stride mismatch: snapshot has " +
-          std::to_string(inst.state_stride) +
-          " bytes/node, algorithm declares " +
-          std::to_string(alg.StateBytes()) +
-          " (resumed with a different Algorithm?)");
-    }
-    if (static_cast<int32_t>(inst.rounds.size()) != snap->round) {
-      throw SnapshotError(
-          "solo snapshot must carry one round record per executed round");
-    }
-    round_ = snap->round;
-    messages_delivered_ = inst.messages_delivered;
-    round_stats_.clear();
-    round_msg_acc_.clear();
-    round_digests_.clear();
-    digest_ = support::kDigestSeed;
-    for (const SnapshotRound& r : inst.rounds) {
-      round_stats_.push_back(r.stats);
-      round_msg_acc_.push_back(r.msg_acc);
-      round_digests_.push_back(r.digest);
-      digest_ = r.digest;
-    }
     std::copy(inst.halted.begin(), inst.halted.end(), halted_.begin());
     num_halted_ = static_cast<int>(
         std::count(halted_.begin(), halted_.end(), char{1}));
-    state_stride_ = alg.StateBytes();
-    state_.assign(inst.state.begin(), inst.state.end());  // external-indexed
     std::fill(inbox_.begin(), inbox_.end(), Message{});
     std::fill(outbox_.begin(), outbox_.end(), Message{});
     // Place each deliverable where the receiver's RecvAt(node, port) looks:
@@ -141,48 +102,32 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
       inbox_[Channel(port_edge_[i], 1 - port_slot_[i])] =
           Message{msg.word0, msg.word1, msg.size};
     }
-    wakes_ = 0;
     // The snapshot's wake plane is external-indexed — exactly this
     // engine's layout.
     for (int v = 0; v < n; ++v) {
       wake_round_[v] = honor_sleeps ? std::max(inst.wake[v], round_) : round_;
     }
-  } else if (!mid_run_) {
-    round_ = 0;
+  } else if (start == RunStart::kFresh) {
     num_halted_ = 0;
-    messages_delivered_ = 0;
-    round_stats_.clear();
-    round_msg_acc_.clear();
-    round_digests_.clear();
-    digest_ = support::kDigestSeed;
     std::fill(halted_.begin(), halted_.end(), 0);
     std::fill(inbox_.begin(), inbox_.end(), Message{});
     std::fill(outbox_.begin(), outbox_.end(), Message{});
-    wakes_ = 0;
     for (int v = 0; v < n; ++v) {
       const int w = honor_sleeps ? alg.InitialWakeRound(v) : 0;
       wake_round_[v] = w <= 0 ? 0 : (w >= kNoWakeRound ? kNoWakeRound : w);
     }
-    internal::ArmStatePlane(alg, n, nullptr, state_, state_stride_);
   }
-  // else: continuing a paused run — everything is live as the pause left it
-  // (including the wake rounds; the naive engine keeps no calendar, so
-  // there is nothing to rebuild).
-  mid_run_ = false;
-  finished_ = false;
+  // kContinue: everything is live as the pause left it (including the wake
+  // rounds; the naive engine keeps no calendar, so there is nothing to
+  // rebuild).
   support::FaultInjector* const fault = fault_;
 
   NodeContext ctx(graph_, ids_.data(), /*degree=*/nullptr, this);
   while (num_halted_ < n) {
-    if (round_ == pause_at_round) {
-      mid_run_ = true;
+    if (PauseAtBoundary(pause_at_round, max_rounds, n - num_halted_)) {
       return round_;
     }
-    if (fault != nullptr) fault->AtRoundBoundary(round_);
-    if (round_ >= max_rounds) {
-      throw MaxRoundsExceededError("ReferenceNetwork::Run", round_,
-                                   n - num_halted_, digest_);
-    }
+    StartRoundTimer();
     ctx.round_ = round_;
     const int active_now = n - num_halted_;
     int64_t visits = 0;
@@ -231,70 +176,31 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
         }
       }
     }
-    messages_delivered_ += sent;
-    round_stats_.push_back({active_now, sent, visits, decisions});
-    round_msg_acc_.push_back(macc);
-    digest_ = support::ChainDigest(digest_, active_now, sent, macc);
-    round_digests_.push_back(digest_);
+    RecordRound(active_now, sent, visits, decisions, macc);
+    StopRoundTimer();
     ++round_;
   }
-  finished_ = true;
-  return round_;
+  return FinishRun();
 }
 
-void ReferenceNetwork::Checkpoint(std::ostream& out) const {
-  if (!mid_run_ && !finished_) {
-    throw SnapshotError(
-        "ReferenceNetwork::Checkpoint: engine is not at a round boundary "
-        "(pause with RunUntil or let a run finish first)");
-  }
-  const int n = graph_.NumNodes();
-  SnapshotData snap;
-  snap.engine_kind = SnapshotEngineKind::kReferenceNetwork;
-  snap.digest_messages = digest_messages_;
-  snap.finished = finished_;
-  snap.batch = 1;
-  snap.round = round_;
-  internal::SetInputSections(graph_, ids_, snap);
-  snap.instances.resize(1);
+void ReferenceNetwork::SaveBoundary(SnapshotData& snap) const {
   SnapshotData::Instance& inst = snap.instances[0];
-  inst.messages_delivered = messages_delivered_;
-  inst.rounds_completed = finished_ ? round_ : 0;
-  inst.rounds.resize(round_stats_.size());
-  for (size_t r = 0; r < round_stats_.size(); ++r) {
-    inst.rounds[r] = {round_stats_[r], round_msg_acc_[r], round_digests_[r]};
-  }
   inst.halted = halted_;
-  inst.state_stride = static_cast<uint32_t>(state_stride_);
-  inst.state = state_;  // external-indexed already
-  // Canonical per-node wake rounds (halted -> 0), as in BuildSoloSnapshot.
-  inst.wake.resize(n);
-  for (int v = 0; v < n; ++v) inst.wake[v] = halted_[v] ? 0 : wake_round_[v];
+  inst.wake = wake_round_;
+  if (snap.finished) return;
   // The naive engine has no epoch stamps; a boundary inbox holds exactly
   // last round's sends (everything else was cleared), so any non-zero slot
   // is deliverable — the same canonical set the stamped engines record.
-  // Finished runs record none, as in BuildSoloSnapshot.
-  if (!finished_) {
-    for (int v = 0; v < n; ++v) {
-      const int deg = graph_.Degree(v);
-      for (int p = 0; p < deg; ++p) {
-        const Message& m = RecvAt(v, p);
-        if (m.size != 0 || m.word0 != 0 || m.word1 != 0) {
-          inst.deliverable.push_back({v, p, m.word0, m.word1, m.size});
-        }
+  const int n = graph_.NumNodes();
+  for (int v = 0; v < n; ++v) {
+    const int deg = graph_.Degree(v);
+    for (int p = 0; p < deg; ++p) {
+      const Message& m = RecvAt(v, p);
+      if (m.size != 0 || m.word0 != 0 || m.word1 != 0) {
+        inst.deliverable.push_back({v, p, m.word0, m.word1, m.size});
       }
     }
   }
-  WriteSnapshot(out, snap);
-}
-
-void ReferenceNetwork::Resume(std::istream& in) {
-  SnapshotData snap = ReadSnapshot(in);
-  internal::ValidateForEngine(snap, graph_, ids_, digest_messages_,
-                              "ReferenceNetwork");
-  pending_resume_ = std::make_unique<SnapshotData>(std::move(snap));
-  mid_run_ = false;
-  finished_ = false;
 }
 
 }  // namespace treelocal::local

@@ -178,8 +178,7 @@ void ValidateData(const SnapshotData& snap) {
       prev = &msg;
     }
     // Canonical form: a fully-halted instance records no deliverables (no
-    // node will ever Recv them — see the gather comment in
-    // BuildSoloSnapshot).
+    // node will ever Recv them — see Network::SaveBoundary).
     if (snap.n > 0 && halted_count == snap.n) {
       Check(inst.deliverable.empty(),
             "fully-halted instance records deliverable messages");
@@ -407,76 +406,6 @@ void SetInputSections(GraphView g, const std::vector<int64_t>& ids,
   snap.ids = ids;
 }
 
-SnapshotData BuildSoloSnapshot(
-    GraphView g, const std::vector<int64_t>& ids, bool digest_messages,
-    bool finished, int round, int64_t messages_delivered,
-    const std::vector<RoundStats>& stats, const std::vector<uint64_t>& maccs,
-    const std::vector<uint64_t>& digests, const std::vector<char>& halted,
-    const std::vector<unsigned char>& state, size_t state_stride,
-    const std::vector<int>& order, const std::vector<int>& first,
-    const std::vector<int>& degree, const std::vector<Message>& inbox,
-    int32_t epoch, const std::vector<int32_t>& wake_by_rank) {
-  const int n = g.NumNodes();
-  SnapshotData snap;
-  snap.engine_kind = SnapshotEngineKind::kNetwork;
-  snap.digest_messages = digest_messages;
-  snap.finished = finished;
-  snap.batch = 1;
-  snap.round = round;
-  SetInputSections(g, ids, snap);
-  snap.instances.resize(1);
-  SnapshotData::Instance& inst = snap.instances[0];
-  inst.messages_delivered = messages_delivered;
-  inst.rounds_completed = finished ? round : 0;
-  inst.rounds.resize(stats.size());
-  for (size_t r = 0; r < stats.size(); ++r) {
-    inst.rounds[r] = {stats[r], maccs[r], digests[r]};
-  }
-  inst.halted = halted;
-  // Canonical wake plane: halted -> 0; live nodes unzip the engine's
-  // internal-indexed wake rounds through `order`, and an awake node (wake
-  // round at or below the boundary, e.g. every live node of a dense run)
-  // records the boundary round itself.
-  inst.wake.assign(static_cast<size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    const int v = order[i];
-    if (halted[static_cast<size_t>(v)] != 0) continue;
-    inst.wake[static_cast<size_t>(v)] =
-        std::max<int32_t>(wake_by_rank[static_cast<size_t>(i)], round);
-  }
-  inst.state_stride = static_cast<uint32_t>(state_stride);
-  inst.state.resize(static_cast<size_t>(n) * state_stride);
-  // The engine plane is internal-indexed (slot i belongs to external node
-  // order[i]); the canonical image is external-indexed.
-  for (int i = 0; i < n; ++i) {
-    std::copy(state.begin() + static_cast<size_t>(i) * state_stride,
-              state.begin() + static_cast<size_t>(i + 1) * state_stride,
-              inst.state.begin() +
-                  static_cast<size_t>(order[i]) * state_stride);
-  }
-  // Deliverable messages: inbox slots stamped epoch - 1 (exactly what the
-  // next round's Recv would see). Walking external nodes in order with
-  // ports ascending yields the canonical sort for free. A stamped all-zero
-  // slot is skipped: it is observationally identical to no message (Recv
-  // hands the algorithm the same bytes as kNoMessage), and skipping it
-  // keeps the image canonical across the stamp-less reference engine too.
-  // A finished run records none at all — every node has halted, so the
-  // final round's leftovers are unobservable.
-  if (!finished) {
-    for (int v = 0; v < n; ++v) {
-      const int deg = degree[v];
-      for (int p = 0; p < deg; ++p) {
-        const Message& m = inbox[static_cast<size_t>(first[v] + p)];
-        if (m.engine_stamp == epoch - 1 &&
-            (m.size != 0 || m.word0 != 0 || m.word1 != 0)) {
-          inst.deliverable.push_back({v, p, m.word0, m.word1, m.size});
-        }
-      }
-    }
-  }
-  return snap;
-}
-
 void ValidateForEngine(const SnapshotData& snap, GraphView g,
                        const std::vector<int64_t>& ids, bool digest_messages,
                        const char* engine_name) {
@@ -503,6 +432,10 @@ void ValidateForEngine(const SnapshotData& snap, GraphView g,
         "digest_messages setting differs from the snapshot's — the resumed "
         "digest chain would diverge from the uninterrupted run");
   }
+  if (static_cast<int32_t>(snap.instances[0].rounds.size()) != snap.round) {
+    throw SnapshotError(
+        who + "solo snapshot must carry one round record per executed round");
+  }
   for (const auto& inst : snap.instances) {
     for (const SnapshotMessage& msg : inst.deliverable) {
       if (msg.port >= g.Degree(msg.node)) {
@@ -512,58 +445,6 @@ void ValidateForEngine(const SnapshotData& snap, GraphView g,
                             std::to_string(g.Degree(msg.node)) + ")");
       }
     }
-  }
-}
-
-void ApplySoloSnapshot(const SnapshotData& snap, GraphView g,
-                       size_t alg_state_bytes, const std::vector<int>& perm,
-                       const std::vector<int>& first,
-                       std::vector<Message>& inbox, std::vector<char>& halted,
-                       std::vector<unsigned char>& state,
-                       size_t& state_stride, std::vector<RoundStats>& stats,
-                       std::vector<uint64_t>& maccs,
-                       std::vector<uint64_t>& digests, uint64_t& digest,
-                       int& round, int64_t& messages_delivered, int32_t epoch) {
-  const SnapshotData::Instance& inst = snap.instances[0];
-  if (inst.state_stride != alg_state_bytes) {
-    throw SnapshotError(
-        "resume state stride mismatch: snapshot has " +
-        std::to_string(inst.state_stride) + " bytes/node, algorithm declares " +
-        std::to_string(alg_state_bytes) +
-        " (resumed with a different Algorithm?)");
-  }
-  if (static_cast<int32_t>(inst.rounds.size()) != snap.round) {
-    throw SnapshotError(
-        "solo snapshot must carry one round record per executed round");
-  }
-  const int n = g.NumNodes();
-  round = snap.round;
-  messages_delivered = inst.messages_delivered;
-  stats.clear();
-  maccs.clear();
-  digests.clear();
-  digest = support::kDigestSeed;
-  for (const SnapshotRound& r : inst.rounds) {
-    stats.push_back(r.stats);
-    maccs.push_back(r.msg_acc);
-    digests.push_back(r.digest);
-    digest = r.digest;
-  }
-  std::copy(inst.halted.begin(), inst.halted.end(), halted.begin());
-  state_stride = alg_state_bytes;
-  state.assign(static_cast<size_t>(n) * state_stride, 0);
-  for (int v = 0; v < n; ++v) {
-    const int i = perm.empty() ? v : perm[v];
-    std::copy(inst.state.begin() + static_cast<size_t>(v) * state_stride,
-              inst.state.begin() + static_cast<size_t>(v + 1) * state_stride,
-              state.begin() + static_cast<size_t>(i) * state_stride);
-  }
-  for (const SnapshotMessage& msg : inst.deliverable) {
-    Message& slot = inbox[static_cast<size_t>(first[msg.node] + msg.port)];
-    slot.word0 = msg.word0;
-    slot.word1 = msg.word1;
-    slot.size = msg.size;
-    slot.engine_stamp = epoch - 1;
   }
 }
 

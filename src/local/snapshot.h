@@ -212,46 +212,14 @@ namespace internal {
 void SetInputSections(GraphView g, const std::vector<int64_t>& ids,
                       SnapshotData& snap);
 
-// Canonical gather/apply for the solo CSR engine (Network, at any thread
-// count; the gather tags the image kNetwork). `order` maps internal rank
-// -> external node; `first` and `degree` are the external-indexed CSR
-// offset and degree tables (internal::BuildChannelTables); deliverable
-// messages are the inbox slots stamped epoch - 1. `wake_by_rank` is the
-// engine's internal-indexed wake plane (n entries); the gather
-// canonicalizes halted nodes to 0 and awake ones (wake round at or below
-// `round`) to `round`.
-SnapshotData BuildSoloSnapshot(
-    GraphView g, const std::vector<int64_t>& ids, bool digest_messages,
-    bool finished, int round, int64_t messages_delivered,
-    const std::vector<RoundStats>& stats, const std::vector<uint64_t>& maccs,
-    const std::vector<uint64_t>& digests, const std::vector<char>& halted,
-    const std::vector<unsigned char>& state, size_t state_stride,
-    const std::vector<int>& order, const std::vector<int>& first,
-    const std::vector<int>& degree, const std::vector<Message>& inbox,
-    int32_t epoch, const std::vector<int32_t>& wake_by_rank);
-
 // Validates a parsed snapshot against the engine about to resume it:
-// graph/ids hashes, a single instance (snap.batch == 1), digest-messages
-// flag, and per-message port ranges against the engine's actual degrees.
+// graph/ids hashes, a single instance (snap.batch == 1) with one round
+// record per executed round, digest-messages flag, and per-message port
+// ranges against the engine's actual degrees.
 // Throws SnapshotError.
 void ValidateForEngine(const SnapshotData& snap, GraphView g,
                        const std::vector<int64_t>& ids, bool digest_messages,
                        const char* engine_name);
-
-// Restores one solo instance into engine storage: halt flags, state plane
-// (external -> internal), counters, digest-chain history, and the
-// deliverable messages stamped `epoch - 1` so the next round's Recv sees
-// exactly them. The engine rebuilds its wake calendar from the wake plane
-// itself.
-void ApplySoloSnapshot(const SnapshotData& snap, GraphView g,
-                       size_t alg_state_bytes, const std::vector<int>& perm,
-                       const std::vector<int>& first,
-                       std::vector<Message>& inbox, std::vector<char>& halted,
-                       std::vector<unsigned char>& state,
-                       size_t& state_stride, std::vector<RoundStats>& stats,
-                       std::vector<uint64_t>& maccs,
-                       std::vector<uint64_t>& digests, uint64_t& digest,
-                       int& round, int64_t& messages_delivered, int32_t epoch);
 
 }  // namespace internal
 

@@ -48,15 +48,13 @@ class NeverHaltAlg : public Algorithm {
   }
 };
 
-template <typename Engine>
-std::string CheckpointBytes(const Engine& net) {
+std::string CheckpointBytes(const local::Engine& net) {
   std::ostringstream out;
   net.Checkpoint(out);
   return out.str();
 }
 
-template <typename Engine>
-void ResumeBytes(Engine& net, const std::string& bytes) {
+void ResumeBytes(local::Engine& net, const std::string& bytes) {
   std::istringstream in(bytes);
   net.Resume(in);
 }

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "src/core/rake_compress.h"
 #include "src/graph/generators.h"
 #include "src/local/network.h"
+#include "src/local/parallel_network.h"
+#include "src/local/reference_network.h"
 #include "src/support/rng.h"
 
 namespace treelocal {
@@ -291,25 +294,41 @@ TEST(NetworkTest, NestedRunThrowsAndEnginesStayReusable) {
 // engine's next run: after AbandonRun the next RunUntil starts fresh, with
 // any algorithm, and its transcript equals a fresh engine's. Also drops a
 // snapshot armed by Resume. Covers relabel on, as treelocald's engines run.
+// Builds the engine a parametrized test runs on: the solo Network at T
+// lanes (relabel optional), or the ReferenceNetwork oracle (threads == 0).
+std::unique_ptr<local::Engine> MakeEngine(const Graph& g,
+                                          const std::vector<int64_t>& ids,
+                                          int threads, bool relabel = false) {
+  local::NetworkOptions opt;
+  opt.relabel = relabel;
+  if (threads == 0) {
+    return std::make_unique<local::ReferenceNetwork>(g, ids, opt);
+  }
+  return std::make_unique<Network>(g, ids, threads, opt);
+}
+
 TEST(NetworkTest, AbandonRunStartsNextRunFresh) {
   const int n = 60;
   const Graph path = Path(n);
   const auto ids = DefaultIds(n, 14);
-  for (const bool relabel : {false, true}) {
-    SCOPED_TRACE(relabel ? "relabel" : "no relabel");
-    local::NetworkOptions opt;
-    opt.relabel = relabel;
-    Network fresh(path, ids, opt);
+  for (const auto& [threads, relabel] :
+       {std::pair{1, false}, std::pair{1, true}, std::pair{0, false}}) {
+    SCOPED_TRACE(threads == 0 ? "reference"
+                              : (relabel ? "relabel" : "no relabel"));
+    const std::unique_ptr<local::Engine> fresh =
+        MakeEngine(path, ids, threads, relabel);
     CollectNeighborIds want_collect(n);
-    const int collect_rounds = fresh.Run(want_collect, 10);
-    const std::vector<uint64_t> collect_digests = fresh.round_digests();
-    const std::vector<local::RoundStats> collect_stats = fresh.round_stats();
-    const int64_t collect_messages = fresh.messages_delivered();
+    const int collect_rounds = fresh->Run(want_collect, 10);
+    const std::vector<uint64_t> collect_digests = fresh->round_digests();
+    const std::vector<local::RoundStats> collect_stats = fresh->round_stats();
+    const int64_t collect_messages = fresh->messages_delivered();
     Flood want_flood(n);
-    const int flood_rounds = fresh.Run(want_flood, 2 * n);
-    const std::vector<uint64_t> flood_digests = fresh.round_digests();
+    const int flood_rounds = fresh->Run(want_flood, 2 * n);
+    const std::vector<uint64_t> flood_digests = fresh->round_digests();
 
-    Network net(path, ids, opt);
+    const std::unique_ptr<local::Engine> engine =
+        MakeEngine(path, ids, threads, relabel);
+    local::Engine& net = *engine;
     Flood abandoned(n);
     EXPECT_EQ(net.RunUntil(abandoned, 2 * n, 5), 5);
     ASSERT_TRUE(net.paused());
@@ -346,6 +365,49 @@ TEST(NetworkTest, AbandonRunStartsNextRunFresh) {
     Flood after_resume(n);
     EXPECT_EQ(net.Run(after_resume, 2 * n), flood_rounds);
     EXPECT_EQ(net.round_digests(), flood_digests);
+  }
+}
+
+// The opt-in round timer, on every engine: off, the log stays empty; on,
+// it holds one entry per round the last run executed (a paused run's
+// continuation appends to it), and a run resumed from a checkpoint times
+// only the rounds it executes itself.
+TEST(NetworkTest, RoundTimesCoverExecutedRounds) {
+  const int n = 300;
+  const Graph tree = UniformRandomTree(n, 16);
+  const auto ids = DefaultIds(n, 17);
+  for (const int threads : {1, 3, 0}) {
+    SCOPED_TRACE(threads == 0 ? "reference" : "T=" + std::to_string(threads));
+    auto alg = MakeRakeCompressAlgorithm(2);
+    const std::unique_ptr<local::Engine> net = MakeEngine(tree, ids, threads);
+    EXPECT_FALSE(net->record_round_times());
+    const int rounds = net->Run(*alg, 1000);
+    ASSERT_GT(rounds, 3);
+    EXPECT_TRUE(net->round_seconds().empty());
+
+    net->set_record_round_times(true);
+    EXPECT_EQ(net->Run(*alg, 1000), rounds);
+    EXPECT_EQ(net->round_seconds().size(), static_cast<size_t>(rounds));
+    for (const double s : net->round_seconds()) EXPECT_GE(s, 0.0);
+
+    EXPECT_EQ(net->RunUntil(*alg, 1000, 3), 3);
+    EXPECT_EQ(net->round_seconds().size(), 3u);
+    std::stringstream snap;
+    net->Checkpoint(snap);
+    EXPECT_EQ(net->Run(*alg, 1000), rounds);
+    EXPECT_EQ(net->round_seconds().size(), static_cast<size_t>(rounds));
+
+    const std::unique_ptr<local::Engine> resumed =
+        MakeEngine(tree, ids, threads);
+    resumed->set_record_round_times(true);
+    resumed->Resume(snap);
+    EXPECT_EQ(resumed->Run(*alg, 1000), rounds);
+    EXPECT_EQ(resumed->round_seconds().size(),
+              static_cast<size_t>(rounds - 3));
+
+    net->set_record_round_times(false);
+    EXPECT_EQ(net->Run(*alg, 1000), rounds);
+    EXPECT_TRUE(net->round_seconds().empty());
   }
 }
 

@@ -43,8 +43,7 @@ using local::WriteSnapshot;
 
 constexpr int kMaxRounds = 1000;
 
-template <typename Engine>
-std::string CheckpointBytes(const Engine& net) {
+std::string CheckpointBytes(const local::Engine& net) {
   std::ostringstream out;
   net.Checkpoint(out);
   return out.str();
@@ -55,8 +54,7 @@ SnapshotData ParseBytes(const std::string& bytes) {
   return ReadSnapshot(in);
 }
 
-template <typename Engine>
-void ResumeBytes(Engine& net, const std::string& bytes) {
+void ResumeBytes(local::Engine& net, const std::string& bytes) {
   std::istringstream in(bytes);
   net.Resume(in);
 }
@@ -433,32 +431,66 @@ TEST(SnapshotTest, ResumeRejectsContractViolations) {
   const auto ids = DefaultIds(64, 6);
   const std::string bytes = RecordMidRun(g, ids, 2);
 
-  {  // Checkpoint of an engine that never ran.
-    Network fresh(g, ids);
-    std::ostringstream out;
-    EXPECT_THROW(fresh.Checkpoint(out), SnapshotError);
-  }
-  {  // Wrong graph.
-    const Graph other = UniformRandomTree(64, 99);
-    Network net(other, ids);
-    EXPECT_THROW(ResumeBytes(net, bytes), SnapshotError);
-  }
-  {  // Same graph, different id assignment.
-    Network net(g, DefaultIds(64, 1234));
-    EXPECT_THROW(ResumeBytes(net, bytes), SnapshotError);
-  }
-  {  // Digest-level mismatch: the chain would silently diverge, so resume
-    // refuses up front.
-    NetworkOptions opt;
-    opt.digest_messages = true;
-    Network net(g, ids, opt);
-    EXPECT_THROW(ResumeBytes(net, bytes), SnapshotError);
-  }
-  {  // Resume validates lazily against the algorithm's stride at RunUntil.
-    Network net(g, ids);
-    ResumeBytes(net, bytes);
-    HaltNowAlg wrong;
-    EXPECT_THROW(net.Run(wrong, kMaxRounds), SnapshotError);
+  // The uninterrupted run, and a checkpoint three rounds in.
+  auto rake = MakeRakeCompressAlgorithm(2);
+  Network whole(g, ids);
+  const int total = whole.Run(*rake, kMaxRounds);
+  Network recorder(g, ids);
+  ASSERT_EQ(recorder.RunUntil(*rake, kMaxRounds, 3), 3);
+  ASSERT_TRUE(recorder.paused());
+  ASSERT_GT(total, 3);
+  const std::string at3 = CheckpointBytes(recorder);
+
+  for (const bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "ReferenceNetwork" : "Network");
+    const auto make = [&](const Graph& graph,
+                          const std::vector<int64_t>& engine_ids,
+                          const NetworkOptions& opt)
+        -> std::unique_ptr<local::Engine> {
+      if (reference) {
+        return std::make_unique<ReferenceNetwork>(graph, engine_ids, opt);
+      }
+      return std::make_unique<Network>(graph, engine_ids, opt);
+    };
+    {  // Checkpoint of an engine that never ran.
+      auto fresh = make(g, ids, {});
+      std::ostringstream out;
+      EXPECT_THROW(fresh->Checkpoint(out), SnapshotError);
+    }
+    {  // Wrong graph.
+      const Graph other = UniformRandomTree(64, 99);
+      auto net = make(other, ids, {});
+      EXPECT_THROW(ResumeBytes(*net, bytes), SnapshotError);
+    }
+    {  // Same graph, different id assignment.
+      auto net = make(g, DefaultIds(64, 1234), {});
+      EXPECT_THROW(ResumeBytes(*net, bytes), SnapshotError);
+    }
+    {  // Digest-level mismatch: the chain would silently diverge, so resume
+      // refuses up front.
+      NetworkOptions opt;
+      opt.digest_messages = true;
+      auto net = make(g, ids, opt);
+      EXPECT_THROW(ResumeBytes(*net, bytes), SnapshotError);
+    }
+    {  // Resume validates lazily against the algorithm's stride at RunUntil,
+      // and the rejected call leaves the snapshot armed: the retry with the
+      // right algorithm resumes at round 3. Pause round 1 is behind it, so
+      // the resumed run completes (a fresh start would pause at round 1),
+      // and the round timer sees only the resumed rounds.
+      auto net = make(g, ids, {});
+      ResumeBytes(*net, at3);
+      HaltNowAlg wrong;
+      EXPECT_THROW(net->Run(wrong, kMaxRounds), SnapshotError);
+      net->set_record_round_times(true);
+      auto retry = MakeRakeCompressAlgorithm(2);
+      EXPECT_EQ(net->RunUntil(*retry, kMaxRounds, 1), total);
+      EXPECT_TRUE(net->finished());
+      EXPECT_EQ(net->round_seconds().size(), static_cast<size_t>(total - 3));
+      EXPECT_EQ(net->round_digests(), whole.round_digests());
+      EXPECT_EQ(net->round_stats(), whole.round_stats());
+      EXPECT_EQ(net->messages_delivered(), whole.messages_delivered());
+    }
   }
 }
 

@@ -97,8 +97,8 @@ struct Outcome {
 
 constexpr int kMaxRounds = 64;
 
-template <typename Engine>
-Outcome RunOn(Engine& net, const Graph& g, const std::vector<int64_t>& ids) {
+Outcome RunOn(local::Engine& net, const Graph& g,
+              const std::vector<int64_t>& ids) {
   StateDigest alg(g, ids);
   Outcome out;
   out.rounds = net.Run(alg, kMaxRounds);
@@ -106,7 +106,7 @@ Outcome RunOn(Engine& net, const Graph& g, const std::vector<int64_t>& ids) {
   out.stats = net.round_stats();
   out.digests.resize(g.NumNodes());
   for (int v = 0; v < g.NumNodes(); ++v) {
-    out.digests[v] = net.template StateAt<DigestState>(v).digest;
+    out.digests[v] = net.StateAt<DigestState>(v).digest;
   }
   return out;
 }

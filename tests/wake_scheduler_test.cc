@@ -194,8 +194,7 @@ struct Transcript {
   int64_t active = 0;
 };
 
-template <typename Engine>
-Transcript Capture(const Engine& net) {
+Transcript Capture(const local::Engine& net) {
   Transcript t;
   t.stats = net.round_stats();
   t.digests = net.round_digests();
@@ -215,15 +214,13 @@ void ExpectSameTranscript(const Transcript& got, const Transcript& want) {
   EXPECT_EQ(got.messages, want.messages);
 }
 
-template <typename Engine>
-std::string CheckpointBytes(const Engine& net) {
+std::string CheckpointBytes(const local::Engine& net) {
   std::ostringstream out;
   net.Checkpoint(out);
   return out.str();
 }
 
-template <typename Engine>
-void ResumeBytes(Engine& net, const std::string& bytes) {
+void ResumeBytes(local::Engine& net, const std::string& bytes) {
   std::istringstream in(bytes);
   net.Resume(in);
 }
@@ -355,12 +352,12 @@ TEST(WakeSchedulerTest, StaleAndDuplicateCalendarEntriesVisitOnce) {
   int64_t want_visits = 0;
   for (int v = 0; v < n; ++v) want_visits += StaleEntries::WantVisits(v);
 
-  const auto check = [&](auto& net, const std::string& label) {
+  const auto check = [&](local::Engine& net, const std::string& label) {
     SCOPED_TRACE(label);
     StaleEntries alg;
     EXPECT_EQ(net.Run(alg, kMaxRounds), 9);
     for (int v = 0; v < n; ++v) {
-      EXPECT_EQ(net.template StateAt<int32_t>(v), StaleEntries::WantVisits(v))
+      EXPECT_EQ(net.StateAt<int32_t>(v), StaleEntries::WantVisits(v))
           << "node " << v;
     }
     EXPECT_EQ(Capture(net).visits, want_visits);

@@ -389,18 +389,6 @@ struct SolveOptions {
   bool load = false;  // FromFile (full validation) instead of OpenMapped
 };
 
-template <typename Engine>
-int SolveOn(Engine& net, treelocal::local::Algorithm& alg, int max_rounds) {
-  const int rounds = net.Run(alg, max_rounds);
-  std::printf("rounds=%d messages=%lld final_digest=0x%016llx\n", rounds,
-              static_cast<long long>(net.messages_delivered()),
-              static_cast<unsigned long long>(net.last_digest()));
-  std::printf("peak_rss_bytes=%lld current_rss_bytes=%lld\n",
-              static_cast<long long>(treelocal::bench::PeakRssBytes()),
-              static_cast<long long>(treelocal::bench::CurrentRssBytes()));
-  return 0;
-}
-
 int Solve(const SolveOptions& opt) {
   const CompactGraph g = opt.load ? CompactGraph::FromFile(opt.path)
                                   : CompactGraph::OpenMapped(opt.path);
@@ -417,17 +405,25 @@ int Solve(const SolveOptions& opt) {
   const int bound = treelocal::RakeCompressIterationBound(
       std::max(g.NumNodes(), 1), opt.k);
   const int max_rounds = 3 * (2 * bound + 8);
+  std::unique_ptr<treelocal::local::Engine> net;
   if (opt.engine == "parallel") {
-    treelocal::local::ParallelNetwork net(g, ids, opt.threads, nopt);
-    return SolveOn(net, *alg, max_rounds);
+    net = std::make_unique<treelocal::local::ParallelNetwork>(
+        g, ids, opt.threads, nopt);
+  } else if (opt.engine == "reference") {
+    net = std::make_unique<treelocal::local::ReferenceNetwork>(g, ids, nopt);
+  } else if (opt.engine == "network") {
+    net = std::make_unique<treelocal::local::Network>(g, ids, nopt);
+  } else {
+    Usage("unknown engine '" + opt.engine + "'");
   }
-  if (opt.engine == "reference") {
-    treelocal::local::ReferenceNetwork net(g, ids, nopt);
-    return SolveOn(net, *alg, max_rounds);
-  }
-  if (opt.engine != "network") Usage("unknown engine '" + opt.engine + "'");
-  treelocal::local::Network net(g, ids, nopt);
-  return SolveOn(net, *alg, max_rounds);
+  const int rounds = net->Run(*alg, max_rounds);
+  std::printf("rounds=%d messages=%lld final_digest=0x%016llx\n", rounds,
+              static_cast<long long>(net->messages_delivered()),
+              static_cast<unsigned long long>(net->last_digest()));
+  std::printf("peak_rss_bytes=%lld current_rss_bytes=%lld\n",
+              static_cast<long long>(treelocal::bench::PeakRssBytes()),
+              static_cast<long long>(treelocal::bench::CurrentRssBytes()));
+  return 0;
 }
 
 }  // namespace

@@ -26,10 +26,12 @@
 //       digest matches (the CI digest gate compares a replayed-from-round-R
 //       run against the uninterrupted recording this way).
 //
-// Engines: --engine network (default) | parallel | reference. The snapshot
-// is canonical, so any engine x relabel x thread-count combination can pick
-// up any recording — replaying on a different engine than the recorder is
-// exactly the cross-engine resume contract the tests enforce.
+// Engines: --engine network (default) | parallel | reference, all driven
+// through the local::Engine base (Run/RunUntil, Checkpoint, Resume, the
+// digest chain). The snapshot is canonical, so any engine x relabel x
+// thread-count combination can pick up any recording — replaying on a
+// different engine than the recorder, in either direction, is exactly the
+// cross-engine resume contract the tests and the CI gate enforce.
 
 #include <cstdint>
 #include <cstdlib>
@@ -184,11 +186,10 @@ void PrintSummary(const SnapshotData& snap) {
   }
 }
 
-// Drives the named solo engine generically; the three engine classes share
-// the RunUntil/Checkpoint/Resume/last_digest surface but no base class.
-template <typename Engine>
-int RunOnEngine(Engine& net, const Options& opt, treelocal::local::Algorithm& alg,
-                int max_rounds, bool resume, const std::string& in_path) {
+// Drives the named engine through the shared local::Engine surface.
+int RunOnEngine(treelocal::local::Engine& net, const Options& opt,
+                treelocal::local::Algorithm& alg, int max_rounds, bool resume,
+                const std::string& in_path) {
   if (resume) {
     std::ifstream in(in_path, std::ios::binary);
     if (!in) {
@@ -247,16 +248,16 @@ int Drive(const Graph& g, const std::vector<int64_t>& ids, const Options& opt,
         treelocal::RakeCompressIterationBound(std::max(g.NumNodes(), 1), opt.k);
     max_rounds = 3 * (2 * bound + 8);
   }
+  std::unique_ptr<treelocal::local::Engine> net;
   if (opt.engine == "parallel") {
-    treelocal::local::ParallelNetwork net(g, ids, opt.threads, nopt);
-    return RunOnEngine(net, opt, *alg, max_rounds, resume, in_path);
+    net = std::make_unique<treelocal::local::ParallelNetwork>(
+        g, ids, opt.threads, nopt);
+  } else if (opt.engine == "reference") {
+    net = std::make_unique<treelocal::local::ReferenceNetwork>(g, ids, nopt);
+  } else {
+    net = std::make_unique<treelocal::local::Network>(g, ids, nopt);
   }
-  if (opt.engine == "reference") {
-    treelocal::local::ReferenceNetwork net(g, ids, nopt);
-    return RunOnEngine(net, opt, *alg, max_rounds, resume, in_path);
-  }
-  treelocal::local::Network net(g, ids, nopt);
-  return RunOnEngine(net, opt, *alg, max_rounds, resume, in_path);
+  return RunOnEngine(*net, opt, *alg, max_rounds, resume, in_path);
 }
 
 int Record(const Options& opt) {
