@@ -32,6 +32,7 @@ namespace {
 class BroadcastK : public local::Algorithm {
  public:
   explicit BroadcastK(int rounds) : rounds_(rounds) {}
+  int MessageWords() const override { return 1; }
   void OnRound(local::NodeContext& ctx) override {
     if (ctx.round() >= rounds_) {
       ctx.Halt();

@@ -77,6 +77,7 @@ class NodeClassSweepAlgorithm : public local::Algorithm {
         h_(h) {}
 
   size_t StateBytes() const override { return sizeof(NodeSweepState); }
+  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     static_cast<NodeSweepState*>(state)->rank =
         semi_.ContainsNode(node) ? (*rank_of_node_)[node] : -1;
@@ -150,6 +151,8 @@ class EdgeClassSweepAlgorithm : public local::Algorithm {
         owned_port_(&owned_port), h_(h) {}
 
   size_t StateBytes() const override { return sizeof(EdgeSweepState); }
+  // Announces a label pair: the one two-word algorithm in the pipelines.
+  int MessageWords() const override { return 2; }
   void InitState(int node, void* state) override {
     auto* st = static_cast<EdgeSweepState*>(state);
     st->next = (*owned_off_)[node];

@@ -52,6 +52,7 @@ class CvAlgorithm : public local::Algorithm {
   }
 
   size_t StateBytes() const override { return sizeof(CvState); }
+  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     auto* st = static_cast<CvState*>(state);
     st->color = (*ids_)[node];

@@ -34,6 +34,7 @@ class NodeSweepAlgorithm : public local::Algorithm {
         view_(view) {}
 
   size_t StateBytes() const override { return sizeof(SweepState); }
+  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     static_cast<SweepState*>(state)->color = (*colors_)[node];
   }
@@ -57,7 +58,7 @@ class NodeSweepAlgorithm : public local::Algorithm {
     const int deg = ctx.degree();
     // Deliver neighbor labels sent last round into the local view.
     for (int p = 0; p < deg; ++p) {
-      const local::Message& msg = ctx.Recv(p);
+      const local::Message msg = ctx.Recv(p);
       if (!msg.present()) continue;
       int e = g_.IncidentEdges(v)[p];
       int u = g_.Neighbors(v)[p];

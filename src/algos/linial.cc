@@ -138,6 +138,7 @@ class InducedLinialAlgorithm : public local::Algorithm {
         schedule_(schedule) {}
 
   size_t StateBytes() const override { return sizeof(LinialState); }
+  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     static_cast<LinialState*>(state)->color = (*ids_)[node];
   }
@@ -158,7 +159,7 @@ class InducedLinialAlgorithm : public local::Algorithm {
       thread_local std::vector<int64_t> nbr;
       nbr.clear();
       for (int i = begin; i < end; ++i) {
-        const local::Message& msg = ctx.Recv(ports_->port[i]);
+        const local::Message msg = ctx.Recv(ports_->port[i]);
         if (msg.present()) nbr.push_back(msg.word0);
       }
       st.color = LinialChooseColor(st.color, step, nbr.data(),
@@ -187,6 +188,7 @@ class LinialAlgorithm : public local::Algorithm {
       : ids_(&ids), schedule_(schedule) {}
 
   size_t StateBytes() const override { return sizeof(LinialState); }
+  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     static_cast<LinialState*>(state)->color = (*ids_)[node];
   }
@@ -203,7 +205,7 @@ class LinialAlgorithm : public local::Algorithm {
       nbr.clear();
       const int deg = ctx.degree();
       for (int p = 0; p < deg; ++p) {
-        const local::Message& msg = ctx.Recv(p);
+        const local::Message msg = ctx.Recv(p);
         if (msg.present()) nbr.push_back(msg.word0);
       }
       st.color = LinialChooseColor(st.color, step, nbr.data(),

@@ -13,7 +13,8 @@ namespace treelocal {
 
 namespace {
 
-constexpr int64_t kDegree = 1;
+// Message tags in the low two bits of the one message word.
+constexpr int64_t kDegree = 1;  // word0 = kDegree | unmarked-degree << 2
 constexpr int64_t kMarked = 2;
 
 // Per-node state, engine-managed (see Algorithm::StateBytes).
@@ -27,6 +28,7 @@ class DecompositionAlgorithm : public local::Algorithm {
   DecompositionAlgorithm(GraphView g, int b, int k) : g_(g), b_(b), k_(k) {}
 
   size_t StateBytes() const override { return sizeof(DecompState); }
+  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     static_cast<DecompState*>(state)->unmarked_degree = g_.Degree(node);
   }
@@ -40,17 +42,21 @@ class DecompositionAlgorithm : public local::Algorithm {
       // Consume mark announcements from the previous iteration, then
       // broadcast the current degree in the unmarked subgraph.
       for (int p = 0; p < deg; ++p) {
-        const local::Message& msg = ctx.Recv(p);
+        const local::Message msg = ctx.Recv(p);
         if (msg.present() && msg.word0 == kMarked) --st.unmarked_degree;
       }
-      ctx.Broadcast(local::Message::Of(kDegree, st.unmarked_degree));
+      ctx.Broadcast(local::Message::Of(
+          kDegree | int64_t{st.unmarked_degree} << 2));
     } else {
       // Compress(G[V_{i-1}], b, k): deg <= k and at most b large neighbors.
       if (st.unmarked_degree > k_) return;
       int large = 0;
       for (int p = 0; p < deg; ++p) {
-        const local::Message& msg = ctx.Recv(p);
-        if (msg.present() && msg.word0 == kDegree && msg.word1 > k_) ++large;
+        const local::Message msg = ctx.Recv(p);
+        if (msg.present() && (msg.word0 & 3) == kDegree &&
+            (msg.word0 >> 2) > k_) {
+          ++large;
+        }
       }
       if (large <= b_) {
         st.layer = iter;

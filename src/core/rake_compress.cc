@@ -13,8 +13,8 @@ namespace treelocal {
 
 namespace {
 
-// Message tags on word0.
-constexpr int64_t kDegree = 1;      // word1 = current unmarked-degree
+// Message tags in the low two bits of the one message word.
+constexpr int64_t kDegree = 1;      // word0 = kDegree | unmarked-degree << 2
 constexpr int64_t kCompressed = 2;  // "I was just compressed"
 constexpr int64_t kRaked = 3;       // "I was just raked"
 
@@ -36,6 +36,7 @@ class RakeCompressAlgorithm : public local::Algorithm {
   // per-Run set-up off the graph backend (a CompactGraph decodes its
   // stream for every Degree query).
   size_t StateBytes() const override { return sizeof(RcState); }
+  int MessageWords() const override { return 1; }
 
   void OnRound(local::NodeContext& ctx) override {
     RcState& st = ctx.State<RcState>();
@@ -47,14 +48,16 @@ class RakeCompressAlgorithm : public local::Algorithm {
       // Process rake announcements from the previous iteration, then
       // broadcast the current degree within the unmarked subgraph.
       ConsumeMarks(ctx, st);
-      ctx.Broadcast(local::Message::Of(kDegree, st.unmarked_degree));
+      ctx.Broadcast(local::Message::Of(
+          kDegree | int64_t{st.unmarked_degree} << 2));
     } else if (phase == 1) {
       // Compress decision: deg <= k and every unmarked neighbor <= k.
       const int deg = ctx.degree();
       bool all_small = st.unmarked_degree <= k_;
       for (int p = 0; p < deg && all_small; ++p) {
-        const local::Message& msg = ctx.Recv(p);
-        if (msg.present() && msg.word0 == kDegree && msg.word1 > k_) {
+        const local::Message msg = ctx.Recv(p);
+        if (msg.present() && (msg.word0 & 3) == kDegree &&
+            (msg.word0 >> 2) > k_) {
           all_small = false;
         }
       }
@@ -82,7 +85,7 @@ class RakeCompressAlgorithm : public local::Algorithm {
     const int deg = ctx.degree();
     int marks = 0;
     for (int p = 0; p < deg; ++p) {
-      const local::Message& msg = ctx.Recv(p);
+      const local::Message msg = ctx.Recv(p);
       marks += msg.present() &&
                (msg.word0 == kCompressed || msg.word0 == kRaked);
     }

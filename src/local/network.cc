@@ -11,8 +11,6 @@
 
 namespace treelocal::local {
 
-const Message Network::kNoMessage{};
-
 MaxRoundsExceededError::MaxRoundsExceededError(const std::string& engine,
                                                int round, int64_t active_nodes,
                                                uint64_t last_digest)
@@ -24,6 +22,19 @@ MaxRoundsExceededError::MaxRoundsExceededError(const std::string& engine,
       round_(round),
       active_(active_nodes),
       digest_(last_digest) {}
+
+MessageWidthError::MessageWidthError(const std::string& engine,
+                                     int declared_words, int node, int port,
+                                     const Message& m)
+    : std::logic_error(
+          engine + ": node " + std::to_string(node) + " sent a message of " +
+          "size " + std::to_string(m.size) + " with word1 = " +
+          std::to_string(m.word1) + " on port " + std::to_string(port) +
+          ", but the running algorithm declares MessageWords() = " +
+          std::to_string(declared_words)),
+      declared_words_(declared_words),
+      node_(node),
+      port_(port) {}
 
 namespace internal {
 
@@ -167,6 +178,12 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
                                   std::unique_ptr<SnapshotData>& resume) {
   const int n = graph_.NumNodes();
   RunStart start = RunStart::kContinue;
+  const int words = alg.MessageWords();
+  if (words != 1 && words != 2) {
+    throw std::invalid_argument(std::string(name_) +
+                                ": Algorithm::MessageWords() must be 1 or 2, "
+                                "not " + std::to_string(words));
+  }
   if (pending_resume_ != nullptr) {
     const size_t stride = pending_resume_->instances[0].state_stride;
     if (stride != alg.StateBytes()) {
@@ -176,6 +193,15 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
                           " bytes/node, algorithm declares " +
                           std::to_string(alg.StateBytes()) +
                           " (resumed with a different Algorithm?)");
+    }
+    for (const SnapshotMessage& msg : pending_resume_->instances[0].deliverable) {
+      if (msg.size > words || (words == 1 && msg.word1 != 0)) {
+        throw SnapshotError(
+            "resume message width mismatch: snapshot delivers a size-" +
+            std::to_string(msg.size) + " message to node " +
+            std::to_string(msg.node) + ", algorithm declares MessageWords() = " +
+            std::to_string(words) + " (resumed with a different Algorithm?)");
+      }
     }
     resume = std::move(pending_resume_);
     const SnapshotData::Instance& inst = resume->instances[0];
@@ -224,6 +250,7 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
     wakes_ = 0;
     round_seconds_.clear();
   }
+  message_words_ = words;
   mid_run_ = false;  // any exit other than the pause return is not a pause
   finished_ = false;
   return start;
@@ -319,8 +346,8 @@ Network::Network(GraphView graph, std::vector<int64_t> ids, int num_threads,
                                first_, send_chan_, degree_);
   order_ = internal::WorklistOrder(n, perm_);
 
-  inbox_.assign(channels, Message{});
-  outbox_.assign(channels, Message{});
+  inbox_.assign(channels, internal::MailSlot{});
+  outbox_.assign(channels, internal::MailSlot{});
   halted_.assign(n, 0);
   active_.reserve(n);
   shards_.resize(pool_.num_threads());
@@ -353,16 +380,18 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   };
   // Advancing by 2 leaves every stamp from the previous run strictly below
   // epoch_ - 1, so round 0 of this run cannot observe stale messages. The
-  // 32-bit stamp wraps only after ~2^31 cumulative rounds; when the epoch
-  // nears the wrap, re-arm every stamp once — amortized cost zero (the
-  // mid-run case is handled by the per-round rebase below). The
+  // packed stamp (internal::MailSlot) wraps only after ~2^29 cumulative
+  // rounds; when the epoch nears kMaxEpoch, re-arm every stamp once —
+  // amortized cost zero (the mid-run case is handled by the per-round
+  // rebase below). The
   // message-wake dedup stamps are epoch-keyed like the mailboxes and must
   // not survive an epoch reset (a stale stamp equal to a future epoch
   // would swallow a wake).
+  constexpr int32_t kStale = internal::MailSlot::Meta(-1, 0);
   const auto advance_epoch = [&] {
-    if (epoch_ >= INT32_MAX - 4) {
-      for (auto& m : inbox_) m.engine_stamp = -1;
-      for (auto& m : outbox_) m.engine_stamp = -1;
+    if (epoch_ >= internal::kMaxEpoch - 4) {
+      for (auto& m : inbox_) m.meta = kStale;
+      for (auto& m : outbox_) m.meta = kStale;
       for (int i = 0; i < n && notify_stamp_ != nullptr; ++i) {
         notify_stamp_[i].store(-1, std::memory_order_relaxed);
       }
@@ -377,6 +406,14 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   int known_due = 0;
   std::unique_ptr<SnapshotData> snap;
   const RunStart start = BeginRun(alg, order_.data(), snap);
+  // A two-word run reads and writes the word1 planes; the first one on this
+  // engine allocates them (zeroed, so which of the two is the inbox does
+  // not matter), and they stay for later runs.
+  const bool wide = message_words_ == 2;
+  if (wide && inbox_w1_.size() != inbox_.size()) {
+    inbox_w1_.assign(inbox_.size(), 0);
+    outbox_w1_.assign(outbox_.size(), 0);
+  }
   if (start == RunStart::kResume) {
     // Restore the checkpointed boundary instead of starting fresh. The
     // epoch must advance BEFORE the deliverables are placed — they are
@@ -386,9 +423,10 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     const SnapshotData::Instance& inst = snap->instances[0];
     std::copy(inst.halted.begin(), inst.halted.end(), halted_.begin());
     for (const SnapshotMessage& msg : inst.deliverable) {
-      Message& slot = inbox_[static_cast<size_t>(first_[msg.node] + msg.port)];
-      slot = Message{msg.word0, msg.word1, msg.size};
-      slot.engine_stamp = epoch_ - 1;
+      const auto c = static_cast<size_t>(first_[msg.node] + msg.port);
+      inbox_[c].word0 = msg.word0;
+      inbox_[c].meta = internal::MailSlot::Meta(epoch_ - 1, msg.size);
+      if (wide) inbox_w1_[c] = msg.word1;  // BeginRun checked the width
     }
     // Rebuild the calendar from the snapshot's per-node wake rounds
     // (external-indexed; a snapshot of a dense run records every live node
@@ -575,9 +613,10 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
                                      // BuildChanOwner on relabel
     bool observable = false;
     for (int c = lo; c < hi && !observable; ++c) {
-      const Message& msg = inbox_[c];
-      observable = msg.engine_stamp == epoch_ &&
-                   (msg.size != 0 || msg.word0 != 0 || msg.word1 != 0);
+      const internal::MailSlot& msg = inbox_[c];
+      observable = msg.stamp() == epoch_ &&
+                   (msg.size() != 0 || msg.word0 != 0 ||
+                    (wide && inbox_w1_[c] != 0));
     }
     if (observable) {
       wake_round_[i] = next;
@@ -602,10 +641,12 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     if (PauseAtBoundary(pause_at_round, max_rounds, live_count_)) {
       return round_;
     }
-    if (epoch_ >= INT32_MAX - 2) {
-      for (auto& m : outbox_) m.engine_stamp = -1;
+    if (epoch_ >= internal::kMaxEpoch - 2) {
+      for (auto& m : outbox_) m.meta = kStale;
       for (auto& m : inbox_) {
-        m.engine_stamp = m.engine_stamp == epoch_ - 1 ? 2 : -1;
+        m.meta = m.stamp() == epoch_ - 1
+                     ? internal::MailSlot::Meta(2, m.size())
+                     : kStale;
       }
       for (int i = 0; i < n && notify_stamp_ != nullptr; ++i) {
         notify_stamp_[i].store(-1, std::memory_order_relaxed);
@@ -624,6 +665,8 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       ctx.round_ = round_;
       ctx.inbox_ = inbox_.data();
       ctx.outbox_ = outbox_.data();
+      ctx.inbox_w1_ = wide ? inbox_w1_.data() : nullptr;
+      ctx.outbox_w1_ = wide ? outbox_w1_.data() : nullptr;
       ctx.epoch_ = epoch_;
       // Send-side wake recording only while someone is parked: a null
       // notify_stamp_ turns the whole hook into one predictable branch.
@@ -694,6 +737,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     StopRoundTimer();
     // Deliver: O(1) buffer swap; epoch stamps make clearing unnecessary.
     std::swap(inbox_, outbox_);
+    std::swap(inbox_w1_, outbox_w1_);
     if (notify_armed_) {
       // Message-wake barrier: every receiver of an observable send this
       // round was recorded once in some shard's notified list.
@@ -728,7 +772,8 @@ EngineBytes Network::EngineMemory() const {
   EngineBytes b;
   b.channel_tables = bytes(first_) + bytes(send_chan_);
   b.degree_table = bytes(degree_);
-  b.mailboxes = bytes(inbox_) + bytes(outbox_);
+  b.mailboxes = bytes(inbox_) + bytes(outbox_) + bytes(inbox_w1_) +
+                bytes(outbox_w1_);
   b.worklist = bytes(active_) + bytes(halted_) + bytes(order_) +
                bytes(perm_) + bytes(shards_);
   b.ids = bytes(ids_);
@@ -761,16 +806,21 @@ void Network::SaveBoundary(SnapshotData& snap) const {
   // next round's Recv would see). Walking external nodes in order with
   // ports ascending yields the canonical sort for free. A stamped all-zero
   // slot is skipped: it is observationally identical to no message (Recv
-  // hands the algorithm the same bytes as kNoMessage), and skipping it
+  // hands the algorithm the same bytes as an empty Message), and skipping it
   // keeps the image canonical across the stamp-less reference engine too.
   // A finished run records none at all — every node has halted, so the
   // final round's leftovers are unobservable.
+  // word1 comes from the plane only if the run is a two-word one: after a
+  // one-word run the plane holds stale words from an earlier run.
+  const bool wide = message_words_ == 2 && !inbox_w1_.empty();
   for (int v = 0; v < n; ++v) {
     for (int p = 0; p < degree_[v]; ++p) {
-      const Message& m = inbox_[static_cast<size_t>(first_[v] + p)];
-      if (m.engine_stamp == epoch_ - 1 &&
-          (m.size != 0 || m.word0 != 0 || m.word1 != 0)) {
-        inst.deliverable.push_back({v, p, m.word0, m.word1, m.size});
+      const auto c = static_cast<size_t>(first_[v] + p);
+      const internal::MailSlot& m = inbox_[c];
+      const int64_t word1 = wide ? inbox_w1_[c] : 0;
+      if (m.stamp() == epoch_ - 1 &&
+          (m.size() != 0 || m.word0 != 0 || word1 != 0)) {
+        inst.deliverable.push_back({v, p, m.word0, word1, m.size()});
       }
     }
   }

@@ -2,6 +2,7 @@
 #define TREELOCAL_LOCAL_NETWORK_H_
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -24,23 +25,21 @@ namespace treelocal::local {
 struct SnapshotData;                       // src/local/snapshot.h
 enum class SnapshotEngineKind : uint32_t;  // src/local/snapshot.h
 
-// Fixed-capacity message: the deterministic symmetry-breaking algorithms in
-// this repository send at most two 64-bit words per edge per round. Keeping
-// the payload inline (no heap) lets the engine run million-node networks.
+// One LOCAL message: at most two 64-bit words per edge per round, inline
+// (no heap), so the engine runs million-node networks. Every algorithm the
+// paper composes fits its message in one O(log n)-bit word; an algorithm
+// declares how many words it uses (Algorithm::MessageWords), and the engine
+// sizes its mailboxes to that: Network keeps word1 out of the mailbox slot
+// (see internal::MailSlot), so the slot of a one-word run costs 12 bytes.
 struct Message {
   int64_t word0 = 0;
   int64_t word1 = 0;
-  uint8_t size = 0;  // 0 = no message
-  // Engine-internal epoch stamp, not part of the payload: it lives in what
-  // would otherwise be struct padding, so a mailbox slot stays at 24 bytes
-  // and one Recv/Send touches a single cache line. Algorithms must ignore it.
-  int32_t engine_stamp = -1;
+  uint8_t size = 0;  // 0 = no message; at most Algorithm::MessageWords()
 
   static Message Of(int64_t a) { return Message{a, 0, 1}; }
   static Message Of(int64_t a, int64_t b) { return Message{a, b, 2}; }
   bool present() const { return size > 0; }
 };
-static_assert(sizeof(Message) == 24, "mailbox slots must stay 24 bytes");
 
 // Per-round engine counters, recorded by every engine and consumed by the
 // benchmark drivers: the per-round simulation cost must track the live set
@@ -94,9 +93,9 @@ struct NetworkOptions {
   // laid out in the same internal order. Measured on uniform-tree
   // rake-compress (bench_parallel's relabel_ablation), it pays only while
   // the engine's working set is cache-sized: at T = 1 it wins 1.1-1.5x up
-  // to n = 2^18 (treelocald's 2^14-node resident engines turn it on) and
-  // loses 0.89-0.95x at 2^20 and 2^22; at T = 4 the win is gone by 2^18
-  // (see README.md for the table).
+  // to n = 2^18 (treelocald turns it on for resident graphs up to that
+  // size) and loses 0.89-0.95x at 2^20 and 2^22; at T = 4 the win is gone
+  // by 2^18 (see README.md for the table).
   bool relabel = false;
 
   // Fold full message contents into the per-round transcript digest chain
@@ -151,6 +150,28 @@ class MaxRoundsExceededError : public std::runtime_error {
   uint64_t digest_;
 };
 
+// Thrown by the reference engine's Send when a message is wider than the
+// running algorithm declares (Algorithm::MessageWords): size above the
+// declared width, or a nonzero word1 on a one-word run. Network stores only
+// the declared words (and asserts the same in debug builds), so a
+// mis-declared algorithm would silently lose word1 there; every
+// differential suite runs the algorithm on the reference engine too, which
+// refuses it loudly instead.
+class MessageWidthError : public std::logic_error {
+ public:
+  MessageWidthError(const std::string& engine, int declared_words, int node,
+                    int port, const Message& m);
+
+  int declared_words() const { return declared_words_; }
+  int node() const { return node_; }
+  int port() const { return port_; }
+
+ private:
+  int declared_words_;
+  int node_;
+  int port_;
+};
+
 class Network;
 class ReferenceNetwork;
 class Algorithm;
@@ -161,6 +182,27 @@ namespace internal {
 const Message& RefRecv(const ReferenceNetwork& ref, int node, int port);
 void RefSend(ReferenceNetwork& ref, int node, int port, Message m);
 void RefHalt(ReferenceNetwork& ref, int node);
+
+// Network's mailbox slot, packed to 12 bytes: word0 and the epoch stamp
+// and size in one int32, meta = stamp * 4 + size (size in {0, 1, 2}; the
+// initial stamp -1 never matches an epoch). A send stays one random store
+// into one slot. word1 lives outside the slot, in a per-mailbox plane that
+// only a two-word run allocates (Network::RunUntil). The stamp must fit
+// meta, so Network's epochs stay below kMaxEpoch.
+#pragma pack(push, 4)
+struct MailSlot {
+  static constexpr int32_t Meta(int32_t stamp, int size) {
+    return stamp * 4 + size;
+  }
+  int32_t stamp() const { return meta >> 2; }
+  uint8_t size() const { return static_cast<uint8_t>(meta & 3); }
+
+  int64_t word0 = 0;
+  int32_t meta = Meta(-1, 0);
+};
+#pragma pack(pop)
+static_assert(sizeof(MailSlot) == 12, "mailbox slots must stay 12 bytes");
+inline constexpr int32_t kMaxEpoch = INT32_MAX >> 2;
 
 // Builds Network's receiver-indexed CSR channel tables:
 // first[v] + p is the recv channel of (v, p), and send_chan[first[v] + p]
@@ -237,13 +279,15 @@ class NodeContext {
   int max_degree() const { return graph_.MaxDegree(); }
   int round() const { return round_; }
 
-  // Message received on `port` this round (sent by the neighbor last round).
-  // O(1): one channel-table load plus an epoch check.
-  inline const Message& Recv(int port) const;
+  // Message received on `port` this round (sent by the neighbor last round),
+  // or an empty Message. O(1): one channel-table load plus an epoch check;
+  // returned by value because Network rebuilds it from its packed slot.
+  inline Message Recv(int port) const;
 
   // Queue a message on `port` for delivery next round. O(1): the send
   // channel for (node, port) is the node's own CSR slot, no lookup at all.
-  // Sending twice on a port in one round keeps only the last message.
+  // Sending twice on a port in one round keeps only the last message. The
+  // message must fit the algorithm's declared Algorithm::MessageWords().
   inline void Send(int port, Message m);
   inline void Broadcast(Message m);
 
@@ -294,11 +338,14 @@ class NodeContext {
   // own send channels, halts only itself, and counts into its own shard's
   // sent_ slot — which is the whole data-race argument for the sharded
   // round pass. The engine refreshes inbox_/outbox_/epoch_ every round
-  // (the mailboxes swap).
+  // (the mailboxes swap). The word1 planes are null on a one-word run, and
+  // then every message's word1 is 0.
   const int* first_ = nullptr;
   const int* send_chan_ = nullptr;
-  const Message* inbox_ = nullptr;
-  Message* outbox_ = nullptr;
+  const internal::MailSlot* inbox_ = nullptr;
+  internal::MailSlot* outbox_ = nullptr;
+  const int64_t* inbox_w1_ = nullptr;
+  int64_t* outbox_w1_ = nullptr;
   char* halted_ = nullptr;
   int64_t* sent_ = nullptr;  // messages-delivered counter (per shard)
   // Message-content digest accumulator (per shard), or null when
@@ -373,6 +420,13 @@ class Algorithm {
   // a multiple of the state type's alignment (sizeof(T) always qualifies).
   virtual size_t StateBytes() const { return 0; }
 
+  // Words per message this algorithm sends: 1 or 2. Like StateBytes it is
+  // constant over the algorithm's lifetime. A one-word algorithm sends
+  // Message::Of(a) (or an empty message) and never a nonzero word1, and
+  // Network then holds no word1 at all; the reference engine refuses a
+  // wider message with MessageWidthError.
+  virtual int MessageWords() const { return 2; }
+
   // Called once per external node before round 0 of every Run, with `state`
   // pointing at the node's zero-initialized slot. Call order across nodes
   // is engine-chosen and unspecified (internal-rank order in practice).
@@ -398,17 +452,21 @@ class Algorithm {
 // Bytes held by each of a Network's structures (vector capacities, so the
 // figures track what the engine actually reserved). Construction allocates
 // the channel tables, degree table, mailboxes, worklist and id copy; the
-// state plane and wake tables are armed by the first run that needs them
-// and keep their capacity across runs, and the run log grows with the
-// rounds of the last run. The wake tables come in two steps: the first
-// run arms the per-node wake rounds and bucket stamps, and the first run
-// that parks a node adds the channel-owner table and notify stamps.
+// mailboxes' word1 planes, the state plane and the wake tables are armed
+// by the first run that needs them and keep their capacity across runs,
+// and the run log grows with the rounds of the last run. The word1 planes
+// come with the first two-word run (Algorithm::MessageWords). The wake
+// tables come in two steps: the first run arms the per-node wake rounds
+// and bucket stamps, and the first run that parks a node adds the
+// channel-owner table and notify stamps.
 // treelocald charges a resident graph's cached engine against its memory
 // quota with this.
 struct EngineBytes {
   size_t channel_tables = 0;  // CSR offsets + send-channel table
   size_t degree_table = 0;
-  size_t mailboxes = 0;    // inbox + outbox: 2 x 2m Message slots
+  size_t mailboxes = 0;    // inbox + outbox: 2 x 2m 12-byte slots, plus
+                           // their 2 x 2m word1 planes once a two-word
+                           // algorithm has run
   size_t worklist = 0;     // active list, halt flags, rank order/permutation,
                            // per-lane shard slots
   size_t ids = 0;          // the engine's copy of the node ids
@@ -513,6 +571,9 @@ class Engine {
   const Graph& graph() const;
   GraphView view() const { return graph_; }
   const std::vector<int64_t>& ids() const { return ids_; }
+  // True when the engine lays nodes out in a relabeled internal order
+  // (NetworkOptions::relabel; never on ReferenceNetwork).
+  bool relabeled() const { return !perm_.empty(); }
 
   // Transcript digest chain for the run so far: round_digests()[r] =
   // ChainDigest(digest[r-1], active, sent, msg_acc) after round r, seeded
@@ -580,6 +641,9 @@ class Engine {
   //     (zeroed slots, one InitState per node; `inv` maps internal rank ->
   //     external node, null = identity); the engine resets its own planes;
   //   kContinue (a paused run): nothing — everything is live.
+  // Every start records alg.MessageWords() in message_words_ (1 or 2, else
+  // std::invalid_argument); a resume also refuses, still armed, a snapshot
+  // whose deliverable messages are wider than that.
   RunStart BeginRun(Algorithm& alg, const int* inv,
                     std::unique_ptr<SnapshotData>& resume);
 
@@ -628,6 +692,8 @@ class Engine {
   bool digest_messages_ = false;  // NetworkOptions::digest_messages
   bool wake_opt_ = true;          // NetworkOptions::wake_scheduling
   support::FaultInjector* fault_ = nullptr;
+  // Algorithm::MessageWords of the current (or last) run.
+  int message_words_ = 2;
 
   // Engine-owned per-node state plane (Algorithm::StateBytes per slot),
   // indexed by internal rank: slot perm_[v] belongs to external node v
@@ -721,9 +787,10 @@ class Engine {
 // any other Network, at any T) from inside an OnRound throws
 // std::logic_error. Sub-engines run between host runs instead.
 //
-// The 32-bit epoch stamps wrap only after ~2^31 cumulative rounds; Run
+// The epoch stamps share an int32 with the message size (internal::MailSlot),
+// so they wrap after ~2^29 cumulative rounds (internal::kMaxEpoch); Run
 // re-arms the mailboxes at both wrap points (before a run, and — for a
-// single run of ~2^31 rounds — mid-run, preserving the in-flight round's
+// single run that long — mid-run, preserving the in-flight round's
 // messages), so any max_rounds up to INT32_MAX is safe and the amortized
 // re-arm cost is zero.
 class Network : public Engine {
@@ -751,7 +818,8 @@ class Network : public Engine {
   EngineBytes EngineMemory() const;
 
   // White-box access to the epoch counter for the wrap-guard regression
-  // tests; production code never touches these.
+  // tests (the guards re-arm at internal::kMaxEpoch - 4 before a run and
+  // rebase at kMaxEpoch - 2 mid-run); production code never touches these.
   int32_t epoch_for_testing() const { return epoch_; }
   void set_epoch_for_testing(int32_t epoch) { epoch_ = epoch; }
 
@@ -788,9 +856,13 @@ class Network : public Engine {
                                 // BuildChannelTables); NodeContext::degree()
   std::vector<int> order_;      // internal rank -> external id (iota, or BFS
                                 // under options.relabel); perm_ inverts it
-  // Double-buffered mailboxes, each slot epoch-stamped in the Message's
-  // engine_stamp field; swapped (O(1)) each round, never cleared.
-  std::vector<Message> inbox_, outbox_;
+  // Double-buffered mailboxes of 12-byte slots, each epoch-stamped in its
+  // meta field; swapped (O(1)) each round, never cleared. inbox_w1_ and
+  // outbox_w1_ hold each slot's word1: empty until the first two-word run
+  // allocates them, then kept and swapped with the slots. A one-word run
+  // neither reads nor writes them.
+  std::vector<internal::MailSlot> inbox_, outbox_;
+  std::vector<int64_t> inbox_w1_, outbox_w1_;
   std::vector<char> halted_;
   std::vector<int> active_;  // the CURRENT ROUND's wake bucket: INTERNAL
                              // ranks, UNIQUE entries (see bucket_stamp_).
@@ -825,44 +897,54 @@ class Network : public Engine {
   int live_count_ = 0;    // non-halted nodes (the run's termination test)
   std::vector<Shard> shards_;
   support::ThreadPool pool_;  // num_threads lanes, persistent
-  int32_t epoch_ = 1;  // monotone across runs (wrap-guarded in Run);
-                       // stamps start at -1
-
-  static const Message kNoMessage;
+  int32_t epoch_ = 1;  // monotone across runs (wrap-guarded in Run, kept
+                       // below internal::kMaxEpoch); stamps start at -1
 };
 
-inline const Message& NodeContext::Recv(int port) const {
+inline Message NodeContext::Recv(int port) const {
   if (first_ != nullptr) [[likely]] {
     const auto c = static_cast<size_t>(first_[node_] + port);
-    const Message& s = inbox_[c];
-    return s.engine_stamp + 1 == epoch_ ? s : Network::kNoMessage;
+    const internal::MailSlot& s = inbox_[c];
+    if (s.stamp() + 1 != epoch_) return Message{};
+    return Message{s.word0, inbox_w1_ != nullptr ? inbox_w1_[c] : 0,
+                   s.size()};
   }
   return internal::RefRecv(*ref_, node_, port);
 }
 
 inline void NodeContext::Send(int port, Message m) {
   if (first_ != nullptr) [[likely]] {
+    // The reference engine throws MessageWidthError here; Network checks
+    // only in debug builds and otherwise stores just the declared words.
+    assert(m.size <= (outbox_w1_ != nullptr ? 2 : 1) &&
+           (outbox_w1_ != nullptr || m.word1 == 0) &&
+           "message wider than Algorithm::MessageWords()");
     const auto c = static_cast<size_t>(send_chan_[first_[node_] + port]);
-    Message& s = outbox_[c];
-    if (s.engine_stamp == epoch_) {
+    internal::MailSlot& s = outbox_[c];
+    if (s.stamp() == epoch_) {
       // Second write on this channel this round: last write wins, undo the
       // earlier message's contribution to the counter (and, under content
       // digests, to the accumulator — the slot's previous writer was this
       // same (node, port), so its hash is recomputable in place).
-      *sent_ -= s.present();
-      if (macc_ != nullptr && s.present()) {
-        *macc_ -= support::MessageHash(node_, port, s.word0, s.word1, s.size);
+      const uint8_t size = s.size();
+      *sent_ -= size > 0;
+      if (macc_ != nullptr && size > 0) {
+        *macc_ -= support::MessageHash(
+            node_, port, s.word0, outbox_w1_ != nullptr ? outbox_w1_[c] : 0,
+            size);
       }
     }
     const int32_t stamp = epoch_;
-    s = m;
-    s.engine_stamp = stamp;
+    const int64_t word1 = outbox_w1_ != nullptr ? m.word1 : 0;
+    s.word0 = m.word0;
+    s.meta = internal::MailSlot::Meta(stamp, m.size);
+    if (outbox_w1_ != nullptr) outbox_w1_[c] = word1;
     *sent_ += m.present();
     if (macc_ != nullptr && m.present()) {
-      *macc_ += support::MessageHash(node_, port, m.word0, m.word1, m.size);
+      *macc_ += support::MessageHash(node_, port, m.word0, word1, m.size);
     }
     if (notify_stamp_ != nullptr &&
-        (m.size != 0 || m.word0 != 0 || m.word1 != 0)) {
+        (m.size != 0 || m.word0 != 0 || word1 != 0)) {
       // Scheduled run: record the receiver as a wake candidate, once per
       // round (epoch-stamped dedup; the relaxed exchange makes concurrent
       // shards agree on a single recorder). The observability predicate

@@ -66,6 +66,9 @@ const Message& ReferenceNetwork::RecvAt(int node, int port) const {
 }
 
 void ReferenceNetwork::SendAt(int node, int port, Message m) {
+  if (m.size > message_words_ || (message_words_ == 1 && m.word1 != 0)) {
+    throw MessageWidthError("ReferenceNetwork", message_words_, node, port, m);
+  }
   const int i = inc_off_[node] + port;
   Message& slot = outbox_[Channel(port_edge_[i], port_slot_[i])];
   visit_sent_delta_ +=

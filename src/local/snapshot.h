@@ -32,7 +32,7 @@ namespace treelocal::local {
 // tag" the strongest form of the bit-identity gate (the tests normalize
 // the tag and compare everything else).
 //
-// File layout (version 2, little-endian, fixed-width):
+// File layout (version 3, little-endian, fixed-width):
 //   magic (8) | version (4) | flags (4) | engine_kind (4) | batch (4) |
 //   round (4) | finished (4) | n (4) | m (8) | graph_hash (8) |
 //   ids_hash (8) | edges (2m * 4) | ids (n * 8) | per-instance sections |
@@ -47,9 +47,13 @@ namespace treelocal::local {
 //
 // Version history: v1 had no wake section and 28-byte round records
 // (active | sent | msg_acc | digest). v2 adds the per-node wake plane and
-// the visits/decisions observability counters. This build reads only its
-// own version — older or newer payloads throw SnapshotVersionError naming
-// both versions, never a silent misparse.
+// the visits/decisions observability counters. v3 keeps v2's layout but
+// changes what the deliverable messages of rake-compress and the
+// decomposition mean: their degree announcement went from two words
+// (tag, degree) to one (tag | degree << 2), so a v2 image of those runs
+// would resume into a misread. This build reads only its own version —
+// older or newer payloads throw SnapshotVersionError naming both versions,
+// never a silent misparse.
 //
 // The wake plane is canonical like everything else: external-indexed,
 // halted nodes record 0, and live nodes record their wake round
@@ -75,7 +79,7 @@ class SnapshotError : public std::runtime_error {
 };
 
 inline constexpr uint64_t kSnapshotMagic = 0x315041'4e534c54ull;  // "TLSNAP01"
-inline constexpr uint32_t kSnapshotVersion = 2;
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 // Thrown when a payload carries a version this build does not read —
 // whether an old v1 file or a future format. Structured so callers can

@@ -1,7 +1,7 @@
 #include "src/problems/edge_coloring.h"
 
 #include <algorithm>
-#include <set>
+#include <vector>
 
 #include "src/local/bitplane.h"
 
@@ -13,7 +13,11 @@ bool EdgeColoringProblem::NodeConfigOk(std::span<const Label> labels) const {
     if (IsPair(l)) ++p;
     else if (l != kD) return false;
   }
-  std::set<int64_t> colors;
+  // Color parts must be distinct: collect them, sort, and look for an
+  // adjacent equal pair. The buffer is reused across calls (thread_local:
+  // the class sweeps check nodes from concurrent engine shards).
+  thread_local std::vector<int64_t> colors;
+  colors.clear();
   for (Label l : labels) {
     if (!IsPair(l)) continue;
     int64_t a = DegreePart(l), b = ColorPart(l);
@@ -22,9 +26,10 @@ bool EdgeColoringProblem::NodeConfigOk(std::span<const Label> labels) const {
     if (mode_ == Mode::kTwoDeltaMinusOne && b > 2 * int64_t{delta_} - 1) {
       return false;
     }
-    if (!colors.insert(b).second) return false;  // color parts distinct
+    colors.push_back(b);
   }
-  return true;
+  std::sort(colors.begin(), colors.end());
+  return std::adjacent_find(colors.begin(), colors.end()) == colors.end();
 }
 
 bool EdgeColoringProblem::EdgeConfigOk(std::span<const Label> labels,
@@ -73,10 +78,11 @@ void EdgeColoringProblem::SequentialAssignEdge(const Graph& g, int e,
                                                HalfEdgeLabeling& h) const {
   // This is the inner loop of every class sweep and star stage: one shared
   // buffer for both endpoints' used colors (the per-endpoint counts ride
-  // along for the degree parts) instead of three temporary vectors.
+  // along for the degree parts), reused across calls — thread_local, since
+  // the edge sweep runs it from concurrent engine shards.
   auto [v1, v2] = g.Endpoints(e);
-  std::vector<int64_t> forbidden;
-  forbidden.reserve(static_cast<size_t>(g.Degree(v1)) + g.Degree(v2));
+  thread_local std::vector<int64_t> forbidden;
+  forbidden.clear();
   int used1 = AppendUsedColorsAt(g, v1, h, forbidden);
   int used2 = AppendUsedColorsAt(g, v2, h, forbidden);
   // First-fit via chunked bitmask + countr_one first-zero scan
@@ -109,10 +115,13 @@ std::vector<int64_t> EdgeColoringProblem::ExtractColors(
 
 bool EdgeColoringProblem::IsProperEdgeColoring(
     const Graph& g, const std::vector<int64_t>& colors) const {
+  std::vector<int64_t> seen;  // reused across nodes
   for (int v = 0; v < g.NumNodes(); ++v) {
-    std::set<int64_t> seen;
-    for (int e : g.IncidentEdges(v)) {
-      if (!seen.insert(colors[e]).second) return false;
+    seen.clear();
+    for (int e : g.IncidentEdges(v)) seen.push_back(colors[e]);
+    std::sort(seen.begin(), seen.end());
+    if (std::adjacent_find(seen.begin(), seen.end()) != seen.end()) {
+      return false;
     }
   }
   for (int e = 0; e < g.NumEdges(); ++e) {

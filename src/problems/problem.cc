@@ -27,9 +27,11 @@ bool Problem::ValidateGraph(const Graph& g, const HalfEdgeLabeling& h,
                   LabelToString(a) + "," + LabelToString(b) + "}");
     }
   }
+  // One label buffer for every node (cleared, never shrunk), so the
+  // per-node check allocates nothing once it has grown to the max degree.
+  std::vector<Label> labels;
   for (int v = 0; v < g.NumNodes(); ++v) {
-    std::vector<Label> labels;
-    labels.reserve(g.Degree(v));
+    labels.clear();
     for (int e : g.IncidentEdges(v)) labels.push_back(h.Get(e, v));
     if (!NodeConfigOkAt(g, v, labels)) {
       std::ostringstream os;
@@ -53,9 +55,10 @@ bool Problem::ValidateSemiGraph(const SemiGraph& s, const HalfEdgeLabeling& h,
     return false;
   };
   const Graph& g = s.host();
+  std::vector<Label> cfg;  // reused across edges
   for (int e = 0; e < g.NumEdges(); ++e) {
     if (!s.ContainsEdge(e)) continue;
-    std::vector<Label> cfg;
+    cfg.clear();
     for (int slot = 0; slot < 2; ++slot) {
       if (!s.HalfPresent(e, slot)) continue;
       Label l = h.GetSlot(e, slot);
@@ -69,9 +72,10 @@ bool Problem::ValidateSemiGraph(const SemiGraph& s, const HalfEdgeLabeling& h,
       return fail("semi-edge " + std::to_string(e) + " config invalid");
     }
   }
+  std::vector<Label> labels;  // reused across nodes, as in ValidateGraph
   for (int v = 0; v < g.NumNodes(); ++v) {
     if (!s.ContainsNode(v)) continue;
-    std::vector<Label> labels;
+    labels.clear();
     for (int e : g.IncidentEdges(v)) {
       if (s.ContainsEdge(e) && s.HalfPresent(e, g.EndpointSlot(e, v))) {
         Label l = h.Get(e, v);

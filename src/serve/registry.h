@@ -18,10 +18,17 @@ namespace treelocal::serve {
 // is the expensive, validated step (Graph::FromEdges rejects bad edge
 // lists); every subsequent solve against the key reuses the CSR graph and
 // id assignment with zero per-request parsing. Admission also builds the
-// graph's engine: one solo Network with NetworkOptions::relabel on, so the
-// BFS locality permutation and the channel tables are computed once per
-// admitted graph, and every request of every kind runs on it. The engine
-// dies with the entry.
+// graph's engine: one solo Network, relabeled when the graph has at most
+// kRelabelMaxNodes nodes, so the BFS locality permutation and the channel
+// tables are computed once per admitted graph, and every request of every
+// kind runs on it. The engine dies with the entry.
+//
+// Relabeling pays only while the engine's working set is cache-sized:
+// bench_parallel's relabel ablation (rake-compress k = 2, uniform tree,
+// T = 1) measured 1.11x at 2^18 nodes and 0.89x at 2^20, so larger graphs
+// run on the caller's labels. Results are bit-identical either way.
+inline constexpr int kRelabelMaxNodes = 1 << 18;
+
 struct ResidentGraph {
   uint64_t key = 0;
   Graph graph;

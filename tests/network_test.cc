@@ -217,6 +217,78 @@ TEST(NetworkTest, EpochNearWrapRearmsAndStaysCorrect) {
   EXPECT_LT(net.epoch_for_testing(), 100);
 }
 
+// Every node sends a two-word message on every port for `rounds` rounds,
+// with both words varying by round and port, and logs everything it
+// receives: a transcript that shows any lost, stale or misplaced word.
+class RelayPairs : public Algorithm {
+ public:
+  RelayPairs(int n, int rounds) : log_(n), rounds_(rounds) {}
+  void OnRound(NodeContext& ctx) override {
+    const int r = ctx.round();
+    for (int p = 0; p < ctx.degree(); ++p) {
+      const Message m = ctx.Recv(p);
+      log_[ctx.node()].push_back({r, p, m.word0, m.word1, m.size});
+    }
+    if (r == rounds_) {
+      ctx.Halt();
+      return;
+    }
+    for (int p = 0; p < ctx.degree(); ++p) {
+      // Round 1 sends nothing on even ports, so an empty slot must also
+      // survive the wrap as an empty one.
+      if (r == 1 && p % 2 == 0) continue;
+      ctx.Send(p, Message::Of(ctx.id() * 100 + r, -(r * 10 + p)));
+    }
+  }
+  struct Entry {
+    int round, port;
+    int64_t word0, word1;
+    uint8_t size;
+    friend bool operator==(const Entry&, const Entry&) = default;
+  };
+  std::vector<std::vector<Entry>> log_;
+
+ private:
+  int rounds_;
+};
+
+// The packed mailbox slot holds the epoch in 30 bits (stamp * 4 + size), so
+// the wrap guards act at local::internal::kMaxEpoch: the pre-run re-arm at
+// kMaxEpoch - 4 and the mid-run rebase at kMaxEpoch - 2. Starting a run on
+// each epoch around those points, with mailboxes dirty from an earlier
+// run, must deliver exactly the transcript of a fresh engine — words,
+// sizes and digests, through the word1 plane too — and leave the epoch
+// below the limit.
+TEST(NetworkTest, EpochWrapAtPackedLimit) {
+  const int n = 80;
+  const Graph g = UniformRandomTree(n, 9);
+  const auto ids = DefaultIds(n, 10);
+  constexpr int kRounds = 6;
+  local::NetworkOptions opt;
+  opt.digest_messages = true;
+  Network fresh(g, ids, opt);
+  RelayPairs expect(n, kRounds);
+  const int expect_rounds = fresh.Run(expect, 100);
+  constexpr int32_t kMax = local::internal::kMaxEpoch;
+  for (const int32_t start : {kMax - 8, kMax - 6, kMax - 5, kMax - 4,
+                              kMax - 3}) {
+    SCOPED_TRACE("start epoch kMaxEpoch - " + std::to_string(kMax - start));
+    Network net(g, ids, opt);
+    RelayPairs warm(n, kRounds);
+    net.Run(warm, 100);
+    net.set_epoch_for_testing(start);
+    RelayPairs alg(n, kRounds);
+    EXPECT_EQ(net.Run(alg, 100), expect_rounds);
+    EXPECT_EQ(alg.log_, expect.log_);
+    EXPECT_EQ(net.round_digests(), fresh.round_digests());
+    EXPECT_EQ(net.messages_delivered(), fresh.messages_delivered());
+    // kMaxEpoch - 4 and above re-arm before round 0; below it the run
+    // crosses kMaxEpoch - 2 mid-run and rebases there. Either way the
+    // epoch restarted near 1.
+    EXPECT_LT(net.epoch_for_testing(), 100);
+  }
+}
+
 // A huge max_rounds must neither trip the guard into re-arming on every call
 // (the old negative-threshold bug) nor be able to overflow the stamp: the
 // wrap checks are independent of max_rounds.
@@ -423,10 +495,18 @@ class StaggeredHalt : public Algorithm {
   }
 };
 
+// Sleeps like StaggeredHalt, and declares one-word messages.
+class StaggeredHaltOneWord : public StaggeredHalt {
+ public:
+  int MessageWords() const override { return 1; }
+};
+
 // EngineMemory's parts add up to its total, and the parts construction
 // allocates have their closed-form sizes: the mailboxes are two 2m-slot
-// Message arrays. The state plane and wake tables appear with the first
-// run that needs them.
+// arrays of 12-byte slots (48 B/edge), and stay so through one-word runs;
+// the first two-word run adds their two word1 planes (80 B/edge in all).
+// The state plane and wake tables appear with the first run that needs
+// them.
 TEST(NetworkTest, EngineMemoryPartsSumToTotal) {
   const int n = 500;
   const Graph g = UniformRandomTree(n, 15);
@@ -442,7 +522,7 @@ TEST(NetworkTest, EngineMemoryPartsSumToTotal) {
     Network net(g, DefaultIds(n, 16), opt);
     local::EngineBytes b = net.EngineMemory();
     EXPECT_EQ(sum(b), b.total());
-    EXPECT_EQ(b.mailboxes, 2 * 2 * m * sizeof(Message));
+    EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
     EXPECT_EQ(b.channel_tables, (n + 1 + 2 * m) * sizeof(int));
     EXPECT_EQ(b.degree_table, n * sizeof(int));
     EXPECT_EQ(b.ids, n * sizeof(int64_t));
@@ -450,14 +530,25 @@ TEST(NetworkTest, EngineMemoryPartsSumToTotal) {
     EXPECT_EQ(b.state_plane, 0u);
     EXPECT_EQ(b.wake_tables, 0u);
 
+    StaggeredHaltOneWord narrow;
+    EXPECT_EQ(net.Run(narrow, 10), 3);
+    b = net.EngineMemory();
+    EXPECT_EQ(sum(b), b.total());
+    EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
+
     StaggeredHalt alg;
     EXPECT_EQ(net.Run(alg, 10), 3);
     b = net.EngineMemory();
     EXPECT_EQ(sum(b), b.total());
-    EXPECT_EQ(b.mailboxes, 2 * 2 * m * sizeof(Message));
+    EXPECT_EQ(b.mailboxes, 2 * 2 * m * (12 + 8));
     EXPECT_EQ(b.state_plane, n * sizeof(int64_t));
     EXPECT_GT(b.wake_tables, 0u);
     EXPECT_GT(b.run_log, 0u);
+
+    // The planes stay for later runs of either width.
+    StaggeredHaltOneWord again;
+    net.Run(again, 10);
+    EXPECT_EQ(net.EngineMemory().mailboxes, 2 * 2 * m * (12 + 8));
   }
 }
 

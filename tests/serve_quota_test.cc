@@ -20,8 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/decomposition.h"
+#include "src/core/rake_compress.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
+#include "src/local/network.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/registry.h"
@@ -144,7 +147,8 @@ TEST_F(ServeQuotaTest, EvictingIdleGraphReleasesItsEngine) {
   ASSERT_TRUE(a != nullptr);
   ASSERT_TRUE(a->engine != nullptr);
   const size_t engine_bytes = a->engine->EngineMemory().total();
-  EXPECT_GE(engine_bytes, 2 * 2 * a->graph.NumEdges() * sizeof(local::Message));
+  // At least the two 2m-slot mailboxes of 12-byte slots.
+  EXPECT_GE(engine_bytes, size_t{2 * 2 * 12} * a->graph.NumEdges());
   EXPECT_EQ(a->memory_bytes, graph_bytes + engine_bytes);
   EXPECT_EQ(reg.resident_bytes(), a->memory_bytes);
 
@@ -246,6 +250,68 @@ TEST_F(ServeQuotaTest, BusyGraphIsNotEvictedAndRejectionIsStructured) {
   SolveResult after;
   ASSERT_TRUE(c->SolveAndWait(key2, spec, &after, &error)) << error;
   EXPECT_EQ(after, baseline);
+}
+
+// Resident engines are relabeled only up to kRelabelMaxNodes nodes, where
+// relabeling stops paying. A graph one node above the limit runs on the
+// caller's labels, and its results are byte-identical to a relabeled solo
+// run of the same graph.
+TEST_F(ServeQuotaTest, LargeResidentGraphRunsUnrelabeled) {
+  const Graph at_limit = UniformRandomTree(kRelabelMaxNodes, 41);
+  const Graph above = UniformRandomTree(kRelabelMaxNodes + 1, 42);
+  {
+    Registry reg;
+    Registry::AdmitResult result = Registry::AdmitResult::kAdmitted;
+    bool fresh = false;
+    std::string error;
+    auto a = reg.Register(at_limit.NumNodes(), EdgesOf(at_limit), {}, &fresh,
+                          &result, &error);
+    auto b = reg.Register(above.NumNodes(), EdgesOf(above), {}, &fresh,
+                          &result, &error);
+    ASSERT_TRUE(a != nullptr && b != nullptr) << error;
+    EXPECT_TRUE(a->engine->relabeled());
+    EXPECT_FALSE(b->engine->relabeled());
+  }
+
+  StartServer(Server::Options{});
+  auto c = Connect();
+  std::string error;
+  uint64_t key = 0;
+  bool fresh = false;
+  ASSERT_TRUE(c->RegisterGraph(above, {}, &key, &fresh, &error)) << error;
+
+  const int n = above.NumNodes();
+  std::vector<int64_t> ids(n);
+  for (int v = 0; v < n; ++v) ids[v] = v;
+  local::NetworkOptions relabel;
+  relabel.relabel = true;
+
+  SolveSpec spec;
+  spec.kind = SolveKind::kRakeCompress;
+  spec.k = 2;
+  SolveResult got;
+  ASSERT_TRUE(c->SolveAndWait(key, spec, &got, &error)) << error;
+  local::Network solo(above, ids, relabel);
+  const RakeCompressResult rc = RunRakeCompress(solo, 2);
+  SolveResult want;
+  want.kind = SolveKind::kRakeCompress;
+  want.engine_rounds = want.total_rounds = rc.engine_rounds;
+  want.messages = rc.messages;
+  want.digest = solo.last_digest();
+  want.iterations = rc.num_iterations;
+  EXPECT_TRUE(got == want);
+
+  spec.kind = SolveKind::kDecomposition;
+  spec.a = 1;
+  spec.k = 5;
+  ASSERT_TRUE(c->SolveAndWait(key, spec, &got, &error)) << error;
+  const DecompositionResult dr = RunDecomposition(solo, 1, 2, 5);
+  want.kind = SolveKind::kDecomposition;
+  want.engine_rounds = want.total_rounds = dr.engine_rounds;
+  want.messages = dr.messages;
+  want.digest = solo.last_digest();
+  want.iterations = dr.num_layers;
+  EXPECT_TRUE(got == want);
 }
 
 // Churn: one thread solving a pinned workload while another registers a

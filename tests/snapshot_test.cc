@@ -648,5 +648,97 @@ TEST(SnapshotTest, VersionMismatchIsAStructuredError) {
   EXPECT_NO_THROW(ParseBytes(with_version(kSnapshotVersion)));
 }
 
+// Sends a two-word message on every port for three rounds and folds what
+// it receives into a per-node sum.
+class PairRelay : public Algorithm {
+ public:
+  explicit PairRelay(int n) : sum_(n, 0) {}
+  void OnRound(local::NodeContext& ctx) override {
+    for (int p = 0; p < ctx.degree(); ++p) {
+      const local::Message m = ctx.Recv(p);
+      sum_[ctx.node()] += m.word0 * 3 + m.word1 * 7 + m.size;
+    }
+    if (ctx.round() == 3) {
+      ctx.Halt();
+      return;
+    }
+    ctx.Broadcast(local::Message::Of(ctx.id(), ctx.round() + 1));
+  }
+  std::vector<int64_t> sum_;
+};
+
+// A checkpoint whose deliverable messages carry two words cannot resume
+// under an algorithm that declares one: the resume is refused with
+// SnapshotError and stays armed, and the retry with the two-word algorithm
+// continues bit-identically, through Network's word1 plane.
+TEST(SnapshotTest, ResumeRefusesMessagesWiderThanDeclared) {
+  struct OneWordRelay : PairRelay {
+    using PairRelay::PairRelay;
+    int MessageWords() const override { return 1; }
+  };
+  const int n = 40;
+  const Graph g = UniformRandomTree(n, 11);
+  const auto ids = DefaultIds(n, 12);
+  Network whole(g, ids);
+  PairRelay expect(n);
+  const int rounds = whole.Run(expect, 10);
+
+  Network first(g, ids);
+  PairRelay head(n);
+  ASSERT_EQ(first.RunUntil(head, 10, 2), 2);
+  std::ostringstream out;
+  first.Checkpoint(out);
+  for (const bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "ReferenceNetwork" : "Network");
+    std::unique_ptr<local::Engine> engine;
+    if (reference) {
+      engine = std::make_unique<ReferenceNetwork>(g, ids);
+    } else {
+      engine = std::make_unique<Network>(g, ids);
+    }
+    std::istringstream in(out.str());
+    engine->Resume(in);
+    OneWordRelay narrow(n);
+    narrow.sum_ = head.sum_;
+    EXPECT_THROW(engine->Run(narrow, 10), SnapshotError);
+    PairRelay tail(n);
+    tail.sum_ = head.sum_;
+    EXPECT_EQ(engine->Run(tail, 10), rounds);
+    EXPECT_EQ(tail.sum_, expect.sum_);
+    EXPECT_EQ(engine->round_digests(), whole.round_digests());
+  }
+}
+
+// v3 changed the meaning of rake-compress's and the decomposition's
+// deliverable messages (one packed word instead of a tag and a degree), so
+// a v2 image — header and all, byte for byte as a v2 build wrote it — is
+// refused with the structured version error, never resumed into a misread.
+TEST(SnapshotTest, VersionTwoImageIsRefused) {
+  ASSERT_EQ(kSnapshotVersion, 3u);
+  const Graph g = UniformRandomTree(64, 3);
+  const auto ids = DefaultIds(64, 4);
+  Network net(g, ids);
+  auto alg = MakeRakeCompressAlgorithm(2);
+  ASSERT_EQ(net.RunUntil(*alg, 100, 1), 1);  // degree announcements in flight
+  std::ostringstream out;
+  net.Checkpoint(out);
+  std::string bytes = out.str();
+  const size_t payload = bytes.size() - 8;
+  for (int i = 0; i < 4; ++i) bytes[8 + i] = static_cast<char>(2 >> (8 * i));
+  const uint64_t h = support::Fnv1a64(bytes.data(), payload);
+  for (int i = 0; i < 8; ++i) {
+    bytes[payload + i] = static_cast<char>(h >> (8 * i));
+  }
+  std::istringstream in(bytes);
+  try {
+    Network fresh(g, ids);
+    fresh.Resume(in);
+    FAIL() << "a v2 image was accepted";
+  } catch (const SnapshotVersionError& e) {
+    EXPECT_EQ(e.found(), 2u);
+    EXPECT_EQ(e.expected(), 3u);
+  }
+}
+
 }  // namespace
 }  // namespace treelocal

@@ -25,7 +25,10 @@ floor bounds on the acceptance ratios:
   * compressed-backend bounds: per-record backstops on
     `compact_bytes_per_edge` / `compact_ratio`, identity gating of the
     compression numbers, and a demonstration floor (<= 6 bytes/edge,
-    >= 4x vs CSR) on the best identity-gated workload.
+    >= 4x vs CSR) on the best identity-gated workload;
+  * engine mailbox size: a compact_backend record's engine (rake-compress,
+    a one-word algorithm) must hold at most 48 mailbox bytes per edge after
+    the solve (`engine_run_mailboxes_bytes / edges`).
 
 Usage: check_bench_regression.py <path/to/BENCH_engine.json>
 Exits non-zero listing every violated bound.
@@ -94,6 +97,11 @@ COMPACT_BYTES_PER_EDGE_FLOOR = 6.0
 COMPACT_RATIO_FLOOR = 4.0
 COMPACT_BYTES_PER_EDGE_BACKSTOP = 8.5
 COMPACT_RATIO_BACKSTOP = 3.2
+
+# Network mailboxes of a one-word run: inbox + outbox, 2m slots each, of 12
+# bytes (Algorithm::MessageWords). A record above this either allocated the
+# word1 planes for rake-compress (80 B/edge) or went back to wide slots.
+ONE_WORD_MAILBOX_BYTES_PER_EDGE = 48
 
 ACCEPTANCE_FLOORS = {
     "edge_pipeline_phase23": 0.8,
@@ -232,6 +240,20 @@ def check_record(rec, msgs):
                 fail(msgs, rec,
                      f"compact_ratio {ratio} below backstop "
                      f"{COMPACT_RATIO_BACKSTOP}")
+
+    # Mailbox size of the engine that solved a compact_backend workload.
+    if exp == "compact_backend":
+        mailboxes = rec.get("engine_run_mailboxes_bytes")
+        edges = rec.get("edges")
+        if not isinstance(mailboxes, (int, float)) or \
+                not isinstance(edges, (int, float)) or edges <= 0:
+            fail(msgs, rec,
+                 "compact_backend record lacks engine_run_mailboxes_bytes "
+                 "or a positive edges count")
+        elif mailboxes / edges > ONE_WORD_MAILBOX_BYTES_PER_EDGE:
+            fail(msgs, rec,
+                 f"engine mailboxes {mailboxes / edges:.1f} B/edge above "
+                 f"the one-word bound {ONE_WORD_MAILBOX_BYTES_PER_EDGE}")
 
 
 def check_compact_group(records, msgs):
