@@ -27,6 +27,11 @@ namespace treelocal::serve {
 // bench_parallel's relabel ablation (rake-compress k = 2, uniform tree,
 // T = 1) measured 1.11x at 2^18 nodes and 0.89x at 2^20, so larger graphs
 // run on the caller's labels. Results are bit-identical either way.
+// The cutoff is taken from that solo test. Through the daemon it was
+// checked only for rake-compress requests: bench_serve's serial k-sweep
+// (1 client, 8 requests, 5 alternating pairs, 4-thread Xeon) ran 1.17x
+// faster relabeled at 2^16 nodes and 0.92x relabeled at 2^20, each way in
+// 4 of 5 pairs. Decomposition and the other request kinds are unmeasured.
 inline constexpr int kRelabelMaxNodes = 1 << 18;
 
 struct ResidentGraph {

@@ -199,10 +199,9 @@ TEST(NetworkTest, EpochNearWrapRearmsAndStaysCorrect) {
   int expect_rounds = fresh.Run(expect, 10);
 
   Network net(g, ids);
-  // Dirty the mailboxes with real payloads first, then push the epoch to the
-  // brink: the run crosses the wrap threshold mid-run, so the per-round
-  // rebase must fire — preserving the in-flight round's messages while none
-  // of the stale payloads (stamps far below the epoch) leak.
+  // Dirty the mailboxes with real payloads first, then push the epoch past
+  // the wrap threshold: the pre-run guard must re-arm every stamp so that
+  // none of the stale payloads (stamps far below the epoch) leak.
   CollectNeighborIds warm(n);
   net.Run(warm, 10);
   net.set_epoch_for_testing(INT32_MAX - 5);
@@ -211,9 +210,11 @@ TEST(NetworkTest, EpochNearWrapRearmsAndStaysCorrect) {
   EXPECT_EQ(alg.collected_, expect.collected_);
   EXPECT_EQ(net.messages_delivered(), fresh.messages_delivered());
   // Re-armed: the epoch restarted near 1 instead of marching past the
-  // brink. The invariant is max_rounds-independent: the pre-run guard
-  // re-arms at INT32_MAX - 4, and the per-round rebase fires at
-  // INT32_MAX - 2, so a live stamp never exceeds INT32_MAX - 3.
+  // brink. INT32_MAX - 5 lies above the packed-slot limit
+  // local::internal::kMaxEpoch, so this only exercises that region: the
+  // pre-run guard re-arms at kMaxEpoch - 4 and the per-round rebase fires
+  // at kMaxEpoch - 2, so a live stamp never exceeds kMaxEpoch - 3.
+  // EpochWrapAtPackedLimit tests the guards at the limit itself.
   EXPECT_LT(net.epoch_for_testing(), 100);
 }
 
