@@ -8,7 +8,7 @@
 // (outputs, round counts, message counts, per-round stats) — the process
 // exits non-zero on any divergence, which is what CI gates on — and records
 // the throughput ratio in BENCH_engine.json. Also records the canonical-k
-// dedup saving and the bit-plane Cole-Vishkin batch against B solo runs.
+// dedup saving.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -21,10 +21,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/algos/cole_vishkin.h"
 #include "src/core/rake_compress.h"
 #include "src/graph/generators.h"
-#include "src/local/bitplane.h"
 #include "src/local/network.h"
 #include "src/support/rng.h"
 
@@ -203,97 +201,6 @@ bool RunDedupAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
   return identical;
 }
 
-// BFS parent orientation rooted at 0 (the bench trees are connected).
-std::vector<int> BfsParents(const Graph& tree) {
-  std::vector<int> parent(tree.NumNodes(), -1);
-  std::vector<char> seen(tree.NumNodes(), 0);
-  std::vector<int> order = {0};
-  seen[0] = 1;
-  for (size_t i = 0; i < order.size(); ++i) {
-    int v = order[i];
-    for (int u : tree.Neighbors(v)) {
-      if (!seen[u]) {
-        seen[u] = 1;
-        parent[u] = v;
-        order.push_back(u);
-      }
-    }
-  }
-  return parent;
-}
-
-bool Identical(const local::bitplane::CvInstanceTranscript& a,
-               const local::bitplane::CvInstanceTranscript& b) {
-  return a.colors == b.colors && a.rounds == b.rounds &&
-         a.messages == b.messages && a.round_stats == b.round_stats &&
-         a.round_digests == b.round_digests && a.last_digest == b.last_digest;
-}
-
-// Bit-plane CV acceptance: B = 64 Cole-Vishkin instances (per-instance ID
-// assignments) over one shared rooted tree, B solo runs on one Network vs
-// the bit-plane runner. The identity gate compares EVERY transcript field —
-// colors, rounds, messages, per-round stats, digest chain — and a
-// divergence fails the process, same as the rake-compress gate above.
-// n is capped at 2^16, where the acceptance floor applies.
-bool RunBitplaneAcceptance(int n_requested, int reps,
-                           bench::JsonWriter& json) {
-  constexpr int kAcceptanceN = 1 << 16;
-  const int n = std::min(n_requested, kAcceptanceN);
-  const int batch = 64;
-  std::cout << "Bitplane acceptance: CV 3-coloring on a " << n
-            << "-node uniform tree, B=" << batch
-            << " bit-plane lanes vs " << batch << " scalar solo runs\n";
-
-  const Graph tree = UniformRandomTree(n, 31);
-  const std::vector<int> parent = BfsParents(tree);
-  const int64_t space = int64_t{n} * n * n;
-  std::vector<std::vector<int64_t>> ids(batch);
-  for (int b = 0; b < batch; ++b) ids[b] = DistinctIds(n, 40 + b, space - 1);
-  const std::vector<int64_t> spaces(batch, space);
-
-  local::Network scalar_net(tree, ids[0]);
-  auto scalar = ColeVishkin3ColorBatch(scalar_net, parent, ids, spaces);
-  double scalar_s = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto t0 = Clock::now();
-    scalar = ColeVishkin3ColorBatch(scalar_net, parent, ids, spaces);
-    scalar_s = std::min(scalar_s, Seconds(t0));
-  }
-
-  local::bitplane::BitplaneCvBatch runner(tree, parent);
-  auto planes = runner.Run(ids, spaces);
-  double planes_s = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto t0 = Clock::now();
-    planes = runner.Run(ids, spaces);
-    planes_s = std::min(planes_s, Seconds(t0));
-  }
-
-  bool identical = true;
-  for (int b = 0; b < batch; ++b) identical &= Identical(scalar[b], planes[b]);
-  const double speedup = scalar_s / planes_s;
-  const bool acceptance = n >= kAcceptanceN;
-
-  json.BeginRecord();
-  json.Field("source", "bench_batch");
-  json.Field("experiment", "bitplane_cv_batch");
-  json.Field("family", "uniform-random");
-  json.Field("n", n);
-  json.Field("edges", tree.NumEdges());
-  json.Field("batch", batch);
-  json.Field("scalar_seconds", scalar_s);
-  json.Field("bitplane_seconds", planes_s);
-  json.Field("speedup", speedup);
-  json.Field("bitplane_speedup", speedup);
-  json.Field("transcripts_identical", identical);
-  json.Field("acceptance", acceptance);
-
-  std::cout << "  identical=" << (identical ? "yes" : "NO (BUG)")
-            << "  scalar: " << scalar_s << " s   bitplane: " << planes_s
-            << " s   throughput: " << speedup << "x\n";
-  return identical;
-}
-
 }  // namespace
 }  // namespace treelocal
 
@@ -349,7 +256,6 @@ int main(int argc, char** argv) {
     ok &= treelocal::RunKSweepAcceptance(tree, ids, fine, reps, json);
     ok &= treelocal::RunDedupAcceptance(tree, ids, reps, json);
   }
-  ok &= treelocal::RunBitplaneAcceptance(n, reps, json);
   json.MergeAs("bench_batch", "BENCH_engine.json");
   std::cout << "  wrote BENCH_engine.json\n";
   return ok ? 0 : 1;

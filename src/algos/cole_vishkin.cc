@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <stdexcept>
-#include <utility>
 
 #include "src/local/network.h"
 #include "src/local/reference_network.h"
@@ -18,16 +17,6 @@ int BitLength(int64_t x) {
     x >>= 1;
   } while (x > 0);
   return bits;
-}
-
-// One Cole-Vishkin step: new color = 2*i + bit_i(mine), where i is the
-// lowest bit index at which `mine` and `parent` differ.
-int64_t CvStep(int64_t mine, int64_t parent) {
-  int64_t diff = mine ^ parent;
-  assert(diff != 0);
-  int i = 0;
-  while (!((diff >> i) & 1)) ++i;
-  return 2 * static_cast<int64_t>(i) + ((mine >> i) & 1);
 }
 
 // Per-node state, engine-managed: the working color plus the port of the
@@ -67,7 +56,7 @@ class CvAlgorithm : public local::Algorithm {
     // recolor) for target colors 5, 4, 3; every round rebroadcasts.
     if (r >= 1 && r <= iterations_) {
       int64_t parent_color = ParentColor(ctx, st);
-      st.color = CvStep(st.color, parent_color);
+      st.color = ColeVishkinStep(st.color, parent_color);
     } else if (r > iterations_) {
       int phase = r - iterations_ - 1;  // 0..5
       int block = phase / 2;
@@ -170,34 +159,6 @@ ColeVishkinResult ColeVishkin3ColorReference(const Graph& forest,
                                              int64_t id_space) {
   local::ReferenceNetwork net(forest, ids);
   return ColeVishkinOnEngine(net, forest, ids, parent, id_space);
-}
-
-std::vector<local::bitplane::CvInstanceTranscript> ColeVishkin3ColorBatch(
-    local::Network& net, const std::vector<int>& parent,
-    const std::vector<std::vector<int64_t>>& ids,
-    const std::vector<int64_t>& id_space) {
-  const Graph& forest = net.graph();
-  const int n = forest.NumNodes();
-  const int batch = static_cast<int>(ids.size());
-  if (id_space.size() != ids.size()) {
-    throw std::invalid_argument("ColeVishkin3ColorBatch: batch size mismatch");
-  }
-  std::vector<local::bitplane::CvInstanceTranscript> result(batch);
-  if (n == 0) return result;
-  // CvAlgorithm reads colors from its own ids vector (not the engine's), so
-  // every instance's ID assignment runs on the one engine.
-  for (int b = 0; b < batch; ++b) {
-    ColeVishkinResult run =
-        ColeVishkinOnEngine(net, forest, ids[b], parent, id_space[b]);
-    auto& t = result[b];
-    t.colors = std::move(run.colors);
-    t.rounds = run.rounds;
-    t.messages = run.messages;
-    t.round_stats = std::move(run.round_stats);
-    t.round_digests = net.round_digests();
-    t.last_digest = net.last_digest();
-  }
-  return result;
 }
 
 }  // namespace treelocal

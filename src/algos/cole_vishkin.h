@@ -1,11 +1,12 @@
 #ifndef TREELOCAL_ALGOS_COLE_VISHKIN_H_
 #define TREELOCAL_ALGOS_COLE_VISHKIN_H_
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
 #include "src/graph/graph.h"
-#include "src/local/bitplane.h"
 #include "src/local/network.h"
 
 namespace treelocal {
@@ -40,20 +41,20 @@ ColeVishkinResult ColeVishkin3ColorReference(const Graph& forest,
                                              int64_t id_space);
 
 // Number of Cole-Vishkin iterations needed from an ID space of the given
-// size until colors are in {0..5} (exposed for round-bound tests).
+// size until colors are in {0..5}: the step-round count of CvAlgorithm and
+// of the fused multi-forest CV, and the log* term of the round bounds.
 int ColeVishkinIterations(int64_t id_space);
 
-// B = ids.size() instances run one after another on the caller's engine
-// (built over the forest, any ids: CvAlgorithm colors from its own ids):
-// instance b runs the forest with its own ID assignment ids[b]
-// (< id_space[b]) and the schedule length that ID space implies. Returns
-// per-instance transcripts in the bit-plane layer's comparison type — this
-// is the scalar oracle the bit-plane CV batch
-// (local::bitplane::BitplaneCvBatch) is asserted bit-identical to.
-std::vector<local::bitplane::CvInstanceTranscript> ColeVishkin3ColorBatch(
-    local::Network& net, const std::vector<int>& parent,
-    const std::vector<std::vector<int64_t>>& ids,
-    const std::vector<int64_t>& id_space);
+// One Cole-Vishkin step: new color = 2*i + bit_i(mine), where i is the
+// lowest bit index at which `mine` and `parent` differ (neighbor colors are
+// distinct, so mine != parent). The step of CvAlgorithm and of the fused
+// multi-forest CV in src/core/forest_split.cc.
+inline int64_t ColeVishkinStep(int64_t mine, int64_t parent) {
+  const uint64_t diff = static_cast<uint64_t>(mine ^ parent);
+  assert(diff != 0);
+  const int i = std::countr_zero(diff);
+  return 2 * static_cast<int64_t>(i) + ((mine >> i) & 1);
+}
 
 }  // namespace treelocal
 

@@ -185,7 +185,7 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
                                 "not " + std::to_string(words));
   }
   if (pending_resume_ != nullptr) {
-    const size_t stride = pending_resume_->instances[0].state_stride;
+    const size_t stride = pending_resume_->run.state_stride;
     if (stride != alg.StateBytes()) {
       // Still armed: the caller's retry with the right algorithm resumes.
       throw SnapshotError("resume state stride mismatch: snapshot has " +
@@ -194,7 +194,7 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
                           std::to_string(alg.StateBytes()) +
                           " (resumed with a different Algorithm?)");
     }
-    for (const SnapshotMessage& msg : pending_resume_->instances[0].deliverable) {
+    for (const SnapshotMessage& msg : pending_resume_->run.deliverable) {
       if (msg.size > words || (words == 1 && msg.word1 != 0)) {
         throw SnapshotError(
             "resume message width mismatch: snapshot delivers a size-" +
@@ -204,13 +204,13 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
       }
     }
     resume = std::move(pending_resume_);
-    const SnapshotData::Instance& inst = resume->instances[0];
+    const SnapshotData::RunSection& run = resume->run;
     round_ = resume->round;
-    messages_delivered_ = inst.messages_delivered;
+    messages_delivered_ = run.messages_delivered;
     round_stats_.clear();
     round_msg_acc_.clear();
     round_digests_.clear();
-    for (const SnapshotRound& r : inst.rounds) {
+    for (const SnapshotRound& r : run.rounds) {
       round_stats_.push_back(r.stats);
       round_msg_acc_.push_back(r.msg_acc);
       round_digests_.push_back(r.digest);
@@ -222,8 +222,8 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
     state_.resize(static_cast<size_t>(n) * stride);
     for (int v = 0; v < n; ++v) {
       const size_t i = perm_.empty() ? v : perm_[v];
-      std::copy(inst.state.begin() + v * stride,
-                inst.state.begin() + (v + 1) * stride,
+      std::copy(run.state.begin() + v * stride,
+                run.state.begin() + (v + 1) * stride,
                 state_.begin() + i * stride);
     }
     start = RunStart::kResume;
@@ -289,31 +289,29 @@ void Engine::Checkpoint(std::ostream& out) const {
   snap.engine_kind = kind_;
   snap.digest_messages = digest_messages_;
   snap.finished = finished_;
-  snap.batch = 1;
   snap.round = round_;
   internal::SetInputSections(graph_, ids_, snap);
-  snap.instances.resize(1);
-  SnapshotData::Instance& inst = snap.instances[0];
-  inst.messages_delivered = messages_delivered_;
-  inst.rounds_completed = finished_ ? round_ : 0;
-  inst.rounds.resize(round_stats_.size());
+  SnapshotData::RunSection& run = snap.run;
+  run.messages_delivered = messages_delivered_;
+  run.rounds_completed = finished_ ? round_ : 0;
+  run.rounds.resize(round_stats_.size());
   for (size_t r = 0; r < round_stats_.size(); ++r) {
-    inst.rounds[r] = {round_stats_[r], round_msg_acc_[r], round_digests_[r]};
+    run.rounds[r] = {round_stats_[r], round_msg_acc_[r], round_digests_[r]};
   }
   const size_t stride = state_stride_;
-  inst.state_stride = static_cast<uint32_t>(stride);
-  inst.state.resize(static_cast<size_t>(n) * stride);
+  run.state_stride = static_cast<uint32_t>(stride);
+  run.state.resize(static_cast<size_t>(n) * stride);
   for (int v = 0; v < n; ++v) {
     const size_t i = perm_.empty() ? v : perm_[v];
     std::copy(state_.begin() + i * stride, state_.begin() + (i + 1) * stride,
-              inst.state.begin() + v * stride);
+              run.state.begin() + v * stride);
   }
   SaveBoundary(snap);
   // Canonical wake plane: halted -> 0, and an awake live node (wake round
   // at or below the boundary, e.g. every live node of a dense run) records
   // the boundary round itself.
   for (int v = 0; v < n; ++v) {
-    inst.wake[v] = inst.halted[v] != 0 ? 0 : std::max(inst.wake[v], round_);
+    run.wake[v] = run.halted[v] != 0 ? 0 : std::max(run.wake[v], round_);
   }
   WriteSnapshot(out, snap);
 }
@@ -420,9 +418,9 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     // stamped epoch_ - 1, i.e. relative to the epoch the resumed round
     // runs under.
     advance_epoch();
-    const SnapshotData::Instance& inst = snap->instances[0];
-    std::copy(inst.halted.begin(), inst.halted.end(), halted_.begin());
-    for (const SnapshotMessage& msg : inst.deliverable) {
+    const SnapshotData::RunSection& run = snap->run;
+    std::copy(run.halted.begin(), run.halted.end(), halted_.begin());
+    for (const SnapshotMessage& msg : run.deliverable) {
       const auto c = static_cast<size_t>(first_[msg.node] + msg.port);
       inbox_[c].word0 = msg.word0;
       inbox_[c].meta = internal::MailSlot::Meta(epoch_ - 1, msg.size);
@@ -443,7 +441,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       const int v = order_[i];
       if (halted_[v]) continue;
       ++live_count_;
-      const int32_t w = honor_sleeps ? std::max(inst.wake[v], round_) : round_;
+      const int32_t w = honor_sleeps ? std::max(run.wake[v], round_) : round_;
       wake_round_[i] = w;
       if (w > round_ + 1) notify_armed_ = true;  // someone already parked
       if (w == round_) {
@@ -796,11 +794,11 @@ EngineBytes Network::EngineMemory() const {
 }
 
 void Network::SaveBoundary(SnapshotData& snap) const {
-  SnapshotData::Instance& inst = snap.instances[0];
+  SnapshotData::RunSection& run = snap.run;
   const int n = graph_.NumNodes();
-  inst.halted = halted_;
-  inst.wake.resize(n);
-  for (int i = 0; i < n; ++i) inst.wake[order_[i]] = wake_round_[i];
+  run.halted = halted_;
+  run.wake.resize(n);
+  for (int i = 0; i < n; ++i) run.wake[order_[i]] = wake_round_[i];
   if (snap.finished) return;
   // Deliverable messages: inbox slots stamped epoch - 1 (exactly what the
   // next round's Recv would see). Walking external nodes in order with
@@ -820,7 +818,7 @@ void Network::SaveBoundary(SnapshotData& snap) const {
       const int64_t word1 = wide ? inbox_w1_[c] : 0;
       if (m.stamp() == epoch_ - 1 &&
           (m.size() != 0 || m.word0 != 0 || word1 != 0)) {
-        inst.deliverable.push_back({v, p, m.word0, word1, m.size()});
+        run.deliverable.push_back({v, p, m.word0, word1, m.size()});
       }
     }
   }

@@ -681,7 +681,7 @@ class Engine {
     }
   }
 
-  // Fills the engine's part of a checkpoint's instances[0]: the halt flags
+  // Fills the engine's part of a checkpoint's run section: the halt flags
   // and wake rounds (n entries each, external-indexed; the base
   // canonicalizes the wake rounds) and, unless snap.finished, the
   // deliverable messages sorted by receiver (node, port).

@@ -92,15 +92,15 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
   std::unique_ptr<SnapshotData> snap;
   const RunStart start = BeginRun(alg, /*inv=*/nullptr, snap);
   if (start == RunStart::kResume) {
-    const SnapshotData::Instance& inst = snap->instances[0];
-    std::copy(inst.halted.begin(), inst.halted.end(), halted_.begin());
+    const SnapshotData::RunSection& run = snap->run;
+    std::copy(run.halted.begin(), run.halted.end(), halted_.begin());
     num_halted_ = static_cast<int>(
         std::count(halted_.begin(), halted_.end(), char{1}));
     std::fill(inbox_.begin(), inbox_.end(), Message{});
     std::fill(outbox_.begin(), outbox_.end(), Message{});
     // Place each deliverable where the receiver's RecvAt(node, port) looks:
     // the channel the far endpoint of that port sent on.
-    for (const SnapshotMessage& msg : inst.deliverable) {
+    for (const SnapshotMessage& msg : run.deliverable) {
       const int i = inc_off_[msg.node] + msg.port;
       inbox_[Channel(port_edge_[i], 1 - port_slot_[i])] =
           Message{msg.word0, msg.word1, msg.size};
@@ -108,7 +108,7 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
     // The snapshot's wake plane is external-indexed — exactly this
     // engine's layout.
     for (int v = 0; v < n; ++v) {
-      wake_round_[v] = honor_sleeps ? std::max(inst.wake[v], round_) : round_;
+      wake_round_[v] = honor_sleeps ? std::max(run.wake[v], round_) : round_;
     }
   } else if (start == RunStart::kFresh) {
     num_halted_ = 0;
@@ -187,9 +187,9 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
 }
 
 void ReferenceNetwork::SaveBoundary(SnapshotData& snap) const {
-  SnapshotData::Instance& inst = snap.instances[0];
-  inst.halted = halted_;
-  inst.wake = wake_round_;
+  SnapshotData::RunSection& run = snap.run;
+  run.halted = halted_;
+  run.wake = wake_round_;
   if (snap.finished) return;
   // The naive engine has no epoch stamps; a boundary inbox holds exactly
   // last round's sends (everything else was cleared), so any non-zero slot
@@ -200,7 +200,7 @@ void ReferenceNetwork::SaveBoundary(SnapshotData& snap) const {
     for (int p = 0; p < deg; ++p) {
       const Message& m = RecvAt(v, p);
       if (m.size != 0 || m.word0 != 0 || m.word1 != 0) {
-        inst.deliverable.push_back({v, p, m.word0, m.word1, m.size});
+        run.deliverable.push_back({v, p, m.word0, m.word1, m.size});
       }
     }
   }

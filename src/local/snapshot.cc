@@ -109,7 +109,6 @@ void ValidateData(const SnapshotData& snap) {
   if (snap.version != kSnapshotVersion) {
     throw SnapshotVersionError(snap.version, kSnapshotVersion);
   }
-  Check(snap.batch >= 1, "batch must be >= 1");
   Check(snap.n >= 0, "negative node count");
   Check(snap.m >= 0, "negative edge count");
   Check(snap.round >= 0, "negative round");
@@ -122,67 +121,64 @@ void ValidateData(const SnapshotData& snap) {
           "edge endpoint out of range [0, n)");
     Check(u < v, "edge endpoints not in canonical u < v order");
   }
-  Check(static_cast<int32_t>(snap.instances.size()) == snap.batch,
-        "instance count disagrees with batch");
-  for (const auto& inst : snap.instances) {
-    Check(inst.rounds_completed >= 0 && inst.rounds_completed <= snap.round,
-          "rounds_completed outside [0, round]");
-    Check(static_cast<int32_t>(inst.rounds.size()) <= snap.round,
-          "more round records than executed rounds");
-    uint64_t digest = kDigestSeed;
-    for (const SnapshotRound& r : inst.rounds) {
-      Check(r.stats.active_nodes >= 0, "negative active-node count");
-      Check(r.stats.messages_sent >= 0, "negative message count");
-      Check(r.stats.visits >= 0, "negative visit count");
-      Check(r.stats.decisions >= 0, "negative decision count");
-      digest = ChainDigest(digest, r.stats.active_nodes,
-                           r.stats.messages_sent, r.msg_acc);
-      Check(r.digest == digest, "digest chain broken at round record");
+  const SnapshotData::RunSection& run = snap.run;
+  Check(run.rounds_completed >= 0 && run.rounds_completed <= snap.round,
+        "rounds_completed outside [0, round]");
+  Check(static_cast<int32_t>(run.rounds.size()) <= snap.round,
+        "more round records than executed rounds");
+  uint64_t digest = kDigestSeed;
+  for (const SnapshotRound& r : run.rounds) {
+    Check(r.stats.active_nodes >= 0, "negative active-node count");
+    Check(r.stats.messages_sent >= 0, "negative message count");
+    Check(r.stats.visits >= 0, "negative visit count");
+    Check(r.stats.decisions >= 0, "negative decision count");
+    digest = ChainDigest(digest, r.stats.active_nodes,
+                         r.stats.messages_sent, r.msg_acc);
+    Check(r.digest == digest, "digest chain broken at round record");
+  }
+  Check(static_cast<int32_t>(run.halted.size()) == snap.n,
+        "halt-flag section size disagrees with n");
+  int halted_count = 0;
+  for (char h : run.halted) {
+    Check(h == 0 || h == 1, "halt flag not 0/1");
+    halted_count += h;
+  }
+  Check(static_cast<int32_t>(run.wake.size()) == snap.n,
+        "wake section size disagrees with n");
+  for (int32_t v = 0; v < snap.n; ++v) {
+    if (run.halted[static_cast<size_t>(v)] != 0) {
+      Check(run.wake[static_cast<size_t>(v)] == 0,
+            "halted node records a nonzero wake round");
+    } else {
+      Check(run.wake[static_cast<size_t>(v)] >= snap.round,
+            "live node's wake round precedes the snapshot round");
     }
-    Check(static_cast<int32_t>(inst.halted.size()) == snap.n,
-          "halt-flag section size disagrees with n");
-    int halted_count = 0;
-    for (char h : inst.halted) {
-      Check(h == 0 || h == 1, "halt flag not 0/1");
-      halted_count += h;
+  }
+  if (snap.finished) {
+    Check(halted_count == snap.n, "finished snapshot with live nodes");
+  }
+  Check(run.state.size() ==
+            static_cast<size_t>(snap.n) * run.state_stride,
+        "state plane size disagrees with n * stride");
+  const SnapshotMessage* prev = nullptr;
+  for (const SnapshotMessage& msg : run.deliverable) {
+    Check(msg.node >= 0 && msg.node < snap.n,
+          "deliverable message node out of range [0, n)");
+    Check(msg.port >= 0 && static_cast<int64_t>(msg.port) < 2 * snap.m,
+          "deliverable message port out of range");
+    Check(msg.size <= 2, "deliverable message size not in {0, 1, 2}");
+    if (prev != nullptr) {
+      Check(prev->node < msg.node ||
+                (prev->node == msg.node && prev->port < msg.port),
+            "deliverable messages not strictly sorted by (node, port)");
     }
-    Check(static_cast<int32_t>(inst.wake.size()) == snap.n,
-          "wake section size disagrees with n");
-    for (int32_t v = 0; v < snap.n; ++v) {
-      if (inst.halted[static_cast<size_t>(v)] != 0) {
-        Check(inst.wake[static_cast<size_t>(v)] == 0,
-              "halted node records a nonzero wake round");
-      } else {
-        Check(inst.wake[static_cast<size_t>(v)] >= snap.round,
-              "live node's wake round precedes the snapshot round");
-      }
-    }
-    if (snap.finished) {
-      Check(halted_count == snap.n, "finished snapshot with live nodes");
-    }
-    Check(inst.state.size() ==
-              static_cast<size_t>(snap.n) * inst.state_stride,
-          "state plane size disagrees with n * stride");
-    const SnapshotMessage* prev = nullptr;
-    for (const SnapshotMessage& msg : inst.deliverable) {
-      Check(msg.node >= 0 && msg.node < snap.n,
-            "deliverable message node out of range [0, n)");
-      Check(msg.port >= 0 && static_cast<int64_t>(msg.port) < 2 * snap.m,
-            "deliverable message port out of range");
-      Check(msg.size <= 2, "deliverable message size not in {0, 1, 2}");
-      if (prev != nullptr) {
-        Check(prev->node < msg.node ||
-                  (prev->node == msg.node && prev->port < msg.port),
-              "deliverable messages not strictly sorted by (node, port)");
-      }
-      prev = &msg;
-    }
-    // Canonical form: a fully-halted instance records no deliverables (no
-    // node will ever Recv them — see Network::SaveBoundary).
-    if (snap.n > 0 && halted_count == snap.n) {
-      Check(inst.deliverable.empty(),
-            "fully-halted instance records deliverable messages");
-    }
+    prev = &msg;
+  }
+  // Canonical form: a fully-halted run records no deliverables (no node
+  // will ever Recv them — see Network::SaveBoundary).
+  if (snap.n > 0 && halted_count == snap.n) {
+    Check(run.deliverable.empty(),
+          "fully-halted run records deliverable messages");
   }
 }
 
@@ -231,7 +227,7 @@ void WriteSnapshot(std::ostream& out, const SnapshotData& snap) {
   w.U32(snap.version);
   w.U32(snap.digest_messages ? kSnapshotFlagDigestMessages : 0);
   w.U32(static_cast<uint32_t>(snap.engine_kind));
-  w.I32(snap.batch);
+  w.I32(1);  // batch word
   w.I32(snap.round);
   w.U32(snap.finished ? 1 : 0);
   w.I32(snap.n);
@@ -243,30 +239,29 @@ void WriteSnapshot(std::ostream& out, const SnapshotData& snap) {
     w.I32(v);
   }
   for (int64_t id : snap.ids) w.I64(id);
-  for (const auto& inst : snap.instances) {
-    w.I64(inst.messages_delivered);
-    w.I32(inst.rounds_completed);
-    w.U32(static_cast<uint32_t>(inst.rounds.size()));
-    for (const SnapshotRound& r : inst.rounds) {
-      w.I32(r.stats.active_nodes);
-      w.I64(r.stats.messages_sent);
-      w.I64(r.stats.visits);
-      w.I64(r.stats.decisions);
-      w.U64(r.msg_acc);
-      w.U64(r.digest);
-    }
-    w.Raw(inst.halted.data(), inst.halted.size());
-    for (int32_t wk : inst.wake) w.I32(wk);
-    w.U32(inst.state_stride);
-    w.Raw(inst.state.data(), inst.state.size());
-    w.U32(static_cast<uint32_t>(inst.deliverable.size()));
-    for (const SnapshotMessage& msg : inst.deliverable) {
-      w.I32(msg.node);
-      w.I32(msg.port);
-      w.I64(msg.word0);
-      w.I64(msg.word1);
-      w.U8(msg.size);
-    }
+  const SnapshotData::RunSection& run = snap.run;
+  w.I64(run.messages_delivered);
+  w.I32(run.rounds_completed);
+  w.U32(static_cast<uint32_t>(run.rounds.size()));
+  for (const SnapshotRound& r : run.rounds) {
+    w.I32(r.stats.active_nodes);
+    w.I64(r.stats.messages_sent);
+    w.I64(r.stats.visits);
+    w.I64(r.stats.decisions);
+    w.U64(r.msg_acc);
+    w.U64(r.digest);
+  }
+  w.Raw(run.halted.data(), run.halted.size());
+  for (int32_t wk : run.wake) w.I32(wk);
+  w.U32(run.state_stride);
+  w.Raw(run.state.data(), run.state.size());
+  w.U32(static_cast<uint32_t>(run.deliverable.size()));
+  for (const SnapshotMessage& msg : run.deliverable) {
+    w.I32(msg.node);
+    w.I32(msg.port);
+    w.I64(msg.word0);
+    w.I64(msg.word1);
+    w.U8(msg.size);
   }
   const uint64_t file_hash = Fnv1a64(w.bytes().data(), w.bytes().size());
   out.write(w.bytes().data(), static_cast<std::streamsize>(w.bytes().size()));
@@ -305,17 +300,19 @@ SnapshotData ReadSnapshot(std::istream& in) {
   Check((flags & ~kSnapshotFlagDigestMessages) == 0, "unknown flag bits set");
   snap.digest_messages = (flags & kSnapshotFlagDigestMessages) != 0;
   const uint32_t kind = r.U32();
-  Check(kind <= static_cast<uint32_t>(SnapshotEngineKind::kReferenceNetwork),
-        "unknown engine kind");
   snap.engine_kind = static_cast<SnapshotEngineKind>(kind);
-  snap.batch = r.I32();
+  Check(snap.engine_kind == SnapshotEngineKind::kNetwork ||
+            snap.engine_kind == SnapshotEngineKind::kReferenceNetwork,
+        "unknown engine kind " + std::to_string(kind));
+  const int32_t batch = r.I32();
+  Check(batch == 1, "batch word " + std::to_string(batch) +
+                        " (this build reads single-run images only)");
   snap.round = r.I32();
   snap.finished = r.U32() != 0;
   snap.n = r.I32();
   snap.m = r.I64();
   snap.graph_hash = r.U64();
   snap.ids_hash = r.U64();
-  Check(snap.batch >= 1, "batch must be >= 1");
   Check(snap.n >= 0 && snap.m >= 0, "negative graph dimensions");
   // Reject absurd sizes before any resize: the remaining payload bounds
   // every section, so a corrupted count fails here instead of allocating.
@@ -331,52 +328,46 @@ SnapshotData ReadSnapshot(std::istream& in) {
         "id list larger than the remaining payload");
   snap.ids.resize(static_cast<size_t>(snap.n));
   for (int64_t& id : snap.ids) id = r.I64();
-  // An instance section is at least 24 bytes even with n == 0 (counters,
-  // stride, and the two length fields), bounding the instance count too.
-  Check(static_cast<uint64_t>(snap.batch) <= r.remaining() / 24,
-        "instance sections larger than the remaining payload");
-  snap.instances.resize(static_cast<size_t>(snap.batch));
-  for (auto& inst : snap.instances) {
-    inst.messages_delivered = r.I64();
-    inst.rounds_completed = r.I32();
-    const uint32_t round_count = r.U32();
-    Check(static_cast<uint64_t>(round_count) * 44 <= r.remaining(),
-          "round records larger than the remaining payload");
-    inst.rounds.resize(round_count);
-    for (SnapshotRound& rec : inst.rounds) {
-      rec.stats.active_nodes = r.I32();
-      rec.stats.messages_sent = r.I64();
-      rec.stats.visits = r.I64();
-      rec.stats.decisions = r.I64();
-      rec.msg_acc = r.U64();
-      rec.digest = r.U64();
-    }
-    inst.halted.resize(static_cast<size_t>(snap.n));
-    r.Raw(inst.halted.data(), inst.halted.size(), "halt flags");
-    Check(static_cast<uint64_t>(snap.n) * 4 <= r.remaining(),
-          "wake section larger than the remaining payload");
-    inst.wake.resize(static_cast<size_t>(snap.n));
-    for (int32_t& wk : inst.wake) wk = r.I32();
-    inst.state_stride = r.U32();
-    const uint64_t state_bytes =
-        static_cast<uint64_t>(snap.n) * inst.state_stride;
-    Check(state_bytes <= r.remaining(),
-          "state plane larger than the remaining payload");
-    inst.state.resize(state_bytes);
-    r.Raw(inst.state.data(), inst.state.size(), "state plane");
-    const uint32_t msg_count = r.U32();
-    Check(static_cast<uint64_t>(msg_count) * 25 <= r.remaining(),
-          "deliverable list larger than the remaining payload");
-    inst.deliverable.resize(msg_count);
-    for (SnapshotMessage& msg : inst.deliverable) {
-      msg.node = r.I32();
-      msg.port = r.I32();
-      msg.word0 = r.I64();
-      msg.word1 = r.I64();
-      msg.size = r.U8();
-    }
+  SnapshotData::RunSection& run = snap.run;
+  run.messages_delivered = r.I64();
+  run.rounds_completed = r.I32();
+  const uint32_t round_count = r.U32();
+  Check(static_cast<uint64_t>(round_count) * 44 <= r.remaining(),
+        "round records larger than the remaining payload");
+  run.rounds.resize(round_count);
+  for (SnapshotRound& rec : run.rounds) {
+    rec.stats.active_nodes = r.I32();
+    rec.stats.messages_sent = r.I64();
+    rec.stats.visits = r.I64();
+    rec.stats.decisions = r.I64();
+    rec.msg_acc = r.U64();
+    rec.digest = r.U64();
   }
-  Check(r.remaining() == 0, "trailing bytes after the last instance section");
+  run.halted.resize(static_cast<size_t>(snap.n));
+  r.Raw(run.halted.data(), run.halted.size(), "halt flags");
+  Check(static_cast<uint64_t>(snap.n) * 4 <= r.remaining(),
+        "wake section larger than the remaining payload");
+  run.wake.resize(static_cast<size_t>(snap.n));
+  for (int32_t& wk : run.wake) wk = r.I32();
+  run.state_stride = r.U32();
+  const uint64_t state_bytes =
+      static_cast<uint64_t>(snap.n) * run.state_stride;
+  Check(state_bytes <= r.remaining(),
+        "state plane larger than the remaining payload");
+  run.state.resize(state_bytes);
+  r.Raw(run.state.data(), run.state.size(), "state plane");
+  const uint32_t msg_count = r.U32();
+  Check(static_cast<uint64_t>(msg_count) * 25 <= r.remaining(),
+        "deliverable list larger than the remaining payload");
+  run.deliverable.resize(msg_count);
+  for (SnapshotMessage& msg : run.deliverable) {
+    msg.node = r.I32();
+    msg.port = r.I32();
+    msg.word0 = r.I64();
+    msg.word1 = r.I64();
+    msg.size = r.U8();
+  }
+  Check(r.remaining() == 0, "trailing bytes after the run section");
   ValidateData(snap);
   return snap;
 }
@@ -420,30 +411,22 @@ void ValidateForEngine(const SnapshotData& snap, GraphView g,
     throw SnapshotError(who +
                         "snapshot id hash does not match this engine's ids");
   }
-  // Multi-instance images (written by the retired batch engine) still
-  // parse, but every engine left runs one instance.
-  if (snap.batch != 1) {
-    throw SnapshotError(who + "snapshot has " + std::to_string(snap.batch) +
-                        " instances, this engine runs 1");
-  }
   if (snap.digest_messages != digest_messages) {
     throw SnapshotError(
         who +
         "digest_messages setting differs from the snapshot's — the resumed "
         "digest chain would diverge from the uninterrupted run");
   }
-  if (static_cast<int32_t>(snap.instances[0].rounds.size()) != snap.round) {
+  if (static_cast<int32_t>(snap.run.rounds.size()) != snap.round) {
     throw SnapshotError(
         who + "solo snapshot must carry one round record per executed round");
   }
-  for (const auto& inst : snap.instances) {
-    for (const SnapshotMessage& msg : inst.deliverable) {
-      if (msg.port >= g.Degree(msg.node)) {
-        throw SnapshotError(who + "deliverable message port " +
-                            std::to_string(msg.port) + " out of range for node " +
-                            std::to_string(msg.node) + " (degree " +
-                            std::to_string(g.Degree(msg.node)) + ")");
-      }
+  for (const SnapshotMessage& msg : snap.run.deliverable) {
+    if (msg.port >= g.Degree(msg.node)) {
+      throw SnapshotError(who + "deliverable message port " +
+                          std::to_string(msg.port) + " out of range for node " +
+                          std::to_string(msg.node) + " (degree " +
+                          std::to_string(g.Degree(msg.node)) + ")");
     }
   }
 }

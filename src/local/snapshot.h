@@ -18,8 +18,8 @@ namespace treelocal::local {
 // wire form of the determinism contract. A snapshot captures everything
 // needed to resume the run in a fresh process-equivalent engine and
 // continue bit-identically: the graph (full edge list, so the standalone
-// verifier needs no original driver), IDs, per-instance halt flags,
-// engine-managed state planes, the messages deliverable in the next round,
+// verifier needs no original driver), IDs, per-node halt flags, the
+// engine-managed state plane, the messages deliverable in the next round,
 // the full per-round counter history, and the transcript digest chain.
 //
 // The image is CANONICAL: everything is keyed by external node ids and
@@ -35,9 +35,11 @@ namespace treelocal::local {
 // File layout (version 3, little-endian, fixed-width):
 //   magic (8) | version (4) | flags (4) | engine_kind (4) | batch (4) |
 //   round (4) | finished (4) | n (4) | m (8) | graph_hash (8) |
-//   ids_hash (8) | edges (2m * 4) | ids (n * 8) | per-instance sections |
+//   ids_hash (8) | edges (2m * 4) | ids (n * 8) | run section |
 //   file FNV-1a over all preceding bytes (8)
-// Per-instance section:
+// The batch word counted the run sections of a retired multi-instance
+// engine; it is always written as 1, and any other value is refused.
+// Run section:
 //   messages_delivered (8) | rounds_completed (4) | round_count (4) |
 //   per round: active (4) | sent (8) | visits (8) | decisions (8) |
 //   msg_acc (8) | digest (8) |
@@ -107,14 +109,10 @@ inline constexpr uint32_t kSnapshotFlagDigestMessages = 1u << 0;
 // Informational engine tag (not enforced on resume — the image is
 // canonical, so any engine configuration can pick the run up). Network
 // writes kNetwork at every thread count; ReferenceNetwork writes
-// kReferenceNetwork. kParallelNetwork and kBatchNetwork are read-compat
-// only: earlier builds wrote them (Network at more than one lane, and the
-// retired batch engine) and no engine writes them now. Their files still
-// parse, and a single-instance one resumes on Network like any other tag.
+// kReferenceNetwork. Values 1 and 2 were tags of engines retired before v3
+// and are refused on read.
 enum class SnapshotEngineKind : uint32_t {
   kNetwork = 0,
-  kParallelNetwork = 1,
-  kBatchNetwork = 2,
   kReferenceNetwork = 3,
 };
 
@@ -151,9 +149,7 @@ struct SnapshotData {
   uint32_t version = kSnapshotVersion;
   SnapshotEngineKind engine_kind = SnapshotEngineKind::kNetwork;
   bool digest_messages = false;
-  bool finished = false;   // all instances halted every node
-  int32_t batch = 1;       // instance count; every engine writes and
-                           // resumes 1 (old batch files may hold more)
+  bool finished = false;   // every node halted
   int32_t round = 0;       // rounds executed so far (resume continues here)
   int32_t n = 0;
   int64_t m = 0;
@@ -162,7 +158,7 @@ struct SnapshotData {
   std::vector<std::pair<int32_t, int32_t>> edges;  // canonical, see GraphHash
   std::vector<int64_t> ids;
 
-  struct Instance {
+  struct RunSection {
     int64_t messages_delivered = 0;
     // The run's round count once it finished, 0 while live.
     int32_t rounds_completed = 0;
@@ -176,9 +172,9 @@ struct SnapshotData {
     std::vector<unsigned char> state;     // n * state_stride bytes
     std::vector<SnapshotMessage> deliverable;
 
-    friend bool operator==(const Instance&, const Instance&) = default;
+    friend bool operator==(const RunSection&, const RunSection&) = default;
   };
-  std::vector<Instance> instances;  // exactly `batch` entries
+  RunSection run;
 
   friend bool operator==(const SnapshotData&, const SnapshotData&) = default;
 };
@@ -217,9 +213,8 @@ void SetInputSections(GraphView g, const std::vector<int64_t>& ids,
                       SnapshotData& snap);
 
 // Validates a parsed snapshot against the engine about to resume it:
-// graph/ids hashes, a single instance (snap.batch == 1) with one round
-// record per executed round, digest-messages flag, and per-message port
-// ranges against the engine's actual degrees.
+// graph/ids hashes, one round record per executed round, digest-messages
+// flag, and per-message port ranges against the engine's actual degrees.
 // Throws SnapshotError.
 void ValidateForEngine(const SnapshotData& snap, GraphView g,
                        const std::vector<int64_t>& ids, bool digest_messages,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/local/bitplane.h"
+#include "src/support/mathutil.h"
 
 namespace treelocal {
 
@@ -43,10 +43,10 @@ void ColoringProblem::SequentialAssign(const Graph& g, int v,
     if (l != kUnsetLabel) forbidden.push_back(l);
   }
   // First-fit via chunked bitmask + countr_one first-zero scan instead of
-  // sort + linear walk (local::bitplane::FirstMissingColor): O(deg) with no
-  // comparison sort in the class sweep's hottest per-node call.
-  const int64_t c = local::bitplane::FirstMissingColor(
-      forbidden.data(), static_cast<int>(forbidden.size()));
+  // sort + linear walk (FirstMissingColor): O(deg) with no comparison sort
+  // in the class sweep's hottest per-node call.
+  const int64_t c =
+      FirstMissingColor(forbidden.data(), static_cast<int>(forbidden.size()));
   // |forbidden| <= deg(v), so c <= deg(v)+1 <= Delta+1: within both bounds.
   for (int e : g.IncidentEdges(v)) {
     if (h.Get(e, v) == kUnsetLabel) h.Set(e, v, c);

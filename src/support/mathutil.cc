@@ -1,8 +1,11 @@
 #include "src/support/mathutil.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace treelocal {
 
@@ -75,6 +78,36 @@ int64_t IPow(int64_t base, int exponent) {
     result *= base;
   }
   return result;
+}
+
+int FirstMissingColor(const int64_t* forbidden, int count) {
+  // Bit c-1 of the mask says "color c is forbidden"; only colors 1..count+1
+  // can be the answer.
+  const int bits = count + 1;
+  const int words = (bits + 63) / 64;
+  uint64_t stack_mask[8];
+  thread_local std::vector<uint64_t> heap_mask;
+  uint64_t* mask;
+  if (words <= 8) {
+    mask = stack_mask;
+    std::fill_n(mask, words, 0ull);
+  } else {
+    heap_mask.assign(words, 0ull);
+    mask = heap_mask.data();
+  }
+  for (int i = 0; i < count; ++i) {
+    const int64_t c = forbidden[i];
+    if (c >= 1 && c <= bits) {
+      mask[(c - 1) >> 6] |= 1ull << ((c - 1) & 63);
+    }
+  }
+  for (int w = 0; w < words; ++w) {
+    const int z = std::countr_one(mask[w]);
+    // The last word's bits above `bits` are zero and only `count` bits can
+    // be set in total, so a zero bit always exists at index <= count.
+    if (z < 64) return w * 64 + z + 1;
+  }
+  return bits;  // unreachable: the mask has at most `count` of `bits` set
 }
 
 }  // namespace treelocal

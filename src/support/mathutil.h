@@ -28,6 +28,14 @@ double LogBase(double x, double base);
 // Integer power with saturation at INT64_MAX.
 int64_t IPow(int64_t base, int exponent);
 
+// Smallest color c >= 1 that does not appear in forbidden[0..count): the
+// greedy first-fit of ColoringProblem::SequentialAssign and
+// EdgeColoringProblem::SequentialAssignEdge. First-fit always returns
+// c <= count+1, so a 64-bit-chunked mask of count+1 bits, scanned with
+// countr_one, decides it in O(count) without a sort; values outside
+// [1, count+1] cannot affect the answer.
+int FirstMissingColor(const int64_t* forbidden, int count);
+
 }  // namespace treelocal
 
 #endif  // TREELOCAL_SUPPORT_MATHUTIL_H_

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/algos/cole_vishkin.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
@@ -96,6 +98,37 @@ TEST(ColeVishkinTest, IterationScheduleIsTiny) {
   EXPECT_LE(ColeVishkinIterations(int64_t{1} << 62), 6);
   EXPECT_GE(ColeVishkinIterations(int64_t{1} << 62), 3);
   EXPECT_LE(ColeVishkinIterations(1000), 5);
+}
+
+// The step against its definition: i is the lowest bit index at which the
+// two colors differ, found by a plain bit loop, and the new color is
+// 2*i + bit_i(mine). Covers negative words and differences up to bit 63.
+TEST(ColeVishkinTest, StepMatchesLowestDifferingBitDefinition) {
+  auto by_definition = [](int64_t mine, int64_t parent) {
+    const uint64_t a = static_cast<uint64_t>(mine);
+    const uint64_t b = static_cast<uint64_t>(parent);
+    int i = 0;
+    while (((a >> i) & 1) == ((b >> i) & 1)) ++i;
+    return 2 * static_cast<int64_t>(i) + static_cast<int64_t>((a >> i) & 1);
+  };
+  Rng rng(303);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const int64_t mine = static_cast<int64_t>(rng.NextU64());
+    // Flip one chosen bit (0..63) and randomize everything above it, so
+    // every bit index is the lowest differing one in some trial.
+    const int bit = trial % 64;
+    const uint64_t above = bit == 63 ? 0 : rng.NextU64() << (bit + 1);
+    const int64_t parent = static_cast<int64_t>(
+        static_cast<uint64_t>(mine) ^ (uint64_t{1} << bit) ^ above);
+    ASSERT_EQ(ColeVishkinStep(mine, parent), by_definition(mine, parent))
+        << "mine " << mine << " parent " << parent;
+  }
+  EXPECT_EQ(ColeVishkinStep(0, 1), 0);
+  EXPECT_EQ(ColeVishkinStep(1, 0), 1);
+  EXPECT_EQ(ColeVishkinStep(-1, 0), 1);
+  EXPECT_EQ(ColeVishkinStep(0, INT64_MIN), 126);
+  EXPECT_EQ(ColeVishkinStep(INT64_MIN, 0), 127);
+  EXPECT_EQ(ColeVishkinStep(-2, -1), 0);
 }
 
 class CvFamilyTest : public ::testing::TestWithParam<TreeFamily> {};

@@ -2,11 +2,18 @@
 // (beyond the invariant sweeps in decomposition_test.cc).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "src/core/decomposition.h"
 #include "src/core/forest_split.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/graph/subgraph.h"
+#include "src/local/network.h"
 #include "src/support/rng.h"
 
 namespace treelocal {
@@ -119,6 +126,54 @@ TEST(ForestSplitTest, StarCentersAreHigherEndpoints) {
       }
     }
   }
+}
+
+// A node whose atypical edges span 32 forests at once: a complete
+// bipartite core between low-id nodes and 2a = 32 high-id hubs. The peel
+// removes the low side first (degree exactly b = 2a), every core edge is
+// atypical (hub degree > k at peel time), and each low node colors its 32
+// hub edges with all of {0, ..., 2a-1}. Random forest unions never
+// concentrate forests at one node like that; the fused engine pass must
+// still match the per-forest oracle there.
+TEST(ForestSplitTest, WideLaneSplitMatchesLegacyOracle) {
+  const int a = 16;
+  const int n_low = 100;
+  const int n_hubs = 2 * a;
+  const int n = n_low + n_hubs;
+  std::vector<std::pair<int, int>> edges;
+  for (int v = 0; v < n_low; ++v) {
+    for (int h = 0; h < n_hubs; ++h) edges.push_back({v, n_low + h});
+  }
+  const Graph g = Graph::FromEdges(n, std::move(edges));
+  std::vector<int64_t> ids(n);
+  for (int v = 0; v < n; ++v) ids[v] = v + 1;  // hubs get the higher ids
+  const int64_t space = int64_t{n} * n * n;
+  auto decomp = RunDecomposition(g, ids, a, 2 * a, 5 * a);
+  auto legacy = SplitAtypicalForests(g, ids, space, decomp, a);
+  local::Network net(g, ids);
+  auto engine = SplitAtypicalForests(net, decomp, a, space);
+  EXPECT_EQ(engine.forest_of_edge, legacy.forest_of_edge);
+  EXPECT_EQ(engine.star_class_of_edge, legacy.star_class_of_edge);
+  EXPECT_EQ(engine.stars, legacy.stars);
+  EXPECT_EQ(engine.cv_rounds, legacy.cv_rounds);
+  // Some node must actually sit in 32 forests, or this test pins nothing
+  // about wide nodes. A node's forest count is the number of distinct
+  // forests among its atypical edges, not its atypical-edge count.
+  std::vector<uint64_t> forest_mask(n, 0);
+  for (int e = 0; e < g.NumEdges(); ++e) {
+    if (!decomp.atypical[e]) continue;
+    const int f = legacy.forest_of_edge[e];
+    ASSERT_GE(f, 0);
+    ASSERT_LT(f, 64);
+    auto [u, v] = g.Endpoints(e);
+    forest_mask[u] |= uint64_t{1} << f;
+    forest_mask[v] |= uint64_t{1} << f;
+  }
+  int max_lanes = 0;
+  for (int v = 0; v < n; ++v) {
+    max_lanes = std::max(max_lanes, std::popcount(forest_mask[v]));
+  }
+  EXPECT_GE(max_lanes, 32);
 }
 
 TEST(ForestSplitTest, CvRoundsAreLogStarScale) {

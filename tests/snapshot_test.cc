@@ -59,6 +59,21 @@ void ResumeBytes(local::Engine& net, const std::string& bytes) {
   net.Resume(in);
 }
 
+// Overwrites the little-endian u32 at `offset` and re-hashes the integrity
+// footer, so the patched word reaches the parser instead of failing the
+// hash check. Header offsets: version 8, engine_kind 16, batch word 20.
+std::string WithWord(std::string bytes, size_t offset, uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<char>(value >> (8 * i));
+  }
+  const size_t payload = bytes.size() - 8;
+  const uint64_t h = support::Fnv1a64(bytes.data(), payload);
+  for (int i = 0; i < 8; ++i) {
+    bytes[payload + i] = static_cast<char>(h >> (8 * i));
+  }
+  return bytes;
+}
+
 // The uninterrupted run's final canonical image — the "want" of every
 // bit-identity comparison below. Taken on the serial Network without
 // relabel; every other configuration must reproduce it exactly (up to the
@@ -222,13 +237,11 @@ TEST(SnapshotTest, CrossEngineResume) {
 
 // One engine class writes one tag: Network checkpoints are byte-identical
 // at T = 1 and T = 4 as written — no tag normalization — mid-run and at the
-// finish. Images tagged kParallelNetwork (what Network wrote at T > 1
-// before) stay readable and resume like any other tag.
+// finish.
 TEST(SnapshotTest, ThreadCountsWriteIdenticalBytes) {
   const int n = 300, k = 2;
   const Graph g = UniformRandomTree(n, 71);
   const auto ids = DefaultIds(n, 72);
-  const SnapshotData want = FinalImage(g, ids, k, /*digest_messages=*/false);
   auto bytes_at = [&](Network& net, int pause) {
     auto alg = MakeRakeCompressAlgorithm(k);
     if (pause >= 0) {
@@ -238,7 +251,6 @@ TEST(SnapshotTest, ThreadCountsWriteIdenticalBytes) {
     }
     return CheckpointBytes(net);
   };
-  std::string mid;
   for (const int pause : {3, -1}) {
     SCOPED_TRACE("pause=" + std::to_string(pause));
     Network serial(g, ids);
@@ -246,22 +258,6 @@ TEST(SnapshotTest, ThreadCountsWriteIdenticalBytes) {
     const std::string bytes = bytes_at(serial, pause);
     EXPECT_EQ(bytes_at(sharded, pause), bytes);
     EXPECT_EQ(ParseBytes(bytes).engine_kind, SnapshotEngineKind::kNetwork);
-    if (pause >= 0) mid = bytes;
-  }
-
-  SnapshotData tagged = ParseBytes(mid);
-  tagged.engine_kind = SnapshotEngineKind::kParallelNetwork;
-  std::ostringstream tagged_out;
-  WriteSnapshot(tagged_out, tagged);
-  EXPECT_EQ(ParseBytes(tagged_out.str()).engine_kind,
-            SnapshotEngineKind::kParallelNetwork);
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("resume T=" + std::to_string(threads));
-    ParallelNetwork net(g, ids, threads);
-    auto alg = MakeRakeCompressAlgorithm(k);
-    ResumeBytes(net, tagged_out.str());
-    net.Run(*alg, kMaxRounds);
-    EXPECT_TRUE(ParseBytes(CheckpointBytes(net)) == want);
   }
 }
 
@@ -285,11 +281,12 @@ TEST(SnapshotTest, FinishedSnapshotRoundTripsByteExact) {
   EXPECT_EQ(CheckpointBytes(net2), bytes);
 }
 
-// Read-compat for images the retired batch engine wrote: the kBatchNetwork
-// tag is informational, so a single-instance image carrying it resumes on
-// Network bit-identically; a multi-instance image still parses but every
-// engine refuses to resume it, with a SnapshotError naming the count.
-TEST(SnapshotTest, BatchTaggedImagesParseAndOnlyOneInstanceResumes) {
+// Header words only retired engines wrote: a batch word other than 1 (a
+// multi-instance image) and the engine tags 1 and 2. Real checkpoint bytes
+// with one such word patched and the footer re-hashed, so integrity
+// passes, are refused by ReadSnapshot with a SnapshotError naming the
+// field, on every engine's Resume, and the engine stays usable.
+TEST(SnapshotTest, RetiredHeaderWordsAreRefused) {
   const int n = 140, k = 3, pause = 2;
   const Graph g = UniformRandomTree(n, 61);
   const auto ids = DefaultIds(n, 62);
@@ -299,48 +296,40 @@ TEST(SnapshotTest, BatchTaggedImagesParseAndOnlyOneInstanceResumes) {
   auto alg = MakeRakeCompressAlgorithm(k);
   solo.RunUntil(*alg, kMaxRounds, pause);
   ASSERT_TRUE(solo.paused());
-  SnapshotData tagged = ParseBytes(CheckpointBytes(solo));
-  tagged.engine_kind = SnapshotEngineKind::kBatchNetwork;
-  std::ostringstream tagged_out;
-  WriteSnapshot(tagged_out, tagged);
-  {
-    SCOPED_TRACE("one instance, batch tag");
-    const SnapshotData parsed = ParseBytes(tagged_out.str());
-    EXPECT_EQ(parsed.engine_kind, SnapshotEngineKind::kBatchNetwork);
-    Network net(g, ids);
-    auto alg2 = MakeRakeCompressAlgorithm(k);
-    ResumeBytes(net, tagged_out.str());
-    net.Run(*alg2, kMaxRounds);
-    SnapshotData got = ParseBytes(CheckpointBytes(net));
-    got.engine_kind = want.engine_kind;
-    EXPECT_TRUE(got == want);
-  }
-
-  SnapshotData two = tagged;
-  two.batch = 2;
-  two.instances.push_back(two.instances[0]);
-  std::ostringstream two_out;
-  WriteSnapshot(two_out, two);
-  const SnapshotData parsed = ParseBytes(two_out.str());
-  EXPECT_EQ(parsed.batch, 2);
-  EXPECT_EQ(parsed.instances.size(), 2u);
-  auto expect_rejected = [&](auto& net, const std::string& label) {
-    SCOPED_TRACE(label);
-    try {
-      ResumeBytes(net, two_out.str());
-      FAIL() << "a 2-instance image resumed";
-    } catch (const SnapshotError& e) {
-      EXPECT_NE(std::string(e.what()).find("2 instances"), std::string::npos)
-          << e.what();
-    }
+  const std::string bytes = CheckpointBytes(solo);
+  const struct {
+    std::string label;
+    std::string bytes;
+    std::string field;
+  } cases[] = {
+      {"batch word 2", WithWord(bytes, 20, 2), "batch word 2"},
+      {"engine tag 1", WithWord(bytes, 16, 1), "engine kind 1"},
+      {"engine tag 2", WithWord(bytes, 16, 2), "engine kind 2"},
   };
   Network net(g, ids);
-  expect_rejected(net, "Network");
   ParallelNetwork par(g, ids, 2);
-  expect_rejected(par, "ParallelNetwork");
   ReferenceNetwork ref(g, ids);
-  expect_rejected(ref, "ReferenceNetwork");
-  // A rejected resume leaves the engine unchanged and usable.
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.label);
+    auto expect_refused = [&](auto read) {
+      try {
+        read();
+        FAIL() << "an image with " << c.label << " was accepted";
+      } catch (const SnapshotError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_refused([&] { ParseBytes(c.bytes); });
+    expect_refused([&] { ResumeBytes(net, c.bytes); });
+    expect_refused([&] { ResumeBytes(par, c.bytes); });
+    expect_refused([&] { ResumeBytes(ref, c.bytes); });
+  }
+  // The words engines write still read, and a rejected resume leaves the
+  // engine unchanged and usable.
+  EXPECT_NO_THROW(ParseBytes(WithWord(bytes, 20, 1)));
+  EXPECT_EQ(ParseBytes(WithWord(bytes, 16, 3)).engine_kind,
+            SnapshotEngineKind::kReferenceNetwork);
   auto alg3 = MakeRakeCompressAlgorithm(k);
   net.Run(*alg3, kMaxRounds);
   SnapshotData got = ParseBytes(CheckpointBytes(net));
@@ -504,20 +493,20 @@ TEST(SnapshotTest, WriteRejectsTamperedData) {
   };
   {
     SnapshotData bad = good;
-    ASSERT_FALSE(bad.instances[0].rounds.empty());
-    bad.instances[0].rounds.back().digest ^= 1;
+    ASSERT_FALSE(bad.run.rounds.empty());
+    bad.run.rounds.back().digest ^= 1;
     expect_rejected(bad, "broken digest chain");
   }
   {
     SnapshotData bad = good;
-    bad.instances[0].halted[3] = 2;
+    bad.run.halted[3] = 2;
     expect_rejected(bad, "halt flag out of {0,1}");
   }
   {
     SnapshotData bad = good;
-    ASSERT_GE(bad.instances[0].deliverable.size(), 2u);
-    std::swap(bad.instances[0].deliverable.front(),
-              bad.instances[0].deliverable.back());
+    ASSERT_GE(bad.run.deliverable.size(), 2u);
+    std::swap(bad.run.deliverable.front(),
+              bad.run.deliverable.back());
     expect_rejected(bad, "unsorted deliverables");
   }
   {
@@ -532,7 +521,7 @@ TEST(SnapshotTest, WriteRejectsTamperedData) {
   }
   {
     SnapshotData bad = good;
-    bad.instances[0].state.pop_back();
+    bad.run.state.pop_back();
     expect_rejected(bad, "state plane size mismatch");
   }
   {  // The writer-side version check is the same structured error.
@@ -543,7 +532,7 @@ TEST(SnapshotTest, WriteRejectsTamperedData) {
   }
   {
     SnapshotData bad = good;
-    bad.instances[0].wake[3] = -1;  // below the snapshot round
+    bad.run.wake[3] = -1;  // below the snapshot round
     expect_rejected(bad, "wake round before the snapshot round");
   }
 }
@@ -618,21 +607,8 @@ TEST(SnapshotTest, VersionMismatchIsAStructuredError) {
   const Graph g = BalancedRegularTree(12, 3);
   const auto ids = DefaultIds(12, 3);
   const std::string bytes = RecordMidRun(g, ids, 2);
-  const size_t payload = bytes.size() - 8;
-  // Version is the u32 after the 8-byte magic.
-  const auto with_version = [&](uint32_t ver) {
-    std::string mutated = bytes;
-    for (int i = 0; i < 4; ++i) {
-      mutated[8 + i] = static_cast<char>(ver >> (8 * i));
-    }
-    const uint64_t h = support::Fnv1a64(mutated.data(), payload);
-    for (int i = 0; i < 8; ++i) {
-      mutated[payload + i] = static_cast<char>(h >> (8 * i));
-    }
-    return mutated;
-  };
   for (const uint32_t ver : {uint32_t{1}, kSnapshotVersion + 1}) {
-    std::istringstream in(with_version(ver));
+    std::istringstream in(WithWord(bytes, 8, ver));
     try {
       ReadSnapshot(in);
       FAIL() << "version " << ver << " parsed";
@@ -645,7 +621,7 @@ TEST(SnapshotTest, VersionMismatchIsAStructuredError) {
                 std::string::npos);
     }
   }
-  EXPECT_NO_THROW(ParseBytes(with_version(kSnapshotVersion)));
+  EXPECT_NO_THROW(ParseBytes(WithWord(bytes, 8, kSnapshotVersion)));
 }
 
 // Sends a two-word message on every port for three rounds and folds what
@@ -722,14 +698,7 @@ TEST(SnapshotTest, VersionTwoImageIsRefused) {
   ASSERT_EQ(net.RunUntil(*alg, 100, 1), 1);  // degree announcements in flight
   std::ostringstream out;
   net.Checkpoint(out);
-  std::string bytes = out.str();
-  const size_t payload = bytes.size() - 8;
-  for (int i = 0; i < 4; ++i) bytes[8 + i] = static_cast<char>(2 >> (8 * i));
-  const uint64_t h = support::Fnv1a64(bytes.data(), payload);
-  for (int i = 0; i < 8; ++i) {
-    bytes[payload + i] = static_cast<char>(h >> (8 * i));
-  }
-  std::istringstream in(bytes);
+  std::istringstream in(WithWord(out.str(), 8, 2));
   try {
     Network fresh(g, ids);
     fresh.Resume(in);

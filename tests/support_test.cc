@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "src/support/mathutil.h"
 #include "src/support/rng.h"
@@ -176,6 +177,40 @@ TEST(MathTest, IPow) {
   EXPECT_EQ(IPow(10, 6), 1000000);
   // Saturates instead of overflowing.
   EXPECT_EQ(IPow(10, 30), std::numeric_limits<int64_t>::max());
+}
+
+// The sort + linear-walk first-fit the mask scan replaced.
+int64_t FirstMissingColorReference(std::vector<int64_t> forbidden) {
+  std::sort(forbidden.begin(), forbidden.end());
+  int64_t c = 1;
+  for (int64_t f : forbidden) {
+    if (f == c) ++c;
+  }
+  return c;
+}
+
+TEST(MathTest, FirstMissingColorMatchesSortScan) {
+  EXPECT_EQ(FirstMissingColor(nullptr, 0), 1);
+  Rng rng(202);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int count = static_cast<int>(rng.NextBelow(300));
+    std::vector<int64_t> forbidden(count);
+    for (int i = 0; i < count; ++i) {
+      // Duplicates and out-of-reach values on purpose: first-fit answers
+      // are <= count+1, so anything larger must be ignorable.
+      forbidden[i] = static_cast<int64_t>(rng.NextBelow(count + 4)) + 1;
+    }
+    ASSERT_EQ(FirstMissingColor(forbidden.data(), count),
+              FirstMissingColorReference(forbidden))
+        << "trial " << trial << " count " << count;
+  }
+  // Dense prefix: every color 1..k present forces c = k+1 (word-boundary
+  // crossings and the heap-mask path above 8 words included).
+  for (int k : {1, 63, 64, 65, 127, 128, 200, 511, 512, 600}) {
+    std::vector<int64_t> forbidden(k);
+    for (int i = 0; i < k; ++i) forbidden[i] = i + 1;
+    EXPECT_EQ(FirstMissingColor(forbidden.data(), k), k + 1) << k;
+  }
 }
 
 }  // namespace

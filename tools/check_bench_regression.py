@@ -67,11 +67,6 @@ SPEEDUP_FLOORS = {
     # Dedup runs strictly fewer decompositions; a collapse below 0.8 means
     # the fan-out copy started dominating the saved engine work.
     "k_sweep_dedup": 0.8,
-    # Bit-plane CV lanes vs B scalar solo runs: the planes must win at every
-    # recorded size (the word-parallel round pass touches ~planes/8 bytes
-    # per instance against 24-byte scalar mailbox slots); 1.0 is the smoke
-    # floor, the 2x claim is gated on acceptance-sized records below.
-    "bitplane_cv_batch": 1.0,
     # Engine-native Thm 3/15 pipeline vs the legacy oracle on whole-pipeline
     # runs (loose: small-n records are noise-dominated; the hard 1.0 floor
     # lives on the acceptance-sized phase-2/3 record below).
@@ -105,12 +100,6 @@ ONE_WORD_MAILBOX_BYTES_PER_EDGE = 48
 
 ACCEPTANCE_FLOORS = {
     "edge_pipeline_phase23": 0.8,
-    # The bit-plane batch kernels' headline claim: >= 2x instance
-    # throughput over B = 64 scalar solo runs on the acceptance-sized
-    # dense-round workload. Unlike the parity-level floors above, 2.0 is
-    # far from the noise band (measured ~5-15x), so a breach means the
-    # word-parallel path actually collapsed.
-    "bitplane_cv_batch": 2.0,
     # A k-sweep on W solo engines in W threads (W = min(hardware threads,
     # distinct ks)) against the same sweep run sequentially, at n >= 2^18:
     # 4 workers measured 3.04x at 2^18 on a 4-core host. 2.0 fails a
@@ -193,18 +182,6 @@ def check_record(rec, msgs):
             fail(msgs, rec, f"speedup is not finite: {speedup}")
         elif speedup < floor:
             fail(msgs, rec, f"speedup {speedup:.3f} below floor {floor}")
-
-    # Records carrying the explicit bitplane_speedup field are gated even if
-    # their experiment name is ever reshuffled: 2.0 on acceptance-sized
-    # runs, 1.0 on smoke sizes.
-    bp = rec.get("bitplane_speedup")
-    if bp is not None:
-        bp_floor = 2.0 if rec.get("acceptance") is True else 1.0
-        if not isinstance(bp, (int, float)) or not math.isfinite(bp):
-            fail(msgs, rec, f"bitplane_speedup is not finite: {bp}")
-        elif bp < bp_floor:
-            fail(msgs, rec,
-                 f"bitplane_speedup {bp:.3f} below floor {bp_floor}")
 
     if exp == "k_sweep_dedup":
         if rec.get("dedup_factor", 0) < 1.0:

@@ -151,8 +151,6 @@ treelocal::TreeFamily FamilyByName(const std::string& name) {
 const char* KindName(SnapshotEngineKind kind) {
   switch (kind) {
     case SnapshotEngineKind::kNetwork: return "network";
-    case SnapshotEngineKind::kParallelNetwork: return "parallel";
-    case SnapshotEngineKind::kBatchNetwork: return "batch";
     case SnapshotEngineKind::kReferenceNetwork: return "reference";
   }
   return "?";
@@ -166,24 +164,19 @@ std::string Hex(uint64_t x) {
 }
 
 void PrintSummary(const SnapshotData& snap) {
-  std::cout << "engine=" << KindName(snap.engine_kind)
-            << " batch=" << snap.batch << " n=" << snap.n << " m=" << snap.m
-            << " round=" << snap.round
+  std::cout << "engine=" << KindName(snap.engine_kind) << " n=" << snap.n
+            << " m=" << snap.m << " round=" << snap.round
             << " finished=" << (snap.finished ? 1 : 0)
             << " digest_messages=" << (snap.digest_messages ? 1 : 0) << "\n";
   std::cout << "graph_hash=" << Hex(snap.graph_hash)
             << " ids_hash=" << Hex(snap.ids_hash) << "\n";
-  for (size_t b = 0; b < snap.instances.size(); ++b) {
-    const SnapshotData::Instance& inst = snap.instances[b];
-    const uint64_t last =
-        inst.rounds.empty() ? treelocal::support::kDigestSeed
-                            : inst.rounds.back().digest;
-    std::cout << "instance=" << b
-              << " messages=" << inst.messages_delivered
-              << " rounds_recorded=" << inst.rounds.size()
-              << " deliverable=" << inst.deliverable.size()
-              << " last_digest=" << Hex(last) << "\n";
-  }
+  const SnapshotData::RunSection& run = snap.run;
+  const uint64_t last = run.rounds.empty() ? treelocal::support::kDigestSeed
+                                           : run.rounds.back().digest;
+  std::cout << "messages=" << run.messages_delivered
+            << " rounds_recorded=" << run.rounds.size()
+            << " deliverable=" << run.deliverable.size()
+            << " last_digest=" << Hex(last) << "\n";
 }
 
 // Drives the named engine through the shared local::Engine surface.
@@ -292,12 +285,6 @@ int Replay(const Options& opt) {
   }
   const SnapshotData snap = ReadSnapshot(in);
   in.close();
-  if (snap.batch != 1) {
-    std::cerr << "error: replay supports solo (batch=1) snapshots; this one "
-                 "has batch="
-              << snap.batch << "\n";
-    return 1;
-  }
   const Graph g = ReconstructGraph(snap);
   // Everything the engine needs travels in the file: graph, ids, and the
   // digest level. Only the algorithm parameter (--k) is external.
