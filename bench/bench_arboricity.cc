@@ -4,11 +4,12 @@
 // with an additive-in-a gather term, and stay valid throughout.
 //
 // The arboricity sweep runs the ENGINE-NATIVE pipeline on an explicit,
-// timing-armed host engine, gated on bit-identity against the legacy path
-// (exit non-zero on divergence), and merges per-phase round trajectories +
-// speedups into BENCH_engine.json as source "bench_arboricity". This is
-// where the fused multi-forest Cole-Vishkin earns its keep: legacy phase 3
-// rebuilt a Subgraph per forest (2a of them).
+// timing-armed host engine, gated on bit-identity against the host-side
+// oracle in tests/oracle/ (exit non-zero on divergence), and merges
+// per-phase round trajectories + speedups into BENCH_engine.json as source
+// "bench_arboricity". This is where the fused multi-forest Cole-Vishkin
+// earns its keep: the oracle's phase 3 builds a Subgraph per forest (2a of
+// them).
 //
 // Flags: --n_exp= (sweep size, default 14), --planar_max_side= (default
 // 256), --match_exp= (default 13). CI smoke: --n_exp=11 --planar_max_side=64
@@ -26,6 +27,7 @@
 #include "src/problems/matching.h"
 #include "src/support/rng.h"
 #include "src/support/table.h"
+#include "tests/oracle/host_oracle.h"
 
 namespace treelocal {
 namespace {
@@ -53,7 +55,7 @@ bool RunArboricitySweep(int n_exp, bench::JsonWriter& json) {
                                                     bench::IdSpace(n), a, k);
     double engine_s = bench::SecondsSince(t0);
     t0 = Clock::now();
-    auto legacy = SolveEdgeProblemBoundedArboricityLegacy(
+    auto legacy = oracle::SolveEdgeProblemBoundedArboricity(
         problem, g, ids, bench::IdSpace(n), a, k);
     double legacy_s = bench::SecondsSince(t0);
     bool identical = SameLabeling(g, result.labeling, legacy.labeling) &&

@@ -74,9 +74,8 @@ void Run() {
       int max_atyp = *std::max_element(atyp_out.begin(), atyp_out.end());
 
       // Star structure check over all F_{i,j}.
-      auto split = SplitAtypicalForests(w.graph, ids,
-                                        bench::IdSpace(w.graph.NumNodes()),
-                                        result, w.a);
+      auto split = SplitAtypicalForests(net, result, w.a,
+                                        bench::IdSpace(w.graph.NumNodes()));
       bool stars_ok = true;
       for (const auto& forest : split.stars) {
         for (const auto& star_class : forest) {

@@ -5,9 +5,9 @@
 //
 // The transformation now runs ENGINE-NATIVE (phases 1-3 on one reused host
 // engine); every configuration is gated on bit-identity against the
-// preserved legacy path (exit non-zero on divergence) and contributes its
-// engine round trajectories + wall-clock speedup to BENCH_engine.json as
-// source "bench_thm15_matching".
+// host-side oracle in tests/oracle/ (exit non-zero on divergence) and
+// contributes its engine round trajectories + wall-clock speedup to
+// BENCH_engine.json as source "bench_thm15_matching".
 //
 // Flags: --n_max_exp=<E> (default 18; sizes 2^10..2^E), --reps=<best-of>
 // (default 1). CI smoke-runs this at --n_max_exp=11.
@@ -24,6 +24,7 @@
 #include "src/problems/matching.h"
 #include "src/support/rng.h"
 #include "src/support/table.h"
+#include "tests/oracle/host_oracle.h"
 
 namespace treelocal {
 namespace {
@@ -70,12 +71,12 @@ bool Run(int n_max_exp, int reps) {
         }
       }
 
-      // Legacy oracle + identity gate.
+      // Host-side oracle + identity gate.
       double legacy_s = 1e300;
       Thm15Result legacy;
       for (int rep = 0; rep < reps; ++rep) {
         auto t0 = Clock::now();
-        Thm15Result r = SolveEdgeProblemBoundedArboricityLegacy(
+        Thm15Result r = oracle::SolveEdgeProblemBoundedArboricity(
             mm, tree, ids, space, /*a=*/1, k);
         double s = bench::SecondsSince(t0);
         if (s < legacy_s) {

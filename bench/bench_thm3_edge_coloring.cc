@@ -12,8 +12,8 @@
 //       Omega(log n / log log n) MIS/MM barrier it separates from, extended
 //       in log-space far beyond feasible n to exhibit the crossover.
 // Plus the phase-2/3 acceptance: the engine-native base + fused forest
-// split vs the legacy host-side path at n = 2^accept_exp on one shared
-// decomposition, identity-gated, speedup recorded in BENCH_engine.json
+// split vs the host-side oracle (tests/oracle/) at n = 2^accept_exp on one
+// shared decomposition, identity-gated, speedup recorded in BENCH_engine.json
 // (experiment "edge_pipeline_phase23", acceptance=true when the size is the
 // real 2^18+ measurement rather than a CI smoke run).
 //
@@ -35,6 +35,7 @@
 #include "src/support/mathutil.h"
 #include "src/support/rng.h"
 #include "src/support/table.h"
+#include "tests/oracle/host_oracle.h"
 
 namespace treelocal {
 namespace {
@@ -60,7 +61,7 @@ bool RunMeasured(int n_lo, int n_hi, bench::JsonWriter& json) {
                                                     bench::IdSpace(n), 1, k);
     double engine_s = bench::SecondsSince(t0);
     t0 = Clock::now();
-    auto legacy = SolveEdgeProblemBoundedArboricityLegacy(
+    auto legacy = oracle::SolveEdgeProblemBoundedArboricity(
         problem, tree, ids, bench::IdSpace(n), 1, k);
     double legacy_s = bench::SecondsSince(t0);
     bool identical = SameLabeling(tree, result.labeling, legacy.labeling) &&
@@ -101,10 +102,10 @@ bool RunMeasured(int n_lo, int n_hi, bench::JsonWriter& json) {
 }
 
 // Phase-2/3 acceptance: one decomposition, then the engine-native base +
-// fused multi-forest split vs the legacy base + per-forest split, best-of
+// fused multi-forest split vs the oracle base + per-forest split, best-of
 // reps each, identity-gated, on two workloads:
 //   * uniform tree (a = 1) — Theorem 15's degenerate tree case. Here the
-//     engine's wins (sort-free line graph, flat-key IDs, O(|E1|) split)
+//     engine's wins (no Subgraph compaction, flat-key IDs, O(|E1|) split)
 //     and the faithful round simulation's costs (announcement sends, cache
 //     interference on the shared greedy) cancel to ~parity, so this record
 //     is reported but NOT floored.
@@ -148,7 +149,7 @@ bool RunPhase23Acceptance(int accept_exp, int reps, bench::JsonWriter& json) {
     }
     SemiGraph e2 = SemiGraph::EdgeInduced(g, typical_mask);
 
-    // Interleaved best-of-reps: pairing each engine rep with a legacy rep
+    // Interleaved best-of-reps: pairing each engine rep with an oracle rep
     // keeps slow machine-load drift out of the ratio (the two sides see
     // the same conditions within a pair).
     HalfEdgeLabeling h_engine(g), h_legacy(g);
@@ -163,8 +164,8 @@ bool RunPhase23Acceptance(int accept_exp, int reps, bench::JsonWriter& json) {
 
       h_legacy = HalfEdgeLabeling(g);
       t0 = Clock::now();
-      RunEdgeBaseLegacy(problem, e2, ids, space, h_legacy);
-      split_legacy = SplitAtypicalForests(g, ids, space, decomp, w.a);
+      oracle::RunEdgeBase(problem, e2, ids, space, h_legacy);
+      split_legacy = oracle::SplitAtypicalForests(g, ids, space, decomp, w.a);
       legacy_s = std::min(legacy_s, bench::SecondsSince(t0));
     }
     bool identical =

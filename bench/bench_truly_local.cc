@@ -7,9 +7,9 @@
 //
 // The baselines now run ENGINE-NATIVE (Linial over induced host ports +
 // engine class sweep); every row is gated on bit-identity against the
-// legacy host-side base and contributes its symmetry-breaking + sweep round
-// trajectories and wall-clock speedup to BENCH_engine.json as source
-// "bench_truly_local".
+// host-side oracle base (tests/oracle/) on the whole graph, and contributes
+// its symmetry-breaking + sweep round trajectories and wall-clock speedup
+// to BENCH_engine.json as source "bench_truly_local".
 //
 // Flags: --n_exp= (default 13), --logstar_max_exp= (default 18). CI smoke:
 // --n_exp=11 --logstar_max_exp=13.
@@ -21,12 +21,14 @@
 #include "bench/bench_util.h"
 #include "src/core/baseline.h"
 #include "src/graph/generators.h"
+#include "src/graph/semigraph.h"
 #include "src/local/network.h"
 #include "src/problems/matching.h"
 #include "src/problems/mis.h"
 #include "src/support/mathutil.h"
 #include "src/support/rng.h"
 #include "src/support/table.h"
+#include "tests/oracle/host_oracle.h"
 
 namespace treelocal {
 namespace {
@@ -57,10 +59,12 @@ bool RunNodeF(int n_exp, bench::JsonWriter& json) {
     auto result = RunNodeBaseline(net, mis, bench::IdSpace(n));
     double engine_s = bench::SecondsSince(t0);
     t0 = Clock::now();
-    auto legacy = RunNodeBaselineLegacy(mis, g, ids, bench::IdSpace(n));
+    HalfEdgeLabeling legacy(g);
+    BaseRunStats legacy_stats = oracle::RunNodeBase(
+        mis, SemiGraph::Whole(g), ids, bench::IdSpace(n), legacy);
     double legacy_s = bench::SecondsSince(t0);
-    bool identical = SameLabeling(g, result.labeling, legacy.labeling) &&
-                     result.rounds_total == legacy.rounds_total;
+    bool identical = SameLabeling(g, result.labeling, legacy) &&
+                     result.rounds_total == legacy_stats.rounds;
     all_identical &= identical;
     table.AddRow({Table::Num(d), Table::Num(result.stats.num_classes),
                   Table::Num(result.stats.linial_rounds),
@@ -108,10 +112,12 @@ bool RunEdgeF(int n_exp, bench::JsonWriter& json) {
     auto result = RunEdgeBaseline(net, mm, bench::IdSpace(n));
     double engine_s = bench::SecondsSince(t0);
     t0 = Clock::now();
-    auto legacy = RunEdgeBaselineLegacy(mm, g, ids, bench::IdSpace(n));
+    HalfEdgeLabeling legacy(g);
+    BaseRunStats legacy_stats = oracle::RunEdgeBase(
+        mm, SemiGraph::Whole(g), ids, bench::IdSpace(n), legacy);
     double legacy_s = bench::SecondsSince(t0);
-    bool identical = SameLabeling(g, result.labeling, legacy.labeling) &&
-                     result.rounds_total == legacy.rounds_total;
+    bool identical = SameLabeling(g, result.labeling, legacy) &&
+                     result.rounds_total == legacy_stats.rounds;
     all_identical &= identical;
     table.AddRow({Table::Num(g.MaxDegree()), Table::Num(ed),
                   Table::Num(result.stats.num_classes),

@@ -12,6 +12,7 @@
 #include "src/core/rake_compress.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
+#include "src/local/network.h"
 #include "src/support/mathutil.h"
 #include "src/support/rng.h"
 
@@ -71,7 +72,8 @@ int main(int argc, char** argv) {
     }
     std::cout << "  |E1| (atypical) = " << atypical << ", |E2| (typical) = "
               << g.NumEdges() - atypical << "\n";
-    auto split = SplitAtypicalForests(g, ids, int64_t{n} * n * n, decomp, a);
+    local::Network net(g, ids);
+    auto split = SplitAtypicalForests(net, decomp, a, int64_t{n} * n * n);
     std::cout << "  forest split: " << split.num_forests
               << " forests, CV rounds " << split.cv_rounds << "\n";
     for (int f = 0; f < split.num_forests; ++f) {

@@ -5,9 +5,7 @@
 #include <limits>
 
 #include "src/algos/linial.h"
-#include "src/algos/sweep.h"
 #include "src/graph/linegraph.h"
-#include "src/graph/subgraph.h"
 #include "src/local/induced.h"
 
 namespace treelocal {
@@ -19,9 +17,10 @@ namespace {
 // globally empty classes deliver no message and make no decision, so
 // skipping them changes no transcript byte — while the pipelines keep
 // charging the full num_colors schedule (nodes cannot know which classes
-// are empty; see sweep.h). Without this compression a degenerate schedule
-// (e.g. Linial with no progress falling back to the raw ID space) would
-// make the engine execute up to num_colors near-empty rounds.
+// are globally empty, so every class burns a round). Without this
+// compression a degenerate schedule (e.g. Linial with no progress falling
+// back to the raw ID space) would make the engine execute up to num_colors
+// near-empty rounds.
 // O(count + num_colors) via a counting pass when the color space is small,
 // O(count log count) sort-unique otherwise. Returns the number of ranks.
 int64_t DenseRanks(const std::vector<int64_t>& colors, int64_t num_colors,
@@ -60,8 +59,8 @@ int64_t DenseRanks(const std::vector<int64_t>& colors, int64_t num_colors,
 // are 1-hop and of prior-round data only, writes are the node's own
 // half-edges — which is exactly the Algorithm determinism contract, so the
 // sweep is bit-identical across thread counts / relabel and
-// order-independent within a class (the same argument that lets the legacy
-// path process a class in sorted order).
+// order-independent within a class (the same argument that lets the host-
+// side reference in tests/oracle/ process a class in sorted order).
 // ---------------------------------------------------------------------------
 
 struct NodeSweepState {
@@ -286,7 +285,7 @@ BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
   // nodes are the semi edges in ascending host-edge order (the same
   // numbering InduceByEdges would produce), semi-degrees come from one pass
   // over the edges, and the line graph's edges are enumerated directly at
-  // each host node. Only the legacy oracle still compacts a Subgraph.
+  // each host node.
   std::vector<int> sub_of_edge(m, -1);
   std::vector<int> edge_to_host;
   std::vector<int> semi_degree(n, 0);
@@ -307,9 +306,10 @@ BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
   // Symmetry breaking on the line graph of the underlying graph — the one
   // topology that cannot ride on the host engine's channels. Direct
   // enumeration (incident semi-edge pairs at each host node) yields the
-  // same adjacency as the legacy BuildLineGraph route, hence bit-identical
-  // colors — Linial is neighbor-order-independent — without the global
-  // sort+unique or the Subgraph compaction.
+  // same adjacency as BuildLineGraph on the compacted underlying graph,
+  // hence bit-identical colors — Linial is neighbor-order-independent —
+  // without the Subgraph compaction. In a simple graph two edges share at
+  // most one endpoint, so no pair is emitted twice.
   LineGraph lg;
   {
     std::vector<std::pair<int, int>> ledges;
@@ -334,10 +334,9 @@ BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
     }
     lg.graph = Graph::FromEdges(m_sub, std::move(ledges));
   }
-  // Line-graph IDs: lexicographic rank of the endpoint-ID pair, exactly as
-  // LineGraphIds defines them, via the flat-key subset form.
-  std::vector<int64_t> line_ids =
-      LineGraphIdsFast(host, edge_to_host, net.ids());
+  // Line-graph IDs: lexicographic rank of the endpoint-ID pair over the
+  // semi edges.
+  std::vector<int64_t> line_ids = LineGraphIds(host, edge_to_host, net.ids());
   int64_t line_space = static_cast<int64_t>(m_sub) + 1;
   LinialResult linial =
       RunLinial(lg.graph, line_ids, line_space, net.num_threads());
@@ -427,77 +426,10 @@ BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
 BaseRunStats RunEdgeBase(const EdgeProblem& problem, const SemiGraph& semi,
                          const std::vector<int64_t>& host_ids,
                          int64_t id_space, HalfEdgeLabeling& h) {
-  if (semi.NumSemiEdges() == 0) {
-    // Match the legacy early-out (underlying degree 0 without any edges).
-    return {};
-  }
+  // No semi edges: underlying degree 0, nothing to label.
+  if (semi.NumSemiEdges() == 0) return {};
   local::Network net(semi.host(), host_ids);
   return RunEdgeBase(net, problem, semi, id_space, h);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy path (differential oracle): compacted Subgraph + Linial on its own
-// engine + host-side sequential sweep in sorted class order.
-// ---------------------------------------------------------------------------
-
-BaseRunStats RunNodeBaseLegacy(const NodeProblem& problem,
-                               const SemiGraph& semi,
-                               const std::vector<int64_t>& host_ids,
-                               int64_t id_space, HalfEdgeLabeling& h) {
-  BaseRunStats stats;
-  Subgraph under = semi.Underlying();
-  const Graph& u = under.graph;
-  stats.underlying_max_degree = u.MaxDegree();
-  if (u.NumNodes() == 0) return stats;
-
-  std::vector<int64_t> sub_ids = RestrictToSubgraph(under, host_ids);
-  LinialResult linial = RunLinial(u, sub_ids, id_space);
-  stats.linial_rounds = linial.rounds;
-  stats.messages = linial.messages;
-
-  // Sweep the classes on the host graph so that the greedy sees (and labels)
-  // the rank-1 half-edges of the semi-graph too.
-  std::vector<int64_t> colors(u.NumNodes());
-  for (int i = 0; i < u.NumNodes(); ++i) colors[i] = linial.colors[i];
-  stats.num_classes =
-      SweepNodeClasses(problem, semi.host(), under.node_to_host, colors,
-                       linial.num_colors, h);
-  stats.rounds = stats.linial_rounds + static_cast<int>(stats.num_classes);
-  return stats;
-}
-
-BaseRunStats RunEdgeBaseLegacy(const EdgeProblem& problem,
-                               const SemiGraph& semi,
-                               const std::vector<int64_t>& host_ids,
-                               int64_t id_space, HalfEdgeLabeling& h) {
-  // The host ID space is unused here: line-graph IDs are derived densely
-  // from the host IDs' order (see LineGraphIds); kept for API symmetry.
-  (void)id_space;
-  BaseRunStats stats;
-  Subgraph under = InduceByEdges(semi.host(), semi.edge_mask());
-  const Graph& u = under.graph;
-  stats.underlying_max_degree = u.MaxDegree();
-  if (u.NumEdges() == 0) return stats;
-
-  std::vector<int64_t> sub_ids = RestrictToSubgraph(under, host_ids);
-  LineGraph lg = BuildLineGraph(u);
-  std::vector<int64_t> line_ids = LineGraphIds(u, sub_ids);
-  int64_t line_space = static_cast<int64_t>(u.NumEdges()) + 1;
-  LinialResult linial = RunLinial(lg.graph, line_ids, line_space);
-  // One line-graph round costs 2 host rounds (exchange over shared
-  // endpoints), hence the factor 2 on the symmetry-breaking part.
-  stats.linial_rounds = 2 * linial.rounds;
-  stats.messages = linial.messages;
-
-  std::vector<int> host_edges;
-  host_edges.reserve(u.NumEdges());
-  for (int e = 0; e < u.NumEdges(); ++e) {
-    host_edges.push_back(under.edge_to_host[e]);
-  }
-  stats.num_classes = SweepEdgeClasses(problem, semi.host(), host_edges,
-                                       linial.colors, linial.num_colors, h);
-  stats.rounds = stats.linial_rounds + static_cast<int>(stats.num_classes);
-  return stats;
 }
 
 }  // namespace treelocal

@@ -23,32 +23,30 @@ namespace treelocal {
 // of [BBKO22b], which we model separately (see core/complexity.h and
 // DESIGN.md substitution #1).
 //
-// Two execution paths share this contract and produce BIT-IDENTICAL
-// labelings (enforced by tests/edge_pipeline_parity_test.cc):
-//   * RunNodeBase / RunEdgeBase — engine-native: the symmetry breaking runs
-//     as an engine Algorithm over the host engine's induced ports (node
-//     case) or over the underlying graph's line graph (edge case), and the
-//     class sweep runs as an engine Algorithm on the HOST engine: in round
-//     t the class-t elements gather their 1-hop labels and decide locally,
-//     then announce the chosen labels on their channels. Elements drop out
-//     of the worklist right after their class round, so the engine executes
-//     O(sum of decision ranks) work — while the CHARGED LOCAL cost stays
-//     the honest num_colors rounds (nodes cannot know which classes are
-//     globally empty; see sweep.h). The overloads taking an engine reuse
-//     the caller's mailboxes (no steady-state reallocation); the SemiGraph
-//     overloads construct a host engine internally.
-//   * RunNodeBaseLegacy / RunEdgeBaseLegacy — the original sequential
-//     sweep over a host-side sorted order, kept as the differential oracle.
+// RunNodeBase / RunEdgeBase are engine-native: the symmetry breaking runs
+// as an engine Algorithm over the host engine's induced ports (node case)
+// or over the underlying graph's line graph (edge case), and the class
+// sweep runs as an engine Algorithm on the HOST engine: in round t the
+// class-t elements gather their 1-hop labels and decide locally, then
+// announce the chosen labels on their channels. Elements drop out of the
+// worklist right after their class round, so the engine executes O(sum of
+// decision ranks) work — while the CHARGED LOCAL cost stays the honest
+// num_colors rounds (nodes know the schedule length but not which classes
+// are globally empty). The overloads taking an engine reuse the caller's
+// mailboxes (no steady-state reallocation); the SemiGraph overloads
+// construct a host engine internally. tests/oracle/ holds the host-side
+// reference (compacted Subgraph + sequential sorted sweep) that the parity
+// tests require these to match bit for bit.
 struct BaseRunStats {
   int rounds = 0;         // total engine rounds charged to the base phase
   int linial_rounds = 0;  // symmetry-breaking part (the log* n term)
   int64_t num_classes = 0;  // sweep part (the f(Delta) term)
   int underlying_max_degree = 0;
   int64_t messages = 0;  // engine messages of the symmetry-breaking part
-  // Engine-native path only: messages and per-round counters of the class
-  // sweep's engine pass (the sweep executes <= num_classes rounds; the tail
-  // beyond the last nonempty class is charged but not simulated), plus the
-  // symmetry-breaking pass's counters. Legacy runs leave these empty.
+  // Messages and per-round counters of the class sweep's engine pass (the
+  // sweep executes <= num_classes rounds; the tail beyond the last nonempty
+  // class is charged but not simulated), plus the symmetry-breaking pass's
+  // counters.
   int64_t sweep_messages = 0;
   std::vector<local::RoundStats> linial_round_stats;
   std::vector<local::RoundStats> sweep_round_stats;
@@ -83,18 +81,6 @@ BaseRunStats RunEdgeBase(const EdgeProblem& problem, const SemiGraph& semi,
 BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
                          const SemiGraph& semi, int64_t id_space,
                          HalfEdgeLabeling& h);
-
-// The original host-side implementations (compacted Subgraph + sequential
-// sorted sweep), kept verbatim as the differential oracle for the
-// engine-native path.
-BaseRunStats RunNodeBaseLegacy(const NodeProblem& problem,
-                               const SemiGraph& semi,
-                               const std::vector<int64_t>& host_ids,
-                               int64_t id_space, HalfEdgeLabeling& h);
-BaseRunStats RunEdgeBaseLegacy(const EdgeProblem& problem,
-                               const SemiGraph& semi,
-                               const std::vector<int64_t>& host_ids,
-                               int64_t id_space, HalfEdgeLabeling& h);
 
 }  // namespace treelocal
 

@@ -56,24 +56,4 @@ BaselineResult RunEdgeBaseline(local::Network& net,
   });
 }
 
-BaselineResult RunNodeBaselineLegacy(const NodeProblem& problem,
-                                     const Graph& g,
-                                     const std::vector<int64_t>& ids,
-                                     int64_t id_space) {
-  return RunBaselineImpl(problem, g, [&](const SemiGraph& s,
-                                         HalfEdgeLabeling& h) {
-    return RunNodeBaseLegacy(problem, s, ids, id_space, h);
-  });
-}
-
-BaselineResult RunEdgeBaselineLegacy(const EdgeProblem& problem,
-                                     const Graph& g,
-                                     const std::vector<int64_t>& ids,
-                                     int64_t id_space) {
-  return RunBaselineImpl(problem, g, [&](const SemiGraph& s,
-                                         HalfEdgeLabeling& h) {
-    return RunEdgeBaseLegacy(problem, s, ids, id_space, h);
-  });
-}
-
 }  // namespace treelocal

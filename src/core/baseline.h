@@ -16,8 +16,7 @@ namespace treelocal {
 // Baselines: run the truly local base algorithm A directly on the whole
 // input graph, with no transformation. Costs O(f(Delta) + log* n) rounds
 // with the *input* graph's Delta — the quantity the paper's transformation
-// replaces by f(g(n)). The default path is engine-native (see
-// base_algorithms.h); the *Legacy forms run the host-side oracle.
+// replaces by f(g(n)). Runs the engine-native base (see base_algorithms.h).
 struct BaselineResult {
   HalfEdgeLabeling labeling;
   bool valid = false;
@@ -40,17 +39,6 @@ BaselineResult RunNodeBaseline(local::Network& net, const NodeProblem& problem,
                                int64_t id_space);
 BaselineResult RunEdgeBaseline(local::Network& net, const EdgeProblem& problem,
                                int64_t id_space);
-
-// Host-side oracle forms (legacy base algorithms), kept for differential
-// testing and the bench identity gates.
-BaselineResult RunNodeBaselineLegacy(const NodeProblem& problem,
-                                     const Graph& g,
-                                     const std::vector<int64_t>& ids,
-                                     int64_t id_space);
-BaselineResult RunEdgeBaselineLegacy(const EdgeProblem& problem,
-                                     const Graph& g,
-                                     const std::vector<int64_t>& ids,
-                                     int64_t id_space);
 
 }  // namespace treelocal
 

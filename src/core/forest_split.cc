@@ -5,17 +5,16 @@
 #include <stdexcept>
 
 #include "src/algos/cole_vishkin.h"
-#include "src/graph/subgraph.h"
 
 namespace treelocal {
 
 namespace {
 
-// Step 1 of Section 4, shared by both paths: each node colors its atypical
-// edges toward higher neighbors with distinct colors from {0, ..., 2a-1}
-// (possible since there are at most b = 2a of them, by the compress
-// condition). One pass over the edges in ascending order — the order that
-// fixes the coloring deterministically.
+// Step 1 of Section 4: each node colors its atypical edges toward higher
+// neighbors with distinct colors from {0, ..., 2a-1} (possible since there
+// are at most b = 2a of them, by the compress condition). One pass over the
+// edges in ascending order — the order that fixes the coloring
+// deterministically.
 void ColorForests(const Graph& g, const std::vector<int64_t>& ids,
                   const DecompositionResult& decomp,
                   ForestSplitResult& result) {
@@ -40,7 +39,7 @@ void ColorForests(const Graph& g, const std::vector<int64_t>& ids,
 // forest, and advances every forest it participates in through the standard
 // CV schedule (steps, then three shift-down + recolor blocks). A node's
 // entries are grouped by forest so the recolor scan reads exactly the ports
-// the per-forest oracle would.
+// a per-forest run would.
 class MultiForestCvAlgorithm : public local::Algorithm {
  public:
   MultiForestCvAlgorithm(const std::vector<int>& entry_off,
@@ -148,8 +147,7 @@ class MultiForestCvAlgorithm : public local::Algorithm {
 // inherits. The CV itself runs on ONE dedicated engine over the compacted
 // atypical-edge CSR — everything here is O(n + m) scanning plus
 // O(|E1|)-sized engine state, so a near-empty E1 (the common tree case)
-// costs near-nothing, while the 2a per-forest Subgraph/Network rebuilds of
-// the oracle are gone entirely.
+// costs near-nothing, and no per-forest Subgraph or Network is built.
 ForestSplitResult SplitAtypicalForests(local::Network& host_net,
                                        const DecompositionResult& decomp,
                                        int a, int64_t id_space) {
@@ -254,85 +252,6 @@ ForestSplitResult SplitAtypicalForests(local::Network& host_net,
         static_cast<int>((&net.StateAt<int64_t>(host_to_sub[hi]))[f]);
     result.star_class_of_edge[e] = j;
     result.stars[f][j].push_back(e);
-  }
-  return result;
-}
-
-ForestSplitResult SplitAtypicalForests(const Graph& g,
-                                       const std::vector<int64_t>& ids,
-                                       int64_t id_space,
-                                       const DecompositionResult& decomp,
-                                       int a) {
-  ForestSplitResult result;
-  result.num_forests = 2 * a;
-  result.forest_of_edge.assign(g.NumEdges(), -1);
-  result.star_class_of_edge.assign(g.NumEdges(), -1);
-  result.stars.assign(result.num_forests,
-                      std::vector<std::vector<int>>(3));
-  ColorForests(g, ids, decomp, result);
-
-  std::vector<std::vector<int>> forest_edges(result.num_forests);
-  for (int e = 0; e < g.NumEdges(); ++e) {
-    if (result.forest_of_edge[e] >= 0) {
-      forest_edges[result.forest_of_edge[e]].push_back(e);
-    }
-  }
-
-  // Step 2: per forest, 3-color the nodes. In F_i every node has at most one
-  // higher neighbor (its own colored edge), so parent = higher endpoint.
-  // All per-forest structures are carved from these shared buffers —
-  // host_to_sub is stamped and un-stamped per forest, so no forest pays an
-  // O(n) or O(m) allocation (the pre-fix path built a fresh 2m-byte edge
-  // mask and a full Subgraph per forest).
-  std::vector<int> host_to_sub(g.NumNodes(), -1);
-  std::vector<int> sub_to_host;
-  std::vector<std::pair<int, int>> sub_edges;
-  std::vector<int64_t> sub_ids;
-  std::vector<int> parent;
-  for (int f = 0; f < result.num_forests; ++f) {
-    if (forest_edges[f].empty()) continue;
-    sub_to_host.clear();
-    sub_edges.clear();
-    auto touch = [&](int v) {
-      if (host_to_sub[v] < 0) {
-        host_to_sub[v] = static_cast<int>(sub_to_host.size());
-        sub_to_host.push_back(v);
-      }
-    };
-    // Same touch order as InduceByEdges (edges ascending, Endpoints order),
-    // so the compacted node numbering — and with it the CV transcript —
-    // matches the pre-fix construction exactly.
-    for (int e : forest_edges[f]) {
-      auto [u, v] = g.Endpoints(e);
-      touch(u);
-      touch(v);
-      sub_edges.emplace_back(host_to_sub[u], host_to_sub[v]);
-    }
-    Graph sub_graph = Graph::FromEdges(
-        static_cast<int>(sub_to_host.size()), sub_edges);
-    sub_ids.clear();
-    for (int hv : sub_to_host) sub_ids.push_back(ids[hv]);
-
-    parent.assign(sub_graph.NumNodes(), -1);
-    for (int e : forest_edges[f]) {
-      int lo = decomp.LowerEndpoint(g, e, ids);
-      int hi = g.OtherEndpoint(e, lo);
-      parent[host_to_sub[lo]] = host_to_sub[hi];
-    }
-
-    ColeVishkinResult cv =
-        ColeVishkin3Color(sub_graph, sub_ids, parent, id_space);
-    result.cv_rounds = std::max(result.cv_rounds, cv.rounds);
-
-    // Step 3: F_{i,j} = edges whose higher endpoint has CV color j.
-    for (int e : forest_edges[f]) {
-      int lo = decomp.LowerEndpoint(g, e, ids);
-      int hi = g.OtherEndpoint(e, lo);
-      int j = cv.colors[host_to_sub[hi]];
-      result.star_class_of_edge[e] = j;
-      result.stars[f][j].push_back(e);
-    }
-    for (int hv : sub_to_host) host_to_sub[hv] = -1;
   }
   return result;
 }

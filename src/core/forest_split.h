@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/core/decomposition.h"
-#include "src/graph/graph.h"
 #include "src/local/network.h"
 
 namespace treelocal {
@@ -24,26 +23,14 @@ struct ForestSplitResult {
   std::vector<int> star_class_of_edge;
   int cv_rounds = 0;  // max over the forests (run in parallel in LOCAL)
   int num_forests = 0;
-  // Engine-native path only: message count and per-round counters of the
-  // fused multi-forest Cole-Vishkin pass (legacy runs leave these empty —
-  // its per-forest engines were constructed and discarded internally).
-  // round_seconds is captured when the host engine had per-round timing
-  // armed (the sub-engine over the atypical CSR inherits the setting).
+  // Message count and per-round counters of the fused multi-forest
+  // Cole-Vishkin pass. round_seconds is captured when the host engine had
+  // per-round timing armed (the sub-engine over the atypical CSR inherits
+  // the setting).
   int64_t messages = 0;
   std::vector<local::RoundStats> round_stats;
   std::vector<double> round_seconds;
 };
-
-// Host-side oracle: per-forest Cole-Vishkin on compacted forest subgraphs.
-// All per-forest structures are carved out of shared reused buffers in one
-// pass over decomp.atypical (no per-forest O(m) edge mask or O(n) index-map
-// allocation), but the forests still run as 2a separate engine constructions
-// — which is exactly what the engine-native overloads below eliminate.
-ForestSplitResult SplitAtypicalForests(const Graph& g,
-                                       const std::vector<int64_t>& ids,
-                                       int64_t id_space,
-                                       const DecompositionResult& decomp,
-                                       int a);
 
 // Engine-native: ONE pass of a fused multi-forest Cole-Vishkin over the
 // caller-owned host engine. Every node keeps a 2a-wide slot array of
@@ -53,10 +40,10 @@ ForestSplitResult SplitAtypicalForests(const Graph& g,
 // lockstep through the shared CV schedule — no per-forest Subgraph, Graph,
 // or Network is ever built, and nodes without atypical edges leave the
 // worklist in round 0. Outputs (forest_of_edge, star_class_of_edge, stars,
-// cv_rounds) are bit-identical to the host-side oracle for every engine and
-// thread count (enforced by the parity tests): each forest's color
-// evolution depends only on that forest's parent/child colors, which the
-// fused pass reproduces exactly.
+// cv_rounds) are bit-identical for every thread count, and to the
+// per-forest host-side reference in tests/oracle/ (enforced by the parity
+// tests): each forest's color evolution depends only on that forest's
+// parent/child colors, which the fused pass reproduces exactly.
 ForestSplitResult SplitAtypicalForests(local::Network& net,
                                        const DecompositionResult& decomp,
                                        int a, int64_t id_space);

@@ -29,14 +29,14 @@ namespace treelocal {
 // With k = g(n)^rho, the total is O(a + rho*f(g^rho)/(rho - log_g a) +
 // log* n) rounds; on trees (a=1) this is O(f(g(n)) + log* n).
 //
-// The default path is ENGINE-NATIVE: phases 1-3 all execute on ONE host
+// The pipeline is ENGINE-NATIVE: phases 1-3 all execute on ONE host
 // LOCAL engine (the decomposition rounds, the base's class sweep, and the
 // fused multi-forest Cole-Vishkin reuse the same channel tables and
 // mailboxes, so repeated solves on one engine do no steady-state
 // reallocation; only the base's line-graph symmetry breaking runs on its
-// own small engine, since its topology is not the host's). The legacy
-// host-side path is kept verbatim behind *Legacy as the differential
-// oracle; outputs are bit-identical (tests/edge_pipeline_parity_test.cc).
+// own small engine, since its topology is not the host's). Outputs are
+// bit-identical to the host-side reference composition in tests/oracle/
+// (tests/edge_pipeline_parity_test.cc).
 struct Thm15Result {
   HalfEdgeLabeling labeling;
   bool valid = false;
@@ -82,12 +82,6 @@ Thm15Result SolveEdgeProblemBoundedArboricity(const EdgeProblem& problem,
 Thm15Result SolveEdgeProblemBoundedArboricity(const EdgeProblem& problem,
                                               local::Network& net,
                                               int64_t id_space, int a, int k);
-
-// The original host-side path (legacy base + per-forest Cole-Vishkin),
-// kept as the differential oracle.
-Thm15Result SolveEdgeProblemBoundedArboricityLegacy(
-    const EdgeProblem& problem, const Graph& g,
-    const std::vector<int64_t>& ids, int64_t id_space, int a, int k);
 
 }  // namespace treelocal
 

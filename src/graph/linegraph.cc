@@ -6,29 +6,6 @@ namespace treelocal {
 
 LineGraph BuildLineGraph(const Graph& host) {
   std::vector<std::pair<int, int>> edges;
-  // Two host edges are adjacent iff they share an endpoint: enumerate pairs
-  // of incident edges at each node.
-  for (int v = 0; v < host.NumNodes(); ++v) {
-    auto inc = host.IncidentEdges(v);
-    for (size_t i = 0; i < inc.size(); ++i) {
-      for (size_t j = i + 1; j < inc.size(); ++j) {
-        int a = inc[i], b = inc[j];
-        if (a > b) std::swap(a, b);
-        edges.emplace_back(a, b);
-      }
-    }
-  }
-  // A pair of edges sharing two endpoints is impossible in a simple graph,
-  // but the same pair is emitted once per shared endpoint: dedupe.
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  LineGraph lg;
-  lg.graph = Graph::FromEdges(host.NumEdges(), std::move(edges));
-  return lg;
-}
-
-LineGraph BuildLineGraphFast(const Graph& host) {
-  std::vector<std::pair<int, int>> edges;
   size_t total = 0;
   for (int v = 0; v < host.NumNodes(); ++v) {
     size_t d = host.Degree(v);
@@ -49,39 +26,17 @@ LineGraph BuildLineGraphFast(const Graph& host) {
 }
 
 std::vector<int64_t> LineGraphIds(const Graph& host,
+                                  std::span<const int> edges,
                                   const std::vector<int64_t>& host_ids) {
-  // Each edge is identified by the ordered pair of its endpoint IDs, which is
-  // unique in a simple graph. Rank the pairs lexicographically to obtain
-  // distinct IDs without risking 64-bit overflow from pairing functions; any
-  // distinct polynomial-range assignment is a valid LOCAL instance.
-  const int m = host.NumEdges();
-  std::vector<int> order(m);
-  for (int e = 0; e < m; ++e) order[e] = e;
-  auto pair_of = [&](int e) {
-    auto [u, v] = host.Endpoints(e);
-    int64_t a = host_ids[u], b = host_ids[v];
-    if (a > b) std::swap(a, b);
-    return std::pair<int64_t, int64_t>(a, b);
-  };
-  std::sort(order.begin(), order.end(),
-            [&](int x, int y) { return pair_of(x) < pair_of(y); });
-  std::vector<int64_t> ids(m);
-  for (int rank = 0; rank < m; ++rank) {
-    // Dense IDs {1..m}: when the line graph is too dense for Linial to make
-    // progress (q^2 > m), the fallback sweep over the ID space then costs
-    // exactly m+1 rounds rather than an inflated artifact of sparse IDs.
-    ids[order[rank]] = rank + 1;
-  }
-  return ids;
-}
-
-std::vector<int64_t> LineGraphIdsFast(const Graph& host,
-                                      std::span<const int> edges,
-                                      const std::vector<int64_t>& host_ids) {
+  // Each edge is identified by the ordered pair of its endpoint IDs, unique
+  // in a simple graph. Ranking the pairs gives distinct IDs without risking
+  // 64-bit overflow from a pairing function; the flat key
+  // (min_id << 64) | max_id ranks them lexicographically (IDs are
+  // non-negative int64s, so the packing is order-preserving). Dense IDs
+  // matter: when the line graph is too dense for Linial to make progress
+  // (q^2 > m), the fallback sweep over the ID space then costs exactly m+1
+  // rounds rather than an artifact of sparse IDs.
   const int m = static_cast<int>(edges.size());
-  // (min_id << 64) | max_id ranks pairs lexicographically, exactly like the
-  // pair comparator above (IDs are non-negative int64s, so the packing is
-  // order-preserving).
   struct Keyed {
     unsigned __int128 key;
     int i;
@@ -100,13 +55,6 @@ std::vector<int64_t> LineGraphIdsFast(const Graph& host,
   std::vector<int64_t> ids(m);
   for (int rank = 0; rank < m; ++rank) ids[keyed[rank].i] = rank + 1;
   return ids;
-}
-
-std::vector<int64_t> LineGraphIdsFast(const Graph& host,
-                                      const std::vector<int64_t>& host_ids) {
-  std::vector<int> all(host.NumEdges());
-  for (int e = 0; e < host.NumEdges(); ++e) all[e] = e;
-  return LineGraphIdsFast(host, all, host_ids);
 }
 
 }  // namespace treelocal

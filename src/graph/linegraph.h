@@ -15,42 +15,21 @@ struct LineGraph {
   Graph graph;  // node i of `graph` corresponds to edge i of the host
 };
 
+// In a simple graph two distinct edges share at most one endpoint, so
+// enumerating the incident pairs at each node emits every line-graph edge
+// exactly once; no dedup pass is needed.
 LineGraph BuildLineGraph(const Graph& host);
 
-// Same line graph without the global sort+unique pass: in a simple graph
-// two distinct edges share at most one endpoint, so enumerating incident
-// pairs at each node emits every line-graph edge exactly once and no dedup
-// is needed. The resulting Graph has identical adjacency (Graph::FromEdges
-// re-sorts each adjacency list), only the internal line-EDGE numbering
-// differs — invisible to every vertex algorithm run on it. The
-// engine-native base layer's inline line-graph builder is this
-// construction applied to a masked edge subset (the equivalence is pinned
-// by the parity tests); BuildLineGraph's O(E_L log E_L) sort dominates the
-// whole phase on large inputs.
-LineGraph BuildLineGraphFast(const Graph& host);
-
-// Deterministic distinct IDs for L(G) nodes derived from the host edge's
-// endpoint IDs (so symmetry breaking on L(G) is legitimate LOCAL input).
+// Deterministic distinct IDs for line-graph nodes derived from the host
+// edges' endpoint IDs (so symmetry breaking on L(G) is legitimate LOCAL
+// input): entry i is the lexicographic rank, dense in {1..edges.size()}, of
+// host edge edges[i]'s (min, max) endpoint-ID pair among the subset. The
+// base layer calls it on the semi-graph's edges without materializing the
+// compacted underlying graph (the subset's pair order is the compacted
+// graph's pair order). tests/oracle/ holds the pair-comparator reference.
 std::vector<int64_t> LineGraphIds(const Graph& host,
+                                  std::span<const int> edges,
                                   const std::vector<int64_t>& host_ids);
-
-// Same IDs, computed by sorting flat 128-bit endpoint-ID keys instead of
-// running a pair comparator through two indirections per comparison —
-// ~4x faster at the million-edge sizes the engine-native base layer runs
-// at (its inline masked-subset variant is this algorithm). Output is
-// bit-identical to LineGraphIds (asserted by tests); the legacy oracle
-// keeps the original implementation.
-std::vector<int64_t> LineGraphIdsFast(const Graph& host,
-                                      const std::vector<int64_t>& host_ids);
-
-// Same ranking restricted to an edge SUBSET: entry i is the ID of host edge
-// edges[i], dense in {1..edges.size()}. This is the form the engine-native
-// base layer calls on the semi-graph's edges without materializing the
-// compacted underlying graph (whose LineGraphIds it reproduces exactly:
-// the subset's pair order is the compacted graph's pair order).
-std::vector<int64_t> LineGraphIdsFast(const Graph& host,
-                                      std::span<const int> edges,
-                                      const std::vector<int64_t>& host_ids);
 
 }  // namespace treelocal
 

@@ -11,6 +11,7 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/graph/subgraph.h"
+#include "src/local/network.h"
 #include "src/support/rng.h"
 
 namespace treelocal {
@@ -129,8 +130,8 @@ TEST_P(DecompositionTest, AtypicalEdgesGoToHigherLargeNeighbors) {
 
 TEST_P(DecompositionTest, ForestSplitProducesForests) {
   const Case& c = GetParam();
-  auto split =
-      SplitAtypicalForests(graph_, ids_, 1LL << 40, result_, c.a);
+  local::Network net(graph_, ids_);
+  auto split = SplitAtypicalForests(net, result_, c.a, 1LL << 40);
   EXPECT_EQ(split.num_forests, 2 * c.a);
   for (int f = 0; f < split.num_forests; ++f) {
     std::vector<char> mask(graph_.NumEdges(), 0);
@@ -149,8 +150,8 @@ TEST_P(DecompositionTest, ForestSplitProducesForests) {
 
 TEST_P(DecompositionTest, EveryAtypicalEdgeAssignedToExactlyOneStar) {
   const Case& c = GetParam();
-  auto split =
-      SplitAtypicalForests(graph_, ids_, 1LL << 40, result_, c.a);
+  local::Network net(graph_, ids_);
+  auto split = SplitAtypicalForests(net, result_, c.a, 1LL << 40);
   std::vector<int> seen(graph_.NumEdges(), 0);
   for (const auto& forest : split.stars) {
     for (const auto& star_class : forest) {
@@ -164,8 +165,8 @@ TEST_P(DecompositionTest, EveryAtypicalEdgeAssignedToExactlyOneStar) {
 
 TEST_P(DecompositionTest, StarClassComponentsAreStars) {
   const Case& c = GetParam();
-  auto split =
-      SplitAtypicalForests(graph_, ids_, 1LL << 40, result_, c.a);
+  local::Network net(graph_, ids_);
+  auto split = SplitAtypicalForests(net, result_, c.a, 1LL << 40);
   for (int f = 0; f < split.num_forests; ++f) {
     for (int j = 0; j < 3; ++j) {
       const auto& edges = split.stars[f][j];

@@ -1,16 +1,15 @@
-// Cross-validation of the accounted sweep (SweepNodeClasses) against a
-// literal message-passing execution of the same algorithm on the engine:
+// Cross-validation of the accounted sweep (oracle::SweepNodeClasses) against
+// a literal message-passing execution of the same algorithm on the engine:
 // identical labelings, and engine rounds == the charged schedule length.
 #include <gtest/gtest.h>
 
-#include "src/algos/distributed_sweep.h"
 #include "src/algos/linial.h"
-#include "src/algos/sweep.h"
 #include "src/graph/generators.h"
 #include "src/problems/coloring.h"
 #include "src/problems/list_coloring.h"
 #include "src/problems/mis.h"
 #include "src/support/rng.h"
+#include "tests/oracle/host_oracle.h"
 
 namespace treelocal {
 namespace {
@@ -37,11 +36,11 @@ TEST(DistributedSweepTest, MisMatchesAccountedSweep) {
     HalfEdgeLabeling accounted(s.g);
     std::vector<int> nodes(s.g.NumNodes());
     for (int v = 0; v < s.g.NumNodes(); ++v) nodes[v] = v;
-    int64_t charged = SweepNodeClasses(mis, s.g, nodes, s.linial.colors,
-                                       s.linial.num_colors, accounted);
+    int64_t charged = oracle::SweepNodeClasses(
+        mis, s.g, nodes, s.linial.colors, s.linial.num_colors, accounted);
 
-    auto literal = RunDistributedNodeSweep(mis, s.g, s.ids, s.linial.colors,
-                                           s.linial.num_colors);
+    auto literal = oracle::RunDistributedNodeSweep(
+        mis, s.g, s.ids, s.linial.colors, s.linial.num_colors);
     EXPECT_EQ(literal.rounds, charged) << "seed " << seed;
     for (int e = 0; e < s.g.NumEdges(); ++e) {
       ASSERT_EQ(literal.labeling.GetSlot(e, 0), accounted.GetSlot(e, 0));
@@ -58,11 +57,11 @@ TEST(DistributedSweepTest, ColoringMatchesAccountedSweep) {
   HalfEdgeLabeling accounted(s.g);
   std::vector<int> nodes(s.g.NumNodes());
   for (int v = 0; v < s.g.NumNodes(); ++v) nodes[v] = v;
-  SweepNodeClasses(col, s.g, nodes, s.linial.colors, s.linial.num_colors,
-                   accounted);
+  oracle::SweepNodeClasses(col, s.g, nodes, s.linial.colors,
+                           s.linial.num_colors, accounted);
 
-  auto literal = RunDistributedNodeSweep(col, s.g, s.ids, s.linial.colors,
-                                         s.linial.num_colors);
+  auto literal = oracle::RunDistributedNodeSweep(
+      col, s.g, s.ids, s.linial.colors, s.linial.num_colors);
   for (int e = 0; e < s.g.NumEdges(); ++e) {
     ASSERT_EQ(literal.labeling.GetSlot(e, 0), accounted.GetSlot(e, 0));
     ASSERT_EQ(literal.labeling.GetSlot(e, 1), accounted.GetSlot(e, 1));
@@ -78,12 +77,11 @@ TEST(DistributedSweepTest, ListColoringMatchesAccountedSweep) {
   HalfEdgeLabeling accounted(s.g);
   std::vector<int> nodes(s.g.NumNodes());
   for (int v = 0; v < s.g.NumNodes(); ++v) nodes[v] = v;
-  SweepNodeClasses(problem, s.g, nodes, s.linial.colors,
-                   s.linial.num_colors, accounted);
+  oracle::SweepNodeClasses(problem, s.g, nodes, s.linial.colors,
+                           s.linial.num_colors, accounted);
 
-  auto literal = RunDistributedNodeSweep(problem, s.g, s.ids,
-                                         s.linial.colors,
-                                         s.linial.num_colors);
+  auto literal = oracle::RunDistributedNodeSweep(
+      problem, s.g, s.ids, s.linial.colors, s.linial.num_colors);
   for (int e = 0; e < s.g.NumEdges(); ++e) {
     ASSERT_EQ(literal.labeling.GetSlot(e, 0), accounted.GetSlot(e, 0));
   }
@@ -97,7 +95,7 @@ TEST(DistributedSweepTest, RoundsEqualScheduleLength) {
   auto ids = DefaultIds(4, 11);
   std::vector<int64_t> colors = {0, 5, 0, 5};  // classes 1-4 empty
   MisProblem mis;
-  auto literal = RunDistributedNodeSweep(mis, g, ids, colors, 10);
+  auto literal = oracle::RunDistributedNodeSweep(mis, g, ids, colors, 10);
   EXPECT_EQ(literal.rounds, 10);
   EXPECT_TRUE(mis.ValidateGraph(g, literal.labeling));
 }
@@ -106,8 +104,8 @@ TEST(DistributedSweepTest, MessageCountBounded) {
   // Each node sends exactly deg(v) messages (once, in its class round).
   Fixture s = Make(150, 13);
   MisProblem mis;
-  auto literal = RunDistributedNodeSweep(mis, s.g, s.ids, s.linial.colors,
-                                         s.linial.num_colors);
+  auto literal = oracle::RunDistributedNodeSweep(
+      mis, s.g, s.ids, s.linial.colors, s.linial.num_colors);
   EXPECT_EQ(literal.messages, 2 * s.g.NumEdges());
 }
 

@@ -1,19 +1,20 @@
-// Engine-vs-legacy parity for the whole Theorem 3/15 edge pipeline and its
+// Engine-vs-oracle parity for the whole Theorem 3/15 edge pipeline and its
 // base layer: the engine-native path (phases 1-3 on one host engine, fused
 // multi-forest Cole-Vishkin, engine class sweeps) must produce BIT-IDENTICAL
-// outputs to the preserved host-side oracle across problems, arboricities,
-// k values, graph families, engine reuse, and ParallelNetwork thread counts
-// (the T-sweep also runs under the TSan CI job).
+// outputs to the host-side reference in tests/oracle/ across problems,
+// arboricities, k values, graph families, engine reuse, and ParallelNetwork
+// thread counts (the T-sweep also runs under the TSan CI job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "src/core/baseline.h"
-#include "src/graph/linegraph.h"
 #include "src/core/forest_split.h"
 #include "src/core/transform_edge.h"
 #include "src/graph/generators.h"
+#include "src/graph/linegraph.h"
 #include "src/graph/semigraph.h"
 #include "src/local/network.h"
 #include "src/local/parallel_network.h"
@@ -23,6 +24,7 @@
 #include "src/problems/matching.h"
 #include "src/problems/mis.h"
 #include "src/support/rng.h"
+#include "tests/oracle/host_oracle.h"
 
 namespace treelocal {
 namespace {
@@ -124,8 +126,8 @@ TEST(EdgePipelineParity, MatchingEngineMatchesLegacy) {
     int64_t space = IdSpace(c.graph.NumNodes());
     auto engine =
         SolveEdgeProblemBoundedArboricity(mm, c.graph, ids, space, c.a, c.k);
-    auto legacy = SolveEdgeProblemBoundedArboricityLegacy(mm, c.graph, ids,
-                                                          space, c.a, c.k);
+    auto legacy = oracle::SolveEdgeProblemBoundedArboricity(mm, c.graph, ids,
+                                                            space, c.a, c.k);
     ExpectSameThm15(c.graph, engine, legacy, "matching/" + c.name);
   }
 }
@@ -139,8 +141,8 @@ TEST(EdgePipelineParity, EdgeColoringEngineMatchesLegacy) {
       EdgeColoringProblem ec(mode, c.graph.MaxDegree());
       auto engine =
           SolveEdgeProblemBoundedArboricity(ec, c.graph, ids, space, c.a, c.k);
-      auto legacy = SolveEdgeProblemBoundedArboricityLegacy(ec, c.graph, ids,
-                                                            space, c.a, c.k);
+      auto legacy = oracle::SolveEdgeProblemBoundedArboricity(
+          ec, c.graph, ids, space, c.a, c.k);
       ExpectSameThm15(c.graph, engine, legacy, "edgecolor/" + c.name);
     }
   }
@@ -169,7 +171,7 @@ TEST(EdgePipelineParity, MultiComponentForest) {
   auto engine =
       SolveEdgeProblemBoundedArboricity(mm, g, ids, IdSpace(n), 1, 5);
   auto legacy =
-      SolveEdgeProblemBoundedArboricityLegacy(mm, g, ids, IdSpace(n), 1, 5);
+      oracle::SolveEdgeProblemBoundedArboricity(mm, g, ids, IdSpace(n), 1, 5);
   ExpectSameThm15(g, engine, legacy, "multicomponent");
 }
 
@@ -206,7 +208,7 @@ TEST(EdgePipelineParity, EngineReuseAcrossSolves) {
 
 // ---------------------------------------------------------------------------
 // ParallelNetwork T-sweep: the sharded pipeline is bit-identical to the
-// serial engine (and hence to the legacy oracle) for every thread count.
+// serial engine (and hence to the oracle) for every thread count.
 // Runs under TSan in CI.
 // ---------------------------------------------------------------------------
 
@@ -250,7 +252,7 @@ TEST(EdgePipelineParity, ParallelTSweepBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Base layer on semi-graphs: engine-native vs legacy for node problems
+// Base layer on semi-graphs: engine-native vs oracle for node problems
 // (MIS, coloring, list coloring) and edge problems (matching, coloring)
 // on random semi-graphs of both constructions.
 // ---------------------------------------------------------------------------
@@ -282,8 +284,8 @@ TEST(BaseLayerParity, NodeBaseOnNodeInducedSemigraphs) {
       HalfEdgeLabeling h_engine(g), h_legacy(g);
       auto s_engine =
           RunNodeBase(*p, tc, ids, IdSpace(g.NumNodes()), h_engine);
-      auto s_legacy =
-          RunNodeBaseLegacy(*p, tc, ids, IdSpace(g.NumNodes()), h_legacy);
+      auto s_legacy = oracle::RunNodeBase(*p, tc, ids, IdSpace(g.NumNodes()),
+                                          h_legacy);
       ExpectSameLabeling(g, h_engine, h_legacy, p->Name());
       ExpectSameBaseStats(s_engine, s_legacy, p->Name());
     }
@@ -307,8 +309,8 @@ TEST(BaseLayerParity, EdgeBaseOnEdgeInducedSemigraphs) {
       HalfEdgeLabeling h_engine(g), h_legacy(g);
       auto s_engine =
           RunEdgeBase(*p, ge, ids, IdSpace(g.NumNodes()), h_engine);
-      auto s_legacy =
-          RunEdgeBaseLegacy(*p, ge, ids, IdSpace(g.NumNodes()), h_legacy);
+      auto s_legacy = oracle::RunEdgeBase(*p, ge, ids, IdSpace(g.NumNodes()),
+                                          h_legacy);
       ExpectSameLabeling(g, h_engine, h_legacy, p->Name());
       ExpectSameBaseStats(s_engine, s_legacy, p->Name());
     }
@@ -316,32 +318,38 @@ TEST(BaseLayerParity, EdgeBaseOnEdgeInducedSemigraphs) {
 }
 
 // Baselines (whole graph, including the high-Delta star where the line
-// graph degenerates and the Linial fallback sweeps the raw ID space).
+// graph degenerates and the Linial fallback sweeps the raw ID space),
+// against the oracle base on SemiGraph::Whole.
 TEST(BaseLayerParity, BaselinesMatchLegacy) {
   for (TreeFamily family : AllTreeFamilies()) {
     Graph g = MakeTree(family, 200, 7);
     auto ids = DefaultIds(g.NumNodes(), 8);
     int64_t space = IdSpace(g.NumNodes());
+    SemiGraph whole = SemiGraph::Whole(g);
 
     MisProblem mis;
     auto node_engine = RunNodeBaseline(mis, g, ids, space);
-    auto node_legacy = RunNodeBaselineLegacy(mis, g, ids, space);
+    HalfEdgeLabeling node_legacy(g);
+    auto node_legacy_stats =
+        oracle::RunNodeBase(mis, whole, ids, space, node_legacy);
     EXPECT_TRUE(node_engine.valid) << node_engine.why;
-    ExpectSameLabeling(g, node_engine.labeling, node_legacy.labeling,
+    ExpectSameLabeling(g, node_engine.labeling, node_legacy,
                        TreeFamilyName(family) + "/mis");
-    ExpectSameBaseStats(node_engine.stats, node_legacy.stats,
+    ExpectSameBaseStats(node_engine.stats, node_legacy_stats,
                         TreeFamilyName(family) + "/mis");
-    EXPECT_EQ(node_engine.rounds_total, node_legacy.rounds_total);
+    EXPECT_EQ(node_engine.rounds_total, node_legacy_stats.rounds);
 
     MatchingProblem mm;
     auto edge_engine = RunEdgeBaseline(mm, g, ids, space);
-    auto edge_legacy = RunEdgeBaselineLegacy(mm, g, ids, space);
+    HalfEdgeLabeling edge_legacy(g);
+    auto edge_legacy_stats =
+        oracle::RunEdgeBase(mm, whole, ids, space, edge_legacy);
     EXPECT_TRUE(edge_engine.valid) << edge_engine.why;
-    ExpectSameLabeling(g, edge_engine.labeling, edge_legacy.labeling,
+    ExpectSameLabeling(g, edge_engine.labeling, edge_legacy,
                        TreeFamilyName(family) + "/matching");
-    ExpectSameBaseStats(edge_engine.stats, edge_legacy.stats,
+    ExpectSameBaseStats(edge_engine.stats, edge_legacy_stats,
                         TreeFamilyName(family) + "/matching");
-    EXPECT_EQ(edge_engine.rounds_total, edge_legacy.rounds_total);
+    EXPECT_EQ(edge_engine.rounds_total, edge_legacy_stats.rounds);
   }
 }
 
@@ -367,32 +375,22 @@ TEST(BaseLayerParity, SweepChargesFullScheduleButExecutesNonemptyClasses) {
 }
 
 // ---------------------------------------------------------------------------
-// The fast line-graph constructions the engine path's inline code mirrors:
-// identical adjacency (BuildLineGraphFast skips the dedup sort, valid in
-// simple graphs) and identical IDs (LineGraphIdsFast ranks flat 128-bit
-// keys instead of running the pair comparator). These equivalences are why
-// the engine path's Linial colors are bit-identical to the legacy oracle's.
+// Line-graph IDs: the library ranks flat 128-bit endpoint-ID keys, the
+// oracle runs a pair comparator; equal IDs are one reason the engine path's
+// Linial colors are bit-identical to the oracle's.
 // ---------------------------------------------------------------------------
 
-TEST(LineGraphFastParity, SameAdjacencyAndIds) {
+TEST(LineGraphIdsParity, FlatKeysMatchPairComparator) {
   std::vector<Graph> graphs;
   graphs.push_back(ForestUnion(300, 2, 150));
   graphs.push_back(TriangulatedGrid(10, 10));
   graphs.push_back(Star(40));
   graphs.push_back(Path(25));
   for (const Graph& g : graphs) {
-    LineGraph a = BuildLineGraph(g);
-    LineGraph b = BuildLineGraphFast(g);
-    ASSERT_EQ(a.graph.NumNodes(), b.graph.NumNodes());
-    ASSERT_EQ(a.graph.NumEdges(), b.graph.NumEdges());
-    for (int v = 0; v < a.graph.NumNodes(); ++v) {
-      auto na = a.graph.Neighbors(v);
-      auto nb = b.graph.Neighbors(v);
-      ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
-          << "line node " << v;
-    }
+    std::vector<int> all(g.NumEdges());
+    std::iota(all.begin(), all.end(), 0);
     auto ids = DefaultIds(g.NumNodes(), 151);
-    EXPECT_EQ(LineGraphIds(g, ids), LineGraphIdsFast(g, ids));
+    EXPECT_EQ(LineGraphIds(g, all, ids), oracle::LineGraphIds(g, ids));
   }
 }
 
@@ -417,7 +415,8 @@ TEST(ForestSplitParity, EngineMatchesLegacyAcrossWorkloads) {
     auto ids = DefaultIds(w.graph.NumNodes(), 140);
     int64_t space = IdSpace(w.graph.NumNodes());
     auto decomp = RunDecomposition(w.graph, ids, w.a, 2 * w.a, w.k);
-    auto legacy = SplitAtypicalForests(w.graph, ids, space, decomp, w.a);
+    auto legacy =
+        oracle::SplitAtypicalForests(w.graph, ids, space, decomp, w.a);
     local::Network net(w.graph, ids);
     auto engine = SplitAtypicalForests(net, decomp, w.a, space);
     ExpectSameSplit(engine, legacy, w.name);

@@ -9,12 +9,12 @@
 #include <vector>
 
 #include "src/algos/cole_vishkin.h"
-#include "src/algos/distributed_sweep.h"
 #include "src/algos/linial.h"
 #include "src/graph/generators.h"
 #include "src/problems/coloring.h"
 #include "src/problems/mis.h"
 #include "src/support/rng.h"
+#include "tests/oracle/host_oracle.h"
 
 namespace treelocal {
 namespace {
@@ -82,10 +82,11 @@ TEST(EngineParityTest, DistributedSweepBitIdentical) {
     auto ids = DefaultIds(n, 2500 + trial);
     LinialResult linial = RunLinial(g, ids, int64_t{n} * n * n);
     for (const NodeProblem* problem : problems) {
-      DistributedSweepResult fast = RunDistributedNodeSweep(
+      oracle::DistributedSweepResult fast = oracle::RunDistributedNodeSweep(
           *problem, g, ids, linial.colors, linial.num_colors);
-      DistributedSweepResult ref = RunDistributedNodeSweepReference(
-          *problem, g, ids, linial.colors, linial.num_colors);
+      oracle::DistributedSweepResult ref =
+          oracle::RunDistributedNodeSweepReference(
+              *problem, g, ids, linial.colors, linial.num_colors);
       EXPECT_EQ(fast.rounds, ref.rounds);
       EXPECT_EQ(fast.messages, ref.messages);
       EXPECT_EQ(fast.round_stats, ref.round_stats);

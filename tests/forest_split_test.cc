@@ -15,6 +15,7 @@
 #include "src/graph/subgraph.h"
 #include "src/local/network.h"
 #include "src/support/rng.h"
+#include "tests/oracle/host_oracle.h"
 
 namespace treelocal {
 namespace {
@@ -25,7 +26,8 @@ TEST(ForestSplitTest, StarAllEdgesInOneForest) {
   Graph g = Star(50);
   auto ids = DefaultIds(50, 1);
   auto decomp = RunDecomposition(g, ids, 1, 2, 5);
-  auto split = SplitAtypicalForests(g, ids, 50LL * 50 * 50, decomp, 1);
+  local::Network net(g, ids);
+  auto split = SplitAtypicalForests(net, decomp, 1, 50LL * 50 * 50);
   ASSERT_EQ(split.num_forests, 2);
   int64_t f0 = 0, f1 = 0;
   for (int e = 0; e < g.NumEdges(); ++e) {
@@ -42,7 +44,8 @@ TEST(ForestSplitTest, StarSplitsIntoOneStarClass) {
   Graph g = Star(50);
   auto ids = DefaultIds(50, 2);
   auto decomp = RunDecomposition(g, ids, 1, 2, 5);
-  auto split = SplitAtypicalForests(g, ids, 50LL * 50 * 50, decomp, 1);
+  local::Network net(g, ids);
+  auto split = SplitAtypicalForests(net, decomp, 1, 50LL * 50 * 50);
   int nonempty = 0;
   for (int j = 0; j < 3; ++j) {
     if (!split.stars[0][j].empty()) {
@@ -58,7 +61,8 @@ TEST(ForestSplitTest, EmptyAtypicalSetYieldsEmptySplit) {
   Graph g = Grid(10, 10);
   auto ids = DefaultIds(100, 3);
   auto decomp = RunDecomposition(g, ids, 2, 4, 10);
-  auto split = SplitAtypicalForests(g, ids, 1LL << 30, decomp, 2);
+  local::Network net(g, ids);
+  auto split = SplitAtypicalForests(net, decomp, 2, 1LL << 30);
   EXPECT_EQ(split.cv_rounds, 0);
   for (int e = 0; e < g.NumEdges(); ++e) {
     EXPECT_EQ(split.forest_of_edge[e], -1);
@@ -73,7 +77,8 @@ TEST(ForestSplitTest, ParentsAreStrictlyHigher) {
   Graph g = StarUnion(512, 3, 4);
   auto ids = DefaultIds(g.NumNodes(), 5);
   auto decomp = RunDecomposition(g, ids, 3, 6, 15);
-  auto split = SplitAtypicalForests(g, ids, 1LL << 30, decomp, 3);
+  local::Network net(g, ids);
+  auto split = SplitAtypicalForests(net, decomp, 3, 1LL << 30);
   for (int e = 0; e < g.NumEdges(); ++e) {
     if (split.forest_of_edge[e] < 0) continue;
     int lo = decomp.LowerEndpoint(g, e, ids);
@@ -87,7 +92,8 @@ TEST(ForestSplitTest, PerNodeOutDegreeWithinForestIsOne) {
   Graph g = HubbedForest(512, 3, 6);
   auto ids = DefaultIds(g.NumNodes(), 7);
   auto decomp = RunDecomposition(g, ids, 3, 6, 15);
-  auto split = SplitAtypicalForests(g, ids, 1LL << 30, decomp, 3);
+  local::Network net(g, ids);
+  auto split = SplitAtypicalForests(net, decomp, 3, 1LL << 30);
   for (int f = 0; f < split.num_forests; ++f) {
     std::vector<int> out(g.NumNodes(), 0);
     for (int e = 0; e < g.NumEdges(); ++e) {
@@ -106,7 +112,8 @@ TEST(ForestSplitTest, StarCentersAreHigherEndpoints) {
   Graph g = StarUnion(1024, 2, 8);
   auto ids = DefaultIds(g.NumNodes(), 9);
   auto decomp = RunDecomposition(g, ids, 2, 4, 10);
-  auto split = SplitAtypicalForests(g, ids, 1LL << 30, decomp, 2);
+  local::Network net(g, ids);
+  auto split = SplitAtypicalForests(net, decomp, 2, 1LL << 30);
   for (int f = 0; f < split.num_forests; ++f) {
     for (int j = 0; j < 3; ++j) {
       const auto& edges = split.stars[f][j];
@@ -149,7 +156,7 @@ TEST(ForestSplitTest, WideLaneSplitMatchesLegacyOracle) {
   for (int v = 0; v < n; ++v) ids[v] = v + 1;  // hubs get the higher ids
   const int64_t space = int64_t{n} * n * n;
   auto decomp = RunDecomposition(g, ids, a, 2 * a, 5 * a);
-  auto legacy = SplitAtypicalForests(g, ids, space, decomp, a);
+  auto legacy = oracle::SplitAtypicalForests(g, ids, space, decomp, a);
   local::Network net(g, ids);
   auto engine = SplitAtypicalForests(net, decomp, a, space);
   EXPECT_EQ(engine.forest_of_edge, legacy.forest_of_edge);
@@ -180,7 +187,8 @@ TEST(ForestSplitTest, CvRoundsAreLogStarScale) {
   Graph g = StarUnion(4096, 3, 10);
   auto ids = DefaultIds(g.NumNodes(), 11);
   auto decomp = RunDecomposition(g, ids, 3, 6, 15);
-  auto split = SplitAtypicalForests(g, ids, 1LL << 40, decomp, 3);
+  local::Network net(g, ids);
+  auto split = SplitAtypicalForests(net, decomp, 3, 1LL << 40);
   EXPECT_GT(split.cv_rounds, 0);
   EXPECT_LE(split.cv_rounds, 20);  // log*(2^40) + constant
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <stdexcept>
 
 #include "src/graph/generators.h"
@@ -246,7 +247,9 @@ TEST(LineGraphTest, DegreeMatchesEdgeDegree) {
 TEST(LineGraphTest, IdsDistinctAndPositive) {
   Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {1, 3}, {3, 4}, {4, 5}});
   auto host_ids = DefaultIds(6, 17);
-  auto ids = LineGraphIds(g, host_ids);
+  std::vector<int> all(g.NumEdges());
+  std::iota(all.begin(), all.end(), 0);
+  auto ids = LineGraphIds(g, all, host_ids);
   std::set<int64_t> s(ids.begin(), ids.end());
   EXPECT_EQ(s.size(), ids.size());
   for (int64_t id : ids) EXPECT_GE(id, 1);

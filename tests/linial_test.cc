@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "src/algos/linial.h"
 #include "src/graph/generators.h"
@@ -108,7 +109,9 @@ TEST(LinialTest, ProperOnLineGraph) {
   Graph g = UniformRandomTree(500, 10);
   auto host_ids = DefaultIds(500, 11);
   LineGraph lg = BuildLineGraph(g);
-  auto line_ids = LineGraphIds(g, host_ids);
+  std::vector<int> all(g.NumEdges());
+  std::iota(all.begin(), all.end(), 0);
+  auto line_ids = LineGraphIds(g, all, host_ids);
   int64_t space = 7LL * g.NumEdges() + 1;
   auto result = RunLinial(lg.graph, line_ids, space);
   ExpectProper(lg.graph, result.colors, result.num_colors);

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/algos/cole_vishkin.h"
-#include "src/algos/distributed_sweep.h"
 #include "src/algos/linial.h"
 #include "src/core/rake_compress.h"
 #include "src/core/transform_node.h"
@@ -25,6 +24,7 @@
 #include "src/local/network.h"
 #include "src/problems/mis.h"
 #include "src/support/rng.h"
+#include "tests/oracle/host_oracle.h"
 
 namespace treelocal {
 namespace {
@@ -336,9 +336,9 @@ TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
   EXPECT_EQ(cv_p.round_stats, cv.round_stats);
 
   MisProblem mis;
-  DistributedSweepResult sweep =
-      RunDistributedNodeSweep(mis, g, ids, lin.colors, lin.num_colors);
-  DistributedSweepResult sweep_p = RunDistributedNodeSweep(
+  oracle::DistributedSweepResult sweep = oracle::RunDistributedNodeSweep(
+      mis, g, ids, lin.colors, lin.num_colors);
+  oracle::DistributedSweepResult sweep_p = oracle::RunDistributedNodeSweep(
       mis, g, ids, lin.colors, lin.num_colors, 2);
   EXPECT_EQ(sweep_p.rounds, sweep.rounds);
   EXPECT_EQ(sweep_p.messages, sweep.messages);

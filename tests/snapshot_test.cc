@@ -93,9 +93,8 @@ SnapshotData FinalImage(const Graph& g, const std::vector<int64_t>& ids,
 // algorithm object, runs to completion, and requires the final canonical
 // image to equal `want` exactly (engine tag normalized).
 template <typename MakeEngine>
-void ExpectResumeBitIdentical(const Graph& g, int k, int pause,
-                              const SnapshotData& want, MakeEngine make,
-                              const std::string& label) {
+void ExpectResumeBitIdentical(int k, int pause, const SnapshotData& want,
+                              MakeEngine make, const std::string& label) {
   SCOPED_TRACE(label + " pause=" + std::to_string(pause));
   std::string bytes;
   {
@@ -134,16 +133,16 @@ TEST(SnapshotTest, ResumeBitIdentityMatrix) {
     relabel.relabel = true;
     for (int pause : {0, 1, 4, -1}) {
       ExpectResumeBitIdentical(
-          g, k, pause, want,
+          k, pause, want,
           [&] { return std::make_unique<Network>(g, ids, plain); },
           "Network");
       ExpectResumeBitIdentical(
-          g, k, pause, want,
+          k, pause, want,
           [&] { return std::make_unique<Network>(g, ids, relabel); },
           "Network+relabel");
       for (int threads : {1, 2, 8}) {
         ExpectResumeBitIdentical(
-            g, k, pause, want,
+            k, pause, want,
             [&] {
               return std::make_unique<ParallelNetwork>(g, ids, threads,
                                                        relabel);
@@ -151,7 +150,7 @@ TEST(SnapshotTest, ResumeBitIdentityMatrix) {
             "ParallelNetwork T=" + std::to_string(threads));
       }
       ExpectResumeBitIdentical(
-          g, k, pause, want,
+          k, pause, want,
           [&] { return std::make_unique<ReferenceNetwork>(g, ids, plain); },
           "ReferenceNetwork");
     }

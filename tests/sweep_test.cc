@@ -1,18 +1,18 @@
-// Unit tests for the color-class sweep framework: class counting, ordering
-// guarantees, and the independence precondition that makes a sweep a
-// faithful execution of per-class LOCAL rounds.
+// Unit tests for the host-side color-class sweeps (tests/oracle/): class
+// counting, ordering guarantees, and the independence precondition that
+// makes a sweep a faithful execution of per-class LOCAL rounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
 #include "src/algos/linial.h"
-#include "src/algos/sweep.h"
 #include "src/graph/generators.h"
 #include "src/problems/coloring.h"
 #include "src/problems/matching.h"
 #include "src/problems/mis.h"
 #include "src/support/rng.h"
+#include "tests/oracle/host_oracle.h"
 
 namespace treelocal {
 namespace {
@@ -23,7 +23,7 @@ TEST(SweepTest, SweepChargesScheduleLength) {
   HalfEdgeLabeling h(g);
   std::vector<int> nodes = {0, 1, 2, 3, 4, 5};
   std::vector<int64_t> colors = {0, 1, 0, 1, 0, 1};
-  int64_t classes = SweepNodeClasses(mis, g, nodes, colors, 2, h);
+  int64_t classes = oracle::SweepNodeClasses(mis, g, nodes, colors, 2, h);
   EXPECT_EQ(classes, 2);
   EXPECT_TRUE(mis.ValidateGraph(g, h));
 }
@@ -41,7 +41,7 @@ TEST(SweepTest, SingleClassOnIndependentSet) {
   }
   nodes.push_back(0);
   colors.push_back(1);
-  int64_t classes = SweepNodeClasses(col, g, nodes, colors, 2, h);
+  int64_t classes = oracle::SweepNodeClasses(col, g, nodes, colors, 2, h);
   EXPECT_EQ(classes, 2);
   EXPECT_TRUE(col.ValidateGraph(g, h));
 }
@@ -52,7 +52,7 @@ TEST(SweepTest, LowerClassesDecideFirstChargedFullSchedule) {
   Graph g = Path(2);
   ColoringProblem col(ColoringProblem::Mode::kDegPlusOne, 0);
   HalfEdgeLabeling h(g);
-  int64_t classes = SweepNodeClasses(col, g, {0, 1}, {5, 2}, 6, h);
+  int64_t classes = oracle::SweepNodeClasses(col, g, {0, 1}, {5, 2}, 6, h);
   EXPECT_EQ(classes, 6);  // schedule length, not #nonempty classes
   EXPECT_EQ(h.Get(0, 1), 1);
   EXPECT_EQ(h.Get(0, 0), 2);
@@ -81,7 +81,7 @@ TEST(SweepTest, EdgeSweepMatchesLineGraphColoring) {
   std::vector<int> edges(g.NumEdges());
   for (int e = 0; e < g.NumEdges(); ++e) edges[e] = e;
   int64_t max_color = *std::max_element(colors.begin(), colors.end());
-  SweepEdgeClasses(mm, g, edges, colors, max_color + 1, h);
+  oracle::SweepEdgeClasses(mm, g, edges, colors, max_color + 1, h);
   std::string why;
   EXPECT_TRUE(mm.ValidateGraph(g, h, &why)) << why;
 }
@@ -97,7 +97,8 @@ TEST(SweepTest, SweepAfterLinialEqualsSequentialQuality) {
   HalfEdgeLabeling h_sweep(g);
   std::vector<int> nodes(g.NumNodes());
   for (int v = 0; v < g.NumNodes(); ++v) nodes[v] = v;
-  SweepNodeClasses(mis, g, nodes, linial.colors, linial.num_colors, h_sweep);
+  oracle::SweepNodeClasses(mis, g, nodes, linial.colors, linial.num_colors,
+                           h_sweep);
   EXPECT_TRUE(mis.ValidateGraph(g, h_sweep));
 
   HalfEdgeLabeling h_seq(g);
@@ -119,8 +120,8 @@ TEST(SweepTest, IntraClassOrderIrrelevant) {
   for (int v = 0; v < g.NumNodes(); ++v) nodes[v] = v;
 
   HalfEdgeLabeling reference(g);
-  SweepNodeClasses(mis, g, nodes, linial.colors, linial.num_colors,
-                   reference);
+  oracle::SweepNodeClasses(mis, g, nodes, linial.colors, linial.num_colors,
+                           reference);
 
   Rng rng(9);
   for (int trial = 0; trial < 5; ++trial) {
@@ -133,8 +134,8 @@ TEST(SweepTest, IntraClassOrderIrrelevant) {
       shuffled_colors[i] = linial.colors[shuffled[i]];
     }
     HalfEdgeLabeling h(g);
-    SweepNodeClasses(mis, g, shuffled, shuffled_colors, linial.num_colors,
-                     h);
+    oracle::SweepNodeClasses(mis, g, shuffled, shuffled_colors,
+                             linial.num_colors, h);
     for (int e = 0; e < g.NumEdges(); ++e) {
       ASSERT_EQ(h.GetSlot(e, 0), reference.GetSlot(e, 0)) << "trial " << trial;
       ASSERT_EQ(h.GetSlot(e, 1), reference.GetSlot(e, 1)) << "trial " << trial;
@@ -166,7 +167,7 @@ TEST(SweepTest, IntraClassOrderIrrelevantForEdges) {
   std::vector<int> edges(g.NumEdges());
   for (int e = 0; e < g.NumEdges(); ++e) edges[e] = e;
   HalfEdgeLabeling reference(g);
-  SweepEdgeClasses(mm, g, edges, colors, num_colors, reference);
+  oracle::SweepEdgeClasses(mm, g, edges, colors, num_colors, reference);
 
   Rng rng(12);
   for (int trial = 0; trial < 5; ++trial) {
@@ -177,7 +178,7 @@ TEST(SweepTest, IntraClassOrderIrrelevantForEdges) {
       shuffled_colors[i] = colors[shuffled[i]];
     }
     HalfEdgeLabeling h(g);
-    SweepEdgeClasses(mm, g, shuffled, shuffled_colors, num_colors, h);
+    oracle::SweepEdgeClasses(mm, g, shuffled, shuffled_colors, num_colors, h);
     for (int e = 0; e < g.NumEdges(); ++e) {
       ASSERT_EQ(h.GetSlot(e, 0), reference.GetSlot(e, 0));
       ASSERT_EQ(h.GetSlot(e, 1), reference.GetSlot(e, 1));

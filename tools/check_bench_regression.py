@@ -67,9 +67,9 @@ SPEEDUP_FLOORS = {
     # Dedup runs strictly fewer decompositions; a collapse below 0.8 means
     # the fan-out copy started dominating the saved engine work.
     "k_sweep_dedup": 0.8,
-    # Engine-native Thm 3/15 pipeline vs the legacy oracle on whole-pipeline
-    # runs (loose: small-n records are noise-dominated; the hard 1.0 floor
-    # lives on the acceptance-sized phase-2/3 record below).
+    # Engine-native Thm 3/15 pipeline vs the host-side oracle (tests/oracle/)
+    # on whole-pipeline runs (loose: small-n records are noise-dominated; the
+    # 0.8 floor lives on the acceptance-sized phase-2/3 record below).
     "thm15_pipeline": 0.5,
     "thm3_pipeline": 0.5,
     "arboricity_pipeline": 0.5,
@@ -79,7 +79,7 @@ SPEEDUP_FLOORS = {
 
 # Acceptance-sized records (the bench sets "acceptance": true only for the
 # real 2^18+ measurement, never for CI smoke sizes): the engine-native
-# phases must not collapse against the preserved legacy path. The floor is
+# phases must not collapse against the host-side oracle. The floor is
 # 0.8, not 1.0: an identical binary re-run back to back on the shared
 # container measured speedups from 0.69x to 1.04x against itself, so a
 # parity-level floor on a single measurement is pure noise roulette. The
