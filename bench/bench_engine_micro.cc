@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <numeric>
 
 #include "bench/bench_util.h"
 #include "src/algos/cole_vishkin.h"
@@ -127,8 +128,10 @@ BENCHMARK(BM_Decomposition)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
 void BM_BuildLineGraph(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Graph g = BoundedDegreeRandomTree(n, 6, 10);
+  std::vector<int> all(g.NumEdges());
+  std::iota(all.begin(), all.end(), 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildLineGraph(g));
+    benchmark::DoNotOptimize(BuildLineGraph(g, all));
   }
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }

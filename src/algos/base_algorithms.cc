@@ -283,15 +283,12 @@ BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
 
   // The underlying graph never gets materialized on this path: line-graph
   // nodes are the semi edges in ascending host-edge order (the same
-  // numbering InduceByEdges would produce), semi-degrees come from one pass
-  // over the edges, and the line graph's edges are enumerated directly at
-  // each host node.
-  std::vector<int> sub_of_edge(m, -1);
+  // numbering InduceByEdges would produce), and semi-degrees come from one
+  // pass over the edges.
   std::vector<int> edge_to_host;
   std::vector<int> semi_degree(n, 0);
   for (int e = 0; e < m; ++e) {
     if (!semi.ContainsEdge(e)) continue;
-    sub_of_edge[e] = static_cast<int>(edge_to_host.size());
     edge_to_host.push_back(e);
     ++semi_degree[host.EdgeU(e)];
     ++semi_degree[host.EdgeV(e)];
@@ -304,36 +301,11 @@ BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
   if (m_sub == 0) return stats;
 
   // Symmetry breaking on the line graph of the underlying graph — the one
-  // topology that cannot ride on the host engine's channels. Direct
-  // enumeration (incident semi-edge pairs at each host node) yields the
-  // same adjacency as BuildLineGraph on the compacted underlying graph,
-  // hence bit-identical colors — Linial is neighbor-order-independent —
-  // without the Subgraph compaction. In a simple graph two edges share at
-  // most one endpoint, so no pair is emitted twice.
-  LineGraph lg;
-  {
-    std::vector<std::pair<int, int>> ledges;
-    size_t total = 0;
-    for (int v = 0; v < n; ++v) {
-      const size_t d = semi_degree[v];
-      total += d * (d - 1) / 2;
-    }
-    ledges.reserve(total);
-    std::vector<int> at_node;
-    for (int v = 0; v < n; ++v) {
-      if (semi_degree[v] < 2) continue;
-      at_node.clear();
-      for (int e : host.IncidentEdges(v)) {
-        if (sub_of_edge[e] >= 0) at_node.push_back(sub_of_edge[e]);
-      }
-      for (size_t i = 0; i < at_node.size(); ++i) {
-        for (size_t j = i + 1; j < at_node.size(); ++j) {
-          ledges.emplace_back(at_node[i], at_node[j]);
-        }
-      }
-    }
-    lg.graph = Graph::FromEdges(m_sub, std::move(ledges));
-  }
+  // topology that cannot ride on the host engine's channels. Built straight
+  // from the semi edges, it has the same adjacency as the line graph of the
+  // compacted underlying graph, hence bit-identical colors — Linial is
+  // neighbor-order-independent — without the Subgraph compaction.
+  const LineGraph lg = BuildLineGraph(host, edge_to_host);
   // Line-graph IDs: lexicographic rank of the endpoint-ID pair over the
   // semi edges.
   std::vector<int64_t> line_ids = LineGraphIds(host, edge_to_host, net.ids());

@@ -32,14 +32,17 @@ struct ForestSplitResult {
   std::vector<double> round_seconds;
 };
 
-// Engine-native: ONE pass of a fused multi-forest Cole-Vishkin over the
-// caller-owned host engine. Every node keeps a 2a-wide slot array of
-// per-forest colors in the engine's state plane and exchanges, per round,
-// one color per atypical port (each atypical edge belongs to exactly one
-// forest, so the port IS the forest's channel). All 2a forests advance in
-// lockstep through the shared CV schedule — no per-forest Subgraph, Graph,
-// or Network is ever built, and nodes without atypical edges leave the
-// worklist in round 0. Outputs (forest_of_edge, star_class_of_edge, stars,
+// Engine-native: ONE pass of a fused multi-forest Cole-Vishkin on one
+// Network over the compacted atypical-edge graph, which holds only the
+// endpoints of atypical edges (nodes without an atypical edge are never
+// in it). The caller-owned host engine supplies the graph, the ids, the
+// thread count and the round-timer setting; it runs no rounds here. Every
+// node keeps a 2a-wide slot array of per-forest colors in the engine's
+// state plane and exchanges, per round, one color per port (each atypical
+// edge belongs to exactly one forest, so the port IS the forest's
+// channel). All 2a forests advance in lockstep through the shared CV
+// schedule — no per-forest Subgraph, Graph, or Network is ever built.
+// Outputs (forest_of_edge, star_class_of_edge, stars,
 // cv_rounds) are bit-identical for every thread count, and to the
 // per-forest host-side reference in tests/oracle/ (enforced by the parity
 // tests): each forest's color evolution depends only on that forest's

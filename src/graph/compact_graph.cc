@@ -18,7 +18,7 @@ namespace treelocal {
 
 namespace {
 
-constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 4 + 4 + 8 + 8 + 8;  // 64
+constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8;  // 56
 
 size_t Pad8(size_t x) { return (x + 7) & ~size_t{7}; }
 
@@ -66,10 +66,8 @@ CompactGraph& CompactGraph::operator=(CompactGraph&& other) noexcept {
   n_ = other.n_;
   m_ = other.m_;
   max_degree_ = other.max_degree_;
-  num_hubs_ = other.num_hubs_;
   stream_bytes_ = other.stream_bytes_;
   wide_blocks_ = other.wide_blocks_;
-  total_anchors_ = other.total_anchors_;
   // Section pointers alias the image; re-derive for the owned case (the
   // string's buffer may move with it), copy for the mapped case.
   if (!owned_.empty()) {
@@ -85,16 +83,10 @@ CompactGraph& CompactGraph::operator=(CompactGraph&& other) noexcept {
     block_base_ = other.block_base_;
     wide_off_ = other.wide_off_;
     len8_ = other.len8_;
-    eupper_base_ = other.eupper_base_;
-    hubs_ = other.hubs_;
-    anchors_ = other.anchors_;
     stream_ = other.stream_;
     move_ptr(block_base_);
     move_ptr(wide_off_);
     move_ptr(len8_);
-    move_ptr(eupper_base_);
-    move_ptr(hubs_);
-    move_ptr(anchors_);
     move_ptr(stream_);
   } else {
     data_ = other.data_;
@@ -102,9 +94,6 @@ CompactGraph& CompactGraph::operator=(CompactGraph&& other) noexcept {
     block_base_ = other.block_base_;
     wide_off_ = other.wide_off_;
     len8_ = other.len8_;
-    eupper_base_ = other.eupper_base_;
-    hubs_ = other.hubs_;
-    anchors_ = other.anchors_;
     stream_ = other.stream_;
   }
   other.data_ = nullptr;
@@ -137,7 +126,8 @@ void CompactGraph::Parse(bool full_validation) {
   if (version != kVersion) {
     throw CompactGraphError(".cgr version " + std::to_string(version) +
                             " unsupported (this build reads version " +
-                            std::to_string(kVersion) + " only)");
+                            std::to_string(kVersion) +
+                            " only; regenerate the file with graph_convert)");
   }
   const uint32_t flags = read_u32();
   Require(flags == 0, "unknown flag bits set");
@@ -148,14 +138,12 @@ void CompactGraph::Parse(bool full_validation) {
   Require(m64 >= 0, "negative edge count");
   n_ = static_cast<int>(n64);
   m_ = m64;
-  max_degree_ = static_cast<int32_t>(read_u32());
-  num_hubs_ = read_u32();
+  const int64_t max_degree64 = static_cast<int64_t>(read_u64());
   stream_bytes_ = read_u64();
   wide_blocks_ = read_u64();
-  total_anchors_ = read_u64();
-  Require(max_degree_ >= 0 && max_degree_ <= n_,
+  Require(max_degree64 >= 0 && max_degree64 <= n_,
           "max_degree outside [0, n]");
-  Require(num_hubs_ <= static_cast<uint32_t>(n_), "more hubs than nodes");
+  max_degree_ = static_cast<int>(max_degree64);
 
   const uint64_t nb = (static_cast<uint64_t>(n_) + 31) / 32;
   Require(wide_blocks_ <= nb, "more wide blocks than blocks");
@@ -176,18 +164,12 @@ void CompactGraph::Parse(bool full_validation) {
   wide_off_ =
       reinterpret_cast<const uint64_t*>(take(33 * wide_blocks_, 8, "wide_off"));
   len8_ = take(static_cast<uint64_t>(n_), 1, "len8");
-  eupper_base_ =
-      reinterpret_cast<const uint64_t*>(take(nb + 1, 8, "eupper_base"));
-  hubs_ = reinterpret_cast<const HubEntry*>(
-      take(num_hubs_, sizeof(HubEntry), "hub table"));
-  anchors_ = reinterpret_cast<const Anchor*>(
-      take(total_anchors_, sizeof(Anchor), "anchor table"));
   stream_ = take(stream_bytes_, 1, "stream");
   Require(off == body, "trailing bytes after the stream section");
 
   // Cheap structural bounds that keep every accessor inside the image,
-  // validated even on the mmap fast path: index tables are O(n/32 + hubs)
-  // to scan without touching the stream pages.
+  // validated even on the mmap fast path: the index tables are O(n) to
+  // scan without touching the stream pages.
   uint64_t prev_end = 0;
   for (uint64_t b = 0; b < nb; ++b) {
     const uint64_t base = block_base_[b];
@@ -200,6 +182,15 @@ void CompactGraph::Parse(bool full_validation) {
         Require(wo[j] <= stream_bytes_, "wide offset past the stream");
         if (j > 0) Require(wo[j] >= wo[j - 1], "wide offsets not monotone");
       }
+      // NodeLen reads len8 unless it is the sentinel, so the two must agree.
+      const uint64_t lo = 32 * b;
+      const uint64_t hi = std::min<uint64_t>(lo + 32, n_);
+      for (uint64_t v = lo; v < hi; ++v) {
+        const uint64_t len = wo[v - lo + 1] - wo[v - lo];
+        Require(len8_[v] == 255 ? len >= 255 && len <= UINT32_MAX
+                                : len == len8_[v],
+                "wide-block offsets disagree with len8");
+      }
       prev_end = wo[32];
     } else {
       Require(base == prev_end, "block offset breaks stream continuity");
@@ -207,56 +198,19 @@ void CompactGraph::Parse(bool full_validation) {
       const uint64_t lo = 32 * b;
       const uint64_t hi = std::min<uint64_t>(lo + 32, n_);
       for (uint64_t v = lo; v < hi; ++v) {
-        Require(len8_[v] != 255, "hub sentinel inside a narrow block");
+        Require(len8_[v] != 255, "long-stream sentinel inside a narrow block");
         end += len8_[v];
       }
       Require(end <= stream_bytes_, "narrow block runs past the stream");
       prev_end = end;
     }
-    Require(eupper_base_[b] <= static_cast<uint64_t>(m_),
-            "eupper_base exceeds the edge count");
-    if (b > 0) {
-      Require(eupper_base_[b] >= eupper_base_[b - 1],
-              "eupper_base not monotone");
-    }
   }
   Require(n_ == 0 || prev_end == stream_bytes_,
           "blocks do not cover the whole stream");
-  Require(eupper_base_[nb] == static_cast<uint64_t>(m_),
-          "final eupper_base entry is not m");
-  if (nb > 0) {
-    Require(eupper_base_[0] == 0, "first eupper_base entry is not 0");
-  }
-  uint64_t anchor_cursor = 0;
-  int32_t prev_hub = -1;
-  for (uint32_t h = 0; h < num_hubs_; ++h) {
-    const HubEntry& hub = hubs_[h];
-    Require(hub.node > prev_hub, "hub table not sorted by node");
-    Require(hub.node >= 0 && hub.node < n_, "hub node out of range");
-    Require(len8_[hub.node] == 255, "hub table entry without the sentinel");
-    Require(hub.degree >= 0 && hub.degree <= n_, "hub degree out of range");
-    Require(hub.degree <= max_degree_, "hub degree exceeds max_degree");
-    Require(hub.upper_count >= 0 && hub.upper_count <= hub.degree,
-            "hub upper_count outside [0, degree]");
-    Require(hub.anchor_count == (hub.degree > 0 ? (hub.degree - 1) / 64 : 0),
-            "hub anchor_count disagrees with degree");
-    Require(hub.anchor_start == static_cast<int64_t>(anchor_cursor),
-            "hub anchors not contiguous");
-    anchor_cursor += static_cast<uint64_t>(hub.anchor_count);
-    prev_hub = hub.node;
-  }
-  Require(anchor_cursor == total_anchors_,
-          "anchor table size disagrees with the hub table");
-  uint64_t sentinels = 0;
-  for (int v = 0; v < n_; ++v) sentinels += len8_[v] == 255;
-  // The per-hub loop pinned table -> sentinel; equal counts close the
-  // bijection, so FindHub never dereferences past the table. O(n) over
-  // the index sections only — the stream stays cold.
-  Require(sentinels == num_hubs_, "hub sentinel without a hub table entry");
 
   if (full_validation) {
     // Full O(n + m) structural decode. Pass 1: per-node streams (varint
-    // shape, ranges, ordering, hub/anchor/eupper agreement). Pass 2:
+    // shape, ranges, ordering, degree and upper totals). Pass 2:
     // adjacency symmetry via an expected-lowers CSR — when node v is
     // decoded, every u < v already recorded what v's lower entries must
     // be, in order.
@@ -264,22 +218,12 @@ void CompactGraph::Parse(bool full_validation) {
     int64_t entries = 0;
     int64_t uppers = 0;
     int computed_max_degree = 0;
-    uint32_t hub_idx = 0;
     for (int v = 0; v < n_; ++v) {
       const uint64_t node_off = NodeOffset(v);
       const uint64_t len = NodeLen(v);
       Require(node_off + len <= stream_bytes_, "node stream past the end");
       const unsigned char* q = stream_ + node_off;
       const unsigned char* const end = q + len;
-      const HubEntry* hub = nullptr;
-      if (len8_[v] == 255) {
-        Require(hub_idx < num_hubs_ && hubs_[hub_idx].node == v,
-                "hub sentinel for node " + std::to_string(v) +
-                    " missing from the hub table");
-        hub = &hubs_[hub_idx++];
-        Require(len >= 255, "hub node with a short stream");
-        Require(len <= UINT32_MAX, "hub stream exceeds 4 GiB");
-      }
       int deg = 0;
       int node_uppers = 0;
       int prev = -1;
@@ -303,48 +247,26 @@ void CompactGraph::Parse(bool full_validation) {
           }
         }
         if (raw > static_cast<uint64_t>(INT32_MAX)) Fail("entry overflows");
-        int value;
-        if ((i & 63) == 0) {
-          value = static_cast<int>(raw);
-          if (hub != nullptr && i > 0) {
-            const Anchor& a = anchors_[hub->anchor_start + (i / 64) - 1];
-            if (a.byte_offset !=
-                static_cast<uint64_t>(vstart - (stream_ + node_off))) {
-              Fail("anchor byte offset disagrees with the stream");
-            }
-            if (a.value != value) Fail("anchor value disagrees with stream");
-          }
-        } else {
-          if (raw == 0) Fail("zero gap entry");
-          value = prev + static_cast<int>(raw);
-        }
+        if (i > 0 && raw == 0) Fail("zero gap entry");
+        // The first entry is absolute; int64 keeps prev + gap from
+        // overflowing before the range check below.
+        const int64_t value = (i == 0 ? 0 : prev) + static_cast<int64_t>(raw);
         // value > prev implies value >= 0 (prev starts at -1).
         if (value <= prev || value >= n_ || value == v) {
           Fail("adjacency of node " + std::to_string(v) + " at entry " +
                std::to_string(i) + " is not a strictly ascending in-range " +
                "neighbor list (value " + std::to_string(value) + ")");
         }
-        prev = value;
+        prev = static_cast<int>(value);
         ++deg;
         node_uppers += value > v ? 1 : 0;
         ++i;
-      }
-      if (hub != nullptr) {
-        Require(deg == hub->degree, "hub degree disagrees with the stream");
-        Require(node_uppers == hub->upper_count,
-                "hub upper_count disagrees with the stream");
-      }
-      if ((v & 31) == 0) {
-        Require(eupper_base_[v >> 5] == static_cast<uint64_t>(uppers),
-                "eupper_base disagrees with the stream at block " +
-                    std::to_string(v >> 5));
       }
       entries += deg;
       uppers += node_uppers;
       lower_off[static_cast<size_t>(v) + 1] = deg - node_uppers;
       computed_max_degree = std::max(computed_max_degree, deg);
     }
-    Require(hub_idx == num_hubs_, "hub table entry without a sentinel node");
     Require(uppers == m_, "upper-entry total disagrees with m");
     Require(entries == 2 * m_, "entry total is not 2m (asymmetric adjacency)");
     Require(computed_max_degree == max_degree_,
@@ -489,134 +411,31 @@ void CompactGraph::CheckNode(int v, const char* who) const {
   }
 }
 
-const CompactGraph::HubEntry* CompactGraph::FindHub(int v) const {
-  const HubEntry* lo = hubs_;
-  const HubEntry* hi = hubs_ + num_hubs_;
-  const HubEntry* it = std::lower_bound(
-      lo, hi, v, [](const HubEntry& h, int node) { return h.node < node; });
-  return it;  // callers only reach here when len8_[v] == 255, so it->node == v
-}
-
 int CompactGraph::NeighborAt(int v, int p) const {
   CheckNode(v, "CompactGraph::NeighborAt");
-  const uint64_t node_off = NodeOffset(v);
-  const unsigned char* q = stream_ + node_off;
-  int64_t i = 0;
-  if (len8_[v] == 255) {
-    const HubEntry* hub = FindHub(v);
-    if (p < 0 || p >= hub->degree) {
-      throw CompactGraphError("CompactGraph::NeighborAt: port out of range");
+  if (p >= 0) {
+    const unsigned char* q = stream_ + NodeOffset(v);
+    const unsigned char* const end = q + NodeLen(v);
+    int prev = 0;
+    for (int i = 0; q < end; ++i) {
+      prev += static_cast<int>(DecodeVarint(q));
+      if (i == p) return prev;
     }
-    const int64_t a = p / 64;
-    if (a > 0) {
-      q = stream_ + node_off + anchors_[hub->anchor_start + a - 1].byte_offset;
-      i = 64 * a;
-    }
-  } else if (p < 0) {
-    throw CompactGraphError("CompactGraph::NeighborAt: port out of range");
-  }
-  const unsigned char* const end = stream_ + node_off + NodeLen(v);
-  int prev = 0;
-  for (; q < end; ++i) {
-    const uint32_t raw = DecodeVarint(q);
-    prev = (i & 63) == 0 ? static_cast<int>(raw)
-                         : prev + static_cast<int>(raw);
-    if (i == p) return prev;
   }
   throw CompactGraphError("CompactGraph::NeighborAt: port out of range");
 }
 
 int CompactGraph::PortOf(int v, int u) const {
   CheckNode(v, "CompactGraph::PortOf");
-  const uint64_t node_off = NodeOffset(v);
-  const unsigned char* q = stream_ + node_off;
-  const unsigned char* end = stream_ + node_off + NodeLen(v);
-  int64_t i = 0;
-  if (len8_[v] == 255) {
-    // Binary search the anchors for the 64-entry run containing u, then
-    // decode at most that run: O(log(deg/64) + 64).
-    const HubEntry* hub = FindHub(v);
-    const Anchor* alo = anchors_ + hub->anchor_start;
-    const Anchor* ahi = alo + hub->anchor_count;
-    const Anchor* it = std::upper_bound(
-        alo, ahi, u, [](int val, const Anchor& a) { return val < a.value; });
-    if (it != alo) {
-      --it;
-      q = stream_ + node_off + it->byte_offset;
-      i = 64 * (it - alo + 1);
-    }
-    if (it + 1 != ahi) end = stream_ + node_off + (it + 1)->byte_offset;
-  }
+  const unsigned char* q = stream_ + NodeOffset(v);
+  const unsigned char* const end = q + NodeLen(v);
   int prev = 0;
-  for (; q < end; ++i) {
-    const uint32_t raw = DecodeVarint(q);
-    prev = (i & 63) == 0 ? static_cast<int>(raw)
-                         : prev + static_cast<int>(raw);
-    if (prev == u) return static_cast<int>(i);
+  for (int i = 0; q < end; ++i) {
+    prev += static_cast<int>(DecodeVarint(q));
+    if (prev == u) return i;
     if (prev > u) return -1;
   }
   return -1;
-}
-
-int CompactGraph::UpperCount(int v) const {
-  if (len8_[v] == 255) return FindHub(v)->upper_count;
-  // Entries are sorted, so uppers are the suffix strictly above v.
-  int uppers = 0;
-  ForEachNeighbor(v, [&](int u) { uppers += u > v ? 1 : 0; });
-  return uppers;
-}
-
-int64_t CompactGraph::EdgeIdBase(int v) const {
-  int64_t base = static_cast<int64_t>(eupper_base_[v >> 5]);
-  for (int w = v & ~31; w < v; ++w) base += UpperCount(w);
-  return base;
-}
-
-int64_t CompactGraph::EdgeId(int v, int p) const {
-  CheckNode(v, "CompactGraph::EdgeId");
-  const int u = NeighborAt(v, p);
-  if (u > v) {
-    const int lower = Degree(v) - UpperCount(v);
-    return EdgeIdBase(v) + (p - lower);
-  }
-  // (v, p) is a lower entry: the canonical id lives on the other side.
-  return EdgeId(u, PortOf(u, v));
-}
-
-int64_t CompactGraph::EdgeBetween(int u, int v) const {
-  CheckNode(u, "CompactGraph::EdgeBetween");
-  CheckNode(v, "CompactGraph::EdgeBetween");
-  if (u == v) return -1;
-  if (u > v) std::swap(u, v);
-  const int p = PortOf(u, v);  // an upper entry of u
-  if (p < 0) return -1;
-  const int lower = Degree(u) - UpperCount(u);
-  return EdgeIdBase(u) + (p - lower);
-}
-
-std::pair<int, int> CompactGraph::Endpoints(int64_t e) const {
-  if (e < 0 || e >= m_) {
-    throw CompactGraphError("CompactGraph::Endpoints: edge " +
-                            std::to_string(e) + " out of range [0, " +
-                            std::to_string(m_) + ")");
-  }
-  const uint64_t nb = (static_cast<uint64_t>(n_) + 31) / 32;
-  // Last block whose eupper_base is <= e.
-  const uint64_t* it = std::upper_bound(eupper_base_, eupper_base_ + nb + 1,
-                                        static_cast<uint64_t>(e)) -
-                       1;
-  const int64_t b = it - eupper_base_;
-  int64_t acc = static_cast<int64_t>(*it);
-  for (int v = static_cast<int>(32 * b); v < n_; ++v) {
-    const int uppers = UpperCount(v);
-    if (e < acc + uppers) {
-      const int lower = Degree(v) - uppers;
-      return {v, NeighborAt(v, lower + static_cast<int>(e - acc))};
-    }
-    acc += uppers;
-  }
-  throw CompactGraphError("CompactGraph::Endpoints: edge id beyond the "
-                          "stream's upper entries (corrupt index)");
 }
 
 // ---------------------------------------------------------------------------
@@ -637,7 +456,6 @@ CompactGraph::Builder::Builder(int64_t n) : n_(n) {
                             std::to_string(n) + " outside [0, 2^31)");
   }
   len8_.reserve(static_cast<size_t>(n));
-  eupper_base_.push_back(0);
 }
 
 void CompactGraph::Builder::AddArc(int64_t v, int64_t u) {
@@ -664,50 +482,30 @@ void CompactGraph::Builder::AddArc(int64_t v, int64_t u) {
         (u == prev_ ? " has duplicate neighbor " : " not sorted at neighbor ") +
         std::to_string(u));
   }
-  if ((entry_ & 63) == 0) {
-    if (entry_ > 0) {
-      if (node_buf_.size() > UINT32_MAX) {
-        throw CompactGraphError("Builder: node stream exceeds 4 GiB");
-      }
-      node_anchors_.push_back({static_cast<uint32_t>(node_buf_.size()),
-                               static_cast<int32_t>(u)});
-    }
-    AppendVarint(node_buf_, static_cast<uint32_t>(u));
-  } else {
-    AppendVarint(node_buf_, static_cast<uint32_t>(u - prev_));
-  }
+  AppendVarint(stream_, static_cast<uint32_t>(degree_ == 0 ? u : u - prev_));
   prev_ = u;
-  ++entry_;
+  ++degree_;
   ++total_entries_;
-  if (u > v) {
-    ++uppers_;
-    ++total_uppers_;
-  }
+  if (u > v) ++total_uppers_;
 }
 
 void CompactGraph::Builder::CloseNode() {
-  const size_t len = node_buf_.size();
+  const uint64_t len = stream_.size() - node_start_;
   if (len >= 255) {
-    // Hub: degree/uppers cached in the side table, per-64-entry anchors,
-    // sentinel length — and the whole block goes wide.
+    // Long stream: sentinel length, and the whole block goes wide.
+    if (len > UINT32_MAX) {
+      throw CompactGraphError("Builder: node stream exceeds 4 GiB");
+    }
     len8_.push_back(255);
     block_wide_ = true;
-    hubs_.push_back({static_cast<int32_t>(cur_), static_cast<int32_t>(entry_),
-                     static_cast<int32_t>(uppers_),
-                     static_cast<int32_t>(node_anchors_.size()),
-                     static_cast<int64_t>(anchors_.size())});
-    anchors_.insert(anchors_.end(), node_anchors_.begin(), node_anchors_.end());
   } else {
     len8_.push_back(static_cast<uint8_t>(len));
   }
-  block_offsets_.push_back(stream_.size());
-  stream_.append(node_buf_);
-  max_degree_ = std::max(max_degree_, static_cast<int>(entry_));
-  node_buf_.clear();
-  node_anchors_.clear();
-  entry_ = 0;
+  block_offsets_.push_back(node_start_);
+  node_start_ = stream_.size();
+  max_degree_ = std::max(max_degree_, static_cast<int>(degree_));
+  degree_ = 0;
   prev_ = -1;
-  uppers_ = 0;
   ++cur_;
   if ((cur_ & 31) == 0 || cur_ == n_) CloseBlock();
 }
@@ -723,7 +521,6 @@ void CompactGraph::Builder::CloseBlock() {
   } else {
     block_base_.push_back(block_offsets_[0]);
   }
-  eupper_base_.push_back(static_cast<uint64_t>(total_uppers_));
   block_offsets_.clear();
   block_wide_ = false;
 }
@@ -740,37 +537,21 @@ std::string CompactGraph::Builder::FinishImage() {
   }
   std::string out;
   const size_t wide_blocks = wide_off_.size() / 33;
-  out.reserve(kHeaderBytes + 8 * (block_base_.size() + wide_off_.size() +
-                                  eupper_base_.size()) +
-              Pad8(len8_.size()) + sizeof(HubEntry) * hubs_.size() +
-              sizeof(Anchor) * anchors_.size() + Pad8(stream_.size()) + 8);
+  out.reserve(kHeaderBytes + 8 * (block_base_.size() + wide_off_.size()) +
+              Pad8(len8_.size()) + Pad8(stream_.size()) + 8);
   AppendU64(out, kMagic);
   AppendU32(out, kVersion);
   AppendU32(out, 0);  // flags
   AppendU64(out, static_cast<uint64_t>(n_));
   AppendU64(out, static_cast<uint64_t>(total_uppers_));
-  AppendU32(out, static_cast<uint32_t>(max_degree_));
-  AppendU32(out, static_cast<uint32_t>(hubs_.size()));
+  AppendU64(out, static_cast<uint64_t>(max_degree_));
   AppendU64(out, stream_.size());
   AppendU64(out, wide_blocks);
-  AppendU64(out, anchors_.size());
   const auto pad = [&out]() { out.append(Pad8(out.size()) - out.size(), '\0'); };
   for (uint64_t b : block_base_) AppendU64(out, b);
   for (uint64_t o : wide_off_) AppendU64(out, o);
   out.append(reinterpret_cast<const char*>(len8_.data()), len8_.size());
   pad();
-  for (uint64_t e : eupper_base_) AppendU64(out, e);
-  for (const HubEntry& h : hubs_) {
-    AppendU32(out, static_cast<uint32_t>(h.node));
-    AppendU32(out, static_cast<uint32_t>(h.degree));
-    AppendU32(out, static_cast<uint32_t>(h.upper_count));
-    AppendU32(out, static_cast<uint32_t>(h.anchor_count));
-    AppendU64(out, static_cast<uint64_t>(h.anchor_start));
-  }
-  for (const Anchor& a : anchors_) {
-    AppendU32(out, a.byte_offset);
-    AppendU32(out, static_cast<uint32_t>(a.value));
-  }
   out.append(stream_);
   pad();
   const uint64_t hash = support::Fnv1a64(out.data(), out.size());

@@ -28,54 +28,38 @@ class CompactGraphError : public std::runtime_error {
 // channels, transcripts, and digests, depend only on the sorted adjacency,
 // which both backends share).
 //
-// On-disk format "CGR1" (version 1, little-endian, 8-aligned sections):
+// On-disk format version 2 (magic "TLCGR1", little-endian, 8-aligned
+// sections):
 //   header: magic (8) | version u32 | flags u32 | n i64 | m i64 |
-//           max_degree i32 | num_hubs u32 | stream_bytes u64 |
-//           wide_blocks u64 | total_anchors u64
+//           max_degree i64 | stream_bytes u64 | wide_blocks u64
 //   sections (each padded to 8 bytes):
 //     block_base  ceil(n/32) u64 — per 32-node block: bit 63 set marks a
 //                 WIDE block whose low bits index wide_off; clear means
 //                 the value is the stream offset of node 32b, and node
 //                 offsets inside the block are len8 prefix sums
 //     wide_off    33 u64 per wide block: explicit per-node offsets + end
-//     len8        n u8 — node stream byte length; 255 = hub sentinel
-//                 (stream >= 255 bytes; its block is wide, its degree
-//                 and anchors live in the hub table)
-//     eupper_base ceil(n/32)+1 u64 — upper-entry count before each block;
-//                 final entry = m. Edge ids are ranks of upper entries.
-//     hubs        num_hubs x {i32 node, i32 degree, i32 upper_count,
-//                 i32 anchor_count, i64 anchor_start} sorted by node
-//     anchors     total_anchors x {u32 byte_offset, i32 value} — one per
-//                 entry index 64, 128, ... of each hub (those entries are
-//                 encoded absolute, so decode can restart there)
+//     len8        n u8 — node stream byte length; 255 = long-stream
+//                 sentinel (stream >= 255 bytes; its block is wide)
 //     stream      concatenated per-node adjacency streams
 //   footer: FNV-1a u64 over all preceding bytes
+// Images of any other version are refused; regenerate them with
+// graph_convert.
 //
-// Stream encoding per node: entries sorted strictly ascending; entry
-// index i with i % 64 == 0 is the ABSOLUTE neighbor id, every other entry
-// is the gap from its predecessor (>= 1, stored raw). Varints are LEB128
-// (7 bits per byte, high bit = continuation), minimal-length; Degree(v)
-// is the count of continuation-clear bytes in the node's stream.
+// Stream encoding per node: entries sorted strictly ascending; the first
+// entry is the absolute neighbor id, every later entry the gap from its
+// predecessor (>= 1, stored raw). Varints are LEB128 (7 bits per byte,
+// high bit = continuation), minimal-length; Degree(v) is the count of
+// continuation-clear bytes in the node's stream.
 //
-// Edge ids are canonical: edge e is the e-th upper entry (v < u) in
-// stream order, i.e. edges sorted lexicographically by (min, max). A
-// Graph built from that sorted edge list has identical edge numbering.
+// The backend is scan-only: every per-node query decodes the node's
+// stream from its start. Engines read it once, in one ascending pass, to
+// build their channel tables; nothing random-accesses edges by id.
+// ForEachEdge numbers edges canonically: edge e is the e-th upper entry
+// (v < u) in stream order, i.e. edges sorted lexicographically by
+// (min, max). A Graph built from that sorted edge list has identical edge
+// numbering.
 class CompactGraph {
  public:
-  struct HubEntry {
-    int32_t node = 0;
-    int32_t degree = 0;
-    int32_t upper_count = 0;
-    int32_t anchor_count = 0;
-    int64_t anchor_start = 0;
-  };
-  static_assert(sizeof(HubEntry) == 24);
-  struct Anchor {
-    uint32_t byte_offset = 0;  // within the hub's own stream
-    int32_t value = 0;         // the absolute entry at this offset
-  };
-  static_assert(sizeof(Anchor) == 8);
-
   CompactGraph() = default;
   ~CompactGraph();
   CompactGraph(CompactGraph&& other) noexcept;
@@ -89,9 +73,8 @@ class CompactGraph {
   // Parses and FULLY validates an in-memory image: integrity footer,
   // header ranges, section bounds (division-form, no overflow), then an
   // O(n + m) structural decode — monotone offsets, strictly-ascending
-  // in-range entries, minimal varints, absolutes at every index % 64 == 0,
-  // per-node lengths vs the index, hub/anchor/eupper consistency,
-  // adjacency symmetry, entry total 2m and upper total m. Throws
+  // in-range entries, minimal varints, per-node lengths vs the index,
+  // adjacency symmetry, entry total 2m and max_degree. Throws
   // CompactGraphError on any defect.
   static CompactGraph FromBytes(std::string bytes);
 
@@ -119,18 +102,13 @@ class CompactGraph {
   // Total image bytes — the backend's whole memory footprint (resident
   // for FromBytes/FromGraph, demand-paged for OpenMapped).
   size_t MemoryBytes() const { return size_; }
-  uint64_t stream_bytes() const { return stream_bytes_; }
-  uint32_t num_hubs() const { return num_hubs_; }
 
   int Degree(int v) const {
-    const uint8_t len = len8_[v];
-    if (len != 255) {
-      const unsigned char* p = stream_ + NodeOffset(v);
-      int deg = 0;
-      for (uint8_t i = 0; i < len; ++i) deg += (p[i] & 0x80) == 0;
-      return deg;
-    }
-    return FindHub(v)->degree;
+    const unsigned char* p = stream_ + NodeOffset(v);
+    const uint32_t len = NodeLen(v);
+    int deg = 0;
+    for (uint32_t i = 0; i < len; ++i) deg += (p[i] & 0x80) == 0;
+    return deg;
   }
 
   // Neighbors in ascending order; f(int neighbor).
@@ -139,51 +117,28 @@ class CompactGraph {
     const unsigned char* p = stream_ + NodeOffset(v);
     const unsigned char* const end = p + NodeLen(v);
     int prev = 0;
-    for (int64_t i = 0; p < end; ++i) {
-      const uint32_t raw = DecodeVarint(p);
-      prev = (i & 63) == 0 ? static_cast<int>(raw)
-                           : prev + static_cast<int>(raw);
+    while (p < end) {
+      prev += static_cast<int>(DecodeVarint(p));
       f(prev);
     }
   }
 
-  // Neighbor at port p. O(p) decode for ordinary nodes (stream < 255
-  // bytes), O(64) from the nearest anchor for hubs.
+  // Neighbor at port p: an O(p) decode of v's stream.
   int NeighborAt(int v, int p) const;
 
-  // Port of neighbor u in v's adjacency, or -1. Bounded decode for
-  // ordinary nodes, anchor binary search + <= 64 decode for hubs.
+  // Port of neighbor u in v's adjacency, or -1: a decode of v's stream up
+  // to the first entry >= u.
   int PortOf(int v, int u) const;
 
-  // Canonical edge id of the port-p half-edge of v (see the edge-id
-  // comment above), or of the pair {u, v}; -1 when absent.
-  int64_t EdgeId(int v, int p) const;
-  int64_t EdgeBetween(int u, int v) const;
-
-  // Endpoints of edge e with u < v: eupper_base binary search, then a
-  // bounded in-block scan (hub streams skipped via their cached counts).
-  std::pair<int, int> Endpoints(int64_t e) const;
-  int OtherEndpoint(int64_t e, int v) const {
-    auto [a, b] = Endpoints(e);
-    return a == v ? b : a;
-  }
-
   // Sequential O(n + m) scan emitting f(int64_t e, int u, int v) with
-  // u < v and e ascending 0..m-1 — the cheap way to touch every edge
-  // (per-edge Endpoints would re-run the block scan each time).
+  // u < v and e ascending 0..m-1: the canonical edge numbering.
   template <typename F>
   void ForEachEdge(F&& f) const {
     int64_t e = 0;
     for (int v = 0; v < n_; ++v) {
-      const unsigned char* p = stream_ + NodeOffset(v);
-      const unsigned char* const end = p + NodeLen(v);
-      int prev = 0;
-      for (int64_t i = 0; p < end; ++i) {
-        const uint32_t raw = DecodeVarint(p);
-        prev = (i & 63) == 0 ? static_cast<int>(raw)
-                             : prev + static_cast<int>(raw);
-        if (prev > v) f(e++, v, prev);
-      }
+      ForEachNeighbor(v, [&](int u) {
+        if (u > v) f(e++, v, u);
+      });
     }
   }
 
@@ -205,35 +160,30 @@ class CompactGraph {
     void CloseBlock();
 
     int64_t n_;
-    int64_t cur_ = 0;        // node currently being encoded
-    int64_t entry_ = 0;      // entry index within cur_
-    int64_t prev_ = -1;      // last entry value of cur_
-    int64_t uppers_ = 0;     // upper entries of cur_
+    int64_t cur_ = 0;          // node currently being encoded
+    int64_t degree_ = 0;       // entries of cur_ so far
+    int64_t prev_ = -1;        // last entry value of cur_
+    uint64_t node_start_ = 0;  // stream offset of cur_'s first byte
     int64_t total_entries_ = 0;
     int64_t total_uppers_ = 0;
     int max_degree_ = 0;
     bool finished_ = false;
-    std::string node_buf_;   // cur_'s encoded stream
-    std::vector<Anchor> node_anchors_;
     std::string stream_;
     std::vector<uint8_t> len8_;
     std::vector<uint64_t> block_base_;
     std::vector<uint64_t> wide_off_;
-    std::vector<uint64_t> eupper_base_;
-    std::vector<HubEntry> hubs_;
-    std::vector<Anchor> anchors_;
     std::vector<uint64_t> block_offsets_;  // per-node offsets in open block
     bool block_wide_ = false;
   };
 
  private:
   static constexpr uint64_t kMagic = 0x0031524743'4c54ull;  // "TLCGR1\0\0"
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
 
   // Decodes one minimal-length LEB128 varint, advancing p. The caller
   // guarantees p points into a validated stream (FromBytes proved every
   // varint terminates in-bounds; OpenMapped trusts the producer +
-  // integrity hash, and the public entry points bounds-check v/p/e).
+  // integrity hash, and the public entry points bounds-check v/p).
   static uint32_t DecodeVarint(const unsigned char*& p) {
     uint32_t v = *p & 0x7f;
     int shift = 7;
@@ -260,12 +210,6 @@ class CompactGraph {
     const uint64_t* wo = wide_off_ + 33 * (base & ~kWideBit);
     return static_cast<uint32_t>(wo[(v & 31) + 1] - wo[v & 31]);
   }
-  const HubEntry* FindHub(int v) const;
-  // Upper-entry count of v (cached for hubs, bounded decode otherwise).
-  int UpperCount(int v) const;
-  // Upper entries preceding v's in stream order == id of v's first upper
-  // edge: eupper_base of v's block + an in-block prefix.
-  int64_t EdgeIdBase(int v) const;
 
   void Parse(bool full_validation);
   void CheckNode(int v, const char* who) const;
@@ -283,16 +227,11 @@ class CompactGraph {
   int n_ = 0;
   int64_t m_ = 0;
   int max_degree_ = 0;
-  uint32_t num_hubs_ = 0;
   uint64_t stream_bytes_ = 0;
   uint64_t wide_blocks_ = 0;
-  uint64_t total_anchors_ = 0;
   const uint64_t* block_base_ = nullptr;
   const uint64_t* wide_off_ = nullptr;
   const unsigned char* len8_ = nullptr;
-  const uint64_t* eupper_base_ = nullptr;
-  const HubEntry* hubs_ = nullptr;
-  const Anchor* anchors_ = nullptr;
   const unsigned char* stream_ = nullptr;
 };
 

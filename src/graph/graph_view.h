@@ -18,7 +18,8 @@ namespace treelocal {
 // transcripts regardless of backend. Dispatch is a branch, not a vtable:
 // the two concrete types are known and the hot calls inline.
 //
-// Edge ids differ between backends (Graph numbers edges in input order,
+// The view names edges only through ForEachEdge, and the ids it hands out
+// differ between backends (Graph numbers edges in input order,
 // CompactGraph canonically by sorted (min, max)); nothing
 // transcript-bearing depends on edge ids, and snapshots hash and store the
 // canonical edge set (see local::GraphHash), so checkpoints resume across
@@ -54,18 +55,6 @@ class GraphView {
   }
   int PortOf(int v, int u) const {
     return csr_ != nullptr ? csr_->PortOf(v, u) : compact_->PortOf(v, u);
-  }
-  int64_t EdgeBetween(int u, int v) const {
-    return csr_ != nullptr ? csr_->EdgeBetween(u, v)
-                           : compact_->EdgeBetween(u, v);
-  }
-  std::pair<int, int> Endpoints(int64_t e) const {
-    return csr_ != nullptr ? csr_->Endpoints(static_cast<int>(e))
-                           : compact_->Endpoints(e);
-  }
-  int OtherEndpoint(int64_t e, int v) const {
-    return csr_ != nullptr ? csr_->OtherEndpoint(static_cast<int>(e), v)
-                           : compact_->OtherEndpoint(e, v);
   }
   // Every edge once, f(int64_t e, int u, int v): the backend's own edge
   // order (Graph: input order with u/v as given; CompactGraph: canonical

@@ -4,24 +4,38 @@
 
 namespace treelocal {
 
-LineGraph BuildLineGraph(const Graph& host) {
-  std::vector<std::pair<int, int>> edges;
+LineGraph BuildLineGraph(const Graph& host, std::span<const int> edges) {
+  const int n = host.NumNodes();
+  std::vector<int> line_of(host.NumEdges(), -1);
+  std::vector<int> degree(n, 0);  // incident subset edges per host node
+  for (size_t i = 0; i < edges.size(); ++i) {
+    line_of[edges[i]] = static_cast<int>(i);
+    ++degree[host.EdgeU(edges[i])];
+    ++degree[host.EdgeV(edges[i])];
+  }
   size_t total = 0;
-  for (int v = 0; v < host.NumNodes(); ++v) {
-    size_t d = host.Degree(v);
+  for (int v = 0; v < n; ++v) {
+    const size_t d = degree[v];
     total += d * (d - 1) / 2;
   }
-  edges.reserve(total);
-  for (int v = 0; v < host.NumNodes(); ++v) {
-    auto inc = host.IncidentEdges(v);
-    for (size_t i = 0; i < inc.size(); ++i) {
-      for (size_t j = i + 1; j < inc.size(); ++j) {
-        edges.emplace_back(inc[i], inc[j]);
+  std::vector<std::pair<int, int>> ledges;
+  ledges.reserve(total);
+  std::vector<int> at_node;
+  for (int v = 0; v < n; ++v) {
+    if (degree[v] < 2) continue;
+    at_node.clear();
+    for (int e : host.IncidentEdges(v)) {
+      if (line_of[e] >= 0) at_node.push_back(line_of[e]);
+    }
+    for (size_t i = 0; i < at_node.size(); ++i) {
+      for (size_t j = i + 1; j < at_node.size(); ++j) {
+        ledges.emplace_back(at_node[i], at_node[j]);
       }
     }
   }
   LineGraph lg;
-  lg.graph = Graph::FromEdges(host.NumEdges(), std::move(edges));
+  lg.graph =
+      Graph::FromEdges(static_cast<int>(edges.size()), std::move(ledges));
   return lg;
 }
 

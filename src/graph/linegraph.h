@@ -12,13 +12,16 @@ namespace treelocal {
 // on G (maximal matching = MIS on L(G), (edge-degree+1)-edge coloring =
 // (deg+1)-coloring on L(G)); one L(G) round is simulable in O(1) G rounds.
 struct LineGraph {
-  Graph graph;  // node i of `graph` corresponds to edge i of the host
+  Graph graph;  // node i of `graph` corresponds to the i-th host edge
 };
 
-// In a simple graph two distinct edges share at most one endpoint, so
-// enumerating the incident pairs at each node emits every line-graph edge
-// exactly once; no dedup pass is needed.
-LineGraph BuildLineGraph(const Graph& host);
+// The line graph of the subgraph formed by host edges `edges` (distinct
+// ids): node i of the result is host edge edges[i], and two nodes are
+// adjacent when their host edges share an endpoint. In a simple graph two
+// distinct edges share at most one endpoint, so enumerating the incident
+// pairs at each host node (in port order) emits every line-graph edge
+// exactly once; no dedup pass is needed. Pass all host edges for L(G).
+LineGraph BuildLineGraph(const Graph& host, std::span<const int> edges);
 
 // Deterministic distinct IDs for line-graph nodes derived from the host
 // edges' endpoint IDs (so symmetry breaking on L(G) is legitimate LOCAL

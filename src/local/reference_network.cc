@@ -34,43 +34,32 @@ ReferenceNetwork::ReferenceNetwork(GraphView graph, std::vector<int64_t> ids,
   outbox_.assign(channels, Message{});
   halted_.assign(n, 0);
   wake_round_.assign(n, 0);
-  // Materialize the port -> (edge, slot) tables and invert the channel
-  // indexing once: Channel(e, s) holds what endpoint s of edge e sent, on
-  // this port of the sender. Used by every channel access, the content
-  // digest's inbox scan, and Resume's deliverable placement. Edge ids fit
-  // int here (the base's ValidateChannelScale bounds 2m).
+  // Materialize the slot tables once: every channel access, the content
+  // digest's inbox scan, and Resume's deliverable placement read them.
+  // Slots fit int here (the base's ValidateChannelScale bounds 2m).
   inc_off_.assign(n + 1, 0);
   for (int v = 0; v < n; ++v) inc_off_[v + 1] = inc_off_[v] + graph.Degree(v);
-  port_edge_.assign(channels, 0);
-  port_slot_.assign(channels, 0);
-  chan_sender_.assign(channels, 0);
-  chan_port_.assign(channels, 0);
+  peer_.assign(channels, 0);
+  slot_node_.assign(channels, 0);
   for (int v = 0; v < n; ++v) {
-    int p = 0;
+    int s = inc_off_[v];
     graph.ForEachNeighbor(v, [&](int u) {
-      const int e = static_cast<int>(graph.EdgeBetween(v, u));
-      const int slot = graph.Endpoints(e).first == v ? 0 : 1;
-      port_edge_[inc_off_[v] + p] = e;
-      port_slot_[inc_off_[v] + p] = slot;
-      const size_t c = Channel(e, slot);
-      chan_sender_[c] = v;
-      chan_port_[c] = p;
-      ++p;
+      peer_[s] = inc_off_[u] + graph.PortOf(u, v);
+      slot_node_[s] = v;
+      ++s;
     });
   }
 }
 
 const Message& ReferenceNetwork::RecvAt(int node, int port) const {
-  const int i = inc_off_[node] + port;
-  return inbox_[Channel(port_edge_[i], 1 - port_slot_[i])];
+  return inbox_[inc_off_[node] + port];
 }
 
 void ReferenceNetwork::SendAt(int node, int port, Message m) {
   if (m.size > message_words_ || (message_words_ == 1 && m.word1 != 0)) {
     throw MessageWidthError("ReferenceNetwork", message_words_, node, port, m);
   }
-  const int i = inc_off_[node] + port;
-  Message& slot = outbox_[Channel(port_edge_[i], port_slot_[i])];
+  Message& slot = outbox_[peer_[inc_off_[node] + port]];
   visit_sent_delta_ +=
       static_cast<int>(m.present()) - static_cast<int>(slot.present());
   slot = m;
@@ -98,11 +87,9 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
         std::count(halted_.begin(), halted_.end(), char{1}));
     std::fill(inbox_.begin(), inbox_.end(), Message{});
     std::fill(outbox_.begin(), outbox_.end(), Message{});
-    // Place each deliverable where the receiver's RecvAt(node, port) looks:
-    // the channel the far endpoint of that port sent on.
+    // Place each deliverable where the receiver's RecvAt(node, port) looks.
     for (const SnapshotMessage& msg : run.deliverable) {
-      const int i = inc_off_[msg.node] + msg.port;
-      inbox_[Channel(port_edge_[i], 1 - port_slot_[i])] =
+      inbox_[inc_off_[msg.node] + msg.port] =
           Message{msg.word0, msg.word1, msg.size};
     }
     // The snapshot's wake plane is external-indexed — exactly this
@@ -156,23 +143,23 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
     for (auto& m : outbox_) m = Message{};
     int64_t sent = 0;
     uint64_t macc = 0;
-    for (size_t c = 0; c < inbox_.size(); ++c) {
-      const Message& m = inbox_[c];
+    for (size_t s = 0; s < inbox_.size(); ++s) {
+      const Message& m = inbox_[s];
       if (m.present()) {
         ++sent;
         if (digest_messages_) {
           // Sender-keyed, like the optimized engines' Send-path hashing
           // (the naive engine pays its usual O(2m) scan instead).
-          macc += support::MessageHash(chan_sender_[c], chan_port_[c],
+          const int from = peer_[s];
+          const int sender = slot_node_[from];
+          macc += support::MessageHash(sender, from - inc_off_[sender],
                                        m.word0, m.word1, m.size);
         }
       }
       if (m.size != 0 || m.word0 != 0 || m.word1 != 0) {
-        // Message-wake invariant, spelled out: the receiver of channel
-        // Channel(e, s) is the sender of Channel(e, 1-s), i.e. the other
-        // endpoint. Any observable delivery pulls a sleeping receiver to
-        // the next round.
-        const int recv = chan_sender_[c ^ size_t{1}];
+        // Message-wake invariant, spelled out: any observable delivery
+        // pulls a sleeping receiver to the next round.
+        const int recv = slot_node_[s];
         if (!halted_[recv] && wake_round_[recv] > round_ + 1) {
           wake_round_[recv] = round_ + 1;
           ++wakes_;

@@ -12,7 +12,8 @@ namespace treelocal::local {
 // testing of the optimized Network. Semantics are identical by contract
 // (same Engine base, Algorithm/NodeContext interface, and round/message
 // accounting); the implementation is deliberately the straightforward one:
-//   * channels recomputed per access from IncidentEdges + EndpointSlot,
+//   * mailboxes indexed by receiver (node, port), the reverse port of
+//     every half-edge found once by PortOf on the backend,
 //   * per-round O(2m) outbox clear and O(2m) delivered-message scan,
 //   * per-round O(n) scan over all nodes, halted or not.
 // Per-round cost is O(n + m) regardless of how many nodes are still active —
@@ -49,24 +50,19 @@ class ReferenceNetwork : public Engine {
  private:
   void SaveBoundary(SnapshotData& snap) const override;
 
-  // Directed channel index for the half-edge (edge e, sender slot s).
-  static size_t Channel(int e, int s) { return 2 * static_cast<size_t>(e) + s; }
-
-  std::vector<Message> inbox_;   // indexed by receiving channel
-  std::vector<Message> outbox_;  // indexed by sending channel
-  // Materialized port -> (edge, endpoint-slot) tables, built once in the
-  // constructor through the backend-neutral view (ports index the shared
-  // sorted adjacency, so both backends produce the same tables for the
-  // same topology up to the backend's edge numbering). inc_off_[v] + p
-  // indexes the port tables.
-  std::vector<int> inc_off_;    // size n+1, external-indexed CSR offsets
-  std::vector<int> port_edge_;  // size 2m: edge id of port p of v
-  std::vector<int> port_slot_;  // size 2m: v's endpoint slot on that edge
+  // Mailbox slot of v's port p: slot inc_off_[v] + p holds what v
+  // receives on port p. The slot tables are built once in the constructor
+  // through the backend-neutral view (ports index the shared sorted
+  // adjacency, so both backends produce the same tables).
+  std::vector<int> inc_off_;  // size n+1, external-indexed CSR offsets
+  // size 2m: the slot of the reverse half-edge — for slot s = (v, p) with
+  // neighbor u, the slot (u, PortOf(u, v)). A send on s lands in
+  // outbox_[peer_[s]]; the message in inbox slot s came from peer_[s].
+  std::vector<int> peer_;
+  std::vector<int> slot_node_;  // size 2m: the node owning each slot
+  std::vector<Message> inbox_;   // indexed by receiving slot
+  std::vector<Message> outbox_;  // indexed by receiving slot
   std::vector<char> halted_;
-  // Per-channel sender and sender-port, precomputed once for the content
-  // digest's post-swap inbox scan (Channel(e, s) was written by endpoint s
-  // of edge e on this port).
-  std::vector<int> chan_sender_, chan_port_;
   // Wake scheduling: external-indexed wake rounds, and the per-visit
   // net-present-send delta SendAt maintains so the decision counter
   // matches the optimized engines' counter-delta predicate exactly

@@ -4,9 +4,9 @@
 // the stream section) must yield a structured CompactGraphError — never UB,
 // a crash, or an over-allocation. The suite rides the ASan+UBSan CI job,
 // where an out-of-bounds decode fails the build instead of silently
-// surviving. The workload includes a hub (stream >= 255 bytes) so the
-// wide-block / hub-table / anchor parse paths are all inside the fuzzed
-// image, plus a multi-block tree for the len8 prefix-sum path.
+// surviving. The workload includes a long stream (>= 255 bytes) so the
+// wide-block and sentinel parse paths are inside the fuzzed image, plus a
+// multi-block tree for the len8 prefix-sum path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,9 +25,9 @@
 namespace treelocal {
 namespace {
 
-// Tree spanning several 32-node blocks, with node 0 a hub of degree 420
-// (stream comfortably past the 255-byte sentinel, so the image carries a
-// hub entry, anchors, and a wide block).
+// Tree spanning several 32-node blocks, with node 0 of degree 420 (stream
+// comfortably past the 255-byte sentinel, so the image carries a wide
+// block).
 std::string FuzzImage() {
   std::vector<std::pair<int, int>> edges;
   const int n = 512;
@@ -35,7 +35,7 @@ std::string FuzzImage() {
   for (int v = 421; v < n; ++v) edges.emplace_back(v - 400, v);
   const Graph g = Graph::FromEdges(n, std::move(edges));
   const CompactGraph cg = CompactGraph::FromGraph(g);
-  EXPECT_GE(cg.num_hubs(), 1u);
+  EXPECT_GE(cg.MaxDegree(), 255);  // >= 255 entries: a stream >= 255 bytes
   return cg.Serialize();
 }
 
@@ -145,9 +145,10 @@ TEST(CompactGraphFuzzTest, MappedOpenRejectsTruncationsAndFlips) {
   std::remove(path.c_str());
 }
 
-// Header-level adversarial fields with a passing hash: n/m/stream_bytes
-// blown up must be rejected by the division-form bounds checks before any
-// allocation sized from them (the "never over-allocation" half).
+// Header-level adversarial fields with a passing hash: n, m, max_degree,
+// stream_bytes and wide_blocks blown up must be rejected by the range and
+// division-form bounds checks before any allocation sized from them (the
+// "never over-allocation" half).
 TEST(CompactGraphFuzzTest, OversizedHeaderCountsAreStructuredErrors) {
   const std::string bytes = FuzzImage();
   const auto with_u64 = [&](size_t offset, uint64_t value) {
@@ -157,15 +158,19 @@ TEST(CompactGraphFuzzTest, OversizedHeaderCountsAreStructuredErrors) {
     }
     return RepatchFooter(std::move(mutated));
   };
-  // Header layout: magic(8) version(4) flags(4) n(8) m(8) max_degree(4)
-  // num_hubs(4) stream_bytes(8) ...
-  const size_t n_off = 16, m_off = 24, stream_off = 40;
+  // Header layout: magic(8) version(4) flags(4) n(8) m(8) max_degree(8)
+  // stream_bytes(8) wide_blocks(8).
+  const size_t n_off = 16, m_off = 24, max_degree_off = 32, stream_off = 40,
+               wide_blocks_off = 48;
   for (const auto& [offset, value] :
        std::vector<std::pair<size_t, uint64_t>>{
-           {n_off, uint64_t{1} << 40},   // n beyond the node limit
-           {n_off, ~uint64_t{0}},        // negative n
-           {m_off, uint64_t{1} << 60},   // m makes section math overflow
-           {stream_off, ~uint64_t{0}},   // stream_bytes past the file
+           {n_off, uint64_t{1} << 40},           // n beyond the node limit
+           {n_off, ~uint64_t{0}},                // negative n
+           {m_off, uint64_t{1} << 60},           // m past any real graph
+           {max_degree_off, uint64_t{1} << 40},  // max_degree beyond n
+           {max_degree_off, ~uint64_t{0}},       // negative max_degree
+           {stream_off, ~uint64_t{0}},           // stream_bytes past the file
+           {wide_blocks_off, uint64_t{1} << 60},  // wide_off section overflows
        }) {
     EXPECT_THROW(CompactGraph::FromBytes(with_u64(offset, value)),
                  CompactGraphError)

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_view.h"
+#include "src/support/digest.h"
 
 namespace treelocal {
 namespace {
@@ -44,7 +46,7 @@ void ExpectEquivalent(const Graph& g, const CompactGraph& c) {
       ASSERT_EQ(c.PortOf(v, nbrs[p]), p) << "node " << v << " port " << p;
     }
   }
-  // Edge ids: e-th edge in (min, max) order; every access path agrees.
+  // Edge ids: e-th edge in (min, max) order.
   const auto edges = SortedEdges(g);
   int64_t count = 0;
   c.ForEachEdge([&](int64_t e, int u, int v) {
@@ -54,22 +56,11 @@ void ExpectEquivalent(const Graph& g, const CompactGraph& c) {
     ++count;
   });
   ASSERT_EQ(count, c.NumEdges());
-  for (int64_t e = 0; e < c.NumEdges(); ++e) {
-    auto [u, v] = c.Endpoints(e);
-    ASSERT_EQ(std::make_pair(u, v), edges[static_cast<size_t>(e)]) << e;
-    ASSERT_EQ(c.EdgeBetween(u, v), e);
-    ASSERT_EQ(c.EdgeBetween(v, u), e);
-    ASSERT_EQ(c.EdgeId(u, c.PortOf(u, v)), e);
-    ASSERT_EQ(c.EdgeId(v, c.PortOf(v, u)), e);
-    ASSERT_EQ(c.OtherEndpoint(e, u), v);
-    ASSERT_EQ(c.OtherEndpoint(e, v), u);
-  }
   // Absent pairs.
   if (g.NumNodes() >= 2) {
     for (int v = 0; v < std::min(g.NumNodes(), 50); ++v) {
       for (int u = 0; u < std::min(g.NumNodes(), 50); ++u) {
         if (u == v) continue;
-        EXPECT_EQ(c.EdgeBetween(u, v) >= 0, g.EdgeBetween(u, v) >= 0);
         EXPECT_EQ(c.PortOf(v, u) >= 0, g.PortOf(v, u) >= 0);
       }
     }
@@ -95,17 +86,11 @@ TEST(CompactGraphTest, SmallFamiliesEquivalent) {
   }
 }
 
-TEST(CompactGraphTest, HubNodesUseAnchors) {
-  // Star center: degree 999 -> stream >= 999 bytes -> hub with anchors.
-  Graph g = Star(1000);
-  CompactGraph c = CompactGraph::FromGraph(g);
-  EXPECT_GE(c.num_hubs(), 1u);
-  ExpectEquivalent(g, c);
-}
-
+// Star(1000)'s center stream is >= 999 bytes: a long-stream sentinel in
+// a wide block, decoded from its start by every per-node query.
 TEST(CompactGraphTest, HubHeavyGraphsEquivalent) {
-  for (const Graph& g : {StarUnion(400, 3, 11), HubbedForest(600, 3, 5),
-                         ForestUnion(300, 4, 13)}) {
+  for (const Graph& g : {Star(1000), StarUnion(400, 3, 11),
+                         HubbedForest(600, 3, 5), ForestUnion(300, 4, 13)}) {
     ExpectEquivalent(g, CompactGraph::FromGraph(g));
   }
 }
@@ -149,6 +134,36 @@ TEST(CompactGraphTest, FileRoundTripAndMmap) {
   EXPECT_TRUE(mapped.mapped());
   EXPECT_EQ(mapped.Serialize(), c.Serialize());
   ExpectEquivalent(g, mapped);
+  std::remove(path.c_str());
+}
+
+// A version-1 image (version word 1, footer re-hashed so the integrity
+// check passes) is refused on every open path, with an error naming both
+// the file's version and the one this build reads.
+TEST(CompactGraphTest, VersionOneImagesAreRefused) {
+  std::string image = CompactGraph::FromGraph(StarUnion(300, 2, 5)).Serialize();
+  const size_t version_off = 8, payload = image.size() - 8;
+  image[version_off] = 1;
+  const uint64_t h = support::Fnv1a64(image.data(), payload);
+  for (int i = 0; i < 8; ++i) image[payload + i] = static_cast<char>(h >> (8 * i));
+  const auto expect_refused = [](const auto& open, const char* how) {
+    try {
+      open();
+      ADD_FAILURE() << how << " accepted a version-1 image";
+    } catch (const CompactGraphError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version 1"), std::string::npos) << how << ": " << what;
+      EXPECT_NE(what.find("version 2"), std::string::npos) << how << ": " << what;
+    }
+  };
+  expect_refused([&] { return CompactGraph::FromBytes(image); }, "FromBytes");
+  const std::string path = ::testing::TempDir() + "compact_graph_v1.cgr";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+  }
+  expect_refused([&] { return CompactGraph::FromFile(path); }, "FromFile");
+  expect_refused([&] { return CompactGraph::OpenMapped(path); }, "OpenMapped");
   std::remove(path.c_str());
 }
 
@@ -216,7 +231,6 @@ TEST(CompactGraphTest, GraphViewDispatchesToBothBackends) {
       ASSERT_EQ(vg.NeighborAt(v, p), vc.NeighborAt(v, p));
       const int u = vg.NeighborAt(v, p);
       ASSERT_EQ(vg.PortOf(v, u), vc.PortOf(v, u));
-      ASSERT_GE(vc.EdgeBetween(v, u), 0);
     }
   }
   EXPECT_EQ(vg.csr(), &g);

@@ -53,7 +53,7 @@ TEST(GraphLimitsTest, ChannelScaleBoundary) {
 }
 
 TEST(GraphLimitsTest, CompactBuilderNodeBoundary) {
-  // CompactGraph packs node ids into 32-bit varint/anchor fields.
+  // CompactGraph decodes node ids (varint entries) into 32-bit ints.
   EXPECT_NO_THROW(CompactGraph::Builder(int64_t{0}));
   EXPECT_NO_THROW(CompactGraph::Builder(int64_t{INT32_MAX}));
   for (const int64_t n : {int64_t{INT32_MAX} + 1, int64_t{-1}}) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -213,10 +214,16 @@ TEST(SubgraphTest, RestrictToSubgraph) {
   EXPECT_EQ(restricted[1], 30);
 }
 
+std::vector<int> AllEdges(const Graph& g) {
+  std::vector<int> all(g.NumEdges());
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
 TEST(LineGraphTest, PathLineGraphIsPath) {
   // L(P4) = P3.
   Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
-  LineGraph lg = BuildLineGraph(g);
+  LineGraph lg = BuildLineGraph(g, AllEdges(g));
   EXPECT_EQ(lg.graph.NumNodes(), 3);
   EXPECT_EQ(lg.graph.NumEdges(), 2);
   EXPECT_EQ(lg.graph.MaxDegree(), 2);
@@ -225,31 +232,57 @@ TEST(LineGraphTest, PathLineGraphIsPath) {
 TEST(LineGraphTest, StarLineGraphIsComplete) {
   // L(K_{1,4}) = K4.
   Graph g = Graph::FromEdges(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
-  LineGraph lg = BuildLineGraph(g);
+  LineGraph lg = BuildLineGraph(g, AllEdges(g));
   EXPECT_EQ(lg.graph.NumNodes(), 4);
   EXPECT_EQ(lg.graph.NumEdges(), 6);
 }
 
 TEST(LineGraphTest, TriangleLineGraphIsTriangle) {
-  LineGraph lg = BuildLineGraph(Triangle());
+  const Graph g = Triangle();
+  LineGraph lg = BuildLineGraph(g, AllEdges(g));
   EXPECT_EQ(lg.graph.NumNodes(), 3);
   EXPECT_EQ(lg.graph.NumEdges(), 3);
 }
 
 TEST(LineGraphTest, DegreeMatchesEdgeDegree) {
   Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {1, 3}, {3, 4}, {4, 5}});
-  LineGraph lg = BuildLineGraph(g);
+  LineGraph lg = BuildLineGraph(g, AllEdges(g));
   for (int e = 0; e < g.NumEdges(); ++e) {
     EXPECT_EQ(lg.graph.Degree(e), g.EdgeDegree(e));
+  }
+}
+
+// The subset form is the line graph of the subgraph the subset induces:
+// same node numbering (position in the subset) and same edge list as
+// building over the compacted graph, which InduceByEdges numbers in
+// ascending host-edge order.
+TEST(LineGraphTest, SubsetMatchesCompactedSubgraph) {
+  const Graph g = UniformRandomTree(200, 5);
+  std::vector<char> mask(g.NumEdges(), 0);
+  std::vector<int> subset;
+  for (int e = 0; e < g.NumEdges(); ++e) {
+    if (e % 3 != 0) {
+      mask[e] = 1;
+      subset.push_back(e);
+    }
+  }
+  const Subgraph sub = InduceByEdges(g, mask);
+  const Graph direct = BuildLineGraph(g, subset).graph;
+  const Graph compacted = BuildLineGraph(sub.graph, AllEdges(sub.graph)).graph;
+  ASSERT_EQ(direct.NumNodes(), static_cast<int>(subset.size()));
+  ASSERT_EQ(direct.NumNodes(), compacted.NumNodes());
+  ASSERT_EQ(direct.NumEdges(), compacted.NumEdges());
+  for (int v = 0; v < direct.NumNodes(); ++v) {
+    const auto a = direct.Neighbors(v);
+    const auto b = compacted.Neighbors(v);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << v;
   }
 }
 
 TEST(LineGraphTest, IdsDistinctAndPositive) {
   Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {1, 3}, {3, 4}, {4, 5}});
   auto host_ids = DefaultIds(6, 17);
-  std::vector<int> all(g.NumEdges());
-  std::iota(all.begin(), all.end(), 0);
-  auto ids = LineGraphIds(g, all, host_ids);
+  auto ids = LineGraphIds(g, AllEdges(g), host_ids);
   std::set<int64_t> s(ids.begin(), ids.end());
   EXPECT_EQ(s.size(), ids.size());
   for (int64_t id : ids) EXPECT_GE(id, 1);

@@ -108,9 +108,9 @@ TEST(LinialTest, ProperOnLineGraph) {
   // The edge-problem path: Linial on L(G).
   Graph g = UniformRandomTree(500, 10);
   auto host_ids = DefaultIds(500, 11);
-  LineGraph lg = BuildLineGraph(g);
   std::vector<int> all(g.NumEdges());
   std::iota(all.begin(), all.end(), 0);
+  LineGraph lg = BuildLineGraph(g, all);
   auto line_ids = LineGraphIds(g, all, host_ids);
   int64_t space = 7LL * g.NumEdges() + 1;
   auto result = RunLinial(lg.graph, line_ids, space);

@@ -244,7 +244,9 @@ BaseRunStats RunEdgeBase(const EdgeProblem& problem, const SemiGraph& semi,
   if (u.NumEdges() == 0) return stats;
 
   std::vector<int64_t> sub_ids = RestrictToSubgraph(under, host_ids);
-  LineGraph lg = BuildLineGraph(u);
+  std::vector<int> all_edges(u.NumEdges());
+  std::iota(all_edges.begin(), all_edges.end(), 0);
+  LineGraph lg = BuildLineGraph(u, all_edges);
   std::vector<int64_t> line_ids = oracle::LineGraphIds(u, sub_ids);
   int64_t line_space = static_cast<int64_t>(u.NumEdges()) + 1;
   LinialResult linial = RunLinial(lg.graph, line_ids, line_space);

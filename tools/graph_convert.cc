@@ -354,9 +354,9 @@ int Convert(const ConvertOptions& opt) {
   // formula: offset_ + nbr_ + inc_ + edge_u_ + edge_v_ as 4-byte ints).
   const int64_t csr_bytes = 4 * ((n + 1) + 2 * m + 2 * m + m + m);
   std::printf(
-      "n=%lld m=%lld max_degree=%d hubs=%u duplicates_dropped=%lld\n",
+      "n=%lld m=%lld max_degree=%d duplicates_dropped=%lld\n",
       static_cast<long long>(n), static_cast<long long>(m), g.MaxDegree(),
-      g.num_hubs(), static_cast<long long>(sorter.duplicates()));
+      static_cast<long long>(sorter.duplicates()));
   std::printf(
       "cgr_bytes=%lld bytes_per_edge=%.3f csr_bytes=%lld csr_ratio=%.2f "
       "sort_runs=%zu\n",
