@@ -33,7 +33,6 @@ namespace {
 class BroadcastK : public local::Algorithm {
  public:
   explicit BroadcastK(int rounds) : rounds_(rounds) {}
-  int MessageWords() const override { return 1; }
   void OnRound(local::NodeContext& ctx) override {
     if (ctx.round() >= rounds_) {
       ctx.Halt();
@@ -83,7 +82,8 @@ void BM_Linial(benchmark::State& state) {
   auto ids = DefaultIds(n, 4);
   int64_t space = int64_t{n} * n * n;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunLinial(g, ids, space));
+    local::Network net(g, ids);
+    benchmark::DoNotOptimize(RunLinial(net, space));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -97,7 +97,8 @@ void BM_ColeVishkin(benchmark::State& state) {
   for (int v = 1; v < n; ++v) parent[v] = v - 1;
   int64_t space = int64_t{n} * n * n;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ColeVishkin3Color(g, ids, parent, space));
+    local::Network net(g, ids);
+    benchmark::DoNotOptimize(ColeVishkin3Color(net, parent, space));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

@@ -76,7 +76,6 @@ class NodeClassSweepAlgorithm : public local::Algorithm {
         h_(h) {}
 
   size_t StateBytes() const override { return sizeof(NodeSweepState); }
-  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     static_cast<NodeSweepState*>(state)->rank =
         semi_.ContainsNode(node) ? (*rank_of_node_)[node] : -1;
@@ -122,13 +121,15 @@ class NodeClassSweepAlgorithm : public local::Algorithm {
 };
 
 // ---------------------------------------------------------------------------
-// Engine-native edge-class sweep: every semi edge is owned by its EndpointU
-// (any deterministic owner works — a class is a matching, so an owner
-// decides at most one edge per round). In round t the owner of each class-t
-// edge runs the 1-hop-edge greedy against the shared labeling (adjacent
-// edges belong to strictly earlier classes) and announces the decided label
-// pair across the edge. Owners leave the worklist after their last owned
-// class. Same determinism-contract argument as the node sweep.
+// Engine-native edge-class sweep: every semi edge is owned by one of its
+// endpoints (any deterministic owner works — a class is a matching, so an
+// owner decides at most one edge per round; RunEdgeBase picks owners to
+// coalesce visits). In round t the owner of each class-t edge runs the
+// 1-hop-edge greedy against the shared labeling (adjacent edges belong to
+// strictly earlier classes) and announces the receiver's half-edge label
+// across the edge: the one decided value the receiver does not hold. Owners
+// leave the worklist after their last owned class. Same
+// determinism-contract argument as the node sweep.
 // ---------------------------------------------------------------------------
 
 struct EdgeSweepState {
@@ -150,8 +151,6 @@ class EdgeClassSweepAlgorithm : public local::Algorithm {
         owned_port_(&owned_port), h_(h) {}
 
   size_t StateBytes() const override { return sizeof(EdgeSweepState); }
-  // Announces a label pair: the one two-word algorithm in the pipelines.
-  int MessageWords() const override { return 2; }
   void InitState(int node, void* state) override {
     auto* st = static_cast<EdgeSweepState*>(state);
     st->next = (*owned_off_)[node];
@@ -189,8 +188,8 @@ class EdgeClassSweepAlgorithm : public local::Algorithm {
     }
     const int e = (*owned_edge_)[st.next];
     problem_.SequentialAssignEdge(host_, e, h_);
-    ctx.Send((*owned_port_)[st.next],
-             local::Message::Of(h_.GetSlot(e, 0), h_.GetSlot(e, 1)));
+    const int receiver = host_.OtherEndpoint(e, ctx.node());
+    ctx.Send((*owned_port_)[st.next], local::Message::Of(h_.Get(e, receiver)));
     ++st.next;
     if (st.next >= (*owned_off_)[ctx.node() + 1]) {
       ctx.Halt();
@@ -304,14 +303,18 @@ BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
   // topology that cannot ride on the host engine's channels. Built straight
   // from the semi edges, it has the same adjacency as the line graph of the
   // compacted underlying graph, hence bit-identical colors — Linial is
-  // neighbor-order-independent — without the Subgraph compaction.
-  const LineGraph lg = BuildLineGraph(host, edge_to_host);
-  // Line-graph IDs: lexicographic rank of the endpoint-ID pair over the
-  // semi edges.
-  std::vector<int64_t> line_ids = LineGraphIds(host, edge_to_host, net.ids());
-  int64_t line_space = static_cast<int64_t>(m_sub) + 1;
-  LinialResult linial =
-      RunLinial(lg.graph, line_ids, line_space, net.num_threads());
+  // neighbor-order-independent — without the Subgraph compaction. The line
+  // graph and its engine are freed before the sweep runs on the host.
+  LinialResult linial;
+  {
+    const LineGraph lg = BuildLineGraph(host, edge_to_host);
+    // Line-graph IDs: lexicographic rank of the endpoint-ID pair over the
+    // semi edges.
+    local::Network line_net(lg.graph,
+                            LineGraphIds(host, edge_to_host, net.ids()),
+                            net.num_threads(), local::NetworkOptions{});
+    linial = RunLinial(line_net, static_cast<int64_t>(m_sub) + 1);
+  }
   // One line-graph round costs 2 host rounds (exchange over shared
   // endpoints), hence the factor 2 on the symmetry-breaking part.
   stats.linial_rounds = 2 * linial.rounds;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "src/local/network.h"
-#include "src/local/reference_network.h"
 
 namespace treelocal {
 
@@ -41,7 +40,6 @@ class CvAlgorithm : public local::Algorithm {
   }
 
   size_t StateBytes() const override { return sizeof(CvState); }
-  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     auto* st = static_cast<CvState*>(state);
     st->color = (*ids_)[node];
@@ -122,16 +120,14 @@ int ColeVishkinIterations(int64_t id_space) {
   return iterations;
 }
 
-namespace {
-
-ColeVishkinResult ColeVishkinOnEngine(local::Engine& net, const Graph& forest,
-                                      const std::vector<int64_t>& ids,
-                                      const std::vector<int>& parent,
-                                      int64_t id_space) {
+ColeVishkinResult ColeVishkin3Color(local::Engine& net,
+                                    const std::vector<int>& parent,
+                                    int64_t id_space) {
+  const Graph& forest = net.graph();
   ColeVishkinResult result;
   if (forest.NumNodes() == 0) return result;
   int iterations = ColeVishkinIterations(id_space);
-  CvAlgorithm alg(forest, ids, parent, iterations);
+  CvAlgorithm alg(forest, net.ids(), parent, iterations);
   result.rounds = net.Run(alg, iterations + 64);
   result.messages = net.messages_delivered();
   result.round_stats = net.round_stats();
@@ -141,24 +137,6 @@ ColeVishkinResult ColeVishkinOnEngine(local::Engine& net, const Graph& forest,
         static_cast<int>(net.StateAt<CvState>(v).color);
   }
   return result;
-}
-
-}  // namespace
-
-ColeVishkinResult ColeVishkin3Color(const Graph& forest,
-                                    const std::vector<int64_t>& ids,
-                                    const std::vector<int>& parent,
-                                    int64_t id_space, int num_threads) {
-  local::Network net(forest, ids, num_threads, local::NetworkOptions{});
-  return ColeVishkinOnEngine(net, forest, ids, parent, id_space);
-}
-
-ColeVishkinResult ColeVishkin3ColorReference(const Graph& forest,
-                                             const std::vector<int64_t>& ids,
-                                             const std::vector<int>& parent,
-                                             int64_t id_space) {
-  local::ReferenceNetwork net(forest, ids);
-  return ColeVishkinOnEngine(net, forest, ids, parent, id_space);
 }
 
 }  // namespace treelocal

@@ -22,23 +22,15 @@ struct ColeVishkinResult {
   std::vector<local::RoundStats> round_stats;
 };
 
-// `parent[v]` is the parent node index or -1 for roots. `ids` are distinct;
-// `id_space` is an exclusive upper bound on them (the schedule length is a
-// function of the ID space, which all nodes know). The graph must be a
-// forest whose edges are exactly {v, parent[v]}. Runs on an engine with
-// `num_threads` lanes; bit-identical for every thread count (engine parity
-// tests).
-ColeVishkinResult ColeVishkin3Color(const Graph& forest,
-                                    const std::vector<int64_t>& ids,
+// Runs on a caller-built engine of either class over a CSR forest
+// (net.graph()) whose edges are exactly {v, parent[v]}. `parent[v]` is the
+// parent node index or -1 for roots. The engine's ids (net.ids()) are
+// distinct; `id_space` is an exclusive upper bound on them (the schedule
+// length is a function of the ID space, which all nodes know).
+// Bit-identical for every engine and thread count (engine parity tests).
+ColeVishkinResult ColeVishkin3Color(local::Engine& net,
                                     const std::vector<int>& parent,
-                                    int64_t id_space, int num_threads = 1);
-
-// Same run on the naive ReferenceNetwork; bit-identical by contract and
-// asserted so by the engine parity tests.
-ColeVishkinResult ColeVishkin3ColorReference(const Graph& forest,
-                                             const std::vector<int64_t>& ids,
-                                             const std::vector<int>& parent,
-                                             int64_t id_space);
+                                    int64_t id_space);
 
 // Number of Cole-Vishkin iterations needed from an ID space of the given
 // size until colors are in {0..5}: the step-round count of CvAlgorithm and

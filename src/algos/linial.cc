@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/local/network.h"
-#include "src/local/reference_network.h"
 #include "src/support/mathutil.h"
 
 namespace treelocal {
@@ -138,7 +137,6 @@ class InducedLinialAlgorithm : public local::Algorithm {
         schedule_(schedule) {}
 
   size_t StateBytes() const override { return sizeof(LinialState); }
-  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     static_cast<LinialState*>(state)->color = (*ids_)[node];
   }
@@ -188,7 +186,6 @@ class LinialAlgorithm : public local::Algorithm {
       : ids_(&ids), schedule_(schedule) {}
 
   size_t StateBytes() const override { return sizeof(LinialState); }
-  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     static_cast<LinialState*>(state)->color = (*ids_)[node];
   }
@@ -244,11 +241,9 @@ LinialSchedule BuildLinialSchedule(int64_t id_space, int max_degree) {
   return schedule;
 }
 
-namespace {
-
-LinialResult RunLinialOnEngine(local::Engine& net, const Graph& g,
-                               const std::vector<int64_t>& ids,
-                               int64_t id_space) {
+LinialResult RunLinial(local::Engine& net, int64_t id_space) {
+  const Graph& g = net.graph();
+  const std::vector<int64_t>& ids = net.ids();
   LinialResult result;
   if (g.NumNodes() == 0) return result;
   if (g.MaxDegree() == 0) {
@@ -273,22 +268,7 @@ LinialResult RunLinialOnEngine(local::Engine& net, const Graph& g,
   return result;
 }
 
-}  // namespace
-
-LinialResult RunLinial(const Graph& g, const std::vector<int64_t>& ids,
-                       int64_t id_space, int num_threads) {
-  local::Network net(g, ids, num_threads, local::NetworkOptions{});
-  return RunLinialOnEngine(net, g, ids, id_space);
-}
-
-LinialResult RunLinialReference(const Graph& g,
-                                const std::vector<int64_t>& ids,
-                                int64_t id_space) {
-  local::ReferenceNetwork net(g, ids);
-  return RunLinialOnEngine(net, g, ids, id_space);
-}
-
-// Mirrors RunLinialOnEngine's structure (including the degree-0 and empty
+// Mirrors RunLinial's structure (including the degree-0 and empty
 // special cases) so outputs match a run on the compacted underlying graph
 // field for field.
 LinialResult RunLinialInduced(local::Network& net,

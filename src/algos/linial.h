@@ -41,18 +41,11 @@ struct LinialResult {
   std::vector<local::RoundStats> round_stats;
 };
 
-// Runs Linial color reduction on `g` with the given distinct IDs
-// (0 <= id < id_space required... IDs here are 1-based; internally shifted)
-// on an engine with `num_threads` lanes; bit-identical for every thread
-// count (asserted by the engine parity tests).
-LinialResult RunLinial(const Graph& g, const std::vector<int64_t>& ids,
-                       int64_t id_space, int num_threads = 1);
-
-// Same run on the naive ReferenceNetwork; bit-identical by contract and
-// asserted so by the engine parity tests.
-LinialResult RunLinialReference(const Graph& g,
-                                const std::vector<int64_t>& ids,
-                                int64_t id_space);
+// Runs Linial color reduction on a caller-built engine of either class
+// over a CSR graph (net.graph()), starting from its distinct ids
+// (net.ids(), each at most id_space). Bit-identical for every engine and
+// thread count (asserted by the engine parity tests).
+LinialResult RunLinial(local::Engine& net, int64_t id_space);
 
 // Linial color reduction on a SUBSTRUCTURE of a caller-owned host engine:
 // the nodes with participant[v] != 0 reduce colors over the induced port
@@ -63,7 +56,7 @@ LinialResult RunLinialReference(const Graph& g,
 // schedule is derived from ports.max_degree (the underlying graph's Delta),
 // not the host's. Initial colors are net.ids(); result.colors is
 // HOST-node-indexed (meaningful at participants). Outputs are bit-identical
-// to RunLinial on the explicitly compacted underlying graph (enforced by
+// to RunLinial over the explicitly compacted underlying graph (enforced by
 // the edge-pipeline parity tests), because a Linial step's chosen point
 // depends only on the set of neighbor colors, never on their order.
 // Precondition: every edge of `ports` has both endpoints participating.

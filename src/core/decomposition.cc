@@ -28,7 +28,6 @@ class DecompositionAlgorithm : public local::Algorithm {
   DecompositionAlgorithm(GraphView g, int b, int k) : g_(g), b_(b), k_(k) {}
 
   size_t StateBytes() const override { return sizeof(DecompState); }
-  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     static_cast<DecompState*>(state)->unmarked_degree = g_.Degree(node);
   }

@@ -55,7 +55,6 @@ class MultiForestCvAlgorithm : public local::Algorithm {
   size_t StateBytes() const override {
     return sizeof(int64_t) * static_cast<size_t>(num_forests_);
   }
-  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     auto* colors = static_cast<int64_t*>(state);
     for (int f = 0; f < num_forests_; ++f) colors[f] = (*ids_)[node];

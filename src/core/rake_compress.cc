@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "src/local/network.h"
-#include "src/local/reference_network.h"
 #include "src/support/mathutil.h"
 
 namespace treelocal {
@@ -36,7 +35,6 @@ class RakeCompressAlgorithm : public local::Algorithm {
   // per-Run set-up off the graph backend (a CompactGraph decodes its
   // stream for every Degree query).
   size_t StateBytes() const override { return sizeof(RcState); }
-  int MessageWords() const override { return 1; }
 
   void OnRound(local::NodeContext& ctx) override {
     RcState& st = ctx.State<RcState>();
@@ -176,17 +174,6 @@ std::vector<RakeCompressResult> RunRakeCompressDeduped(
     results[i] = unique_results[j];
   }
   return results;
-}
-
-RakeCompressResult RunRakeCompressReference(GraphView tree,
-                                            const std::vector<int64_t>& ids,
-                                            int k) {
-  if (tree.NumNodes() == 0) {
-    if (k < 2) throw std::invalid_argument("rake-compress requires k >= 2");
-    return RakeCompressResult{};
-  }
-  local::ReferenceNetwork net(tree, ids);
-  return RunRakeCompress(net, k);
 }
 
 }  // namespace treelocal

@@ -79,11 +79,6 @@ std::vector<RakeCompressResult> RunRakeCompressDeduped(
 // are equal (min(k, max_degree), floored at the smallest valid k = 2).
 int RakeCompressCanonicalK(int k, int max_degree);
 
-// Convenience form constructing the reference engine internally.
-RakeCompressResult RunRakeCompressReference(GraphView tree,
-                                            const std::vector<int64_t>& ids,
-                                            int k);
-
 // The bare engine Algorithm behind all of the drivers above (k >= 2). It
 // needs no graph: every degree comes from the engine's NodeContext. For
 // callers that need to drive the engine directly — the standalone

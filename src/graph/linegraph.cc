@@ -18,6 +18,10 @@ LineGraph BuildLineGraph(const Graph& host, std::span<const int> edges) {
     const size_t d = degree[v];
     total += d * (d - 1) / 2;
   }
+  // Refuse an over-limit line graph before reserving its edge list (a
+  // degree-46342 star center alone asks for 2^30 edges, 8.6 GB).
+  internal::ValidateEdgeCount(static_cast<int64_t>(edges.size()),
+                              static_cast<int64_t>(total));
   std::vector<std::pair<int, int>> ledges;
   ledges.reserve(total);
   std::vector<int> at_node;

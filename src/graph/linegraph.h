@@ -21,6 +21,9 @@ struct LineGraph {
 // distinct edges share at most one endpoint, so enumerating the incident
 // pairs at each host node (in port order) emits every line-graph edge
 // exactly once; no dedup pass is needed. Pass all host edges for L(G).
+// The edge count, the sum over host nodes of C(subset degree, 2), is
+// checked before anything is allocated: at the CSR limit (see
+// internal::ValidateEdgeCount) it throws GraphLimitError naming the count.
 LineGraph BuildLineGraph(const Graph& host, std::span<const int> edges);
 
 // Deterministic distinct IDs for line-graph nodes derived from the host

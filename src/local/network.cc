@@ -23,19 +23,6 @@ MaxRoundsExceededError::MaxRoundsExceededError(const std::string& engine,
       active_(active_nodes),
       digest_(last_digest) {}
 
-MessageWidthError::MessageWidthError(const std::string& engine,
-                                     int declared_words, int node, int port,
-                                     const Message& m)
-    : std::logic_error(
-          engine + ": node " + std::to_string(node) + " sent a message of " +
-          "size " + std::to_string(m.size) + " with word1 = " +
-          std::to_string(m.word1) + " on port " + std::to_string(port) +
-          ", but the running algorithm declares MessageWords() = " +
-          std::to_string(declared_words)),
-      declared_words_(declared_words),
-      node_(node),
-      port_(port) {}
-
 namespace internal {
 
 // send_chan[first[v] + p] = channel of the reverse half-edge (u -> v)
@@ -178,12 +165,6 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
                                   std::unique_ptr<SnapshotData>& resume) {
   const int n = graph_.NumNodes();
   RunStart start = RunStart::kContinue;
-  const int words = alg.MessageWords();
-  if (words != 1 && words != 2) {
-    throw std::invalid_argument(std::string(name_) +
-                                ": Algorithm::MessageWords() must be 1 or 2, "
-                                "not " + std::to_string(words));
-  }
   if (pending_resume_ != nullptr) {
     const size_t stride = pending_resume_->run.state_stride;
     if (stride != alg.StateBytes()) {
@@ -193,15 +174,6 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
                           " bytes/node, algorithm declares " +
                           std::to_string(alg.StateBytes()) +
                           " (resumed with a different Algorithm?)");
-    }
-    for (const SnapshotMessage& msg : pending_resume_->run.deliverable) {
-      if (msg.size > words || (words == 1 && msg.word1 != 0)) {
-        throw SnapshotError(
-            "resume message width mismatch: snapshot delivers a size-" +
-            std::to_string(msg.size) + " message to node " +
-            std::to_string(msg.node) + ", algorithm declares MessageWords() = " +
-            std::to_string(words) + " (resumed with a different Algorithm?)");
-      }
     }
     resume = std::move(pending_resume_);
     const SnapshotData::RunSection& run = resume->run;
@@ -250,7 +222,6 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
     wakes_ = 0;
     round_seconds_.clear();
   }
-  message_words_ = words;
   mid_run_ = false;  // any exit other than the pause return is not a pause
   finished_ = false;
   return start;
@@ -404,14 +375,6 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   int known_due = 0;
   std::unique_ptr<SnapshotData> snap;
   const RunStart start = BeginRun(alg, order_.data(), snap);
-  // A two-word run reads and writes the word1 planes; the first one on this
-  // engine allocates them (zeroed, so which of the two is the inbox does
-  // not matter), and they stay for later runs.
-  const bool wide = message_words_ == 2;
-  if (wide && inbox_w1_.size() != inbox_.size()) {
-    inbox_w1_.assign(inbox_.size(), 0);
-    outbox_w1_.assign(outbox_.size(), 0);
-  }
   if (start == RunStart::kResume) {
     // Restore the checkpointed boundary instead of starting fresh. The
     // epoch must advance BEFORE the deliverables are placed — they are
@@ -424,7 +387,6 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       const auto c = static_cast<size_t>(first_[msg.node] + msg.port);
       inbox_[c].word0 = msg.word0;
       inbox_[c].meta = internal::MailSlot::Meta(epoch_ - 1, msg.size);
-      if (wide) inbox_w1_[c] = msg.word1;  // BeginRun checked the width
     }
     // Rebuild the calendar from the snapshot's per-node wake rounds
     // (external-indexed; a snapshot of a dense run records every live node
@@ -613,8 +575,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     for (int c = lo; c < hi && !observable; ++c) {
       const internal::MailSlot& msg = inbox_[c];
       observable = msg.stamp() == epoch_ &&
-                   (msg.size() != 0 || msg.word0 != 0 ||
-                    (wide && inbox_w1_[c] != 0));
+                   (msg.size() != 0 || msg.word0 != 0);
     }
     if (observable) {
       wake_round_[i] = next;
@@ -663,8 +624,6 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       ctx.round_ = round_;
       ctx.inbox_ = inbox_.data();
       ctx.outbox_ = outbox_.data();
-      ctx.inbox_w1_ = wide ? inbox_w1_.data() : nullptr;
-      ctx.outbox_w1_ = wide ? outbox_w1_.data() : nullptr;
       ctx.epoch_ = epoch_;
       // Send-side wake recording only while someone is parked: a null
       // notify_stamp_ turns the whole hook into one predictable branch.
@@ -735,7 +694,6 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     StopRoundTimer();
     // Deliver: O(1) buffer swap; epoch stamps make clearing unnecessary.
     std::swap(inbox_, outbox_);
-    std::swap(inbox_w1_, outbox_w1_);
     if (notify_armed_) {
       // Message-wake barrier: every receiver of an observable send this
       // round was recorded once in some shard's notified list.
@@ -770,8 +728,7 @@ EngineBytes Network::EngineMemory() const {
   EngineBytes b;
   b.channel_tables = bytes(first_) + bytes(send_chan_);
   b.degree_table = bytes(degree_);
-  b.mailboxes = bytes(inbox_) + bytes(outbox_) + bytes(inbox_w1_) +
-                bytes(outbox_w1_);
+  b.mailboxes = bytes(inbox_) + bytes(outbox_);
   b.worklist = bytes(active_) + bytes(halted_) + bytes(order_) +
                bytes(perm_) + bytes(shards_);
   b.ids = bytes(ids_);
@@ -808,17 +765,11 @@ void Network::SaveBoundary(SnapshotData& snap) const {
   // keeps the image canonical across the stamp-less reference engine too.
   // A finished run records none at all — every node has halted, so the
   // final round's leftovers are unobservable.
-  // word1 comes from the plane only if the run is a two-word one: after a
-  // one-word run the plane holds stale words from an earlier run.
-  const bool wide = message_words_ == 2 && !inbox_w1_.empty();
   for (int v = 0; v < n; ++v) {
     for (int p = 0; p < degree_[v]; ++p) {
-      const auto c = static_cast<size_t>(first_[v] + p);
-      const internal::MailSlot& m = inbox_[c];
-      const int64_t word1 = wide ? inbox_w1_[c] : 0;
-      if (m.stamp() == epoch_ - 1 &&
-          (m.size() != 0 || m.word0 != 0 || word1 != 0)) {
-        run.deliverable.push_back({v, p, m.word0, word1, m.size()});
+      const internal::MailSlot& m = inbox_[first_[v] + p];
+      if (m.stamp() == epoch_ - 1 && (m.size() != 0 || m.word0 != 0)) {
+        run.deliverable.push_back({v, p, m.word0, m.size()});
       }
     }
   }

@@ -2,7 +2,6 @@
 #define TREELOCAL_LOCAL_NETWORK_H_
 
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -25,19 +24,15 @@ namespace treelocal::local {
 struct SnapshotData;                       // src/local/snapshot.h
 enum class SnapshotEngineKind : uint32_t;  // src/local/snapshot.h
 
-// One LOCAL message: at most two 64-bit words per edge per round, inline
-// (no heap), so the engine runs million-node networks. Every algorithm the
-// paper composes fits its message in one O(log n)-bit word; an algorithm
-// declares how many words it uses (Algorithm::MessageWords), and the engine
-// sizes its mailboxes to that: Network keeps word1 out of the mailbox slot
-// (see internal::MailSlot), so the slot of a one-word run costs 12 bytes.
+// One LOCAL message: one 64-bit word per edge per round, inline (no heap),
+// so the engine runs million-node networks. Every algorithm the paper
+// composes fits its message in one O(log n)-bit word, and Network's mailbox
+// slot (internal::MailSlot) holds exactly that word in 12 bytes.
 struct Message {
   int64_t word0 = 0;
-  int64_t word1 = 0;
-  uint8_t size = 0;  // 0 = no message; at most Algorithm::MessageWords()
+  uint8_t size = 0;  // 0 = no message, 1 = word0 is the message
 
-  static Message Of(int64_t a) { return Message{a, 0, 1}; }
-  static Message Of(int64_t a, int64_t b) { return Message{a, b, 2}; }
+  static Message Of(int64_t a) { return Message{a, 1}; }
   bool present() const { return size > 0; }
 };
 
@@ -150,28 +145,6 @@ class MaxRoundsExceededError : public std::runtime_error {
   uint64_t digest_;
 };
 
-// Thrown by the reference engine's Send when a message is wider than the
-// running algorithm declares (Algorithm::MessageWords): size above the
-// declared width, or a nonzero word1 on a one-word run. Network stores only
-// the declared words (and asserts the same in debug builds), so a
-// mis-declared algorithm would silently lose word1 there; every
-// differential suite runs the algorithm on the reference engine too, which
-// refuses it loudly instead.
-class MessageWidthError : public std::logic_error {
- public:
-  MessageWidthError(const std::string& engine, int declared_words, int node,
-                    int port, const Message& m);
-
-  int declared_words() const { return declared_words_; }
-  int node() const { return node_; }
-  int port() const { return port_; }
-
- private:
-  int declared_words_;
-  int node_;
-  int port_;
-};
-
 class Network;
 class ReferenceNetwork;
 class Algorithm;
@@ -183,12 +156,11 @@ const Message& RefRecv(const ReferenceNetwork& ref, int node, int port);
 void RefSend(ReferenceNetwork& ref, int node, int port, Message m);
 void RefHalt(ReferenceNetwork& ref, int node);
 
-// Network's mailbox slot, packed to 12 bytes: word0 and the epoch stamp
-// and size in one int32, meta = stamp * 4 + size (size in {0, 1, 2}; the
-// initial stamp -1 never matches an epoch). A send stays one random store
-// into one slot. word1 lives outside the slot, in a per-mailbox plane that
-// only a two-word run allocates (Network::RunUntil). The stamp must fit
-// meta, so Network's epochs stay below kMaxEpoch.
+// Network's mailbox slot, packed to 12 bytes: the message word, and the
+// epoch stamp and size in one int32, meta = stamp * 4 + size (size in
+// {0, 1}; the initial stamp -1 never matches an epoch). A send is one random
+// store into one slot. The stamp must fit meta, so Network's epochs stay
+// below kMaxEpoch.
 #pragma pack(push, 4)
 struct MailSlot {
   static constexpr int32_t Meta(int32_t stamp, int size) {
@@ -286,8 +258,7 @@ class NodeContext {
 
   // Queue a message on `port` for delivery next round. O(1): the send
   // channel for (node, port) is the node's own CSR slot, no lookup at all.
-  // Sending twice on a port in one round keeps only the last message. The
-  // message must fit the algorithm's declared Algorithm::MessageWords().
+  // Sending twice on a port in one round keeps only the last message.
   inline void Send(int port, Message m);
   inline void Broadcast(Message m);
 
@@ -338,14 +309,11 @@ class NodeContext {
   // own send channels, halts only itself, and counts into its own shard's
   // sent_ slot — which is the whole data-race argument for the sharded
   // round pass. The engine refreshes inbox_/outbox_/epoch_ every round
-  // (the mailboxes swap). The word1 planes are null on a one-word run, and
-  // then every message's word1 is 0.
+  // (the mailboxes swap).
   const int* first_ = nullptr;
   const int* send_chan_ = nullptr;
   const internal::MailSlot* inbox_ = nullptr;
   internal::MailSlot* outbox_ = nullptr;
-  const int64_t* inbox_w1_ = nullptr;
-  int64_t* outbox_w1_ = nullptr;
   char* halted_ = nullptr;
   int64_t* sent_ = nullptr;  // messages-delivered counter (per shard)
   // Message-content digest accumulator (per shard), or null when
@@ -383,7 +351,8 @@ class NodeContext {
 // (round 0 included, with empty inboxes) until every node halts, except in
 // the rounds a node sleeps through (InitialWakeRound,
 // NodeContext::SleepUntil). A dense algorithm — every live node acting
-// every round — overrides neither and is visited every round.
+// every round — overrides neither and is visited every round. Each round a
+// node sends at most one one-word Message per port.
 //
 // Per-node state lives in an ENGINE-MANAGED state plane: the algorithm
 // declares a fixed-size POD slot via StateBytes(), initializes each node's
@@ -420,13 +389,6 @@ class Algorithm {
   // a multiple of the state type's alignment (sizeof(T) always qualifies).
   virtual size_t StateBytes() const { return 0; }
 
-  // Words per message this algorithm sends: 1 or 2. Like StateBytes it is
-  // constant over the algorithm's lifetime. A one-word algorithm sends
-  // Message::Of(a) (or an empty message) and never a nonzero word1, and
-  // Network then holds no word1 at all; the reference engine refuses a
-  // wider message with MessageWidthError.
-  virtual int MessageWords() const { return 2; }
-
   // Called once per external node before round 0 of every Run, with `state`
   // pointing at the node's zero-initialized slot. Call order across nodes
   // is engine-chosen and unspecified (internal-rank order in practice).
@@ -452,21 +414,17 @@ class Algorithm {
 // Bytes held by each of a Network's structures (vector capacities, so the
 // figures track what the engine actually reserved). Construction allocates
 // the channel tables, degree table, mailboxes, worklist and id copy; the
-// mailboxes' word1 planes, the state plane and the wake tables are armed
-// by the first run that needs them and keep their capacity across runs,
-// and the run log grows with the rounds of the last run. The word1 planes
-// come with the first two-word run (Algorithm::MessageWords). The wake
-// tables come in two steps: the first run arms the per-node wake rounds
-// and bucket stamps, and the first run that parks a node adds the
-// channel-owner table and notify stamps.
+// state plane and the wake tables are armed by the first run that needs
+// them and keep their capacity across runs, and the run log grows with the
+// rounds of the last run. The wake tables come in two steps: the first run
+// arms the per-node wake rounds and bucket stamps, and the first run that
+// parks a node adds the channel-owner table and notify stamps.
 // treelocald charges a resident graph's cached engine against its memory
 // quota with this.
 struct EngineBytes {
   size_t channel_tables = 0;  // CSR offsets + send-channel table
   size_t degree_table = 0;
-  size_t mailboxes = 0;    // inbox + outbox: 2 x 2m 12-byte slots, plus
-                           // their 2 x 2m word1 planes once a two-word
-                           // algorithm has run
+  size_t mailboxes = 0;    // inbox + outbox: 2 x 2m 12-byte slots
   size_t worklist = 0;     // active list, halt flags, rank order/permutation,
                            // per-lane shard slots
   size_t ids = 0;          // the engine's copy of the node ids
@@ -641,9 +599,6 @@ class Engine {
   //     (zeroed slots, one InitState per node; `inv` maps internal rank ->
   //     external node, null = identity); the engine resets its own planes;
   //   kContinue (a paused run): nothing — everything is live.
-  // Every start records alg.MessageWords() in message_words_ (1 or 2, else
-  // std::invalid_argument); a resume also refuses, still armed, a snapshot
-  // whose deliverable messages are wider than that.
   RunStart BeginRun(Algorithm& alg, const int* inv,
                     std::unique_ptr<SnapshotData>& resume);
 
@@ -692,8 +647,6 @@ class Engine {
   bool digest_messages_ = false;  // NetworkOptions::digest_messages
   bool wake_opt_ = true;          // NetworkOptions::wake_scheduling
   support::FaultInjector* fault_ = nullptr;
-  // Algorithm::MessageWords of the current (or last) run.
-  int message_words_ = 2;
 
   // Engine-owned per-node state plane (Algorithm::StateBytes per slot),
   // indexed by internal rank: slot perm_[v] belongs to external node v
@@ -857,12 +810,8 @@ class Network : public Engine {
   std::vector<int> order_;      // internal rank -> external id (iota, or BFS
                                 // under options.relabel); perm_ inverts it
   // Double-buffered mailboxes of 12-byte slots, each epoch-stamped in its
-  // meta field; swapped (O(1)) each round, never cleared. inbox_w1_ and
-  // outbox_w1_ hold each slot's word1: empty until the first two-word run
-  // allocates them, then kept and swapped with the slots. A one-word run
-  // neither reads nor writes them.
+  // meta field; swapped (O(1)) each round, never cleared.
   std::vector<internal::MailSlot> inbox_, outbox_;
-  std::vector<int64_t> inbox_w1_, outbox_w1_;
   std::vector<char> halted_;
   std::vector<int> active_;  // the CURRENT ROUND's wake bucket: INTERNAL
                              // ranks, UNIQUE entries (see bucket_stamp_).
@@ -906,19 +855,13 @@ inline Message NodeContext::Recv(int port) const {
     const auto c = static_cast<size_t>(first_[node_] + port);
     const internal::MailSlot& s = inbox_[c];
     if (s.stamp() + 1 != epoch_) return Message{};
-    return Message{s.word0, inbox_w1_ != nullptr ? inbox_w1_[c] : 0,
-                   s.size()};
+    return Message{s.word0, s.size()};
   }
   return internal::RefRecv(*ref_, node_, port);
 }
 
 inline void NodeContext::Send(int port, Message m) {
   if (first_ != nullptr) [[likely]] {
-    // The reference engine throws MessageWidthError here; Network checks
-    // only in debug builds and otherwise stores just the declared words.
-    assert(m.size <= (outbox_w1_ != nullptr ? 2 : 1) &&
-           (outbox_w1_ != nullptr || m.word1 == 0) &&
-           "message wider than Algorithm::MessageWords()");
     const auto c = static_cast<size_t>(send_chan_[first_[node_] + port]);
     internal::MailSlot& s = outbox_[c];
     if (s.stamp() == epoch_) {
@@ -929,22 +872,17 @@ inline void NodeContext::Send(int port, Message m) {
       const uint8_t size = s.size();
       *sent_ -= size > 0;
       if (macc_ != nullptr && size > 0) {
-        *macc_ -= support::MessageHash(
-            node_, port, s.word0, outbox_w1_ != nullptr ? outbox_w1_[c] : 0,
-            size);
+        *macc_ -= support::MessageHash(node_, port, s.word0, size);
       }
     }
     const int32_t stamp = epoch_;
-    const int64_t word1 = outbox_w1_ != nullptr ? m.word1 : 0;
     s.word0 = m.word0;
     s.meta = internal::MailSlot::Meta(stamp, m.size);
-    if (outbox_w1_ != nullptr) outbox_w1_[c] = word1;
     *sent_ += m.present();
     if (macc_ != nullptr && m.present()) {
-      *macc_ += support::MessageHash(node_, port, m.word0, word1, m.size);
+      *macc_ += support::MessageHash(node_, port, m.word0, m.size);
     }
-    if (notify_stamp_ != nullptr &&
-        (m.size != 0 || m.word0 != 0 || word1 != 0)) {
+    if (notify_stamp_ != nullptr && (m.size != 0 || m.word0 != 0)) {
       // Scheduled run: record the receiver as a wake candidate, once per
       // round (epoch-stamped dedup; the relaxed exchange makes concurrent
       // shards agree on a single recorder). The observability predicate

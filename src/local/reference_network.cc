@@ -56,9 +56,6 @@ const Message& ReferenceNetwork::RecvAt(int node, int port) const {
 }
 
 void ReferenceNetwork::SendAt(int node, int port, Message m) {
-  if (m.size > message_words_ || (message_words_ == 1 && m.word1 != 0)) {
-    throw MessageWidthError("ReferenceNetwork", message_words_, node, port, m);
-  }
   Message& slot = outbox_[peer_[inc_off_[node] + port]];
   visit_sent_delta_ +=
       static_cast<int>(m.present()) - static_cast<int>(slot.present());
@@ -89,8 +86,7 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
     std::fill(outbox_.begin(), outbox_.end(), Message{});
     // Place each deliverable where the receiver's RecvAt(node, port) looks.
     for (const SnapshotMessage& msg : run.deliverable) {
-      inbox_[inc_off_[msg.node] + msg.port] =
-          Message{msg.word0, msg.word1, msg.size};
+      inbox_[inc_off_[msg.node] + msg.port] = Message{msg.word0, msg.size};
     }
     // The snapshot's wake plane is external-indexed — exactly this
     // engine's layout.
@@ -153,10 +149,10 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
           const int from = peer_[s];
           const int sender = slot_node_[from];
           macc += support::MessageHash(sender, from - inc_off_[sender],
-                                       m.word0, m.word1, m.size);
+                                       m.word0, m.size);
         }
       }
-      if (m.size != 0 || m.word0 != 0 || m.word1 != 0) {
+      if (m.size != 0 || m.word0 != 0) {
         // Message-wake invariant, spelled out: any observable delivery
         // pulls a sleeping receiver to the next round.
         const int recv = slot_node_[s];
@@ -186,8 +182,8 @@ void ReferenceNetwork::SaveBoundary(SnapshotData& snap) const {
     const int deg = graph_.Degree(v);
     for (int p = 0; p < deg; ++p) {
       const Message& m = RecvAt(v, p);
-      if (m.size != 0 || m.word0 != 0 || m.word1 != 0) {
-        run.deliverable.push_back({v, p, m.word0, m.word1, m.size});
+      if (m.size != 0 || m.word0 != 0) {
+        run.deliverable.push_back({v, p, m.word0, m.size});
       }
     }
   }

@@ -41,8 +41,7 @@ class ReferenceNetwork : public Engine {
   int RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) override;
 
   // Channel primitives used by NodeContext's reference dispatch (and handy
-  // for white-box tests). SendAt throws MessageWidthError for a message
-  // wider than the running algorithm's MessageWords().
+  // for white-box tests).
   const Message& RecvAt(int node, int port) const;
   void SendAt(int node, int port, Message m);
   void HaltAt(int node);

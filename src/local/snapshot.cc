@@ -166,7 +166,8 @@ void ValidateData(const SnapshotData& snap) {
           "deliverable message node out of range [0, n)");
     Check(msg.port >= 0 && static_cast<int64_t>(msg.port) < 2 * snap.m,
           "deliverable message port out of range");
-    Check(msg.size <= 2, "deliverable message size not in {0, 1, 2}");
+    Check(msg.size <= 1, "deliverable message size " +
+                             std::to_string(msg.size) + " not in {0, 1}");
     if (prev != nullptr) {
       Check(prev->node < msg.node ||
                 (prev->node == msg.node && prev->port < msg.port),
@@ -260,7 +261,7 @@ void WriteSnapshot(std::ostream& out, const SnapshotData& snap) {
     w.I32(msg.node);
     w.I32(msg.port);
     w.I64(msg.word0);
-    w.I64(msg.word1);
+    w.I64(0);  // retired second word
     w.U8(msg.size);
   }
   const uint64_t file_hash = Fnv1a64(w.bytes().data(), w.bytes().size());
@@ -364,7 +365,9 @@ SnapshotData ReadSnapshot(std::istream& in) {
     msg.node = r.I32();
     msg.port = r.I32();
     msg.word0 = r.I64();
-    msg.word1 = r.I64();
+    const int64_t retired = r.I64();
+    Check(retired == 0, "deliverable message's retired second word is " +
+                            std::to_string(retired) + ", not 0");
     msg.size = r.U8();
   }
   Check(r.remaining() == 0, "trailing bytes after the run section");

@@ -45,7 +45,10 @@ namespace treelocal::local {
 //   msg_acc (8) | digest (8) |
 //   halted (n * 1) | wake (n * 4) | state_stride (4) | state (n * stride) |
 //   deliverable_count (4) | per message: node (4) | port (4) | word0 (8) |
-//   word1 (8) | size (1)
+//   retired (8) | size (1)
+// Messages are one word since the second one was retired; its 8 bytes stay
+// in the layout, are written as 0, and a nonzero value (like a size above
+// 1) is refused on read.
 //
 // Version history: v1 had no wake section and 28-byte round records
 // (active | sent | msg_acc | digest). v2 adds the per-node wake plane and
@@ -124,7 +127,6 @@ struct SnapshotMessage {
   int32_t node = 0;
   int32_t port = 0;
   int64_t word0 = 0;
-  int64_t word1 = 0;
   uint8_t size = 0;
 
   friend bool operator==(const SnapshotMessage&,

@@ -35,13 +35,16 @@ constexpr uint64_t Mix64(uint64_t x) {
 // accumulator is the SUM mod 2^64 of these: commutative, so an engine's
 // lanes accumulate independently in any order, and invertible, so a
 // last-write-wins overwrite on a port subtracts the earlier send back out.
+// The third mixing step folds in a retired second message word as 0, which
+// keeps every one-word digest equal to the one recorded when messages could
+// carry two words.
 constexpr uint64_t MessageHash(int sender, int port, int64_t word0,
-                               int64_t word1, uint8_t size) {
+                               uint8_t size) {
   uint64_t h = Mix64((static_cast<uint64_t>(static_cast<uint32_t>(sender))
                       << 32) |
                      static_cast<uint32_t>(port));
   h = Mix64(h ^ static_cast<uint64_t>(word0));
-  h = Mix64(h ^ static_cast<uint64_t>(word1));
+  h = Mix64(h);
   h = Mix64(h ^ (static_cast<uint64_t>(size) + 1));
   return h;
 }

@@ -44,20 +44,23 @@ void ExpectProper3Coloring(const Graph& g, const std::vector<int>& colors) {
 TEST(ColeVishkinTest, PathIsProperly3Colored) {
   Graph g = Path(100);
   auto ids = DefaultIds(100, 1);
-  auto result = ColeVishkin3Color(g, ids, RootAt(g, 0), 100LL * 100 * 100);
+  local::Network net(g, ids);
+  auto result = ColeVishkin3Color(net, RootAt(g, 0), 100LL * 100 * 100);
   ExpectProper3Coloring(g, result.colors);
 }
 
 TEST(ColeVishkinTest, StarIsProperly3Colored) {
   Graph g = Star(50);
   auto ids = DefaultIds(50, 2);
-  auto result = ColeVishkin3Color(g, ids, RootAt(g, 0), 50LL * 50 * 50);
+  local::Network net(g, ids);
+  auto result = ColeVishkin3Color(net, RootAt(g, 0), 50LL * 50 * 50);
   ExpectProper3Coloring(g, result.colors);
 }
 
 TEST(ColeVishkinTest, SingletonColored) {
   Graph g = Path(1);
-  auto result = ColeVishkin3Color(g, {5}, {-1}, 100);
+  local::Network net(g, {5});
+  auto result = ColeVishkin3Color(net, {-1}, 100);
   ASSERT_EQ(result.colors.size(), 1u);
   EXPECT_GE(result.colors[0], 0);
   EXPECT_LE(result.colors[0], 2);
@@ -65,7 +68,8 @@ TEST(ColeVishkinTest, SingletonColored) {
 
 TEST(ColeVishkinTest, EmptyForest) {
   Graph g = Graph::FromEdges(0, {});
-  auto result = ColeVishkin3Color(g, {}, {}, 100);
+  local::Network net(g, {});
+  auto result = ColeVishkin3Color(net, {}, 100);
   EXPECT_TRUE(result.colors.empty());
 }
 
@@ -75,7 +79,8 @@ TEST(ColeVishkinTest, MultiComponentForest) {
                                  {6, 7}});
   auto ids = DefaultIds(8, 3);
   std::vector<int> parent = {-1, 0, 1, 2, -1, 4, 5, 6};
-  auto result = ColeVishkin3Color(g, ids, parent, 8LL * 8 * 8);
+  local::Network net(g, ids);
+  auto result = ColeVishkin3Color(net, parent, 8LL * 8 * 8);
   ExpectProper3Coloring(g, result.colors);
 }
 
@@ -86,7 +91,8 @@ TEST(ColeVishkinTest, RoundsAreLogStarPlusConstant) {
   Graph g = UniformRandomTree(n, 5);
   auto ids = DefaultIds(n, 6);
   int64_t space = static_cast<int64_t>(n) * n * n;
-  auto result = ColeVishkin3Color(g, ids, RootAt(g, 0), space);
+  local::Network net(g, ids);
+  auto result = ColeVishkin3Color(net, RootAt(g, 0), space);
   ExpectProper3Coloring(g, result.colors);
   EXPECT_LE(result.rounds, ColeVishkinIterations(space) + 8);
   EXPECT_LE(result.rounds, LogStar(static_cast<double>(space)) + 16);
@@ -139,7 +145,8 @@ TEST_P(CvFamilyTest, ProperOnAllFamilies) {
     auto ids = DefaultIds(g.NumNodes(), 100);
     int64_t space =
         static_cast<int64_t>(g.NumNodes()) * g.NumNodes() * g.NumNodes();
-    auto result = ColeVishkin3Color(g, ids, RootAt(g, 0), space);
+    local::Network net(g, ids);
+    auto result = ColeVishkin3Color(net, RootAt(g, 0), space);
     ExpectProper3Coloring(g, result.colors);
   }
 }

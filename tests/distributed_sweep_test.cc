@@ -24,7 +24,8 @@ Fixture Make(int n, uint64_t seed) {
   Fixture f;
   f.g = UniformRandomTree(n, seed);
   f.ids = DefaultIds(n, seed + 1);
-  f.linial = RunLinial(f.g, f.ids, int64_t{n} * n * n);
+  local::Network net(f.g, f.ids);
+  f.linial = RunLinial(net, int64_t{n} * n * n);
   return f;
 }
 

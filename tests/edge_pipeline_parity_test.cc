@@ -317,6 +317,54 @@ TEST(BaseLayerParity, EdgeBaseOnEdgeInducedSemigraphs) {
   }
 }
 
+// The edge-class sweep with content digests on: every semi edge's owner
+// announces one word, the receiver's half-edge label, so the sweep delivers
+// exactly one message per semi edge, and the digest chain over those
+// contents is the same at T = 1, at T = 3 and under relabel.
+TEST(BaseLayerParity, EdgeSweepContentDigestsMatchAcrossLayouts) {
+  Graph g = ForestUnion(300, 2, 104);
+  auto ids = DefaultIds(g.NumNodes(), 114);
+  Rng rng(124);
+  std::vector<char> mask(g.NumEdges(), 0);
+  for (int e = 0; e < g.NumEdges(); ++e) mask[e] = rng.NextBool(0.7);
+  SemiGraph ge = SemiGraph::EdgeInduced(g, mask);
+  EdgeColoringProblem ec(EdgeColoringProblem::Mode::kEdgeDegreePlusOne,
+                         g.MaxDegree());
+  HalfEdgeLabeling want_h(g);
+  std::vector<uint64_t> want;
+  struct Layout {
+    int threads;
+    bool relabel;
+  };
+  for (const Layout layout : {Layout{1, false}, Layout{3, false},
+                              Layout{1, true}}) {
+    const std::string what = "T=" + std::to_string(layout.threads) +
+                             (layout.relabel ? " relabel" : "");
+    local::NetworkOptions opt;
+    opt.digest_messages = true;
+    opt.relabel = layout.relabel;
+    local::Network net(g, ids, layout.threads, opt);
+    HalfEdgeLabeling h(g);
+    const BaseRunStats stats =
+        RunEdgeBase(net, ec, ge, IdSpace(g.NumNodes()), h);
+    EXPECT_EQ(stats.sweep_messages, ge.NumSemiEdges()) << what;
+    // The host engine's last run is the sweep.
+    EXPECT_EQ(net.messages_delivered(), ge.NumSemiEdges()) << what;
+    if (want.empty()) {
+      want = net.round_digests();
+      want_h = h;
+      // Contents are folded in: some round accumulates a nonzero hash.
+      EXPECT_TRUE(std::any_of(net.round_message_accs().begin(),
+                              net.round_message_accs().end(),
+                              [](uint64_t acc) { return acc != 0; }));
+    } else {
+      EXPECT_EQ(net.round_digests(), want) << what;
+      ExpectSameLabeling(g, h, want_h, what);
+    }
+  }
+  EXPECT_FALSE(want.empty());
+}
+
 // Baselines (whole graph, including the high-Delta star where the line
 // graph degenerates and the Linial fallback sweeps the raw ID space),
 // against the oracle base on SemiGraph::Whole.

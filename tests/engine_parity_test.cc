@@ -11,6 +11,7 @@
 #include "src/algos/cole_vishkin.h"
 #include "src/algos/linial.h"
 #include "src/graph/generators.h"
+#include "src/local/reference_network.h"
 #include "src/problems/coloring.h"
 #include "src/problems/mis.h"
 #include "src/support/rng.h"
@@ -45,8 +46,10 @@ TEST(EngineParityTest, LinialBitIdentical) {
                              : BoundedDegreeRandomTree(n, 3 + trial, 2000 + trial);
     auto ids = DefaultIds(n, 2100 + trial);
     const int64_t space = int64_t{n} * n * n;
-    LinialResult fast = RunLinial(g, ids, space);
-    LinialResult ref = RunLinialReference(g, ids, space);
+    local::Network net(g, ids);
+    local::ReferenceNetwork ref_net(g, ids);
+    LinialResult fast = RunLinial(net, space);
+    LinialResult ref = RunLinial(ref_net, space);
     EXPECT_EQ(fast.colors, ref.colors);
     EXPECT_EQ(fast.num_colors, ref.num_colors);
     EXPECT_EQ(fast.rounds, ref.rounds);
@@ -62,9 +65,10 @@ TEST(EngineParityTest, ColeVishkinBitIdentical) {
     std::vector<int> parent = RootAt(tree, 0);
     auto ids = DefaultIds(n, 2300 + trial);
     const int64_t space = int64_t{n} * n * n;
-    ColeVishkinResult fast = ColeVishkin3Color(tree, ids, parent, space);
-    ColeVishkinResult ref =
-        ColeVishkin3ColorReference(tree, ids, parent, space);
+    local::Network net(tree, ids);
+    local::ReferenceNetwork ref_net(tree, ids);
+    ColeVishkinResult fast = ColeVishkin3Color(net, parent, space);
+    ColeVishkinResult ref = ColeVishkin3Color(ref_net, parent, space);
     EXPECT_EQ(fast.colors, ref.colors);
     EXPECT_EQ(fast.rounds, ref.rounds);
     EXPECT_EQ(fast.messages, ref.messages);
@@ -80,7 +84,8 @@ TEST(EngineParityTest, DistributedSweepBitIdentical) {
     const int n = 60 + trial * 83;
     Graph g = UniformRandomTree(n, 2400 + trial);
     auto ids = DefaultIds(n, 2500 + trial);
-    LinialResult linial = RunLinial(g, ids, int64_t{n} * n * n);
+    local::Network net(g, ids);
+    LinialResult linial = RunLinial(net, int64_t{n} * n * n);
     for (const NodeProblem* problem : problems) {
       oracle::DistributedSweepResult fast = oracle::RunDistributedNodeSweep(
           *problem, g, ids, linial.colors, linial.num_colors);

@@ -44,7 +44,7 @@ class NeverHaltAlg : public Algorithm {
  public:
   size_t StateBytes() const override { return 0; }
   void OnRound(NodeContext& ctx) override {
-    ctx.Broadcast(local::Message::Of(7, ctx.round()));
+    ctx.Broadcast(local::Message::Of(7 * 1000003 + ctx.round()));
   }
 };
 

@@ -66,15 +66,16 @@ class EchoAlgorithm : public local::Algorithm {
         // Wrapping fold: the accumulator overflows int64 within a few
         // rounds, which is undefined on signed arithmetic.
         acc = static_cast<int64_t>(static_cast<uint64_t>(acc) * 31 +
-                                   static_cast<uint64_t>(msg.word0) +
-                                   static_cast<uint64_t>(msg.word1));
+                                   static_cast<uint64_t>(msg.word0));
       }
     }
     if (ctx.round() >= kRounds) {
       ctx.Halt();
       return;
     }
-    ctx.Broadcast(local::Message::Of(acc, ctx.round() + ctx.degree()));
+    // The accumulator and a round/degree tag in one (wrapping) word.
+    ctx.Broadcast(local::Message::Of(static_cast<int64_t>(
+        static_cast<uint64_t>(acc) * 1000003 + ctx.round() + ctx.degree())));
   }
 
  private:
@@ -208,7 +209,8 @@ TEST(GraphBackendParityTest, RakeCompressPipelineParity) {
       EXPECT_EQ(base.engine_rounds, got.engine_rounds) << family;
       EXPECT_EQ(base.messages, got.messages) << family;
       EXPECT_EQ(base.round_stats, got.round_stats) << family;
-      const RakeCompressResult ref = RunRakeCompressReference(*cg, ids, k);
+      local::ReferenceNetwork ref_net(*cg, ids);
+      const RakeCompressResult ref = RunRakeCompress(ref_net, k);
       EXPECT_EQ(base.round_stats, ref.round_stats) << family;
       local::Network net(*cg, ids);
       const auto deduped = RunRakeCompressDeduped(net, {k, k + 5});

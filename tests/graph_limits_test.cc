@@ -10,9 +10,13 @@
 #include <cstdint>
 #include <string>
 
+#include "src/core/baseline.h"
 #include "src/graph/compact_graph.h"
+#include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/local/network.h"
+#include "src/problems/matching.h"
+#include "src/support/rng.h"
 
 namespace treelocal {
 namespace {
@@ -49,6 +53,27 @@ TEST(GraphLimitsTest, ChannelScaleBoundary) {
       EXPECT_NE(what.find(std::to_string(m)), std::string::npos) << what;
       EXPECT_NE(what.find("ReferenceNetwork"), std::string::npos) << what;
     }
+  }
+}
+
+TEST(GraphLimitsTest, OversizedLineGraphIsRefusedBeforeAllocation) {
+  // The edge baseline runs Linial on the line graph, whose edge count is
+  // the sum of C(deg, 2): a star center of degree 46342 alone gives
+  // 1073767011 >= 2^30 line edges. The builder must refuse the count up
+  // front instead of reserving ~8.6 GB for the edge list.
+  const int leaves = 46342;
+  const int64_t line_edges = int64_t{leaves} * (leaves - 1) / 2;
+  ASSERT_GE(line_edges, int64_t{1} << 30);
+  const Graph star = Star(leaves + 1);
+  MatchingProblem mm;
+  try {
+    RunEdgeBaseline(mm, star, DefaultIds(star.NumNodes(), 1),
+                    int64_t{leaves + 1} * (leaves + 1));
+    FAIL() << "a " << line_edges << "-edge line graph was built";
+  } catch (const GraphLimitError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(line_edges)),
+              std::string::npos)
+        << e.what();
   }
 }
 

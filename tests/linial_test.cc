@@ -29,7 +29,8 @@ TEST(LinialTest, ProperOnRandomTree) {
   Graph g = UniformRandomTree(n, 1);
   auto ids = DefaultIds(n, 2);
   int64_t space = static_cast<int64_t>(n) * n * n;
-  auto result = RunLinial(g, ids, space);
+  local::Network net(g, ids);
+  auto result = RunLinial(net, space);
   ExpectProper(g, result.colors, result.num_colors);
 }
 
@@ -37,14 +38,16 @@ TEST(LinialTest, ProperOnGrid) {
   Graph g = Grid(30, 30);
   auto ids = DefaultIds(g.NumNodes(), 3);
   int64_t space = static_cast<int64_t>(g.NumNodes()) * g.NumNodes();
-  auto result = RunLinial(g, ids, space);
+  local::Network net(g, ids);
+  auto result = RunLinial(net, space);
   ExpectProper(g, result.colors, result.num_colors);
 }
 
 TEST(LinialTest, ProperOnHighDegreeStar) {
   Graph g = Star(500);
   auto ids = DefaultIds(500, 4);
-  auto result = RunLinial(g, ids, 500LL * 500 * 500);
+  local::Network net(g, ids);
+  auto result = RunLinial(net, 500LL * 500 * 500);
   ExpectProper(g, result.colors, result.num_colors);
 }
 
@@ -54,7 +57,8 @@ TEST(LinialTest, FinalColorCountPolynomialInDelta) {
     Graph g = BoundedDegreeRandomTree(3000, delta, 7);
     int real_delta = g.MaxDegree();
     auto ids = DefaultIds(3000, 8);
-    auto result = RunLinial(g, ids, 3000LL * 3000 * 3000);
+    local::Network net(g, ids);
+    auto result = RunLinial(net, 3000LL * 3000 * 3000);
     ExpectProper(g, result.colors, result.num_colors);
     double bound = 64.0 * real_delta * real_delta *
                    (std::log2(real_delta) + 2) * (std::log2(real_delta) + 2);
@@ -99,7 +103,8 @@ TEST(LinialTest, ScheduleStepsShrink) {
 TEST(LinialTest, ZeroDegreeGraph) {
   Graph g = Graph::FromEdges(5, {});
   auto ids = DefaultIds(5, 9);
-  auto result = RunLinial(g, ids, 1000);
+  local::Network net(g, ids);
+  auto result = RunLinial(net, 1000);
   EXPECT_EQ(result.num_colors, 1);
   for (int64_t c : result.colors) EXPECT_EQ(c, 0);
 }
@@ -113,15 +118,18 @@ TEST(LinialTest, ProperOnLineGraph) {
   LineGraph lg = BuildLineGraph(g, all);
   auto line_ids = LineGraphIds(g, all, host_ids);
   int64_t space = 7LL * g.NumEdges() + 1;
-  auto result = RunLinial(lg.graph, line_ids, space);
+  local::Network net(lg.graph, line_ids);
+  auto result = RunLinial(net, space);
   ExpectProper(lg.graph, result.colors, result.num_colors);
 }
 
 TEST(LinialTest, DeterministicColors) {
   Graph g = UniformRandomTree(300, 12);
   auto ids = DefaultIds(300, 13);
-  auto r1 = RunLinial(g, ids, 300LL * 300 * 300);
-  auto r2 = RunLinial(g, ids, 300LL * 300 * 300);
+  local::Network net(g, ids);
+  auto r1 = RunLinial(net, 300LL * 300 * 300);
+  local::Network net2(g, ids);
+  auto r2 = RunLinial(net2, 300LL * 300 * 300);
   EXPECT_EQ(r1.colors, r2.colors);
   EXPECT_EQ(r1.rounds, r2.rounds);
 }
@@ -132,7 +140,8 @@ TEST_P(LinialDegreeSweep, ProperAcrossDegrees) {
   int delta = GetParam();
   Graph g = BoundedDegreeRandomTree(1000, delta, 21);
   auto ids = DefaultIds(1000, 22);
-  auto result = RunLinial(g, ids, 1000LL * 1000 * 1000);
+  local::Network net(g, ids);
+  auto result = RunLinial(net, 1000LL * 1000 * 1000);
   ExpectProper(g, result.colors, result.num_colors);
 }
 

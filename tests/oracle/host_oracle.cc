@@ -58,7 +58,6 @@ class NodeSweepAlgorithm : public local::Algorithm {
         view_(view) {}
 
   size_t StateBytes() const override { return sizeof(SweepState); }
-  int MessageWords() const override { return 1; }
   void InitState(int node, void* state) override {
     static_cast<SweepState*>(state)->color = (*colors_)[node];
   }
@@ -220,8 +219,8 @@ BaseRunStats RunNodeBase(const NodeProblem& problem, const SemiGraph& semi,
   stats.underlying_max_degree = u.MaxDegree();
   if (u.NumNodes() == 0) return stats;
 
-  std::vector<int64_t> sub_ids = RestrictToSubgraph(under, host_ids);
-  LinialResult linial = RunLinial(u, sub_ids, id_space);
+  local::Network net(u, RestrictToSubgraph(under, host_ids));
+  LinialResult linial = RunLinial(net, id_space);
   stats.linial_rounds = linial.rounds;
   stats.messages = linial.messages;
 
@@ -247,9 +246,9 @@ BaseRunStats RunEdgeBase(const EdgeProblem& problem, const SemiGraph& semi,
   std::vector<int> all_edges(u.NumEdges());
   std::iota(all_edges.begin(), all_edges.end(), 0);
   LineGraph lg = BuildLineGraph(u, all_edges);
-  std::vector<int64_t> line_ids = oracle::LineGraphIds(u, sub_ids);
+  local::Network net(lg.graph, oracle::LineGraphIds(u, sub_ids));
   int64_t line_space = static_cast<int64_t>(u.NumEdges()) + 1;
-  LinialResult linial = RunLinial(lg.graph, line_ids, line_space);
+  LinialResult linial = RunLinial(net, line_space);
   // One line-graph round costs 2 host rounds (exchange over shared
   // endpoints), hence the factor 2 on the symmetry-breaking part.
   stats.linial_rounds = 2 * linial.rounds;
@@ -319,8 +318,8 @@ ForestSplitResult SplitAtypicalForests(const Graph& g,
       parent[host_to_sub[lo]] = host_to_sub[hi];
     }
 
-    ColeVishkinResult cv =
-        ColeVishkin3Color(sub_graph, sub_ids, parent, id_space);
+    local::Network net(sub_graph, sub_ids);
+    ColeVishkinResult cv = ColeVishkin3Color(net, parent, id_space);
     result.cv_rounds = std::max(result.cv_rounds, cv.rounds);
 
     // Step 3: F_{i,j} = edges whose higher endpoint has CV color j.

@@ -51,8 +51,7 @@ class DigestAlgorithm : public Algorithm {
     for (int p = 0; p < ctx.degree(); ++p) {
       const Message& m = ctx.Recv(p);
       if (m.present()) {
-        d = d * 31 + static_cast<uint64_t>(m.word0) +
-            3 * static_cast<uint64_t>(m.word1) + m.size;
+        d = d * 31 + static_cast<uint64_t>(m.word0) + m.size;
       }
       d += static_cast<uint64_t>(ctx.neighbor_id(p));
     }
@@ -62,7 +61,9 @@ class DigestAlgorithm : public Algorithm {
       ctx.Halt();
       return;
     }
-    ctx.Broadcast(Message::Of(static_cast<int64_t>(d & 0x7fffffff), v));
+    // The digest and the sender in one word.
+    ctx.Broadcast(
+        Message::Of(static_cast<int64_t>((d & 0x7fffffff) * 1000003 + v)));
     if (ctx.degree() > 0) {
       ctx.Send(0, Message::Of(static_cast<int64_t>(d % 97)));
     }
@@ -298,16 +299,18 @@ TEST(ParallelNetworkTest, RelabelRakeCompressOnForestUnion) {
   EXPECT_EQ(got.round_stats, want.round_stats);
 }
 
-// Pipeline entry points at T > 1: same results as at the default T = 1
-// (they differ only in the lane count of the engine they construct).
+// Pipeline entry points on a T > 1 engine: same results as on a T = 1
+// engine.
 TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
   const int n = 150;
   Graph g = UniformRandomTree(n, 6000);
   auto ids = DefaultIds(n, 6001);
   const int64_t space = int64_t{n} * n * n;
 
-  LinialResult lin = RunLinial(g, ids, space);
-  LinialResult lin_p = RunLinial(g, ids, space, 3);
+  local::Network net(g, ids);
+  local::Network net3(g, ids, 3, local::NetworkOptions{});
+  LinialResult lin = RunLinial(net, space);
+  LinialResult lin_p = RunLinial(net3, space);
   EXPECT_EQ(lin_p.colors, lin.colors);
   EXPECT_EQ(lin_p.rounds, lin.rounds);
   EXPECT_EQ(lin_p.messages, lin.messages);
@@ -328,8 +331,9 @@ TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
       }
     }
   }
-  ColeVishkinResult cv = ColeVishkin3Color(g, ids, parent, space);
-  ColeVishkinResult cv_p = ColeVishkin3Color(g, ids, parent, space, 4);
+  local::Network net4(g, ids, 4, local::NetworkOptions{});
+  ColeVishkinResult cv = ColeVishkin3Color(net, parent, space);
+  ColeVishkinResult cv_p = ColeVishkin3Color(net4, parent, space);
   EXPECT_EQ(cv_p.colors, cv.colors);
   EXPECT_EQ(cv_p.rounds, cv.rounds);
   EXPECT_EQ(cv_p.messages, cv.messages);

@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/rake_compress.h"
@@ -59,11 +60,13 @@ void ResumeBytes(local::Engine& net, const std::string& bytes) {
   net.Resume(in);
 }
 
-// Overwrites the little-endian u32 at `offset` and re-hashes the integrity
-// footer, so the patched word reaches the parser instead of failing the
-// hash check. Header offsets: version 8, engine_kind 16, batch word 20.
-std::string WithWord(std::string bytes, size_t offset, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
+// Overwrites the little-endian word of `width` bytes (a u32 by default) at
+// `offset` and re-hashes the integrity footer, so the patched word reaches
+// the parser instead of failing the hash check. Header offsets: version 8,
+// engine_kind 16, batch word 20.
+std::string WithWord(std::string bytes, size_t offset, uint32_t value,
+                     int width = 4) {
+  for (int i = 0; i < width; ++i) {
     bytes[offset + i] = static_cast<char>(value >> (8 * i));
   }
   const size_t payload = bytes.size() - 8;
@@ -623,64 +626,76 @@ TEST(SnapshotTest, VersionMismatchIsAStructuredError) {
   EXPECT_NO_THROW(ParseBytes(WithWord(bytes, 8, kSnapshotVersion)));
 }
 
-// Sends a two-word message on every port for three rounds and folds what
-// it receives into a per-node sum.
-class PairRelay : public Algorithm {
+// Sends a message on every port for three rounds, its word varying by
+// sender and round, and folds what it receives into a per-node sum.
+class Relay : public Algorithm {
  public:
-  explicit PairRelay(int n) : sum_(n, 0) {}
+  explicit Relay(int n) : sum_(n, 0) {}
   void OnRound(local::NodeContext& ctx) override {
     for (int p = 0; p < ctx.degree(); ++p) {
       const local::Message m = ctx.Recv(p);
-      sum_[ctx.node()] += m.word0 * 3 + m.word1 * 7 + m.size;
+      sum_[ctx.node()] += m.word0 * 3 + m.size;
     }
     if (ctx.round() == 3) {
       ctx.Halt();
       return;
     }
-    ctx.Broadcast(local::Message::Of(ctx.id(), ctx.round() + 1));
+    ctx.Broadcast(local::Message::Of(ctx.id() * 8 + ctx.round() + 1));
   }
   std::vector<int64_t> sum_;
 };
 
-// A checkpoint whose deliverable messages carry two words cannot resume
-// under an algorithm that declares one: the resume is refused with
-// SnapshotError and stays armed, and the retry with the two-word algorithm
-// continues bit-identically, through Network's word1 plane.
-TEST(SnapshotTest, ResumeRefusesMessagesWiderThanDeclared) {
-  struct OneWordRelay : PairRelay {
-    using PairRelay::PairRelay;
-    int MessageWords() const override { return 1; }
-  };
+// Messages are one word. The deliverable records keep the 8 bytes of a
+// retired second word, which must be 0, and a size of at most 1. An image
+// patched to a nonzero retired word or to a size-2 message (footer
+// re-hashed) is refused by ReadSnapshot and by Resume on both engines with
+// an error naming the field; each engine then still resumes the unpatched
+// image and finishes bit-identically.
+TEST(SnapshotTest, RetiredWordAndWideMessagesAreRefused) {
   const int n = 40;
   const Graph g = UniformRandomTree(n, 11);
   const auto ids = DefaultIds(n, 12);
   Network whole(g, ids);
-  PairRelay expect(n);
+  Relay expect(n);
   const int rounds = whole.Run(expect, 10);
 
   Network first(g, ids);
-  PairRelay head(n);
+  Relay head(n);
   ASSERT_EQ(first.RunUntil(head, 10, 2), 2);
-  std::ostringstream out;
-  first.Checkpoint(out);
-  for (const bool reference : {false, true}) {
-    SCOPED_TRACE(reference ? "ReferenceNetwork" : "Network");
-    std::unique_ptr<local::Engine> engine;
-    if (reference) {
-      engine = std::make_unique<ReferenceNetwork>(g, ids);
-    } else {
-      engine = std::make_unique<Network>(g, ids);
+  const std::string bytes = CheckpointBytes(first);
+  ASSERT_FALSE(ParseBytes(bytes).run.deliverable.empty());
+  // The last deliverable record ends the payload, just before the footer:
+  // node (4) | port (4) | word0 (8) | retired (8) | size (1).
+  const size_t last = bytes.size() - 8 - 25;
+  const std::pair<std::string, std::string> patched[] = {
+      {WithWord(bytes, last + 16, 1), "retired second word"},
+      {WithWord(bytes, last + 24, 2, 1), "size 2"},
+  };
+  for (const auto& [image, field] : patched) {
+    SCOPED_TRACE(field);
+    try {
+      ParseBytes(image);
+      FAIL() << "the patched image parsed";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
     }
-    std::istringstream in(out.str());
-    engine->Resume(in);
-    OneWordRelay narrow(n);
-    narrow.sum_ = head.sum_;
-    EXPECT_THROW(engine->Run(narrow, 10), SnapshotError);
-    PairRelay tail(n);
-    tail.sum_ = head.sum_;
-    EXPECT_EQ(engine->Run(tail, 10), rounds);
-    EXPECT_EQ(tail.sum_, expect.sum_);
-    EXPECT_EQ(engine->round_digests(), whole.round_digests());
+    for (const bool reference : {false, true}) {
+      SCOPED_TRACE(reference ? "ReferenceNetwork" : "Network");
+      std::unique_ptr<local::Engine> engine;
+      if (reference) {
+        engine = std::make_unique<ReferenceNetwork>(g, ids);
+      } else {
+        engine = std::make_unique<Network>(g, ids);
+      }
+      EXPECT_THROW(ResumeBytes(*engine, image), SnapshotError);
+      ResumeBytes(*engine, bytes);
+      Relay tail(n);
+      tail.sum_ = head.sum_;
+      EXPECT_EQ(engine->Run(tail, 10), rounds);
+      EXPECT_EQ(tail.sum_, expect.sum_);
+      EXPECT_EQ(engine->round_digests(), whole.round_digests());
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "src/support/digest.h"
 #include "src/support/mathutil.h"
 #include "src/support/rng.h"
 
@@ -211,6 +212,15 @@ TEST(MathTest, FirstMissingColorMatchesSortScan) {
     for (int i = 0; i < k; ++i) forbidden[i] = i + 1;
     EXPECT_EQ(FirstMissingColor(forbidden.data(), k), k + 1) << k;
   }
+}
+
+// Message-content digests recorded before messages became one word stay
+// valid: MessageHash still mixes in the retired second word as 0, so these
+// values, taken from the two-word hash with a zero second word, must hold.
+TEST(DigestTest, MessageHashKeepsOneWordValues) {
+  EXPECT_EQ(support::MessageHash(7, 2, 123456789, 1), 0x3337c6dc45cc978bull);
+  EXPECT_EQ(support::MessageHash(0, 0, -5, 1), 0x6b0f6f8697cce284ull);
+  EXPECT_EQ(support::MessageHash(1 << 20, 3, 0, 0), 0x30772d2f034b42d8ull);
 }
 
 }  // namespace

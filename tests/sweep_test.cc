@@ -91,7 +91,8 @@ TEST(SweepTest, SweepAfterLinialEqualsSequentialQuality) {
   // be valid (they generally differ as sets).
   Graph g = UniformRandomTree(300, 5);
   auto ids = DefaultIds(300, 6);
-  auto linial = RunLinial(g, ids, 300LL * 300 * 300);
+  local::Network net(g, ids);
+  auto linial = RunLinial(net, 300LL * 300 * 300);
   MisProblem mis;
 
   HalfEdgeLabeling h_sweep(g);
@@ -113,7 +114,8 @@ TEST(SweepTest, IntraClassOrderIrrelevant) {
   // *within* classes never changes the outcome.
   Graph g = UniformRandomTree(250, 7);
   auto ids = DefaultIds(250, 8);
-  auto linial = RunLinial(g, ids, 250LL * 250 * 250);
+  local::Network net(g, ids);
+  auto linial = RunLinial(net, 250LL * 250 * 250);
   MisProblem mis;
 
   std::vector<int> nodes(g.NumNodes());

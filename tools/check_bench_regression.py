@@ -93,9 +93,9 @@ COMPACT_RATIO_FLOOR = 4.0
 COMPACT_BYTES_PER_EDGE_BACKSTOP = 8.5
 COMPACT_RATIO_BACKSTOP = 3.2
 
-# Network mailboxes of a one-word run: inbox + outbox, 2m slots each, of 12
-# bytes (Algorithm::MessageWords). A record above this either allocated the
-# word1 planes for rake-compress (80 B/edge) or went back to wide slots.
+# Network mailboxes: inbox + outbox, 2m slots each, of 12 bytes (one
+# message word plus a packed stamp and size). A record above this carries a
+# second message word again or went back to wide slots.
 ONE_WORD_MAILBOX_BYTES_PER_EDGE = 48
 
 ACCEPTANCE_FLOORS = {
