@@ -15,13 +15,16 @@
 // split vs the host-side oracle (tests/oracle/) at n = 2^accept_exp on one
 // shared decomposition, identity-gated, speedup recorded in BENCH_engine.json
 // (experiment "edge_pipeline_phase23", acceptance=true when the size is the
-// real 2^18+ measurement rather than a CI smoke run).
+// real 2^18+ measurement rather than a CI smoke run). And the edge-base
+// breakdown at the same size: RunEdgeBase's phases at T=1, which must sum
+// to its wall time within 10% ("edge_base_breakdown").
 //
 // Flags: --n_lo= --n_hi= (measured sweep exponents, default 10..18),
 // --accept_exp= (default 20), --reps= (acceptance best-of, default 3).
 #include <chrono>
 #include <cmath>
 #include <iostream>
+#include <numeric>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -240,6 +243,96 @@ bool RunPhase23Acceptance(int accept_exp, int reps, bench::JsonWriter& json) {
   return all_identical;
 }
 
+// Edge-base breakdown (T=1): RunEdgeBase on G[E2] of the Thm15 workload
+// (uniform tree, seed 1, DefaultIds seed 2, a = 1, k = max(5, ChooseK)),
+// with the host engine's round timer armed so RunEdgeBase also times its
+// host-side phases. Best-of-reps by wall time; the record gives each
+// phase's seconds, the sweep's engine time from round_seconds() and its
+// set-up outside the rounds, and the sweep's decisions and ns per decision.
+// The phases are consecutive laps of one clock, so the 10% gate on their
+// sum against the measured wall time catches a phase the record leaves
+// out. Also fails if the labeling differs from the host-side oracle's.
+bool RunEdgeBaseBreakdown(int exp, int reps, bench::JsonWriter& json) {
+  const int n = 1 << exp;
+  Graph tree = UniformRandomTree(n, 1);
+  auto ids = DefaultIds(n, 2);
+  const int64_t space = bench::IdSpace(n);
+  EdgeColoringProblem problem(EdgeColoringProblem::Mode::kEdgeDegreePlusOne,
+                              tree.MaxDegree());
+  const int k = std::max(5, ChooseK(n, QuadraticF()));
+  local::Network net(tree, ids);
+  auto decomp = RunDecomposition(net, 1, 2, k);
+  std::vector<char> typical_mask(tree.NumEdges(), 0);
+  for (int e = 0; e < tree.NumEdges(); ++e) {
+    typical_mask[e] = decomp.atypical[e] ? 0 : 1;
+  }
+  SemiGraph e2 = SemiGraph::EdgeInduced(tree, typical_mask);
+
+  net.set_record_round_times(true);
+  HalfEdgeLabeling h(tree);
+  BaseRunStats best;
+  double wall_s = 1e300, sweep_s = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    h = HalfEdgeLabeling(tree);
+    auto t0 = Clock::now();
+    BaseRunStats stats = RunEdgeBase(net, problem, e2, space, h);
+    const double wall = bench::SecondsSince(t0);
+    if (wall < wall_s) {
+      wall_s = wall;
+      best = std::move(stats);
+      const std::vector<double>& rs = net.round_seconds();
+      sweep_s = std::accumulate(rs.begin(), rs.end(), 0.0);
+    }
+  }
+  HalfEdgeLabeling h_oracle(tree);
+  oracle::RunEdgeBase(problem, e2, ids, space, h_oracle);
+  const bool identical = SameLabeling(tree, h, h_oracle);
+
+  const BaseRunStats::EdgePhaseSeconds& ph = best.edge_phase_seconds;
+  const std::pair<const char*, double> phases[] = {
+      {"semi_edges_s", ph.semi_edges},   {"line_graph_s", ph.line_graph},
+      {"line_ids_s", ph.line_ids},       {"line_engine_s", ph.line_engine},
+      {"line_linial_s", ph.linial},      {"ranks_owners_s", ph.ranks_owners},
+      {"sweep_engine_s", sweep_s},
+      {"sweep_setup_s", ph.sweep - sweep_s}};
+  double sum_s = 0;
+  for (const auto& [name, s] : phases) sum_s += s;
+  const double miss = std::abs(wall_s - sum_s) / wall_s;
+  const bool sums = miss <= 0.10;
+  const int64_t decisions = bench::TotalDecisions(best.sweep_round_stats);
+
+  json.BeginRecord();
+  json.Field("source", "bench_thm3_edge_coloring");
+  json.Field("experiment", "edge_base_breakdown");
+  json.Field("n", n);
+  json.Field("k", k);
+  json.Field("threads", 1);
+  json.Field("reps", reps);
+  json.Field("wall_s", wall_s);
+  for (const auto& [name, s] : phases) json.Field(name, s);
+  json.Field("phases_sum_s", sum_s);
+  json.Field("phases_miss_frac", miss);
+  json.Field("sweep_decisions", decisions);
+  json.Field("sweep_ns_per_decision",
+             decisions ? sweep_s * 1e9 / decisions : 0.0);
+  json.Field("sweep_visits", bench::TotalVisits(best.sweep_round_stats));
+  json.Field("linial_rounds", best.linial_rounds);
+  json.Field("matches_oracle", identical);
+
+  std::cout << "edge-base breakdown at n=2^" << exp << ", T=1 (best of "
+            << reps << "): RunEdgeBase " << wall_s << " s\n";
+  for (const auto& [name, s] : phases) {
+    std::cout << "  " << name << " " << s << "\n";
+  }
+  std::cout << "  phases sum " << sum_s << " s (miss " << 100 * miss
+            << "%" << (sums ? "" : ", ABOVE 10% (BUG)") << "); "
+            << decisions << " decisions, "
+            << (decisions ? sweep_s * 1e9 / decisions : 0.0)
+            << " ns/decision; labeling "
+            << (identical ? "matches" : "DIFFERS FROM (BUG)") << " oracle\n";
+  return sums && identical;
+}
+
 void RunModeled(int n_lo, int n_hi) {
   // Paper configuration: f(Delta) = log^12(Delta), k = g(n) with
   // g^{f(g)} = n, so the base phase costs f(g(n)) = log^{12/13}(n) rounds
@@ -324,6 +417,7 @@ int main(int argc, char** argv) {
   treelocal::bench::JsonWriter json;
   bool ok = treelocal::RunMeasured(n_lo, n_hi, json);
   ok &= treelocal::RunPhase23Acceptance(accept_exp, reps, json);
+  ok &= treelocal::RunEdgeBaseBreakdown(accept_exp, reps, json);
   treelocal::RunModeled(n_lo, n_hi);
   treelocal::RunAnalytic();
   json.MergeAs("bench_thm3_edge_coloring", "BENCH_engine.json");

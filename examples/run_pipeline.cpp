@@ -7,8 +7,12 @@
 //   problem: mis | coloring | deg-coloring | list-coloring |
 //            matching | edge-coloring | 2d1-edge-coloring
 //   family : path | star | balanced3 | balanced8 | uniform | recursive |
-//            caterpillar | binary | grid | trigrid | union2 | union3 |
-//            starunion2 | hubbed3
+//            caterpillar | binary, and for the edge problems also
+//            grid | trigrid | union2 | union3 | starunion2 | hubbed3
+//
+// The node problems run Theorem 12's pipeline, which takes a forest: on a
+// family with cycles run_pipeline says so and exits 2 before solving
+// (--baseline runs the base algorithm alone and accepts any family).
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +24,7 @@
 #include "src/core/complexity.h"
 #include "src/core/transform_edge.h"
 #include "src/core/transform_node.h"
+#include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/problems/coloring.h"
 #include "src/problems/edge_coloring.h"
@@ -72,8 +77,9 @@ int Usage() {
          "  problem: mis | coloring | deg-coloring | list-coloring |\n"
          "           matching | edge-coloring | 2d1-edge-coloring\n"
          "  family : path star balanced3 balanced8 uniform recursive\n"
-         "           caterpillar binary grid trigrid union2 union3\n"
-         "           starunion2 hubbed3\n";
+         "           caterpillar binary (forests: every problem)\n"
+         "           grid trigrid union2 union3 starunion2 hubbed3\n"
+         "           (arboricity 2-3: edge problems, or --baseline)\n";
   return 2;
 }
 
@@ -102,6 +108,21 @@ int main(int argc, char** argv) {
             << " Delta=" << g.MaxDegree() << " arboricity<=" << a
             << " k=" << k << (baseline ? " [baseline]" : " [transformed]")
             << "\n";
+
+  // Theorem 12's rake-and-compress pipeline takes a forest; on a graph with
+  // cycles it would run until the engine's round cap. The baseline (the
+  // base algorithm on the whole graph) has no such precondition.
+  const bool node_problem = problem_name == "mis" ||
+                            problem_name == "coloring" ||
+                            problem_name == "deg-coloring" ||
+                            problem_name == "list-coloring";
+  if (node_problem && !baseline && !IsForest(g)) {
+    std::cerr << "run_pipeline: " << problem_name
+              << " runs Theorem 12, which takes a forest, but family "
+              << family << " has cycles (arboricity <= " << a
+              << "); use a forest family\n";
+    return 2;
+  }
 
   auto report_node = [&](const NodeProblem& p) {
     if (baseline) {

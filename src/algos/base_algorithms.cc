@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <limits>
+#include <span>
 
 #include "src/algos/linial.h"
 #include "src/graph/linegraph.h"
@@ -11,6 +13,28 @@
 namespace treelocal {
 
 namespace {
+
+// Lap timer for RunEdgeBase's host-side phases. It reads the clock only
+// when the caller armed the host engine's round timer, so untimed runs pay
+// nothing.
+class PhaseClock {
+ public:
+  explicit PhaseClock(bool on) : on_(on) {
+    if (on_) t_ = std::chrono::steady_clock::now();
+  }
+  // Seconds since the previous lap (or construction); 0 when off.
+  double Lap() {
+    if (!on_) return 0;
+    const auto now = std::chrono::steady_clock::now();
+    const double s = std::chrono::duration<double>(now - t_).count();
+    t_ = now;
+    return s;
+  }
+
+ private:
+  bool on_;
+  std::chrono::steady_clock::time_point t_;
+};
 
 // Maps each element's color to its rank among the DISTINCT colors present,
 // ascending. The engine sweeps execute one round per nonempty class —
@@ -106,9 +130,10 @@ class NodeClassSweepAlgorithm : public local::Algorithm {
     const Graph& host = semi_.host();
     problem_.SequentialAssign(host, v, h_);
     auto inc = host.IncidentEdges(v);
+    std::span<const Label> mine = h_.AtNode(v);
     for (int p = 0; p < static_cast<int>(inc.size()); ++p) {
       if (!semi_.ContainsEdge(inc[p])) continue;
-      ctx.Send(p, local::Message::Of(h_.Get(inc[p], v)));
+      ctx.Send(p, local::Message::Of(mine[p]));
     }
     ctx.Halt();
   }
@@ -132,31 +157,39 @@ class NodeClassSweepAlgorithm : public local::Algorithm {
 // determinism-contract argument as the node sweep.
 // ---------------------------------------------------------------------------
 
+// One owned edge: everything a decision reads besides the two label
+// blocks. The owner's and the receiver's blocks (AdjacencyOffset and
+// degree) and the edge's port in each, plus the edge's class rank.
+struct OwnedEdge {
+  int32_t rank;
+  int32_t owner_base, owner_degree, owner_port;
+  int32_t receiver_base, receiver_degree, receiver_port;
+};
+
+static_assert(sizeof(OwnedEdge) == 28);
+
 struct EdgeSweepState {
-  int32_t next = 0;       // cursor into the owned-edge arrays
+  int32_t next = 0;       // cursor into the owned records
+  int32_t end = 0;        // end of this node's owned range
   int32_t next_rank = 0;  // rank of the next owned edge; kNoMoreRanks = none
 };
 constexpr int32_t kNoMoreRanks = std::numeric_limits<int32_t>::max();
 
 class EdgeClassSweepAlgorithm : public local::Algorithm {
  public:
-  EdgeClassSweepAlgorithm(const EdgeProblem& problem, const Graph& host,
+  EdgeClassSweepAlgorithm(const EdgeProblem& problem,
                           const std::vector<int>& owned_off,
-                          const std::vector<int32_t>& owned_rank,
-                          const std::vector<int>& owned_edge,
-                          const std::vector<int>& owned_port,
+                          const std::vector<OwnedEdge>& owned,
                           HalfEdgeLabeling& h)
-      : problem_(problem), host_(host), owned_off_(&owned_off),
-        owned_rank_(&owned_rank), owned_edge_(&owned_edge),
-        owned_port_(&owned_port), h_(h) {}
+      : problem_(problem), owned_off_(&owned_off), owned_(&owned), h_(h) {}
 
   size_t StateBytes() const override { return sizeof(EdgeSweepState); }
   void InitState(int node, void* state) override {
     auto* st = static_cast<EdgeSweepState*>(state);
     st->next = (*owned_off_)[node];
-    st->next_rank = st->next < (*owned_off_)[node + 1]
-                        ? (*owned_rank_)[st->next]
-                        : kNoMoreRanks;
+    st->end = (*owned_off_)[node + 1];
+    st->next_rank =
+        st->next < st->end ? (*owned_)[st->next].rank : kNoMoreRanks;
   }
 
   // Wake scheduling: the headline consumer. An owner acts only in its owned
@@ -169,14 +202,15 @@ class EdgeClassSweepAlgorithm : public local::Algorithm {
   int InitialWakeRound(int node) const override {
     const int next = (*owned_off_)[node];
     if (next >= (*owned_off_)[node + 1]) return 0;  // wake to Halt
-    return (*owned_rank_)[next];
+    return (*owned_)[next].rank;
   }
 
   void OnRound(local::NodeContext& ctx) override {
-    // Non-decider visits read only the node's own 8-byte state slot (which
-    // the engine streams in worklist order) — under wake scheduling they
+    // Non-decider visits read only the node's own state slot (which the
+    // engine streams in worklist order) — under wake scheduling they
     // happen only after a message wake, and re-sleep to the next owned
-    // rank; the owned-range end is consulted only on the decide path.
+    // rank. A decision reads the state, one record and the two endpoints'
+    // label blocks.
     EdgeSweepState& st = ctx.State<EdgeSweepState>();
     if (st.next_rank == kNoMoreRanks) {
       ctx.Halt();
@@ -186,27 +220,29 @@ class EdgeClassSweepAlgorithm : public local::Algorithm {
       ctx.SleepUntil(st.next_rank);
       return;
     }
-    const int e = (*owned_edge_)[st.next];
-    problem_.SequentialAssignEdge(host_, e, h_);
-    const int receiver = host_.OtherEndpoint(e, ctx.node());
-    ctx.Send((*owned_port_)[st.next], local::Message::Of(h_.Get(e, receiver)));
-    ++st.next;
-    if (st.next >= (*owned_off_)[ctx.node() + 1]) {
+    const OwnedEdge& r = (*owned_)[st.next];
+    std::span<Label> labels = h_.Halves();
+    // AssignEdge is symmetric in its ends, so the owner may name itself
+    // first whichever endpoint of the edge it is.
+    problem_.AssignEdge(labels.subspan(r.owner_base, r.owner_degree),
+                        r.owner_port,
+                        labels.subspan(r.receiver_base, r.receiver_degree),
+                        r.receiver_port);
+    ctx.Send(r.owner_port,
+             local::Message::Of(labels[r.receiver_base + r.receiver_port]));
+    if (++st.next == st.end) {
       ctx.Halt();
       return;
     }
-    st.next_rank = (*owned_rank_)[st.next];
+    st.next_rank = (*owned_)[st.next].rank;
     assert(st.next_rank > ctx.round());
     ctx.SleepUntil(st.next_rank);
   }
 
  private:
   const EdgeProblem& problem_;
-  const Graph& host_;
   const std::vector<int>* owned_off_;
-  const std::vector<int32_t>* owned_rank_;
-  const std::vector<int>* owned_edge_;
-  const std::vector<int>* owned_port_;
+  const std::vector<OwnedEdge>* owned_;
   HalfEdgeLabeling& h_;
 };
 
@@ -219,44 +255,51 @@ BaseRunStats RunNodeBase(local::Network& net, const NodeProblem& problem,
   if (semi.NumSemiNodes() == 0) return stats;
   const Graph& host = semi.host();
 
-  // Underlying graph as induced ports: rank-2 edges (both endpoints are
-  // semi-nodes in both semi-graph constructions).
-  std::vector<char> rank2_mask(host.NumEdges(), 0);
-  for (int e = 0; e < host.NumEdges(); ++e) {
-    rank2_mask[e] = semi.Rank(e) == 2 ? 1 : 0;
-  }
-  local::InducedPortCsr under = local::BuildInducedPortCsr(host, rank2_mask);
-  stats.underlying_max_degree = under.max_degree;
-
-  LinialResult linial =
-      RunLinialInduced(net, under, semi.node_mask(), id_space);
-  stats.linial_rounds = linial.rounds;
-  stats.messages = linial.messages;
-  stats.linial_round_stats = std::move(linial.round_stats);
-
-  // Dense class ranks over the semi-nodes; the sweep executes one engine
-  // round per nonempty class and charges the full num_colors schedule.
-  std::vector<int64_t> semi_colors;
-  std::vector<int> semi_nodes;
-  semi_colors.reserve(semi.NumSemiNodes());
-  semi_nodes.reserve(semi.NumSemiNodes());
-  for (int v = 0; v < host.NumNodes(); ++v) {
-    if (!semi.ContainsNode(v)) continue;
-    semi_nodes.push_back(v);
-    semi_colors.push_back(linial.colors[v]);
-  }
-  std::vector<int32_t> ranks;
-  int64_t num_ranks = DenseRanks(semi_colors, linial.num_colors, ranks);
+  // Everything but the per-node class ranks is scoped to the symmetry
+  // breaking, so the sweep runs next to the engine and the ranks alone.
   std::vector<int32_t> rank_of_node(host.NumNodes(), -1);
-  for (size_t i = 0; i < semi_nodes.size(); ++i) {
-    rank_of_node[semi_nodes[i]] = ranks[i];
+  int64_t num_ranks = 0;
+  {
+    LinialResult linial;
+    {
+      // Underlying graph as induced ports: rank-2 edges (both endpoints
+      // are semi-nodes in both semi-graph constructions).
+      std::vector<char> rank2_mask(host.NumEdges(), 0);
+      for (int e = 0; e < host.NumEdges(); ++e) {
+        rank2_mask[e] = semi.Rank(e) == 2 ? 1 : 0;
+      }
+      local::InducedPortCsr under =
+          local::BuildInducedPortCsr(host, rank2_mask);
+      stats.underlying_max_degree = under.max_degree;
+      linial = RunLinialInduced(net, under, semi.node_mask(), id_space);
+    }
+    stats.linial_rounds = linial.rounds;
+    stats.messages = linial.messages;
+    stats.linial_round_stats = std::move(linial.round_stats);
+    stats.num_classes = linial.num_colors;
+
+    // Dense class ranks over the semi-nodes; the sweep executes one engine
+    // round per nonempty class and charges the full num_colors schedule.
+    std::vector<int64_t> semi_colors;
+    std::vector<int> semi_nodes;
+    semi_colors.reserve(semi.NumSemiNodes());
+    semi_nodes.reserve(semi.NumSemiNodes());
+    for (int v = 0; v < host.NumNodes(); ++v) {
+      if (!semi.ContainsNode(v)) continue;
+      semi_nodes.push_back(v);
+      semi_colors.push_back(linial.colors[v]);
+    }
+    std::vector<int32_t> ranks;
+    num_ranks = DenseRanks(semi_colors, linial.num_colors, ranks);
+    for (size_t i = 0; i < semi_nodes.size(); ++i) {
+      rank_of_node[semi_nodes[i]] = ranks[i];
+    }
   }
 
   NodeClassSweepAlgorithm sweep(problem, semi, rank_of_node, h);
   net.Run(sweep, static_cast<int>(num_ranks) + 2);
   stats.sweep_messages = net.messages_delivered();
   stats.sweep_round_stats = net.round_stats();
-  stats.num_classes = linial.num_colors;
   stats.rounds = stats.linial_rounds + static_cast<int>(stats.num_classes);
   return stats;
 }
@@ -277,6 +320,8 @@ BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
   (void)id_space;
   BaseRunStats stats;
   const Graph& host = semi.host();
+  assert(h.Halves().size() == 2 * static_cast<size_t>(host.NumEdges()));
+  PhaseClock clock(net.record_round_times());
   const int n = host.NumNodes();
   const int m = host.NumEdges();
 
@@ -285,18 +330,20 @@ BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
   // numbering InduceByEdges would produce), and semi-degrees come from one
   // pass over the edges.
   std::vector<int> edge_to_host;
-  std::vector<int> semi_degree(n, 0);
-  for (int e = 0; e < m; ++e) {
-    if (!semi.ContainsEdge(e)) continue;
-    edge_to_host.push_back(e);
-    ++semi_degree[host.EdgeU(e)];
-    ++semi_degree[host.EdgeV(e)];
+  {
+    std::vector<int> semi_degree(n, 0);
+    for (int e = 0; e < m; ++e) {
+      if (!semi.ContainsEdge(e)) continue;
+      edge_to_host.push_back(e);
+      ++semi_degree[host.EdgeU(e)];
+      ++semi_degree[host.EdgeV(e)];
+    }
+    for (int v = 0; v < n; ++v) {
+      stats.underlying_max_degree =
+          std::max(stats.underlying_max_degree, semi_degree[v]);
+    }
   }
   const int m_sub = static_cast<int>(edge_to_host.size());
-  for (int v = 0; v < n; ++v) {
-    stats.underlying_max_degree =
-        std::max(stats.underlying_max_degree, semi_degree[v]);
-  }
   if (m_sub == 0) return stats;
 
   // Symmetry breaking on the line graph of the underlying graph — the one
@@ -305,16 +352,21 @@ BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
   // compacted underlying graph, hence bit-identical colors — Linial is
   // neighbor-order-independent — without the Subgraph compaction. The line
   // graph and its engine are freed before the sweep runs on the host.
+  stats.edge_phase_seconds.semi_edges = clock.Lap();
   LinialResult linial;
   {
     const LineGraph lg = BuildLineGraph(host, edge_to_host);
+    stats.edge_phase_seconds.line_graph = clock.Lap();
     // Line-graph IDs: lexicographic rank of the endpoint-ID pair over the
     // semi edges.
-    local::Network line_net(lg.graph,
-                            LineGraphIds(host, edge_to_host, net.ids()),
-                            net.num_threads(), local::NetworkOptions{});
+    std::vector<int64_t> line_ids = LineGraphIds(host, edge_to_host, net.ids());
+    stats.edge_phase_seconds.line_ids = clock.Lap();
+    local::Network line_net(lg.graph, std::move(line_ids), net.num_threads(),
+                            local::NetworkOptions{});
+    stats.edge_phase_seconds.line_engine = clock.Lap();
     linial = RunLinial(line_net, static_cast<int64_t>(m_sub) + 1);
   }
+  stats.edge_phase_seconds.linial = clock.Lap();  // with the teardown
   // One line-graph round costs 2 host rounds (exchange over shared
   // endpoints), hence the factor 2 on the symmetry-breaking part.
   stats.linial_rounds = 2 * linial.rounds;
@@ -374,25 +426,33 @@ BaseRunStats RunEdgeBase(local::Network& net, const EdgeProblem& problem,
   std::vector<int> owned_off(n + 1, 0);
   for (int se = 0; se < m_sub; ++se) ++owned_off[owner_of[se] + 1];
   for (int v = 0; v < n; ++v) owned_off[v + 1] += owned_off[v];
-  std::vector<int32_t> owned_rank(m_sub);
-  std::vector<int> owned_edge(m_sub), owned_port(m_sub);
+  // One record per owned edge, per owner in rank order; the ports come
+  // from the labeling's half-edge index.
+  std::vector<OwnedEdge> owned(m_sub);
   {
     std::vector<int> cursor(owned_off.begin(), owned_off.end() - 1);
     for (int se : by_rank) {  // rank-ascending => per-owner lists sorted
       const int e = edge_to_host[se];
       const int owner = owner_of[se];
-      const int slot = cursor[owner]++;
-      owned_rank[slot] = ranks[se];
-      owned_edge[slot] = e;
-      owned_port[slot] = host.PortOf(owner, host.OtherEndpoint(e, owner));
+      const int owner_slot = host.EndpointSlot(e, owner);
+      const int receiver = host.OtherEndpoint(e, owner);
+      OwnedEdge& rec = owned[cursor[owner]++];
+      rec.rank = ranks[se];
+      rec.owner_base = host.AdjacencyOffset(owner);
+      rec.owner_degree = host.Degree(owner);
+      rec.owner_port = h.HalfIndex(e, owner_slot) - rec.owner_base;
+      rec.receiver_base = host.AdjacencyOffset(receiver);
+      rec.receiver_degree = host.Degree(receiver);
+      rec.receiver_port = h.HalfIndex(e, 1 - owner_slot) - rec.receiver_base;
     }
   }
+  stats.edge_phase_seconds.ranks_owners = clock.Lap();
 
-  EdgeClassSweepAlgorithm sweep(problem, host, owned_off, owned_rank,
-                                owned_edge, owned_port, h);
+  EdgeClassSweepAlgorithm sweep(problem, owned_off, owned, h);
   net.Run(sweep, static_cast<int>(num_ranks) + 2);
   stats.sweep_messages = net.messages_delivered();
   stats.sweep_round_stats = net.round_stats();
+  stats.edge_phase_seconds.sweep = clock.Lap();
   stats.num_classes = linial.num_colors;
   stats.rounds = stats.linial_rounds + static_cast<int>(stats.num_classes);
   return stats;

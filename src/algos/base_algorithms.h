@@ -50,6 +50,22 @@ struct BaseRunStats {
   int64_t sweep_messages = 0;
   std::vector<local::RoundStats> linial_round_stats;
   std::vector<local::RoundStats> sweep_round_stats;
+
+  // Wall-clock seconds of RunEdgeBase's host-side phases, measured only
+  // when the caller armed the host engine's round timer
+  // (set_record_round_times); all zero otherwise, and for RunNodeBase. Of
+  // `sweep`, the engine's rounds are the host engine's round_seconds()
+  // after the call; the rest is the run's set-up outside the rounds.
+  struct EdgePhaseSeconds {
+    double semi_edges = 0;    // the semi-edge list and semi-degrees
+    double line_graph = 0;    // BuildLineGraph
+    double line_ids = 0;      // LineGraphIds
+    double line_engine = 0;   // the line-graph Network's construction
+    double linial = 0;        // line-graph Linial, then its teardown
+    double ranks_owners = 0;  // class ranks, owners and owned records
+    double sweep = 0;         // the class sweep's engine run
+  };
+  EdgePhaseSeconds edge_phase_seconds;
 };
 
 // Solves a NodeProblem on semi-graph `semi`, labeling every present

@@ -10,7 +10,35 @@
 
 namespace treelocal {
 
+namespace internal {
+
+// Digits are extracted ONCE per color per step instead of once per
+// (color, x) evaluation — the d+1 divisions were the old EvalPoly's
+// dominant cost — and each division is a ModQ multiply.
+void ExtractDigits(int64_t c, const ModQ& mod, int d, int64_t* out) {
+  assert(c >= 0);
+  uint64_t rem = static_cast<uint64_t>(c);
+  for (int i = 0; i <= d; ++i) {
+    out[i] = static_cast<int64_t>(mod.DivMod(rem, &rem));
+  }
+}
+
+int64_t EvalDigits(const int64_t* digits, int d, const ModQ& mod, int64_t x) {
+  uint64_t acc = 0;
+  for (int i = d; i >= 0; --i) {
+    acc = mod.Mod(acc * static_cast<uint64_t>(x) +
+                  static_cast<uint64_t>(digits[i]));
+  }
+  return static_cast<int64_t>(acc);
+}
+
+}  // namespace internal
+
 namespace {
+
+using internal::EvalDigits;
+using internal::ExtractDigits;
+using internal::ModQ;
 
 // base^exp >= target, overflow-safe.
 bool PowerAtLeast(int64_t base, int exp, int64_t target) {
@@ -32,27 +60,6 @@ LinialStep ChooseStep(int64_t m, int max_degree) {
   }
 }
 
-// Base-q digits of c (the polynomial's coefficients), lowest first, into
-// out[0..d]. Extracted ONCE per color per step instead of once per
-// (color, x) evaluation — the d+1 integer divisions were the old
-// EvalPoly's dominant cost.
-void ExtractDigits(int64_t c, int64_t q, int d, int64_t* out) {
-  int64_t rem = c;
-  for (int i = 0; i <= d; ++i) {
-    out[i] = rem % q;
-    rem /= q;
-  }
-}
-
-// Horner evaluation over cached digits at point x, over F_q.
-int64_t EvalDigits(const int64_t* digits, int d, int64_t q, int64_t x) {
-  int64_t acc = 0;
-  for (int i = d; i >= 0; --i) {
-    acc = (acc * x + digits[i]) % q;
-  }
-  return acc;
-}
-
 // One Linial set-system membership step for a node: the smallest x in
 // [0, q) where no neighbor's polynomial agrees with ours, returned as the
 // new color chosen_x * q + eval(chosen_x). Semantics are exactly the old
@@ -66,23 +73,27 @@ int64_t EvalDigits(const int64_t* digits, int d, int64_t q, int64_t x) {
 //     neighbor's scan stops after d hits), and the chosen x is the mask's
 //     first zero via countr_one — the same first-free-point answer without
 //     re-walking all neighbors per candidate x.
+//   * every division by q is an exact ModQ reciprocal multiply.
 int64_t LinialChooseColor(int64_t color, const LinialStep& step,
-                          const int64_t* nbr, int nbr_count) {
+                          const ModQ& mod, const int64_t* nbr,
+                          int nbr_count) {
   const int64_t q = step.q;
   const int d = step.d;
-  const int64_t mine0 = color % q;
+  assert(color >= 0);
+  const uint64_t mine0 = mod.Mod(static_cast<uint64_t>(color));
   bool x0_free = true;
   for (int i = 0; i < nbr_count && x0_free; ++i) {
-    x0_free = nbr[i] % q != mine0;
+    x0_free = mod.Mod(static_cast<uint64_t>(nbr[i])) != mine0;
   }
-  if (x0_free) return mine0;  // chosen_x = 0: new color = 0 * q + eval(0)
+  // chosen_x = 0: new color = 0 * q + eval(0)
+  if (x0_free) return static_cast<int64_t>(mine0);
 
   int64_t mine_digits[70], nbr_digits[70];
-  ExtractDigits(color, q, d, mine_digits);
+  ExtractDigits(color, mod, d, mine_digits);
   thread_local std::vector<int64_t> mine_eval;
   mine_eval.resize(static_cast<size_t>(q));
   for (int64_t x = 0; x < q; ++x) {
-    mine_eval[x] = EvalDigits(mine_digits, d, q, x);
+    mine_eval[x] = EvalDigits(mine_digits, d, mod, x);
   }
   const int nwords = static_cast<int>((q + 63) / 64);
   thread_local std::vector<uint64_t> blocked;
@@ -93,10 +104,10 @@ int64_t LinialChooseColor(int64_t color, const LinialStep& step,
       // the per-x scan would have concluded.
       throw std::logic_error("Linial step found no free point");
     }
-    ExtractDigits(nbr[i], q, d, nbr_digits);
+    ExtractDigits(nbr[i], mod, d, nbr_digits);
     int hits = 0;
     for (int64_t x = 0; x < q; ++x) {
-      if (EvalDigits(nbr_digits, d, q, x) == mine_eval[x]) {
+      if (EvalDigits(nbr_digits, d, mod, x) == mine_eval[x]) {
         blocked[x >> 6] |= 1ull << (x & 63);
         if (++hits == d) break;  // <= d roots: nothing further to find
       }
@@ -122,6 +133,17 @@ struct LinialState {
   int64_t color = 0;
 };
 
+// One reducer per schedule step, built once per run.
+std::vector<ModQ> StepReducers(const LinialSchedule& schedule) {
+  std::vector<ModQ> mods;
+  mods.reserve(schedule.steps.size());
+  for (const LinialStep& step : schedule.steps) {
+    assert(step.q > 0 && step.q < (int64_t{1} << 32));
+    mods.emplace_back(static_cast<uint64_t>(step.q));
+  }
+  return mods;
+}
+
 // Variant of LinialAlgorithm running on a substructure of the host engine:
 // participants reduce colors over their induced ports, everyone else halts
 // in round 0. The color evolution per participant is identical to a run on
@@ -134,7 +156,7 @@ class InducedLinialAlgorithm : public local::Algorithm {
                          const std::vector<char>& participant,
                          const LinialSchedule& schedule)
       : ids_(&ids), ports_(&ports), participant_(&participant),
-        schedule_(schedule) {}
+        schedule_(schedule), mods_(StepReducers(schedule)) {}
 
   size_t StateBytes() const override { return sizeof(LinialState); }
   void InitState(int node, void* state) override {
@@ -160,7 +182,7 @@ class InducedLinialAlgorithm : public local::Algorithm {
         const local::Message msg = ctx.Recv(ports_->port[i]);
         if (msg.present()) nbr.push_back(msg.word0);
       }
-      st.color = LinialChooseColor(st.color, step, nbr.data(),
+      st.color = LinialChooseColor(st.color, step, mods_[r - 1], nbr.data(),
                                    static_cast<int>(nbr.size()));
     }
     if (r == static_cast<int>(schedule_.steps.size())) {
@@ -177,13 +199,14 @@ class InducedLinialAlgorithm : public local::Algorithm {
   const local::InducedPortCsr* ports_;
   const std::vector<char>* participant_;
   const LinialSchedule& schedule_;
+  const std::vector<ModQ> mods_;
 };
 
 class LinialAlgorithm : public local::Algorithm {
  public:
   LinialAlgorithm(const std::vector<int64_t>& ids,
                   const LinialSchedule& schedule)
-      : ids_(&ids), schedule_(schedule) {}
+      : ids_(&ids), schedule_(schedule), mods_(StepReducers(schedule)) {}
 
   size_t StateBytes() const override { return sizeof(LinialState); }
   void InitState(int node, void* state) override {
@@ -205,7 +228,7 @@ class LinialAlgorithm : public local::Algorithm {
         const local::Message msg = ctx.Recv(p);
         if (msg.present()) nbr.push_back(msg.word0);
       }
-      st.color = LinialChooseColor(st.color, step, nbr.data(),
+      st.color = LinialChooseColor(st.color, step, mods_[r - 1], nbr.data(),
                                    static_cast<int>(nbr.size()));
     }
     if (r == static_cast<int>(schedule_.steps.size())) {
@@ -218,6 +241,7 @@ class LinialAlgorithm : public local::Algorithm {
  private:
   const std::vector<int64_t>* ids_;
   const LinialSchedule& schedule_;
+  const std::vector<ModQ> mods_;
 };
 
 }  // namespace

@@ -65,6 +65,52 @@ LinialResult RunLinialInduced(local::Network& net,
                               const std::vector<char>& participant,
                               int64_t id_space);
 
+namespace internal {
+
+// Exact division by a fixed q in [1, 2^32) without a divide instruction:
+// one 64x64->128 multiply by the precomputed reciprocal floor((2^64-1)/q)
+// (a Barrett reduction) and at most one correction. For every a < 2^64 the
+// estimate floor(a * inv / 2^64) is floor(a/q) or one less, so DivMod
+// equals (a / q, a % q) exactly. Linial's step primes are all below 2^32
+// (q ~ Delta*d and Delta < 2^30), which also keeps every Horner
+// intermediate acc*x + digit below q^2 < 2^64.
+class ModQ {
+ public:
+  explicit ModQ(uint64_t q) : q_(q), inv_(~uint64_t{0} / q) {}
+
+  uint64_t q() const { return q_; }
+  uint64_t Mod(uint64_t a) const {
+    uint64_t quot;
+    return DivMod(a, &quot);
+  }
+  // Returns a % q and stores a / q in *quot.
+  uint64_t DivMod(uint64_t a, uint64_t* quot) const {
+    uint64_t est = static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(a) * inv_) >> 64);
+    uint64_t r = a - est * q_;
+    if (r >= q_) {
+      r -= q_;
+      ++est;
+    }
+    *quot = est;
+    return r;
+  }
+
+ private:
+  uint64_t q_;
+  uint64_t inv_;
+};
+
+// Base-q digits of c >= 0 (a color's polynomial coefficients), lowest
+// first, into out[0..d].
+void ExtractDigits(int64_t c, const ModQ& mod, int d, int64_t* out);
+
+// Horner evaluation over F_q of the polynomial with coefficients
+// digits[0..d] (each in [0, q)) at x in [0, q).
+int64_t EvalDigits(const int64_t* digits, int d, const ModQ& mod, int64_t x);
+
+}  // namespace internal
+
 }  // namespace treelocal
 
 #endif  // TREELOCAL_ALGOS_LINIAL_H_

@@ -22,23 +22,26 @@ void FinishNodeProblem(const NodeProblem& problem, const Graph& tree,
                        local::Network& net, Thm12Result& result) {
   result.rounds_decomposition = result.rake_compress.engine_rounds;
 
-  std::vector<char> compressed_mask(tree.NumNodes(), 0);
   std::vector<char> raked_mask(tree.NumNodes(), 0);
-  for (int v = 0; v < tree.NumNodes(); ++v) {
-    if (result.rake_compress.compressed[v]) {
-      compressed_mask[v] = 1;
-      ++result.num_compressed;
-    } else {
-      raked_mask[v] = 1;
-      ++result.num_raked;
+  {
+    std::vector<char> compressed_mask(tree.NumNodes(), 0);
+    for (int v = 0; v < tree.NumNodes(); ++v) {
+      if (result.rake_compress.compressed[v]) {
+        compressed_mask[v] = 1;
+        ++result.num_compressed;
+      } else {
+        raked_mask[v] = 1;
+        ++result.num_raked;
+      }
     }
-  }
 
-  // Phase 2: base algorithm A on T_C (Lemma 10: max degree <= k).
-  SemiGraph tc = SemiGraph::NodeInduced(tree, compressed_mask);
-  result.base_stats =
-      RunNodeBase(net, problem, tc, id_space, result.labeling);
-  result.rounds_base = result.base_stats.rounds;
+    // Phase 2: base algorithm A on T_C (Lemma 10: max degree <= k). T_C
+    // is freed before the gather below builds its component lists.
+    SemiGraph tc = SemiGraph::NodeInduced(tree, compressed_mask);
+    result.base_stats =
+        RunNodeBase(net, problem, tc, id_space, result.labeling);
+    result.rounds_base = result.base_stats.rounds;
+  }
 
   // Phase 3: Algorithm 2 on T_R — gather each component at its highest node
   // (leader), solve the Pi^x instance sequentially, broadcast back. All
@@ -46,13 +49,15 @@ void FinishNodeProblem(const NodeProblem& problem, const Graph& tree,
   // Leader key = dense rank of (layer, ID) so the paper's "highest node"
   // wins; ranks (not layer * id_space + id) because the encoded form
   // overflows int64_t for the clamped million-node ID spaces.
-  std::vector<int> by_order(tree.NumNodes());
-  for (int v = 0; v < tree.NumNodes(); ++v) by_order[v] = v;
-  std::sort(by_order.begin(), by_order.end(), [&](int x, int y) {
-    return result.rake_compress.Lower(x, y, ids);
-  });
   std::vector<int64_t> leader_key(tree.NumNodes(), 0);
-  for (int r = 0; r < tree.NumNodes(); ++r) leader_key[by_order[r]] = r;
+  {
+    std::vector<int> by_order(tree.NumNodes());
+    for (int v = 0; v < tree.NumNodes(); ++v) by_order[v] = v;
+    std::sort(by_order.begin(), by_order.end(), [&](int x, int y) {
+      return result.rake_compress.Lower(x, y, ids);
+    });
+    for (int r = 0; r < tree.NumNodes(); ++r) leader_key[by_order[r]] = r;
+  }
   std::vector<ComponentLeader> components =
       MaskedComponentLeaders(tree, raked_mask, leader_key);
   result.num_rake_components = static_cast<int>(components.size());

@@ -65,11 +65,14 @@ Graph Graph::FromEdges(int n, std::vector<std::pair<int, int>> edges) {
     g.inc_[cursor[v]++] = e;
   }
   // Sort each adjacency list by neighbor id (keeping inc_ parallel) so
-  // EdgeBetween can binary-search and duplicate edges are detectable.
+  // EdgeBetween can binary-search and duplicate edges are detectable. One
+  // buffer serves every node; a list of length <= 1 is already sorted.
+  std::vector<std::pair<int, int>> tmp;
   for (int v = 0; v < n; ++v) {
     int lo = g.offset_[v], hi = g.offset_[v + 1];
-    std::vector<std::pair<int, int>> tmp;
-    tmp.reserve(hi - lo);
+    g.max_degree_ = std::max(g.max_degree_, hi - lo);
+    if (hi - lo <= 1) continue;
+    tmp.clear();
     for (int i = lo; i < hi; ++i) tmp.emplace_back(g.nbr_[i], g.inc_[i]);
     std::sort(tmp.begin(), tmp.end());
     for (int i = lo; i < hi; ++i) {
@@ -81,7 +84,6 @@ Graph Graph::FromEdges(int n, std::vector<std::pair<int, int>> edges) {
       g.nbr_[i] = tmp[i - lo].first;
       g.inc_[i] = tmp[i - lo].second;
     }
-    g.max_degree_ = std::max(g.max_degree_, hi - lo);
   }
   return g;
 }

@@ -52,6 +52,9 @@ class Graph {
   std::span<const int> IncidentEdges(int v) const {
     return {inc_.data() + offset_[v], static_cast<size_t>(Degree(v))};
   }
+  // Position of v's first port in the 2m-long port-major arrays: ports of
+  // v occupy [AdjacencyOffset(v), AdjacencyOffset(v) + Degree(v)).
+  int AdjacencyOffset(int v) const { return offset_[v]; }
 
   // Endpoints with u <= v ordering fixed at construction.
   std::pair<int, int> Endpoints(int e) const { return {edge_u_[e], edge_v_[e]}; }

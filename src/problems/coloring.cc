@@ -48,8 +48,8 @@ void ColoringProblem::SequentialAssign(const Graph& g, int v,
   const int64_t c =
       FirstMissingColor(forbidden.data(), static_cast<int>(forbidden.size()));
   // |forbidden| <= deg(v), so c <= deg(v)+1 <= Delta+1: within both bounds.
-  for (int e : g.IncidentEdges(v)) {
-    if (h.Get(e, v) == kUnsetLabel) h.Set(e, v, c);
+  for (Label& l : h.AtNode(v)) {
+    if (l == kUnsetLabel) l = c;
   }
 }
 
@@ -57,8 +57,7 @@ std::vector<int64_t> ColoringProblem::ExtractColors(const Graph& g,
                                                     const HalfEdgeLabeling& h) {
   std::vector<int64_t> colors(g.NumNodes(), 0);
   for (int v = 0; v < g.NumNodes(); ++v) {
-    for (int e : g.IncidentEdges(v)) {
-      Label l = h.Get(e, v);
+    for (Label l : h.AtNode(v)) {
       if (l != kUnsetLabel) {
         colors[v] = l;
         break;

@@ -60,47 +60,48 @@ std::string EdgeColoringProblem::LabelToString(Label l) const {
          std::to_string(ColorPart(l)) + ")";
 }
 
-int EdgeColoringProblem::AppendUsedColorsAt(
-    const Graph& g, int v, const HalfEdgeLabeling& h,
-    std::vector<int64_t>& out) const {
+namespace {
+
+// Appends the colors already used on a node's half-edges (its port-major
+// block) to `out` and returns how many were appended (the degree-part input
+// of Lemma 16).
+int AppendUsedColors(std::span<const Label> at, std::vector<int64_t>& out) {
   int appended = 0;
-  for (int e : g.IncidentEdges(v)) {
-    Label l = h.Get(e, v);
-    if (l != kUnsetLabel && IsPair(l)) {
-      out.push_back(ColorPart(l));
+  for (Label l : at) {
+    if (l != kUnsetLabel && EdgeColoringProblem::IsPair(l)) {
+      out.push_back(EdgeColoringProblem::ColorPart(l));
       ++appended;
     }
   }
   return appended;
 }
 
-void EdgeColoringProblem::SequentialAssignEdge(const Graph& g, int e,
-                                               HalfEdgeLabeling& h) const {
+}  // namespace
+
+void EdgeColoringProblem::AssignEdge(std::span<Label> at_u, int port_u,
+                                     std::span<Label> at_v,
+                                     int port_v) const {
   // This is the inner loop of every class sweep and star stage: one shared
   // buffer for both endpoints' used colors (the per-endpoint counts ride
   // along for the degree parts), reused across calls — thread_local, since
-  // the edge sweep runs it from concurrent engine shards.
-  auto [v1, v2] = g.Endpoints(e);
+  // the edge sweep runs it from concurrent engine shards. Both ends are
+  // treated alike, so the result is symmetric in them.
   thread_local std::vector<int64_t> forbidden;
   forbidden.clear();
-  int used1 = AppendUsedColorsAt(g, v1, h, forbidden);
-  int used2 = AppendUsedColorsAt(g, v2, h, forbidden);
+  const int used_u = AppendUsedColors(at_u, forbidden);
+  const int used_v = AppendUsedColors(at_v, forbidden);
   // First-fit via chunked bitmask + countr_one first-zero scan
   // (FirstMissingColor) — the sort + linear walk this replaces was the edge
   // sweeps' per-edge O(deg log deg) inner loop.
   const int64_t c =
       FirstMissingColor(forbidden.data(), static_cast<int>(forbidden.size()));
-  // Lemma 16: c <= |used1| + |used2| + 1, so with a_i = |used_i| + 1 the
-  // edge constraint a1 + a2 >= c + 1 holds automatically.
-  int64_t a1 = used1 + 1;
-  int64_t a2 = used2 + 1;
-  if (mode_ == Mode::kTwoDeltaMinusOne) {
-    a1 = 1;
-    a2 = 1;  // degree parts unused; bound b <= 2Delta-1 holds since
-             // |used1|+|used2| <= 2Delta-2.
-  }
-  h.Set(e, v1, Pack(a1, c));
-  h.Set(e, v2, Pack(a2, c));
+  // Lemma 16: c <= |used_u| + |used_v| + 1, so with a = |used| + 1 at each
+  // end the edge constraint a_u + a_v >= c + 1 holds automatically. In the
+  // 2Delta-1 mode the degree parts are unused (1); the bound b <= 2Delta-1
+  // holds since |used_u| + |used_v| <= 2Delta-2.
+  const bool degree_parts = mode_ == Mode::kEdgeDegreePlusOne;
+  at_u[port_u] = Pack(degree_parts ? used_u + 1 : 1, c);
+  at_v[port_v] = Pack(degree_parts ? used_v + 1 : 1, c);
 }
 
 std::vector<int64_t> EdgeColoringProblem::ExtractColors(

@@ -47,8 +47,8 @@ class EdgeColoringProblem : public EdgeProblem {
 
   // The labeling process of Lemma 16: pick the smallest color free at both
   // endpoints; degree parts = (#colors already present at the endpoint) + 1.
-  void SequentialAssignEdge(const Graph& g, int e,
-                            HalfEdgeLabeling& h) const override;
+  void AssignEdge(std::span<Label> at_u, int port_u, std::span<Label> at_v,
+                  int port_v) const override;
 
   Mode mode() const { return mode_; }
   int delta() const { return delta_; }
@@ -62,11 +62,6 @@ class EdgeColoringProblem : public EdgeProblem {
                             const std::vector<int64_t>& colors) const;
 
  private:
-  // Appends the colors already used on v's half-edges to `out` and returns
-  // how many were appended (the degree-part input of Lemma 16).
-  int AppendUsedColorsAt(const Graph& g, int v, const HalfEdgeLabeling& h,
-                         std::vector<int64_t>& out) const;
-
   Mode mode_;
   int delta_;
 };

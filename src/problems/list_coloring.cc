@@ -57,8 +57,8 @@ void ListColoringProblem::SequentialAssign(const Graph& g, int v,
     }
   }
   assert(chosen >= 1 && "list too small: need |list(v)| >= deg(v)+1");
-  for (int e : g.IncidentEdges(v)) {
-    if (h.Get(e, v) == kUnsetLabel) h.Set(e, v, chosen);
+  for (Label& l : h.AtNode(v)) {
+    if (l == kUnsetLabel) l = chosen;
   }
 }
 

@@ -1,5 +1,7 @@
 #include "src/problems/matching.h"
 
+#include <algorithm>
+
 namespace treelocal {
 
 bool MatchingProblem::NodeConfigOk(std::span<const Label> labels) const {
@@ -54,25 +56,17 @@ std::string MatchingProblem::LabelToString(Label l) const {
   }
 }
 
-bool MatchingProblem::EndpointMatched(const Graph& g, int v,
-                                      const HalfEdgeLabeling& h) {
-  for (int e : g.IncidentEdges(v)) {
-    if (h.Get(e, v) == kM) return true;
-  }
-  return false;
-}
-
-void MatchingProblem::SequentialAssignEdge(const Graph& g, int e,
-                                           HalfEdgeLabeling& h) const {
-  auto [v1, v2] = g.Endpoints(e);
-  bool m1 = EndpointMatched(g, v1, h);
-  bool m2 = EndpointMatched(g, v2, h);
-  if (!m1 && !m2) {
-    h.Set(e, v1, kM);
-    h.Set(e, v2, kM);
+void MatchingProblem::AssignEdge(std::span<Label> at_u, int port_u,
+                                 std::span<Label> at_v, int port_v) const {
+  // An endpoint is matched iff one of its half-edges already carries M.
+  const bool mu = std::find(at_u.begin(), at_u.end(), kM) != at_u.end();
+  const bool mv = std::find(at_v.begin(), at_v.end(), kM) != at_v.end();
+  if (!mu && !mv) {
+    at_u[port_u] = kM;
+    at_v[port_v] = kM;
   } else {
-    h.Set(e, v1, m1 ? kP : kO);
-    h.Set(e, v2, m2 ? kP : kO);
+    at_u[port_u] = mu ? kP : kO;
+    at_v[port_v] = mv ? kP : kO;
   }
 }
 

@@ -28,8 +28,8 @@ class MatchingProblem : public EdgeProblem {
 
   // The labeling process of Lemma 17: match the edge iff neither endpoint is
   // matched yet; otherwise P on matched endpoints, O on unmatched ones.
-  void SequentialAssignEdge(const Graph& g, int e,
-                            HalfEdgeLabeling& h) const override;
+  void AssignEdge(std::span<Label> at_u, int port_u, std::span<Label> at_v,
+                  int port_v) const override;
 
   // Matched-edge indicator from a labeling.
   static std::vector<char> ExtractMatching(const Graph& g,
@@ -38,10 +38,6 @@ class MatchingProblem : public EdgeProblem {
   // Raw combinatorial oracle.
   static bool IsMaximalMatching(const Graph& g,
                                 const std::vector<char>& matched);
-
- private:
-  static bool EndpointMatched(const Graph& g, int v,
-                              const HalfEdgeLabeling& h);
 };
 
 }  // namespace treelocal

@@ -1,5 +1,7 @@
 #include "src/problems/mis.h"
 
+#include <algorithm>
+
 namespace treelocal {
 
 bool MisProblem::NodeConfigOk(std::span<const Label> labels) const {
@@ -60,27 +62,27 @@ void MisProblem::SequentialAssign(const Graph& g, int v,
       break;
     }
   }
+  std::span<Label> mine = h.AtNode(v);
   if (!neighbor_in_mis) {
-    for (int e : g.IncidentEdges(v)) {
-      if (h.Get(e, v) == kUnsetLabel) h.Set(e, v, kM);
+    for (Label& l : mine) {
+      if (l == kUnsetLabel) l = kM;
     }
     return;
   }
   // Covered: pick one pointer toward an MIS neighbor, U elsewhere. If some
   // half-edge of v was already labeled P in an earlier phase, that pointer
   // already certifies coverage.
-  bool has_pointer = false;
-  for (int e : g.IncidentEdges(v)) {
-    if (h.Get(e, v) == kP) has_pointer = true;
-  }
-  for (int e : g.IncidentEdges(v)) {
-    if (h.Get(e, v) != kUnsetLabel) continue;
-    int u = g.OtherEndpoint(e, v);
-    if (!has_pointer && h.Get(e, u) == kM) {
-      h.Set(e, v, kP);
+  bool has_pointer =
+      std::find(mine.begin(), mine.end(), kP) != mine.end();
+  auto inc = g.IncidentEdges(v);
+  for (size_t p = 0; p < inc.size(); ++p) {
+    if (mine[p] != kUnsetLabel) continue;
+    const int e = inc[p];
+    if (!has_pointer && h.Get(e, g.OtherEndpoint(e, v)) == kM) {
+      mine[p] = kP;
       has_pointer = true;
     } else {
-      h.Set(e, v, kU);
+      mine[p] = kU;
     }
   }
 }
@@ -93,8 +95,8 @@ std::vector<char> MisProblem::ExtractSet(const Graph& g,
       in_set[v] = 1;  // isolated nodes are in the MIS by convention
       continue;
     }
-    for (int e : g.IncidentEdges(v)) {
-      if (h.Get(e, v) == kM) in_set[v] = 1;
+    for (Label l : h.AtNode(v)) {
+      if (l == kM) in_set[v] = 1;
     }
   }
   return in_set;

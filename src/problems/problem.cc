@@ -27,12 +27,9 @@ bool Problem::ValidateGraph(const Graph& g, const HalfEdgeLabeling& h,
                   LabelToString(a) + "," + LabelToString(b) + "}");
     }
   }
-  // One label buffer for every node (cleared, never shrunk), so the
-  // per-node check allocates nothing once it has grown to the max degree.
-  std::vector<Label> labels;
+  // A node's configuration is its port-major block, checked in place.
   for (int v = 0; v < g.NumNodes(); ++v) {
-    labels.clear();
-    for (int e : g.IncidentEdges(v)) labels.push_back(h.Get(e, v));
+    std::span<const Label> labels = h.AtNode(v);
     if (!NodeConfigOkAt(g, v, labels)) {
       std::ostringstream os;
       os << "node " << v << " config invalid: {";
@@ -72,13 +69,16 @@ bool Problem::ValidateSemiGraph(const SemiGraph& s, const HalfEdgeLabeling& h,
       return fail("semi-edge " + std::to_string(e) + " config invalid");
     }
   }
-  std::vector<Label> labels;  // reused across nodes, as in ValidateGraph
+  std::vector<Label> labels;  // reused across nodes
   for (int v = 0; v < g.NumNodes(); ++v) {
     if (!s.ContainsNode(v)) continue;
     labels.clear();
-    for (int e : g.IncidentEdges(v)) {
+    auto inc = g.IncidentEdges(v);
+    std::span<const Label> at = h.AtNode(v);
+    for (size_t p = 0; p < inc.size(); ++p) {
+      const int e = inc[p];
       if (s.ContainsEdge(e) && s.HalfPresent(e, g.EndpointSlot(e, v))) {
-        Label l = h.Get(e, v);
+        Label l = at[p];
         if (l == kUnsetLabel) {
           return fail("semi-node " + std::to_string(v) +
                       " has unassigned half-edge");
@@ -97,6 +97,13 @@ bool Problem::ValidateSemiGraph(const SemiGraph& s, const HalfEdgeLabeling& h,
 void NodeProblem::CompleteNodes(const Graph& g, std::span<const int> nodes,
                                 HalfEdgeLabeling& h) const {
   for (int v : nodes) SequentialAssign(g, v, h);
+}
+
+void EdgeProblem::SequentialAssignEdge(const Graph& g, int e,
+                                       HalfEdgeLabeling& h) const {
+  const int u = g.EdgeU(e), v = g.EdgeV(e);
+  AssignEdge(h.AtNode(u), h.HalfIndex(e, 0) - g.AdjacencyOffset(u),
+             h.AtNode(v), h.HalfIndex(e, 1) - g.AdjacencyOffset(v));
 }
 
 void EdgeProblem::CompleteEdges(const Graph& g, std::span<const int> edges,

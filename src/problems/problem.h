@@ -73,8 +73,20 @@ class NodeProblem : public Problem {
 // 1-hop-edge greedy that labels both half-edges of one edge at a time.
 class EdgeProblem : public Problem {
  public:
-  virtual void SequentialAssignEdge(const Graph& g, int e,
-                                    HalfEdgeLabeling& h) const = 0;
+  // The greedy on edge e = {u, v}, as a pure function of its two endpoint
+  // blocks: at_u = h.AtNode(u) and at_v = h.AtNode(v) (port-major, see
+  // HalfEdgeLabeling), with e at port_u of u and port_v of v. It reads only
+  // these two blocks (including the labels chosen so far on every edge at u
+  // and v) and writes exactly at_u[port_u] and at_v[port_v]. It must be
+  // symmetric in its two ends: swapping (at_u, port_u) with (at_v, port_v)
+  // writes the mirrored labels, so the result never depends on which
+  // endpoint the caller names first.
+  virtual void AssignEdge(std::span<Label> at_u, int port_u,
+                          std::span<Label> at_v, int port_v) const = 0;
+
+  // AssignEdge on host edge e of `g` (h.host() must be g), with u =
+  // EdgeU(e) and v = EdgeV(e).
+  void SequentialAssignEdge(const Graph& g, int e, HalfEdgeLabeling& h) const;
 
   // Processes the given edges in order (the Pi* component solver of
   // Algorithm 4 and the sequential baseline).

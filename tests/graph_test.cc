@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
+#include "src/graph/labeling.h"
 #include "src/graph/linegraph.h"
 #include "src/graph/subgraph.h"
 #include "src/support/rng.h"
@@ -286,6 +289,114 @@ TEST(LineGraphTest, IdsDistinctAndPositive) {
   std::set<int64_t> s(ids.begin(), ids.end());
   EXPECT_EQ(s.size(), ids.size());
   for (int64_t id : ids) EXPECT_GE(id, 1);
+}
+
+// ---------- HalfEdgeLabeling's port-major layout ----------
+
+// Two ForestUnions side by side plus isolated nodes: several components.
+Graph MultiComponentForestUnion() {
+  std::vector<std::pair<int, int>> edges;
+  int offset = 0;
+  for (const Graph& part : {ForestUnion(200, 2, 3), ForestUnion(90, 3, 4)}) {
+    for (int e = 0; e < part.NumEdges(); ++e) {
+      edges.emplace_back(part.EdgeU(e) + offset, part.EdgeV(e) + offset);
+    }
+    offset += part.NumNodes();
+  }
+  return Graph::FromEdges(offset + 5, edges);
+}
+
+std::vector<std::pair<std::string, Graph>> LayoutGraphs() {
+  std::vector<std::pair<std::string, Graph>> out;
+  out.emplace_back("path", Path(50));
+  out.emplace_back("star600", Star(600));
+  out.emplace_back("caterpillar", Caterpillar(20, 3));
+  out.emplace_back("hubbed", HubbedForest(300, 3, 5));
+  out.emplace_back("forest_union_components", MultiComponentForestUnion());
+  return out;
+}
+
+// A distinct label per half-edge, so any mix-up of two halves shows.
+Label HalfLabel(int e, int slot) { return 2 * Label{e} + slot + 7; }
+
+TEST(LabelingLayoutTest, AtNodeIsThePortOrderedBlockOfGet) {
+  for (const auto& [name, g] : LayoutGraphs()) {
+    SCOPED_TRACE(name);
+    HalfEdgeLabeling h(g);
+    for (int e = 0; e < g.NumEdges(); ++e) {
+      h.Set(e, g.EdgeU(e), HalfLabel(e, 0));
+      h.Set(e, g.EdgeV(e), HalfLabel(e, 1));
+    }
+    size_t total = 0;
+    for (int v = 0; v < g.NumNodes(); ++v) {
+      auto inc = g.IncidentEdges(v);
+      std::span<const Label> at = std::as_const(h).AtNode(v);
+      ASSERT_EQ(at.size(), inc.size());
+      for (size_t p = 0; p < inc.size(); ++p) {
+        EXPECT_EQ(at[p], h.Get(inc[p], v));
+        EXPECT_EQ(at[p], HalfLabel(inc[p], g.EndpointSlot(inc[p], v)));
+        EXPECT_EQ(h.HalfIndex(inc[p], g.EndpointSlot(inc[p], v)),
+                  g.AdjacencyOffset(v) + static_cast<int>(p));
+      }
+      total += at.size();
+    }
+    EXPECT_EQ(total, 2 * static_cast<size_t>(g.NumEdges()));
+    EXPECT_EQ(h.NumAssigned(), 2 * int64_t{g.NumEdges()});
+    EXPECT_TRUE(h.FullyAssigned());
+  }
+}
+
+TEST(LabelingLayoutTest, SlotAccessRoundTripsAndSurvivesCopyAndMove) {
+  for (const auto& [name, g] : LayoutGraphs()) {
+    SCOPED_TRACE(name);
+    HalfEdgeLabeling h(g);
+    EXPECT_EQ(h.NumAssigned(), 0);
+    // Writes through AtNode are seen by GetSlot, and SetSlot by AtNode.
+    for (int v = 0; v < g.NumNodes(); ++v) {
+      auto inc = g.IncidentEdges(v);
+      std::span<Label> at = h.AtNode(v);
+      for (size_t p = 0; p < inc.size(); ++p) {
+        if (inc[p] % 2 == 0) {
+          at[p] = HalfLabel(inc[p], g.EndpointSlot(inc[p], v));
+        }
+      }
+    }
+    for (int e = 1; e < g.NumEdges(); e += 2) {
+      h.SetSlot(e, 0, HalfLabel(e, 0));
+      h.SetSlot(e, 1, HalfLabel(e, 1));
+    }
+    for (int e = 0; e < g.NumEdges(); ++e) {
+      for (int slot = 0; slot < 2; ++slot) {
+        ASSERT_EQ(h.GetSlot(e, slot), HalfLabel(e, slot));
+        const int node = slot == 0 ? g.EdgeU(e) : g.EdgeV(e);
+        const int port = g.PortOf(node, g.OtherEndpoint(e, node));
+        ASSERT_EQ(h.AtNode(node)[port], HalfLabel(e, slot));
+      }
+    }
+    HalfEdgeLabeling copy = h;
+    copy.SetSlot(0, 0, kUnsetLabel);
+    EXPECT_EQ(h.GetSlot(0, 0), HalfLabel(0, 0));  // deep copy
+    EXPECT_EQ(copy.GetSlot(0, 0), kUnsetLabel);
+    EXPECT_FALSE(copy.FullyAssigned());
+    HalfEdgeLabeling moved = std::move(copy);
+    HalfEdgeLabeling assigned;
+    assigned = h;
+    for (int e = 0; e < g.NumEdges(); ++e) {
+      for (int slot = 0; slot < 2; ++slot) {
+        const Label want = (e == 0 && slot == 0) ? kUnsetLabel
+                                                 : HalfLabel(e, slot);
+        ASSERT_EQ(moved.GetSlot(e, slot), want);
+        ASSERT_EQ(assigned.GetSlot(e, slot), HalfLabel(e, slot));
+      }
+    }
+    for (int v = 0; v < g.NumNodes(); ++v) {
+      auto a = moved.AtNode(v), b = h.AtNode(v);
+      for (size_t p = 0; p < a.size(); ++p) {
+        if (g.IncidentEdges(v)[p] == 0 && g.EdgeU(0) == v) continue;
+        ASSERT_EQ(a[p], b[p]);
+      }
+    }
+  }
 }
 
 }  // namespace

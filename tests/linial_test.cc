@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "src/algos/linial.h"
@@ -147,6 +148,61 @@ TEST_P(LinialDegreeSweep, ProperAcrossDegrees) {
 
 INSTANTIATE_TEST_SUITE_P(Degrees, LinialDegreeSweep,
                          ::testing::Values(2, 3, 4, 6, 10, 20, 40));
+
+// ---------- Exact reciprocal reduction ----------
+
+int64_t HornerByDivision(const std::vector<int64_t>& digits, int64_t q,
+                         int64_t x) {
+  int64_t acc = 0;
+  for (int i = static_cast<int>(digits.size()) - 1; i >= 0; --i) {
+    acc = (acc * x + digits[i]) % q;
+  }
+  return acc;
+}
+
+TEST(LinialReductionTest, ReducedEvaluationEqualsDivision) {
+  Rng rng(17);
+  for (int64_t q : {int64_t{2}, int64_t{3}, int64_t{59}, int64_t{65521},
+                    int64_t{65537}, int64_t{2147483629}}) {
+    SCOPED_TRACE(q);
+    const internal::ModQ mod(static_cast<uint64_t>(q));
+    for (int trial = 0; trial < 2000; ++trial) {
+      const int d = 1 + static_cast<int>(rng.NextBelow(6));
+      std::vector<int64_t> digits(d + 1);
+      for (int64_t& c : digits) c = static_cast<int64_t>(rng.NextBelow(q));
+      // Points and digits at the extremes of [0, q) as well as inside.
+      if (trial % 7 == 0) digits.assign(d + 1, q - 1);
+      const int64_t x = trial % 5 == 0 ? q - 1
+                                       : static_cast<int64_t>(rng.NextBelow(q));
+      ASSERT_EQ(internal::EvalDigits(digits.data(), d, mod, x),
+                HornerByDivision(digits, q, x));
+    }
+    // Digit extraction against / and %, from 0 to the top of int64.
+    for (int trial = 0; trial < 2000; ++trial) {
+      int64_t c = static_cast<int64_t>(rng.NextU64() >> (1 + trial % 63));
+      if (trial == 0) c = 0;
+      if (trial == 1) c = std::numeric_limits<int64_t>::max();
+      const int d = 1 + trial % 8;
+      int64_t got[16];
+      internal::ExtractDigits(c, mod, d, got);
+      int64_t rem = c;
+      for (int i = 0; i <= d; ++i) {
+        ASSERT_EQ(got[i], rem % q) << "c=" << c << " digit " << i;
+        rem /= q;
+      }
+    }
+    // The reduction at its boundaries: multiples of q and their neighbors,
+    // and the largest 64-bit value.
+    for (uint64_t a : {uint64_t{0}, uint64_t(q) - 1, uint64_t(q),
+                       uint64_t(q) * uint64_t(q) - 1,
+                       ~uint64_t{0} / uint64_t(q) * uint64_t(q),
+                       ~uint64_t{0}}) {
+      uint64_t quot;
+      ASSERT_EQ(mod.DivMod(a, &quot), a % uint64_t(q)) << a;
+      ASSERT_EQ(quot, a / uint64_t(q)) << a;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace treelocal

@@ -321,5 +321,85 @@ TEST_P(OrderRobustnessTest, AnyAdversarialOrderWorks) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OrderRobustnessTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
+// ---------- AssignEdge symmetry ----------
+
+// A random partial labeling: each half-edge independently unset, or a
+// label drawn by `draw`.
+template <typename Draw>
+HalfEdgeLabeling RandomPartialLabeling(const Graph& g, Rng& rng, Draw draw) {
+  HalfEdgeLabeling h(g);
+  for (int e = 0; e < g.NumEdges(); ++e) {
+    for (int slot = 0; slot < 2; ++slot) {
+      if (rng.NextBelow(3) != 0) h.SetSlot(e, slot, draw());
+    }
+  }
+  return h;
+}
+
+// For every edge, AssignEdge called with the ends in either order writes
+// the same two labels (mirrored) and nothing else.
+void ExpectSymmetric(const EdgeProblem& problem, const Graph& g,
+                     const HalfEdgeLabeling& start) {
+  for (int e = 0; e < g.NumEdges(); ++e) {
+    const int u = g.EdgeU(e), v = g.EdgeV(e);
+    const int pu = g.PortOf(u, v), pv = g.PortOf(v, u);
+    HalfEdgeLabeling forward = start, backward = start;
+    problem.AssignEdge(forward.AtNode(u), pu, forward.AtNode(v), pv);
+    problem.AssignEdge(backward.AtNode(v), pv, backward.AtNode(u), pu);
+    ASSERT_NE(forward.Get(e, u), kUnsetLabel);
+    ASSERT_NE(forward.Get(e, v), kUnsetLabel);
+    for (int f = 0; f < g.NumEdges(); ++f) {
+      for (int slot = 0; slot < 2; ++slot) {
+        ASSERT_EQ(forward.GetSlot(f, slot), backward.GetSlot(f, slot))
+            << problem.Name() << " edge " << e << " half (" << f << ","
+            << slot << ")";
+        if (f != e) ASSERT_EQ(forward.GetSlot(f, slot), start.GetSlot(f, slot));
+      }
+    }
+  }
+}
+
+TEST(AssignEdgeSymmetryTest, EdgeColoringBothModes) {
+  Graph g = ForestUnion(60, 2, 11);
+  Rng rng(5);
+  for (auto mode : {EdgeColoringProblem::Mode::kEdgeDegreePlusOne,
+                    EdgeColoringProblem::Mode::kTwoDeltaMinusOne}) {
+    EdgeColoringProblem problem(mode, g.MaxDegree());
+    for (int trial = 0; trial < 4; ++trial) {
+      HalfEdgeLabeling start = RandomPartialLabeling(g, rng, [&] {
+        if (rng.NextBelow(8) == 0) return EdgeColoringProblem::kD;
+        return EdgeColoringProblem::Pack(rng.NextInRange(1, 6),
+                                         rng.NextInRange(1, 12));
+      });
+      ExpectSymmetric(problem, g, start);
+    }
+    // And on the partial labelings the greedy itself produces.
+    HalfEdgeLabeling greedy(g);
+    for (int e = 0; e < g.NumEdges(); e += 2) {
+      problem.SequentialAssignEdge(g, e, greedy);
+    }
+    ExpectSymmetric(problem, g, greedy);
+  }
+}
+
+TEST(AssignEdgeSymmetryTest, Matching) {
+  Graph g = ForestUnion(60, 2, 12);
+  Rng rng(6);
+  MatchingProblem problem;
+  for (int trial = 0; trial < 4; ++trial) {
+    HalfEdgeLabeling start = RandomPartialLabeling(g, rng, [&] {
+      // Mostly P/O/D, so that many endpoints stay unmatched.
+      return rng.NextBelow(6) == 0 ? MatchingProblem::kM
+                                   : static_cast<Label>(rng.NextInRange(1, 3));
+    });
+    ExpectSymmetric(problem, g, start);
+  }
+  HalfEdgeLabeling greedy(g);
+  for (int e = 0; e < g.NumEdges(); e += 3) {
+    problem.SequentialAssignEdge(g, e, greedy);
+  }
+  ExpectSymmetric(problem, g, greedy);
+}
+
 }  // namespace
 }  // namespace treelocal
