@@ -96,7 +96,6 @@ void EmitEngineBytes(bench::JsonWriter& json, const std::string& prefix,
     json.Field(prefix + "_" + part + "_bytes", static_cast<int64_t>(bytes));
   };
   field("channel_tables", b.channel_tables);
-  field("degree_table", b.degree_table);
   field("mailboxes", b.mailboxes);
   field("worklist", b.worklist);
   field("ids", b.ids);

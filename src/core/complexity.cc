@@ -52,11 +52,6 @@ double BarrierLogOverLogLog(double n) {
   return l / std::log2(l);
 }
 
-double PaperEdgeColoringBound(double n) {
-  if (n <= 2.0) return 1.0;
-  return std::pow(std::log2(n), 12.0 / 13.0);
-}
-
 double ModeledBaseRounds(const ComplexityFn& f, double k, double n,
                          double scale) {
   return scale * f(k) + LogStar(n);

@@ -26,11 +26,9 @@ double SolveG(double n, const ComplexityFn& f);
 // The k parameter handed to the decompositions: max(min_k, floor(g(n))).
 int ChooseK(int64_t n, const ComplexityFn& f, int min_k = 2);
 
-// Reference curves for the separation experiment (Theorem 3):
-// log2(n) / log2(log2(n)) — the Omega-barrier for MIS/MM on trees — and
-// log2(n)^{12/13} — the paper's upper bound for (edge-degree+1)-coloring.
+// Reference curve for the separation experiment (Theorem 3):
+// log2(n) / log2(log2(n)) — the Omega-barrier for MIS/MM on trees.
 double BarrierLogOverLogLog(double n);
-double PaperEdgeColoringBound(double n);
 
 // Modeled base-phase round count C * f(k) + log*(n): used to report the
 // Theorem 3 series with the [BBKO22b] f(Delta) = log^12(Delta) plugged in

@@ -25,76 +25,122 @@ MaxRoundsExceededError::MaxRoundsExceededError(const std::string& engine,
 
 namespace internal {
 
-// send_chan[first[v] + p] = channel of the reverse half-edge (u -> v)
-// where u = Neighbors(v)[p] — i.e. the receiver-side inbox slot a send on
-// (v, p) must land in. Built in O(n + m) by one streaming adjacency pass
-// with NO edge ids (so it works identically over either graph backend):
-// scanning v ascending, u's lower neighbors arrive in ascending order and
-// — adjacency being sorted — occupy u's first ports in exactly that order,
-// so a per-node cursor names the reverse port of every (v, p) with u > v.
-// With `perm` the per-node channel blocks are laid out in internal-rank
-// order; the pairing is unchanged because it keys on (node, port).
-void BuildChannelTables(GraphView graph, const int* perm,
-                        std::vector<int>& first, std::vector<int>& send_chan,
-                        std::vector<int>& degree) {
+namespace {
+
+// The graph's adjacency as one CSR (off: n + 1 offsets, adj: 2m neighbors,
+// each node's block ascending): a Graph's own neighbor array, or a
+// CompactGraph's stream decoded once into scratch.
+struct Adjacency {
+  std::vector<int> off;
+  std::vector<int> decoded;
+  const int* adj = nullptr;
+
+  explicit Adjacency(GraphView graph) {
+    const int n = graph.NumNodes();
+    off.resize(n + 1);
+    off[0] = 0;
+    if (const Graph* g = graph.csr(); g != nullptr) {
+      for (int v = 0; v < n; ++v) off[v + 1] = g->AdjacencyOffset(v + 1);
+      // Node 0's block opens the graph's shared neighbor array.
+      adj = n > 0 ? g->Neighbors(0).data() : nullptr;
+      return;
+    }
+    decoded.reserve(2 * static_cast<size_t>(graph.NumEdges()));
+    for (int v = 0; v < n; ++v) {
+      graph.ForEachNeighbor(v, [&](int u) { decoded.push_back(u); });
+      off[v + 1] = static_cast<int>(decoded.size());
+    }
+    adj = decoded.data();
+  }
+};
+
+// How far ahead of the BFS head the prefetches run, in queue entries: the
+// offsets of the node kAhead ahead, the neighbor block of the one
+// kAhead / 2 ahead, and the ranks of the neighbors of the one kAhead / 4
+// ahead, so each stage's load finds the previous stage's line in cache.
+constexpr int kAhead = 32;
+
+}  // namespace
+
+// The pairing pass keys on sorted adjacency: scanning v ascending, u's
+// lower neighbors arrive in ascending order and occupy u's first ports in
+// exactly that order, so one cursor per node (external-indexed, starting
+// at its rank's block) names the channel of every half-edge as it is met,
+// whatever order the blocks are laid out in.
+ChannelTables BuildChannelTables(GraphView graph, bool relabel) {
   const int n = graph.NumNodes();
-  // The only backend degree queries the engines make: one ascending pass,
-  // so a CompactGraph decodes its stream sequentially.
-  degree.resize(n);
-  for (int v = 0; v < n; ++v) degree[v] = graph.Degree(v);
-  first.resize(n + 1);
-  if (perm == nullptr) {
-    first[0] = 0;
-    for (int v = 0; v < n; ++v) first[v + 1] = first[v] + degree[v];
+  ChannelTables t;
+  t.first.resize(n + 1);
+  t.order.resize(n);
+  if (relabel) t.perm.assign(n, -1);
+  t.send_chan.resize(2 * static_cast<size_t>(graph.NumEdges()));
+  // The scratch comes after the tables, so freeing it on return leaves no
+  // hole under them that the allocator must keep resident.
+  const Adjacency g(graph);
+  const int* const off = g.off.data();
+  const int* const adj = g.adj;
+  std::vector<int> cur(n);  // next unpaired channel of external node v
+  t.first[0] = 0;
+  if (!relabel) {
+    std::iota(t.order.begin(), t.order.end(), 0);
+    std::copy(g.off.begin(), g.off.end(), t.first.begin());
+    std::copy(g.off.begin(), g.off.end() - 1, cur.begin());
   } else {
-    // Internal-rank CSR offsets, then scattered back so first[] stays
-    // indexed by external node (the hot paths never see the permutation).
-    std::vector<int> offset(n + 1);
-    std::vector<int> inv(n);  // internal rank -> external node
-    for (int v = 0; v < n; ++v) inv[perm[v]] = v;
-    offset[0] = 0;
-    for (int i = 0; i < n; ++i) offset[i + 1] = offset[i] + degree[inv[i]];
-    for (int v = 0; v < n; ++v) first[v] = offset[perm[v]];
-    first[n] = offset[n];
-  }
-
-  send_chan.resize(2 * static_cast<size_t>(graph.NumEdges()));
-  std::vector<int> cnt(n, 0);  // lower neighbors of u paired so far
-  for (int v = 0; v < n; ++v) {
-    int p = 0;
-    graph.ForEachNeighbor(v, [&](int u) {
-      if (u > v) {
-        const int a = first[v] + p;
-        const int b = first[u] + cnt[u]++;
-        send_chan[a] = b;
-        send_chan[b] = a;
-      }
-      ++p;
-    });
-  }
-}
-
-std::vector<int> BfsOrder(GraphView graph) {
-  const int n = graph.NumNodes();
-  std::vector<int> perm(n, -1);
-  std::vector<int> queue;
-  queue.reserve(n);
-  int rank = 0;
-  for (int root = 0; root < n; ++root) {
-    if (perm[root] >= 0) continue;
-    perm[root] = rank++;
-    queue.push_back(root);
-    for (size_t head = queue.size() - 1; head < queue.size(); ++head) {
-      const int v = queue[head];
-      graph.ForEachNeighbor(v, [&](int u) {
-        if (perm[u] < 0) {
-          perm[u] = rank++;
-          queue.push_back(u);
+    // BFS with the queue in order: dequeuing rank `head` fixes its block's
+    // offset and its cursor, and the prefetches hide the random loads of
+    // the nodes about to be dequeued.
+    std::vector<int>& perm = t.perm;
+    int* const order = t.order.data();
+    int head = 0;
+    int tail = 0;
+    for (int root = 0; root < n; ++root) {
+      if (perm[root] >= 0) continue;
+      perm[root] = tail;
+      order[tail++] = root;
+      for (; head < tail; ++head) {
+        if (head + kAhead < tail) {
+          __builtin_prefetch(&off[order[head + kAhead]]);
         }
-      });
+        if (head + kAhead / 2 < tail) {
+          __builtin_prefetch(&adj[off[order[head + kAhead / 2]]]);
+        }
+        if (head + kAhead / 4 < tail) {
+          const int w = order[head + kAhead / 4];
+          for (int k = off[w]; k < off[w + 1]; ++k) {
+            __builtin_prefetch(&perm[adj[k]]);
+          }
+        }
+        const int v = order[head];
+        const int lo = off[v];
+        const int hi = off[v + 1];
+        t.first[head + 1] = t.first[head] + (hi - lo);
+        cur[v] = t.first[head];
+        for (int k = lo; k < hi; ++k) {
+          const int u = adj[k];
+          if (perm[u] < 0) {
+            perm[u] = tail;
+            order[tail++] = u;
+          }
+        }
+      }
     }
   }
-  return perm;
+
+  const int channels = off[n];
+  int* const send = t.send_chan.data();
+  for (int v = 0, k = 0; v < n; ++v) {
+    for (const int hi = off[v + 1]; k < hi; ++k) {
+      if (k + kAhead < channels) __builtin_prefetch(&cur[adj[k + kAhead]]);
+      const int u = adj[k];
+      if (u > v) {
+        const int a = cur[v]++;
+        const int b = cur[u]++;
+        send[a] = b;
+        send[b] = a;
+      }
+    }
+  }
+  return t;
 }
 
 void ValidateChannelScale(int64_t n, int64_t m, const char* engine) {
@@ -111,29 +157,11 @@ void ValidateChannelScale(int64_t n, int64_t m, const char* engine) {
   }
 }
 
-std::vector<int> WorklistOrder(int n, const std::vector<int>& perm) {
-  std::vector<int> order(n);
-  if (perm.empty()) {
-    std::iota(order.begin(), order.end(), 0);
-  } else {
-    for (int v = 0; v < n; ++v) order[perm[v]] = v;
-  }
-  return order;
-}
-
-std::vector<int> BuildChanOwner(const std::vector<int>& first,
-                                const std::vector<int>& degree,
-                                const std::vector<int>& order) {
-  const int n = static_cast<int>(degree.size());
+std::vector<int> BuildChanOwner(const std::vector<int>& first) {
+  const int n = static_cast<int>(first.size()) - 1;
   std::vector<int> owner(static_cast<size_t>(first[n]));  // 2m channels
   for (int i = 0; i < n; ++i) {
-    const int v = order[i];
-    const int lo = first[v];
-    // NOT first[v + 1]: under relabel first[] is external-indexed into the
-    // rank-ordered channel space, so v's block ends at first[v] + deg(v)
-    // while first[v + 1] is wherever external node v+1's block landed.
-    const int hi = lo + degree[v];
-    for (int c = lo; c < hi; ++c) owner[c] = i;
+    std::fill(owner.begin() + first[i], owner.begin() + first[i + 1], i);
   }
   return owner;
 }
@@ -193,7 +221,7 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
     state_stride_ = stride;
     state_.resize(static_cast<size_t>(n) * stride);
     for (int v = 0; v < n; ++v) {
-      const size_t i = perm_.empty() ? v : perm_[v];
+      const size_t i = RankOf(v);
       std::copy(run.state.begin() + v * stride,
                 run.state.begin() + (v + 1) * stride,
                 state_.begin() + i * stride);
@@ -273,7 +301,7 @@ void Engine::Checkpoint(std::ostream& out) const {
   run.state_stride = static_cast<uint32_t>(stride);
   run.state.resize(static_cast<size_t>(n) * stride);
   for (int v = 0; v < n; ++v) {
-    const size_t i = perm_.empty() ? v : perm_[v];
+    const size_t i = RankOf(v);
     std::copy(state_.begin() + i * stride, state_.begin() + (i + 1) * stride,
               run.state.begin() + v * stride);
   }
@@ -310,10 +338,14 @@ Network::Network(GraphView graph, std::vector<int64_t> ids, int num_threads,
   const int n = graph.NumNodes();
   const size_t channels = 2 * static_cast<size_t>(graph.NumEdges());
 
-  if (options.relabel) perm_ = internal::BfsOrder(graph);
-  internal::BuildChannelTables(graph, perm_.empty() ? nullptr : perm_.data(),
-                               first_, send_chan_, degree_);
-  order_ = internal::WorklistOrder(n, perm_);
+  // The construction scratch is gone before the mailboxes, the engine's
+  // largest structure, are allocated.
+  internal::ChannelTables tables =
+      internal::BuildChannelTables(graph, options.relabel);
+  first_ = std::move(tables.first);
+  send_chan_ = std::move(tables.send_chan);
+  order_ = std::move(tables.order);
+  perm_ = std::move(tables.perm);
 
   inbox_.assign(channels, internal::MailSlot{});
   outbox_.assign(channels, internal::MailSlot{});
@@ -382,9 +414,9 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     // runs under.
     advance_epoch();
     const SnapshotData::RunSection& run = snap->run;
-    std::copy(run.halted.begin(), run.halted.end(), halted_.begin());
+    for (int v = 0; v < n; ++v) halted_[RankOf(v)] = run.halted[v];
     for (const SnapshotMessage& msg : run.deliverable) {
-      const auto c = static_cast<size_t>(first_[msg.node] + msg.port);
+      const auto c = static_cast<size_t>(first_[RankOf(msg.node)] + msg.port);
       inbox_[c].word0 = msg.word0;
       inbox_[c].meta = internal::MailSlot::Meta(epoch_ - 1, msg.size);
     }
@@ -400,10 +432,10 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     live_count_ = 0;
     notify_armed_ = false;
     for (int i = 0; i < n; ++i) {
-      const int v = order_[i];
-      if (halted_[v]) continue;
+      if (halted_[i]) continue;
       ++live_count_;
-      const int32_t w = honor_sleeps ? std::max(run.wake[v], round_) : round_;
+      const int32_t w =
+          honor_sleeps ? std::max(run.wake[order_[i]], round_) : round_;
       wake_round_[i] = w;
       if (w > round_ + 1) notify_armed_ = true;  // someone already parked
       if (w == round_) {
@@ -448,7 +480,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     notify_armed_ = false;
     for (int i = 0; i < n; ++i) {
       const int32_t w = wake_round_[i];
-      if (halted_[order_[i]]) continue;
+      if (halted_[i]) continue;
       if (w > round_ + 1) notify_armed_ = true;  // parked (incl. forever)
       if (w > round_ && w != kNoWakeRound) push_calendar(w, i);
     }
@@ -466,7 +498,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   const auto arm_notify = [&] {
     notify_armed_ = true;
     if (notify_stamp_ != nullptr) return;
-    chan_owner_ = internal::BuildChanOwner(first_, degree_, order_);
+    chan_owner_ = internal::BuildChanOwner(first_);
     notify_stamp_.reset(new std::atomic<int32_t>[n]);
     for (int i = 0; i < n; ++i) {
       notify_stamp_[i].store(-1, std::memory_order_relaxed);
@@ -483,7 +515,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   ctxs.reserve(T);
   for (int t = 0; t < T; ++t) {
     ctxs.push_back(
-        NodeContext(graph_, ids_.data(), degree_.data(), nullptr));
+        NodeContext(graph_, ids_.data(), nullptr));
     NodeContext& ctx = ctxs.back();
     ctx.first_ = first_.data();
     ctx.send_chan_ = send_chan_.data();
@@ -526,11 +558,11 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     int halts = 0;
     for (int idx = lo; idx < hi; ++idx) {
       const int i = work[idx];
-      const int v = order_[i];
       // Stale calendar entry: the node halted, or it was woken earlier and
       // has gone back to sleep past this round.
-      if (idx >= due && (halted_[v] || wake[i] > r)) continue;
-      ctx.node_ = v;
+      if (idx >= due && (halted_[i] || wake[i] > r)) continue;
+      ctx.node_ = order_[i];
+      ctx.rank_ = i;
       ctx.state_ = state_base + static_cast<size_t>(i) * stride;
       ctx.sleep_until_ = r + 1;  // default: act again next round
       if (fault != nullptr) fault->OnVisit(r);
@@ -540,7 +572,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       // Halting is a decision, and Halt wins over any sleep. The halt is
       // data-dependent, so it is folded in without a branch: a halted rank
       // is written to the bucket but not kept.
-      const bool halted = halted_[v] != 0;
+      const bool halted = halted_[i] != 0;
       halts += halted ? 1 : 0;
       decisions += (sh.sent != sb || halted) ? 1 : 0;
       if (honor && ctx.sleep_until_ > r + 1 && !halted) {
@@ -566,13 +598,9 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   // round makes that entry the wake visit).
   const auto wake_if_observable = [&](int i) {
     const int next = round_ + 1;
-    const int v = order_[i];
-    if (halted_[v] || wake_round_[i] <= next) return;
-    const int lo = first_[v];
-    const int hi = lo + degree_[v];  // not first_[v + 1]: see
-                                     // BuildChanOwner on relabel
+    if (halted_[i] || wake_round_[i] <= next) return;
     bool observable = false;
-    for (int c = lo; c < hi && !observable; ++c) {
+    for (int c = first_[i]; c < first_[i + 1] && !observable; ++c) {
       const internal::MailSlot& msg = inbox_[c];
       observable = msg.stamp() == epoch_ &&
                    (msg.size() != 0 || msg.word0 != 0);
@@ -727,7 +755,6 @@ EngineBytes Network::EngineMemory() const {
   };
   EngineBytes b;
   b.channel_tables = bytes(first_) + bytes(send_chan_);
-  b.degree_table = bytes(degree_);
   b.mailboxes = bytes(inbox_) + bytes(outbox_);
   b.worklist = bytes(active_) + bytes(halted_) + bytes(order_) +
                bytes(perm_) + bytes(shards_);
@@ -753,9 +780,12 @@ EngineBytes Network::EngineMemory() const {
 void Network::SaveBoundary(SnapshotData& snap) const {
   SnapshotData::RunSection& run = snap.run;
   const int n = graph_.NumNodes();
-  run.halted = halted_;
+  run.halted.resize(n);
   run.wake.resize(n);
-  for (int i = 0; i < n; ++i) run.wake[order_[i]] = wake_round_[i];
+  for (int i = 0; i < n; ++i) {
+    run.halted[order_[i]] = halted_[i];
+    run.wake[order_[i]] = wake_round_[i];
+  }
   if (snap.finished) return;
   // Deliverable messages: inbox slots stamped epoch - 1 (exactly what the
   // next round's Recv would see). Walking external nodes in order with
@@ -766,8 +796,9 @@ void Network::SaveBoundary(SnapshotData& snap) const {
   // A finished run records none at all — every node has halted, so the
   // final round's leftovers are unobservable.
   for (int v = 0; v < n; ++v) {
-    for (int p = 0; p < degree_[v]; ++p) {
-      const internal::MailSlot& m = inbox_[first_[v] + p];
+    const int i = RankOf(v);
+    for (int p = 0; p < first_[i + 1] - first_[i]; ++p) {
+      const internal::MailSlot& m = inbox_[first_[i] + p];
       if (m.stamp() == epoch_ - 1 && (m.size() != 0 || m.word0 != 0)) {
         run.deliverable.push_back({v, p, m.word0, m.size()});
       }

@@ -74,24 +74,23 @@ inline constexpr int32_t kNoWakeRound = INT32_MAX;
 // Construction-time engine options (Network; ReferenceNetwork honors every
 // field except relabel, which it accepts and ignores).
 struct NetworkOptions {
-  // Opt-in BFS locality relabeling: the engine assigns every node an
-  // internal id in BFS order and lays the channel tables and mailboxes out
-  // by internal id, so neighbors' mailbox blocks land near each other
-  // regardless of how the caller labeled the graph. On unlabeled-locality
-  // families (uniform random trees) this localizes the round pass's random
-  // sends. The internal ids never escape the engine: NodeContext::node()
-  // and every output stay in the caller's external node numbering, and
-  // transcripts are bit-identical to a non-relabeled run (enforced by
-  // tests) — only the iteration order within a round and the physical
-  // mailbox/state layout change, neither of which is observable in the
-  // LOCAL model. Engine-managed algorithm state (Algorithm::StateBytes) is
-  // laid out in the same internal order. Measured on uniform-tree
-  // rake-compress (bench_parallel's relabel_ablation), it pays only while
-  // the engine's working set is cache-sized: at T = 1 it wins 1.1-1.5x up
-  // to n = 2^18 (treelocald turns it on for resident graphs up to that
-  // size) and loses 0.89-0.95x at 2^20 and 2^22; at T = 4 the win is gone
-  // by 2^18 (see README.md for the table).
-  bool relabel = false;
+  // BFS locality layout, on by default: the engine assigns every node an
+  // internal rank in BFS order and indexes everything it owns by rank — the
+  // CSR channel offsets, the mailboxes, the halt flags, the worklist and the
+  // state plane — so a round walks the worklist in rank order over
+  // sequential memory and neighbors' mailbox blocks land near each other
+  // regardless of how the caller labeled the graph. The ranks never escape
+  // the engine: NodeContext::node(), InitState, StateAt, checkpoints and
+  // every output stay in the caller's external node numbering, and
+  // transcripts are bit-identical to a run on the caller's labels (enforced
+  // by tests) — only the iteration order within a round and the physical
+  // layout change, neither of which is observable in the LOCAL model. Set
+  // to false, ranks equal the caller's labels (the ablation's off switch).
+  // Measured on uniform-tree rake-compress (bench_parallel's
+  // relabel_ablation, README.md has the table), the BFS layout runs 2.2x
+  // faster than the caller's random labels at 2^20 nodes at T = 1 (2.0x at
+  // T = 4), and the gain grows with n from 1.02x at 2^14.
+  bool relabel = true;
 
   // Fold full message contents into the per-round transcript digest chain
   // (see round_digests()). Off by default: the chain then covers the
@@ -176,31 +175,25 @@ struct MailSlot {
 static_assert(sizeof(MailSlot) == 12, "mailbox slots must stay 12 bytes");
 inline constexpr int32_t kMaxEpoch = INT32_MAX >> 2;
 
-// Builds Network's receiver-indexed CSR channel tables:
-// first[v] + p is the recv channel of (v, p), and send_chan[first[v] + p]
-// is the channel of the reverse half-edge. When `perm` is non-null it maps
-// external node -> internal rank and the channel blocks are laid out in
-// internal-rank order (NetworkOptions::relabel); first[] stays indexed by
-// external node, so the Recv/Send hot paths are identical either way.
-// degree[v] is external node v's degree, so v's block is
-// [first[v], first[v] + degree[v]) with or without relabel (under relabel
-// first[v + 1] is wherever node v+1's block landed, not v's end). It is the
-// engine's only degree source after construction: on a CompactGraph every
-// GraphView::Degree call decodes the varint stream. Backend-agnostic (one
-// streaming adjacency pass, no edge ids): both graph backends yield
-// byte-identical tables.
-void BuildChannelTables(GraphView graph, const int* perm,
-                        std::vector<int>& first, std::vector<int>& send_chan,
-                        std::vector<int>& degree);
+// Network's receiver-indexed CSR channel tables, laid out by internal rank:
+// rank i's recv channels are [first[i], first[i + 1]) in port order, so its
+// degree is first[i + 1] - first[i], and send_chan[first[i] + p] is the
+// channel of the reverse half-edge. order maps rank -> external node and
+// perm inverts it (empty when the ranks are the external labels).
+struct ChannelTables {
+  std::vector<int> first;      // size n + 1
+  std::vector<int> send_chan;  // size 2m
+  std::vector<int> order;      // size n
+  std::vector<int> perm;       // size n under relabel, else empty
+};
 
-// BFS permutation for NetworkOptions::relabel: perm[v] = BFS visit rank of
-// external node v (roots chosen in increasing external index; neighbors
-// expanded in port order). Deterministic.
-std::vector<int> BfsOrder(GraphView graph);
-
-// Initial worklist order: external node ids sorted by internal rank
-// (identity when perm is null). Network runs rounds in this order.
-std::vector<int> WorklistOrder(int n, const std::vector<int>& perm);
+// Builds the tables with one backend pass: the adjacency is decoded once
+// into scratch (a Graph's own arrays serve as is), the BFS permutation
+// (NetworkOptions::relabel: roots in increasing external index, neighbors
+// expanded in port order; deterministic) is computed over it, and the
+// scratch is freed on return. Backend-agnostic (no edge ids): both graph
+// backends yield identical tables.
+ChannelTables BuildChannelTables(GraphView graph, bool relabel);
 
 // Guards the int32 channel arithmetic every engine shares: channel ids
 // live in int (first_/send_chan_/chan_owner_), so 2m + epoch headroom
@@ -208,14 +201,10 @@ std::vector<int> WorklistOrder(int n, const std::vector<int>& perm);
 // GraphLimitError naming the engine and the offending count.
 void ValidateChannelScale(int64_t n, int64_t m, const char* engine);
 
-// Inverts the CSR channel tables for the message-wake path: owner[c] is the
-// INTERNAL RANK of the node whose recv-channel block contains channel c
-// (i.e. the receiver of any Send that stores to c). order maps rank ->
-// external id, as in WorklistOrder; first and degree are
-// BuildChannelTables' outputs.
-std::vector<int> BuildChanOwner(const std::vector<int>& first,
-                                const std::vector<int>& degree,
-                                const std::vector<int>& order);
+// Inverts the rank-ordered CSR offsets for the message-wake path:
+// owner[c] is the internal rank whose recv-channel block contains channel c
+// (i.e. the receiver of any Send that stores to c).
+std::vector<int> BuildChanOwner(const std::vector<int>& first);
 }  // namespace internal
 
 // Per-node view handed to Algorithm::OnRound. In the LOCAL model (Definition
@@ -234,11 +223,12 @@ std::vector<int> BuildChanOwner(const std::vector<int>& first,
 class NodeContext {
  public:
   int node() const { return node_; }
-  // O(1) on Network: one load from the engine's own degree table
-  // (internal::BuildChannelTables), whatever the graph backend. Only the
-  // ReferenceNetwork oracle asks the GraphView.
+  // O(1) on Network: the difference of two adjacent rank-ordered CSR
+  // offsets, whatever the graph backend. Only the ReferenceNetwork oracle
+  // asks the GraphView.
   int degree() const {
-    return degree_ != nullptr ? degree_[node_] : graph_.Degree(node_);
+    return first_ != nullptr ? first_[rank_ + 1] - first_[rank_]
+                             : graph_.Degree(node_);
   }
   int64_t id() const { return ids_[node_]; }
   // Asks the graph backend: O(1) on a Graph, but an O(port) varint decode
@@ -293,18 +283,16 @@ class NodeContext {
  private:
   friend class Network;
   friend class ReferenceNetwork;
-  NodeContext(GraphView graph, const int64_t* ids, const int* degree,
-              ReferenceNetwork* ref)
-      : graph_(graph), ids_(ids), degree_(degree), ref_(ref) {}
+  NodeContext(GraphView graph, const int64_t* ids, ReferenceNetwork* ref)
+      : graph_(graph), ids_(ids), ref_(ref) {}
 
   GraphView graph_;
   const int64_t* ids_;
-  const int* degree_;      // engine degree table, or null (reference engine)
   ReferenceNetwork* ref_;  // reference engine, or null
 
   // CSR fast-path views (Network; first_ non-null selects this branch —
   // the offset table is never empty, unlike the mailboxes of an edgeless
-  // graph). All writes reachable through them are disjoint across
+  // graph), all indexed by the visited node's internal rank_. All writes reachable through them are disjoint across
   // concurrently running nodes — each node stores only through its
   // own send channels, halts only itself, and counts into its own shard's
   // sent_ slot — which is the whole data-race argument for the sharded
@@ -343,7 +331,8 @@ class NodeContext {
   // cast.
   void* state_ = nullptr;
 
-  int node_ = 0;
+  int node_ = 0;  // external node: node(), id(), message hashes
+  int rank_ = 0;  // internal rank (Network): channel block and halt flag
   int round_ = 0;
 };
 
@@ -413,7 +402,7 @@ class Algorithm {
 
 // Bytes held by each of a Network's structures (vector capacities, so the
 // figures track what the engine actually reserved). Construction allocates
-// the channel tables, degree table, mailboxes, worklist and id copy; the
+// the channel tables, mailboxes, worklist and id copy; the
 // state plane and the wake tables are armed by the first run that needs
 // them and keep their capacity across runs, and the run log grows with the
 // rounds of the last run. The wake tables come in two steps: the first run
@@ -423,7 +412,6 @@ class Algorithm {
 // quota with this.
 struct EngineBytes {
   size_t channel_tables = 0;  // CSR offsets + send-channel table
-  size_t degree_table = 0;
   size_t mailboxes = 0;    // inbox + outbox: 2 x 2m 12-byte slots
   size_t worklist = 0;     // active list, halt flags, rank order/permutation,
                            // per-lane shard slots
@@ -433,8 +421,8 @@ struct EngineBytes {
                            // channel owners, per-lane wake scratch
   size_t run_log = 0;      // per-round stats, digests, timings
   size_t total() const {
-    return channel_tables + degree_table + mailboxes + worklist + ids +
-           state_plane + wake_tables + run_log;
+    return channel_tables + mailboxes + worklist + ids + state_plane +
+           wake_tables + run_log;
   }
 };
 
@@ -573,7 +561,7 @@ class Engine {
   // round every node writes only its own slot.
   template <typename T>
   const T& StateAt(int v) const {
-    const auto i = static_cast<size_t>(perm_.empty() ? v : perm_[v]);
+    const auto i = static_cast<size_t>(RankOf(v));
     return *reinterpret_cast<const T*>(state_.data() + i * state_stride_);
   }
   size_t state_bytes() const { return state_stride_; }
@@ -636,6 +624,9 @@ class Engine {
     }
   }
 
+  // External node v's internal rank.
+  int RankOf(int v) const { return perm_.empty() ? v : perm_[v]; }
+
   // Fills the engine's part of a checkpoint's run section: the halt flags
   // and wake rounds (n entries each, external-indexed; the base
   // canonicalizes the wake rounds) and, unless snap.finished, the
@@ -691,9 +682,11 @@ class Engine {
 //     through the precomputed send_chan_ table to the reverse half-edge — a
 //     random store, which the store buffer absorbs without stalling, unlike
 //     the random load a sender-indexed layout would put in Recv. No
-//     IncidentEdges/EndpointSlot recomputation on the hot path. With
-//     NetworkOptions::relabel the blocks are laid out in BFS order, which
-//     shortens the stride of those random stores on badly-labeled inputs.
+//     IncidentEdges/EndpointSlot recomputation on the hot path. Under
+//     NetworkOptions::relabel (the default) the blocks are laid out in BFS
+//     rank order, which shortens the stride of those random stores on
+//     badly-labeled inputs, and the offsets, halt flags and state slots a
+//     visit touches are all rank-indexed, so they stream with the worklist.
 //   * Epoch-stamped mailboxes: each channel carries the epoch at which it was
 //     last written. A message is visible iff its stamp equals the previous
 //     epoch. This removes the per-round O(2m) outbox clear and the O(2m)
@@ -801,18 +794,16 @@ class Network : public Engine {
     std::vector<int> notified;
   };
 
-  std::vector<int> first_;      // size n+1: CSR offsets; recv channel of
-                                // (v, p) is first_[v] + p
-  std::vector<int> send_chan_;  // size 2m: send channel of (v, p), i.e. the
+  std::vector<int> first_;      // size n+1: rank-ordered CSR offsets; recv
+                                // channel of (rank i, p) is first_[i] + p
+  std::vector<int> send_chan_;  // size 2m: send channel of (i, p), i.e. the
                                 // channel of the reverse half-edge
-  std::vector<int> degree_;     // size n: degree of external node v (see
-                                // BuildChannelTables); NodeContext::degree()
-  std::vector<int> order_;      // internal rank -> external id (iota, or BFS
-                                // under options.relabel); perm_ inverts it
+  std::vector<int> order_;      // internal rank -> external id (BFS, or iota
+                                // with relabel off); perm_ inverts it
   // Double-buffered mailboxes of 12-byte slots, each epoch-stamped in its
   // meta field; swapped (O(1)) each round, never cleared.
   std::vector<internal::MailSlot> inbox_, outbox_;
-  std::vector<char> halted_;
+  std::vector<char> halted_;  // by internal rank
   std::vector<int> active_;  // the CURRENT ROUND's wake bucket: INTERNAL
                              // ranks, UNIQUE entries (see bucket_stamp_).
                              // When nobody sleeps it is every live rank in
@@ -852,7 +843,7 @@ class Network : public Engine {
 
 inline Message NodeContext::Recv(int port) const {
   if (first_ != nullptr) [[likely]] {
-    const auto c = static_cast<size_t>(first_[node_] + port);
+    const auto c = static_cast<size_t>(first_[rank_] + port);
     const internal::MailSlot& s = inbox_[c];
     if (s.stamp() + 1 != epoch_) return Message{};
     return Message{s.word0, s.size()};
@@ -862,7 +853,7 @@ inline Message NodeContext::Recv(int port) const {
 
 inline void NodeContext::Send(int port, Message m) {
   if (first_ != nullptr) [[likely]] {
-    const auto c = static_cast<size_t>(send_chan_[first_[node_] + port]);
+    const auto c = static_cast<size_t>(send_chan_[first_[rank_] + port]);
     internal::MailSlot& s = outbox_[c];
     if (s.stamp() == epoch_) {
       // Second write on this channel this round: last write wins, undo the
@@ -911,7 +902,7 @@ inline void NodeContext::Broadcast(Message m) {
 
 inline void NodeContext::Halt() {
   if (first_ != nullptr) [[likely]] {
-    halted_[node_] = 1;  // worklist compaction happens after OnRound
+    halted_[rank_] = 1;  // worklist compaction happens after OnRound
     return;
   }
   internal::RefHalt(*ref_, node_);

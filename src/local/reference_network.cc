@@ -108,7 +108,7 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
   // rebuild).
   support::FaultInjector* const fault = fault_;
 
-  NodeContext ctx(graph_, ids_.data(), /*degree=*/nullptr, this);
+  NodeContext ctx(graph_, ids_.data(), this);
   while (num_halted_ < n) {
     if (PauseAtBoundary(pause_at_round, max_rounds, n - num_halted_)) {
       return round_;

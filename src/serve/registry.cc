@@ -111,7 +111,6 @@ std::shared_ptr<const ResidentGraph> Registry::Register(
     std::vector<std::pair<int, int>> e(edges.begin(), edges.end());
     entry->graph = Graph::FromEdges(n, std::move(e));
     local::NetworkOptions engine_options;
-    engine_options.relabel = n <= kRelabelMaxNodes;
     engine_options.fault = options_.fault;
     entry->engine = std::make_unique<local::Network>(
         entry->graph, entry->ids, options_.engine_threads, engine_options);

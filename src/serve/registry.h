@@ -18,21 +18,10 @@ namespace treelocal::serve {
 // is the expensive, validated step (Graph::FromEdges rejects bad edge
 // lists); every subsequent solve against the key reuses the CSR graph and
 // id assignment with zero per-request parsing. Admission also builds the
-// graph's engine: one solo Network, relabeled when the graph has at most
-// kRelabelMaxNodes nodes, so the BFS locality permutation and the channel
-// tables are computed once per admitted graph, and every request of every
-// kind runs on it. The engine dies with the entry.
-//
-// Relabeling pays only while the engine's working set is cache-sized:
-// bench_parallel's relabel ablation (rake-compress k = 2, uniform tree,
-// T = 1) measured 1.11x at 2^18 nodes and 0.89x at 2^20, so larger graphs
-// run on the caller's labels. Results are bit-identical either way.
-// The cutoff is taken from that solo test. Through the daemon it was
-// checked only for rake-compress requests: bench_serve's serial k-sweep
-// (1 client, 8 requests, 5 alternating pairs, 4-thread Xeon) ran 1.17x
-// faster relabeled at 2^16 nodes and 0.92x relabeled at 2^20, each way in
-// 4 of 5 pairs. Decomposition and the other request kinds are unmeasured.
-inline constexpr int kRelabelMaxNodes = 1 << 18;
+// graph's engine: one solo Network in the engine's default BFS layout, so
+// the locality permutation and the channel tables are computed once per
+// admitted graph, and every request of every kind runs on it. The engine
+// dies with the entry.
 
 struct ResidentGraph {
   uint64_t key = 0;

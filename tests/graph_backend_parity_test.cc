@@ -244,10 +244,11 @@ class DegreeProbe : public local::Algorithm {
   }
 };
 
-// ctx.degree() is served from the engine's own degree table, built once at
-// construction; it must equal GraphView::Degree(v) for every node on every
-// backend, with and without relabel (where first[v + 1] - first[v] is NOT
-// v's degree), on the solo engine at T in {1, 4}.
+// ctx.degree() is the difference of two adjacent offsets of the engine's
+// rank-ordered channel CSR, built once at construction; it must equal
+// GraphView::Degree(v) for every node on every backend, with and without
+// relabel (where node v's block sits at its BFS rank, not at v), on the
+// solo engine at T in {1, 4}.
 // The star's center stream exceeds 254 bytes, so the compact backend
 // answers its degree from a wide block's explicit offsets.
 TEST(GraphBackendParityTest, ContextDegreeMatchesGraph) {

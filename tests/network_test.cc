@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "src/core/rake_compress.h"
+#include "src/graph/compact_graph.h"
 #include "src/graph/generators.h"
 #include "src/local/network.h"
 #include "src/local/parallel_network.h"
@@ -495,17 +496,95 @@ class StaggeredHalt : public Algorithm {
   }
 };
 
+// The rank-ordered channel tables, checked against the graph itself: rank
+// i's block holds node order[i]'s ports (so first[i + 1] - first[i] is its
+// degree), send_chan pairs every half-edge with its reverse (an involution
+// landing in the neighbor's block at the neighbor's port back), and under
+// relabel the ranks are the BFS visit order (roots in increasing external
+// index, neighbors in port order). Both backends build identical tables.
+TEST(NetworkTest, RankOrderedChannelTables) {
+  const std::vector<Graph> graphs = {UniformRandomTree(300, 3), Star(40),
+                                     ForestUnion(200, 2, 5), Graph::FromEdges(
+                                         5, {{3, 4}})};
+  for (const Graph& g : graphs) {
+    const int n = g.NumNodes();
+    const CompactGraph compact = CompactGraph::FromGraph(g);
+    for (const bool relabel : {false, true}) {
+      SCOPED_TRACE(std::string(relabel ? "relabel" : "caller labels") +
+                   " n=" + std::to_string(n));
+      const local::internal::ChannelTables t =
+          local::internal::BuildChannelTables(g, relabel);
+      const local::internal::ChannelTables tc =
+          local::internal::BuildChannelTables(compact, relabel);
+      EXPECT_EQ(tc.first, t.first);
+      EXPECT_EQ(tc.send_chan, t.send_chan);
+      EXPECT_EQ(tc.order, t.order);
+      EXPECT_EQ(tc.perm, t.perm);
+      ASSERT_EQ(t.first.size(), static_cast<size_t>(n) + 1);
+      ASSERT_EQ(t.send_chan.size(), 2 * static_cast<size_t>(g.NumEdges()));
+      ASSERT_EQ(t.perm.size(), relabel ? static_cast<size_t>(n) : 0u);
+      const auto rank = [&](int v) { return relabel ? t.perm[v] : v; };
+
+      // BFS order, replayed from its definition.
+      std::vector<int> want(n);
+      if (relabel) {
+        std::vector<char> seen(n, 0);
+        want.clear();
+        for (int root = 0; root < n; ++root) {
+          if (seen[root]) continue;
+          seen[root] = 1;
+          want.push_back(root);
+          for (size_t h = want.size() - 1; h < want.size(); ++h) {
+            for (const int u : g.Neighbors(want[h])) {
+              if (!seen[u]) {
+                seen[u] = 1;
+                want.push_back(u);
+              }
+            }
+          }
+        }
+      } else {
+        for (int v = 0; v < n; ++v) want[v] = v;
+      }
+      ASSERT_EQ(t.order, want);
+
+      std::vector<int> owner(t.send_chan.size());
+      for (int i = 0; i < n; ++i) {
+        const int v = t.order[i];
+        ASSERT_EQ(rank(v), i);
+        ASSERT_EQ(t.first[i + 1] - t.first[i], g.Degree(v)) << "rank " << i;
+        for (int c = t.first[i]; c < t.first[i + 1]; ++c) owner[c] = i;
+      }
+      EXPECT_EQ(local::internal::BuildChanOwner(t.first), owner);
+      for (int i = 0; i < n; ++i) {
+        const int v = t.order[i];
+        for (int p = 0; p < g.Degree(v); ++p) {
+          const int u = g.Neighbors(v)[p];
+          const int c = t.send_chan[t.first[i] + p];
+          ASSERT_EQ(t.send_chan[c], t.first[i] + p);
+          ASSERT_EQ(owner[c], rank(u));
+          ASSERT_EQ(c - t.first[rank(u)], g.PortOf(u, v));
+        }
+      }
+    }
+  }
+}
+
 // EngineMemory's parts add up to its total, and the parts construction
-// allocates have their closed-form sizes: the mailboxes are two 2m-slot
-// arrays of 12-byte slots (48 B/edge), and stay so after every run. The
-// state plane and wake tables appear with the first run that needs them.
+// allocates have their closed-form sizes: the channel tables are one
+// rank-ordered CSR (n + 1 offsets, whose differences are the degrees, and
+// 2m send channels), the mailboxes are two 2m-slot arrays of 12-byte slots
+// (48 B/edge) and stay so after every run, and the worklist holds the
+// active list, halt flags and rank order, plus the permutation under
+// relabel. The state plane and wake tables appear with the first run that
+// needs them.
 TEST(NetworkTest, EngineMemoryPartsSumToTotal) {
   const int n = 500;
   const Graph g = UniformRandomTree(n, 15);
   const size_t m = static_cast<size_t>(g.NumEdges());
   const auto sum = [](const local::EngineBytes& b) {
-    return b.channel_tables + b.degree_table + b.mailboxes + b.worklist +
-           b.ids + b.state_plane + b.wake_tables + b.run_log;
+    return b.channel_tables + b.mailboxes + b.worklist + b.ids +
+           b.state_plane + b.wake_tables + b.run_log;
   };
   for (const bool relabel : {false, true}) {
     SCOPED_TRACE(relabel ? "relabel" : "no relabel");
@@ -516,9 +595,9 @@ TEST(NetworkTest, EngineMemoryPartsSumToTotal) {
     EXPECT_EQ(sum(b), b.total());
     EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
     EXPECT_EQ(b.channel_tables, (n + 1 + 2 * m) * sizeof(int));
-    EXPECT_EQ(b.degree_table, n * sizeof(int));
     EXPECT_EQ(b.ids, n * sizeof(int64_t));
-    EXPECT_GE(b.worklist, n * (sizeof(int) + sizeof(char) + sizeof(int)));
+    EXPECT_GE(b.worklist, n * (sizeof(int) + sizeof(char) + sizeof(int)) +
+                              (relabel ? n * sizeof(int) : 0));
     EXPECT_EQ(b.state_plane, 0u);
     EXPECT_EQ(b.wake_tables, 0u);
 

@@ -251,17 +251,17 @@ TEST(ParallelNetworkTest, OnRoundExceptionPropagates) {
   EXPECT_GT(net.Run(ok, 64), 0);  // usable after the aborted run
 }
 
-// NetworkOptions::relabel: the BFS-laid-out engine must be transcript-
-// identical to the default layout, serially and sharded.
+// NetworkOptions::relabel: the BFS-laid-out engine (the default) must be
+// transcript-identical to the caller's labels, serially and sharded.
 TEST(ParallelNetworkTest, RelabelBitIdentical) {
-  NetworkOptions relabel;
-  relabel.relabel = true;
+  NetworkOptions caller_labels, relabel;
+  caller_labels.relabel = false;
   for (int n : {1, 2, 57, 400}) {
     Graph g = UniformRandomTree(n, 4000 + n);
     auto ids = DefaultIds(n, 4100 + n);
 
     DigestRunner plain_alg(n);
-    Network plain(g, ids);
+    Network plain(g, ids, caller_labels);
     const RunOutcome want = RunOn(plain, plain_alg, 64);
 
     DigestRunner relabeled_alg(n);
@@ -286,12 +286,14 @@ TEST(ParallelNetworkTest, RelabelBitIdentical) {
 
 TEST(ParallelNetworkTest, RelabelRakeCompressOnForestUnion) {
   // Multi-component graphs exercise the BFS restart path.
-  NetworkOptions relabel;
-  relabel.relabel = true;
+  NetworkOptions caller_labels;
+  caller_labels.relabel = false;
   Graph g = ForestUnion(300, 1, 31);  // a = 1: a real (multi-component) forest
   auto ids = DefaultIds(g.NumNodes(), 32);
-  RakeCompressResult want = RunRakeCompress(g, ids, 4);
-  Network net(g, ids, relabel);
+  Network plain(g, ids, caller_labels);
+  RakeCompressResult want = RunRakeCompress(plain, 4);
+  Network net(g, ids);
+  ASSERT_TRUE(net.relabeled());
   RakeCompressResult got = RunRakeCompress(net, 4);
   EXPECT_EQ(got.iteration, want.iteration);
   EXPECT_EQ(got.compressed, want.compressed);

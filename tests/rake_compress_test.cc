@@ -203,8 +203,8 @@ void ExpectSameResult(const RakeCompressResult& a, const RakeCompressResult& b) 
 // plain engine and on a relabeled two-lane one; the solo runs use fresh
 // engines.
 TEST(RakeCompressDedup, BitIdenticalToSoloRunsPerK) {
-  local::NetworkOptions relabel;
-  relabel.relabel = true;
+  local::NetworkOptions plain, relabel;
+  plain.relabel = false;
   for (uint64_t seed : {21u, 22u}) {
     Graph g = UniformRandomTree(700, seed);
     auto ids = DefaultIds(700, seed + 50);
@@ -213,7 +213,7 @@ TEST(RakeCompressDedup, BitIdenticalToSoloRunsPerK) {
     const std::vector<int> ks = {2,         3,     delta - 1, delta,
                                  delta + 1, delta, 2 * delta, 300,
                                  2,         delta + 7};
-    local::Network plain_net(g, ids);
+    local::Network plain_net(g, ids, plain);
     local::Network relabel_net(g, ids, 2, relabel);
     for (local::Network* net : {&plain_net, &relabel_net}) {
       auto deduped = RunRakeCompressDeduped(*net, ks);

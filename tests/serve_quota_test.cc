@@ -252,25 +252,21 @@ TEST_F(ServeQuotaTest, BusyGraphIsNotEvictedAndRejectionIsStructured) {
   EXPECT_EQ(after, baseline);
 }
 
-// Resident engines are relabeled only up to kRelabelMaxNodes nodes, where
-// relabeling stops paying. A graph one node above the limit runs on the
-// caller's labels, and its results are byte-identical to a relabeled solo
-// run of the same graph.
-TEST_F(ServeQuotaTest, LargeResidentGraphRunsUnrelabeled) {
-  const Graph at_limit = UniformRandomTree(kRelabelMaxNodes, 41);
-  const Graph above = UniformRandomTree(kRelabelMaxNodes + 1, 42);
+// Resident engines take the engine's default BFS layout at every size: a
+// graph above 2^18 nodes (where resident engines once switched to the
+// caller's labels) is relabeled, and its results are byte-identical to a
+// solo run of the same graph on the caller's labels.
+TEST_F(ServeQuotaTest, LargeResidentGraphRunsRelabeled) {
+  const Graph above = UniformRandomTree((1 << 18) + 1, 42);
   {
     Registry reg;
     Registry::AdmitResult result = Registry::AdmitResult::kAdmitted;
     bool fresh = false;
     std::string error;
-    auto a = reg.Register(at_limit.NumNodes(), EdgesOf(at_limit), {}, &fresh,
-                          &result, &error);
     auto b = reg.Register(above.NumNodes(), EdgesOf(above), {}, &fresh,
                           &result, &error);
-    ASSERT_TRUE(a != nullptr && b != nullptr) << error;
-    EXPECT_TRUE(a->engine->relabeled());
-    EXPECT_FALSE(b->engine->relabeled());
+    ASSERT_TRUE(b != nullptr) << error;
+    EXPECT_TRUE(b->engine->relabeled());
   }
 
   StartServer(Server::Options{});
@@ -283,15 +279,16 @@ TEST_F(ServeQuotaTest, LargeResidentGraphRunsUnrelabeled) {
   const int n = above.NumNodes();
   std::vector<int64_t> ids(n);
   for (int v = 0; v < n; ++v) ids[v] = v;
-  local::NetworkOptions relabel;
-  relabel.relabel = true;
+  local::NetworkOptions caller_labels;
+  caller_labels.relabel = false;
 
   SolveSpec spec;
   spec.kind = SolveKind::kRakeCompress;
   spec.k = 2;
   SolveResult got;
   ASSERT_TRUE(c->SolveAndWait(key, spec, &got, &error)) << error;
-  local::Network solo(above, ids, relabel);
+  local::Network solo(above, ids, caller_labels);
+  ASSERT_FALSE(solo.relabeled());
   const RakeCompressResult rc = RunRakeCompress(solo, 2);
   SolveResult want;
   want.kind = SolveKind::kRakeCompress;

@@ -133,7 +133,7 @@ TEST(SnapshotTest, ResumeBitIdentityMatrix) {
     const SnapshotData want = FinalImage(g, ids, k, digest_messages);
     NetworkOptions plain, relabel;
     plain.digest_messages = relabel.digest_messages = digest_messages;
-    relabel.relabel = true;
+    plain.relabel = false;
     for (int pause : {0, 1, 4, -1}) {
       ExpectResumeBitIdentical(
           k, pause, want,
@@ -168,7 +168,7 @@ TEST(SnapshotTest, MidRunSnapshotsIdenticalAcrossEngines) {
   const Graph g = RandomRecursiveTree(n, 17);
   const auto ids = DefaultIds(n, 18);
   NetworkOptions plain, relabel;
-  relabel.relabel = true;
+  plain.relabel = false;
   std::vector<SnapshotData> snaps;
   auto record = [&](auto net) {
     auto alg = MakeRakeCompressAlgorithm(k);
@@ -203,7 +203,7 @@ TEST(SnapshotTest, CrossEngineResume) {
   const SnapshotData want = FinalImage(g, ids, k, /*digest_messages=*/true);
   NetworkOptions plain, relabel;
   plain.digest_messages = relabel.digest_messages = true;
-  relabel.relabel = true;
+  plain.relabel = false;
 
   std::vector<std::string> recordings;
   auto record = [&](auto net) {
@@ -348,6 +348,7 @@ TEST(SnapshotTest, DigestChainsIdenticalAcrossEngines) {
   for (bool digest_messages : {false, true}) {
     NetworkOptions opt;
     opt.digest_messages = digest_messages;
+    opt.relabel = false;
     NetworkOptions relabel = opt;
     relabel.relabel = true;
 

@@ -233,6 +233,7 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
   // Ground truth: serial run ignoring sleeps.
   NetworkOptions off;
   off.wake_scheduling = false;
+  off.relabel = false;
   Network base(g, ids, off);
   StagedSweep base_alg(K, 7);
   ASSERT_EQ(base.Run(base_alg, kMaxRounds), K);
@@ -251,7 +252,7 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
   }
   {
     NetworkOptions opt;
-    opt.relabel = true;
+    opt.relabel = false;
     Network net(g, ids, opt);
     StagedSweep alg(K, 7);
     EXPECT_EQ(net.Run(alg, kMaxRounds), K);
@@ -362,10 +363,10 @@ TEST(WakeSchedulerTest, StaleAndDuplicateCalendarEntriesVisitOnce) {
     }
     EXPECT_EQ(Capture(net).visits, want_visits);
   };
-  NetworkOptions relabel;
-  relabel.relabel = true;
+  NetworkOptions caller_labels, relabel;
+  caller_labels.relabel = false;
   for (int t : {1, 3}) {
-    ParallelNetwork net(g, ids, t);
+    ParallelNetwork net(g, ids, t, caller_labels);
     check(net, "T=" + std::to_string(t));
     ParallelNetwork relabeled(g, ids, t, relabel);
     check(relabeled, "relabel T=" + std::to_string(t));

@@ -19,7 +19,7 @@
 //         --gen forest_union:<n>:<a>:<seed>
 //
 //   graph_convert solve <in.cgr> --k K [--engine network|parallel|reference]
-//                       [--threads T] [--relabel] [--load]
+//                       [--threads T] [--no-relabel] [--load]
 //       Open the .cgr (mmap by default; --load reads + fully validates it
 //       in memory), run rake-compress with parameter k under iota ids, and
 //       print rounds / messages / final_digest — byte-comparable to the
@@ -61,7 +61,7 @@ using treelocal::CompactGraphError;
          "           (--input edges.txt [--binary] | --gen SPEC)\n"
          "           [--nodes N] [--chunk-mb MB]\n"
          "       graph_convert solve <in.cgr> --k K [--engine E] "
-         "[--threads T] [--relabel] [--load]\n"
+         "[--threads T] [--no-relabel] [--load]\n"
          "gen specs: <family>:<n>:<seed> | forest_union:<n>:<a>:<seed>\n"
          "families: path star balanced3 balanced8 uniform recursive "
          "caterpillar binary\n"
@@ -385,7 +385,7 @@ struct SolveOptions {
   std::string engine = "network";
   int k = 2;
   int threads = 2;
-  bool relabel = false;
+  bool relabel = true;  // the engine default; --no-relabel turns it off
   bool load = false;  // FromFile (full validation) instead of OpenMapped
 };
 
@@ -475,8 +475,8 @@ int main(int argc, char** argv) {
           opt.engine = need(i++);
         } else if (a == "--threads") {
           opt.threads = std::stoi(need(i++));
-        } else if (a == "--relabel") {
-          opt.relabel = true;
+        } else if (a == "--no-relabel") {
+          opt.relabel = false;
         } else if (a == "--load") {
           opt.load = true;
         } else {

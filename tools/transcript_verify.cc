@@ -7,7 +7,7 @@
 //
 //   transcript_verify record <out.snap> [--family F] [--n N] [--seed S]
 //                     [--k K] [--pause R] [--engine E] [--threads T]
-//                     [--relabel] [--digest-messages]
+//                     [--no-relabel] [--digest-messages]
 //       Generate a tree workload (rake-compress with parameter k), run it to
 //       round R (or to completion when R < 0, the default), and write the
 //       checkpoint. Prints the snapshot summary.
@@ -19,7 +19,7 @@
 //       msg_acc) from the recorded seed). Exit 0 iff valid.
 //
 //   transcript_verify replay <in.snap> --k K [--engine E] [--threads T]
-//                     [--relabel] [--max-rounds M] [--expect-digest 0xH]
+//                     [--no-relabel] [--max-rounds M] [--expect-digest 0xH]
 //       Reconstruct the graph from the snapshot, resume the run on a fresh
 //       engine, and drive it to completion. Prints the final rounds /
 //       messages / digest; with --expect-digest, exit 0 iff the final chain
@@ -70,7 +70,7 @@ struct Options {
   int pause = -1;
   int threads = 2;
   int max_rounds = -1;  // < 0: derive from the Lemma 9 bound
-  bool relabel = false;
+  bool relabel = true;  // the engine default; --no-relabel turns it off
   bool digest_messages = false;
   bool has_expect_digest = false;
   uint64_t expect_digest = 0;
@@ -81,10 +81,10 @@ struct Options {
   std::cerr << "usage: transcript_verify record <out.snap> [--family F] "
                "[--n N] [--seed S] [--k K]\n"
                "                        [--pause R] [--engine E] [--threads T] "
-               "[--relabel] [--digest-messages]\n"
+               "[--no-relabel] [--digest-messages]\n"
                "       transcript_verify check <in.snap>\n"
                "       transcript_verify replay <in.snap> --k K [--engine E] "
-               "[--threads T] [--relabel]\n"
+               "[--threads T] [--no-relabel]\n"
                "                        [--max-rounds M] [--expect-digest "
                "0xHEX]\n"
                "families: path star balanced3 balanced8 uniform recursive "
@@ -123,8 +123,8 @@ Options Parse(int argc, char** argv) {
       opt.threads = std::stoi(need(i++));
     } else if (a == "--max-rounds") {
       opt.max_rounds = std::stoi(need(i++));
-    } else if (a == "--relabel") {
-      opt.relabel = true;
+    } else if (a == "--no-relabel") {
+      opt.relabel = false;
     } else if (a == "--digest-messages") {
       opt.digest_messages = true;
     } else if (a == "--expect-digest") {
