@@ -89,7 +89,7 @@ BackendRun TimeBackend(local::Network& net, int k, int reps) {
 // Network::EngineMemory() parts as <prefix>_<part>_bytes fields: the
 // engine's side of the memory picture the graph byte counts draw. Taken
 // after construction ("engine_ctor") and after the solve ("engine_run"),
-// when the state plane, wake tables and run log exist too.
+// when the state plane and run log exist too.
 void EmitEngineBytes(bench::JsonWriter& json, const std::string& prefix,
                      const local::EngineBytes& b) {
   const auto field = [&](const char* part, size_t bytes) {
@@ -100,7 +100,6 @@ void EmitEngineBytes(bench::JsonWriter& json, const std::string& prefix,
   field("worklist", b.worklist);
   field("ids", b.ids);
   field("state_plane", b.state_plane);
-  field("wake_tables", b.wake_tables);
   field("run_log", b.run_log);
   field("total", b.total());
 }

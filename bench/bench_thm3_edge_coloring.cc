@@ -117,12 +117,8 @@ bool RunMeasured(int n_lo, int n_hi, bench::JsonWriter& json) {
 //     engine's construction wins structural. This record carries
 //     acceptance=true and check_bench_regression.py floors it at 0.8x (a
 //     collapse detector — this container's wall-clock noise band is wider
-//     than the structural win; the deterministic gates are transcript
-//     identity and the wake-scheduler visit bound).
-//
-// Both acceptance workloads also run the class sweep with the wake
-// scheduler ON and OFF in-process and gate on bit-identical transcripts,
-// recording visits/decisions/wakes so the checker can bound the calendar.
+//     than the structural win; the deterministic gate is transcript
+//     identity).
 bool RunPhase23Acceptance(int accept_exp, int reps, bench::JsonWriter& json) {
   const int n = 1 << accept_exp;
   struct Workload {
@@ -178,51 +174,6 @@ bool RunPhase23Acceptance(int accept_exp, int reps, bench::JsonWriter& json) {
         split_engine.cv_rounds == split_legacy.cv_rounds;
     all_identical &= identical;
 
-    // Wake-scheduler accounting: base passes with scheduling on and off,
-    // digest-gated. The class sweep is the pipeline's idle-walk hot spot —
-    // under scheduling the engine visits an owner only at its class rounds,
-    // so visits collapse from the always-visit sum of live counts down to
-    // ~decisions + wakes while the transcript stays bit-identical by
-    // construction. Both sides run on fresh engines that differ only in
-    // wake_scheduling, take turns going first, and keep their best of
-    // reps, so the two times differ by the scheduler and not by engine
-    // history or order. The record logs both sides and the eliminated
-    // idle-visit count; check_bench_regression.py bounds the visit ratio
-    // and requires scheduler_identical.
-    local::NetworkOptions unscheduled;
-    unscheduled.wake_scheduling = false;
-    local::Network net_on(g, ids);
-    local::Network net_off(g, ids, unscheduled);
-    HalfEdgeLabeling h_on(g), h_off(g);
-    BaseRunStats base_on, base_off;
-    double sched_s = 1e300, unsched_s = 1e300;
-    const auto timed_base = [&](local::Network& engine, HalfEdgeLabeling& h,
-                                BaseRunStats& stats) {
-      h = HalfEdgeLabeling(g);
-      const auto ts = Clock::now();
-      stats = RunEdgeBase(engine, problem, e2, space, h);
-      return bench::SecondsSince(ts);
-    };
-    for (int rep = 0; rep < reps; ++rep) {
-      if (rep % 2 == 0) {
-        sched_s = std::min(sched_s, timed_base(net_on, h_on, base_on));
-        unsched_s = std::min(unsched_s, timed_base(net_off, h_off, base_off));
-      } else {
-        unsched_s = std::min(unsched_s, timed_base(net_off, h_off, base_off));
-        sched_s = std::min(sched_s, timed_base(net_on, h_on, base_on));
-      }
-    }
-    const int64_t sweep_wakes = net_on.wakes();
-    const std::vector<uint64_t>& digests_on = net_on.round_digests();
-    const int64_t visits_on = bench::TotalVisits(base_on.sweep_round_stats);
-    const int64_t visits_off = bench::TotalVisits(base_off.sweep_round_stats);
-    const int64_t decisions = bench::TotalDecisions(base_on.sweep_round_stats);
-    const bool scheduler_identical =
-        SameLabeling(g, h_on, h_off) &&
-        digests_on == net_off.round_digests() &&
-        base_on.sweep_round_stats == base_off.sweep_round_stats;
-    all_identical &= scheduler_identical;
-
     json.BeginRecord();
     json.Field("source", "bench_thm3_edge_coloring");
     json.Field("experiment", "edge_pipeline_phase23");
@@ -235,26 +186,10 @@ bool RunPhase23Acceptance(int accept_exp, int reps, bench::JsonWriter& json) {
     json.Field("legacy_seconds", legacy_s);
     json.Field("speedup", legacy_s / engine_s);
     json.Field("transcripts_identical", identical);
-    json.Field("sweep_visits_scheduled", visits_on);
-    json.Field("sweep_visits_unscheduled", visits_off);
-    json.Field("sweep_decisions", decisions);
-    json.Field("sweep_wakes", sweep_wakes);
-    json.Field("sweep_idle_visits_eliminated", visits_off - visits_on);
-    json.Field("base_seconds_scheduled", sched_s);
-    json.Field("base_seconds_unscheduled", unsched_s);
-    json.Field("scheduler_identical", scheduler_identical);
     std::cout << "phase-2/3 " << w.name << " at n=2^" << accept_exp
               << ": engine " << engine_s << " s, legacy " << legacy_s
               << " s, speedup " << legacy_s / engine_s << "x, identical="
               << (identical ? "yes" : "NO (BUG)") << "\n";
-    std::cout << "  wake scheduler: sweep visits " << visits_on
-              << " scheduled vs " << visits_off << " always-visit ("
-              << (visits_off - visits_on) << " idle visits eliminated; "
-              << decisions << " decisions, " << sweep_wakes
-              << " message wakes), transcript "
-              << (scheduler_identical ? "identical" : "DIVERGED (BUG)")
-              << "; base phase " << sched_s << " s scheduled vs " << unsched_s
-              << " s always-visit\n";
   }
   return all_identical;
 }

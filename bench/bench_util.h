@@ -214,9 +214,7 @@ inline void EmitTrajectory(JsonWriter& json, const std::string& prefix,
 }
 
 // Scalar totals over a run's round stats, for the drivers' per-record
-// visit/decision accounting (tools/check_bench_regression.py bounds the
-// wake scheduler's visit overhead with these: visits should approach
-// decisions + wakes, not the always-visit sum of live counts).
+// visit/decision accounting.
 inline int64_t TotalVisits(const std::vector<local::RoundStats>& stats) {
   int64_t total = 0;
   for (const auto& rs : stats) total += rs.visits;

@@ -105,27 +105,17 @@ class NodeClassSweepAlgorithm : public local::Algorithm {
         semi_.ContainsNode(node) ? (*rank_of_node_)[node] : -1;
   }
 
-  // Wake scheduling: a semi-node acts exactly once, in its class round —
-  // every earlier visit is a pure no-op (no Recv anywhere in this
-  // algorithm: labels travel through the shared labeling; the sends are
-  // the LOCAL-model announcements) — and a non-semi node only needs round
-  // 0 to halt. So the engine should visit each node once: first wake at
-  // the class rank, and a message-woken early riser just re-declares it.
-  int InitialWakeRound(int node) const override {
-    if (!semi_.ContainsNode(node)) return 0;  // wake to Halt immediately
-    return static_cast<int>((*rank_of_node_)[node]);
-  }
-
+  // A semi-node acts exactly once, in its class round; every earlier
+  // visit returns at once (no Recv anywhere in this algorithm: labels
+  // travel through the shared labeling; the sends are the LOCAL-model
+  // announcements). A non-semi node halts in round 0.
   void OnRound(local::NodeContext& ctx) override {
     NodeSweepState& st = ctx.State<NodeSweepState>();
     if (st.rank < 0) {
       ctx.Halt();
       return;
     }
-    if (st.rank != ctx.round()) {  // not my class yet (message-woken early)
-      ctx.SleepUntil(static_cast<int>(st.rank));
-      return;
-    }
+    if (st.rank != ctx.round()) return;  // not my class yet
     const int v = ctx.node();
     const Graph& host = semi_.host();
     problem_.SequentialAssign(host, v, h_);
@@ -192,34 +182,20 @@ class EdgeClassSweepAlgorithm : public local::Algorithm {
         st->next < st->end ? (*owned_)[st->next].rank : kNoMoreRanks;
   }
 
-  // Wake scheduling: the headline consumer. An owner acts only in its owned
-  // edges' class rounds; every visit in between is a pure no-op (no Recv in
-  // this algorithm — the announce sends feed the LOCAL transcript, not the
-  // control flow), so the waiting walk the owner-coalescing above could
-  // only shorten is now GONE: the engine visits an owner once per owned
-  // class, hopping the calendar from rank to rank. A node owning nothing
-  // wakes once, at round 0, to halt.
-  int InitialWakeRound(int node) const override {
-    const int next = (*owned_off_)[node];
-    if (next >= (*owned_off_)[node + 1]) return 0;  // wake to Halt
-    return (*owned_)[next].rank;
-  }
-
+  // An owner acts only in its owned edges' class rounds and leaves the
+  // worklist after the last one; a node owning nothing halts in round 0.
   void OnRound(local::NodeContext& ctx) override {
     // Non-decider visits read only the node's own state slot (which the
-    // engine streams in worklist order) — under wake scheduling they
-    // happen only after a message wake, and re-sleep to the next owned
-    // rank. A decision reads the state, one record and the two endpoints'
-    // label blocks.
+    // engine streams in worklist order) and return at once (no Recv in
+    // this algorithm — the announce sends feed the LOCAL transcript, not
+    // the control flow). A decision reads the state, one record and the
+    // two endpoints' label blocks.
     EdgeSweepState& st = ctx.State<EdgeSweepState>();
     if (st.next_rank == kNoMoreRanks) {
       ctx.Halt();
       return;
     }
-    if (st.next_rank != ctx.round()) {  // not my class yet
-      ctx.SleepUntil(st.next_rank);
-      return;
-    }
+    if (st.next_rank != ctx.round()) return;  // not my class yet
     const OwnedEdge& r = (*owned_)[st.next];
     std::span<Label> labels = h_.Halves();
     // AssignEdge is symmetric in its ends, so the owner may name itself
@@ -236,7 +212,6 @@ class EdgeClassSweepAlgorithm : public local::Algorithm {
     }
     st.next_rank = (*owned_)[st.next].rank;
     assert(st.next_rank > ctx.round());
-    ctx.SleepUntil(st.next_rank);
   }
 
  private:

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "src/local/network.h"
 #include "src/support/mathutil.h"
@@ -100,8 +101,21 @@ DecompositionResult RunDecomposition(local::Network& net, int a, int b,
   if (g.NumNodes() == 0) return result;
 
   DecompositionAlgorithm alg(g, b, k);
-  int bound = DecompositionIterationBound(g.NumNodes(), a, k);
-  result.engine_rounds = net.Run(alg, 2 * (2 * bound + 8));
+  const int bound = DecompositionIterationBound(g.NumNodes(), a, k);
+  try {
+    result.engine_rounds = net.Run(alg, 2 * (2 * bound + 8));
+  } catch (const local::MaxRoundsExceededError& e) {
+    // Lemma 13 marks every node within `bound` iterations on a graph of
+    // arboricity at most a; the round cap leaves 8 iterations of slack, so
+    // an overrun means the input broke the precondition.
+    throw std::invalid_argument(
+        "RunDecomposition: graph arboricity exceeds a=" + std::to_string(a) +
+        ": " + std::to_string(e.active_nodes()) +
+        " node(s) still unmarked after " + std::to_string(e.round() / 2) +
+        " iterations, past the Lemma 13 bound of " + std::to_string(bound) +
+        " iterations for a=" + std::to_string(a) +
+        ", k=" + std::to_string(k));
+  }
   result.messages = net.messages_delivered();
   result.round_stats = net.round_stats();
   result.layer.resize(g.NumNodes());

@@ -57,6 +57,10 @@ DecompositionResult RunDecomposition(GraphView g,
 // reuse mailboxes across calls and opt into per-round timing
 // (set_record_round_times) before the run, and the Thm 15 pipeline reuse
 // one engine across all its phases.
+//
+// Both forms throw std::invalid_argument when the graph's arboricity
+// exceeds a: the run then overruns its Lemma 13 round cap, and the message
+// names a, k and DecompositionIterationBound.
 DecompositionResult RunDecomposition(local::Network& net, int a, int b, int k);
 
 // Lemma 13 bound on the number of iterations.

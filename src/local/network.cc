@@ -144,8 +144,8 @@ ChannelTables BuildChannelTables(GraphView graph, bool relabel) {
 }
 
 void ValidateChannelScale(int64_t n, int64_t m, const char* engine) {
-  // Channel ids (first_/send_chan_/chan_owner_ and every mailbox index)
-  // are int32; 2m channels plus sentinel headroom must fit.
+  // Channel ids (first_/send_chan_ and every mailbox index) are int32; 2m
+  // channels plus sentinel headroom must fit.
   constexpr int64_t kMaxChannels = static_cast<int64_t>(INT32_MAX) - 4;
   if (2 * m > kMaxChannels) {
     throw GraphLimitError(
@@ -157,15 +157,6 @@ void ValidateChannelScale(int64_t n, int64_t m, const char* engine) {
   }
 }
 
-std::vector<int> BuildChanOwner(const std::vector<int>& first) {
-  const int n = static_cast<int>(first.size()) - 1;
-  std::vector<int> owner(static_cast<size_t>(first[n]));  // 2m channels
-  for (int i = 0; i < n; ++i) {
-    std::fill(owner.begin() + first[i], owner.begin() + first[i + 1], i);
-  }
-  return owner;
-}
-
 }  // namespace internal
 
 Engine::Engine(GraphView graph, std::vector<int64_t> ids,
@@ -174,7 +165,6 @@ Engine::Engine(GraphView graph, std::vector<int64_t> ids,
     : graph_(graph),
       ids_(std::move(ids)),
       digest_messages_(options.digest_messages),
-      wake_opt_(options.wake_scheduling),
       fault_(options.fault),
       name_(name),
       kind_(kind) {
@@ -246,10 +236,7 @@ Engine::RunStart Engine::BeginRun(Algorithm& alg, const int* inv,
     }
     start = RunStart::kFresh;
   }
-  if (start != RunStart::kContinue) {
-    wakes_ = 0;
-    round_seconds_.clear();
-  }
+  if (start != RunStart::kContinue) round_seconds_.clear();
   mid_run_ = false;  // any exit other than the pause return is not a pause
   finished_ = false;
   return start;
@@ -306,12 +293,6 @@ void Engine::Checkpoint(std::ostream& out) const {
               run.state.begin() + v * stride);
   }
   SaveBoundary(snap);
-  // Canonical wake plane: halted -> 0, and an awake live node (wake round
-  // at or below the boundary, e.g. every live node of a dense run) records
-  // the boundary round itself.
-  for (int v = 0; v < n; ++v) {
-    run.wake[v] = run.halted[v] != 0 ? 0 : std::max(run.wake[v], round_);
-  }
   WriteSnapshot(out, snap);
 }
 
@@ -357,54 +338,21 @@ Network::Network(GraphView graph, std::vector<int64_t> ids, int num_threads,
 int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   const int T = pool_.num_threads();
   const int n = graph_.NumNodes();
-  // Every run walks the wake calendar. With wake_scheduling off the engine
-  // ignores the algorithm's sleeps: every node first wakes in round 0 and
-  // every visit re-wakes it for the next round, so each round's bucket is
-  // the whole live set and the hook below never arms.
-  const bool honor_sleeps = wake_opt_;
-  if (wake_round_.empty() && n > 0) {
-    // First run on this engine: arm the per-rank calendar tables once.
-    wake_round_.assign(n, 0);
-    bucket_stamp_.assign(n, -1);
-  }
-  // Calendar insertion: wake rounds at or past max_rounds get no bucket
-  // (the run throws at max_rounds before they could matter, and a later
-  // continuation with a larger bound rebuilds the calendar from
-  // wake_round_ below) — this bounds calendar memory by the caller's own
-  // round budget. Duplicate and stale entries are harmless: the bucket
-  // assembly dedups by stamp and the visit skips any halted rank or one
-  // whose wake round has moved past the entry's.
-  const auto push_calendar = [&](int w, int i) {
-    if (w >= max_rounds) return;
-    if (w >= static_cast<int>(calendar_.size())) calendar_.resize(w + 1);
-    calendar_[w].push_back(i);
-  };
   // Advancing by 2 leaves every stamp from the previous run strictly below
   // epoch_ - 1, so round 0 of this run cannot observe stale messages. The
   // packed stamp (internal::MailSlot) wraps only after ~2^29 cumulative
   // rounds; when the epoch nears kMaxEpoch, re-arm every stamp once —
   // amortized cost zero (the mid-run case is handled by the per-round
-  // rebase below). The
-  // message-wake dedup stamps are epoch-keyed like the mailboxes and must
-  // not survive an epoch reset (a stale stamp equal to a future epoch
-  // would swallow a wake).
+  // rebase below).
   constexpr int32_t kStale = internal::MailSlot::Meta(-1, 0);
   const auto advance_epoch = [&] {
     if (epoch_ >= internal::kMaxEpoch - 4) {
       for (auto& m : inbox_) m.meta = kStale;
       for (auto& m : outbox_) m.meta = kStale;
-      for (int i = 0; i < n && notify_stamp_ != nullptr; ++i) {
-        notify_stamp_[i].store(-1, std::memory_order_relaxed);
-      }
       epoch_ = 1;
     }
     epoch_ += 2;
   };
-  // Bucket entries before this index are known due: last round's survivors,
-  // or a freshly seeded or resumed bucket. Only the entries after it (the
-  // calendar splice and message wakes) can be stale. A continued run checks
-  // every entry.
-  int known_due = 0;
   std::unique_ptr<SnapshotData> snap;
   const RunStart start = BeginRun(alg, order_.data(), snap);
   if (start == RunStart::kResume) {
@@ -420,109 +368,34 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       inbox_[c].word0 = msg.word0;
       inbox_[c].meta = internal::MailSlot::Meta(epoch_ - 1, msg.size);
     }
-    // Rebuild the calendar from the snapshot's per-node wake rounds
-    // (external-indexed; a snapshot of a dense run records every live node
-    // awake at the boundary, and ignoring sleeps resumes every live node
-    // awake). Bucket stamps are keyed by round number, which restarts per
-    // run — a stale stamp equal to a future round would silently swallow
-    // that node's calendar splice.
-    std::fill(bucket_stamp_.begin(), bucket_stamp_.end(), -1);
-    calendar_.clear();
-    active_.clear();
-    live_count_ = 0;
-    notify_armed_ = false;
-    for (int i = 0; i < n; ++i) {
-      if (halted_[i]) continue;
-      ++live_count_;
-      const int32_t w =
-          honor_sleeps ? std::max(run.wake[order_[i]], round_) : round_;
-      wake_round_[i] = w;
-      if (w > round_ + 1) notify_armed_ = true;  // someone already parked
-      if (w == round_) {
-        active_.push_back(i);
-      } else if (w != kNoWakeRound) {
-        push_calendar(w, i);
-      }
-    }
-    known_due = static_cast<int>(active_.size());
   } else if (start == RunStart::kFresh) {
     advance_epoch();
     std::fill(halted_.begin(), halted_.end(), 0);
-    // Seed the calendar from the algorithm's declared first-action rounds;
-    // round 0's bucket holds every node that acts at once, in rank order.
-    // Rounds still tick (and record stats and digests) while buckets are
-    // empty, so the transcript does not depend on who sleeps. Stamps
-    // restart with the rounds (see the resume path).
-    std::fill(bucket_stamp_.begin(), bucket_stamp_.end(), -1);
-    calendar_.clear();
+  }
+  if (start != RunStart::kContinue) {
+    // The worklist is every live rank in ascending order. A continued run
+    // keeps the one its pause left.
     active_.clear();
-    live_count_ = n;
-    notify_armed_ = false;
     for (int i = 0; i < n; ++i) {
-      const int w = honor_sleeps ? alg.InitialWakeRound(order_[i]) : 0;
-      if (w <= 0) {
-        wake_round_[i] = 0;
-        active_.push_back(i);
-      } else {
-        wake_round_[i] = w >= kNoWakeRound ? kNoWakeRound : w;
-        if (wake_round_[i] > 1) notify_armed_ = true;  // parked past round 1
-        push_calendar(wake_round_[i], i);
-      }
-    }
-    known_due = static_cast<int>(active_.size());
-  } else {
-    // Continuing a paused run: mailboxes, the current bucket (active_),
-    // wake rounds, state plane and digest chain are live exactly as the
-    // pause left them, but the calendar was bounded by the PREVIOUS call's
-    // max_rounds — rebuild it from wake_round_ under the new bound. Awake
-    // ranks (wake round at or below this one) are already in the bucket.
-    calendar_.clear();
-    notify_armed_ = false;
-    for (int i = 0; i < n; ++i) {
-      const int32_t w = wake_round_[i];
-      if (halted_[i]) continue;
-      if (w > round_ + 1) notify_armed_ = true;  // parked (incl. forever)
-      if (w > round_ && w != kNoWakeRound) push_calendar(w, i);
+      if (!halted_[i]) active_.push_back(i);
     }
   }
-  // The Send-side message-wake recording costs two extra random cache
-  // lines per observable send (chan_owner_ + notify_stamp_), which dense
-  // runs — every live node acting every round, nobody ever parked — would
-  // pay for nothing. The hook is therefore armed only once some node is
-  // parked past the next round, and its tables are allocated by the first
-  // arming on this engine (then kept, like the other wake tables). The
-  // round that parks the first nodes with the hook still off resolves
-  // their wakes by scanning just those nodes' inboxes at the barrier (the
-  // shards' slept lists), then arms. Once armed it stays armed for the
-  // rest of the run.
-  const auto arm_notify = [&] {
-    notify_armed_ = true;
-    if (notify_stamp_ != nullptr) return;
-    chan_owner_ = internal::BuildChanOwner(first_);
-    notify_stamp_.reset(new std::atomic<int32_t>[n]);
-    for (int i = 0; i < n; ++i) {
-      notify_stamp_[i].store(-1, std::memory_order_relaxed);
-    }
-  };
-  if (notify_armed_) arm_notify();
   unsigned char* const state_base = state_.data();
   const size_t stride = state_stride_;
   support::FaultInjector* const fault = fault_;
 
   // One context per shard: identical CSR views except for the per-shard
-  // counter slots and wake-candidate list. Rebuilt per Run (T small).
+  // counter slots. Rebuilt per Run (T small).
   std::vector<NodeContext> ctxs;
   ctxs.reserve(T);
   for (int t = 0; t < T; ++t) {
-    ctxs.push_back(
-        NodeContext(graph_, ids_.data(), nullptr));
+    ctxs.push_back(NodeContext(graph_, ids_.data(), nullptr));
     NodeContext& ctx = ctxs.back();
     ctx.first_ = first_.data();
     ctx.send_chan_ = send_chan_.data();
     ctx.halted_ = halted_.data();
     ctx.sent_ = &shards_[t].sent;
     ctx.macc_ = digest_messages_ ? &shards_[t].macc : nullptr;
-    ctx.notified_ = &shards_[t].notified;
   }
 
   // Shard boundaries: contiguous worklist ranges, balanced to +-1. The
@@ -533,99 +406,48 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   auto shard_lo = [&](int t) {
     return static_cast<int>(static_cast<int64_t>(active_now) * t / T);
   };
-  // The round task: visit this shard's range of the current bucket. Bucket
-  // entries are unique (barrier dedup), so this shard is the only writer of
-  // its entries' wake rounds. Survivors that act again next round are
-  // stable-compacted in place (rank order is preserved, matching the
-  // reference engine when nobody sleeps) and keep their wake round as it
-  // is: at or below the current round it means "awake", so a dense run
-  // never touches the wake plane. Sleepers record their wake round and go
-  // to the shard's slept list for the serial calendar distribution. One
-  // std::function for the whole run (the per-round state it reads is
-  // captured by reference), so tail rounds fork without an allocation.
+  // The round task: visit this shard's range of the worklist and
+  // stable-compact the survivors in place (rank order is preserved,
+  // matching the reference engine). One std::function for the whole run
+  // (the per-round state it reads is captured by reference), so tail
+  // rounds fork without an allocation.
   const std::function<void(int)> round_task = [&](int t) {
     const int lo = shard_lo(t);
     const int hi = shard_lo(t + 1);
     NodeContext& ctx = ctxs[t];
     Shard& sh = shards_[t];
-    int* work = active_.data();
-    int32_t* const wake = wake_round_.data();
+    int* const work = active_.data();
     const int r = round_;
-    const int due = known_due;
-    const bool honor = honor_sleeps;
     int kept = lo;
-    int64_t visits = 0, decisions = 0;
-    int halts = 0;
+    int64_t decisions = 0;
     for (int idx = lo; idx < hi; ++idx) {
       const int i = work[idx];
-      // Stale calendar entry: the node halted, or it was woken earlier and
-      // has gone back to sleep past this round.
-      if (idx >= due && (halted_[i] || wake[i] > r)) continue;
       ctx.node_ = order_[i];
       ctx.rank_ = i;
       ctx.state_ = state_base + static_cast<size_t>(i) * stride;
-      ctx.sleep_until_ = r + 1;  // default: act again next round
       if (fault != nullptr) fault->OnVisit(r);
       const int64_t sb = sh.sent;
       alg.OnRound(ctx);
-      ++visits;
-      // Halting is a decision, and Halt wins over any sleep. The halt is
-      // data-dependent, so it is folded in without a branch: a halted rank
-      // is written to the bucket but not kept.
+      // Halting is a decision. The halt is data-dependent, so it is folded
+      // in without a branch: a halted rank is written to the worklist but
+      // not kept.
       const bool halted = halted_[i] != 0;
-      halts += halted ? 1 : 0;
       decisions += (sh.sent != sb || halted) ? 1 : 0;
-      if (honor && ctx.sleep_until_ > r + 1 && !halted) {
-        wake[i] = ctx.sleep_until_;
-        sh.slept.push_back(i);  // distributed into the calendar serially
-      } else {
-        work[kept] = i;  // survivor: stays in next round's bucket
-        kept += halted ? 0 : 1;
-      }
+      work[kept] = i;
+      kept += halted ? 0 : 1;
     }
     sh.kept = kept - lo;
-    sh.visits = visits;
     sh.decisions = decisions;
-    sh.halts = halts;
-  };
-  // Wakes a sleeping candidate iff an observable message actually sits in
-  // its (post-swap) inbox — shared by the armed-hook candidate loop and
-  // the disarmed transition scan, so both resolve wakes through one
-  // predicate (a later Send may have overwritten the recorded message
-  // with silence; the O(deg) scan runs only for sleeping candidates). The
-  // bucket stamp decides whether a woken rank still needs a push (a stale
-  // calendar entry may already sit in the bucket — rewriting its wake
-  // round makes that entry the wake visit).
-  const auto wake_if_observable = [&](int i) {
-    const int next = round_ + 1;
-    if (halted_[i] || wake_round_[i] <= next) return;
-    bool observable = false;
-    for (int c = first_[i]; c < first_[i + 1] && !observable; ++c) {
-      const internal::MailSlot& msg = inbox_[c];
-      observable = msg.stamp() == epoch_ &&
-                   (msg.size() != 0 || msg.word0 != 0);
-    }
-    if (observable) {
-      wake_round_[i] = next;
-      ++wakes_;
-      if (bucket_stamp_[i] != next) {
-        bucket_stamp_[i] = next;
-        active_.push_back(i);
-      }
-    }
   };
 
-  // The round loop. active_nodes records the LIVE count (not visits),
-  // rounds tick even when the current bucket is empty, and any sleeping
-  // node that would have observed new input is woken for the delivery
-  // round at the barrier — so the transcript is the same whether or not
-  // the algorithm sleeps, and only visits shrink.
-  while (live_count_ > 0) {
+  // The round loop: every live node runs in every round.
+  while (!active_.empty()) {
     // Round boundary: pause, fault, max_rounds, and the mid-run epoch
     // rebase (a single run of ~2^31 rounds keeps exactly this round's
     // deliverable messages visible and invalidates everything else — one
     // O(2m) pass per ~2^31 rounds).
-    if (PauseAtBoundary(pause_at_round, max_rounds, live_count_)) {
+    active_now = static_cast<int>(active_.size());
+    if (PauseAtBoundary(pause_at_round, max_rounds, active_now)) {
       return round_;
     }
     if (epoch_ >= internal::kMaxEpoch - 2) {
@@ -635,54 +457,41 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
                      ? internal::MailSlot::Meta(2, m.size())
                      : kStale;
       }
-      for (int i = 0; i < n && notify_stamp_ != nullptr; ++i) {
-        notify_stamp_[i].store(-1, std::memory_order_relaxed);
-      }
       epoch_ = 3;
     }
-    // Opt-in round timer; it stops after the next bucket is assembled,
-    // just before the mailbox swap.
+    // Opt-in round timer; it stops after the worklist is stitched, just
+    // before the mailbox swap.
     StartRoundTimer();
     // Aim every shard's context at this round's mailboxes and epoch (the
     // mailboxes swap and the epoch moves every round) and zero the shard
     // counters.
-    active_now = static_cast<int>(active_.size());
     for (int t = 0; t < T; ++t) {
       NodeContext& ctx = ctxs[t];
       ctx.round_ = round_;
       ctx.inbox_ = inbox_.data();
       ctx.outbox_ = outbox_.data();
       ctx.epoch_ = epoch_;
-      // Send-side wake recording only while someone is parked: a null
-      // notify_stamp_ turns the whole hook into one predictable branch.
-      ctx.chan_owner_ = chan_owner_.data();
-      ctx.notify_stamp_ = notify_armed_ ? notify_stamp_.get() : nullptr;
       Shard& sh = shards_[t];
       sh.sent = 0;
       sh.macc = 0;
       sh.kept = 0;
-      sh.slept.clear();
-      sh.notified.clear();
     }
-    const int live_now = live_count_;
     pool_.ParallelFor(T, round_task);
 
     // The pool join is the visibility fence: record the round's stats and
     // digest from the shard sums (sums commute, so every total — and the
     // content accumulator — is independent of the sharding) and stitch
-    // the shards' compacted prefixes into one dense bucket in engine order.
+    // the shards' compacted prefixes into one dense worklist in engine
+    // order.
     int64_t round_sent = 0;
     uint64_t round_macc = 0;
-    int64_t visits = 0;
     int64_t decisions = 0;
     for (const Shard& sh : shards_) {
       round_sent += sh.sent;
       round_macc += sh.macc;
-      visits += sh.visits;
       decisions += sh.decisions;
-      live_count_ -= sh.halts;
     }
-    RecordRound(live_now, round_sent, visits, decisions, round_macc);
+    RecordRound(active_now, round_sent, decisions, round_macc);
     int dst = shards_[0].kept;
     for (int t = 1; t < T; ++t) {
       const int lo = shard_lo(t);
@@ -693,56 +502,9 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       dst += kept;
     }
     active_.resize(dst);
-    known_due = dst;
-
-    // Assemble the next bucket: distribute this round's sleeps into the
-    // calendar, then splice the calendar's next bucket (freed after) with
-    // stamp dedup — the bucket must hold each rank at most once before
-    // shards touch it again. Only a splice needs the survivors stamped
-    // first: the message wakes below never target a survivor (its wake
-    // round is already next), so a round with nothing to splice — every
-    // round of a dense run — skips the stamping pass. Stale entries
-    // (halted, or woken elsewhere) need no check here: the visit skips
-    // them, and it reads the same halt flag and wake round anyway.
-    const int next = round_ + 1;
-    for (const Shard& sh : shards_) {
-      for (const int i : sh.slept) push_calendar(wake_round_[i], i);
-    }
-    if (next < static_cast<int>(calendar_.size()) &&
-        !calendar_[next].empty()) {
-      for (const int i : active_) bucket_stamp_[i] = next;
-      std::vector<int>& b = calendar_[next];
-      for (const int i : b) {
-        if (bucket_stamp_[i] == next) continue;
-        bucket_stamp_[i] = next;
-        active_.push_back(i);
-      }
-      std::vector<int>().swap(b);
-    }
     StopRoundTimer();
     // Deliver: O(1) buffer swap; epoch stamps make clearing unnecessary.
     std::swap(inbox_, outbox_);
-    if (notify_armed_) {
-      // Message-wake barrier: every receiver of an observable send this
-      // round was recorded once in some shard's notified list.
-      for (const Shard& sh : shards_) {
-        for (const int i : sh.notified) wake_if_observable(i);
-      }
-    } else {
-      // The run's first parks happened this round with the hook still
-      // disarmed, so no send was recorded — the shards' slept lists ARE
-      // the newly-parked set; scan exactly those inboxes (identical
-      // outcome to an armed round by construction), then arm the hook
-      // for the rest of the run.
-      bool any_parked = false;
-      for (const Shard& sh : shards_) {
-        for (const int i : sh.slept) {
-          any_parked = true;
-          wake_if_observable(i);
-        }
-      }
-      if (any_parked) arm_notify();
-    }
     ++round_;
     ++epoch_;
   }
@@ -760,18 +522,6 @@ EngineBytes Network::EngineMemory() const {
                bytes(perm_) + bytes(shards_);
   b.ids = bytes(ids_);
   b.state_plane = bytes(state_);
-  b.wake_tables = bytes(wake_round_) + bytes(bucket_stamp_) +
-                  bytes(chan_owner_) + bytes(calendar_);
-  for (const std::vector<int>& bucket : calendar_) {
-    b.wake_tables += bytes(bucket);
-  }
-  for (const Shard& sh : shards_) {
-    b.wake_tables += bytes(sh.slept) + bytes(sh.notified);
-  }
-  if (notify_stamp_ != nullptr) {
-    b.wake_tables += static_cast<size_t>(graph_.NumNodes()) *
-                     sizeof(std::atomic<int32_t>);
-  }
   b.run_log = bytes(round_stats_) + bytes(round_seconds_) +
               bytes(round_msg_acc_) + bytes(round_digests_);
   return b;
@@ -781,11 +531,7 @@ void Network::SaveBoundary(SnapshotData& snap) const {
   SnapshotData::RunSection& run = snap.run;
   const int n = graph_.NumNodes();
   run.halted.resize(n);
-  run.wake.resize(n);
-  for (int i = 0; i < n; ++i) {
-    run.halted[order_[i]] = halted_[i];
-    run.wake[order_[i]] = wake_round_[i];
-  }
+  for (int i = 0; i < n; ++i) run.halted[order_[i]] = halted_[i];
   if (snap.finished) return;
   // Deliverable messages: inbox slots stamped epoch - 1 (exactly what the
   // next round's Recv would see). Walking external nodes in order with

@@ -1,7 +1,6 @@
 #ifndef TREELOCAL_LOCAL_NETWORK_H_
 #define TREELOCAL_LOCAL_NETWORK_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -43,21 +42,15 @@ struct RoundStats {
   int active_nodes = 0;       // live (non-halted) nodes at round start
   int64_t messages_sent = 0;  // present messages queued (delivered next round)
   // Engine-observability counters, NOT part of transcript equality below:
-  // visits counts OnRound dispatches this round — the nodes whose wake
-  // round this is, so equal to active_nodes for a dense algorithm (one
-  // that never sleeps) or with NetworkOptions::wake_scheduling off, and
-  // only the woken subset when nodes sleep — and decisions counts visits
-  // that acted (net-queued at least one present message, or halted). Both
-  // are deterministic across engines, relabel, and thread counts for a
-  // fixed wake_scheduling setting; the idle-visit ratio
-  // (visits - decisions) / visits is what sleeping eliminates.
+  // visits counts OnRound dispatches this round, which is every live node,
+  // so it always equals active_nodes; decisions counts visits that acted
+  // (net-queued at least one present message, or halted). Both are
+  // deterministic across engines, relabel, and thread counts.
   int64_t visits = 0;
   int64_t decisions = 0;
 
   // Transcript equality compares what the LOCAL execution did (live-set
-  // size, messages), not how the engine drove it: runs of the same
-  // algorithm with wake_scheduling on and off produce EQUAL per-round
-  // stats here even though their visit counts differ. The digest chain
+  // size, messages), not how the engine drove it. The digest chain
   // commits to exactly these two fields (plus message content
   // accumulators).
   friend bool operator==(const RoundStats& a, const RoundStats& b) {
@@ -65,11 +58,6 @@ struct RoundStats {
            a.messages_sent == b.messages_sent;
   }
 };
-
-// Sentinel for NodeContext::SleepUntil / Algorithm::InitialWakeRound: park
-// the node with no scheduled wake round at all — it runs again only when a
-// message wakes it (or never, if none arrives and the run hits max_rounds).
-inline constexpr int32_t kNoWakeRound = INT32_MAX;
 
 // Construction-time engine options (Network; ReferenceNetwork honors every
 // field except relabel, which it accepts and ignores).
@@ -107,19 +95,6 @@ struct NetworkOptions {
   // structured FaultInjectedError and the engine stays reusable (the next
   // Run re-initializes all per-run state).
   support::FaultInjector* fault = nullptr;
-
-  // Honor the algorithm's sleeps (Algorithm::InitialWakeRound,
-  // NodeContext::SleepUntil). Every run walks the engine's wake calendar,
-  // visiting a node only in rounds where it declared it acts and waking it
-  // early whenever a message arrives. Set to false, the engine ignores
-  // sleeps inside the same loop: every node first wakes in round 0 and
-  // every visit re-wakes it for the next round, so every live node is
-  // visited every round (RoundStats::visits == active_nodes, wakes() == 0)
-  // — the scheduler ablation the benches and CI gate on. Transcripts
-  // (outputs, RoundStats equality, message counts, digest chains) are
-  // bit-identical either way by construction; only RoundStats::visits
-  // changes.
-  bool wake_scheduling = true;
 };
 
 // Thrown by every engine's Run when max_rounds is reached with live nodes.
@@ -196,15 +171,10 @@ struct ChannelTables {
 ChannelTables BuildChannelTables(GraphView graph, bool relabel);
 
 // Guards the int32 channel arithmetic every engine shares: channel ids
-// live in int (first_/send_chan_/chan_owner_), so 2m + epoch headroom
-// must fit int32. Separately callable for boundary tests; throws
-// GraphLimitError naming the engine and the offending count.
+// live in int (first_/send_chan_), so 2m + epoch headroom must fit int32.
+// Separately callable for boundary tests; throws GraphLimitError naming
+// the engine and the offending count.
 void ValidateChannelScale(int64_t n, int64_t m, const char* engine);
-
-// Inverts the rank-ordered CSR offsets for the message-wake path:
-// owner[c] is the internal rank whose recv-channel block contains channel c
-// (i.e. the receiver of any Send that stores to c).
-std::vector<int> BuildChanOwner(const std::vector<int>& first);
 }  // namespace internal
 
 // Per-node view handed to Algorithm::OnRound. In the LOCAL model (Definition
@@ -256,20 +226,6 @@ class NodeContext {
   // outgoing channels fall silent (stale epoch stamps, never re-cleared).
   inline void Halt();
 
-  // Declare that this node next acts in round `round` (absolute, i.e. the
-  // value a future ctx.round() will show): the engine skips it until then.
-  // The invariant that makes this transcript-invariant: an incoming
-  // observable message ALWAYS wakes a sleeping node for the next round, so
-  // a node can never miss input it would have seen if visited every round
-  // — an algorithm may sleep whenever its early-round OnRound would have
-  // been a pure no-op (no sends, no halt, no state change) absent new
-  // messages. Values <= round() mean "next round" (the default when
-  // OnRound returns without calling this, so a dense algorithm simply
-  // never calls it); kNoWakeRound parks the node until a message arrives;
-  // Halt() wins over any sleep. With NetworkOptions::wake_scheduling off
-  // this is a no-op, which is exactly why transcripts cannot diverge.
-  void SleepUntil(int round) { sleep_until_ = round; }
-
   // Typed reference to this node's engine-managed state slot (see
   // Algorithm::StateBytes). Zero-cost on every engine: the engine aims the
   // pointer at the slot before each OnRound/InitState-adjacent visit, so
@@ -310,21 +266,6 @@ class NodeContext {
   uint64_t* macc_ = nullptr;
   int32_t epoch_ = 0;
 
-  // Wake-scheduling hooks. sleep_until_ is the engine<->algorithm mailbox
-  // for SleepUntil: the engine pre-sets it to round+1 before each OnRound
-  // and reads it back after. The notify trio is the CSR engine's message-
-  // wake recorder, live only while some node is parked (one null check on
-  // notify_stamp_ is the whole hot-path cost otherwise): an observable
-  // Send marks its receiver's internal rank once per round (epoch-stamped
-  // dedup; the stamp is atomic so Network shards dedup across threads with
-  // a relaxed exchange, which costs nothing extra at T = 1) into this
-  // shard's own notified list.
-  // Sleeping receivers are woken at the round barrier.
-  int32_t sleep_until_ = 0;
-  const int* chan_owner_ = nullptr;  // recv channel -> receiver internal rank
-  std::atomic<int32_t>* notify_stamp_ = nullptr;
-  std::vector<int>* notified_ = nullptr;
-
   // This node's slot in the engine's state plane, re-aimed by the engine
   // before every OnRound call (null when StateBytes() == 0). The engine
   // does the internal-rank addressing; the accessor above stays a bare
@@ -336,12 +277,10 @@ class NodeContext {
   int round_ = 0;
 };
 
-// A distributed algorithm. OnRound is invoked once per node per round
-// (round 0 included, with empty inboxes) until every node halts, except in
-// the rounds a node sleeps through (InitialWakeRound,
-// NodeContext::SleepUntil). A dense algorithm — every live node acting
-// every round — overrides neither and is visited every round. Each round a
-// node sends at most one one-word Message per port.
+// A distributed algorithm. OnRound is invoked once per live node per round
+// (round 0 included, with empty inboxes) until every node halts, as in the
+// synchronous LOCAL model. Each round a node sends at most one one-word
+// Message per port.
 //
 // Per-node state lives in an ENGINE-MANAGED state plane: the algorithm
 // declares a fixed-size POD slot via StateBytes(), initializes each node's
@@ -385,31 +324,15 @@ class Algorithm {
     (void)node;
     (void)state;
   }
-
-  // First round in which `node` acts (absolute; 0 = round 0, the default;
-  // kNoWakeRound = parked until a message arrives). An algorithm that
-  // sleeps promises that every OnRound it skips is a pure no-op absent new
-  // messages — the message-wake invariant then makes transcripts
-  // bit-identical to visiting every node every round, by construction.
-  // Ignored when NetworkOptions::wake_scheduling is off. Like InitState,
-  // it must depend only on (node, captured construction inputs). Negative
-  // returns are clamped to 0.
-  virtual int InitialWakeRound(int node) const {
-    (void)node;
-    return 0;
-  }
 };
 
 // Bytes held by each of a Network's structures (vector capacities, so the
 // figures track what the engine actually reserved). Construction allocates
-// the channel tables, mailboxes, worklist and id copy; the
-// state plane and the wake tables are armed by the first run that needs
-// them and keep their capacity across runs, and the run log grows with the
-// rounds of the last run. The wake tables come in two steps: the first run
-// arms the per-node wake rounds and bucket stamps, and the first run that
-// parks a node adds the channel-owner table and notify stamps.
-// treelocald charges a resident graph's cached engine against its memory
-// quota with this.
+// the channel tables, mailboxes, worklist and id copy; the state plane is
+// armed by the first run that declares one and keeps its capacity across
+// runs, and the run log grows with the rounds of the last run. treelocald
+// charges a resident graph's cached engine against its memory quota with
+// this.
 struct EngineBytes {
   size_t channel_tables = 0;  // CSR offsets + send-channel table
   size_t mailboxes = 0;    // inbox + outbox: 2 x 2m 12-byte slots
@@ -417,12 +340,10 @@ struct EngineBytes {
                            // per-lane shard slots
   size_t ids = 0;          // the engine's copy of the node ids
   size_t state_plane = 0;  // Algorithm::StateBytes per node
-  size_t wake_tables = 0;  // wake rounds, bucket/notify stamps, calendar,
-                           // channel owners, per-lane wake scratch
   size_t run_log = 0;      // per-round stats, digests, timings
   size_t total() const {
     return channel_tables + mailboxes + worklist + ids + state_plane +
-           wake_tables + run_log;
+           run_log;
   }
 };
 
@@ -433,16 +354,16 @@ struct EngineBytes {
 // everything that does not depend on how an engine lays out its channels
 // and schedules its nodes:
 //   * the graph view, the ids, and the options every engine honors;
-//   * the run log: the round counter, delivered messages and message
-//     wakes, per-round RoundStats, content accumulators, the digest chain,
-//     and the opt-in round timings;
+//   * the run log: the round counter, delivered messages, per-round
+//     RoundStats, content accumulators, the digest chain, and the opt-in
+//     round timings;
 //   * the engine-managed state plane, indexed by internal rank through
 //     perm_ (empty = identity), so StateAt is an inline read;
 //   * the pause/resume state machine and the canonical checkpoint: the
 //     snapshot header, the run history and the state plane are saved and
 //     restored here.
 // A derived engine supplies its round loop (RunUntil, called once per
-// Run or RunUntil call) and its halt/wake planes and mailboxes: what
+// Run or RunUntil call) and its halt plane and mailboxes: what
 // SaveBoundary writes into a checkpoint and what the resume branch of its
 // RunUntil reads back. The protected helpers give every loop the same
 // start (BeginRun), round boundary (PauseAtBoundary) and per-round record
@@ -539,13 +460,6 @@ class Engine {
   // Per-round counters for the last Run; round_stats()[r] covers round r.
   const std::vector<RoundStats>& round_stats() const { return round_stats_; }
 
-  // Message-triggered wakes over the last Run (a sleeping node pulled to
-  // the next round by an observable incoming message). 0 when nobody slept
-  // (dense algorithms, wake_scheduling off). With total visits/decisions
-  // from round_stats(), this closes the scheduler's accounting: every
-  // visit is an initial wake, a calendar wake, or one of these.
-  int64_t wakes() const { return wakes_; }
-
   // Opt-in wall-clock timing of each round executed by the last run (two
   // clock reads per round; off by default so the hot loop stays
   // branch-only); a resumed run times only the rounds it executes.
@@ -581,8 +495,7 @@ class Engine {
   //     against `alg` BEFORE disarming it, so a wrong-algorithm call throws
   //     SnapshotError and the retry still resumes; then restores the run
   //     log and the state plane and hands the snapshot to `resume`, from
-  //     which the engine places its halt flags, wake rounds and
-  //     deliverable messages;
+  //     which the engine places its halt flags and deliverable messages;
   //   kFresh (no paused run): resets the run log and arms the state plane
   //     (zeroed slots, one InitState per node; `inv` maps internal rank ->
   //     external node, null = identity); the engine resets its own planes;
@@ -596,11 +509,12 @@ class Engine {
   // round_ reaches max_rounds.
   bool PauseAtBoundary(int pause_at_round, int max_rounds, int64_t live);
 
-  // Appends one executed round to the run log and the digest chain.
-  void RecordRound(int live, int64_t sent, int64_t visits, int64_t decisions,
+  // Appends one executed round, in which all `live` nodes were visited, to
+  // the run log and the digest chain.
+  void RecordRound(int live, int64_t sent, int64_t decisions,
                    uint64_t msg_acc) {
     messages_delivered_ += sent;
-    round_stats_.push_back({live, sent, visits, decisions});
+    round_stats_.push_back({live, sent, live, decisions});
     round_msg_acc_.push_back(msg_acc);
     digest_ = support::ChainDigest(digest_, live, sent, msg_acc);
     round_digests_.push_back(digest_);
@@ -628,15 +542,13 @@ class Engine {
   int RankOf(int v) const { return perm_.empty() ? v : perm_[v]; }
 
   // Fills the engine's part of a checkpoint's run section: the halt flags
-  // and wake rounds (n entries each, external-indexed; the base
-  // canonicalizes the wake rounds) and, unless snap.finished, the
+  // (n entries, external-indexed) and, unless snap.finished, the
   // deliverable messages sorted by receiver (node, port).
   virtual void SaveBoundary(SnapshotData& snap) const = 0;
 
   GraphView graph_;
   std::vector<int64_t> ids_;
   bool digest_messages_ = false;  // NetworkOptions::digest_messages
-  bool wake_opt_ = true;          // NetworkOptions::wake_scheduling
   support::FaultInjector* fault_ = nullptr;
 
   // Engine-owned per-node state plane (Algorithm::StateBytes per slot),
@@ -650,7 +562,6 @@ class Engine {
   // The run log (see the accessors above).
   int round_ = 0;
   int64_t messages_delivered_ = 0;
-  int64_t wakes_ = 0;
   std::vector<RoundStats> round_stats_;
   std::vector<uint64_t> round_msg_acc_;
   std::vector<uint64_t> round_digests_;
@@ -691,11 +602,9 @@ class Engine {
 //     last written. A message is visible iff its stamp equals the previous
 //     epoch. This removes the per-round O(2m) outbox clear and the O(2m)
 //     delivered-message scan — messages are counted at send time instead.
-//   * Wake-calendar worklist: each round iterates only the nodes due that
-//     round — every live node when nobody sleeps — and compacts the ones
-//     due again next round in place (stable, preserving the engine's node
-//     order); sleepers move to a calendar bucket. Once a node halts it is
-//     never touched again.
+//   * Active-node worklist: each round iterates the live nodes in rank order
+//     and compacts the survivors in place (stable, preserving the engine's
+//     node order). Once a node halts it is never touched again.
 //
 // The round pass is sharded: the worklist splits into T contiguous ranges
 // that run concurrently on a persistent thread pool (at T = 1 the single
@@ -717,12 +626,11 @@ class Engine {
 // order-independent within a round, and shards only reorder within rounds,
 // never across the barrier.
 //
-// Per-round complexity: O(sum of OnRound costs over visited nodes / T) per
-// lane + O(#visited / T) for the compaction + O(T) reduction + one pool
-// fork/join, plus serial calendar work for the nodes that sleep or wake
-// that round (none in a dense run). Nothing is proportional to n or m per
-// round; construction is O(n + m); Run performs no allocation beyond
-// growing the per-round vectors.
+// Per-round complexity: O(sum of OnRound costs over live nodes / T) per
+// lane + O(#live / T) for the compaction + O(T) reduction + one pool
+// fork/join. Nothing is proportional to n or m per round; construction is
+// O(n + m); Run performs no allocation beyond growing the per-round
+// vectors.
 //
 // A Network is reusable: Run may be called any number of times (same graph
 // and IDs) with no reallocation — epochs advance monotonically across runs,
@@ -777,21 +685,13 @@ class Network : public Engine {
   // Per-shard round state, cache-line padded: sent is the shard's message
   // counter (NodeContext::sent_ points here), macc its content-digest
   // accumulator (NodeContext::macc_), kept the size of the shard's
-  // compacted worklist range. The wake-scheduling scratch is touched only
-  // by the shard's lane during the round and read serially at the barrier:
-  // visit and decision counters (summed into RoundStats), the halts this
-  // round (reduced into the live count), the ranks that slept past the next
-  // round (distributed into the calendar), and the wake candidates this
-  // shard's sends recorded (NodeContext::notified_).
+  // compacted worklist range, and decisions its visits that acted (summed
+  // into RoundStats at the barrier).
   struct alignas(64) Shard {
     int64_t sent = 0;
     uint64_t macc = 0;
     int kept = 0;
-    int64_t visits = 0;
     int64_t decisions = 0;
-    int halts = 0;
-    std::vector<int> slept;
-    std::vector<int> notified;
   };
 
   std::vector<int> first_;      // size n+1: rank-ordered CSR offsets; recv
@@ -804,37 +704,12 @@ class Network : public Engine {
   // meta field; swapped (O(1)) each round, never cleared.
   std::vector<internal::MailSlot> inbox_, outbox_;
   std::vector<char> halted_;  // by internal rank
-  std::vector<int> active_;  // the CURRENT ROUND's wake bucket: INTERNAL
-                             // ranks, UNIQUE entries (see bucket_stamp_).
-                             // When nobody sleeps it is every live rank in
-                             // ascending order, so rank i's state slot and
-                             // external id (order_[i]) stream sequentially
-                             // even under relabel — the whole point of
-                             // internal indexing.
-  // Wake calendar (wake_round_ and bucket_stamp_ armed by the first run;
-  // chan_owner_ and notify_stamp_ by the first run that parks a node, see
-  // RunUntil). wake_round_[i] is rank i's next scheduled round
-  // (kNoWakeRound = parked); a value at or below the current round means
-  // the rank is awake and in the bucket — a rank that stays awake never
-  // rewrites it, so dense runs leave the plane untouched, and the
-  // checkpoint gather canonicalizes it to the snapshot round.
-  // calendar_[r] holds ranks waking in future round r — entries go stale
-  // when a message wake or an earlier visit moves the node's wake round,
-  // and the visit skips them. wake_round_ needs no atomics: during a round
-  // each rank is written only by the shard visiting it and all cross-rank
-  // reads happen serially at the barrier. bucket_stamp_[i] == r marks rank i already
-  // placed in round r's bucket, so the assembly dedups — duplicates inside
-  // a bucket would let two shards visit the same node concurrently.
-  // notify_stamp_/chan_owner_ implement the Send-side message-wake
-  // recording described at NodeContext; notify_armed_ says whether this
-  // run's sends record (some node is parked).
-  std::vector<int32_t> wake_round_;
-  std::vector<int32_t> bucket_stamp_;
-  std::vector<std::vector<int>> calendar_;
-  std::vector<int> chan_owner_;
-  std::unique_ptr<std::atomic<int32_t>[]> notify_stamp_;
-  bool notify_armed_ = false;
-  int live_count_ = 0;    // non-halted nodes (the run's termination test)
+  std::vector<int> active_;  // the live INTERNAL ranks in ascending order,
+                             // so rank i's state slot and external id
+                             // (order_[i]) stream sequentially even under
+                             // relabel — the whole point of internal
+                             // indexing. Its size is the run's termination
+                             // test.
   std::vector<Shard> shards_;
   support::ThreadPool pool_;  // num_threads lanes, persistent
   int32_t epoch_ = 1;  // monotone across runs (wrap-guarded in Run, kept
@@ -866,29 +741,11 @@ inline void NodeContext::Send(int port, Message m) {
         *macc_ -= support::MessageHash(node_, port, s.word0, size);
       }
     }
-    const int32_t stamp = epoch_;
     s.word0 = m.word0;
-    s.meta = internal::MailSlot::Meta(stamp, m.size);
+    s.meta = internal::MailSlot::Meta(epoch_, m.size);
     *sent_ += m.present();
     if (macc_ != nullptr && m.present()) {
       *macc_ += support::MessageHash(node_, port, m.word0, m.size);
-    }
-    if (notify_stamp_ != nullptr && (m.size != 0 || m.word0 != 0)) {
-      // Scheduled run: record the receiver as a wake candidate, once per
-      // round (epoch-stamped dedup; the relaxed exchange makes concurrent
-      // shards agree on a single recorder). The observability predicate
-      // matches Recv's view and the snapshot layer's deliverable set — a
-      // message a sleeping receiver could not distinguish from silence must
-      // not wake it, or visit counts would diverge across engines. Whether
-      // the candidate is actually asleep (and whether an observable message
-      // still sits in its inbox after later overwrites) is resolved at the
-      // round barrier.
-      const int r = chan_owner_[c];
-      if (notify_stamp_[r].load(std::memory_order_relaxed) != stamp &&
-          notify_stamp_[r].exchange(stamp, std::memory_order_relaxed) !=
-              stamp) {
-        notified_->push_back(r);
-      }
     }
     return;
   }

@@ -33,7 +33,6 @@ ReferenceNetwork::ReferenceNetwork(GraphView graph, std::vector<int64_t> ids,
   inbox_.assign(channels, Message{});
   outbox_.assign(channels, Message{});
   halted_.assign(n, 0);
-  wake_round_.assign(n, 0);
   // Materialize the slot tables once: every channel access, the content
   // digest's inbox scan, and Resume's deliverable placement read them.
   // Slots fit int here (the base's ValidateChannelScale bounds 2m).
@@ -72,9 +71,6 @@ void ReferenceNetwork::HaltAt(int node) {
 int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
                                int pause_at_round) {
   const int n = graph_.NumNodes();
-  // As in Network: with wake_scheduling off every node wakes in round 0
-  // and every visit re-wakes it for the next round.
-  const bool honor_sleeps = wake_opt_;
   std::unique_ptr<SnapshotData> snap;
   const RunStart start = BeginRun(alg, /*inv=*/nullptr, snap);
   if (start == RunStart::kResume) {
@@ -88,24 +84,13 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
     for (const SnapshotMessage& msg : run.deliverable) {
       inbox_[inc_off_[msg.node] + msg.port] = Message{msg.word0, msg.size};
     }
-    // The snapshot's wake plane is external-indexed — exactly this
-    // engine's layout.
-    for (int v = 0; v < n; ++v) {
-      wake_round_[v] = honor_sleeps ? std::max(run.wake[v], round_) : round_;
-    }
   } else if (start == RunStart::kFresh) {
     num_halted_ = 0;
     std::fill(halted_.begin(), halted_.end(), 0);
     std::fill(inbox_.begin(), inbox_.end(), Message{});
     std::fill(outbox_.begin(), outbox_.end(), Message{});
-    for (int v = 0; v < n; ++v) {
-      const int w = honor_sleeps ? alg.InitialWakeRound(v) : 0;
-      wake_round_[v] = w <= 0 ? 0 : (w >= kNoWakeRound ? kNoWakeRound : w);
-    }
   }
-  // kContinue: everything is live as the pause left it (including the wake
-  // rounds; the naive engine keeps no calendar, so there is nothing to
-  // rebuild).
+  // kContinue: everything is live as the pause left it.
   support::FaultInjector* const fault = fault_;
 
   NodeContext ctx(graph_, ids_.data(), this);
@@ -116,23 +101,15 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
     StartRoundTimer();
     ctx.round_ = round_;
     const int active_now = n - num_halted_;
-    int64_t visits = 0;
     int64_t decisions = 0;
     for (int v = 0; v < n; ++v) {
-      if (halted_[v] || wake_round_[v] != round_) continue;
+      if (halted_[v]) continue;
       ctx.node_ = v;
       ctx.state_ = state_.data() + static_cast<size_t>(v) * state_stride_;
-      ctx.sleep_until_ = round_ + 1;
       if (fault != nullptr) fault->OnVisit(round_);
       visit_sent_delta_ = 0;
       alg.OnRound(ctx);
-      ++visits;
       decisions += (visit_sent_delta_ != 0 || halted_[v]) ? 1 : 0;
-      if (!halted_[v]) {
-        wake_round_[v] = honor_sleeps && ctx.sleep_until_ > round_
-                             ? ctx.sleep_until_
-                             : round_ + 1;
-      }
     }
     // Deliver: what was sent this round is readable next round.
     std::swap(inbox_, outbox_);
@@ -152,17 +129,8 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
                                        m.word0, m.size);
         }
       }
-      if (m.size != 0 || m.word0 != 0) {
-        // Message-wake invariant, spelled out: any observable delivery
-        // pulls a sleeping receiver to the next round.
-        const int recv = slot_node_[s];
-        if (!halted_[recv] && wake_round_[recv] > round_ + 1) {
-          wake_round_[recv] = round_ + 1;
-          ++wakes_;
-        }
-      }
     }
-    RecordRound(active_now, sent, visits, decisions, macc);
+    RecordRound(active_now, sent, decisions, macc);
     StopRoundTimer();
     ++round_;
   }
@@ -172,7 +140,6 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
 void ReferenceNetwork::SaveBoundary(SnapshotData& snap) const {
   SnapshotData::RunSection& run = snap.run;
   run.halted = halted_;
-  run.wake = wake_round_;
   if (snap.finished) return;
   // The naive engine has no epoch stamps; a boundary inbox holds exactly
   // last round's sends (everything else was cleared), so any non-zero slot

@@ -20,21 +20,16 @@ namespace treelocal::local {
 // exactly the behavior the optimized engine eliminates. The checkpoint is
 // canonical, so the oracle can pick up any Network checkpoint and vice
 // versa — the strongest differential check of the resume path.
-//
-// Message wakes are the wake semantics spelled out: a plain per-node wake
-// round, a full O(n) scan that visits exactly the nodes whose wake round
-// equals this round, and a post-swap O(2m) inbox scan that wakes the
-// receiver of every observable message — no calendar, no notify lists.
 class ReferenceNetwork : public Engine {
  public:
   // Accepts either backend via the implicit GraphView conversions; the
   // view (and the backend behind it) must outlive the engine.
   ReferenceNetwork(GraphView graph, std::vector<int64_t> ids);
   // Options form: honors digest_messages (content hashing here is a naive
-  // O(2m)-per-round inbox scan — reference semantics, reference cost),
-  // fault and wake_scheduling; relabel is accepted and ignored (pure
-  // layout, transcripts are relabel-invariant by contract, and the naive
-  // engine has no layout), so the state plane is external-indexed.
+  // O(2m)-per-round inbox scan — reference semantics, reference cost) and
+  // fault; relabel is accepted and ignored (pure layout, transcripts are
+  // relabel-invariant by contract, and the naive engine has no layout), so
+  // the state plane is external-indexed.
   ReferenceNetwork(GraphView graph, std::vector<int64_t> ids,
                    const NetworkOptions& options);
 
@@ -62,13 +57,11 @@ class ReferenceNetwork : public Engine {
   std::vector<Message> inbox_;   // indexed by receiving slot
   std::vector<Message> outbox_;  // indexed by receiving slot
   std::vector<char> halted_;
-  // Wake scheduling: external-indexed wake rounds, and the per-visit
-  // net-present-send delta SendAt maintains so the decision counter
-  // matches the optimized engines' counter-delta predicate exactly
+  // The per-visit net-present-send delta SendAt maintains so the decision
+  // counter matches the optimized engine's counter-delta predicate exactly
   // (outbox_ is cleared each round, so the pre-overwrite present() flag
   // reflects only this round's earlier writes — the same set the CSR
-  // engines' epoch check isolates).
-  std::vector<int32_t> wake_round_;
+  // engine's epoch check isolates).
   int64_t visit_sent_delta_ = 0;
   int num_halted_ = 0;
 };

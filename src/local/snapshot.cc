@@ -143,17 +143,6 @@ void ValidateData(const SnapshotData& snap) {
     Check(h == 0 || h == 1, "halt flag not 0/1");
     halted_count += h;
   }
-  Check(static_cast<int32_t>(run.wake.size()) == snap.n,
-        "wake section size disagrees with n");
-  for (int32_t v = 0; v < snap.n; ++v) {
-    if (run.halted[static_cast<size_t>(v)] != 0) {
-      Check(run.wake[static_cast<size_t>(v)] == 0,
-            "halted node records a nonzero wake round");
-    } else {
-      Check(run.wake[static_cast<size_t>(v)] >= snap.round,
-            "live node's wake round precedes the snapshot round");
-    }
-  }
   if (snap.finished) {
     Check(halted_count == snap.n, "finished snapshot with live nodes");
   }
@@ -228,7 +217,6 @@ void WriteSnapshot(std::ostream& out, const SnapshotData& snap) {
   w.U32(snap.version);
   w.U32(snap.digest_messages ? kSnapshotFlagDigestMessages : 0);
   w.U32(static_cast<uint32_t>(snap.engine_kind));
-  w.I32(1);  // batch word
   w.I32(snap.round);
   w.U32(snap.finished ? 1 : 0);
   w.I32(snap.n);
@@ -253,7 +241,6 @@ void WriteSnapshot(std::ostream& out, const SnapshotData& snap) {
     w.U64(r.digest);
   }
   w.Raw(run.halted.data(), run.halted.size());
-  for (int32_t wk : run.wake) w.I32(wk);
   w.U32(run.state_stride);
   w.Raw(run.state.data(), run.state.size());
   w.U32(static_cast<uint32_t>(run.deliverable.size()));
@@ -261,7 +248,6 @@ void WriteSnapshot(std::ostream& out, const SnapshotData& snap) {
     w.I32(msg.node);
     w.I32(msg.port);
     w.I64(msg.word0);
-    w.I64(0);  // retired second word
     w.U8(msg.size);
   }
   const uint64_t file_hash = Fnv1a64(w.bytes().data(), w.bytes().size());
@@ -305,9 +291,6 @@ SnapshotData ReadSnapshot(std::istream& in) {
   Check(snap.engine_kind == SnapshotEngineKind::kNetwork ||
             snap.engine_kind == SnapshotEngineKind::kReferenceNetwork,
         "unknown engine kind " + std::to_string(kind));
-  const int32_t batch = r.I32();
-  Check(batch == 1, "batch word " + std::to_string(batch) +
-                        " (this build reads single-run images only)");
   snap.round = r.I32();
   snap.finished = r.U32() != 0;
   snap.n = r.I32();
@@ -346,10 +329,6 @@ SnapshotData ReadSnapshot(std::istream& in) {
   }
   run.halted.resize(static_cast<size_t>(snap.n));
   r.Raw(run.halted.data(), run.halted.size(), "halt flags");
-  Check(static_cast<uint64_t>(snap.n) * 4 <= r.remaining(),
-        "wake section larger than the remaining payload");
-  run.wake.resize(static_cast<size_t>(snap.n));
-  for (int32_t& wk : run.wake) wk = r.I32();
   run.state_stride = r.U32();
   const uint64_t state_bytes =
       static_cast<uint64_t>(snap.n) * run.state_stride;
@@ -358,16 +337,13 @@ SnapshotData ReadSnapshot(std::istream& in) {
   run.state.resize(state_bytes);
   r.Raw(run.state.data(), run.state.size(), "state plane");
   const uint32_t msg_count = r.U32();
-  Check(static_cast<uint64_t>(msg_count) * 25 <= r.remaining(),
+  Check(static_cast<uint64_t>(msg_count) * 17 <= r.remaining(),
         "deliverable list larger than the remaining payload");
   run.deliverable.resize(msg_count);
   for (SnapshotMessage& msg : run.deliverable) {
     msg.node = r.I32();
     msg.port = r.I32();
     msg.word0 = r.I64();
-    const int64_t retired = r.I64();
-    Check(retired == 0, "deliverable message's retired second word is " +
-                            std::to_string(retired) + ", not 0");
     msg.size = r.U8();
   }
   Check(r.remaining() == 0, "trailing bytes after the run section");

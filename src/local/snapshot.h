@@ -32,43 +32,32 @@ namespace treelocal::local {
 // tag" the strongest form of the bit-identity gate (the tests normalize
 // the tag and compare everything else).
 //
-// File layout (version 3, little-endian, fixed-width):
-//   magic (8) | version (4) | flags (4) | engine_kind (4) | batch (4) |
-//   round (4) | finished (4) | n (4) | m (8) | graph_hash (8) |
-//   ids_hash (8) | edges (2m * 4) | ids (n * 8) | run section |
+// File layout (version 4, little-endian, fixed-width):
+//   magic (8) | version (4) | flags (4) | engine_kind (4) | round (4) |
+//   finished (4) | n (4) | m (8) | graph_hash (8) | ids_hash (8) |
+//   edges (2m * 4) | ids (n * 8) | run section |
 //   file FNV-1a over all preceding bytes (8)
-// The batch word counted the run sections of a retired multi-instance
-// engine; it is always written as 1, and any other value is refused.
 // Run section:
 //   messages_delivered (8) | rounds_completed (4) | round_count (4) |
 //   per round: active (4) | sent (8) | visits (8) | decisions (8) |
 //   msg_acc (8) | digest (8) |
-//   halted (n * 1) | wake (n * 4) | state_stride (4) | state (n * stride) |
+//   halted (n * 1) | state_stride (4) | state (n * stride) |
 //   deliverable_count (4) | per message: node (4) | port (4) | word0 (8) |
-//   retired (8) | size (1)
-// Messages are one word since the second one was retired; its 8 bytes stay
-// in the layout, are written as 0, and a nonzero value (like a size above
-// 1) is refused on read.
+//   size (1)
+// A message is one word; a size above 1 is refused on read.
 //
-// Version history: v1 had no wake section and 28-byte round records
-// (active | sent | msg_acc | digest). v2 adds the per-node wake plane and
-// the visits/decisions observability counters. v3 keeps v2's layout but
-// changes what the deliverable messages of rake-compress and the
+// Version history: v1 had 28-byte round records (active | sent | msg_acc
+// | digest). v2 added a per-node wake plane (n * 4, after the halt flags)
+// and the visits/decisions observability counters. v3 kept v2's layout but
+// changed what the deliverable messages of rake-compress and the
 // decomposition mean: their degree announcement went from two words
-// (tag, degree) to one (tag | degree << 2), so a v2 image of those runs
-// would resume into a misread. This build reads only its own version —
-// older or newer payloads throw SnapshotVersionError naming both versions,
+// (tag, degree) to one (tag | degree << 2). v4 drops the three fields v3
+// carried for retired features: the header's batch word (after
+// engine_kind; always 1), the wake plane (the engines visit every live
+// node every round), and each deliverable message's second word (8 bytes
+// after word0; always 0). This build reads only its own version — older
+// or newer payloads throw SnapshotVersionError naming both versions,
 // never a silent misparse.
-//
-// The wake plane is canonical like everything else: external-indexed,
-// halted nodes record 0, and live nodes record their wake round
-// W >= snap.round (kNoWakeRound = parked until a message arrives).
-// W == snap.round means "awake at the boundary", which is every live node
-// of a dense run and of a run that ignores sleeps (wake_scheduling off). A
-// resume that ignores sleeps wakes every live node at the boundary; any
-// other resume rebuilds its calendar from the plane — so scheduling
-// configuration, like engine class, is a resume-side choice, not a
-// snapshot property.
 //
 // ReadSnapshot validates the trailing file hash first (any truncation or
 // bit flip fails cleanly), then parses with bounds checks and validates
@@ -84,7 +73,7 @@ class SnapshotError : public std::runtime_error {
 };
 
 inline constexpr uint64_t kSnapshotMagic = 0x315041'4e534c54ull;  // "TLSNAP01"
-inline constexpr uint32_t kSnapshotVersion = 3;
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 // Thrown when a payload carries a version this build does not read —
 // whether an old v1 file or a future format. Structured so callers can
@@ -166,10 +155,6 @@ struct SnapshotData {
     int32_t rounds_completed = 0;
     std::vector<SnapshotRound> rounds;
     std::vector<char> halted;             // n entries, external-indexed
-    // Canonical per-node wake rounds (n entries, external-indexed): 0 for
-    // halted nodes, the node's wake round W >= snap.round (kNoWakeRound
-    // for parked) for live ones. See the layout comment above.
-    std::vector<int32_t> wake;
     uint32_t state_stride = 0;
     std::vector<unsigned char> state;     // n * state_stride bytes
     std::vector<SnapshotMessage> deliverable;

@@ -31,8 +31,9 @@ struct ResidentGraph {
   bool is_forest = false;
   int max_degree = 0;
   // The quota accounting unit: CSR + id assignment + the engine's
-  // EngineMemory() at admission. The engine's state plane and wake tables
-  // are armed by its first runs and are not in this figure.
+  // EngineMemory() at admission. Besides the per-round run log, the only
+  // bytes it leaves out are the state plane, n x StateBytes, which the
+  // engine's first runs arm.
   size_t memory_bytes = 0;
   // Over `graph` and `ids` (declared after them, so destroyed first). Only
   // the dispatcher thread runs it; the pointer itself never changes, so a

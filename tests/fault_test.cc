@@ -171,8 +171,7 @@ TEST(FaultTest, SeededCrashRecoveryIsBitIdentical) {
     ++pause;
   }
   const int clean_rounds = static_cast<int>(clean.round_stats().size());
-  // visits is exactly what FaultInjector::OnVisit counts (under wake
-  // scheduling it can be smaller than active_nodes, the live count).
+  // visits is exactly what FaultInjector::OnVisit counts.
   for (const auto& rs : clean.round_stats()) total_visits += rs.visits;
   const std::string want = CheckpointBytes(clean);
   ASSERT_EQ(static_cast<int>(at_round.size()), clean_rounds);

@@ -484,15 +484,14 @@ TEST(NetworkTest, RoundTimesCoverExecutedRounds) {
   }
 }
 
-// Sleeps every node until round node % 3, counts its visits in its state
-// slot, then halts: arms the state plane and the wake tables.
+// Counts every node's visits in its state slot and halts it in round
+// node % 3: arms the state plane.
 class StaggeredHalt : public Algorithm {
  public:
   size_t StateBytes() const override { return sizeof(int64_t); }
-  int InitialWakeRound(int node) const override { return node % 3; }
   void OnRound(NodeContext& ctx) override {
     ++ctx.State<int64_t>();
-    ctx.Halt();
+    if (ctx.round() >= ctx.node() % 3) ctx.Halt();
   }
 };
 
@@ -555,7 +554,6 @@ TEST(NetworkTest, RankOrderedChannelTables) {
         ASSERT_EQ(t.first[i + 1] - t.first[i], g.Degree(v)) << "rank " << i;
         for (int c = t.first[i]; c < t.first[i + 1]; ++c) owner[c] = i;
       }
-      EXPECT_EQ(local::internal::BuildChanOwner(t.first), owner);
       for (int i = 0; i < n; ++i) {
         const int v = t.order[i];
         for (int p = 0; p < g.Degree(v); ++p) {
@@ -570,111 +568,111 @@ TEST(NetworkTest, RankOrderedChannelTables) {
   }
 }
 
-// EngineMemory's parts add up to its total, and the parts construction
-// allocates have their closed-form sizes: the channel tables are one
-// rank-ordered CSR (n + 1 offsets, whose differences are the degrees, and
-// 2m send channels), the mailboxes are two 2m-slot arrays of 12-byte slots
-// (48 B/edge) and stay so after every run, and the worklist holds the
-// active list, halt flags and rank order, plus the permutation under
-// relabel. The state plane and wake tables appear with the first run that
-// needs them.
+// EngineMemory's parts add up to its total, and every part but the run
+// log has its closed-form size: the channel tables are one rank-ordered CSR
+// (n + 1 offsets, whose differences are the degrees, and 2m send
+// channels), the mailboxes are two 2m-slot arrays of 12-byte slots (48
+// B/edge), and the worklist holds the live ranks, halt flags and rank
+// order, the permutation under relabel, and one cache line per lane. The
+// state plane appears with the first run that declares one. Nothing else
+// grows with a run, whatever the algorithm.
 TEST(NetworkTest, EngineMemoryPartsSumToTotal) {
   const int n = 500;
   const Graph g = UniformRandomTree(n, 15);
   const size_t m = static_cast<size_t>(g.NumEdges());
   const auto sum = [](const local::EngineBytes& b) {
     return b.channel_tables + b.mailboxes + b.worklist + b.ids +
-           b.state_plane + b.wake_tables + b.run_log;
+           b.state_plane + b.run_log;
   };
-  for (const bool relabel : {false, true}) {
-    SCOPED_TRACE(relabel ? "relabel" : "no relabel");
-    local::NetworkOptions opt;
-    opt.relabel = relabel;
-    Network net(g, DefaultIds(n, 16), opt);
-    local::EngineBytes b = net.EngineMemory();
-    EXPECT_EQ(sum(b), b.total());
-    EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
-    EXPECT_EQ(b.channel_tables, (n + 1 + 2 * m) * sizeof(int));
-    EXPECT_EQ(b.ids, n * sizeof(int64_t));
-    EXPECT_GE(b.worklist, n * (sizeof(int) + sizeof(char) + sizeof(int)) +
-                              (relabel ? n * sizeof(int) : 0));
-    EXPECT_EQ(b.state_plane, 0u);
-    EXPECT_EQ(b.wake_tables, 0u);
+  for (const int threads : {1, 3}) {
+    for (const bool relabel : {false, true}) {
+      SCOPED_TRACE(std::string(relabel ? "relabel" : "no relabel") +
+                   " T=" + std::to_string(threads));
+      local::NetworkOptions opt;
+      opt.relabel = relabel;
+      Network net(g, DefaultIds(n, 16), threads, opt);
+      const size_t worklist = n * (sizeof(int) + sizeof(char) + sizeof(int)) +
+                              (relabel ? n * sizeof(int) : 0) + 64 * threads;
+      local::EngineBytes b = net.EngineMemory();
+      EXPECT_EQ(sum(b), b.total());
+      EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
+      EXPECT_EQ(b.channel_tables, (n + 1 + 2 * m) * sizeof(int));
+      EXPECT_EQ(b.ids, n * sizeof(int64_t));
+      EXPECT_EQ(b.worklist, worklist);
+      EXPECT_EQ(b.state_plane, 0u);
+      EXPECT_EQ(b.run_log, 0u);
 
-    StaggeredHalt alg;
-    EXPECT_EQ(net.Run(alg, 10), 3);
-    b = net.EngineMemory();
-    EXPECT_EQ(sum(b), b.total());
-    EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
-    EXPECT_EQ(b.state_plane, n * sizeof(int64_t));
-    EXPECT_GT(b.wake_tables, 0u);
-    EXPECT_GT(b.run_log, 0u);
+      StaggeredHalt alg;
+      EXPECT_EQ(net.Run(alg, 10), 3);
+      for (int v = 0; v < n; ++v) {
+        EXPECT_EQ(net.StateAt<int64_t>(v), v % 3 + 1) << "node " << v;
+      }
+      b = net.EngineMemory();
+      EXPECT_EQ(sum(b), b.total());
+      EXPECT_EQ(b.state_plane, n * sizeof(int64_t));
+      EXPECT_GT(b.run_log, 0u);
 
-    // A relay run and a rake-compress leave them as they were.
-    RelayWords relay(n, 4);
-    net.Run(relay, 10);
-    b = net.EngineMemory();
-    EXPECT_EQ(sum(b), b.total());
-    EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
-    RunRakeCompress(net, 2);
-    EXPECT_EQ(net.EngineMemory().mailboxes, 2 * 2 * m * 12);
+      // A relay run and a rake-compress leave every closed-form part as it
+      // was.
+      RelayWords relay(n, 4);
+      net.Run(relay, 10);
+      RunRakeCompress(net, 2);
+      b = net.EngineMemory();
+      EXPECT_EQ(sum(b), b.total());
+      EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
+      EXPECT_EQ(b.channel_tables, (n + 1 + 2 * m) * sizeof(int));
+      EXPECT_EQ(b.worklist, worklist);
+    }
   }
 }
 
-// Node 0 broadcasts in round 0 and halts; every other node parks until a
-// message arrives, then passes it on and halts: a wave that visits each
-// node exactly once, all but node 0 by message wake.
-class ParkedFlood : public Algorithm {
+// Node 0 broadcasts in round 0 and halts; every other node waits for a
+// message, then passes it on and halts. Stateless, so it runs sharded
+// without shared writes (Flood's bit vector is not).
+class FloodWave : public Algorithm {
  public:
-  int InitialWakeRound(int node) const override {
-    return node == 0 ? 0 : local::kNoWakeRound;
-  }
   void OnRound(NodeContext& ctx) override {
+    bool heard = ctx.node() == 0;
+    for (int p = 0; p < ctx.degree() && !heard; ++p) {
+      heard = ctx.Recv(p).present();
+    }
+    if (!heard) return;
     ctx.Broadcast(Message::Of(1));
     ctx.Halt();
   }
 };
 
-// Every run walks the wake calendar, but the message-wake tables (a
-// channel-owner entry per channel plus a notify stamp per node) are built
-// only by the first run that parks a node: a dense run such as
-// rake-compress holds just the per-node wake rounds and bucket stamps, and
-// visits every live node every round. Once built, the tables are reused by
-// later runs without growing.
-TEST(NetworkTest, MessageWakeTablesArmOnlyWhenANodeParks) {
+// Every live node runs in every round: visits equal active_nodes in every
+// round, for a dense algorithm (rake-compress) and for one whose nodes
+// mostly wait (a flood), at every thread count and on both engines.
+TEST(NetworkTest, EveryLiveNodeRunsEveryRound) {
   const int n = 2000;
   const Graph g = UniformRandomTree(n, 21);
   const auto ids = DefaultIds(n, 22);
-  const size_t calendar_bytes = 2 * n * sizeof(int32_t);
-  const size_t owner_bytes = 2 * static_cast<size_t>(g.NumEdges()) *
-                             sizeof(int);
-  for (const int threads : {1, 3}) {
-    SCOPED_TRACE("T=" + std::to_string(threads));
-    Network net(g, ids, threads, local::NetworkOptions{});
+  const auto check = [&](local::Engine& net, const std::string& label) {
+    SCOPED_TRACE(label);
     RunRakeCompress(net, 2);
     ASSERT_FALSE(net.round_stats().empty());
     for (const local::RoundStats& rs : net.round_stats()) {
       EXPECT_EQ(rs.visits, rs.active_nodes);
     }
-    EXPECT_EQ(net.wakes(), 0);
-    EXPECT_EQ(net.EngineMemory().wake_tables, calendar_bytes);
-
-    ParkedFlood flood;
-    net.Run(flood, n + 1);
-    int64_t visits = 0;
-    for (const local::RoundStats& rs : net.round_stats()) visits += rs.visits;
-    EXPECT_EQ(visits, n);
-    EXPECT_EQ(net.wakes(), n - 1);
-    const size_t armed = net.EngineMemory().wake_tables;
-    EXPECT_GE(armed, calendar_bytes + owner_bytes + n * sizeof(int32_t));
-
-    ParkedFlood again;
-    net.Run(again, n + 1);
-    EXPECT_EQ(net.wakes(), n - 1);
-    EXPECT_EQ(net.EngineMemory().wake_tables, armed);
-    RunRakeCompress(net, 2);
-    EXPECT_EQ(net.EngineMemory().wake_tables, armed);
+    FloodWave flood;
+    const int rounds = net.Run(flood, n + 1);
+    EXPECT_GT(rounds, 2);
+    int64_t decisions = 0;
+    for (const local::RoundStats& rs : net.round_stats()) {
+      EXPECT_EQ(rs.visits, rs.active_nodes);
+      decisions += rs.decisions;
+    }
+    EXPECT_EQ(decisions, n);  // each node acts once, when it halts
+    EXPECT_EQ(net.round_stats().front().active_nodes, n);
+  };
+  for (const int threads : {1, 3}) {
+    Network net(g, ids, threads, local::NetworkOptions{});
+    check(net, "Network T=" + std::to_string(threads));
   }
+  local::ReferenceNetwork reference(g, ids);
+  check(reference, "ReferenceNetwork");
 }
 
 }  // namespace

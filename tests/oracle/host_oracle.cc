@@ -64,12 +64,7 @@ class NodeSweepAlgorithm : public local::Algorithm {
 
   // A node acts in exactly two rounds — its class round (decide +
   // announce) and the shared final round num_colors - 1 (the staged halt).
-  // Every other visit only drains Recv into the local view, which the
-  // message-wake invariant already covers.
-  int InitialWakeRound(int node) const override {
-    return static_cast<int>((*colors_)[node]);
-  }
-
+  // Every other visit only drains Recv into the local view.
   void OnRound(local::NodeContext& ctx) override {
     const int v = ctx.node();
     const int64_t color = ctx.State<SweepState>().color;
@@ -102,9 +97,6 @@ class NodeSweepAlgorithm : public local::Algorithm {
       ctx.Halt();
       return;
     }
-    // Still alive (message-woken early, or just decided): next scheduled
-    // action is my class round if it is still ahead, else the staged halt.
-    ctx.SleepUntil(static_cast<int>(t < color ? color : num_colors_ - 1));
   }
 
  private:

@@ -63,7 +63,7 @@ void ResumeBytes(local::Engine& net, const std::string& bytes) {
 // Overwrites the little-endian word of `width` bytes (a u32 by default) at
 // `offset` and re-hashes the integrity footer, so the patched word reaches
 // the parser instead of failing the hash check. Header offsets: version 8,
-// engine_kind 16, batch word 20.
+// engine_kind 16, round 20.
 std::string WithWord(std::string bytes, size_t offset, uint32_t value,
                      int width = 4) {
   for (int i = 0; i < width; ++i) {
@@ -191,49 +191,92 @@ TEST(SnapshotTest, MidRunSnapshotsIdenticalAcrossEngines) {
   }
 }
 
+// Staged sweep: node v broadcasts its id once, in round (7 v) mod K, folds
+// every message it receives into its state slot, and every node halts in
+// round K - 1. Most visits find nothing to do, as in the class sweeps.
+class StagedSweep : public Algorithm {
+ public:
+  explicit StagedSweep(int num_rounds) : k_(num_rounds) {}
+  size_t StateBytes() const override { return sizeof(int64_t); }
+  void InitState(int node, void* state) override {
+    *static_cast<int64_t*>(state) = node;
+  }
+  void OnRound(local::NodeContext& ctx) override {
+    int64_t& acc = ctx.State<int64_t>();
+    for (int p = 0; p < ctx.degree(); ++p) {
+      const local::Message m = ctx.Recv(p);
+      if (m.present()) acc = acc * 31 + m.word0;
+    }
+    const int r = ctx.round();
+    if (r == ctx.node() * 7 % k_) ctx.Broadcast(local::Message::Of(ctx.id()));
+    if (r >= k_ - 1) ctx.Halt();
+  }
+
+ private:
+  const int k_;
+};
+
 // Checkpoint on one engine class, resume on another: the canonical image
 // carries no layout, so every (recorder, resumer) pair must continue to the
 // same final image. The T=1 Network pairs cross the relabel boundary in
 // both directions, which pins the checkpoint gather, the resume scatter
-// and the rank-order worklist rebuild.
+// and the rank-order worklist rebuild. Two inputs: rake-compress paused
+// early, and a staged sweep paused mid-sweep, with half its broadcasts
+// still ahead.
 TEST(SnapshotTest, CrossEngineResume) {
-  const int n = 220, k = 3, pause = 2;
+  const int n = 220;
   const Graph g = BoundedDegreeRandomTree(n, 5, 33);
   const auto ids = DefaultIds(n, 34);
-  const SnapshotData want = FinalImage(g, ids, k, /*digest_messages=*/true);
   NetworkOptions plain, relabel;
   plain.digest_messages = relabel.digest_messages = true;
   plain.relabel = false;
 
-  std::vector<std::string> recordings;
-  auto record = [&](auto net) {
-    auto alg = MakeRakeCompressAlgorithm(k);
-    net->RunUntil(*alg, kMaxRounds, pause);
-    ASSERT_TRUE(net->paused());
-    recordings.push_back(CheckpointBytes(*net));
-  };
-  record(std::make_unique<Network>(g, ids, relabel));
-  record(std::make_unique<Network>(g, ids, plain));
-  record(std::make_unique<ParallelNetwork>(g, ids, 4, plain));
-  record(std::make_unique<ReferenceNetwork>(g, ids, plain));
+  const auto cross = [&](auto make_alg, int pause) {
+    Network whole(g, ids, plain);
+    auto whole_alg = make_alg();
+    whole.Run(*whole_alg, kMaxRounds);
+    const SnapshotData want = ParseBytes(CheckpointBytes(whole));
 
-  auto finish_and_check = [&](auto net, const std::string& bytes) {
-    auto alg = MakeRakeCompressAlgorithm(k);
-    ResumeBytes(*net, bytes);
-    net->Run(*alg, kMaxRounds);
-    SnapshotData got = ParseBytes(CheckpointBytes(*net));
-    got.engine_kind = want.engine_kind;
-    EXPECT_TRUE(got == want);
+    std::vector<std::string> recordings;
+    auto record = [&](auto net) {
+      auto alg = make_alg();
+      net->RunUntil(*alg, kMaxRounds, pause);
+      ASSERT_TRUE(net->paused());
+      recordings.push_back(CheckpointBytes(*net));
+    };
+    record(std::make_unique<Network>(g, ids, relabel));
+    record(std::make_unique<Network>(g, ids, plain));
+    record(std::make_unique<ParallelNetwork>(g, ids, 4, plain));
+    record(std::make_unique<ReferenceNetwork>(g, ids, plain));
+
+    auto finish_and_check = [&](auto net, const std::string& bytes) {
+      auto alg = make_alg();
+      ResumeBytes(*net, bytes);
+      net->Run(*alg, kMaxRounds);
+      SnapshotData got = ParseBytes(CheckpointBytes(*net));
+      got.engine_kind = want.engine_kind;
+      EXPECT_TRUE(got == want);
+    };
+    for (size_t i = 0; i < recordings.size(); ++i) {
+      SCOPED_TRACE("recording " + std::to_string(i));
+      finish_and_check(std::make_unique<Network>(g, ids, plain),
+                       recordings[i]);
+      finish_and_check(std::make_unique<Network>(g, ids, relabel),
+                       recordings[i]);
+      finish_and_check(std::make_unique<ParallelNetwork>(g, ids, 8, relabel),
+                       recordings[i]);
+      finish_and_check(std::make_unique<ReferenceNetwork>(g, ids, plain),
+                       recordings[i]);
+    }
   };
-  for (size_t i = 0; i < recordings.size(); ++i) {
-    SCOPED_TRACE("recording " + std::to_string(i));
-    finish_and_check(std::make_unique<Network>(g, ids, plain), recordings[i]);
-    finish_and_check(std::make_unique<Network>(g, ids, relabel),
-                     recordings[i]);
-    finish_and_check(std::make_unique<ParallelNetwork>(g, ids, 8, relabel),
-                     recordings[i]);
-    finish_and_check(std::make_unique<ReferenceNetwork>(g, ids, plain),
-                     recordings[i]);
+  {
+    SCOPED_TRACE("rake-compress");
+    cross([] { return MakeRakeCompressAlgorithm(3); }, 2);
+  }
+  {
+    SCOPED_TRACE("staged sweep");
+    const int k = 16;
+    cross([k] { return std::make_unique<StagedSweep>(k); }, k / 2);
   }
 }
 
@@ -283,11 +326,10 @@ TEST(SnapshotTest, FinishedSnapshotRoundTripsByteExact) {
   EXPECT_EQ(CheckpointBytes(net2), bytes);
 }
 
-// Header words only retired engines wrote: a batch word other than 1 (a
-// multi-instance image) and the engine tags 1 and 2. Real checkpoint bytes
-// with one such word patched and the footer re-hashed, so integrity
-// passes, are refused by ReadSnapshot with a SnapshotError naming the
-// field, on every engine's Resume, and the engine stays usable.
+// Header words only retired engines wrote: the engine tags 1 and 2. Real
+// checkpoint bytes with one such word patched and the footer re-hashed, so
+// integrity passes, are refused by ReadSnapshot with a SnapshotError naming
+// the field, on every engine's Resume, and the engine stays usable.
 TEST(SnapshotTest, RetiredHeaderWordsAreRefused) {
   const int n = 140, k = 3, pause = 2;
   const Graph g = UniformRandomTree(n, 61);
@@ -304,7 +346,6 @@ TEST(SnapshotTest, RetiredHeaderWordsAreRefused) {
     std::string bytes;
     std::string field;
   } cases[] = {
-      {"batch word 2", WithWord(bytes, 20, 2), "batch word 2"},
       {"engine tag 1", WithWord(bytes, 16, 1), "engine kind 1"},
       {"engine tag 2", WithWord(bytes, 16, 2), "engine kind 2"},
   };
@@ -327,9 +368,8 @@ TEST(SnapshotTest, RetiredHeaderWordsAreRefused) {
     expect_refused([&] { ResumeBytes(par, c.bytes); });
     expect_refused([&] { ResumeBytes(ref, c.bytes); });
   }
-  // The words engines write still read, and a rejected resume leaves the
+  // The tags engines write still read, and a rejected resume leaves the
   // engine unchanged and usable.
-  EXPECT_NO_THROW(ParseBytes(WithWord(bytes, 20, 1)));
   EXPECT_EQ(ParseBytes(WithWord(bytes, 16, 3)).engine_kind,
             SnapshotEngineKind::kReferenceNetwork);
   auto alg3 = MakeRakeCompressAlgorithm(k);
@@ -533,11 +573,6 @@ TEST(SnapshotTest, WriteRejectsTamperedData) {
     std::ostringstream out;
     EXPECT_THROW(WriteSnapshot(out, bad), SnapshotVersionError);
   }
-  {
-    SnapshotData bad = good;
-    bad.run.wake[3] = -1;  // below the snapshot round
-    expect_rejected(bad, "wake round before the snapshot round");
-  }
 }
 
 // Every byte-prefix truncation of a valid snapshot must fail with a clean
@@ -646,13 +681,11 @@ class Relay : public Algorithm {
   std::vector<int64_t> sum_;
 };
 
-// Messages are one word. The deliverable records keep the 8 bytes of a
-// retired second word, which must be 0, and a size of at most 1. An image
-// patched to a nonzero retired word or to a size-2 message (footer
-// re-hashed) is refused by ReadSnapshot and by Resume on both engines with
-// an error naming the field; each engine then still resumes the unpatched
-// image and finishes bit-identically.
-TEST(SnapshotTest, RetiredWordAndWideMessagesAreRefused) {
+// Messages are one word: a deliverable record whose size byte is patched
+// to 2 (footer re-hashed) is refused by ReadSnapshot and by Resume on both
+// engines with an error naming the size; each engine then still resumes
+// the unpatched image and finishes bit-identically.
+TEST(SnapshotTest, WideMessagesAreRefused) {
   const int n = 40;
   const Graph g = UniformRandomTree(n, 11);
   const auto ids = DefaultIds(n, 12);
@@ -666,61 +699,113 @@ TEST(SnapshotTest, RetiredWordAndWideMessagesAreRefused) {
   const std::string bytes = CheckpointBytes(first);
   ASSERT_FALSE(ParseBytes(bytes).run.deliverable.empty());
   // The last deliverable record ends the payload, just before the footer:
-  // node (4) | port (4) | word0 (8) | retired (8) | size (1).
-  const size_t last = bytes.size() - 8 - 25;
-  const std::pair<std::string, std::string> patched[] = {
-      {WithWord(bytes, last + 16, 1), "retired second word"},
-      {WithWord(bytes, last + 24, 2, 1), "size 2"},
-  };
-  for (const auto& [image, field] : patched) {
-    SCOPED_TRACE(field);
-    try {
-      ParseBytes(image);
-      FAIL() << "the patched image parsed";
-    } catch (const SnapshotError& e) {
-      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-          << e.what();
+  // node (4) | port (4) | word0 (8) | size (1).
+  const size_t last = bytes.size() - 8 - 17;
+  const std::string image = WithWord(bytes, last + 16, 2, 1);
+  try {
+    ParseBytes(image);
+    FAIL() << "the patched image parsed";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("size 2"), std::string::npos)
+        << e.what();
+  }
+  for (const bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "ReferenceNetwork" : "Network");
+    std::unique_ptr<local::Engine> engine;
+    if (reference) {
+      engine = std::make_unique<ReferenceNetwork>(g, ids);
+    } else {
+      engine = std::make_unique<Network>(g, ids);
     }
-    for (const bool reference : {false, true}) {
-      SCOPED_TRACE(reference ? "ReferenceNetwork" : "Network");
-      std::unique_ptr<local::Engine> engine;
-      if (reference) {
-        engine = std::make_unique<ReferenceNetwork>(g, ids);
-      } else {
-        engine = std::make_unique<Network>(g, ids);
-      }
-      EXPECT_THROW(ResumeBytes(*engine, image), SnapshotError);
-      ResumeBytes(*engine, bytes);
-      Relay tail(n);
-      tail.sum_ = head.sum_;
-      EXPECT_EQ(engine->Run(tail, 10), rounds);
-      EXPECT_EQ(tail.sum_, expect.sum_);
-      EXPECT_EQ(engine->round_digests(), whole.round_digests());
-    }
+    EXPECT_THROW(ResumeBytes(*engine, image), SnapshotError);
+    ResumeBytes(*engine, bytes);
+    Relay tail(n);
+    tail.sum_ = head.sum_;
+    EXPECT_EQ(engine->Run(tail, 10), rounds);
+    EXPECT_EQ(tail.sum_, expect.sum_);
+    EXPECT_EQ(engine->round_digests(), whole.round_digests());
   }
 }
 
-// v3 changed the meaning of rake-compress's and the decomposition's
-// deliverable messages (one packed word instead of a tag and a degree), so
-// a v2 image — header and all, byte for byte as a v2 build wrote it — is
-// refused with the structured version error, never resumed into a misread.
-TEST(SnapshotTest, VersionTwoImageIsRefused) {
-  ASSERT_EQ(kSnapshotVersion, 3u);
+// A parsed image re-encoded in the v3 layout, as a v3 build wrote it: the
+// batch word 1 after engine_kind, a wake plane after the halt flags (0 for
+// halted nodes, the snapshot round for live ones) and a zero second word
+// after each deliverable's word0.
+std::string V3Bytes(const SnapshotData& s) {
+  std::string b;
+  const auto put = [&b](uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      b.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  put(local::kSnapshotMagic, 8);
+  put(3, 4);
+  put(s.digest_messages ? local::kSnapshotFlagDigestMessages : 0, 4);
+  put(static_cast<uint32_t>(s.engine_kind), 4);
+  put(1, 4);  // batch word
+  put(s.round, 4);
+  put(s.finished ? 1 : 0, 4);
+  put(s.n, 4);
+  put(s.m, 8);
+  put(s.graph_hash, 8);
+  put(s.ids_hash, 8);
+  for (const auto& [u, v] : s.edges) {
+    put(u, 4);
+    put(v, 4);
+  }
+  for (const int64_t id : s.ids) put(id, 8);
+  const SnapshotData::RunSection& run = s.run;
+  put(run.messages_delivered, 8);
+  put(run.rounds_completed, 4);
+  put(run.rounds.size(), 4);
+  for (const local::SnapshotRound& r : run.rounds) {
+    put(r.stats.active_nodes, 4);
+    put(r.stats.messages_sent, 8);
+    put(r.stats.visits, 8);
+    put(r.stats.decisions, 8);
+    put(r.msg_acc, 8);
+    put(r.digest, 8);
+  }
+  for (const char h : run.halted) put(h, 1);
+  for (const char h : run.halted) put(h != 0 ? 0 : s.round, 4);
+  put(run.state_stride, 4);
+  for (const unsigned char c : run.state) put(c, 1);
+  put(run.deliverable.size(), 4);
+  for (const local::SnapshotMessage& msg : run.deliverable) {
+    put(msg.node, 4);
+    put(msg.port, 4);
+    put(msg.word0, 8);
+    put(0, 8);  // second word
+    put(msg.size, 1);
+  }
+  put(support::Fnv1a64(b.data(), b.size()), 8);
+  return b;
+}
+
+// v4 dropped the batch word, the wake plane and the deliverables' second
+// word, so a v3 image (the layout a v3 build wrote, with the degree
+// announcements of rake-compress in flight) is refused with the structured
+// version error naming both versions, never parsed into a misread.
+TEST(SnapshotTest, VersionThreeImageIsRefused) {
+  ASSERT_EQ(kSnapshotVersion, 4u);
   const Graph g = UniformRandomTree(64, 3);
   const auto ids = DefaultIds(64, 4);
   Network net(g, ids);
   auto alg = MakeRakeCompressAlgorithm(2);
-  ASSERT_EQ(net.RunUntil(*alg, 100, 1), 1);  // degree announcements in flight
-  std::ostringstream out;
-  net.Checkpoint(out);
-  std::istringstream in(WithWord(out.str(), 8, 2));
+  ASSERT_EQ(net.RunUntil(*alg, 100, 1), 1);
+  const SnapshotData v4 = ParseBytes(CheckpointBytes(net));
+  ASSERT_FALSE(v4.run.deliverable.empty());
+  std::istringstream in(V3Bytes(v4));
   try {
     Network fresh(g, ids);
     fresh.Resume(in);
-    FAIL() << "a v2 image was accepted";
+    FAIL() << "a v3 image was accepted";
   } catch (const SnapshotVersionError& e) {
-    EXPECT_EQ(e.found(), 2u);
-    EXPECT_EQ(e.expected(), 3u);
+    EXPECT_EQ(e.found(), 3u);
+    EXPECT_EQ(e.expected(), 4u);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 4"), std::string::npos) << what;
   }
 }
 

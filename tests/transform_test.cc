@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/complexity.h"
 #include "src/core/transform_edge.h"
@@ -383,6 +385,32 @@ TEST_P(TransformStress, MatchingWithChosenK) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransformStress,
                          ::testing::Range(uint64_t{0}, uint64_t{16}));
+
+// Theorem 15 assumes arboricity at most a. ForestUnion(5000, 3) is a union
+// of three spanning trees, so a = 1 under-states it: the decomposition
+// overruns its Lemma 13 round cap, and the solve refuses the input with an
+// error naming a, k and the bound instead of a bare MaxRoundsExceededError.
+TEST(Thm15PreconditionTest, UnderStatedArboricityIsRefusedByName) {
+  const int n = 5000, a = 1, k = 5;
+  const Graph g = ForestUnion(n, 3, 1);
+  const auto ids = DefaultIds(n, 2);
+  EdgeColoringProblem ec(EdgeColoringProblem::Mode::kEdgeDegreePlusOne,
+                         g.MaxDegree());
+  const std::string bound =
+      std::to_string(DecompositionIterationBound(n, a, k));
+  try {
+    SolveEdgeProblemBoundedArboricity(ec, g, ids, IdSpace(n), a, k);
+    FAIL() << "an arboricity-3 graph was solved with a=1";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("graph arboricity exceeds a=1"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("k=5"), std::string::npos) << what;
+    EXPECT_NE(what.find("Lemma 13 bound of " + bound + " iterations"),
+              std::string::npos)
+        << what;
+  }
+}
 
 }  // namespace
 }  // namespace treelocal
