@@ -1,26 +1,18 @@
 // Parallel-engine acceptance driver: T-sweep scaling curves of the sharded
 // round pass, gated on transcript identity.
 //
-// Two measurements, both on uniform-random-tree rake-compress (the
+// One measurement on uniform-random-tree rake-compress (the
 // bandwidth-bound workload ROADMAP names as the sharding target), merged
-// into BENCH_engine.json as source "bench_parallel":
-//   * parallel_scaling: ParallelNetwork at each T in --threads vs the same
-//     engine at its default T = 1 ("serial") — per-T wall-clock (best of
-//     --reps), speedup, and the per-round wall-clock trajectory. Exits
-//     non-zero if any T's transcript (outputs, rounds, messages, per-round
-//     RoundStats) differs from serial: the determinism contract is the
-//     acceptance gate, speedup is reported but never traded against it.
-//   * relabel_ablation: Network with its default BFS layout
-//     (NetworkOptions::relabel) vs the same engine with relabel off, on the
-//     caller's labels, at each T in --threads, identity-gated, timed in
-//     --reps pairs that alternate which engine runs first; records the
-//     median pair ratio and the win count. Records at n >= 2^20 and T = 1
-//     carry "acceptance": true, which selects the layout's acceptance floor
-//     in check_bench_regression.py.
+// into BENCH_engine.json as source "bench_parallel": parallel_scaling,
+// ParallelNetwork at each T in --threads vs the same engine at its default
+// T = 1 ("serial") — per-T wall-clock (best of --reps), speedup, and the
+// per-round wall-clock trajectory. Exits non-zero if any T's transcript
+// (outputs, rounds, messages, per-round RoundStats) differs from serial:
+// the determinism contract is the acceptance gate, speedup is reported but
+// never traded against it.
 //
 // CI runs this at small n with --threads=4 as the smoke gate; the full-size
 // run (n = 2^20 by default) produces the scaling record for ROADMAP.
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -39,9 +31,6 @@ namespace treelocal {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// The relabel ablation's acceptance size (see the header comment).
-constexpr int kRelabelAcceptanceN = 1 << 20;
 
 double Seconds(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -138,79 +127,6 @@ bool RunScaling(const Graph& tree, const std::vector<int64_t>& ids, int k,
   return ok;
 }
 
-// Plain and relabeled engines timed in pairs. Which engine runs first
-// alternates from rep to rep: a fixed order let the second run inherit
-// the first one's warm caches and the shared host's drift, which biased
-// the ratio. speedup is the median of the per-pair ratios
-// (plain / relabel), and relabel_wins counts the pairs relabel won. The
-// plain side turns relabel off explicitly: NetworkOptions{} is the BFS
-// layout.
-bool RunRelabelAblation(const Graph& tree, const std::vector<int64_t>& ids,
-                        int k, int reps, int threads, bench::JsonWriter& json) {
-  const int n = tree.NumNodes();
-  std::cout << "Relabel ablation at T=" << threads
-            << ": BFS mailbox layout vs caller labels\n";
-
-  local::NetworkOptions off;
-  off.relabel = false;
-  local::Network plain(tree, ids, threads, off);
-  local::Network relabeled(tree, ids, threads, local::NetworkOptions{});
-  RunRakeCompress(plain, k);  // warmups: fault in the mailboxes
-  RunRakeCompress(relabeled, k);
-
-  RakeCompressResult want, got;
-  const auto timed = [&](local::Network& engine, RakeCompressResult& out) {
-    const auto t0 = Clock::now();
-    RakeCompressResult r = RunRakeCompress(engine, k);
-    const double s = Seconds(t0);
-    out = std::move(r);
-    return s;
-  };
-  double plain_s = 1e300, relabel_s = 1e300;
-  std::vector<double> ratios;
-  int relabel_wins = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    double p, r;
-    if (rep % 2 == 0) {
-      p = timed(plain, want);
-      r = timed(relabeled, got);
-    } else {
-      r = timed(relabeled, got);
-      p = timed(plain, want);
-    }
-    plain_s = std::min(plain_s, p);
-    relabel_s = std::min(relabel_s, r);
-    ratios.push_back(p / r);
-    relabel_wins += r < p ? 1 : 0;
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const size_t mid = ratios.size() / 2;
-  const double speedup = ratios.size() % 2 == 1
-                             ? ratios[mid]
-                             : (ratios[mid - 1] + ratios[mid]) / 2;
-
-  const bool identical = SameTranscript(got, want);
-  std::cout << "  caller labels: " << plain_s << " s   relabel: " << relabel_s
-            << " s   median pair speedup " << speedup << "x, relabel won "
-            << relabel_wins << "/" << reps
-            << "  identical=" << (identical ? "yes" : "NO (BUG)") << "\n";
-
-  json.BeginRecord();
-  json.Field("source", "bench_parallel");
-  json.Field("experiment", "relabel_ablation");
-  json.Field("n", n);
-  json.Field("k", k);
-  json.Field("threads", threads);
-  json.Field("pairs", reps);
-  json.Field("acceptance", n >= kRelabelAcceptanceN && threads == 1);
-  json.Field("plain_seconds", plain_s);
-  json.Field("relabel_seconds", relabel_s);
-  json.Field("speedup", speedup);
-  json.Field("relabel_wins", relabel_wins);
-  json.Field("transcripts_identical", identical);
-  return identical;
-}
-
 }  // namespace
 }  // namespace treelocal
 
@@ -253,10 +169,8 @@ int main(int argc, char** argv) {
   auto ids = treelocal::DefaultIds(n, 78);
 
   treelocal::bench::JsonWriter json;
-  bool ok = treelocal::RunScaling(tree, ids, k, reps, thread_counts, json);
-  for (int threads : thread_counts) {
-    ok &= treelocal::RunRelabelAblation(tree, ids, k, reps, threads, json);
-  }
+  const bool ok =
+      treelocal::RunScaling(tree, ids, k, reps, thread_counts, json);
   json.MergeAs("bench_parallel", "BENCH_engine.json");
   std::cout << (ok ? "  wrote BENCH_engine.json\n"
                    : "TRANSCRIPT MISMATCH — failing\n");

@@ -11,20 +11,22 @@
 //            grid | trigrid | union2 | union3 | starunion2 | hubbed3
 //
 // The node problems run Theorem 12's pipeline, which takes a forest: on a
-// family with cycles run_pipeline says so and exits 2 before solving
-// (--baseline runs the base algorithm alone and accepts any family).
+// family with cycles the pipeline refuses the input and run_pipeline exits
+// 2 (--baseline runs the base algorithm alone and accepts any family).
+// A Theorem 15 solve that refuses its input (arboricity above a) exits 2
+// the same way.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "src/core/baseline.h"
 #include "src/core/complexity.h"
 #include "src/core/transform_edge.h"
 #include "src/core/transform_node.h"
-#include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/problems/coloring.h"
 #include "src/problems/edge_coloring.h"
@@ -109,21 +111,6 @@ int main(int argc, char** argv) {
             << " k=" << k << (baseline ? " [baseline]" : " [transformed]")
             << "\n";
 
-  // Theorem 12's rake-and-compress pipeline takes a forest; on a graph with
-  // cycles it would run until the engine's round cap. The baseline (the
-  // base algorithm on the whole graph) has no such precondition.
-  const bool node_problem = problem_name == "mis" ||
-                            problem_name == "coloring" ||
-                            problem_name == "deg-coloring" ||
-                            problem_name == "list-coloring";
-  if (node_problem && !baseline && !IsForest(g)) {
-    std::cerr << "run_pipeline: " << problem_name
-              << " runs Theorem 12, which takes a forest, but family "
-              << family << " has cycles (arboricity <= " << a
-              << "); use a forest family\n";
-    return 2;
-  }
-
   auto report_node = [&](const NodeProblem& p) {
     if (baseline) {
       auto r = RunNodeBaseline(p, g, ids, id_space);
@@ -154,26 +141,34 @@ int main(int argc, char** argv) {
   };
 
   bool ok = false;
-  if (problem_name == "mis") {
-    ok = report_node(MisProblem());
-  } else if (problem_name == "coloring") {
-    ok = report_node(
-        ColoringProblem(ColoringProblem::Mode::kDeltaPlusOne, g.MaxDegree()));
-  } else if (problem_name == "deg-coloring") {
-    ok = report_node(ColoringProblem(ColoringProblem::Mode::kDegPlusOne, 0));
-  } else if (problem_name == "list-coloring") {
-    ok = report_node(ListColoringProblem(
-        ListColoringProblem::RandomLists(g, 1, 10LL * std::max(n, 16), 3)));
-  } else if (problem_name == "matching") {
-    ok = report_edge(MatchingProblem());
-  } else if (problem_name == "edge-coloring") {
-    ok = report_edge(EdgeColoringProblem(
-        EdgeColoringProblem::Mode::kEdgeDegreePlusOne, g.MaxDegree()));
-  } else if (problem_name == "2d1-edge-coloring") {
-    ok = report_edge(EdgeColoringProblem(
-        EdgeColoringProblem::Mode::kTwoDeltaMinusOne, g.MaxDegree()));
-  } else {
-    return Usage();
+  try {
+    if (problem_name == "mis") {
+      ok = report_node(MisProblem());
+    } else if (problem_name == "coloring") {
+      ok = report_node(ColoringProblem(ColoringProblem::Mode::kDeltaPlusOne,
+                                       g.MaxDegree()));
+    } else if (problem_name == "deg-coloring") {
+      ok = report_node(ColoringProblem(ColoringProblem::Mode::kDegPlusOne, 0));
+    } else if (problem_name == "list-coloring") {
+      ok = report_node(ListColoringProblem(
+          ListColoringProblem::RandomLists(g, 1, 10LL * std::max(n, 16), 3)));
+    } else if (problem_name == "matching") {
+      ok = report_edge(MatchingProblem());
+    } else if (problem_name == "edge-coloring") {
+      ok = report_edge(EdgeColoringProblem(
+          EdgeColoringProblem::Mode::kEdgeDegreePlusOne, g.MaxDegree()));
+    } else if (problem_name == "2d1-edge-coloring") {
+      ok = report_edge(EdgeColoringProblem(
+          EdgeColoringProblem::Mode::kTwoDeltaMinusOne, g.MaxDegree()));
+    } else {
+      return Usage();
+    }
+  } catch (const std::invalid_argument& e) {
+    // The theorems' preconditions: Theorem 12 takes a forest, Theorem 15 a
+    // graph of arboricity at most a.
+    std::cerr << "run_pipeline: " << problem_name << " on " << family
+              << ": " << e.what() << "\n";
+    return 2;
   }
   return ok ? 0 : 1;
 }

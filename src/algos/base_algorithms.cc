@@ -82,7 +82,7 @@ int64_t DenseRanks(const std::vector<int64_t>& colors, int64_t num_colors,
 // chosen label on every semi-contained port and leave the worklist. Reads
 // are 1-hop and of prior-round data only, writes are the node's own
 // half-edges — which is exactly the Algorithm determinism contract, so the
-// sweep is bit-identical across thread counts / relabel and
+// sweep is bit-identical across thread counts / engines and
 // order-independent within a class (the same argument that lets the host-
 // side reference in tests/oracle/ process a class in sorted order).
 // ---------------------------------------------------------------------------

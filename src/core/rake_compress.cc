@@ -18,8 +18,8 @@ constexpr int64_t kCompressed = 2;  // "I was just compressed"
 constexpr int64_t kRaked = 3;       // "I was just raked"
 
 // Per-node state, engine-managed (Algorithm::StateBytes): lives in the
-// engine's internal-indexed plane, so it streams in worklist order under
-// NetworkOptions::relabel.
+// engine's internal-indexed plane, so it streams in worklist order on
+// Network's BFS layout.
 struct RcState {
   int32_t unmarked_degree = 0;
   int32_t iteration = 0;  // 1-based; 0 = unmarked
@@ -139,7 +139,7 @@ RakeCompressResult RunRakeCompress(local::Engine& net, int k) {
   result.compressed.resize(n);
   for (int v = 0; v < n; ++v) {
     // Read back from the engine's state plane (external node indexing at
-    // this boundary; the engine undoes any internal relabeling).
+    // this boundary; the engine undoes its internal ranks).
     const RcState& st = net.StateAt<RcState>(v);
     result.iteration[v] = st.iteration;
     result.compressed[v] = st.compressed;

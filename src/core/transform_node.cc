@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "src/graph/algorithms.h"
 #include "src/graph/semigraph.h"
@@ -10,6 +12,18 @@
 namespace treelocal {
 
 namespace {
+
+// On a graph with cycles rake-and-compress never empties and the engine
+// would run into its round cap; refused before any engine is built.
+void RequireForest(const Graph& g) {
+  if (IsForest(g)) return;
+  int components = 0;
+  ConnectedComponents(g, &components);
+  throw std::invalid_argument(
+      "Theorem 12 takes a forest: m=" + std::to_string(g.NumEdges()) +
+      ", n=" + std::to_string(g.NumNodes()) +
+      ", components=" + std::to_string(components));
+}
 
 // Phases 2-3 of the Theorem 12 pipeline, shared by the single-k and k-sweep
 // entry points: takes a finished phase-1 decomposition (already stored in
@@ -88,14 +102,15 @@ Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
                                    const Graph& tree,
                                    const std::vector<int64_t>& ids,
                                    int64_t id_space, int k, int num_threads) {
-  local::Network net(tree, ids, num_threads, local::NetworkOptions{});
-  return SolveNodeProblemOnTree(problem, net, id_space, k);
+  return std::move(SolveNodeProblemOnTreeBatch(problem, tree, ids, id_space,
+                                               {k}, num_threads)[0]);
 }
 
 Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
                                    local::Network& net, int64_t id_space,
                                    int k) {
   const Graph& tree = net.graph();
+  RequireForest(tree);
   Thm12Result result;
   result.k = k;
   result.labeling = HalfEdgeLabeling(tree);
@@ -112,6 +127,7 @@ std::vector<Thm12Result> SolveNodeProblemOnTreeBatch(
     const std::vector<int>& ks, int num_threads) {
   std::vector<Thm12Result> results(ks.size());
   if (ks.empty()) return results;
+  RequireForest(tree);
 
   // One engine on `num_threads` lanes runs every phase of every k, so its
   // mailboxes and state plane are reused across the whole sweep. Phase 1

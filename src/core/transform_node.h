@@ -21,7 +21,8 @@ namespace treelocal {
 //      (diameter O(log_k n) by Lemma 11), the highest node gathers the
 //      component, completes the partial solution (the Pi^x instance) with
 //      the problem's sequential greedy, and broadcasts it back.
-// With k = g(n), the total is O(f(g(n)) + log* n) rounds.
+// With k = g(n), the total is O(f(g(n)) + log* n) rounds. The entry points
+// refuse a non-forest with std::invalid_argument before any engine runs.
 struct Thm12Result {
   HalfEdgeLabeling labeling;
   bool valid = false;
@@ -46,9 +47,9 @@ struct Thm12Result {
   int64_t num_raked = 0;
 };
 
-// Runs every engine phase on one host engine with `num_threads` lanes; the
-// result is identical for every thread count (the engine's transcripts are
-// bit-identical for every T, and the gather phase is engine-free).
+// A one-k SolveNodeProblemOnTreeBatch: every engine phase on one host
+// engine with `num_threads` lanes, the result identical for every T (the
+// transcripts are bit-identical for every T; the gather is engine-free).
 Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
                                    const Graph& tree,
                                    const std::vector<int64_t>& ids,
@@ -57,7 +58,7 @@ Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
 
 // The same pipeline on a caller-owned host engine over (tree, ids) —
 // net.graph() and net.ids() — with every phase on it, at its thread count
-// and relabel setting (same result for both). Mirrors the Thm 15 engine
+// (same result for every count). Mirrors the Thm 15 engine
 // overload: repeated solves, any k, reuse one engine's mailboxes, which is
 // how treelocald serves Thm 12 requests from a resident graph's engine.
 Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,

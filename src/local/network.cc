@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <numeric>
 #include <stdexcept>
 
 #include "src/local/snapshot.h"
@@ -67,12 +66,12 @@ constexpr int kAhead = 32;
 // exactly that order, so one cursor per node (external-indexed, starting
 // at its rank's block) names the channel of every half-edge as it is met,
 // whatever order the blocks are laid out in.
-ChannelTables BuildChannelTables(GraphView graph, bool relabel) {
+ChannelTables BuildChannelTables(GraphView graph) {
   const int n = graph.NumNodes();
   ChannelTables t;
   t.first.resize(n + 1);
   t.order.resize(n);
-  if (relabel) t.perm.assign(n, -1);
+  t.perm.assign(n, -1);
   t.send_chan.resize(2 * static_cast<size_t>(graph.NumEdges()));
   // The scratch comes after the tables, so freeing it on return leaves no
   // hole under them that the allocator must keep resident.
@@ -80,47 +79,40 @@ ChannelTables BuildChannelTables(GraphView graph, bool relabel) {
   const int* const off = g.off.data();
   const int* const adj = g.adj;
   std::vector<int> cur(n);  // next unpaired channel of external node v
-  t.first[0] = 0;
-  if (!relabel) {
-    std::iota(t.order.begin(), t.order.end(), 0);
-    std::copy(g.off.begin(), g.off.end(), t.first.begin());
-    std::copy(g.off.begin(), g.off.end() - 1, cur.begin());
-  } else {
-    // BFS with the queue in order: dequeuing rank `head` fixes its block's
-    // offset and its cursor, and the prefetches hide the random loads of
-    // the nodes about to be dequeued.
-    std::vector<int>& perm = t.perm;
-    int* const order = t.order.data();
-    int head = 0;
-    int tail = 0;
-    for (int root = 0; root < n; ++root) {
-      if (perm[root] >= 0) continue;
-      perm[root] = tail;
-      order[tail++] = root;
-      for (; head < tail; ++head) {
-        if (head + kAhead < tail) {
-          __builtin_prefetch(&off[order[head + kAhead]]);
+  // BFS with the queue in order: dequeuing rank `head` fixes its block's
+  // offset and its cursor, and the prefetches hide the random loads of
+  // the nodes about to be dequeued.
+  std::vector<int>& perm = t.perm;
+  int* const order = t.order.data();
+  int head = 0;
+  int tail = 0;
+  for (int root = 0; root < n; ++root) {
+    if (perm[root] >= 0) continue;
+    perm[root] = tail;
+    order[tail++] = root;
+    for (; head < tail; ++head) {
+      if (head + kAhead < tail) {
+        __builtin_prefetch(&off[order[head + kAhead]]);
+      }
+      if (head + kAhead / 2 < tail) {
+        __builtin_prefetch(&adj[off[order[head + kAhead / 2]]]);
+      }
+      if (head + kAhead / 4 < tail) {
+        const int w = order[head + kAhead / 4];
+        for (int k = off[w]; k < off[w + 1]; ++k) {
+          __builtin_prefetch(&perm[adj[k]]);
         }
-        if (head + kAhead / 2 < tail) {
-          __builtin_prefetch(&adj[off[order[head + kAhead / 2]]]);
-        }
-        if (head + kAhead / 4 < tail) {
-          const int w = order[head + kAhead / 4];
-          for (int k = off[w]; k < off[w + 1]; ++k) {
-            __builtin_prefetch(&perm[adj[k]]);
-          }
-        }
-        const int v = order[head];
-        const int lo = off[v];
-        const int hi = off[v + 1];
-        t.first[head + 1] = t.first[head] + (hi - lo);
-        cur[v] = t.first[head];
-        for (int k = lo; k < hi; ++k) {
-          const int u = adj[k];
-          if (perm[u] < 0) {
-            perm[u] = tail;
-            order[tail++] = u;
-          }
+      }
+      const int v = order[head];
+      const int lo = off[v];
+      const int hi = off[v + 1];
+      t.first[head + 1] = t.first[head] + (hi - lo);
+      cur[v] = t.first[head];
+      for (int k = lo; k < hi; ++k) {
+        const int u = adj[k];
+        if (perm[u] < 0) {
+          perm[u] = tail;
+          order[tail++] = u;
         }
       }
     }
@@ -322,7 +314,7 @@ Network::Network(GraphView graph, std::vector<int64_t> ids, int num_threads,
   // The construction scratch is gone before the mailboxes, the engine's
   // largest structure, are allocated.
   internal::ChannelTables tables =
-      internal::BuildChannelTables(graph, options.relabel);
+      internal::BuildChannelTables(graph);
   first_ = std::move(tables.first);
   send_chan_ = std::move(tables.send_chan);
   order_ = std::move(tables.order);

@@ -45,7 +45,7 @@ struct RoundStats {
   // visits counts OnRound dispatches this round, which is every live node,
   // so it always equals active_nodes; decisions counts visits that acted
   // (net-queued at least one present message, or halted). Both are
-  // deterministic across engines, relabel, and thread counts.
+  // deterministic across engines and thread counts.
   int64_t visits = 0;
   int64_t decisions = 0;
 
@@ -59,33 +59,14 @@ struct RoundStats {
   }
 };
 
-// Construction-time engine options (Network; ReferenceNetwork honors every
-// field except relabel, which it accepts and ignores).
+// Construction-time engine options, honored by every engine.
 struct NetworkOptions {
-  // BFS locality layout, on by default: the engine assigns every node an
-  // internal rank in BFS order and indexes everything it owns by rank — the
-  // CSR channel offsets, the mailboxes, the halt flags, the worklist and the
-  // state plane — so a round walks the worklist in rank order over
-  // sequential memory and neighbors' mailbox blocks land near each other
-  // regardless of how the caller labeled the graph. The ranks never escape
-  // the engine: NodeContext::node(), InitState, StateAt, checkpoints and
-  // every output stay in the caller's external node numbering, and
-  // transcripts are bit-identical to a run on the caller's labels (enforced
-  // by tests) — only the iteration order within a round and the physical
-  // layout change, neither of which is observable in the LOCAL model. Set
-  // to false, ranks equal the caller's labels (the ablation's off switch).
-  // Measured on uniform-tree rake-compress (bench_parallel's
-  // relabel_ablation, README.md has the table), the BFS layout runs 2.2x
-  // faster than the caller's random labels at 2^20 nodes at T = 1 (2.0x at
-  // T = 4), and the gain grows with n from 1.02x at 2^14.
-  bool relabel = true;
-
   // Fold full message contents into the per-round transcript digest chain
   // (see round_digests()). Off by default: the chain then covers the
   // per-round active/message counters only, at O(1) per round and zero
   // hot-path cost. On, every present Send adds one content hash
-  // (sender-keyed, order-independent — bit-identical across engines,
-  // relabel, and thread counts; bench_snapshot measures the overhead).
+  // (sender-keyed, order-independent — bit-identical across engines and
+  // thread counts; bench_snapshot measures the overhead).
   // Checkpoints record the setting and Resume requires it to match.
   bool digest_messages = false;
 
@@ -154,21 +135,20 @@ inline constexpr int32_t kMaxEpoch = INT32_MAX >> 2;
 // rank i's recv channels are [first[i], first[i + 1]) in port order, so its
 // degree is first[i + 1] - first[i], and send_chan[first[i] + p] is the
 // channel of the reverse half-edge. order maps rank -> external node and
-// perm inverts it (empty when the ranks are the external labels).
+// perm inverts it.
 struct ChannelTables {
   std::vector<int> first;      // size n + 1
   std::vector<int> send_chan;  // size 2m
   std::vector<int> order;      // size n
-  std::vector<int> perm;       // size n under relabel, else empty
+  std::vector<int> perm;       // size n
 };
 
 // Builds the tables with one backend pass: the adjacency is decoded once
-// into scratch (a Graph's own arrays serve as is), the BFS permutation
-// (NetworkOptions::relabel: roots in increasing external index, neighbors
-// expanded in port order; deterministic) is computed over it, and the
-// scratch is freed on return. Backend-agnostic (no edge ids): both graph
-// backends yield identical tables.
-ChannelTables BuildChannelTables(GraphView graph, bool relabel);
+// into scratch (a Graph's own arrays serve as is), the BFS rank order
+// (roots in increasing external index, neighbors in port order) is
+// computed over it, and the scratch is freed on return. Backend-agnostic
+// (no edge ids): both graph backends yield identical tables.
+ChannelTables BuildChannelTables(GraphView graph);
 
 // Guards the int32 channel arithmetic every engine shares: channel ids
 // live in int (first_/send_chan_), so 2m + epoch headroom must fit int32.
@@ -178,9 +158,8 @@ void ValidateChannelScale(int64_t n, int64_t m, const char* engine);
 }  // namespace internal
 
 // Per-node view handed to Algorithm::OnRound. In the LOCAL model (Definition
-// 5) nodes know n, Delta, and their own ID; neighbor IDs become known after
-// one round of communication — the engine exposes them directly for
-// convenience, which is standard (it shifts round counts by at most 1).
+// 5) nodes know n, Delta, and their own ID; neighbor IDs become known only
+// by exchanging messages, so the context exposes ports, not neighbors.
 //
 // One NodeContext serves both engine classes. The CSR engine (Network,
 // one context per shard) takes the first branch: the context carries raw
@@ -201,12 +180,6 @@ class NodeContext {
                              : graph_.Degree(node_);
   }
   int64_t id() const { return ids_[node_]; }
-  // Asks the graph backend: O(1) on a Graph, but an O(port) varint decode
-  // on a CompactGraph. No algorithm in this repository calls it (only
-  // tests do); algorithms learn neighbor ids by exchanging messages.
-  int64_t neighbor_id(int port) const {
-    return ids_[graph_.NeighborAt(node_, port)];
-  }
   int n() const { return graph_.NumNodes(); }
   int max_degree() const { return graph_.MaxDegree(); }
   int round() const { return round_; }
@@ -286,21 +259,21 @@ class NodeContext {
 // declares a fixed-size POD slot via StateBytes(), initializes each node's
 // slot in InitState(), and reads/writes it through NodeContext::State<T>().
 // The engine owns the storage and lays it out ITS way — indexed by internal
-// rank, so under NetworkOptions::relabel the state walks in BFS worklist
-// order alongside the mailboxes instead of streaming scattered. This is
-// what lets one Algorithm implementation hit the engine's best memory
-// layout without knowing how the engine is configured. Algorithms with no
-// per-node state (or legacy ones keeping their own node-indexed arrays)
-// return 0 from StateBytes() and everything behaves as before — but the
-// relabeled layout can then no longer help their state locality, which
-// measurably costs on big inputs.
+// rank, so on Network the state walks in BFS worklist order alongside the
+// mailboxes instead of streaming scattered. This is what lets one
+// Algorithm implementation hit the engine's best memory layout without
+// knowing how the engine lays itself out. Algorithms with no per-node
+// state (or legacy ones keeping their own node-indexed arrays) return 0
+// from StateBytes() and everything behaves as before — but the BFS layout
+// can then no longer help their state locality, which measurably costs on
+// big inputs.
 //
 // Determinism contract (what makes every engine in this family produce
 // bit-identical transcripts): within a round, OnRound for node v may read
 // and write only v's own state slot (plus any v-indexed state the
 // implementation still keeps itself), read its inbox, send on its own
 // ports, and halt itself. Sends become visible at the round barrier, so the
-// order in which nodes run within a round — serial index order, relabeled
+// order in which nodes run within a round — caller index order, BFS rank
 // order, or sharded across threads — cannot leak into outputs, RoundStats,
 // or message counts. InitState must likewise depend only on (node, captured
 // construction inputs), never on the unspecified order of InitState calls.
@@ -417,7 +390,7 @@ class Engine {
 
   // Serializes the current round boundary (engine must be paused() or
   // finished()) as a canonical snapshot: resuming it — in this engine, a
-  // fresh one, any relabel/thread setting, or another engine class —
+  // fresh one, any thread count, or another engine class —
   // continues the run bit-identically. Throws SnapshotError mid-round or
   // before any run.
   void Checkpoint(std::ostream& out) const;
@@ -438,14 +411,11 @@ class Engine {
   const Graph& graph() const;
   GraphView view() const { return graph_; }
   const std::vector<int64_t>& ids() const { return ids_; }
-  // True when the engine lays nodes out in a relabeled internal order
-  // (NetworkOptions::relabel; never on ReferenceNetwork).
-  bool relabeled() const { return !perm_.empty(); }
 
   // Transcript digest chain for the run so far: round_digests()[r] =
   // ChainDigest(digest[r-1], active, sent, msg_acc) after round r, seeded
-  // with support::kDigestSeed. Bit-identical across every engine, relabel
-  // setting, and thread count; with NetworkOptions::digest_messages it also
+  // with support::kDigestSeed. Bit-identical across every engine and
+  // thread count; with NetworkOptions::digest_messages it also
   // commits to full message contents (round_message_accs()).
   const std::vector<uint64_t>& round_digests() const { return round_digests_; }
   const std::vector<uint64_t>& round_message_accs() const {
@@ -553,8 +523,8 @@ class Engine {
 
   // Engine-owned per-node state plane (Algorithm::StateBytes per slot),
   // indexed by internal rank: slot perm_[v] belongs to external node v
-  // (perm_ empty = identity). Re-armed (zero + InitState) every fresh run,
-  // reallocated only when the slot size grows.
+  // (perm_ empty = identity, as on ReferenceNetwork). Re-armed (zero +
+  // InitState) every fresh run, reallocated only when the slot size grows.
   std::vector<int> perm_;
   std::vector<unsigned char> state_;
   size_t state_stride_ = 0;
@@ -584,6 +554,11 @@ class Engine {
 
 // The solo engine: O(active work) per round.
 //
+// Everything it owns is indexed by a node's BFS rank. The ranks never
+// escape the engine (node(), InitState, StateAt, checkpoints and outputs
+// use the caller's numbering), so transcripts are bit-identical to
+// ReferenceNetwork's on the caller's labels.
+//
 // Throughput design (the per-round cost is the system-wide bottleneck for
 // every pipeline in this repository):
 //   * Channel tables in CSR layout, built once at construction. Channels are
@@ -593,11 +568,11 @@ class Engine {
 //     through the precomputed send_chan_ table to the reverse half-edge — a
 //     random store, which the store buffer absorbs without stalling, unlike
 //     the random load a sender-indexed layout would put in Recv. No
-//     IncidentEdges/EndpointSlot recomputation on the hot path. Under
-//     NetworkOptions::relabel (the default) the blocks are laid out in BFS
-//     rank order, which shortens the stride of those random stores on
-//     badly-labeled inputs, and the offsets, halt flags and state slots a
-//     visit touches are all rank-indexed, so they stream with the worklist.
+//     IncidentEdges/EndpointSlot recomputation on the hot path. The blocks
+//     are laid out in BFS rank order, which shortens the stride of those
+//     random stores on badly-labeled inputs, and the offsets, halt flags
+//     and state slots a visit touches are all rank-indexed, so they stream
+//     with the worklist.
 //   * Epoch-stamped mailboxes: each channel carries the epoch at which it was
 //     last written. A message is visible iff its stamp equals the previous
 //     epoch. This removes the per-round O(2m) outbox clear and the O(2m)
@@ -698,18 +673,17 @@ class Network : public Engine {
                                 // channel of (rank i, p) is first_[i] + p
   std::vector<int> send_chan_;  // size 2m: send channel of (i, p), i.e. the
                                 // channel of the reverse half-edge
-  std::vector<int> order_;      // internal rank -> external id (BFS, or iota
-                                // with relabel off); perm_ inverts it
+  std::vector<int> order_;      // internal rank -> external id in BFS
+                                // order; perm_ inverts it
   // Double-buffered mailboxes of 12-byte slots, each epoch-stamped in its
   // meta field; swapped (O(1)) each round, never cleared.
   std::vector<internal::MailSlot> inbox_, outbox_;
   std::vector<char> halted_;  // by internal rank
   std::vector<int> active_;  // the live INTERNAL ranks in ascending order,
                              // so rank i's state slot and external id
-                             // (order_[i]) stream sequentially even under
-                             // relabel — the whole point of internal
-                             // indexing. Its size is the run's termination
-                             // test.
+                             // (order_[i]) stream sequentially — the
+                             // whole point of internal indexing. Its
+                             // size is the run's termination test.
   std::vector<Shard> shards_;
   support::ThreadPool pool_;  // num_threads lanes, persistent
   int32_t epoch_ = 1;  // monotone across runs (wrap-guarded in Run, kept

@@ -27,9 +27,8 @@ class ReferenceNetwork : public Engine {
   ReferenceNetwork(GraphView graph, std::vector<int64_t> ids);
   // Options form: honors digest_messages (content hashing here is a naive
   // O(2m)-per-round inbox scan — reference semantics, reference cost) and
-  // fault; relabel is accepted and ignored (pure layout, transcripts are
-  // relabel-invariant by contract, and the naive engine has no layout), so
-  // the state plane is external-indexed.
+  // fault. The naive engine has no layout: it runs on the caller's
+  // labels, and its state plane is external-indexed.
   ReferenceNetwork(GraphView graph, std::vector<int64_t> ids,
                    const NetworkOptions& options);
 

@@ -24,7 +24,7 @@ namespace treelocal::local {
 //
 // The image is CANONICAL: everything is keyed by external node ids and
 // ports, never by engine-internal layout. One engine class serializes to
-// the same bytes for the same run regardless of relabel or thread count,
+// the same bytes for the same run regardless of layout or thread count,
 // and different engine classes differ ONLY in the informational
 // engine_kind header field — the payload sections are byte-identical.
 // That is what lets a checkpoint taken by one engine configuration resume

@@ -30,7 +30,7 @@ constexpr uint64_t Mix64(uint64_t x) {
 }
 
 // Per-message content hash, keyed on the SENDER's external (node, port) so
-// the value is invariant to engine layout (NetworkOptions::relabel moves
+// the value is invariant to engine layout (Network's BFS ranks move
 // channel indices, not senders) and to shard scheduling. A round's message
 // accumulator is the SUM mod 2^64 of these: commutative, so an engine's
 // lanes accumulate independently in any order, and invertible, so a

@@ -3,6 +3,9 @@
 // identical labelings, and engine rounds == the charged schedule length.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "src/algos/linial.h"
 #include "src/graph/generators.h"
 #include "src/problems/coloring.h"
@@ -108,6 +111,31 @@ TEST(DistributedSweepTest, MessageCountBounded) {
   auto literal = oracle::RunDistributedNodeSweep(
       mis, s.g, s.ids, s.linial.colors, s.linial.num_colors);
   EXPECT_EQ(literal.messages, 2 * s.g.NumEdges());
+}
+
+// The sweep's labeling is order-independent only on a proper coloring in
+// range; anything else is refused on every engine before it runs.
+TEST(DistributedSweepTest, RefusesBadColorings) {
+  const int n = 1 << 13;
+  const Graph g = UniformRandomTree(n, 5);
+  const auto ids = DefaultIds(n, 6);
+  MisProblem mis;
+  std::vector<int64_t> improper(n);
+  for (int v = 0; v < n; ++v) improper[v] = (37 * int64_t{v}) % 23;
+  EXPECT_THROW(oracle::RunDistributedNodeSweep(mis, g, ids, improper, 23),
+               std::invalid_argument);
+  EXPECT_THROW(oracle::RunDistributedNodeSweep(mis, g, ids, improper, 23, 4),
+               std::invalid_argument);
+  EXPECT_THROW(
+      oracle::RunDistributedNodeSweepReference(mis, g, ids, improper, 23),
+      std::invalid_argument);
+
+  Fixture s = Make(150, 14);
+  std::vector<int64_t> out_of_range = s.linial.colors;
+  out_of_range[7] = s.linial.num_colors;
+  EXPECT_THROW(oracle::RunDistributedNodeSweep(mis, s.g, s.ids, out_of_range,
+                                               s.linial.num_colors),
+               std::invalid_argument);
 }
 
 }  // namespace

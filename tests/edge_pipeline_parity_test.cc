@@ -320,7 +320,7 @@ TEST(BaseLayerParity, EdgeBaseOnEdgeInducedSemigraphs) {
 // The edge-class sweep with content digests on: every semi edge's owner
 // announces one word, the receiver's half-edge label, so the sweep delivers
 // exactly one message per semi edge, and the digest chain over those
-// contents is the same at T = 1, at T = 3 and under relabel.
+// contents is the same at T = 1 and at T = 3.
 TEST(BaseLayerParity, EdgeSweepContentDigestsMatchAcrossLayouts) {
   Graph g = ForestUnion(300, 2, 104);
   auto ids = DefaultIds(g.NumNodes(), 114);
@@ -332,18 +332,11 @@ TEST(BaseLayerParity, EdgeSweepContentDigestsMatchAcrossLayouts) {
                          g.MaxDegree());
   HalfEdgeLabeling want_h(g);
   std::vector<uint64_t> want;
-  struct Layout {
-    int threads;
-    bool relabel;
-  };
-  for (const Layout layout : {Layout{1, false}, Layout{3, false},
-                              Layout{1, true}}) {
-    const std::string what = "T=" + std::to_string(layout.threads) +
-                             (layout.relabel ? " relabel" : "");
+  for (const int threads : {1, 3}) {
+    const std::string what = "T=" + std::to_string(threads);
     local::NetworkOptions opt;
     opt.digest_messages = true;
-    opt.relabel = layout.relabel;
-    local::Network net(g, ids, layout.threads, opt);
+    local::Network net(g, ids, threads, opt);
     HalfEdgeLabeling h(g);
     const BaseRunStats stats =
         RunEdgeBase(net, ec, ge, IdSpace(g.NumNodes()), h);

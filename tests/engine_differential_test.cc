@@ -34,7 +34,8 @@ using local::ReferenceNetwork;
 // id-dependent round, so the active set shrinks gradually.
 class DigestAlgorithm : public Algorithm {
  public:
-  explicit DigestAlgorithm(int n) : digest_(n, 0) {}
+  DigestAlgorithm(const Graph& g, const std::vector<int64_t>& ids)
+      : g_(&g), ids_(&ids), digest_(g.NumNodes(), 0) {}
 
   void OnRound(NodeContext& ctx) override {
     const int v = ctx.node();
@@ -45,7 +46,7 @@ class DigestAlgorithm : public Algorithm {
       if (m.present()) {
         d = d * 31 + static_cast<uint64_t>(m.word0) + m.size;
       }
-      d += static_cast<uint64_t>(ctx.neighbor_id(p));
+      d += static_cast<uint64_t>((*ids_)[g_->Neighbors(v)[p]]);
     }
     digest_[v] = d;
     const int halt_round = static_cast<int>(ctx.id() % 11) + 1;
@@ -62,6 +63,8 @@ class DigestAlgorithm : public Algorithm {
     }
   }
 
+  const Graph* g_;
+  const std::vector<int64_t>* ids_;
   std::vector<uint64_t> digest_;
 };
 
@@ -128,7 +131,7 @@ TEST(EngineDifferentialTest, DigestOnRandomTrees) {
     Graph g = UniformRandomTree(n, 100 + trial);
     auto ids = DefaultIds(n, 200 + trial);
     ExpectEnginesAgree(
-        g, ids, [&] { return std::make_unique<DigestRunner>(n); }, 64);
+        g, ids, [&] { return std::make_unique<DigestRunner>(g, ids); }, 64);
   }
 }
 
@@ -138,7 +141,7 @@ TEST(EngineDifferentialTest, DigestOnBoundedDegreeGraphs) {
     Graph g = BoundedDegreeRandomTree(n, 3 + trial % 6, 300 + trial);
     auto ids = DefaultIds(n, 400 + trial);
     ExpectEnginesAgree(
-        g, ids, [&] { return std::make_unique<DigestRunner>(n); }, 64);
+        g, ids, [&] { return std::make_unique<DigestRunner>(g, ids); }, 64);
   }
 }
 
@@ -147,7 +150,7 @@ TEST(EngineDifferentialTest, DigestOnForestUnions) {
     Graph g = ForestUnion(128, 2 + trial % 3, 500 + trial);
     auto ids = DefaultIds(g.NumNodes(), 600 + trial);
     ExpectEnginesAgree(
-        g, ids, [&] { return std::make_unique<DigestRunner>(g.NumNodes()); },
+        g, ids, [&] { return std::make_unique<DigestRunner>(g, ids); },
         64);
   }
 }
@@ -187,15 +190,16 @@ TEST(EngineDifferentialTest, RakeCompressBitIdentical) {
 
 TEST(EngineDifferentialTest, SingleNodeAndEmptyGraphs) {
   Graph empty = Graph::FromEdges(0, {});
-  Network net0(empty, {});
-  DigestRunner alg0(0);
+  const std::vector<int64_t> no_ids;
+  Network net0(empty, no_ids);
+  DigestRunner alg0(empty, no_ids);
   EXPECT_EQ(net0.Run(alg0, 4), 0);
   EXPECT_EQ(net0.messages_delivered(), 0);
 
   Graph one = Graph::FromEdges(1, {});
   auto ids = DefaultIds(1, 1);
   ExpectEnginesAgree(
-      one, ids, [&] { return std::make_unique<DigestRunner>(1); }, 64);
+      one, ids, [&] { return std::make_unique<DigestRunner>(one, ids); }, 64);
 }
 
 // Regression: a halted node's OnRound must never run again, on either
@@ -292,7 +296,7 @@ TEST(EngineDifferentialTest, NetworkReuseMatchesFreshEngine) {
 
   RunOutcome first;
   {
-    DigestRunner alg(n);
+    DigestRunner alg(g, ids);
     first.rounds = reused.Run(alg, 64);
     first.messages = reused.messages_delivered();
     first.stats = reused.round_stats();
@@ -304,7 +308,7 @@ TEST(EngineDifferentialTest, NetworkReuseMatchesFreshEngine) {
   }
   // Re-running the first algorithm must reproduce the first outcome and
   // match a fresh engine bit-for-bit.
-  DigestRunner again(n);
+  DigestRunner again(g, ids);
   RunOutcome second{reused.Run(again, 64), reused.messages_delivered(),
                     reused.round_stats()};
   EXPECT_EQ(first.rounds, second.rounds);
@@ -312,7 +316,7 @@ TEST(EngineDifferentialTest, NetworkReuseMatchesFreshEngine) {
   EXPECT_EQ(first.stats, second.stats);
 
   Network fresh(g, ids);
-  DigestRunner fresh_alg(n);
+  DigestRunner fresh_alg(g, ids);
   fresh.Run(fresh_alg, 64);
   EXPECT_EQ(fresh_alg.digest_, again.digest_);
   EXPECT_EQ(fresh.messages_delivered(), second.messages);

@@ -3,9 +3,8 @@
 // same input: digest chains, rounds, message totals, and full RoundStats
 // (including the visit/decision observability counters). Pinned across the
 // whole engine matrix (Network / ParallelNetwork / ReferenceNetwork,
-// relabel on/off, T in {1, 2, 8}) on
-// trees, forests, star unions (one with center streams longer than 254
-// bytes), hubbed forests, and multi-component graphs.
+// T in {1, 2, 8}) on trees, forests, star unions (one with center streams
+// longer than 254 bytes), hubbed forests, and multi-component graphs.
 // This is THE determinism contract of the compressed backend: ports name
 // positions in the shared sorted adjacency, so nothing transcript-bearing
 // may depend on which backend served them.
@@ -95,26 +94,24 @@ struct RunRecord {
 
 // One engine config applied to one backend.
 RunRecord RunConfig(GraphView g, const std::vector<int64_t>& ids,
-                    const std::string& engine, int threads, bool relabel) {
-  local::NetworkOptions opts;
-  opts.relabel = relabel;
+                    const std::string& engine, int threads) {
   EchoAlgorithm alg(g);
   const int max_rounds = EchoAlgorithm::kRounds + 4;
   RunRecord rec;
   if (engine == "network") {
-    local::Network net(g, ids, opts);
+    local::Network net(g, ids);
     rec.rounds = net.Run(alg, max_rounds);
     rec.messages = net.messages_delivered();
     rec.digest = net.last_digest();
     rec.stats = net.round_stats();
   } else if (engine == "parallel") {
-    local::ParallelNetwork net(g, ids, threads, opts);
+    local::ParallelNetwork net(g, ids, threads);
     rec.rounds = net.Run(alg, max_rounds);
     rec.messages = net.messages_delivered();
     rec.digest = net.last_digest();
     rec.stats = net.round_stats();
   } else {
-    local::ReferenceNetwork net(g, ids, opts);
+    local::ReferenceNetwork net(g, ids);
     rec.rounds = net.Run(alg, max_rounds);
     rec.messages = net.messages_delivered();
     rec.digest = net.last_digest();
@@ -174,19 +171,14 @@ TEST(GraphBackendParityTest, EngineMatrixBitIdentical) {
     }
     const auto ids = DefaultIds(g.NumNodes(), 1000 + g.NumNodes());
     for (const Config& c : configs) {
-      for (bool relabel : {false, true}) {
-        const RunRecord base = RunConfig(g, ids, c.engine, c.threads, relabel);
-        const RunRecord ram =
-            RunConfig(compact, ids, c.engine, c.threads, relabel);
-        const RunRecord map =
-            RunConfig(mapped.graph, ids, c.engine, c.threads, relabel);
-        const std::string tag = w.name + "/" + c.engine + "/T" +
-                                std::to_string(c.threads) +
-                                (relabel ? "/relabel" : "");
-        EXPECT_EQ(base.digest, ram.digest) << tag;
-        EXPECT_TRUE(base == ram) << tag << " (in-RAM compact diverged)";
-        EXPECT_TRUE(base == map) << tag << " (mmap compact diverged)";
-      }
+      const RunRecord base = RunConfig(g, ids, c.engine, c.threads);
+      const RunRecord ram = RunConfig(compact, ids, c.engine, c.threads);
+      const RunRecord map = RunConfig(mapped.graph, ids, c.engine, c.threads);
+      const std::string tag =
+          w.name + "/" + c.engine + "/T" + std::to_string(c.threads);
+      EXPECT_EQ(base.digest, ram.digest) << tag;
+      EXPECT_TRUE(base == ram) << tag << " (in-RAM compact diverged)";
+      EXPECT_TRUE(base == map) << tag << " (mmap compact diverged)";
     }
   }
 }
@@ -246,9 +238,8 @@ class DegreeProbe : public local::Algorithm {
 
 // ctx.degree() is the difference of two adjacent offsets of the engine's
 // rank-ordered channel CSR, built once at construction; it must equal
-// GraphView::Degree(v) for every node on every backend, with and without
-// relabel (where node v's block sits at its BFS rank, not at v), on the
-// solo engine at T in {1, 4}.
+// GraphView::Degree(v) for every node on every backend (node v's block
+// sits at its BFS rank, not at v), on the solo engine at T in {1, 4}.
 // The star's center stream exceeds 254 bytes, so the compact backend
 // answers its degree from a wide block's explicit offsets.
 TEST(GraphBackendParityTest, ContextDegreeMatchesGraph) {
@@ -267,22 +258,17 @@ TEST(GraphBackendParityTest, ContextDegreeMatchesGraph) {
       const std::string backend = g.csr() != nullptr ? "csr"
                                   : g.compact()->mapped() ? "mapped"
                                                           : "compact";
-      for (bool relabel : {false, true}) {
-        local::NetworkOptions opts;
-        opts.relabel = relabel;
-        const std::string tag = w.name + "/" + backend +
-                                (relabel ? "/relabel" : "");
-        for (int threads : {1, 4}) {
-          local::Network net(g, ids, threads, opts);
-          DegreeProbe alg;
-          net.Run(alg, 4);
-          for (int v = 0; v < n; ++v) {
-            const auto& slot = net.StateAt<DegreeProbe::Slot>(v);
-            ASSERT_EQ(slot.degree, g.Degree(v))
-                << tag << "/T" << threads << " node " << v;
-            ASSERT_EQ(slot.received, g.Degree(v))
-                << tag << "/T" << threads << " node " << v;
-          }
+      const std::string tag = w.name + "/" + backend;
+      for (int threads : {1, 4}) {
+        local::Network net(g, ids, threads, local::NetworkOptions{});
+        DegreeProbe alg;
+        net.Run(alg, 4);
+        for (int v = 0; v < n; ++v) {
+          const auto& slot = net.StateAt<DegreeProbe::Slot>(v);
+          ASSERT_EQ(slot.degree, g.Degree(v))
+              << tag << "/T" << threads << " node " << v;
+          ASSERT_EQ(slot.received, g.Degree(v))
+              << tag << "/T" << threads << " node " << v;
         }
       }
     }

@@ -366,30 +366,23 @@ TEST(NetworkTest, NestedRunThrowsAndEnginesStayReusable) {
 // A paused run that its caller stops driving must not leak into the
 // engine's next run: after AbandonRun the next RunUntil starts fresh, with
 // any algorithm, and its transcript equals a fresh engine's. Also drops a
-// snapshot armed by Resume. Covers relabel on, as treelocald's engines run.
+// snapshot armed by Resume.
 // Builds the engine a parametrized test runs on: the solo Network at T
-// lanes (relabel optional), or the ReferenceNetwork oracle (threads == 0).
+// lanes, or the ReferenceNetwork oracle (threads == 0).
 std::unique_ptr<local::Engine> MakeEngine(const Graph& g,
                                           const std::vector<int64_t>& ids,
-                                          int threads, bool relabel = false) {
-  local::NetworkOptions opt;
-  opt.relabel = relabel;
-  if (threads == 0) {
-    return std::make_unique<local::ReferenceNetwork>(g, ids, opt);
-  }
-  return std::make_unique<Network>(g, ids, threads, opt);
+                                          int threads) {
+  if (threads == 0) return std::make_unique<local::ReferenceNetwork>(g, ids);
+  return std::make_unique<Network>(g, ids, threads, local::NetworkOptions{});
 }
 
 TEST(NetworkTest, AbandonRunStartsNextRunFresh) {
   const int n = 60;
   const Graph path = Path(n);
   const auto ids = DefaultIds(n, 14);
-  for (const auto& [threads, relabel] :
-       {std::pair{1, false}, std::pair{1, true}, std::pair{0, false}}) {
-    SCOPED_TRACE(threads == 0 ? "reference"
-                              : (relabel ? "relabel" : "no relabel"));
-    const std::unique_ptr<local::Engine> fresh =
-        MakeEngine(path, ids, threads, relabel);
+  for (const int threads : {1, 0}) {
+    SCOPED_TRACE(threads == 0 ? "reference" : "network");
+    const std::unique_ptr<local::Engine> fresh = MakeEngine(path, ids, threads);
     CollectNeighborIds want_collect(n);
     const int collect_rounds = fresh->Run(want_collect, 10);
     const std::vector<uint64_t> collect_digests = fresh->round_digests();
@@ -400,7 +393,7 @@ TEST(NetworkTest, AbandonRunStartsNextRunFresh) {
     const std::vector<uint64_t> flood_digests = fresh->round_digests();
 
     const std::unique_ptr<local::Engine> engine =
-        MakeEngine(path, ids, threads, relabel);
+        MakeEngine(path, ids, threads);
     local::Engine& net = *engine;
     Flood abandoned(n);
     EXPECT_EQ(net.RunUntil(abandoned, 2 * n, 5), 5);
@@ -498,9 +491,9 @@ class StaggeredHalt : public Algorithm {
 // The rank-ordered channel tables, checked against the graph itself: rank
 // i's block holds node order[i]'s ports (so first[i + 1] - first[i] is its
 // degree), send_chan pairs every half-edge with its reverse (an involution
-// landing in the neighbor's block at the neighbor's port back), and under
-// relabel the ranks are the BFS visit order (roots in increasing external
-// index, neighbors in port order). Both backends build identical tables.
+// landing in the neighbor's block at the neighbor's port back), and the
+// ranks are the BFS visit order (roots in increasing external index,
+// neighbors in port order). Both backends build identical tables.
 TEST(NetworkTest, RankOrderedChannelTables) {
   const std::vector<Graph> graphs = {UniformRandomTree(300, 3), Star(40),
                                      ForestUnion(200, 2, 5), Graph::FromEdges(
@@ -508,61 +501,52 @@ TEST(NetworkTest, RankOrderedChannelTables) {
   for (const Graph& g : graphs) {
     const int n = g.NumNodes();
     const CompactGraph compact = CompactGraph::FromGraph(g);
-    for (const bool relabel : {false, true}) {
-      SCOPED_TRACE(std::string(relabel ? "relabel" : "caller labels") +
-                   " n=" + std::to_string(n));
-      const local::internal::ChannelTables t =
-          local::internal::BuildChannelTables(g, relabel);
-      const local::internal::ChannelTables tc =
-          local::internal::BuildChannelTables(compact, relabel);
-      EXPECT_EQ(tc.first, t.first);
-      EXPECT_EQ(tc.send_chan, t.send_chan);
-      EXPECT_EQ(tc.order, t.order);
-      EXPECT_EQ(tc.perm, t.perm);
-      ASSERT_EQ(t.first.size(), static_cast<size_t>(n) + 1);
-      ASSERT_EQ(t.send_chan.size(), 2 * static_cast<size_t>(g.NumEdges()));
-      ASSERT_EQ(t.perm.size(), relabel ? static_cast<size_t>(n) : 0u);
-      const auto rank = [&](int v) { return relabel ? t.perm[v] : v; };
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const local::internal::ChannelTables t =
+        local::internal::BuildChannelTables(g);
+    const local::internal::ChannelTables tc =
+        local::internal::BuildChannelTables(compact);
+    EXPECT_EQ(tc.first, t.first);
+    EXPECT_EQ(tc.send_chan, t.send_chan);
+    EXPECT_EQ(tc.order, t.order);
+    EXPECT_EQ(tc.perm, t.perm);
+    ASSERT_EQ(t.first.size(), static_cast<size_t>(n) + 1);
+    ASSERT_EQ(t.send_chan.size(), 2 * static_cast<size_t>(g.NumEdges()));
+    ASSERT_EQ(t.perm.size(), static_cast<size_t>(n));
 
-      // BFS order, replayed from its definition.
-      std::vector<int> want(n);
-      if (relabel) {
-        std::vector<char> seen(n, 0);
-        want.clear();
-        for (int root = 0; root < n; ++root) {
-          if (seen[root]) continue;
-          seen[root] = 1;
-          want.push_back(root);
-          for (size_t h = want.size() - 1; h < want.size(); ++h) {
-            for (const int u : g.Neighbors(want[h])) {
-              if (!seen[u]) {
-                seen[u] = 1;
-                want.push_back(u);
-              }
-            }
+    // BFS order, replayed from its definition.
+    std::vector<int> want;
+    std::vector<char> seen(n, 0);
+    for (int root = 0; root < n; ++root) {
+      if (seen[root]) continue;
+      seen[root] = 1;
+      want.push_back(root);
+      for (size_t h = want.size() - 1; h < want.size(); ++h) {
+        for (const int u : g.Neighbors(want[h])) {
+          if (!seen[u]) {
+            seen[u] = 1;
+            want.push_back(u);
           }
         }
-      } else {
-        for (int v = 0; v < n; ++v) want[v] = v;
       }
-      ASSERT_EQ(t.order, want);
+    }
+    ASSERT_EQ(t.order, want);
 
-      std::vector<int> owner(t.send_chan.size());
-      for (int i = 0; i < n; ++i) {
-        const int v = t.order[i];
-        ASSERT_EQ(rank(v), i);
-        ASSERT_EQ(t.first[i + 1] - t.first[i], g.Degree(v)) << "rank " << i;
-        for (int c = t.first[i]; c < t.first[i + 1]; ++c) owner[c] = i;
-      }
-      for (int i = 0; i < n; ++i) {
-        const int v = t.order[i];
-        for (int p = 0; p < g.Degree(v); ++p) {
-          const int u = g.Neighbors(v)[p];
-          const int c = t.send_chan[t.first[i] + p];
-          ASSERT_EQ(t.send_chan[c], t.first[i] + p);
-          ASSERT_EQ(owner[c], rank(u));
-          ASSERT_EQ(c - t.first[rank(u)], g.PortOf(u, v));
-        }
+    std::vector<int> owner(t.send_chan.size());
+    for (int i = 0; i < n; ++i) {
+      const int v = t.order[i];
+      ASSERT_EQ(t.perm[v], i);
+      ASSERT_EQ(t.first[i + 1] - t.first[i], g.Degree(v)) << "rank " << i;
+      for (int c = t.first[i]; c < t.first[i + 1]; ++c) owner[c] = i;
+    }
+    for (int i = 0; i < n; ++i) {
+      const int v = t.order[i];
+      for (int p = 0; p < g.Degree(v); ++p) {
+        const int u = g.Neighbors(v)[p];
+        const int c = t.send_chan[t.first[i] + p];
+        ASSERT_EQ(t.send_chan[c], t.first[i] + p);
+        ASSERT_EQ(owner[c], t.perm[u]);
+        ASSERT_EQ(c - t.first[t.perm[u]], g.PortOf(u, v));
       }
     }
   }
@@ -572,10 +556,10 @@ TEST(NetworkTest, RankOrderedChannelTables) {
 // log has its closed-form size: the channel tables are one rank-ordered CSR
 // (n + 1 offsets, whose differences are the degrees, and 2m send
 // channels), the mailboxes are two 2m-slot arrays of 12-byte slots (48
-// B/edge), and the worklist holds the live ranks, halt flags and rank
-// order, the permutation under relabel, and one cache line per lane. The
-// state plane appears with the first run that declares one. Nothing else
-// grows with a run, whatever the algorithm.
+// B/edge), and the worklist holds the live ranks, halt flags, rank order
+// and its inverse, and one cache line per lane. The state plane appears
+// with the first run that declares one. Nothing else grows with a run,
+// whatever the algorithm.
 TEST(NetworkTest, EngineMemoryPartsSumToTotal) {
   const int n = 500;
   const Graph g = UniformRandomTree(n, 15);
@@ -585,44 +569,39 @@ TEST(NetworkTest, EngineMemoryPartsSumToTotal) {
            b.state_plane + b.run_log;
   };
   for (const int threads : {1, 3}) {
-    for (const bool relabel : {false, true}) {
-      SCOPED_TRACE(std::string(relabel ? "relabel" : "no relabel") +
-                   " T=" + std::to_string(threads));
-      local::NetworkOptions opt;
-      opt.relabel = relabel;
-      Network net(g, DefaultIds(n, 16), threads, opt);
-      const size_t worklist = n * (sizeof(int) + sizeof(char) + sizeof(int)) +
-                              (relabel ? n * sizeof(int) : 0) + 64 * threads;
-      local::EngineBytes b = net.EngineMemory();
-      EXPECT_EQ(sum(b), b.total());
-      EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
-      EXPECT_EQ(b.channel_tables, (n + 1 + 2 * m) * sizeof(int));
-      EXPECT_EQ(b.ids, n * sizeof(int64_t));
-      EXPECT_EQ(b.worklist, worklist);
-      EXPECT_EQ(b.state_plane, 0u);
-      EXPECT_EQ(b.run_log, 0u);
+    SCOPED_TRACE("T=" + std::to_string(threads));
+    Network net(g, DefaultIds(n, 16), threads, local::NetworkOptions{});
+    const size_t worklist =
+        n * (sizeof(int) + sizeof(char) + 2 * sizeof(int)) + 64 * threads;
+    local::EngineBytes b = net.EngineMemory();
+    EXPECT_EQ(sum(b), b.total());
+    EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
+    EXPECT_EQ(b.channel_tables, (n + 1 + 2 * m) * sizeof(int));
+    EXPECT_EQ(b.ids, n * sizeof(int64_t));
+    EXPECT_EQ(b.worklist, worklist);
+    EXPECT_EQ(b.state_plane, 0u);
+    EXPECT_EQ(b.run_log, 0u);
 
-      StaggeredHalt alg;
-      EXPECT_EQ(net.Run(alg, 10), 3);
-      for (int v = 0; v < n; ++v) {
-        EXPECT_EQ(net.StateAt<int64_t>(v), v % 3 + 1) << "node " << v;
-      }
-      b = net.EngineMemory();
-      EXPECT_EQ(sum(b), b.total());
-      EXPECT_EQ(b.state_plane, n * sizeof(int64_t));
-      EXPECT_GT(b.run_log, 0u);
-
-      // A relay run and a rake-compress leave every closed-form part as it
-      // was.
-      RelayWords relay(n, 4);
-      net.Run(relay, 10);
-      RunRakeCompress(net, 2);
-      b = net.EngineMemory();
-      EXPECT_EQ(sum(b), b.total());
-      EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
-      EXPECT_EQ(b.channel_tables, (n + 1 + 2 * m) * sizeof(int));
-      EXPECT_EQ(b.worklist, worklist);
+    StaggeredHalt alg;
+    EXPECT_EQ(net.Run(alg, 10), 3);
+    for (int v = 0; v < n; ++v) {
+      EXPECT_EQ(net.StateAt<int64_t>(v), v % 3 + 1) << "node " << v;
     }
+    b = net.EngineMemory();
+    EXPECT_EQ(sum(b), b.total());
+    EXPECT_EQ(b.state_plane, n * sizeof(int64_t));
+    EXPECT_GT(b.run_log, 0u);
+
+    // A relay run and a rake-compress leave every closed-form part as it
+    // was.
+    RelayWords relay(n, 4);
+    net.Run(relay, 10);
+    RunRakeCompress(net, 2);
+    b = net.EngineMemory();
+    EXPECT_EQ(sum(b), b.total());
+    EXPECT_EQ(b.mailboxes, 2 * 2 * m * 12);
+    EXPECT_EQ(b.channel_tables, (n + 1 + 2 * m) * sizeof(int));
+    EXPECT_EQ(b.worklist, worklist);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "src/algos/cole_vishkin.h"
 #include "src/algos/linial.h"
@@ -112,13 +113,32 @@ DistributedSweepResult RunNodeSweepOnEngine(local::Engine& net,
                                             const Graph& g,
                                             const std::vector<int64_t>& colors,
                                             int64_t num_colors) {
+  // The sweep is order-independent only on a proper coloring: same-colored
+  // neighbors would read each other's half-written labels in one round.
+  if (colors.size() != static_cast<size_t>(g.NumNodes())) {
+    throw std::invalid_argument("node sweep: colors must have one entry per "
+                                "node");
+  }
+  for (int v = 0; v < g.NumNodes(); ++v) {
+    if (colors[v] < 0 || colors[v] >= num_colors) {
+      throw std::invalid_argument(
+          "node sweep: node " + std::to_string(v) + " has color " +
+          std::to_string(colors[v]) + " outside [0, " +
+          std::to_string(num_colors) + ")");
+    }
+  }
+  for (int e = 0; e < g.NumEdges(); ++e) {
+    const auto [u, v] = g.Endpoints(e);
+    if (colors[u] == colors[v]) {
+      throw std::invalid_argument(
+          "node sweep: the coloring is not proper: edge " + std::to_string(e) +
+          " joins nodes " + std::to_string(u) + " and " + std::to_string(v) +
+          ", both colored " + std::to_string(colors[u]));
+    }
+  }
   DistributedSweepResult result;
   result.labeling = HalfEdgeLabeling(g);
   if (g.NumNodes() == 0) return result;
-  for (int64_t c : colors) {
-    assert(c >= 0 && c < num_colors);
-    (void)c;
-  }
   NodeSweepAlgorithm alg(problem, g, colors, num_colors, result.labeling);
   result.rounds = net.Run(alg, static_cast<int>(num_colors) + 2);
   result.messages = net.messages_delivered();

@@ -63,8 +63,10 @@ struct DistributedSweepResult {
   std::vector<local::RoundStats> round_stats;
 };
 
-// `colors[v]` in [0, num_colors) for every node of `g`; `ids` are the LOCAL
-// identifiers. Labels every half-edge of `g`. Runs on a `Network` with
+// `colors[v]` in [0, num_colors) for every node of `g`, a proper coloring;
+// `ids` are the LOCAL identifiers. Labels every half-edge of `g`. Throws
+// std::invalid_argument for an out-of-range color or an edge whose
+// endpoints share a color. Runs on a `Network` with
 // `num_threads` lanes.
 DistributedSweepResult RunDistributedNodeSweep(
     const NodeProblem& problem, const Graph& g,

@@ -3,11 +3,10 @@
 // rounds, message counts, and per-round RoundStats — for every thread
 // count, across uneven worklist sizes (n not divisible by T, n < T, empty
 // shards) and mid-run halting patterns that reshuffle the shard boundaries
-// every round. Plus the
-// NetworkOptions::relabel bit-identity contract, engine reuse, exception
-// propagation out of sharded rounds, and the pipeline-level parallel
-// overloads (rake-compress, Linial, Cole-Vishkin, distributed sweep,
-// Theorem 12).
+// every round. Plus bit-identity with the ReferenceNetwork oracle on the
+// caller's labels, engine reuse, exception propagation out of sharded
+// rounds, and the pipeline-level parallel overloads (rake-compress,
+// Linial, Cole-Vishkin, distributed sweep, Theorem 12).
 #include "src/local/parallel_network.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +21,7 @@
 #include "src/core/transform_node.h"
 #include "src/graph/generators.h"
 #include "src/local/network.h"
+#include "src/local/reference_network.h"
 #include "src/problems/mis.h"
 #include "src/support/rng.h"
 #include "tests/oracle/host_oracle.h"
@@ -32,7 +32,6 @@ namespace {
 using local::Algorithm;
 using local::Message;
 using local::Network;
-using local::NetworkOptions;
 using local::NodeContext;
 using local::ParallelNetwork;
 using local::RoundStats;
@@ -42,7 +41,8 @@ using local::RoundStats;
 // last-write-wins double-send to exercise the per-shard counter dedup.
 class DigestAlgorithm : public Algorithm {
  public:
-  explicit DigestAlgorithm(int n) : digest_(n, 0) {}
+  DigestAlgorithm(const Graph& g, const std::vector<int64_t>& ids)
+      : g_(&g), ids_(&ids), digest_(g.NumNodes(), 0) {}
 
   void OnRound(NodeContext& ctx) override {
     const int v = ctx.node();
@@ -53,7 +53,7 @@ class DigestAlgorithm : public Algorithm {
       if (m.present()) {
         d = d * 31 + static_cast<uint64_t>(m.word0) + m.size;
       }
-      d += static_cast<uint64_t>(ctx.neighbor_id(p));
+      d += static_cast<uint64_t>((*ids_)[g_->Neighbors(v)[p]]);
     }
     digest_[v] = d;
     const int halt_round = static_cast<int>(ctx.id() % 11) + 1;
@@ -69,6 +69,8 @@ class DigestAlgorithm : public Algorithm {
     }
   }
 
+  const Graph* g_;
+  const std::vector<int64_t>* ids_;
   std::vector<uint64_t> digest_;
 };
 
@@ -148,7 +150,7 @@ TEST(ParallelNetworkTest, DigestStressUnevenSizes) {
     Graph g = UniformRandomTree(n, 3000 + n);
     auto ids = DefaultIds(n, 3100 + n);
     ExpectParallelMatchesSerial(
-        g, ids, [&] { return std::make_unique<DigestRunner>(n); }, 64);
+        g, ids, [&] { return std::make_unique<DigestRunner>(g, ids); }, 64);
   }
 }
 
@@ -197,13 +199,13 @@ TEST(ParallelNetworkTest, ReuseMatchesFreshEngine) {
   auto ids = DefaultIds(n, 78);
   ParallelNetwork reused(g, ids, 4);
 
-  DigestRunner first(n);
+  DigestRunner first(g, ids);
   const RunOutcome a = RunOn(reused, first, 64);
   {
     PeelRunner peel(g);  // dirty the mailboxes with a different transcript
     reused.Run(peel, 4 * n + 8);
   }
-  DigestRunner again(n);
+  DigestRunner again(g, ids);
   const RunOutcome b = RunOn(reused, again, 64);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.messages, b.messages);
@@ -223,9 +225,9 @@ TEST(ParallelNetworkTest, MaxRoundsThrowsAndEngineSurvives) {
   Forever forever;
   EXPECT_THROW(net.Run(forever, 5), std::runtime_error);
   // The engine re-initializes per Run: a normal algorithm still works.
-  DigestRunner digest(n);
+  DigestRunner digest(g, ids);
   Network serial(g, ids);
-  DigestRunner serial_digest(n);
+  DigestRunner serial_digest(g, ids);
   EXPECT_EQ(net.Run(digest, 64), serial.Run(serial_digest, 64));
   EXPECT_EQ(digest.digest_, serial_digest.digest_);
 }
@@ -247,53 +249,40 @@ TEST(ParallelNetworkTest, OnRoundExceptionPropagates) {
   ParallelNetwork net(g, ids, 4);
   ThrowsAtRound2 bad;
   EXPECT_THROW(net.Run(bad, 100), std::domain_error);
-  DigestRunner ok(n);
+  DigestRunner ok(g, ids);
   EXPECT_GT(net.Run(ok, 64), 0);  // usable after the aborted run
 }
 
-// NetworkOptions::relabel: the BFS-laid-out engine (the default) must be
-// transcript-identical to the caller's labels, serially and sharded.
+// The BFS-laid-out engine must be transcript-identical to the
+// ReferenceNetwork oracle on the caller's labels, serially and sharded.
 TEST(ParallelNetworkTest, RelabelBitIdentical) {
-  NetworkOptions caller_labels, relabel;
-  caller_labels.relabel = false;
   for (int n : {1, 2, 57, 400}) {
     Graph g = UniformRandomTree(n, 4000 + n);
     auto ids = DefaultIds(n, 4100 + n);
 
-    DigestRunner plain_alg(n);
-    Network plain(g, ids, caller_labels);
-    const RunOutcome want = RunOn(plain, plain_alg, 64);
+    DigestRunner reference_alg(g, ids);
+    local::ReferenceNetwork reference(g, ids);
+    const RunOutcome want = RunOn(reference, reference_alg, 64);
 
-    DigestRunner relabeled_alg(n);
-    Network relabeled(g, ids, relabel);
-    const RunOutcome got = RunOn(relabeled, relabeled_alg, 64);
-    EXPECT_EQ(got.rounds, want.rounds);
-    EXPECT_EQ(got.messages, want.messages);
-    EXPECT_EQ(got.stats, want.stats);
-    EXPECT_EQ(relabeled_alg.digest_, plain_alg.digest_);
-
-    for (int threads : {2, 3}) {
-      DigestRunner par_alg(n);
-      ParallelNetwork par(g, ids, threads, relabel);
-      const RunOutcome par_got = RunOn(par, par_alg, 64);
-      EXPECT_EQ(par_got.rounds, want.rounds) << "T=" << threads;
-      EXPECT_EQ(par_got.messages, want.messages) << "T=" << threads;
-      EXPECT_EQ(par_got.stats, want.stats) << "T=" << threads;
-      EXPECT_EQ(par_alg.digest_, plain_alg.digest_) << "T=" << threads;
+    for (int threads : {1, 2, 3}) {
+      DigestRunner alg(g, ids);
+      ParallelNetwork net(g, ids, threads);
+      const RunOutcome got = RunOn(net, alg, 64);
+      EXPECT_EQ(got.rounds, want.rounds) << "T=" << threads;
+      EXPECT_EQ(got.messages, want.messages) << "T=" << threads;
+      EXPECT_EQ(got.stats, want.stats) << "T=" << threads;
+      EXPECT_EQ(alg.digest_, reference_alg.digest_) << "T=" << threads;
     }
   }
 }
 
 TEST(ParallelNetworkTest, RelabelRakeCompressOnForestUnion) {
   // Multi-component graphs exercise the BFS restart path.
-  NetworkOptions caller_labels;
-  caller_labels.relabel = false;
   Graph g = ForestUnion(300, 1, 31);  // a = 1: a real (multi-component) forest
   auto ids = DefaultIds(g.NumNodes(), 32);
-  Network plain(g, ids, caller_labels);
-  RakeCompressResult want = RunRakeCompress(plain, 4);
+  local::ReferenceNetwork reference(g, ids);
+  RakeCompressResult want = RunRakeCompress(reference, 4);
   Network net(g, ids);
-  ASSERT_TRUE(net.relabeled());
   RakeCompressResult got = RunRakeCompress(net, 4);
   EXPECT_EQ(got.iteration, want.iteration);
   EXPECT_EQ(got.compressed, want.compressed);
@@ -379,12 +368,12 @@ TEST(ParallelNetworkTest, EpochWrapRearm) {
   Graph g = UniformRandomTree(n, 7000);
   auto ids = DefaultIds(n, 7001);
   Network serial(g, ids);
-  DigestRunner want(n);
+  DigestRunner want(g, ids);
   serial.Run(want, 64);
 
   ParallelNetwork par(g, ids, 3);
   par.set_epoch_for_testing(INT32_MAX - 3);  // forces the pre-run re-arm
-  DigestRunner got(n);
+  DigestRunner got(g, ids);
   par.Run(got, 64);
   EXPECT_EQ(got.digest_, want.digest_);
   EXPECT_EQ(par.messages_delivered(), serial.messages_delivered());

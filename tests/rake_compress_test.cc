@@ -8,6 +8,7 @@
 #include "src/core/rake_compress.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
+#include "src/local/reference_network.h"
 #include "src/support/mathutil.h"
 #include "src/support/rng.h"
 
@@ -200,11 +201,9 @@ void ExpectSameResult(const RakeCompressResult& a, const RakeCompressResult& b) 
 // Shared-transcript dedup: a sweep with duplicate ks and a tail of ks at or
 // above Delta must be bit-identical, per k, to one solo run per k, even
 // though the engine runs far fewer decompositions. The sweep runs on a
-// plain engine and on a relabeled two-lane one; the solo runs use fresh
-// engines.
+// one-lane and a two-lane Network; the solo runs use ReferenceNetwork on
+// the caller's labels.
 TEST(RakeCompressDedup, BitIdenticalToSoloRunsPerK) {
-  local::NetworkOptions plain, relabel;
-  plain.relabel = false;
   for (uint64_t seed : {21u, 22u}) {
     Graph g = UniformRandomTree(700, seed);
     auto ids = DefaultIds(700, seed + 50);
@@ -213,13 +212,15 @@ TEST(RakeCompressDedup, BitIdenticalToSoloRunsPerK) {
     const std::vector<int> ks = {2,         3,     delta - 1, delta,
                                  delta + 1, delta, 2 * delta, 300,
                                  2,         delta + 7};
-    local::Network plain_net(g, ids, plain);
-    local::Network relabel_net(g, ids, 2, relabel);
-    for (local::Network* net : {&plain_net, &relabel_net}) {
-      auto deduped = RunRakeCompressDeduped(*net, ks);
+    local::ReferenceNetwork reference(g, ids);
+    std::vector<RakeCompressResult> solo;
+    for (const int k : ks) solo.push_back(RunRakeCompress(reference, k));
+    for (const int threads : {1, 2}) {
+      local::Network net(g, ids, threads, local::NetworkOptions{});
+      auto deduped = RunRakeCompressDeduped(net, ks);
       ASSERT_EQ(deduped.size(), ks.size());
       for (size_t b = 0; b < ks.size(); ++b) {
-        ExpectSameResult(deduped[b], RunRakeCompress(g, ids, ks[b]));
+        ExpectSameResult(deduped[b], solo[b]);
       }
     }
   }

@@ -25,6 +25,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/local/network.h"
+#include "src/local/reference_network.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/registry.h"
@@ -252,23 +253,12 @@ TEST_F(ServeQuotaTest, BusyGraphIsNotEvictedAndRejectionIsStructured) {
   EXPECT_EQ(after, baseline);
 }
 
-// Resident engines take the engine's default BFS layout at every size: a
-// graph above 2^18 nodes (where resident engines once switched to the
-// caller's labels) is relabeled, and its results are byte-identical to a
-// solo run of the same graph on the caller's labels.
+// Resident engines take Network's BFS layout at every size: on a graph
+// above 2^18 nodes (where resident engines once switched to the caller's
+// labels) the daemon's rake-compress is byte-identical to ReferenceNetwork
+// on the caller's labels, and its decomposition to a solo Network.
 TEST_F(ServeQuotaTest, LargeResidentGraphRunsRelabeled) {
   const Graph above = UniformRandomTree((1 << 18) + 1, 42);
-  {
-    Registry reg;
-    Registry::AdmitResult result = Registry::AdmitResult::kAdmitted;
-    bool fresh = false;
-    std::string error;
-    auto b = reg.Register(above.NumNodes(), EdgesOf(above), {}, &fresh,
-                          &result, &error);
-    ASSERT_TRUE(b != nullptr) << error;
-    EXPECT_TRUE(b->engine->relabeled());
-  }
-
   StartServer(Server::Options{});
   auto c = Connect();
   std::string error;
@@ -279,22 +269,19 @@ TEST_F(ServeQuotaTest, LargeResidentGraphRunsRelabeled) {
   const int n = above.NumNodes();
   std::vector<int64_t> ids(n);
   for (int v = 0; v < n; ++v) ids[v] = v;
-  local::NetworkOptions caller_labels;
-  caller_labels.relabel = false;
 
   SolveSpec spec;
   spec.kind = SolveKind::kRakeCompress;
   spec.k = 2;
   SolveResult got;
   ASSERT_TRUE(c->SolveAndWait(key, spec, &got, &error)) << error;
-  local::Network solo(above, ids, caller_labels);
-  ASSERT_FALSE(solo.relabeled());
-  const RakeCompressResult rc = RunRakeCompress(solo, 2);
+  local::ReferenceNetwork reference(above, ids);
+  const RakeCompressResult rc = RunRakeCompress(reference, 2);
   SolveResult want;
   want.kind = SolveKind::kRakeCompress;
   want.engine_rounds = want.total_rounds = rc.engine_rounds;
   want.messages = rc.messages;
-  want.digest = solo.last_digest();
+  want.digest = reference.last_digest();
   want.iterations = rc.num_iterations;
   EXPECT_TRUE(got == want);
 
@@ -302,6 +289,7 @@ TEST_F(ServeQuotaTest, LargeResidentGraphRunsRelabeled) {
   spec.a = 1;
   spec.k = 5;
   ASSERT_TRUE(c->SolveAndWait(key, spec, &got, &error)) << error;
+  local::Network solo(above, ids);
   const DecompositionResult dr = RunDecomposition(solo, 1, 2, 5);
   want.kind = SolveKind::kDecomposition;
   want.engine_rounds = want.total_rounds = dr.engine_rounds;

@@ -1,8 +1,8 @@
 // Crash-safety contract of the snapshot subsystem (src/local/snapshot.h):
 //   * checkpoint at any round boundary, resume in a fresh process-equivalent
 //     engine, and the continued run is bit-identical to the uninterrupted
-//     one — for every engine class x relabel on/off x thread count, and
-//     across engine classes (the image is canonical);
+//     one — for every engine class x thread count, and across engine
+//     classes (the image is canonical);
 //   * the byte format round-trips, and every truncation or corruption of
 //     the byte stream fails with a clean SnapshotError, never UB.
 #include <gtest/gtest.h>
@@ -78,9 +78,10 @@ std::string WithWord(std::string bytes, size_t offset, uint32_t value,
 }
 
 // The uninterrupted run's final canonical image — the "want" of every
-// bit-identity comparison below. Taken on the serial Network without
-// relabel; every other configuration must reproduce it exactly (up to the
-// informational engine tag, which the caller normalizes).
+// bit-identity comparison below. Taken on the serial Network; every other
+// configuration, ReferenceNetwork on the caller's labels included, must
+// reproduce it exactly (up to the informational engine tag, which the
+// caller normalizes).
 SnapshotData FinalImage(const Graph& g, const std::vector<int64_t>& ids,
                         int k, bool digest_messages) {
   NetworkOptions opt;
@@ -131,30 +132,23 @@ TEST(SnapshotTest, ResumeBitIdentityMatrix) {
     SCOPED_TRACE(std::string("digest_messages=") +
                  (digest_messages ? "1" : "0"));
     const SnapshotData want = FinalImage(g, ids, k, digest_messages);
-    NetworkOptions plain, relabel;
-    plain.digest_messages = relabel.digest_messages = digest_messages;
-    plain.relabel = false;
+    NetworkOptions opt;
+    opt.digest_messages = digest_messages;
     for (int pause : {0, 1, 4, -1}) {
       ExpectResumeBitIdentical(
           k, pause, want,
-          [&] { return std::make_unique<Network>(g, ids, plain); },
-          "Network");
-      ExpectResumeBitIdentical(
-          k, pause, want,
-          [&] { return std::make_unique<Network>(g, ids, relabel); },
-          "Network+relabel");
+          [&] { return std::make_unique<Network>(g, ids, opt); }, "Network");
       for (int threads : {1, 2, 8}) {
         ExpectResumeBitIdentical(
             k, pause, want,
             [&] {
-              return std::make_unique<ParallelNetwork>(g, ids, threads,
-                                                       relabel);
+              return std::make_unique<ParallelNetwork>(g, ids, threads, opt);
             },
             "ParallelNetwork T=" + std::to_string(threads));
       }
       ExpectResumeBitIdentical(
           k, pause, want,
-          [&] { return std::make_unique<ReferenceNetwork>(g, ids, plain); },
+          [&] { return std::make_unique<ReferenceNetwork>(g, ids, opt); },
           "ReferenceNetwork");
     }
   }
@@ -167,8 +161,6 @@ TEST(SnapshotTest, MidRunSnapshotsIdenticalAcrossEngines) {
   const int n = 257, k = 2, pause = 3;
   const Graph g = RandomRecursiveTree(n, 17);
   const auto ids = DefaultIds(n, 18);
-  NetworkOptions plain, relabel;
-  plain.relabel = false;
   std::vector<SnapshotData> snaps;
   auto record = [&](auto net) {
     auto alg = MakeRakeCompressAlgorithm(k);
@@ -176,13 +168,12 @@ TEST(SnapshotTest, MidRunSnapshotsIdenticalAcrossEngines) {
     ASSERT_TRUE(net->paused());
     snaps.push_back(ParseBytes(CheckpointBytes(*net)));
   };
-  record(std::make_unique<Network>(g, ids, plain));
-  record(std::make_unique<Network>(g, ids, relabel));
-  record(std::make_unique<ParallelNetwork>(g, ids, 8, relabel));
-  record(std::make_unique<ReferenceNetwork>(g, ids, plain));
+  record(std::make_unique<Network>(g, ids));
+  record(std::make_unique<ParallelNetwork>(g, ids, 8));
+  record(std::make_unique<ReferenceNetwork>(g, ids));
   EXPECT_EQ(snaps[0].engine_kind, SnapshotEngineKind::kNetwork);
-  EXPECT_EQ(snaps[2].engine_kind, SnapshotEngineKind::kNetwork);
-  EXPECT_EQ(snaps[3].engine_kind, SnapshotEngineKind::kReferenceNetwork);
+  EXPECT_EQ(snaps[1].engine_kind, SnapshotEngineKind::kNetwork);
+  EXPECT_EQ(snaps[2].engine_kind, SnapshotEngineKind::kReferenceNetwork);
   for (size_t i = 1; i < snaps.size(); ++i) {
     SnapshotData norm = snaps[i];
     norm.engine_kind = snaps[0].engine_kind;
@@ -218,21 +209,21 @@ class StagedSweep : public Algorithm {
 
 // Checkpoint on one engine class, resume on another: the canonical image
 // carries no layout, so every (recorder, resumer) pair must continue to the
-// same final image. The T=1 Network pairs cross the relabel boundary in
-// both directions, which pins the checkpoint gather, the resume scatter
-// and the rank-order worklist rebuild. Two inputs: rake-compress paused
+// same final image. The Network / ReferenceNetwork pairs cross from the
+// BFS layout to the caller's labels in both directions, which pins the
+// checkpoint gather, the resume scatter and the rank-order worklist
+// rebuild. Two inputs: rake-compress paused
 // early, and a staged sweep paused mid-sweep, with half its broadcasts
 // still ahead.
 TEST(SnapshotTest, CrossEngineResume) {
   const int n = 220;
   const Graph g = BoundedDegreeRandomTree(n, 5, 33);
   const auto ids = DefaultIds(n, 34);
-  NetworkOptions plain, relabel;
-  plain.digest_messages = relabel.digest_messages = true;
-  plain.relabel = false;
+  NetworkOptions opt;
+  opt.digest_messages = true;
 
   const auto cross = [&](auto make_alg, int pause) {
-    Network whole(g, ids, plain);
+    ReferenceNetwork whole(g, ids, opt);
     auto whole_alg = make_alg();
     whole.Run(*whole_alg, kMaxRounds);
     const SnapshotData want = ParseBytes(CheckpointBytes(whole));
@@ -244,10 +235,9 @@ TEST(SnapshotTest, CrossEngineResume) {
       ASSERT_TRUE(net->paused());
       recordings.push_back(CheckpointBytes(*net));
     };
-    record(std::make_unique<Network>(g, ids, relabel));
-    record(std::make_unique<Network>(g, ids, plain));
-    record(std::make_unique<ParallelNetwork>(g, ids, 4, plain));
-    record(std::make_unique<ReferenceNetwork>(g, ids, plain));
+    record(std::make_unique<Network>(g, ids, opt));
+    record(std::make_unique<ParallelNetwork>(g, ids, 4, opt));
+    record(std::make_unique<ReferenceNetwork>(g, ids, opt));
 
     auto finish_and_check = [&](auto net, const std::string& bytes) {
       auto alg = make_alg();
@@ -259,13 +249,10 @@ TEST(SnapshotTest, CrossEngineResume) {
     };
     for (size_t i = 0; i < recordings.size(); ++i) {
       SCOPED_TRACE("recording " + std::to_string(i));
-      finish_and_check(std::make_unique<Network>(g, ids, plain),
+      finish_and_check(std::make_unique<Network>(g, ids, opt), recordings[i]);
+      finish_and_check(std::make_unique<ParallelNetwork>(g, ids, 8, opt),
                        recordings[i]);
-      finish_and_check(std::make_unique<Network>(g, ids, relabel),
-                       recordings[i]);
-      finish_and_check(std::make_unique<ParallelNetwork>(g, ids, 8, relabel),
-                       recordings[i]);
-      finish_and_check(std::make_unique<ReferenceNetwork>(g, ids, plain),
+      finish_and_check(std::make_unique<ReferenceNetwork>(g, ids, opt),
                        recordings[i]);
     }
   };
@@ -388,15 +375,12 @@ TEST(SnapshotTest, DigestChainsIdenticalAcrossEngines) {
   for (bool digest_messages : {false, true}) {
     NetworkOptions opt;
     opt.digest_messages = digest_messages;
-    opt.relabel = false;
-    NetworkOptions relabel = opt;
-    relabel.relabel = true;
 
     Network net(g, ids, opt);
     auto a1 = MakeRakeCompressAlgorithm(k);
     net.Run(*a1, kMaxRounds);
 
-    ParallelNetwork par(g, ids, 8, relabel);
+    ParallelNetwork par(g, ids, 8, opt);
     auto a2 = MakeRakeCompressAlgorithm(k);
     par.Run(*a2, kMaxRounds);
 

@@ -3,10 +3,9 @@
 // (StateBytes / InitState / NodeContext::State) must produce bit-identical
 // transcripts — extracted state, executed rounds, message counts, per-round
 // RoundStats — across every engine (ReferenceNetwork, Network,
-// ParallelNetwork), with NetworkOptions::relabel on and off, T in
-// {1, 2, 8}, multi-component forests, mid-run halts (round-0 halts
-// included), and engine reuse with re-armed planes (same and different
-// slot sizes back to back).
+// ParallelNetwork), T in {1, 2, 8}, multi-component forests, mid-run
+// halts (round-0 halts included), and engine reuse with re-armed planes
+// (same and different slot sizes back to back).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,7 +24,6 @@ namespace {
 using local::Algorithm;
 using local::Message;
 using local::Network;
-using local::NetworkOptions;
 using local::NodeContext;
 using local::ParallelNetwork;
 using local::ReferenceNetwork;
@@ -65,7 +63,7 @@ class StateDigest : public Algorithm {
         d = d * 31 + static_cast<uint64_t>(m.word0) + m.size;
         --st.live_degree;
       }
-      d += static_cast<uint64_t>(ctx.neighbor_id(p));
+      d += static_cast<uint64_t>((*ids_)[g_->Neighbors(ctx.node())[p]]);
     }
     st.digest = d;
     if (ctx.round() >= st.halt_round || st.live_degree < -3) {
@@ -115,16 +113,11 @@ void ExpectMatrixMatches(const Graph& g, const std::vector<int64_t>& ids) {
   ReferenceNetwork ref(g, ids);
   const Outcome want = RunOn(ref, g, ids);
 
-  for (bool relabel : {false, true}) {
-    NetworkOptions opt;
-    opt.relabel = relabel;
-    Network net(g, ids, opt);
-    EXPECT_EQ(RunOn(net, g, ids), want) << "Network relabel=" << relabel;
-    for (int threads : {1, 2, 8}) {
-      ParallelNetwork par(g, ids, threads, opt);
-      EXPECT_EQ(RunOn(par, g, ids), want)
-          << "ParallelNetwork T=" << threads << " relabel=" << relabel;
-    }
+  Network net(g, ids);
+  EXPECT_EQ(RunOn(net, g, ids), want) << "Network";
+  for (int threads : {1, 2, 8}) {
+    ParallelNetwork par(g, ids, threads);
+    EXPECT_EQ(RunOn(par, g, ids), want) << "ParallelNetwork T=" << threads;
   }
 }
 
@@ -135,7 +128,7 @@ TEST(StatePlaneMatrix, UniformTree) {
 }
 
 TEST(StatePlaneMatrix, MultiComponentForest) {
-  // A real multi-component forest: relabel's BFS restarts and shard
+  // A real multi-component forest: the layout's BFS restarts and shard
   // boundaries both cross component seams.
   Graph g = ForestUnion(300, 1, 31);
   ExpectMatrixMatches(g, DefaultIds(g.NumNodes(), 903));
@@ -184,42 +177,38 @@ TEST(StatePlaneReuse, ReArmAcrossRunsAndSlotSizes) {
   Graph g = UniformRandomTree(n, 910);
   auto ids = DefaultIds(n, 911);
 
-  for (bool relabel : {false, true}) {
-    NetworkOptions opt;
-    opt.relabel = relabel;
-    Network reused(g, ids, opt);
-    const Outcome first = RunOn(reused, g, ids);
+  Network reused(g, ids);
+  const Outcome first = RunOn(reused, g, ids);
 
-    // Different slot size (16 -> 8 bytes), fresh-engine comparison.
-    TinyCounter tiny;
-    const int tiny_rounds = reused.Run(tiny, kMaxRounds);
-    std::vector<int64_t> tiny_sums(n);
-    for (int v = 0; v < n; ++v) {
-      tiny_sums[v] = reused.StateAt<TinyState>(v).sum;
-    }
-    {
-      Network fresh(g, ids, opt);
-      TinyCounter tiny2;
-      EXPECT_EQ(fresh.Run(tiny2, kMaxRounds), tiny_rounds);
-      for (int v = 0; v < n; ++v) {
-        EXPECT_EQ(fresh.StateAt<TinyState>(v).sum, tiny_sums[v]);
-      }
-    }
-
-    // A stateless legacy algorithm in between (plane shrinks to zero).
-    struct HaltNow : Algorithm {
-      void OnRound(NodeContext& ctx) override { ctx.Halt(); }
-    } legacy;
-    EXPECT_EQ(reused.Run(legacy, kMaxRounds), 1);
-
-    // Back to the digest: bit-identical to the first run.
-    EXPECT_EQ(RunOn(reused, g, ids), first) << "relabel=" << relabel;
+  // Different slot size (16 -> 8 bytes), fresh-engine comparison.
+  TinyCounter tiny;
+  const int tiny_rounds = reused.Run(tiny, kMaxRounds);
+  std::vector<int64_t> tiny_sums(n);
+  for (int v = 0; v < n; ++v) {
+    tiny_sums[v] = reused.StateAt<TinyState>(v).sum;
   }
+  {
+    Network fresh(g, ids);
+    TinyCounter tiny2;
+    EXPECT_EQ(fresh.Run(tiny2, kMaxRounds), tiny_rounds);
+    for (int v = 0; v < n; ++v) {
+      EXPECT_EQ(fresh.StateAt<TinyState>(v).sum, tiny_sums[v]);
+    }
+  }
+
+  // A stateless legacy algorithm in between (plane shrinks to zero).
+  struct HaltNow : Algorithm {
+    void OnRound(NodeContext& ctx) override { ctx.Halt(); }
+  } legacy;
+  EXPECT_EQ(reused.Run(legacy, kMaxRounds), 1);
+
+  // Back to the digest: bit-identical to the first run.
+  EXPECT_EQ(RunOn(reused, g, ids), first);
 }
 
 // The real pipeline on the full engine matrix: rake-compress (now
-// state-plane based) must stay bit-identical across every engine and both
-// layouts — the pipeline-level restatement of the contract.
+// state-plane based) must stay bit-identical across every engine — the
+// pipeline-level restatement of the contract.
 TEST(StatePlaneMatrix, RakeCompressAcrossAllEngines) {
   Graph g = ForestUnion(260, 1, 33);
   auto ids = DefaultIds(g.NumNodes(), 930);
@@ -233,19 +222,15 @@ TEST(StatePlaneMatrix, RakeCompressAcrossAllEngines) {
       EXPECT_EQ(got.messages, want.messages);
       EXPECT_EQ(got.round_stats, want.round_stats);
     };
-    for (bool relabel : {false, true}) {
-      NetworkOptions opt;
-      opt.relabel = relabel;
-      Network net(g, ids, opt);
-      same(RunRakeCompress(net, k));
-      for (int threads : {1, 2, 8}) {
-        ParallelNetwork par(g, ids, threads, opt);
-        same(RunRakeCompress(par, k));
-      }
-      for (const RakeCompressResult& got :
-           RunRakeCompressDeduped(net, {k, k})) {
-        same(got);
-      }
+    Network net(g, ids);
+    same(RunRakeCompress(net, k));
+    for (int threads : {1, 2, 8}) {
+      ParallelNetwork par(g, ids, threads);
+      same(RunRakeCompress(par, k));
+    }
+    for (const RakeCompressResult& got :
+         RunRakeCompressDeduped(net, {k, k})) {
+      same(got);
     }
   }
 }

@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
 #include "src/core/complexity.h"
 #include "src/core/transform_edge.h"
 #include "src/core/transform_node.h"
+#include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
+#include "src/local/network.h"
 #include "src/problems/coloring.h"
 #include "src/problems/edge_coloring.h"
 #include "src/problems/matching.h"
@@ -314,16 +317,14 @@ TEST(TransformDeterminism, Thm12BatchMatchesSoloPerK) {
   EXPECT_EQ(SolveNodeProblemOnTreeBatch(mis, empty, {}, 8, {2, 4}).size(), 2u);
 }
 
-// The engine overload on one reused engine (relabel on, as treelocald runs
-// it) must match the graph overload for every k, in any order.
+// The engine overload on one reused engine (as treelocald runs it) must
+// match the graph overload for every k, in any order.
 TEST(TransformDeterminism, Thm12EngineOverloadMatchesGraphOverload) {
   Graph tree = UniformRandomTree(350, 27);
   auto ids = DefaultIds(350, 28);
   ColoringProblem coloring(ColoringProblem::Mode::kDeltaPlusOne,
                            tree.MaxDegree());
-  local::NetworkOptions opt;
-  opt.relabel = true;
-  local::Network net(tree, ids, opt);
+  local::Network net(tree, ids);
   for (const int k : {2, 5, 2}) {
     SCOPED_TRACE("k=" + std::to_string(k));
     auto on_engine =
@@ -410,6 +411,53 @@ TEST(Thm15PreconditionTest, UnderStatedArboricityIsRefusedByName) {
               std::string::npos)
         << what;
   }
+}
+
+// Theorem 12 takes a forest. StarUnion(500, 2) unions two spanning star
+// forests and has cycles; every Theorem 12 entry point refuses it with an
+// error naming the precondition and the graph's m, n and component count,
+// before any engine runs.
+void ExpectNotAForest(const Graph& g, const std::function<void()>& solve) {
+  int components = 0;
+  ConnectedComponents(g, &components);
+  try {
+    solve();
+    FAIL() << "a graph with cycles was solved by Theorem 12";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("Theorem 12 takes a forest: m=" +
+                        std::to_string(g.NumEdges()) +
+                        ", n=" + std::to_string(g.NumNodes()) +
+                        ", components=" + std::to_string(components)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(Thm12PreconditionTest, GraphOverloadRefusesNonForest) {
+  const Graph g = StarUnion(500, 2, 1);
+  const auto ids = DefaultIds(g.NumNodes(), 2);
+  ExpectNotAForest(g, [&] {
+    SolveNodeProblemOnTree(MisProblem(), g, ids, IdSpace(g.NumNodes()), 5);
+  });
+}
+
+TEST(Thm12PreconditionTest, EngineOverloadRefusesNonForest) {
+  const Graph g = StarUnion(500, 2, 1);
+  local::Network net(g, DefaultIds(g.NumNodes(), 2));
+  ExpectNotAForest(g, [&] {
+    SolveNodeProblemOnTree(MisProblem(), net, IdSpace(g.NumNodes()), 5);
+  });
+  EXPECT_TRUE(net.round_stats().empty());  // no engine ran
+}
+
+TEST(Thm12PreconditionTest, BatchRefusesNonForest) {
+  const Graph g = StarUnion(500, 2, 1);
+  const auto ids = DefaultIds(g.NumNodes(), 2);
+  ExpectNotAForest(g, [&] {
+    SolveNodeProblemOnTreeBatch(MisProblem(), g, ids, IdSpace(g.NumNodes()),
+                                {2, 5});
+  });
 }
 
 }  // namespace

@@ -45,12 +45,11 @@ SPEEDUP_FLOORS = {
     # Optimized engine vs the naive reference: must never fall back to
     # reference-level throughput.
     "rake_compress_engine_acceptance": 1.0,
-    # Sharded / relabeled / instance-parallel runs must never lose big to
+    # Sharded / instance-parallel runs must never lose big to
     # serial. (A k-sweep on W solo engines in W threads pays a thread spawn
     # per worker per sweep, which CI's small smoke n barely amortizes; the
     # real floor is the acceptance-sized one below.)
     "parallel_scaling": 0.5,
-    "relabel_ablation": 0.5,
     "k_sweep_instance_parallel": 0.5,
     # Dedup runs strictly fewer decompositions; a collapse below 0.8 means
     # the fan-out copy started dominating the saved engine work.
@@ -94,13 +93,6 @@ ACCEPTANCE_FLOORS = {
     # collapse of the per-instance parallelism, not percent-level drift; a
     # host with fewer than 3 hardware threads cannot reach it.
     "k_sweep_instance_parallel": 2.0,
-    # The engine's default BFS layout against the same engine on the
-    # caller's labels, rake-compress on a uniform random tree at n >= 2^20
-    # and T = 1 (bench_parallel sets "acceptance" only there): 2.23x and
-    # 2.34x median pair ratio (10/10 pairs each) on a 4-core host. A
-    # half-built layout (offsets and halt flags left in caller order) read
-    # 1.03x, so 1.5 fails a layout that stops streaming with the worklist.
-    "relabel_ablation": 1.5,
 }
 
 

@@ -19,7 +19,7 @@
 //         --gen forest_union:<n>:<a>:<seed>
 //
 //   graph_convert solve <in.cgr> --k K [--engine network|parallel|reference]
-//                       [--threads T] [--no-relabel] [--load]
+//                       [--threads T] [--load]
 //       Open the .cgr (mmap by default; --load reads + fully validates it
 //       in memory), run rake-compress with parameter k under iota ids, and
 //       print rounds / messages / final_digest — byte-comparable to the
@@ -61,7 +61,7 @@ using treelocal::CompactGraphError;
          "           (--input edges.txt [--binary] | --gen SPEC)\n"
          "           [--nodes N] [--chunk-mb MB]\n"
          "       graph_convert solve <in.cgr> --k K [--engine E] "
-         "[--threads T] [--no-relabel] [--load]\n"
+         "[--threads T] [--load]\n"
          "gen specs: <family>:<n>:<seed> | forest_union:<n>:<a>:<seed>\n"
          "families: path star balanced3 balanced8 uniform recursive "
          "caterpillar binary\n"
@@ -385,7 +385,6 @@ struct SolveOptions {
   std::string engine = "network";
   int k = 2;
   int threads = 2;
-  bool relabel = true;  // the engine default; --no-relabel turns it off
   bool load = false;  // FromFile (full validation) instead of OpenMapped
 };
 
@@ -398,8 +397,6 @@ int Solve(const SolveOptions& opt) {
               static_cast<long long>(treelocal::bench::CurrentRssBytes()));
   std::vector<int64_t> ids(g.NumNodes());
   std::iota(ids.begin(), ids.end(), 0);
-  treelocal::local::NetworkOptions nopt;
-  nopt.relabel = opt.relabel;
   std::unique_ptr<treelocal::local::Algorithm> alg =
       treelocal::MakeRakeCompressAlgorithm(opt.k);
   const int bound = treelocal::RakeCompressIterationBound(
@@ -407,12 +404,12 @@ int Solve(const SolveOptions& opt) {
   const int max_rounds = 3 * (2 * bound + 8);
   std::unique_ptr<treelocal::local::Engine> net;
   if (opt.engine == "parallel") {
-    net = std::make_unique<treelocal::local::ParallelNetwork>(
-        g, ids, opt.threads, nopt);
+    net = std::make_unique<treelocal::local::ParallelNetwork>(g, ids,
+                                                              opt.threads);
   } else if (opt.engine == "reference") {
-    net = std::make_unique<treelocal::local::ReferenceNetwork>(g, ids, nopt);
+    net = std::make_unique<treelocal::local::ReferenceNetwork>(g, ids);
   } else if (opt.engine == "network") {
-    net = std::make_unique<treelocal::local::Network>(g, ids, nopt);
+    net = std::make_unique<treelocal::local::Network>(g, ids);
   } else {
     Usage("unknown engine '" + opt.engine + "'");
   }
@@ -475,8 +472,6 @@ int main(int argc, char** argv) {
           opt.engine = need(i++);
         } else if (a == "--threads") {
           opt.threads = std::stoi(need(i++));
-        } else if (a == "--no-relabel") {
-          opt.relabel = false;
         } else if (a == "--load") {
           opt.load = true;
         } else {

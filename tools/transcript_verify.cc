@@ -7,7 +7,7 @@
 //
 //   transcript_verify record <out.snap> [--family F] [--n N] [--seed S]
 //                     [--k K] [--pause R] [--engine E] [--threads T]
-//                     [--no-relabel] [--digest-messages]
+//                     [--digest-messages]
 //       Generate a tree workload (rake-compress with parameter k), run it to
 //       round R (or to completion when R < 0, the default), and write the
 //       checkpoint. Prints the snapshot summary.
@@ -19,7 +19,7 @@
 //       msg_acc) from the recorded seed). Exit 0 iff valid.
 //
 //   transcript_verify replay <in.snap> --k K [--engine E] [--threads T]
-//                     [--no-relabel] [--max-rounds M] [--expect-digest 0xH]
+//                     [--max-rounds M] [--expect-digest 0xH]
 //       Reconstruct the graph from the snapshot, resume the run on a fresh
 //       engine, and drive it to completion. Prints the final rounds /
 //       messages / digest; with --expect-digest, exit 0 iff the final chain
@@ -28,8 +28,8 @@
 //
 // Engines: --engine network (default) | parallel | reference, all driven
 // through the local::Engine base (Run/RunUntil, Checkpoint, Resume, the
-// digest chain). The snapshot is canonical, so any engine x relabel x
-// thread-count combination can pick up any recording — replaying on a
+// digest chain). The snapshot is canonical, so any engine x thread-count
+// combination can pick up any recording — replaying on a
 // different engine than the recorder, in either direction, is exactly the
 // cross-engine resume contract the tests and the CI gate enforce.
 
@@ -70,7 +70,6 @@ struct Options {
   int pause = -1;
   int threads = 2;
   int max_rounds = -1;  // < 0: derive from the Lemma 9 bound
-  bool relabel = true;  // the engine default; --no-relabel turns it off
   bool digest_messages = false;
   bool has_expect_digest = false;
   uint64_t expect_digest = 0;
@@ -81,10 +80,10 @@ struct Options {
   std::cerr << "usage: transcript_verify record <out.snap> [--family F] "
                "[--n N] [--seed S] [--k K]\n"
                "                        [--pause R] [--engine E] [--threads T] "
-               "[--no-relabel] [--digest-messages]\n"
+               "[--digest-messages]\n"
                "       transcript_verify check <in.snap>\n"
                "       transcript_verify replay <in.snap> --k K [--engine E] "
-               "[--threads T] [--no-relabel]\n"
+               "[--threads T]\n"
                "                        [--max-rounds M] [--expect-digest "
                "0xHEX]\n"
                "families: path star balanced3 balanced8 uniform recursive "
@@ -123,8 +122,6 @@ Options Parse(int argc, char** argv) {
       opt.threads = std::stoi(need(i++));
     } else if (a == "--max-rounds") {
       opt.max_rounds = std::stoi(need(i++));
-    } else if (a == "--no-relabel") {
-      opt.relabel = false;
     } else if (a == "--digest-messages") {
       opt.digest_messages = true;
     } else if (a == "--expect-digest") {
@@ -230,7 +227,6 @@ int RunOnEngine(treelocal::local::Engine& net, const Options& opt,
 int Drive(const Graph& g, const std::vector<int64_t>& ids, const Options& opt,
           bool resume, const std::string& in_path, bool digest_messages) {
   treelocal::local::NetworkOptions nopt;
-  nopt.relabel = opt.relabel;
   nopt.digest_messages = digest_messages;
   std::unique_ptr<treelocal::local::Algorithm> alg =
       treelocal::MakeRakeCompressAlgorithm(opt.k);
